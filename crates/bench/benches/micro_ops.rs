@@ -61,6 +61,46 @@ fn bench_shortest_paths(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // The batched kernel at the shape dispatch sends (30 vehicle nodes → 1
+    // pickup), its transpose, and a square.  An iteration computes 200 /
+    // 200 / 7 matrices, i.e. 6 000 / 6 000 / 6 300 pairs, so the three rows
+    // compare per pair almost directly.
+    let fleets: Vec<Vec<u32>> = pairs
+        .iter()
+        .map(|&(s, _)| (0..30u32).map(|i| (i * 53 + s) % n).collect())
+        .collect();
+    let mut group = c.benchmark_group("many_to_many");
+    group.bench_function("30x1", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for (fleet, &(_, t)) in fleets.iter().zip(&pairs) {
+                acc += w.engine.many_to_many(black_box(fleet), black_box(&[t]))[0];
+            }
+            acc
+        })
+    });
+    group.bench_function("1x30", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for (fleet, &(_, t)) in fleets.iter().zip(&pairs) {
+                acc += w.engine.many_to_many(black_box(&[t]), black_box(fleet))[0];
+            }
+            acc
+        })
+    });
+    group.bench_function("30x30", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for pair in fleets[..14].chunks_exact(2) {
+                acc += w
+                    .engine
+                    .many_to_many(black_box(&pair[0]), black_box(&pair[1]))[0];
+            }
+            acc
+        })
+    });
+    group.finish();
 }
 
 fn bench_insertion_and_shareability(c: &mut Criterion) {

@@ -18,10 +18,10 @@
 //! construction and the solver weighs "serve at this added cost" against
 //! "keep waiting" globally rather than per request.
 //!
-//! Candidate sets reuse the certified fleet-index prescreen and the batched
-//! [`SpEngine::many_to_many`](structride_roadnet::SpEngine::many_to_many)
-//! scoring exactly as SARD does (identical scratch-counter semantics), and
-//! the per-request `max_candidate_vehicles` truncation keeps the matrix at
+//! Candidate sets come from the routine SARD uses,
+//! [`DispatchContext::scored_candidates`] (certified fleet-index prescreen,
+//! batched pickup scoring, same scratch counters), and its per-request
+//! `max_candidate_vehicles` truncation keeps the matrix at
 //! candidate-neighbourhood width instead of fleet width.
 //!
 //! # Rounds
@@ -74,61 +74,6 @@ impl AssignDispatcher {
     /// Number of requests currently waiting in the pool.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Candidate vehicles for `request` with their insertion costs, in
-    /// ascending `(added_cost, vehicle_index)` order, truncated to the
-    /// configured candidate-neighbourhood width.  Mirrors SARD's certified
-    /// retrieval bit for bit, including the scratch-counter semantics.
-    fn candidates(
-        ctx: &DispatchContext<'_>,
-        vehicles: &[Vehicle],
-        request: &Request,
-    ) -> Vec<(usize, f64)> {
-        let engine = ctx.engine;
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
-        if let Some(index) = ctx.fleet_index {
-            let network = engine.network();
-            let p = network.coord(request.source);
-            let survivors =
-                index.certified_candidates(network, vehicles, p.x, p.y, request.pickup_deadline);
-            let nodes: Vec<u32> = survivors.iter().map(|&vi| vehicles[vi].node).collect();
-            let pickup_costs = engine.many_to_many(&nodes, &[request.source]);
-            let mut evaluated = 0u64;
-            for (&vi, &cost) in survivors.iter().zip(&pickup_costs) {
-                let vehicle = &vehicles[vi];
-                if vehicle.free_at + cost
-                    > request.pickup_deadline + crate::fleet_index::REACH_GRACE
-                {
-                    continue;
-                }
-                evaluated += 1;
-                if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                    candidates.push((out.added_cost, vi));
-                }
-            }
-            ctx.scratch.count_insertion_evaluations(evaluated);
-            ctx.scratch
-                .count_prescreen_pruned(vehicles.len() as u64 - evaluated);
-        } else {
-            for (vi, vehicle) in vehicles.iter().enumerate() {
-                if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                    candidates.push((out.added_cost, vi));
-                }
-            }
-            ctx.scratch
-                .count_insertion_evaluations(vehicles.len() as u64);
-        }
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite costs")
-                .then(a.1.cmp(&b.1))
-        });
-        candidates.truncate(ctx.config.max_candidate_vehicles.max(1));
-        candidates
-            .into_iter()
-            .map(|(cost, vi)| (vi, cost))
-            .collect()
     }
 }
 
@@ -209,17 +154,22 @@ impl Dispatcher for AssignDispatcher {
             let vehicles_view: &[Vehicle] = vehicles;
             // Par-map the expensive exact work (prescreen + insertion
             // evaluations); `collect` merges rows back in pool order.
-            let rows: Vec<(RequestId, Vec<(usize, f64)>)> = pool
+            let rows: Vec<(RequestId, Vec<(f64, usize)>)> = pool
                 .par_iter()
                 .map(|&rid| {
                     let request = pending_view.get(&rid).expect("pooled request exists");
-                    (rid, Self::candidates(ctx, vehicles_view, request))
+                    let cands = ctx.scored_candidates(
+                        vehicles_view,
+                        request,
+                        ctx.config.max_candidate_vehicles,
+                    );
+                    (rid, cands)
                 })
                 .collect();
 
             let mut col_vehicles: Vec<usize> = rows
                 .iter()
-                .flat_map(|(_, cands)| cands.iter().map(|&(vi, _)| vi))
+                .flat_map(|(_, cands)| cands.iter().map(|&(_, vi)| vi))
                 .collect();
             col_vehicles.sort_unstable();
             col_vehicles.dedup();
@@ -245,7 +195,7 @@ impl Dispatcher for AssignDispatcher {
                 .map(|(i, (rid, cands))| {
                     let request = &pending_view[rid];
                     let mut row = vec![lap::FORBIDDEN; n_cols + n_rows];
-                    for &(vi, added_cost) in cands {
+                    for &(added_cost, vi) in cands {
                         let j = col_vehicles.binary_search(&vi).expect("column exists");
                         row[j] = cost_params.alpha * added_cost;
                     }

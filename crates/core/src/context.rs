@@ -35,8 +35,9 @@
 //! workers, failing on any drift (`replay verify`).
 
 use crate::config::StructRideConfig;
-use crate::fleet_index::FleetIndex;
+use crate::fleet_index::{FleetIndex, REACH_GRACE};
 use std::sync::atomic::{AtomicU64, Ordering};
+use structride_model::{insertion, Request, Vehicle};
 use structride_roadnet::SpEngine;
 
 /// Per-batch scratch counters, updated atomically by (possibly parallel)
@@ -153,6 +154,62 @@ impl<'a> DispatchContext<'a> {
     pub fn with_fleet_index(mut self, index: &'a FleetIndex) -> Self {
         self.fleet_index = Some(index);
         self
+    }
+
+    /// The candidate vehicles of `request`: every vehicle whose current
+    /// schedule admits it, as `(added_cost, vehicle_index)` in ascending
+    /// order, cut to the `keep` cheapest (at least one).  SARD's candidate
+    /// queues and the exact-assignment cost matrix are both built from this.
+    ///
+    /// With a fleet index attached this is certified retrieval (§II-B's
+    /// grid-range retrieval, made exact): range-query the index at the
+    /// reachability radius — a vehicle outside it provably cannot meet the
+    /// pickup deadline — then drop survivors whose *exact* travel time to
+    /// the pickup (one batched [`SpEngine::many_to_many`] pass, no cache)
+    /// still misses it.  Both stages only remove vehicles whose insertion
+    /// would have been rejected, so the list is bit-identical to the one the
+    /// full-fleet scan (no index) produces.
+    pub fn scored_candidates(
+        &self,
+        vehicles: &[Vehicle],
+        request: &Request,
+        keep: usize,
+    ) -> Vec<(f64, usize)> {
+        let engine = self.engine;
+        let mut candidates: Vec<(f64, usize)> = Vec::new();
+        let mut score = |vi: usize| {
+            if let Some(out) = insertion::insert_request(engine, &vehicles[vi], request) {
+                candidates.push((out.added_cost, vi));
+            }
+        };
+        let evaluated = if let Some(index) = self.fleet_index {
+            let network = engine.network();
+            let p = network.coord(request.source);
+            let survivors =
+                index.certified_candidates(network, vehicles, p.x, p.y, request.pickup_deadline);
+            let nodes: Vec<u32> = survivors.iter().map(|&vi| vehicles[vi].node).collect();
+            let pickup_costs = engine.many_to_many(&nodes, &[request.source]);
+            let mut evaluated = 0u64;
+            for (&vi, &cost) in survivors.iter().zip(&pickup_costs) {
+                if vehicles[vi].free_at + cost > request.pickup_deadline + REACH_GRACE {
+                    // Even the direct drive to the pickup misses the
+                    // deadline: every insertion position does too.
+                    continue;
+                }
+                evaluated += 1;
+                score(vi);
+            }
+            self.scratch
+                .count_prescreen_pruned(vehicles.len() as u64 - evaluated);
+            evaluated
+        } else {
+            (0..vehicles.len()).for_each(&mut score);
+            vehicles.len() as u64
+        };
+        self.scratch.count_insertion_evaluations(evaluated);
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        candidates.truncate(keep.max(1));
+        candidates
     }
 }
 

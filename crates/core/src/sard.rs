@@ -38,7 +38,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::grouping::{enumerate_groups, CandidateGroup};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use structride_model::{insertion, Request, RequestId, Vehicle};
+use structride_model::{Request, RequestId, Vehicle};
 use structride_sharegraph::{shareability_loss, ShareabilityGraph, ShareabilityGraphBuilder};
 
 /// The SARD dispatcher (the paper's contribution).
@@ -177,68 +177,13 @@ impl Dispatcher for SardDispatcher {
             .par_iter()
             .map(|&rid| {
                 let request = builder_view.request(rid).expect("pooled request exists");
-                let mut candidates: Vec<(f64, usize)> = Vec::new();
-                if let Some(index) = ctx.fleet_index {
-                    // Certified candidate retrieval (§II-B's grid-range
-                    // retrieval, made exact): range-query the persistent
-                    // fleet index at the reachability radius — a vehicle
-                    // outside it provably cannot meet the pickup deadline —
-                    // then drop survivors whose *exact* travel time to the
-                    // pickup (one batched many-to-many label pass, no cache)
-                    // still misses it.  Both stages only remove vehicles
-                    // whose insertion would have been rejected, so the
-                    // surviving candidate set, ordering and truncation are
-                    // bit-identical to the full-fleet scan.
-                    let network = engine.network();
-                    let p = network.coord(request.source);
-                    let survivors = index.certified_candidates(
-                        network,
-                        vehicles_view,
-                        p.x,
-                        p.y,
-                        request.pickup_deadline,
-                    );
-                    let nodes: Vec<u32> =
-                        survivors.iter().map(|&vi| vehicles_view[vi].node).collect();
-                    let pickup_costs = engine.many_to_many(&nodes, &[request.source]);
-                    let mut evaluated = 0u64;
-                    for (&vi, &cost) in survivors.iter().zip(&pickup_costs) {
-                        let vehicle = &vehicles_view[vi];
-                        if vehicle.free_at + cost
-                            > request.pickup_deadline + crate::fleet_index::REACH_GRACE
-                        {
-                            // Even the direct drive to the pickup misses the
-                            // deadline: every insertion position does too.
-                            continue;
-                        }
-                        evaluated += 1;
-                        if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                            candidates.push((out.added_cost, vi));
-                        }
-                    }
-                    ctx.scratch.count_insertion_evaluations(evaluated);
-                    ctx.scratch
-                        .count_prescreen_pruned(vehicles_view.len() as u64 - evaluated);
-                } else {
-                    for (vi, vehicle) in vehicles_view.iter().enumerate() {
-                        if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                            candidates.push((out.added_cost, vi));
-                        }
-                    }
-                    ctx.scratch
-                        .count_insertion_evaluations(vehicles_view.len() as u64);
-                }
-                // Ascending by (added cost, vehicle id); only the `k` cheapest
-                // vehicles stay in the queue (the grid-range candidate
-                // retrieval of §II-B), and the request proposes from the back
-                // of that list — the worst of its candidate neighbourhood
-                // first, as in Algorithm 3 line 9.
-                candidates.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .expect("finite costs")
-                        .then(a.1.cmp(&b.1))
-                });
-                candidates.truncate(config.max_candidate_vehicles.max(1));
+                // Only the `k` cheapest vehicles stay in the queue (the
+                // grid-range candidate retrieval of §II-B), and the request
+                // proposes from the back of that ascending list — the worst
+                // of its candidate neighbourhood first, as in Algorithm 3
+                // line 9.
+                let candidates =
+                    ctx.scored_candidates(vehicles_view, request, config.max_candidate_vehicles);
                 (rid, candidates.into_iter().map(|(_, vi)| vi).collect())
             })
             .collect();

@@ -866,16 +866,22 @@ impl SpEngine {
     /// `i * targets.len() + j` is the cost from `sources[i]` to
     /// `targets[j]`), bypassing the per-pair LRU cache.
     ///
-    /// With hub labels this is one bucket-scatter + linear join pass per
-    /// source over the shared label arrays ([`HubLabels::many_to_many`])
-    /// instead of |S|·|T| independent binary merges; every entry is
-    /// **bit-identical** to the corresponding [`SpEngine::cost_uncached`]
-    /// call.  Clipped engines answer through their compact label slice when
-    /// every endpoint is inside the halo and through the shared full index
-    /// otherwise (counted as fallback queries); both give the same bits,
-    /// because restricted label vectors are verbatim copies of the full
-    /// ones.  All |S|·|T| pairs are counted as index queries — like every
-    /// SP counter, subject to no replay comparison.
+    /// With hub labels this is [`HubLabels::many_to_many`]: the smaller side's
+    /// labels are scattered into a per-thread hub bucket, once each, and the
+    /// larger side's labels are scanned against it — for dispatch's
+    /// ≈ 30 vehicles → 1 pickup, one scatter of the pickup's in-label and one
+    /// read of each vehicle's out-label, instead of |S|·|T| two-pointer
+    /// merges.  Every entry is **bit-identical** to the corresponding
+    /// [`SpEngine::cost_uncached`] call: the kernel takes the minimum over
+    /// the same `out + in` sums as the merge, and the minimum of
+    /// non-negative, NaN-free floats does not depend on the order they are
+    /// compared in.  Clipped engines answer through their compact label
+    /// slice when every endpoint is inside the halo and through the shared
+    /// full index otherwise (the whole matrix, counted as fallback
+    /// queries); both give the same bits, because restricted label vectors
+    /// are verbatim copies of the full ones.  All |S|·|T| pairs are counted
+    /// as index queries — like every SP counter, subject to no replay
+    /// comparison.
     pub fn many_to_many(&self, sources: &[NodeId], targets: &[NodeId]) -> Vec<f64> {
         let pairs = (sources.len() * targets.len()) as u64;
         self.index_queries.fetch_add(pairs, Ordering::Relaxed);
@@ -913,13 +919,19 @@ impl SpEngine {
             }
             SpIndex::Full(labels) => labels.many_to_many(sources, targets),
             SpIndex::Clipped { sub, slice, full } => {
-                let local_sources: Option<Vec<NodeId>> =
-                    sources.iter().map(|&v| sub.local(v)).collect();
-                let local_targets: Option<Vec<NodeId>> =
-                    targets.iter().map(|&v| sub.local(v)).collect();
-                match (local_sources, local_targets) {
-                    (Some(ls), Some(lt)) => slice.many_to_many(&ls, &lt),
-                    _ => {
+                // One id map for both sides; the first endpoint outside the
+                // halo sends the whole matrix to the full index.
+                let local: Option<Vec<NodeId>> = sources
+                    .iter()
+                    .chain(targets)
+                    .map(|&v| sub.local(v))
+                    .collect();
+                match local {
+                    Some(ids) => {
+                        let (ls, lt) = ids.split_at(sources.len());
+                        slice.many_to_many(ls, lt)
+                    }
+                    None => {
                         self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
                         full.many_to_many(sources, targets)
                     }
@@ -1394,10 +1406,14 @@ mod tests {
 
     /// The batched matrix must agree bit for bit with per-pair
     /// `cost_uncached` for every engine variant: full labels, a clipped
-    /// engine answering in-halo (slice) and mixed (fallback) batches, and
-    /// the label-free Dijkstra engine.
+    /// engine answering in-halo (slice) and mixed (whole-matrix fallback to
+    /// the full index) batches, and the label-free Dijkstra engine — at the
+    /// |S|×1 shape dispatch sends as well as 1×|T| and square, and with the
+    /// calls fanned out over 1, 4 and 8 workers so every worker thread
+    /// brings its own kernel scratch and alternates slice and full index.
     #[test]
     fn many_to_many_matches_cost_uncached_for_every_engine_variant() {
+        use rayon::prelude::*;
         let net = Arc::new(line_graph(24));
         let full = SpEngineBuilder::new().build_shared(net.clone());
         let labels = match &full.index {
@@ -1410,27 +1426,60 @@ mod tests {
             .use_hub_labels(false)
             .build(line_graph(24));
 
-        let check = |eng: &SpEngine, sources: &[u32], targets: &[u32]| {
-            let matrix = eng.many_to_many(sources, targets);
-            assert_eq!(matrix.len(), sources.len() * targets.len());
-            for (i, &s) in sources.iter().enumerate() {
-                for (j, &t) in targets.iter().enumerate() {
-                    assert_eq!(
-                        matrix[i * targets.len() + j].to_bits(),
-                        eng.cost_uncached(s, t).to_bits(),
-                        "({s},{t})"
-                    );
-                }
-            }
-        };
         let in_halo: Vec<u32> = (4..12).collect();
         let mixed: Vec<u32> = vec![0, 5, 8, 20, 23];
-        check(&full, &mixed, &in_halo);
-        check(&clipped, &in_halo, &in_halo); // answered by the slice
-        let before = clipped.fallback_queries();
-        check(&clipped, &mixed, &in_halo); // an outside endpoint: full-index fallback
-        assert!(clipped.fallback_queries() > before);
-        check(&dijkstra, &mixed, &mixed);
+        // Interleaved so a worker's consecutive calls switch between the
+        // slice (in-halo) and the full index (an endpoint outside).
+        let shapes: Vec<(&[u32], &[u32])> = (0..24usize)
+            .flat_map(|k| {
+                let one_inside = &in_halo[k % 8..][..1];
+                let one_mixed = &mixed[k % 5..][..1];
+                [
+                    (&in_halo[..], one_inside),
+                    (&mixed[..], one_inside),
+                    (&in_halo[..], one_mixed),
+                    (one_inside, &in_halo[..]),
+                    (&in_halo[..], &in_halo[..]),
+                    (&mixed[..], &mixed[..]),
+                ]
+            })
+            .collect();
+        for threads in [1usize, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            for eng in [&full, &clipped, &dijkstra] {
+                let before = eng.fallback_queries();
+                let matrices: Vec<Vec<f64>> = pool.install(|| {
+                    shapes
+                        .par_iter()
+                        .map(|(sources, targets)| eng.many_to_many(sources, targets))
+                        .collect()
+                });
+                for ((sources, targets), matrix) in shapes.iter().zip(&matrices) {
+                    assert_eq!(matrix.len(), sources.len() * targets.len());
+                    for (i, &s) in sources.iter().enumerate() {
+                        for (j, &t) in targets.iter().enumerate() {
+                            assert_eq!(
+                                matrix[i * targets.len() + j].to_bits(),
+                                full.cost_uncached(s, t).to_bits(),
+                                "({s},{t}) under {threads} workers"
+                            );
+                        }
+                    }
+                }
+                // Fallbacks are counted per pair of every batch with an
+                // endpoint outside the halo, and only by the clipped engine.
+                let outside_pairs: u64 = shapes
+                    .iter()
+                    .filter(|(s, t)| s.iter().chain(*t).any(|v| !halo.contains(v)))
+                    .map(|(s, t)| (s.len() * t.len()) as u64)
+                    .sum();
+                let expected = if eng.is_clipped() { outside_pairs } else { 0 };
+                assert_eq!(eng.fallback_queries() - before, expected);
+            }
+        }
     }
 
     fn rush_config() -> crate::traffic::TrafficConfig {

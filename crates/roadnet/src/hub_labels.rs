@@ -34,6 +34,7 @@
 
 use crate::graph::{NodeId, RoadNetwork};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -63,8 +64,7 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.dist)
             .then_with(|| other.node.cmp(&self.node))
     }
 }
@@ -72,6 +72,39 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+thread_local! {
+    /// The dense per-hub bucket of [`HubLabels::many_to_many`], indexed by
+    /// hub rank and kept per thread so a call neither allocates nor looks
+    /// for the largest rank.  Every slot reads `INFINITY` between calls:
+    /// a call overwrites exactly the hubs of the label it scatters and
+    /// restores them before it returns, and growth fills with `INFINITY`.
+    static M2M_BUCKET: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `min(e.dist + bucket[e.hub])` over `label` (∞ when empty), through four
+/// independent running minima so consecutive entries do not wait on one
+/// loop-carried compare.
+#[inline]
+fn min_plus(label: &[LabelEntry], bucket: &[f64]) -> f64 {
+    let mut best = [f64::INFINITY; 4];
+    let mut quads = label.chunks_exact(4);
+    for quad in &mut quads {
+        for (b, e) in best.iter_mut().zip(quad) {
+            let d = e.dist + bucket[e.hub as usize];
+            if d < *b {
+                *b = d;
+            }
+        }
+    }
+    for e in quads.remainder() {
+        let d = e.dist + bucket[e.hub as usize];
+        if d < best[0] {
+            best[0] = d;
+        }
+    }
+    best[0].min(best[1]).min(best[2].min(best[3]))
 }
 
 /// Reusable per-search scratch: a distance array reset via the touched list.
@@ -522,59 +555,69 @@ impl HubLabels {
     /// Batched exact |S|×|T| travel-time matrix (row-major: entry
     /// `i * targets.len() + j` is `query(sources[i], targets[j])`).
     ///
-    /// Instead of |S|·|T| independent two-pointer merges, each source's
-    /// out-labels are scattered once into a dense per-hub bucket array
-    /// (hub ids are global ranks, so the array is sized by node count and
-    /// reset via a touched list), and every target's in-labels are joined
-    /// against the buckets in one linear pass.  The minimum is taken over
-    /// exactly the same multiset of `out.dist + inn.dist` sums as the
-    /// merge in [`HubLabels::query_with`], visited in the same increasing
-    /// hub-rank order (hubs missing from the source side contribute
-    /// `∞ + d = ∞`, which never wins `d < best`), so every entry is
-    /// **bit-identical** to the corresponding [`HubLabels::query`] —
-    /// including the `source == target → 0.0` special case.
+    /// A min-plus join over a dense per-hub bucket.  **Orientation rule:**
+    /// the *smaller* side is scattered — each of its labels once — and every
+    /// label of the larger side is scanned against it, so the matrix costs
+    /// `2·min(|S|,|T|) + |S|·|T|` label passes.  Dispatch sends ≈ 30 vehicle
+    /// nodes against one pickup: the pickup's in-label is scattered once and
+    /// each vehicle's out-label is read once.  A scan stops at the scattered
+    /// label's last (largest) hub rank — labels are sorted by rank, and a
+    /// hub beyond it cannot be common — which is also all the bucket has to
+    /// cover: hub ids are *global* ranks even in a [`HubLabels::restrict_to`]
+    /// slice, so the bucket is sized by that rank, never by vertex count.
+    ///
+    /// Every entry is **bit-identical** to [`HubLabels::query`] (including
+    /// its `source == target → 0.0` case).  Each common hub contributes the
+    /// same `out.dist + in.dist` sum the merge in [`HubLabels::query_with`]
+    /// forms (IEEE addition is commutative, so which operand came out of the
+    /// bucket does not matter); a hub the scattered side lacks reads `∞`,
+    /// and `d + ∞ = ∞` never wins.  The scan keeps four independent running
+    /// minima instead of one, so the candidates are compared in a different
+    /// order than the merge — but distances are non-negative, NaN-free and
+    /// never `-0.0`, and the minimum of such a multiset is one bit pattern
+    /// whatever the order.
+    ///
+    /// # Panics
+    /// Panics if any id is out of range.
     pub fn many_to_many(&self, sources: &[NodeId], targets: &[NodeId]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(sources.len() * targets.len());
-        // Hub ids are *global* ranks even in a `restrict_to` slice, so size
-        // the bucket array by the largest rank actually referenced rather
-        // than by the (possibly smaller) local vertex count.
-        let max_hub = sources
-            .iter()
-            .flat_map(|&s| self.out_labels[s as usize].iter())
-            .chain(
-                targets
-                    .iter()
-                    .flat_map(|&t| self.in_labels[t as usize].iter()),
-            )
-            .map(|e| e.hub as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut bucket = vec![f64::INFINITY; max_hub];
-        let mut touched: Vec<u32> = Vec::new();
-        for &s in sources {
-            for e in &self.out_labels[s as usize] {
-                bucket[e.hub as usize] = e.dist;
-                touched.push(e.hub);
-            }
-            for &t in targets {
-                if s == t {
-                    out.push(0.0);
-                    continue;
+        // Checked before anything is scattered: a panic must not leave the
+        // thread's bucket dirty.
+        let n = self.out_labels.len();
+        assert!(
+            sources.iter().chain(targets).all(|&v| (v as usize) < n),
+            "many_to_many: node id out of range"
+        );
+        let mut out = vec![0.0; sources.len() * targets.len()];
+        let by_target = targets.len() <= sources.len();
+        let ((scatter_ids, scatter_labels), (scan_ids, scan_labels)) = if by_target {
+            ((targets, &self.in_labels), (sources, &self.out_labels))
+        } else {
+            ((sources, &self.out_labels), (targets, &self.in_labels))
+        };
+        M2M_BUCKET.with_borrow_mut(|bucket| {
+            for (a, &u) in scatter_ids.iter().enumerate() {
+                let label = &scatter_labels[u as usize];
+                let limit = label.last().map_or(0, |e| e.hub as usize + 1);
+                if bucket.len() < limit {
+                    bucket.resize(limit, f64::INFINITY);
                 }
-                let mut best = f64::INFINITY;
-                for e in &self.in_labels[t as usize] {
-                    let d = bucket[e.hub as usize] + e.dist;
-                    if d < best {
-                        best = d;
+                for e in label {
+                    bucket[e.hub as usize] = e.dist;
+                }
+                for (b, &v) in scan_ids.iter().enumerate() {
+                    // `u == v` keeps the pre-filled 0.0, as `query` answers.
+                    if u != v {
+                        let other = &scan_labels[v as usize];
+                        let end = other.partition_point(|e| (e.hub as usize) < limit);
+                        let (i, j) = if by_target { (b, a) } else { (a, b) };
+                        out[i * targets.len() + j] = min_plus(&other[..end], &bucket[..limit]);
                     }
                 }
-                out.push(best);
+                for e in label {
+                    bucket[e.hub as usize] = f64::INFINITY;
+                }
             }
-            for &h in &touched {
-                bucket[h as usize] = f64::INFINITY;
-            }
-            touched.clear();
-        }
+        });
         out
     }
 
@@ -808,6 +851,7 @@ mod tests {
     use super::*;
     use crate::dijkstra;
     use crate::graph::{Point, RoadNetworkBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -852,42 +896,135 @@ mod tests {
         }
     }
 
-    /// The bucketed batched join must reproduce the two-pointer merge bit
-    /// for bit for every pair — infinities (no common hub) included.
-    #[test]
-    fn many_to_many_is_bit_identical_to_pairwise_queries() {
-        for seed in 0..4u64 {
-            let g = random_graph(60, 120, seed);
-            let labels = HubLabels::build(&g);
-            let sources: Vec<NodeId> = (0..60u32).step_by(3).collect();
-            let targets: Vec<NodeId> = (0..60u32).step_by(4).collect();
-            let matrix = labels.many_to_many(&sources, &targets);
-            assert_eq!(matrix.len(), sources.len() * targets.len());
-            for (i, &s) in sources.iter().enumerate() {
-                for (j, &t) in targets.iter().enumerate() {
-                    let batched = matrix[i * targets.len() + j];
-                    let single = labels.query(s, t);
-                    assert_eq!(
-                        batched.to_bits(),
-                        single.to_bits(),
-                        "seed {seed}: ({s},{t}) batched={batched} single={single}"
-                    );
-                }
-            }
-        }
-        // Disconnected components: the batched path preserves infinities.
+    /// Two random islands (`0..split` and `split..n`) with no edge between
+    /// them, so cross-island pairs are unreachable.
+    fn random_islands(n: usize, split: usize, extra_edges: usize, seed: u64) -> RoadNetwork {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut b = RoadNetworkBuilder::new();
-        for i in 0..4 {
+        for i in 0..n {
             b.add_node(Point::new(i as f64, 0.0));
         }
-        b.add_bidirectional(0, 1, 1.0).unwrap();
-        b.add_bidirectional(2, 3, 1.0).unwrap();
-        let labels = HubLabels::build(&b.build().unwrap());
-        let m = labels.many_to_many(&[0, 2], &[1, 3]);
-        assert_eq!(m[0], 1.0);
-        assert!(m[1].is_infinite());
-        assert!(m[2].is_infinite());
-        assert_eq!(m[3], 1.0);
+        for i in (1..n).filter(|&i| i != split) {
+            let w = rng.gen_range(1.0..10.0);
+            b.add_bidirectional(i as u32 - 1, i as u32, w).unwrap();
+        }
+        for _ in 0..extra_edges {
+            let u = rng.gen_range(0..n);
+            let v = rng.gen_range(0..n);
+            if u != v && (u < split) == (v < split) {
+                b.add_edge(u as u32, v as u32, rng.gen_range(1.0..10.0))
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Every entry of `index.many_to_many(sources, targets)` must carry the
+    /// bits of `reference.query` on the ids `global` maps the local ones to.
+    fn assert_matrix_matches_queries(
+        index: &HubLabels,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        reference: &HubLabels,
+        global: impl Fn(NodeId) -> NodeId,
+    ) {
+        let matrix = index.many_to_many(sources, targets);
+        assert_eq!(matrix.len(), sources.len() * targets.len());
+        for (i, &s) in sources.iter().enumerate() {
+            for (j, &t) in targets.iter().enumerate() {
+                let batched = matrix[i * targets.len() + j];
+                let single = reference.query(global(s), global(t));
+                assert_eq!(
+                    batched.to_bits(),
+                    single.to_bits(),
+                    "{}x{} ({s},{t}): batched={batched} single={single}",
+                    sources.len(),
+                    targets.len()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The min-plus kernel must reproduce the two-pointer merge bit for
+        /// bit in both orientations and at every shape: |S|×1 (what dispatch
+        /// sends), 1×|T|, |S|<|T|, |S|=|T| with `s == t` on the diagonal,
+        /// empty sides, duplicate ids (drawn with replacement) and
+        /// unreachable pairs (∞ across the islands).
+        #[test]
+        fn many_to_many_is_bit_identical_to_pairwise_queries(
+            seed in 0u64..1_000,
+            sources in proptest::collection::vec(0u32..60, 0..40),
+            targets in proptest::collection::vec(0u32..60, 0..40),
+        ) {
+            let labels = HubLabels::build(&random_islands(60, 41, 120, seed));
+            let check = |s: &[NodeId], t: &[NodeId]| {
+                assert_matrix_matches_queries(&labels, s, t, &labels, |v| v)
+            };
+            check(&sources, &targets);
+            check(&targets, &sources);
+            check(&sources, &targets[..targets.len().min(1)]);
+            check(&sources[..sources.len().min(1)], &targets);
+            check(&sources, &sources);
+            check(&sources, &[]);
+            check(&[], &targets);
+        }
+
+        /// The per-thread bucket can be neither stale nor undersized: on one
+        /// thread, back to back, a full index and a `restrict_to` slice whose
+        /// hub ranks exceed its local vertex count answer correctly in either
+        /// order — including the slice going first on a fresh thread, whose
+        /// bucket is still empty.
+        #[test]
+        fn many_to_many_scratch_survives_full_then_slice_on_one_thread(
+            seed in 0u64..1_000,
+            picks in proptest::collection::vec(0u32..60, 1..7),
+        ) {
+            let labels = HubLabels::build(&random_islands(60, 41, 120, seed));
+            let mut subset = picks.clone();
+            subset.sort_unstable();
+            subset.dedup();
+            let slice = labels.restrict_to(&subset);
+            let max_hub = slice
+                .out_labels
+                .iter()
+                .chain(&slice.in_labels)
+                .flatten()
+                .map(|e| e.hub as usize)
+                .max()
+                .unwrap_or(0);
+            prop_assume!(max_hub >= subset.len());
+            let all: Vec<NodeId> = (0..60).collect();
+            let local: Vec<NodeId> = (0..subset.len() as NodeId).collect();
+            let full_then_slice = || {
+                assert_matrix_matches_queries(&labels, &all, &picks, &labels, |v| v);
+                assert_matrix_matches_queries(&slice, &local, &local, &labels, |v| {
+                    subset[v as usize]
+                });
+                assert_matrix_matches_queries(&slice, &local, &local[..1], &labels, |v| {
+                    subset[v as usize]
+                });
+                assert_matrix_matches_queries(&labels, &picks, &all, &labels, |v| v);
+            };
+            full_then_slice();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    assert_matrix_matches_queries(&slice, &local, &local[..1], &labels, |v| {
+                        subset[v as usize]
+                    });
+                    full_then_slice();
+                });
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn many_to_many_rejects_out_of_range_ids() {
+        let g = random_graph(10, 10, 3);
+        HubLabels::build(&g).many_to_many(&[0, 1], &[99]);
     }
 
     #[test]
