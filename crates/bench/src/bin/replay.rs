@@ -5,6 +5,7 @@
 //!                [--chaos] [--checkpoint PATH]
 //! replay replay  --trace PATH [--algo KEY] [--threads N]
 //! replay resume  --trace PATH --checkpoint PATH [--threads N]
+//! replay diff    --trace PATH --against PATH
 //! replay verify  [--quick] [--algo KEY] [--threads N] [--shards N] [--ingest] [--traffic T]
 //!                [--chaos]
 //! ```
@@ -14,6 +15,10 @@
 //! * `replay` loads a trace, regenerates the identical workload from the
 //!   trace metadata and replays it with a fresh dispatcher (optionally under
 //!   an explicit worker-thread count); exits non-zero on any drift.
+//! * `diff` compares two trace files batch by batch (inputs, clock,
+//!   pre-dispatch fleet, outcomes) and exits non-zero on any drift — how CI
+//!   checks that recordings made under different worker counts, or by two
+//!   builds, are the same run.
 //! * `verify` is the CI smoke flow: record in-process, replay under 1 and N
 //!   worker threads asserting zero drift, then replay with a *different*
 //!   dispatcher and assert the harness flags the drift (self-test).
@@ -64,12 +69,11 @@ use std::process::ExitCode;
 use structride_bench::replay_cli::{
     deterministic_keys, dispatcher_by_name, dispatcher_keys, ingest_quickstart_config,
     is_sharded_ingested_trace, is_sharded_trace, quickstart_params, record_ingested_run,
-    record_run, record_run_checkpointed, record_sharded_ingested_run, record_sharded_run,
-    record_sharded_run_checkpointed, regenerate_multi_workload, regenerate_workload, replay_run,
-    rerun_sharded, rerun_sharded_ingested, resume_and_verify, sharded_quickstart_params,
-    trace_dispatcher_key, trace_shards, traffic_by_name, TRAFFIC_KEYS,
+    record_run, record_sharded_ingested_run, record_sharded_run, regenerate_multi_workload,
+    regenerate_workload, replay_run, rerun_sharded, rerun_sharded_ingested, resume_and_verify,
+    sharded_quickstart_params, trace_dispatcher_key, trace_shards, traffic_by_name, TRAFFIC_KEYS,
 };
-use structride_core::replay::{Checkpoint, Trace};
+use structride_core::replay::{diff_traces, Checkpoint, Trace};
 use structride_core::{FaultConfig, StructRideConfig};
 
 fn usage() -> ExitCode {
@@ -77,6 +81,7 @@ fn usage() -> ExitCode {
         "usage: replay record [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T] [--chaos] [--checkpoint PATH]\n\
          \x20      replay replay --trace PATH [--algo KEY] [--threads N]\n\
          \x20      replay resume --trace PATH --checkpoint PATH [--threads N]\n\
+         \x20      replay diff   --trace PATH --against PATH\n\
          \x20      replay verify [--quick] [--algo KEY] [--threads N] [--shards N] [--ingest] [--traffic T] [--chaos]\n\
          KEY: {}\n\
          T: {}",
@@ -91,6 +96,7 @@ struct Args {
     algo: Option<String>,
     out: Option<String>,
     trace: Option<String>,
+    against: Option<String>,
     threads: Option<usize>,
     shards: Option<usize>,
     ingest: bool,
@@ -106,6 +112,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
         algo: None,
         out: None,
         trace: None,
+        against: None,
         threads: None,
         shards: None,
         ingest: false,
@@ -119,6 +126,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
             "--algo" => args.algo = Some(argv.next()?),
             "--out" => args.out = Some(argv.next()?),
             "--trace" => args.trace = Some(argv.next()?),
+            "--against" => args.against = Some(argv.next()?),
             "--threads" => args.threads = Some(argv.next()?.parse().ok()?),
             "--shards" => args.shards = Some(argv.next()?.parse().ok()?),
             "--ingest" => args.ingest = true,
@@ -192,9 +200,7 @@ fn cmd_record(args: &Args) -> ExitCode {
         eprintln!("unknown traffic scenario {:?}", args.traffic);
         return usage();
     };
-    let recorded = if let Some(ckpt_path) = args.checkpoint.as_deref() {
-        // Checkpointed record: same trace as the plain flows, plus the
-        // run's mid-run checkpoint written to `ckpt_path` for `resume`.
+    if args.checkpoint.is_some() {
         if args.ingest {
             eprintln!("--checkpoint applies to the clock-driven pipelines; drop --ingest");
             return usage();
@@ -203,20 +209,27 @@ fn cmd_record(args: &Args) -> ExitCode {
             eprintln!("--checkpoint needs a checkpoint cadence; pass --chaos");
             return usage();
         }
-        let recorded = match args.shards {
-            Some(shards) => record_sharded_run_checkpointed(
-                sharded_quickstart_params(args.quick),
-                config,
-                algo,
-                shards,
-            )
-            .map(|(_, trace, ckpts)| (trace, ckpts)),
-            None => record_run_checkpointed(quickstart_params(args.quick), config, algo)
-                .map(|(_, trace, ckpts)| (trace, ckpts)),
-        };
-        let Some((trace, checkpoints)) = recorded else {
-            return unknown_dispatcher(algo);
-        };
+    }
+    let recorded = match (args.ingest, args.shards) {
+        (true, Some(shards)) => {
+            record_sharded_ingested_run(sharded_quickstart_params(args.quick), config, algo, shards)
+                .map(|(_, trace)| (trace, Vec::new()))
+        }
+        (true, None) => record_ingested_run(quickstart_params(args.quick), config, algo)
+            .map(|(_, trace)| (trace, Vec::new())),
+        (false, Some(shards)) => {
+            record_sharded_run(sharded_quickstart_params(args.quick), config, algo, shards)
+                .map(|(_, trace, checkpoints)| (trace, checkpoints))
+        }
+        (false, None) => record_run(quickstart_params(args.quick), config, algo)
+            .map(|(_, trace, checkpoints)| (trace, checkpoints)),
+    };
+    let Some((trace, checkpoints)) = recorded else {
+        return unknown_dispatcher(algo);
+    };
+    // Checkpointed record: the same trace, plus the run's mid-run checkpoint
+    // written to `ckpt_path` for `resume`.
+    if let Some(ckpt_path) = args.checkpoint.as_deref() {
         if checkpoints.is_empty() {
             eprintln!("no checkpoint boundary fell within the horizon; nothing to resume from");
             return ExitCode::FAILURE;
@@ -231,30 +244,7 @@ fn cmd_record(args: &Args) -> ExitCode {
             picked.batches,
             checkpoints.len()
         );
-        Some(trace)
-    } else {
-        match (args.ingest, args.shards) {
-            (true, Some(shards)) => record_sharded_ingested_run(
-                sharded_quickstart_params(args.quick),
-                config,
-                algo,
-                shards,
-            )
-            .map(|(_, trace)| trace),
-            (true, None) => record_ingested_run(quickstart_params(args.quick), config, algo)
-                .map(|(_, trace)| trace),
-            (false, Some(shards)) => {
-                record_sharded_run(sharded_quickstart_params(args.quick), config, algo, shards)
-                    .map(|(_, trace)| trace)
-            }
-            (false, None) => {
-                record_run(quickstart_params(args.quick), config, algo).map(|(_, trace)| trace)
-            }
-        }
-    };
-    let Some(trace) = recorded else {
-        return unknown_dispatcher(algo);
-    };
+    }
     print_trace_summary(&trace);
     if let Err(e) = trace.save(out) {
         eprintln!("failed to write {out}: {e}");
@@ -292,12 +282,9 @@ fn cmd_replay(args: &Args) -> ExitCode {
     let Some(path) = args.trace.as_deref() else {
         return usage();
     };
-    let trace = match Trace::load(path) {
+    let trace = match load_trace(path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to load {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     print_trace_summary(&trace);
     let algo = match args
@@ -365,12 +352,9 @@ fn cmd_resume(args: &Args) -> ExitCode {
     else {
         return usage();
     };
-    let trace = match Trace::load(trace_path) {
+    let trace = match load_trace(trace_path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to load {trace_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let checkpoint = match Checkpoint::load(ckpt_path) {
         Ok(c) => c,
@@ -409,6 +393,32 @@ fn cmd_resume(args: &Args) -> ExitCode {
     }
 }
 
+/// Loads a trace file, reporting a failure on stderr.
+fn load_trace(path: &str) -> Result<Trace, ExitCode> {
+    Trace::load(path).map_err(|e| {
+        eprintln!("failed to load {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Thin CLI over [`diff_traces`]: are two trace files the same run?
+fn cmd_diff(args: &Args) -> ExitCode {
+    let (Some(recorded), Some(against)) = (args.trace.as_deref(), args.against.as_deref()) else {
+        return usage();
+    };
+    let (recorded, against) = match (load_trace(recorded), load_trace(against)) {
+        (Ok(recorded), Ok(against)) => (recorded, against),
+        (Err(code), _) | (_, Err(code)) => return code,
+    };
+    let report = diff_traces(&recorded, &against);
+    println!("{report}");
+    if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// The sharded verify flow: record a sharded trace in-process (clock-driven,
 /// or ingested with `--ingest`), re-run the pipeline under 1 and N worker
 /// threads asserting zero drift, then re-run with a different per-shard
@@ -422,7 +432,7 @@ fn cmd_verify_sharded(args: &Args, algo: &str, shards: usize) -> ExitCode {
     let recorded = if args.ingest {
         record_sharded_ingested_run(params, config, algo, shards)
     } else {
-        record_sharded_run(params, config, algo, shards)
+        record_sharded_run(params, config, algo, shards).map(|(w, trace, _)| (w, trace))
     };
     let Some((workload, trace)) = recorded else {
         return unknown_dispatcher(algo);
@@ -502,7 +512,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
     let recorded = if args.ingest {
         record_ingested_run(quickstart_params(args.quick), config, &algo)
     } else {
-        record_run(quickstart_params(args.quick), config, &algo)
+        record_run(quickstart_params(args.quick), config, &algo).map(|(w, trace, _)| (w, trace))
     };
     let Some((workload, trace)) = recorded else {
         return unknown_dispatcher(&algo);
@@ -574,6 +584,7 @@ fn main() -> ExitCode {
         "record" => cmd_record(&args),
         "replay" => cmd_replay(&args),
         "resume" => cmd_resume(&args),
+        "diff" => cmd_diff(&args),
         "verify" => cmd_verify(&args),
         _ => usage(),
     }

@@ -14,7 +14,7 @@ use structride_core::replay::{
 };
 use structride_core::shard::{region_strips_for, ShardedSimulator, ShardingConfig};
 use structride_core::{
-    Dispatcher, IngestConfig, RunMetrics, SardDispatcher, Simulator, StructRideConfig,
+    Dispatcher, IngestConfig, RunHooks, RunMetrics, SardDispatcher, Simulator, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -152,43 +152,46 @@ pub fn traffic_engine(workload: &Workload, config: &StructRideConfig) -> Option<
 
 /// Records a run of `algo_key` on the workload described by `params`.
 ///
-/// Returns the workload (for immediate in-process replays) and the trace,
+/// Returns the workload (for immediate in-process replays), the trace —
 /// with the generation parameters, the dispatcher key, the engine's
-/// shortest-path counters and — for SARD — the shareability-graph build
-/// counters captured into the metadata.
+/// shortest-path counters and, for SARD, the shareability-graph build
+/// counters captured into the metadata — and the [`Checkpoint`]s the run's
+/// fault-plan cadence produced (empty unless
+/// `config.faults.checkpoint_every > 0`; capture is a pure read, so the
+/// trace is the same either way).
 pub fn record_run(
     params: WorkloadParams,
     config: StructRideConfig,
     algo_key: &str,
-) -> Option<(Workload, Trace)> {
+) -> Option<(Workload, Trace, Vec<Checkpoint>)> {
     let workload = Workload::generate(params);
     let traffic = traffic_engine(&workload, &config);
     let engine = traffic.as_ref().unwrap_or(&workload.engine);
-    let simulator = Simulator::new(config);
     let mut recorder = TraceRecorder::new();
+    let mut checkpoints = Vec::new();
+    let mut run = |dispatcher: &mut dyn Dispatcher| {
+        let hooks = RunHooks {
+            recorder: Some(&mut recorder),
+            checkpoints: Some(&mut |c| checkpoints.push(c)),
+        };
+        Simulator::new(config).run_with(
+            engine,
+            &workload.requests,
+            workload.fresh_vehicles(),
+            dispatcher,
+            &workload.name,
+            hooks,
+        );
+    };
     // SARD is handled concretely so its build stats can be captured; every
     // other dispatcher goes through the trait object.
     let (algorithm, build_stats) = if algo_key.eq_ignore_ascii_case("sard") {
         let mut sard = SardDispatcher::new(config);
-        simulator.run_recorded(
-            engine,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            &mut sard,
-            &workload.name,
-            &mut recorder,
-        );
+        run(&mut sard);
         (sard.name().to_string(), sard.build_stats())
     } else {
         let mut dispatcher = dispatcher_by_name(algo_key, config)?;
-        simulator.run_recorded(
-            engine,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            dispatcher.as_mut(),
-            &workload.name,
-            &mut recorder,
-        );
+        run(dispatcher.as_mut());
         (dispatcher.name().to_string(), None)
     };
     let mut meta = TraceMeta::new(algorithm, &workload.name, config);
@@ -197,7 +200,7 @@ pub fn record_run(
         .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
     meta.sp_stats = Some(engine.stats());
     meta.build_stats = build_stats;
-    Some((workload, recorder.into_trace(meta)))
+    Some((workload, recorder.into_trace(meta), checkpoints))
 }
 
 /// The dispatcher key a trace should be replayed with by default.
@@ -326,12 +329,14 @@ pub fn regenerate_multi_workload(meta: &TraceMeta) -> Option<MultiRegionWorkload
 
 /// Records a sharded run: one `algo_key` dispatcher per shard over `shards`
 /// vertical strips of the multi-region workload described by `params`.
+/// Also returns the [`Checkpoint`]s the run's fault-plan cadence produced
+/// (empty unless `config.faults.checkpoint_every > 0`).
 pub fn record_sharded_run(
     params: MultiRegionParams,
     config: StructRideConfig,
     algo_key: &str,
     shards: usize,
-) -> Option<(MultiRegionWorkload, Trace)> {
+) -> Option<(MultiRegionWorkload, Trace, Vec<Checkpoint>)> {
     // Validate the key once up front (each shard gets a fresh instance).
     let probe = dispatcher_by_name(algo_key, config)?;
     let algorithm = probe.name().to_string();
@@ -339,20 +344,24 @@ pub fn record_sharded_run(
     let regions = region_strips_for(workload.network(), shards.max(1) as u32);
     let sharding = ShardingConfig::default();
     let mut recorder = TraceRecorder::new();
-    ShardedSimulator::with_sharding(config, sharding).run_recorded(
+    let mut checkpoints = Vec::new();
+    ShardedSimulator::with_sharding(config, sharding).run_with(
         workload.network(),
         &regions,
         &workload.requests,
         workload.fresh_vehicles(),
         |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
         &workload.name,
-        &mut recorder,
+        RunHooks {
+            recorder: Some(&mut recorder),
+            checkpoints: Some(&mut |c| checkpoints.push(c)),
+        },
     );
     let mut meta = TraceMeta::new(algorithm, &workload.name, config);
     meta.params = multi_params_to_meta(&params, shards.max(1), &sharding);
     meta.params
         .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    Some((workload, recorder.into_trace(meta)))
+    Some((workload, recorder.into_trace(meta), checkpoints))
 }
 
 /// Re-runs the sharded pipeline a trace was recorded from and diffs the two
@@ -386,72 +395,8 @@ pub fn rerun_sharded(
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointed (faulted) runs
+// Resuming checkpointed (faulted) runs
 // ---------------------------------------------------------------------------
-
-/// Like [`record_run`], but also collects the [`Checkpoint`]s the run's
-/// fault-plan cadence produces (empty unless
-/// `config.faults.checkpoint_every > 0`).  Capture is a pure read, so the
-/// returned trace is identical to what [`record_run`] records.
-pub fn record_run_checkpointed(
-    params: WorkloadParams,
-    config: StructRideConfig,
-    algo_key: &str,
-) -> Option<(Workload, Trace, Vec<Checkpoint>)> {
-    let mut dispatcher = dispatcher_by_name(algo_key, config)?;
-    let workload = Workload::generate(params);
-    let traffic = traffic_engine(&workload, &config);
-    let engine = traffic.as_ref().unwrap_or(&workload.engine);
-    let mut recorder = TraceRecorder::new();
-    let mut checkpoints = Vec::new();
-    Simulator::new(config).run_recorded_with_checkpoints(
-        engine,
-        &workload.requests,
-        workload.fresh_vehicles(),
-        dispatcher.as_mut(),
-        &workload.name,
-        &mut recorder,
-        &mut |c| checkpoints.push(c),
-    );
-    let mut meta = TraceMeta::new(dispatcher.name(), &workload.name, config);
-    meta.params = params_to_meta(&params);
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    meta.sp_stats = Some(engine.stats());
-    Some((workload, recorder.into_trace(meta), checkpoints))
-}
-
-/// Like [`record_sharded_run`], but also collects the [`Checkpoint`]s the
-/// run's fault-plan cadence produces.
-pub fn record_sharded_run_checkpointed(
-    params: MultiRegionParams,
-    config: StructRideConfig,
-    algo_key: &str,
-    shards: usize,
-) -> Option<(MultiRegionWorkload, Trace, Vec<Checkpoint>)> {
-    let probe = dispatcher_by_name(algo_key, config)?;
-    let algorithm = probe.name().to_string();
-    let workload = MultiRegionWorkload::generate(params.clone());
-    let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-    let sharding = ShardingConfig::default();
-    let mut recorder = TraceRecorder::new();
-    let mut checkpoints = Vec::new();
-    ShardedSimulator::with_sharding(config, sharding).run_recorded_with_checkpoints(
-        workload.network(),
-        &regions,
-        &workload.requests,
-        workload.fresh_vehicles(),
-        |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
-        &workload.name,
-        &mut recorder,
-        &mut |c| checkpoints.push(c),
-    );
-    let mut meta = TraceMeta::new(algorithm, &workload.name, config);
-    meta.params = multi_params_to_meta(&params, shards.max(1), &sharding);
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    Some((workload, recorder.into_trace(meta), checkpoints))
-}
 
 /// Compares the deterministic halves of two [`RunMetrics`] (wall-clock
 /// diagnostics — `running_time`, `sp_queries`, `memory_bytes` — excluded,
@@ -511,7 +456,9 @@ fn fleet_mismatch(resumed: &[Vehicle], reference: &[Vehicle]) -> Option<String> 
 ///
 /// Returns `None` when the trace names no (or an unknown) dispatcher or its
 /// metadata fails to regenerate; otherwise `Some(mismatches)` — empty means
-/// zero drift.
+/// zero drift.  A checkpoint the simulator refuses to resume
+/// ([`ResumeError`](structride_core::ResumeError)) is reported as a mismatch
+/// too, not a panic.
 pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<String>> {
     let algo_key = trace_dispatcher_key(trace)?.to_string();
     dispatcher_by_name(&algo_key, trace.meta.config)?;
@@ -532,17 +479,20 @@ pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<S
         let workload = regenerate_multi_workload(&trace.meta)?;
         let shards = trace_shards(trace)?;
         let sharding = trace_sharding(trace)?;
-        if checkpoint.shards.len() != shards {
-            mismatches.push(format!(
-                "checkpoint has {} shard sections but the trace was recorded with {shards} shards",
-                checkpoint.shards.len()
-            ));
-            return Some(mismatches);
-        }
         let regions = region_strips_for(workload.network(), shards.max(1) as u32);
         let sim = ShardedSimulator::with_sharding(config, sharding);
         let make =
             |_: usize| dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
+        let resumed = match sim.resume(
+            workload.network(),
+            &regions,
+            &workload.requests,
+            make,
+            checkpoint,
+        ) {
+            Ok(report) => report,
+            Err(e) => return Some(vec![format!("cannot resume: {e}")]),
+        };
         let reference = sim.run(
             workload.network(),
             &regions,
@@ -550,13 +500,6 @@ pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<S
             workload.fresh_vehicles(),
             make,
             &workload.name,
-        );
-        let resumed = sim.resume(
-            workload.network(),
-            &regions,
-            &workload.requests,
-            make,
-            checkpoint,
         );
         mismatches.extend(metrics_mismatches(
             "aggregate",
@@ -612,6 +555,17 @@ pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<S
         // Traffic epoch state lives inside the engine, so the reference and
         // the resumed run each get a fresh one (static runs share the
         // workload's free-flow engine — its caches don't affect decisions).
+        let resumed = {
+            let traffic = traffic_engine(&workload, &config);
+            let engine = traffic.as_ref().unwrap_or(&workload.engine);
+            let mut dispatcher =
+                dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
+            sim.resume(engine, &workload.requests, dispatcher.as_mut(), checkpoint)
+        };
+        let resumed = match resumed {
+            Ok(report) => report,
+            Err(e) => return Some(vec![format!("cannot resume: {e}")]),
+        };
         let reference = {
             let traffic = traffic_engine(&workload, &config);
             let engine = traffic.as_ref().unwrap_or(&workload.engine);
@@ -624,13 +578,6 @@ pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<S
                 dispatcher.as_mut(),
                 &workload.name,
             )
-        };
-        let resumed = {
-            let traffic = traffic_engine(&workload, &config);
-            let engine = traffic.as_ref().unwrap_or(&workload.engine);
-            let mut dispatcher =
-                dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
-            sim.resume(engine, &workload.requests, dispatcher.as_mut(), checkpoint)
         };
         mismatches.extend(metrics_mismatches(
             "run",
@@ -900,7 +847,7 @@ mod tests {
     fn traffic_record_and_replay_are_clean_across_regenerated_workloads() {
         let traffic = structride_datagen::rush_hour(30.0, 15.0);
         let config = StructRideConfig::default().with_traffic(traffic);
-        let (workload, trace) =
+        let (workload, trace, _) =
             record_run(quickstart_params(true), config, "sard").expect("record");
         assert_eq!(trace.meta.config.traffic, traffic);
         let report = replay_run(&workload, "sard", &trace).expect("replay");
@@ -918,8 +865,9 @@ mod tests {
     fn sharded_traffic_record_reruns_clean() {
         let traffic = structride_datagen::rush_hour(30.0, 15.0);
         let config = StructRideConfig::default().with_traffic(traffic);
-        let (workload, trace) =
+        let (workload, trace, checkpoints) =
             record_sharded_run(sharded_quickstart_params(true), config, "sard", 3).expect("record");
+        assert!(checkpoints.is_empty(), "no cadence, no checkpoints");
         let report = rerun_sharded(&workload, "sard", &trace).expect("rerun");
         assert!(report.is_clean(), "{report}");
     }
@@ -931,8 +879,7 @@ mod tests {
             .with_traffic(traffic)
             .with_faults(structride_core::FaultConfig::chaos());
         let (workload, trace, checkpoints) =
-            record_sharded_run_checkpointed(sharded_quickstart_params(true), config, "sard", 3)
-                .expect("record");
+            record_sharded_run(sharded_quickstart_params(true), config, "sard", 3).expect("record");
         assert!(!checkpoints.is_empty(), "the chaos cadence must fire");
         assert!(checkpoints.iter().all(|c| c.sharded));
         // The faulted trace replays clean (the fault schedule re-derives
@@ -958,7 +905,7 @@ mod tests {
         // solver on the resumed half too.
         let config = StructRideConfig::default().with_faults(structride_core::FaultConfig::chaos());
         let (workload, trace, checkpoints) =
-            record_run_checkpointed(quickstart_params(true), config, "assign").expect("record");
+            record_run(quickstart_params(true), config, "assign").expect("record");
         assert!(!checkpoints.is_empty(), "the chaos cadence must fire");
         assert!(checkpoints.iter().all(|c| !c.sharded));
         let report = replay_run(&workload, "assign", &trace).expect("replay");

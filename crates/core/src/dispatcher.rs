@@ -167,6 +167,63 @@ pub trait Dispatcher {
     }
 }
 
+/// The test dispatcher this crate's unit tests share (the baselines crate,
+/// which has real greedy dispatchers, depends on this one).
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use structride_model::insertion;
+
+    /// Greedy insertion with a configurable preference, used to exercise the
+    /// simulator and to produce recorded traces and deliberately perturbed
+    /// replays.
+    pub(crate) struct Greedy {
+        /// `false`: min added cost (sane); `true`: max added cost (perturbed).
+        pub(crate) invert: bool,
+    }
+
+    impl Dispatcher for Greedy {
+        fn name(&self) -> &'static str {
+            "greedy"
+        }
+
+        fn dispatch_batch(
+            &mut self,
+            ctx: &DispatchContext<'_>,
+            vehicles: &mut [Vehicle],
+            new_requests: &[Request],
+        ) -> BatchOutcome {
+            let mut outcome = BatchOutcome::empty();
+            for r in new_requests {
+                let mut best: Option<(usize, structride_model::InsertionOutcome)> = None;
+                for (vi, v) in vehicles.iter().enumerate() {
+                    if let Some(out) = insertion::insert_request(ctx.engine, v, r) {
+                        ctx.scratch.count_insertion_evaluations(1);
+                        let better = match &best {
+                            None => true,
+                            Some((_, b)) => {
+                                if self.invert {
+                                    out.added_cost > b.added_cost
+                                } else {
+                                    out.added_cost < b.added_cost
+                                }
+                            }
+                        };
+                        if better {
+                            best = Some((vi, out));
+                        }
+                    }
+                }
+                if let Some((vi, out)) = best {
+                    vehicles[vi].commit_schedule(out.schedule);
+                    outcome.assigned.push(r.id);
+                }
+            }
+            outcome
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,11 +21,12 @@
 //!   whatever queued while the previous dispatch ran.  Batch cadence
 //!   therefore tracks *dispatcher latency*: a slow dispatch means a fuller
 //!   queue means a bigger next batch, with the cap bounding the worst case;
-//! * [`Simulator::run_ingested`] / the sharded
-//!   [`ShardedSimulator::run_ingested`], which drive the ordinary dispatch
-//!   pipeline from realized batches instead of Δ-windows and report
-//!   [`IngestStats`] (sustained throughput, p50/p99 batch latency, queue
-//!   depth, drop/timeout counts) next to the usual [`RunMetrics`].
+//! * `drive_ingest`, the one driver behind [`Simulator::run_ingested`] and
+//!   the sharded [`ShardedSimulator::run_ingested`]: it steps the very run
+//!   the Δ-clock steps (same `BatchRun`, same `Lane` batch step underneath)
+//!   from realized batches instead of Δ-windows and reports [`IngestStats`]
+//!   (sustained throughput, p50/p99 batch latency, queue depth,
+//!   drop/timeout counts) next to the usual [`RunMetrics`].
 //!
 //! # Replay semantics
 //!
@@ -42,18 +43,18 @@
 //! wall time (`elapsed × time_scale`), clamped to be monotone and never
 //! behind the latest release in the batch.
 
-use crate::context::DispatchContext;
+use crate::config::StructRideConfig;
 use crate::dispatcher::Dispatcher;
+use crate::lane::{BatchRun, Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
 use crate::replay::TraceRecorder;
 use crate::shard::{ShardDispatcher, ShardedReport, ShardedRun, ShardedSimulator};
-use crate::simulator::Simulator;
+use crate::simulator::{MonoRun, SimulationReport, Simulator};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
-use structride_model::{unified_cost, Request, RequestId, Vehicle};
+use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::{RoadNetwork, SpEngine};
 use structride_spatial::RegionGrid;
 
@@ -61,10 +62,6 @@ use structride_spatial::RegionGrid;
 /// Keeps `now` strictly monotone even when two batches close within the
 /// same wall-clock instant.
 const MIN_CLOCK_STEP: f64 = 1e-3;
-
-/// Safety valve mirroring the batch simulator's: no run issues more batches
-/// than this.
-const MAX_BATCHES: usize = 10_000_000;
 
 /// Knobs of the ingest front end.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -192,6 +189,17 @@ pub struct IngestReport {
     pub ingest: IngestStats,
 }
 
+impl IngestReport {
+    fn new(report: SimulationReport, ingest: IngestStats) -> Self {
+        IngestReport {
+            metrics: report.metrics,
+            vehicles: report.vehicles,
+            served: report.served,
+            ingest,
+        }
+    }
+}
+
 /// The output of one ingested run on the sharded pipeline.
 #[derive(Debug)]
 pub struct ShardedIngestReport {
@@ -201,26 +209,19 @@ pub struct ShardedIngestReport {
     pub ingest: IngestStats,
 }
 
-/// What the producer learned about the stream it replayed.
-struct Produced {
-    /// `(id, direct cost, pickup deadline)` of every arrival, in emission
-    /// order — enough to account for unserved/dropped requests and to bound
-    /// the carried-over tail.
-    offered: Vec<(RequestId, f64, f64)>,
-    dropped_queue_full: usize,
-}
-
 /// Replays `arrivals` in compressed wall-clock into `tx`; runs on the
 /// producer thread.  Load-sheds (never blocks) when the queue is full, so
-/// the arrival process is independent of dispatcher latency.
+/// the arrival process is independent of dispatcher latency.  Returns every
+/// arrival in emission order — enough to account for unserved/dropped
+/// requests and to bound the carried-over tail — and the load-shed count.
 fn produce<I: Iterator<Item = Request>>(
     arrivals: I,
     tx: Sender<Request>,
     start: Instant,
     time_scale: f64,
-) -> Produced {
+) -> (Offered, usize) {
     let time_scale = time_scale.max(1e-9);
-    let mut offered = Vec::new();
+    let mut offered = Offered::default();
     let mut dropped_queue_full = 0usize;
     for request in arrivals {
         let due = Duration::from_secs_f64((request.release / time_scale).max(0.0));
@@ -228,15 +229,12 @@ fn produce<I: Iterator<Item = Request>>(
         if due > elapsed {
             std::thread::sleep(due - elapsed);
         }
-        offered.push((request.id, request.direct_cost(), request.pickup_deadline));
+        offered.push(&request);
         if tx.try_send(request).is_err() {
             dropped_queue_full += 1;
         }
     }
-    Produced {
-        offered,
-        dropped_queue_full,
-    }
+    (offered, dropped_queue_full)
 }
 
 /// Closes batches on a wall-clock deadline or a size cap, whichever first.
@@ -332,10 +330,6 @@ impl IngestClock {
         self.now += delta.max(MIN_CLOCK_STEP);
         self.now
     }
-
-    fn now(&self) -> f64 {
-        self.now
-    }
 }
 
 /// Sorts `samples` and returns a percentile closure over them
@@ -407,7 +401,12 @@ impl IngestCollector {
         }
     }
 
-    fn finish(self, produced: &Produced, wall_seconds: f64) -> IngestStats {
+    fn finish(
+        self,
+        offered: &Offered,
+        dropped_queue_full: usize,
+        wall_seconds: f64,
+    ) -> IngestStats {
         let percentile = sorted_percentiles(self.latencies_ms);
         let e2e = sorted_percentiles(self.e2e_latencies_ms);
         let mean_depth = if self.queue_depths.is_empty() {
@@ -416,9 +415,9 @@ impl IngestCollector {
             self.queue_depths.iter().sum::<usize>() as f64 / self.queue_depths.len() as f64
         };
         IngestStats {
-            arrivals: produced.offered.len(),
+            arrivals: offered.ledger.len(),
             dispatched: self.dispatched,
-            dropped_queue_full: produced.dropped_queue_full,
+            dropped_queue_full,
             timed_out: self.timed_out,
             batches: self.batches,
             max_queue_depth: self.queue_depths.iter().copied().max().unwrap_or(0),
@@ -454,6 +453,73 @@ fn drop_expired(batch: Vec<Request>, now: f64) -> (Vec<Request>, usize) {
     (live, expired)
 }
 
+/// The ingest front end: replays `arrivals` on a producer thread, closes
+/// realized batches with the [`AdaptiveBatcher`], steps `run` once per
+/// batch, and — once the stream ends — keeps stepping empty batches at the
+/// Δ cadence while the run still holds carried-over requests.  Generic over
+/// [`BatchRun`], so the monolithic and the sharded pipeline share it.
+pub(crate) fn drive_ingest<R: BatchRun, I>(
+    run: &mut R,
+    config: &StructRideConfig,
+    arrivals: I,
+    mut recorder: Option<&mut TraceRecorder>,
+) -> Result<(Offered, IngestStats), IngestError>
+where
+    I: IntoIterator<Item = Request>,
+    I::IntoIter: Send,
+{
+    let icfg = config.ingest;
+    let (tx, rx) = bounded::<Request>(icfg.queue_capacity.max(1));
+    // The caller built the run (fleet index, shard engines, hub labels)
+    // *before* the wall clock starts here: setup time must not consume the
+    // arrival stream's deadline budget.
+    let start = Instant::now();
+    let mut clock = IngestClock::new(start, icfg.time_scale);
+    let mut collector = IngestCollector::default();
+
+    let arrivals = arrivals.into_iter();
+    let (offered, dropped_queue_full) = std::thread::scope(|scope| {
+        let producer = scope.spawn(move || produce(arrivals, tx, start, icfg.time_scale));
+        let batcher = AdaptiveBatcher::new(&rx, &icfg);
+        while let Some((batch, opened)) = batcher.next_batch() {
+            let now = clock.advance_past(&batch);
+            let (live, expired) = drop_expired(batch, now);
+            collector.timed_out += expired;
+            collector.observe_releases(&live);
+            let assigned = run.step(now, &live, &mut recorder);
+            collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
+            collector.observe_batch(
+                live.len(),
+                opened.elapsed().as_secs_f64() * 1000.0,
+                rx.len(),
+            );
+            if run.batches() > MAX_BATCHES {
+                break;
+            }
+        }
+        // A panicked producer drops `tx`, which ends the batcher loop
+        // above; surface the panic as a structured error instead of
+        // re-panicking the consumer.
+        producer
+            .join()
+            .map_err(|payload| IngestError::ProducerPanicked(panic_message(payload.as_ref())))
+    })?;
+    let wall_seconds = start.elapsed().as_secs_f64();
+
+    // The carried-over tail: the stream is over, but a dispatcher with a
+    // working pool may still assign held requests.  No arrivals pace the
+    // clock any more, so fall back to the configured Δ cadence, bounded
+    // by the last pickup deadline (past it nothing can be assigned).
+    let delta = config.batch_period.max(1e-3);
+    while run.pending() > 0 && clock.now < offered.horizon_end && run.batches() <= MAX_BATCHES {
+        let now = clock.tick(delta);
+        let assigned = run.step(now, &[], &mut recorder);
+        collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
+    }
+    let ingest = collector.finish(&offered, dropped_queue_full, wall_seconds);
+    Ok((offered, ingest))
+}
+
 impl Simulator {
     /// Runs `dispatcher` over a *streamed* arrival process with wall-clock
     /// adaptive batching instead of fixed Δ-windows.
@@ -479,7 +545,10 @@ impl Simulator {
         I: IntoIterator<Item = Request>,
         I::IntoIter: Send,
     {
-        self.run_ingested_impl(engine, arrivals, vehicles, dispatcher, workload_name, None)
+        let mut run = MonoRun::new(engine, *self.config(), vehicles, dispatcher);
+        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, None)?;
+        let report = run.finish(workload_name, &offered);
+        Ok(IngestReport::new(report, ingest))
     }
 
     /// Like [`Simulator::run_ingested`], but records the realized batches
@@ -500,210 +569,10 @@ impl Simulator {
         I: IntoIterator<Item = Request>,
         I::IntoIter: Send,
     {
-        self.run_ingested_impl(
-            engine,
-            arrivals,
-            vehicles,
-            dispatcher,
-            workload_name,
-            Some(recorder),
-        )
-    }
-
-    fn run_ingested_impl<I>(
-        &self,
-        engine: &SpEngine,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        dispatcher: &mut dyn Dispatcher,
-        workload_name: &str,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> Result<IngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-    {
-        let config = *self.config();
-        let icfg = config.ingest;
-        let sp_before = engine.stats().index_queries;
-        let (tx, rx) = bounded::<Request>(icfg.queue_capacity.max(1));
-        let start = Instant::now();
-        let mut clock = IngestClock::new(start, icfg.time_scale);
-        let mut collector = IngestCollector::default();
-        let bbox = structride_spatial::RegionGrid::padded_bbox(engine.network().bounding_box());
-        let mut fleet_index =
-            crate::FleetIndex::build(bbox, config.grid_cells, engine.network(), &vehicles);
-        if engine.traffic_active() {
-            // The index caches the free-flow reachability rate at build; pin
-            // the engine's current (epoch-certified) rate instead.
-            fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
-        }
-        let mut run = IngestedRun {
-            engine,
-            config,
-            vehicles,
-            fleet_index,
-            dispatcher,
-            served: HashSet::new(),
-            batches: 0,
-            dispatch_time: 0.0,
-            insertion_evaluations: 0,
-            groups_enumerated: 0,
-            prescreen_pruned: 0,
-            solver_fallbacks: 0,
-        };
-
-        let arrivals = arrivals.into_iter();
-        let produced = std::thread::scope(|scope| {
-            let producer = scope.spawn(move || produce(arrivals, tx, start, icfg.time_scale));
-            let batcher = AdaptiveBatcher::new(&rx, &icfg);
-            while let Some((batch, opened)) = batcher.next_batch() {
-                let now = clock.advance_past(&batch);
-                let (live, expired) = drop_expired(batch, now);
-                collector.timed_out += expired;
-                collector.observe_releases(&live);
-                let assigned = run.step(now, &live, &mut recorder);
-                collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
-                collector.observe_batch(
-                    live.len(),
-                    opened.elapsed().as_secs_f64() * 1000.0,
-                    rx.len(),
-                );
-                if run.batches > MAX_BATCHES {
-                    break;
-                }
-            }
-            // A panicked producer drops `tx`, which ends the batcher loop
-            // above; surface the panic as a structured error instead of
-            // re-panicking the consumer.
-            producer
-                .join()
-                .map_err(|payload| IngestError::ProducerPanicked(panic_message(payload.as_ref())))
-        })?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        // The carried-over tail: the stream is over, but a dispatcher with a
-        // working pool may still assign held requests.  No arrivals pace the
-        // clock any more, so fall back to the configured Δ cadence, bounded
-        // by the last pickup deadline (past it nothing can be assigned).
-        let horizon_end = produced
-            .offered
-            .iter()
-            .map(|&(_, _, deadline)| deadline)
-            .fold(0.0_f64, f64::max);
-        let delta = config.batch_period.max(1e-3);
-        while run.dispatcher.pending_requests() > 0
-            && clock.now() < horizon_end
-            && run.batches <= MAX_BATCHES
-        {
-            let now = clock.tick(delta);
-            let assigned = run.step(now, &[], &mut recorder);
-            collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
-        }
-
-        // Let every committed schedule play out.
-        let drain_until = clock.now() + horizon_end + 1.0e6;
-        run.vehicles.par_iter_mut().for_each(|v| {
-            v.advance_to(engine, drain_until);
-        });
-
-        let total_travel: f64 = run.vehicles.iter().map(|v| v.executed_travel).sum();
-        let unserved_direct_cost: f64 = produced
-            .offered
-            .iter()
-            .filter(|(id, _, _)| !run.served.contains(id))
-            .map(|&(_, cost, _)| cost)
-            .sum();
-        let metrics = RunMetrics {
-            algorithm: run.dispatcher.name().to_string(),
-            workload: workload_name.to_string(),
-            total_requests: produced.offered.len(),
-            served_requests: run.served.len(),
-            total_travel,
-            unserved_direct_cost,
-            unified_cost: unified_cost(&config.cost, total_travel, unserved_direct_cost),
-            running_time: run.dispatch_time,
-            sp_queries: engine.stats().index_queries.saturating_sub(sp_before),
-            memory_bytes: run.dispatcher.memory_bytes(),
-            batches: run.batches,
-            insertion_evaluations: run.insertion_evaluations,
-            groups_enumerated: run.groups_enumerated,
-            prescreen_pruned: run.prescreen_pruned,
-            solver_fallbacks: run.solver_fallbacks,
-        };
-        let ingest = collector.finish(&produced, wall_seconds);
-        Ok(IngestReport {
-            metrics,
-            vehicles: run.vehicles,
-            served: run.served,
-            ingest,
-        })
-    }
-}
-
-/// The monolithic counterpart of [`ShardedRun`](crate::shard): the fleet,
-/// dispatcher borrow and cross-batch counters of one ingested run, with the
-/// per-batch pipeline body in [`IngestedRun::step`] so the ingest loop and
-/// the carried-over tail loop execute the identical sequence (advance →
-/// record → dispatch → record → accumulate).
-struct IngestedRun<'a> {
-    engine: &'a SpEngine,
-    config: crate::config::StructRideConfig,
-    vehicles: Vec<Vehicle>,
-    fleet_index: crate::FleetIndex,
-    dispatcher: &'a mut dyn Dispatcher,
-    served: HashSet<RequestId>,
-    batches: usize,
-    dispatch_time: f64,
-    insertion_evaluations: u64,
-    groups_enumerated: u64,
-    prescreen_pruned: u64,
-    solver_fallbacks: u64,
-}
-
-impl IngestedRun<'_> {
-    /// Runs one batch and returns the request ids committed by it.
-    fn step(
-        &mut self,
-        now: f64,
-        batch: &[Request],
-        recorder: &mut Option<&mut TraceRecorder>,
-    ) -> Vec<RequestId> {
-        // Traffic epoch roll before the advance sweep, exactly as in the
-        // clock-driven simulator (no-op for static engines).
-        if self.engine.roll_epoch_to(now) {
-            self.fleet_index
-                .set_min_time_per_meter(self.engine.min_time_per_meter());
-        }
-        self.vehicles.par_iter_mut().for_each(|v| {
-            v.advance_to(self.engine, now);
-        });
-        self.fleet_index.sync(self.engine.network(), &self.vehicles);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.batch_started(self.batches, now, batch, &self.vehicles);
-        }
-        let ctx = DispatchContext::for_batch(self.engine, self.config, now, self.batches)
-            .with_fleet_index(&self.fleet_index);
-        let t0 = Instant::now();
-        let outcome = self
-            .dispatcher
-            .dispatch_batch(&ctx, &mut self.vehicles, batch);
-        self.dispatch_time += t0.elapsed().as_secs_f64();
-        let scratch = ctx.scratch.snapshot();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.batch_finished(&outcome, &self.vehicles, scratch);
-        }
-        self.fleet_index.sync(self.engine.network(), &self.vehicles);
-        #[cfg(debug_assertions)]
-        self.fleet_index
-            .check_consistency(self.engine.network(), &self.vehicles);
-        self.insertion_evaluations += scratch.insertion_evaluations;
-        self.groups_enumerated += scratch.groups_enumerated;
-        self.prescreen_pruned += scratch.prescreen_pruned;
-        self.solver_fallbacks += outcome.solver.map_or(0, |st| st.fallbacks);
-        self.batches += 1;
-        self.served.extend(outcome.assigned.iter().copied());
-        outcome.assigned
+        let mut run = MonoRun::new(engine, *self.config(), vehicles, dispatcher);
+        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, Some(recorder))?;
+        let report = run.finish(workload_name, &offered);
+        Ok(IngestReport::new(report, ingest))
     }
 }
 
@@ -732,15 +601,10 @@ impl ShardedSimulator {
         I::IntoIter: Send,
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_ingested_impl(
-            network,
-            regions,
-            arrivals,
-            vehicles,
-            &make_dispatcher,
-            workload_name,
-            None,
-        )
+        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
+        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, None)?;
+        let report = run.finish(workload_name, offered.horizon_end);
+        Ok(ShardedIngestReport { report, ingest })
     }
 
     /// Like [`ShardedSimulator::run_ingested`], recording the realized
@@ -763,85 +627,9 @@ impl ShardedSimulator {
         I::IntoIter: Send,
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_ingested_impl(
-            network,
-            regions,
-            arrivals,
-            vehicles,
-            &make_dispatcher,
-            workload_name,
-            Some(recorder),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_ingested_impl<I>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: &dyn Fn(usize) -> ShardDispatcher,
-        workload_name: &str,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> Result<ShardedIngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-    {
-        let icfg = self.config().ingest;
-        let (tx, rx) = bounded::<Request>(icfg.queue_capacity.max(1));
-        // Build the shards (network clones + hub-label builds) *before*
-        // starting the wall clock: setup time must not consume the arrival
-        // stream's deadline budget.
-        let mut run = ShardedRun::new(self, network, regions, vehicles, make_dispatcher);
-        let start = Instant::now();
-        let mut clock = IngestClock::new(start, icfg.time_scale);
-        let mut collector = IngestCollector::default();
-
-        let arrivals = arrivals.into_iter();
-        let produced = std::thread::scope(|scope| {
-            let producer = scope.spawn(move || produce(arrivals, tx, start, icfg.time_scale));
-            let batcher = AdaptiveBatcher::new(&rx, &icfg);
-            while let Some((batch, opened)) = batcher.next_batch() {
-                let now = clock.advance_past(&batch);
-                let (live, expired) = drop_expired(batch, now);
-                collector.timed_out += expired;
-                collector.observe_releases(&live);
-                let assigned = run.step(now, &live, &mut recorder);
-                collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
-                collector.observe_batch(
-                    live.len(),
-                    opened.elapsed().as_secs_f64() * 1000.0,
-                    rx.len(),
-                );
-                if run.batches() > MAX_BATCHES {
-                    break;
-                }
-            }
-            // As in the monolithic pipeline: a producer panic becomes a
-            // structured error, not a cascading one.
-            producer
-                .join()
-                .map_err(|payload| IngestError::ProducerPanicked(panic_message(payload.as_ref())))
-        })?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        // Carried-over tail at the Δ cadence, as in the monolithic mode.
-        let horizon_end = produced
-            .offered
-            .iter()
-            .map(|&(_, _, deadline)| deadline)
-            .fold(0.0_f64, f64::max);
-        let delta = self.config().batch_period.max(1e-3);
-        while run.pending() > 0 && clock.now() < horizon_end && run.batches() <= MAX_BATCHES {
-            let now = clock.tick(delta);
-            let assigned = run.step(now, &[], &mut recorder);
-            collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
-        }
-
-        let report = run.finish(workload_name, horizon_end);
-        let ingest = collector.finish(&produced, wall_seconds);
+        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
+        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, Some(recorder))?;
+        let report = run.finish(workload_name, offered.horizon_end);
         Ok(ShardedIngestReport { report, ingest })
     }
 }
@@ -850,6 +638,13 @@ impl ShardedSimulator {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+
+    /// The ledger of `arrivals` unit-cost arrivals.
+    fn offered_of(arrivals: u32) -> Offered {
+        let mut offered = Offered::default();
+        (0..arrivals).for_each(|i| offered.push(&req(i, 0.0)));
+        offered
+    }
 
     fn req(id: u32, release: f64) -> Request {
         // 1 rider, node 0 → 1, generous deadlines relative to release.
@@ -940,11 +735,7 @@ mod tests {
             c.observe_batch(2, (i + 1) as f64, i % 7);
         }
         c.timed_out = 3;
-        let produced = Produced {
-            offered: (0..210).map(|i| (i as u32, 1.0, 300.0)).collect(),
-            dropped_queue_full: 4,
-        };
-        let stats = c.finish(&produced, 2.0);
+        let stats = c.finish(&offered_of(210), 4, 2.0);
         assert_eq!(stats.arrivals, 210);
         assert_eq!(stats.dispatched, 200);
         assert_eq!(stats.dropped_queue_full, 4);
@@ -968,13 +759,7 @@ mod tests {
         c.observe_assigned(120.0, [2u32].iter(), 2.0);
         // id 3 committed batches later; id 99 never offered (ignored).
         c.observe_assigned(140.0, [3u32, 99].iter(), 2.0);
-        let stats = c.finish(
-            &Produced {
-                offered: (1..=3).map(|i| (i as u32, 1.0, 300.0)).collect(),
-                dropped_queue_full: 0,
-            },
-            1.0,
-        );
+        let stats = c.finish(&offered_of(3), 0, 1.0);
         assert_eq!(stats.e2e_latency_p50_ms, 10000.0);
         assert_eq!(stats.e2e_latency_p99_ms, 20000.0);
     }
@@ -996,13 +781,7 @@ mod tests {
 
     #[test]
     fn empty_collector_finishes_cleanly() {
-        let stats = IngestCollector::default().finish(
-            &Produced {
-                offered: Vec::new(),
-                dropped_queue_full: 0,
-            },
-            0.0,
-        );
+        let stats = IngestCollector::default().finish(&offered_of(0), 0, 0.0);
         assert_eq!(stats.arrivals, 0);
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.batch_latency_p50_ms, 0.0);

@@ -27,9 +27,15 @@
 //! * [`ingest`] — the async ingest front end: a bounded arrival queue fed by
 //!   a wall-clock producer thread and an adaptive batcher that closes
 //!   batches on a latency deadline or a size cap, so batch cadence tracks
-//!   dispatcher latency instead of the simulated Δ
-//!   ([`Simulator::run_ingested`](simulator::Simulator) and the sharded
-//!   equivalent);
+//!   dispatcher latency instead of the simulated Δ — one driver behind
+//!   [`Simulator::run_ingested`](simulator::Simulator) and the sharded
+//!   equivalent;
+//! * `lane` (crate-private) — the batch step, written once: a `Lane` owns a
+//!   pipeline's fleet, fleet index, served set and work counters and is the
+//!   only code that advances the fleet, builds the
+//!   [`DispatchContext`](context::DispatchContext) and calls
+//!   `dispatch_batch`; the monolithic simulator, every shard and
+//!   [`replay_trace`](replay::replay_trace) all step through it;
 //! * [`lap`] — the in-workspace exact solvers: a deterministic Kuhn–Munkres
 //!   LAP kernel over rectangular, partially-forbidden cost matrices and a
 //!   branch-and-bound over its relaxation for the trip-group choice step;
@@ -49,9 +55,11 @@
 //!   and request stream by region into parallel per-shard pipelines (one
 //!   `SpEngine` + dispatcher per shard), with deterministic best-bid
 //!   cross-shard handoff, idle-vehicle rebalancing, and shard-merged
-//!   metrics; with one shard it reduces exactly to [`simulator`];
-//! * [`simulator`] — the batched dynamic simulation engine (vehicle movement,
-//!   request expiry, metric accounting) used by every experiment;
+//!   metrics; with one shard it reduces exactly to [`simulator`] (same
+//!   clock, same lane);
+//! * [`simulator`] — the batched dynamic simulation engine used by every
+//!   experiment, and the Δ-clock (batch slicing, early exit, checkpoint
+//!   cadence, validated resume) it shares with [`shard`];
 //! * [`metrics`] — the run-level metrics the paper reports (unified cost,
 //!   service rate, running time, shortest-path queries, memory footprint).
 
@@ -63,6 +71,7 @@ pub mod faults;
 pub mod fleet_index;
 pub mod grouping;
 pub mod ingest;
+mod lane;
 pub mod lap;
 pub mod metrics;
 pub mod ordering;
@@ -95,4 +104,4 @@ pub use sard::SardDispatcher;
 pub use shard::{
     region_strips_for, ShardDispatcher, ShardedReport, ShardedSimulator, ShardingConfig,
 };
-pub use simulator::{SimulationReport, Simulator};
+pub use simulator::{ResumeError, RunHooks, SimulationReport, Simulator};

@@ -32,8 +32,9 @@
 //! trace recorded on one machine replays bit-identically on another.
 
 use crate::config::StructRideConfig;
-use crate::context::{DispatchContext, ScratchStats};
+use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
+use crate::lane::Lane;
 use std::fmt;
 use std::str::FromStr;
 use structride_model::{Request, RequestId, Schedule, Vehicle, Waypoint, WaypointKind};
@@ -458,90 +459,40 @@ pub fn replay_trace(
     trace: &Trace,
 ) -> DriftReport {
     let mut report = DriftReport::default();
-    let bbox = structride_spatial::RegionGrid::padded_bbox(engine.network().bounding_box());
     for batch in &trace.batches {
         // Mirror the simulators: the engine serves each batch under the
         // traffic epoch of the batch clock (no-op for static engines, i.e.
         // every pre-traffic trace).
         engine.roll_epoch_to(batch.now);
-        let mut vehicles: Vec<Vehicle> = batch
+        // A fresh lane over the recorded pre-dispatch state, so the batch
+        // takes the simulators' own dispatch path.  Its fleet index is
+        // rebuilt per batch: the certified survivor set depends only on
+        // vehicle positions (the grid granularity never changes which
+        // vehicles survive), so it reproduces the recorded counters.
+        let fleet = batch
             .fleet_before
             .iter()
             .map(VehicleState::restore)
             .collect();
-        // Rebuild the persistent fleet index from the recorded pre-dispatch
-        // state so the prescreen takes the same path as during recording.
-        // The certified survivor set depends only on vehicle positions (the
-        // grid granularity never changes which vehicles survive), so a
-        // fresh per-batch index reproduces the recorded counters.
-        let mut index = crate::fleet_index::FleetIndex::build(
-            bbox,
-            trace.meta.config.grid_cells,
-            engine.network(),
-            &vehicles,
-        );
-        if engine.traffic_active() {
-            // The index caches the free-flow reachability rate at build; pin
-            // the current epoch's certified rate exactly as recording did.
-            index.set_min_time_per_meter(engine.min_time_per_meter());
-        }
-        let ctx = DispatchContext::for_batch(engine, trace.meta.config, batch.now, batch.index)
-            .with_fleet_index(&index);
-        let outcome = dispatcher.dispatch_batch(&ctx, &mut vehicles, &batch.requests);
-        let scratch = ctx.scratch.snapshot();
+        let config = trace.meta.config;
+        let mut lane = Lane::new(engine, config, config.grid_cells, fleet);
+        let (outcome, scratch) =
+            lane.dispatch(engine, dispatcher, batch.now, batch.index, &batch.requests);
+        let fleet_after: Vec<VehicleState> =
+            lane.vehicles.iter().map(VehicleState::capture).collect();
         report.batches_compared += 1;
 
         let mut deltas = Vec::new();
-        if outcome.assigned != batch.assigned {
-            deltas.push(FieldDelta {
-                field: "outcome.assigned".to_string(),
-                recorded: fmt_ids(&batch.assigned),
-                replayed: fmt_ids(&outcome.assigned),
-            });
-        }
-        // v1 traces predate the certified prescreen: their recorded
-        // `insertion_evaluations` counted the full-fleet sweep and they have
-        // no `prescreen_pruned` at all, so those two counters are only
-        // compared for v2+ traces.  Decisions (assignments, fleet state) and
-        // `groups_enumerated` are compared for every version — the prescreen
-        // provably never changes them.
-        if trace.meta.version >= 2 {
-            if scratch.insertion_evaluations != batch.scratch.insertion_evaluations {
-                deltas.push(FieldDelta {
-                    field: "scratch.insertion_evaluations".to_string(),
-                    recorded: batch.scratch.insertion_evaluations.to_string(),
-                    replayed: scratch.insertion_evaluations.to_string(),
-                });
-            }
-            if scratch.prescreen_pruned != batch.scratch.prescreen_pruned {
-                deltas.push(FieldDelta {
-                    field: "scratch.prescreen_pruned".to_string(),
-                    recorded: batch.scratch.prescreen_pruned.to_string(),
-                    replayed: scratch.prescreen_pruned.to_string(),
-                });
-            }
-        }
-        if scratch.groups_enumerated != batch.scratch.groups_enumerated {
-            deltas.push(FieldDelta {
-                field: "scratch.groups_enumerated".to_string(),
-                recorded: batch.scratch.groups_enumerated.to_string(),
-                replayed: scratch.groups_enumerated.to_string(),
-            });
-        }
-        if vehicles.len() != batch.fleet_after.len() {
-            deltas.push(FieldDelta {
-                field: "fleet.len".to_string(),
-                recorded: batch.fleet_after.len().to_string(),
-                replayed: vehicles.len().to_string(),
-            });
-        } else {
-            for (recorded, vehicle) in batch.fleet_after.iter().zip(&vehicles) {
-                let replayed = VehicleState::capture(vehicle);
-                if *recorded != replayed {
-                    diff_vehicle(&mut deltas, recorded, &replayed);
-                }
-            }
-        }
+        // v1 traces predate the certified prescreen: see `diff_outcome`.
+        let comparable = trace.meta.version >= 2;
+        diff_outcome(
+            &mut deltas,
+            comparable,
+            batch,
+            &outcome.assigned,
+            scratch,
+            &fleet_after,
+        );
         if !deltas.is_empty() {
             report.divergences.push(BatchDivergence {
                 batch_index: batch.index,
@@ -550,6 +501,61 @@ pub fn replay_trace(
         }
     }
     report
+}
+
+/// Diffs a replayed `(assigned, scratch, post-dispatch fleet)` outcome
+/// against the `recorded` batch — the comparison [`replay_trace`] and
+/// [`diff_traces`] share.
+///
+/// A v1 trace predates the certified prescreen: its recorded
+/// `insertion_evaluations` counted the full-fleet sweep and it has no
+/// `prescreen_pruned` at all, so those two counters are only compared when
+/// `counters_comparable` (v2+ on every side).  Decisions (assignments, fleet
+/// state) and `groups_enumerated` are compared for every version — the
+/// prescreen provably never changes them.
+fn diff_outcome(
+    deltas: &mut Vec<FieldDelta>,
+    counters_comparable: bool,
+    recorded: &BatchRecord,
+    assigned: &[RequestId],
+    scratch: ScratchStats,
+    fleet_after: &[VehicleState],
+) {
+    if assigned != recorded.assigned {
+        deltas.push(FieldDelta {
+            field: "outcome.assigned".to_string(),
+            recorded: fmt_ids(&recorded.assigned),
+            replayed: fmt_ids(assigned),
+        });
+    }
+    let mut counter = |name: &str, recorded: u64, replayed: u64| {
+        if recorded != replayed {
+            deltas.push(FieldDelta {
+                field: format!("scratch.{name}"),
+                recorded: recorded.to_string(),
+                replayed: replayed.to_string(),
+            });
+        }
+    };
+    let (rec, rep) = (recorded.scratch, scratch);
+    if counters_comparable {
+        counter(
+            "insertion_evaluations",
+            rec.insertion_evaluations,
+            rep.insertion_evaluations,
+        );
+        counter(
+            "prescreen_pruned",
+            rec.prescreen_pruned,
+            rep.prescreen_pruned,
+        );
+    }
+    counter(
+        "groups_enumerated",
+        rec.groups_enumerated,
+        rep.groups_enumerated,
+    );
+    diff_fleet(deltas, "fleet_after", &recorded.fleet_after, fleet_after);
 }
 
 fn diff_fleet(
@@ -587,11 +593,8 @@ fn diff_fleet(
 /// first divergent field pins where.
 pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
     let mut report = DriftReport::default();
-    // A v1 trace predates the certified prescreen: its
-    // `insertion_evaluations` counted every vehicle scanned and it carries
-    // no `prescreen_pruned`, so those two counters are not comparable across
-    // the version boundary.  `groups_enumerated` kept its meaning and is
-    // always compared, as are all decisions and fleet states.
+    // The evaluation counters are not comparable across the v1 boundary
+    // (see `diff_outcome`).
     let counters_comparable = recorded.meta.version >= 2 && replayed.meta.version >= 2;
     if recorded.batches.len() != replayed.batches.len() {
         report.divergences.push(BatchDivergence {
@@ -626,29 +629,12 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
             &rec.fleet_before,
             &rep.fleet_before,
         );
-        if rec.assigned != rep.assigned {
-            deltas.push(FieldDelta {
-                field: "outcome.assigned".to_string(),
-                recorded: fmt_ids(&rec.assigned),
-                replayed: fmt_ids(&rep.assigned),
-            });
-        }
-        let scratch_drifted = if counters_comparable {
-            rec.scratch != rep.scratch
-        } else {
-            rec.scratch.groups_enumerated != rep.scratch.groups_enumerated
-        };
-        if scratch_drifted {
-            deltas.push(FieldDelta {
-                field: "scratch".to_string(),
-                recorded: format!("{:?}", rec.scratch),
-                replayed: format!("{:?}", rep.scratch),
-            });
-        }
-        diff_fleet(
+        diff_outcome(
             &mut deltas,
-            "fleet_after",
-            &rec.fleet_after,
+            counters_comparable,
+            rec,
+            &rep.assigned,
+            rep.scratch,
             &rep.fleet_after,
         );
         if !deltas.is_empty() {
@@ -966,10 +952,10 @@ pub struct ShardCheckpoint {
     pub pending: PendingSnapshot,
 }
 
-/// A full simulation snapshot at a batch boundary, written by
-/// [`Simulator::run_with_checkpoints`](crate::Simulator::run_with_checkpoints)
-/// /
-/// [`ShardedSimulator::run_with_checkpoints`](crate::ShardedSimulator::run_with_checkpoints)
+/// A full simulation snapshot at a batch boundary, handed to the
+/// [`RunHooks::checkpoints`](crate::RunHooks) sink of
+/// [`Simulator::run_with`](crate::Simulator::run_with) /
+/// [`ShardedSimulator::run_with`](crate::ShardedSimulator::run_with)
 /// whenever the fault plan's checkpoint cadence fires (see
 /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)), and
 /// consumed by the matching `resume` entry points.
@@ -1719,6 +1705,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatcher::testing::Greedy;
     use structride_model::insertion;
     use structride_roadnet::{Point, RoadNetworkBuilder};
 
@@ -1737,54 +1724,6 @@ mod tests {
         Request::with_detour(id, s, e, 1, release, cost, 2.0, 300.0)
     }
 
-    /// Greedy insertion with a configurable preference, used to produce
-    /// recorded traces and deliberately perturbed replays.
-    struct Greedy {
-        /// `false`: min added cost (sane); `true`: max added cost (perturbed).
-        invert: bool,
-    }
-
-    impl Dispatcher for Greedy {
-        fn name(&self) -> &'static str {
-            "greedy"
-        }
-
-        fn dispatch_batch(
-            &mut self,
-            ctx: &DispatchContext<'_>,
-            vehicles: &mut [Vehicle],
-            new_requests: &[Request],
-        ) -> BatchOutcome {
-            let mut outcome = BatchOutcome::empty();
-            for r in new_requests {
-                let mut best: Option<(usize, structride_model::InsertionOutcome)> = None;
-                for (vi, v) in vehicles.iter().enumerate() {
-                    if let Some(out) = insertion::insert_request(ctx.engine, v, r) {
-                        ctx.scratch.count_insertion_evaluations(1);
-                        let better = match &best {
-                            None => true,
-                            Some((_, b)) => {
-                                if self.invert {
-                                    out.added_cost > b.added_cost
-                                } else {
-                                    out.added_cost < b.added_cost
-                                }
-                            }
-                        };
-                        if better {
-                            best = Some((vi, out));
-                        }
-                    }
-                }
-                if let Some((vi, out)) = best {
-                    vehicles[vi].commit_schedule(out.schedule);
-                    outcome.assigned.push(r.id);
-                }
-            }
-            outcome
-        }
-    }
-
     fn record_greedy() -> (SpEngine, Trace) {
         let engine = line_engine();
         let config = StructRideConfig::default();
@@ -1792,7 +1731,8 @@ mod tests {
         let mut dispatcher = Greedy { invert: false };
         // Both vehicles can serve every request, at different added costs, so
         // an inverted cost preference genuinely changes the commitments.
-        let mut vehicles = vec![Vehicle::new(1, 0, 4), Vehicle::new(2, 1, 4)];
+        let vehicles = vec![Vehicle::new(1, 0, 4), Vehicle::new(2, 1, 4)];
+        let mut lane = Lane::new(&engine, config, config.grid_cells, vehicles);
         // Two hand-driven batches (the simulator integration is exercised by
         // the crate-level tests; here the recorder is driven directly).
         for (index, batch) in [vec![req(1, 1, 3, 0.0, 20.0)], vec![req(3, 2, 5, 4.0, 30.0)]]
@@ -1800,13 +1740,10 @@ mod tests {
             .enumerate()
         {
             let now = 5.0 * (index + 1) as f64;
-            for v in vehicles.iter_mut() {
-                v.advance_to(&engine, now);
-            }
-            recorder.batch_started(index, now, &batch, &vehicles);
-            let ctx = DispatchContext::for_batch(&engine, config, now, index);
-            let outcome = dispatcher.dispatch_batch(&ctx, &mut vehicles, &batch);
-            recorder.batch_finished(&outcome, &vehicles, ctx.scratch.snapshot());
+            lane.advance(&engine, now);
+            recorder.batch_started(index, now, &batch, &lane.vehicles);
+            let (outcome, scratch) = lane.dispatch(&engine, &mut dispatcher, now, index, &batch);
+            recorder.batch_finished(&outcome, &lane.vehicles, scratch);
         }
         let mut meta = TraceMeta::new("greedy", "unit-line", config);
         meta.params.push(("nodes".to_string(), "6".to_string()));
@@ -2002,7 +1939,7 @@ mod tests {
             .unwrap()
             .deltas
             .iter()
-            .any(|d| d.field == "scratch"));
+            .any(|d| d.field == "scratch.prescreen_pruned"));
     }
 
     #[test]

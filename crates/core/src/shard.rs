@@ -79,11 +79,12 @@
 //!   rayon worker counts (enforced by `replay verify --shards` in CI and by
 //!   the `sharding` integration tests).
 //! * **Single-shard reduction.** With one region the router degenerates to
-//!   the identity, no bids or migrations happen, and the batch loop is
-//!   exactly the monolithic [`Simulator`](crate::Simulator) loop — the
-//!   aggregate report matches field for field (wall-clock `running_time`
-//!   and the racy shortest-path query counters excepted, as documented on
-//!   [`RunMetrics`]).
+//!   the identity, no bids or migrations happen, and what remains is the
+//!   monolithic [`Simulator`](crate::Simulator) run by construction: the
+//!   same Δ-clock (`simulator::drive_clock`) stepping the same
+//!   `Lane::advance` / `Lane::dispatch` — the aggregate report matches
+//!   field for field (wall-clock `running_time` and the racy shortest-path
+//!   query counters excepted, as documented on [`RunMetrics`]).
 //! * **Recording.** [`ShardedSimulator::run_recorded`] captures a *global*
 //!   trace (released requests in release order, the union fleet sorted by
 //!   vehicle id, merged outcomes in shard order).  A sharded run cannot be
@@ -92,16 +93,18 @@
 //!   [`diff_traces`](crate::replay::diff_traces).
 
 use crate::config::StructRideConfig;
-use crate::context::{DispatchContext, ScratchStats};
+use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::{FleetIndex, REACH_GRACE};
+use crate::lane::{BatchRun, Lane, Offered};
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, CheckpointCounters, ShardCheckpoint, TraceRecorder, VehicleState};
+use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
+use crate::simulator::{drive_clock, ResumeError, RunHooks};
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-use structride_model::{insertion, unified_cost, Request, RequestId, Vehicle};
+use structride_model::{insertion, Request, RequestId, Vehicle};
 use structride_roadnet::{EpochStore, HubLabels, NodeId, RoadNetwork, SpEngine, SpEngineBuilder};
 use structride_spatial::{RegionGrid, RegionId};
 
@@ -241,26 +244,21 @@ impl ShardedReport {
     }
 }
 
-/// One shard: engine + dispatcher + the fleet slice it currently owns.
+/// One shard: engine + dispatcher + the lane holding the fleet slice it
+/// currently owns.
 struct Shard {
     engine: SpEngine,
     dispatcher: ShardDispatcher,
-    vehicles: Vec<Vehicle>,
-    /// Persistent spatial index over `vehicles` (keyed by slot index):
-    /// synced incrementally as the fleet advances and commits, rebuilt only
-    /// when migration reorders the slice.  Feeds both the handoff shortlist
-    /// and the dispatcher's certified candidate prescreen.
-    fleet_index: FleetIndex,
+    /// The shard's fleet slice, its persistent index (which feeds both the
+    /// handoff shortlist and the dispatcher's certified candidate
+    /// prescreen), served set and work counters — stepped through the same
+    /// [`Lane::advance`] / [`Lane::dispatch`] as the monolithic simulator.
+    lane: Lane,
     /// Requests routed to this shard for the current batch (release order).
     inbox: Vec<Request>,
     /// Every request ever routed here, with its direct cost (for the
     /// per-shard unserved penalty), in routing order.
     routed: Vec<(RequestId, f64)>,
-    served: HashSet<RequestId>,
-    dispatch_time: f64,
-    insertion_evaluations: u64,
-    groups_enumerated: u64,
-    prescreen_pruned: u64,
     /// Outcome of the current batch (drained during merging).
     last_assigned: Vec<RequestId>,
     last_scratch: ScratchStats,
@@ -268,9 +266,6 @@ struct Shard {
     /// [`crate::faults`]): its fleet is frozen and it neither bids, receives
     /// requests, nor dispatches until recovery.
     down: bool,
-    /// Degraded solves by this shard's dispatcher (summed
-    /// [`SolverStats::fallbacks`](crate::lap::SolverStats)).
-    solver_fallbacks: u64,
 }
 
 /// Where the router sent one request.
@@ -301,8 +296,8 @@ impl<'a> ShardView<'a> {
     fn new(shard: &'a Shard) -> Self {
         ShardView {
             engine: &shard.engine,
-            vehicles: &shard.vehicles,
-            index: &shard.fleet_index,
+            vehicles: &shard.lane.vehicles,
+            index: &shard.lane.fleet_index,
         }
     }
 
@@ -446,11 +441,7 @@ fn route_request(
         candidates.retain(|&c| c != d);
     }
     if down != Some(home) && candidates.len() <= 1 {
-        return RouteDecision {
-            winner: home,
-            home,
-            bids: 0,
-        };
+        return home_decision(request, network, regions);
     }
     let mut bids = 0u64;
     // Strictly-lower cost wins; candidates ascend, so ties keep the lowest
@@ -514,8 +505,9 @@ fn rebalance(
             if down == Some(t) {
                 continue;
             }
-            while budget > 0 && pending[t] > shards[t].vehicles.len() {
+            while budget > 0 && pending[t] > shards[t].lane.vehicles.len() {
                 let Some(pos) = shards[donor]
+                    .lane
                     .vehicles
                     .iter()
                     .enumerate()
@@ -525,8 +517,8 @@ fn rebalance(
                 else {
                     break 'targets;
                 };
-                let vehicle = shards[donor].vehicles.remove(pos);
-                shards[t].vehicles.push(vehicle);
+                let vehicle = shards[donor].lane.vehicles.remove(pos);
+                shards[t].lane.vehicles.push(vehicle);
                 budget -= 1;
                 moved_total += 1;
             }
@@ -540,7 +532,7 @@ fn rebalance(
 fn fleet_snapshot(shards: &[Shard]) -> Vec<Vehicle> {
     let mut all: Vec<Vehicle> = shards
         .iter()
-        .flat_map(|s| s.vehicles.iter().cloned())
+        .flat_map(|s| s.lane.vehicles.iter().cloned())
         .collect();
     all.sort_by_key(|v| v.id);
     all
@@ -562,15 +554,15 @@ pub fn region_grid_for(network: &RoadNetwork, rows: u32, cols: u32) -> RegionGri
     RegionGrid::covering(network.bounding_box(), rows, cols)
 }
 
-/// The in-flight state of one sharded run: the shards plus every cross-batch
-/// counter, with the per-batch pipeline body factored into
-/// [`ShardedRun::step`] so the three drive modes — clock-driven
-/// ([`ShardedSimulator::run`]), fed from recorded boundaries
-/// ([`ShardedSimulator::run_fed_recorded`]) and ingested
+/// The in-flight state of one sharded run: the shards (one [`Lane`] each)
+/// plus every cross-batch counter, with the per-batch routing / dispatch /
+/// merge / rebalance sequence in its [`BatchRun::step`] so the three batch
+/// sources — clock-driven ([`ShardedSimulator::run`]), fed from recorded
+/// boundaries ([`ShardedSimulator::run_fed_recorded`]) and ingested
 /// ([`ShardedSimulator::run_ingested`](crate::ingest)) — execute the
-/// *identical* routing/dispatch/merge/rebalance sequence.  That sharing is
-/// what makes a recorded ingested run re-runnable: determinism holds per
-/// step, whatever produced the batch boundaries.
+/// *identical* step.  That sharing is what makes a recorded ingested run
+/// re-runnable: determinism holds per step, whatever produced the batch
+/// boundaries.
 pub(crate) struct ShardedRun<'a> {
     config: StructRideConfig,
     sharding: ShardingConfig,
@@ -580,9 +572,9 @@ pub(crate) struct ShardedRun<'a> {
     served: HashSet<RequestId>,
     batches: usize,
     now: f64,
-    handoffs: u64,
-    handoff_bids: u64,
-    migrations: u64,
+    /// The run-level counters a checkpoint carries (handoffs, migrations,
+    /// epoch/label rolls, fault telemetry).
+    counters: CheckpointCounters,
     setup_seconds: f64,
     full_build_seconds: f64,
     /// Shared global index + per-shard halo slices, bytes.
@@ -597,14 +589,7 @@ pub(crate) struct ShardedRun<'a> {
     store: Option<Arc<EpochStore>>,
     /// Traffic epoch currently loaded into the shard engines.
     current_epoch: u64,
-    epoch_rolls: u64,
-    labels_rescaled: u64,
-    labels_rebuilt: u64,
     label_refresh_seconds: f64,
-    faults_injected: u64,
-    batches_degraded: u64,
-    degraded_offered: u64,
-    degraded_served: u64,
     run_t0: Instant,
 }
 
@@ -673,39 +658,32 @@ impl<'a> ShardedRun<'a> {
                 .iter()
                 .map(|e| if e.is_clipped() { e.index_bytes() } else { 0 })
                 .sum::<usize>();
-        // Padded the same way the region constructors pad, so the shortlist
-        // grid is always valid and lines up with the region layout.
-        let grid_bbox = RegionGrid::padded_bbox(network.bounding_box());
+        // Each lane's index grid is padded the same way the region
+        // constructors pad, so the shortlist grid is always valid and lines
+        // up with the region layout.
         let mut shards: Vec<Shard> = engines
             .into_iter()
             .enumerate()
             .map(|(i, engine)| Shard {
+                lane: Lane::new(&engine, *sim.config(), SHARD_GRID_CELLS, Vec::new()),
                 engine,
                 dispatcher: make_dispatcher(i),
-                vehicles: Vec::new(),
-                fleet_index: FleetIndex::build(grid_bbox, SHARD_GRID_CELLS, network, &[]),
                 inbox: Vec::new(),
                 routed: Vec::new(),
-                served: HashSet::new(),
-                dispatch_time: 0.0,
-                insertion_evaluations: 0,
-                groups_enumerated: 0,
-                prescreen_pruned: 0,
                 last_assigned: Vec::new(),
                 last_scratch: ScratchStats::default(),
                 down: false,
-                solver_fallbacks: 0,
             })
             .collect();
         let setup_seconds = setup_t0.elapsed().as_secs_f64();
         for vehicle in vehicles {
             let p = network.coord(vehicle.node);
             let home = regions.region_of(p.x, p.y) as usize;
-            shards[home].vehicles.push(vehicle);
+            shards[home].lane.vehicles.push(vehicle);
         }
         for shard in &mut shards {
-            shard.fleet_index.rebuild(network, &shard.vehicles);
-            shard.fleet_index.set_min_time_per_meter(min_tpm);
+            shard.lane.reindex(&shard.engine);
+            shard.lane.fleet_index.set_min_time_per_meter(min_tpm);
         }
         // Kick the background label prebuild only now — after setup_seconds
         // is measured — so the builder threads overlap the batch loop
@@ -722,23 +700,14 @@ impl<'a> ShardedRun<'a> {
             served: HashSet::new(),
             batches: 0,
             now: 0.0,
-            handoffs: 0,
-            handoff_bids: 0,
-            migrations: 0,
+            counters: CheckpointCounters::default(),
             setup_seconds,
             full_build_seconds,
             label_bytes,
             min_tpm,
             store,
             current_epoch: epoch0.index,
-            epoch_rolls: 0,
-            labels_rescaled: 0,
-            labels_rebuilt: 0,
             label_refresh_seconds: 0.0,
-            faults_injected: 0,
-            batches_degraded: 0,
-            degraded_offered: 0,
-            degraded_served: 0,
             run_t0: Instant::now(),
         }
     }
@@ -766,33 +735,90 @@ impl<'a> ShardedRun<'a> {
             return;
         }
         let t0 = Instant::now();
-        for_each_shard(&mut self.shards, &|s| {
-            if s.engine.roll_epoch_to(now) {
-                s.fleet_index
-                    .set_min_time_per_meter(s.engine.min_time_per_meter());
-            }
-        });
+        for_each_shard(&mut self.shards, &|s| s.lane.roll(&s.engine, now));
         if let Some(store) = &self.store {
             // Memo hit: every shard engine just rolled to this signature.
             self.min_tpm = store.artifacts_for(&epoch).min_tpm();
         }
         if epoch.uniform_multiplier().is_some() {
-            self.labels_rescaled += 1;
+            self.counters.labels_rescaled += 1;
         } else {
-            self.labels_rebuilt += 1;
+            self.counters.labels_rebuilt += 1;
         }
         self.current_epoch = epoch.index;
-        self.epoch_rolls += 1;
+        self.counters.epoch_rolls += 1;
         self.label_refresh_seconds += t0.elapsed().as_secs_f64();
     }
 
-    /// Number of batches stepped so far.
-    pub(crate) fn batches(&self) -> usize {
+    /// Drains every committed schedule and assembles the report.
+    pub(crate) fn finish(mut self, workload_name: &str, horizon_end: f64) -> ShardedReport {
+        let now = self.now;
+        for_each_shard(&mut self.shards, &|s| {
+            s.lane.drain(&s.engine, now, horizon_end)
+        });
+
+        let batches = self.batches;
+        let per_shard: Vec<RunMetrics> = self
+            .shards
+            .iter()
+            .map(|s| {
+                let sp_queries = s.engine.stats().index_queries;
+                let mut metrics = s.lane.metrics(
+                    s.dispatcher.as_ref(),
+                    workload_name,
+                    &s.routed,
+                    batches,
+                    sp_queries,
+                );
+                // Actual label bytes of the shard's own index (the halo
+                // slice; the whole index for a single covering shard) — not
+                // the dispatcher's container-capacity estimate.
+                metrics.memory_bytes = s.engine.index_bytes();
+                metrics
+            })
+            .collect();
+        let aggregate =
+            RunMetrics::merge_all(&per_shard, &self.config.cost).expect("at least one shard");
+        let sp_fallback_queries = self
+            .shards
+            .iter()
+            .map(|s| s.engine.fallback_queries())
+            .sum();
+        let vehicles = fleet_snapshot(&self.shards);
+        let served = std::mem::take(&mut self.served);
+        ShardedReport {
+            aggregate,
+            per_shard,
+            vehicles,
+            served,
+            handoffs: self.counters.handoffs,
+            handoff_bids: self.counters.handoff_bids,
+            migrations: self.counters.migrations,
+            setup_seconds: self.setup_seconds,
+            full_build_seconds: self.full_build_seconds,
+            label_bytes: self.label_bytes,
+            sp_fallback_queries,
+            run_seconds: self.run_t0.elapsed().as_secs_f64(),
+            label_refresh_seconds: self.label_refresh_seconds,
+            epoch_rolls: self.counters.epoch_rolls,
+            labels_rescaled: self.counters.labels_rescaled,
+            labels_rebuilt: self.counters.labels_rebuilt,
+            faults_injected: self.counters.faults_injected,
+            batches_degraded: self.counters.batches_degraded,
+            degraded_offered: self.counters.degraded_offered,
+            degraded_served: self.counters.degraded_served,
+            shards_refreshed: self.shards.iter().map(|s| s.engine.slice_refreshes()).sum(),
+        }
+    }
+}
+
+impl BatchRun for ShardedRun<'_> {
+    fn batches(&self) -> usize {
         self.batches
     }
 
     /// Requests currently held across all shard dispatchers.
-    pub(crate) fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.dispatcher.pending_requests())
@@ -804,7 +830,7 @@ impl<'a> ShardedRun<'a> {
     /// handoff), dispatch every shard's sub-batch in parallel, merge the
     /// outcomes in ascending shard order, and rebalance idle vehicles.
     /// Returns the request ids committed this batch, in shard-merge order.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         now: f64,
         batch: &[Request],
@@ -820,30 +846,21 @@ impl<'a> ShardedRun<'a> {
         // count), so a replay or a resumed checkpoint derives the identical
         // schedule (see `crate::faults`).
         let plan = self.config.faults.plan_at(self.batches, self.shards.len());
-        let prev_down = (self.batches > 0)
-            .then(|| {
-                self.config
-                    .faults
-                    .plan_at(self.batches - 1, self.shards.len())
-                    .down_shard
-            })
-            .flatten();
+        let prev_down = self.batches.checked_sub(1).and_then(|prev| {
+            let faults = &self.config.faults;
+            faults.plan_at(prev, self.shards.len()).down_shard
+        });
         let down = plan.down_shard;
         for (i, s) in self.shards.iter_mut().enumerate() {
             s.down = down == Some(i);
         }
-        let network = self.network;
         for_each_shard(&mut self.shards, &|s| {
             // A down shard's fleet is frozen — `advance_to` is a pure
             // fast-forward of committed schedules, so the recovery batch
             // catches it up deterministically.
-            if s.down {
-                return;
+            if !s.down {
+                s.lane.advance(&s.engine, now);
             }
-            s.vehicles.par_iter_mut().for_each(|v| {
-                v.advance_to(&s.engine, now);
-            });
-            s.fleet_index.sync(network, &s.vehicles);
         });
         // Recovery boundary: the shard that was down last batch just
         // fast-forwarded across the whole outage in the sweep above —
@@ -852,7 +869,7 @@ impl<'a> ShardedRun<'a> {
         if let Some(r) = prev_down {
             if down != Some(r) {
                 let s = &mut self.shards[r];
-                s.fleet_index.rebuild(network, &s.vehicles);
+                s.lane.reindex(&s.engine);
             }
         }
         if let Some(rec) = recorder.as_deref_mut() {
@@ -866,7 +883,7 @@ impl<'a> ShardedRun<'a> {
         // served/stranded accounting stays exact.
         let mut orphaned: Vec<Request> = Vec::new();
         if plan.outage_starts {
-            self.faults_injected += 1;
+            self.counters.faults_injected += 1;
             let victim = down.expect("outage_starts implies a down shard");
             orphaned = self.shards[victim].dispatcher.take_pending();
             if !orphaned.is_empty() {
@@ -877,8 +894,8 @@ impl<'a> ShardedRun<'a> {
             }
         }
         if down.is_some() {
-            self.batches_degraded += 1;
-            self.degraded_offered += (orphaned.len() + batch.len()) as u64;
+            self.counters.batches_degraded += 1;
+            self.counters.degraded_offered += (orphaned.len() + batch.len()) as u64;
         }
 
         // Route the batch: home region or best-bid handoff.  Pure reads
@@ -896,22 +913,16 @@ impl<'a> ShardedRun<'a> {
         let mut orphan_decisions: Vec<RouteDecision> = Vec::new();
         let decisions: Vec<RouteDecision> = if has_boundary_request || down.is_some() {
             let views: Vec<ShardView<'_>> = self.shards.iter().map(ShardView::new).collect();
-            let views = &views;
-            let top_m = self.sharding.top_m;
-            let min_tpm = self.min_tpm;
-            let network = self.network;
-            let regions = self.regions;
+            let (network, regions) = (self.network, self.regions);
+            let (top_m, min_tpm) = (self.sharding.top_m, self.min_tpm);
+            let route = |r: &Request| {
+                route_request(r, network, regions, &views, band, top_m, min_tpm, down)
+            };
             // The dead shard's drained pool fails over through the same
             // auction, ahead of the batch's own requests (they were released
             // earlier).
-            orphan_decisions = orphaned
-                .par_iter()
-                .map(|r| route_request(r, network, regions, views, band, top_m, min_tpm, down))
-                .collect();
-            batch
-                .par_iter()
-                .map(|r| route_request(r, network, regions, views, band, top_m, min_tpm, down))
-                .collect()
+            orphan_decisions = orphaned.par_iter().map(route).collect();
+            batch.par_iter().map(route).collect()
         } else {
             batch
                 .iter()
@@ -924,16 +935,15 @@ impl<'a> ShardedRun<'a> {
             .chain(batch.iter().zip(&decisions));
         for (request, decision) in routed {
             if decision.winner != decision.home {
-                self.handoffs += 1;
+                self.counters.handoffs += 1;
             }
-            self.handoff_bids += decision.bids;
+            self.counters.handoff_bids += decision.bids;
             let shard = &mut self.shards[decision.winner];
             shard.routed.push((request.id, request.direct_cost()));
             shard.inbox.push(request.clone());
         }
 
         // Dispatch every shard's sub-batch in parallel.
-        let config = self.config;
         let batch_index = self.batches;
         for_each_shard(&mut self.shards, &|s| {
             if s.down {
@@ -946,25 +956,10 @@ impl<'a> ShardedRun<'a> {
                 return;
             }
             let inbox = std::mem::take(&mut s.inbox);
-            // Scoped so the context's borrow of the fleet index ends before
-            // the post-dispatch resync below.
-            let (outcome, scratch) = {
-                let ctx = DispatchContext::for_batch(&s.engine, config, now, batch_index)
-                    .with_fleet_index(&s.fleet_index);
-                let t0 = Instant::now();
-                let outcome = s.dispatcher.dispatch_batch(&ctx, &mut s.vehicles, &inbox);
-                s.dispatch_time += t0.elapsed().as_secs_f64();
-                (outcome, ctx.scratch.snapshot())
-            };
-            // Commits moved `free_at` forward; resync (positions unchanged)
-            // so the next routing pass sees a consistent index.
-            s.fleet_index.sync(network, &s.vehicles);
-            #[cfg(debug_assertions)]
-            s.fleet_index.check_consistency(network, &s.vehicles);
-            s.insertion_evaluations += scratch.insertion_evaluations;
-            s.groups_enumerated += scratch.groups_enumerated;
-            s.prescreen_pruned += scratch.prescreen_pruned;
-            s.solver_fallbacks += outcome.solver.map_or(0, |st| st.fallbacks);
+            let dispatcher = s.dispatcher.as_mut();
+            let (outcome, scratch) =
+                s.lane
+                    .dispatch(&s.engine, dispatcher, now, batch_index, &inbox);
             s.last_scratch = scratch;
             s.last_assigned = outcome.assigned;
         });
@@ -974,14 +969,13 @@ impl<'a> ShardedRun<'a> {
         let mut merged_scratch = ScratchStats::default();
         for s in self.shards.iter_mut() {
             self.served.extend(s.last_assigned.iter().copied());
-            s.served.extend(s.last_assigned.iter().copied());
             merged_scratch.insertion_evaluations += s.last_scratch.insertion_evaluations;
             merged_scratch.groups_enumerated += s.last_scratch.groups_enumerated;
             merged_scratch.prescreen_pruned += s.last_scratch.prescreen_pruned;
             merged.assigned.append(&mut s.last_assigned);
         }
         if down.is_some() {
-            self.degraded_served += merged.assigned.len() as u64;
+            self.counters.degraded_served += merged.assigned.len() as u64;
         }
         self.batches += 1;
         if let Some(rec) = recorder.as_deref_mut() {
@@ -999,10 +993,10 @@ impl<'a> ShardedRun<'a> {
                 // Migration removes/appends across fleet slices, shifting
                 // the slot indexes the grids are keyed by: rebuild.
                 for s in self.shards.iter_mut() {
-                    s.fleet_index.rebuild(network, &s.vehicles);
+                    s.lane.reindex(&s.engine);
                 }
             }
-            self.migrations += moved;
+            self.counters.migrations += moved;
         }
         merged.assigned
     }
@@ -1014,7 +1008,7 @@ impl<'a> ShardedRun<'a> {
     /// shortest-path query counters) are deliberately not captured; resumed
     /// runs re-accumulate them from zero, exactly as replay comparisons
     /// exclude them.
-    pub(crate) fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
+    fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
         let mut served: Vec<RequestId> = self.served.iter().copied().collect();
         served.sort_unstable();
         Checkpoint {
@@ -1026,35 +1020,11 @@ impl<'a> ShardedRun<'a> {
             batches: self.batches,
             next_request,
             served,
-            counters: CheckpointCounters {
-                handoffs: self.handoffs,
-                handoff_bids: self.handoff_bids,
-                migrations: self.migrations,
-                epoch_rolls: self.epoch_rolls,
-                labels_rescaled: self.labels_rescaled,
-                labels_rebuilt: self.labels_rebuilt,
-                faults_injected: self.faults_injected,
-                batches_degraded: self.batches_degraded,
-                degraded_offered: self.degraded_offered,
-                degraded_served: self.degraded_served,
-            },
+            counters: self.counters,
             shards: self
                 .shards
                 .iter()
-                .map(|s| {
-                    let mut shard_served: Vec<RequestId> = s.served.iter().copied().collect();
-                    shard_served.sort_unstable();
-                    ShardCheckpoint {
-                        insertion_evaluations: s.insertion_evaluations,
-                        groups_enumerated: s.groups_enumerated,
-                        prescreen_pruned: s.prescreen_pruned,
-                        solver_fallbacks: s.solver_fallbacks,
-                        routed: s.routed.clone(),
-                        served: shard_served,
-                        fleet: s.vehicles.iter().map(VehicleState::capture).collect(),
-                        pending: s.dispatcher.checkpoint_pending(),
-                    }
-                })
+                .map(|s| s.lane.capture(s.dispatcher.as_ref(), s.routed.clone()))
                 .collect(),
         }
     }
@@ -1066,139 +1036,32 @@ impl<'a> ShardedRun<'a> {
     /// traffic epoch — a pure function of (config, batch clock), so one
     /// direct roll lands exactly where the original run's incremental rolls
     /// did.
-    pub(crate) fn restore(&mut self, ckpt: &Checkpoint) {
-        assert!(
-            ckpt.sharded,
-            "a monolithic checkpoint resumes through Simulator::resume"
-        );
-        assert_eq!(
-            ckpt.shards.len(),
-            self.shards.len(),
-            "checkpoint shard count must match the region layout"
-        );
+    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), ResumeError> {
+        if !ckpt.sharded {
+            return Err(ResumeError::WrongPipeline);
+        }
+        if ckpt.shards.len() != self.shards.len() {
+            return Err(ResumeError::ShardCount {
+                expected: self.shards.len(),
+                found: ckpt.shards.len(),
+            });
+        }
         self.served = ckpt.served.iter().copied().collect();
         self.batches = ckpt.batches;
         self.now = ckpt.now;
-        let c = &ckpt.counters;
-        self.handoffs = c.handoffs;
-        self.handoff_bids = c.handoff_bids;
-        self.migrations = c.migrations;
-        self.faults_injected = c.faults_injected;
-        self.batches_degraded = c.batches_degraded;
-        self.degraded_offered = c.degraded_offered;
-        self.degraded_served = c.degraded_served;
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {
-            shard.vehicles = s.fleet.iter().map(VehicleState::restore).collect();
+            shard
+                .lane
+                .restore(&shard.engine, shard.dispatcher.as_mut(), s);
             shard.routed = s.routed.clone();
-            shard.served = s.served.iter().copied().collect();
-            shard.insertion_evaluations = s.insertion_evaluations;
-            shard.groups_enumerated = s.groups_enumerated;
-            shard.prescreen_pruned = s.prescreen_pruned;
-            shard.solver_fallbacks = s.solver_fallbacks;
-            shard.dispatcher.restore_snapshot(s.pending.clone());
         }
-        // Prime the traffic epoch, then pin the roll telemetry to the
-        // checkpointed totals (the one direct roll above would otherwise
-        // count as a single transition).
+        // Prime the traffic epoch (each lane re-pins its certified prescreen
+        // rate as its engine rolls), then set the counters to the
+        // checkpointed totals — the one direct roll would otherwise count as
+        // a single transition.
         self.roll_epoch_to(ckpt.now);
-        self.epoch_rolls = c.epoch_rolls;
-        self.labels_rescaled = c.labels_rescaled;
-        self.labels_rebuilt = c.labels_rebuilt;
-        // The restored fleets replaced the slices wholesale: rebuild every
-        // slot-keyed index and re-pin its certified prescreen rate, exactly
-        // as the migration path does.
-        let network = self.network;
-        let is_static = self.config.traffic.is_static();
-        let min_tpm = self.min_tpm;
-        for s in self.shards.iter_mut() {
-            s.fleet_index.rebuild(network, &s.vehicles);
-            s.fleet_index.set_min_time_per_meter(if is_static {
-                min_tpm
-            } else {
-                s.engine.min_time_per_meter()
-            });
-        }
-    }
-
-    /// Drains every committed schedule and assembles the report.
-    pub(crate) fn finish(mut self, workload_name: &str, horizon_end: f64) -> ShardedReport {
-        let drain_until = self.now + horizon_end + 1.0e6;
-        for_each_shard(&mut self.shards, &|s| {
-            s.vehicles.par_iter_mut().for_each(|v| {
-                v.advance_to(&s.engine, drain_until);
-            });
-        });
-
-        let batches = self.batches;
-        let per_shard: Vec<RunMetrics> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let total_travel: f64 = s.vehicles.iter().map(|v| v.executed_travel).sum();
-                let unserved_direct_cost: f64 = s
-                    .routed
-                    .iter()
-                    .filter(|(id, _)| !s.served.contains(id))
-                    .map(|(_, cost)| cost)
-                    .sum();
-                RunMetrics {
-                    algorithm: s.dispatcher.name().to_string(),
-                    workload: workload_name.to_string(),
-                    total_requests: s.routed.len(),
-                    served_requests: s.served.len(),
-                    total_travel,
-                    unserved_direct_cost,
-                    unified_cost: unified_cost(
-                        &self.config.cost,
-                        total_travel,
-                        unserved_direct_cost,
-                    ),
-                    running_time: s.dispatch_time,
-                    sp_queries: s.engine.stats().index_queries,
-                    // Actual label bytes of the shard's own index (the halo
-                    // slice; the whole index for a single covering shard) —
-                    // not a container-capacity estimate.
-                    memory_bytes: s.engine.index_bytes(),
-                    batches,
-                    insertion_evaluations: s.insertion_evaluations,
-                    groups_enumerated: s.groups_enumerated,
-                    prescreen_pruned: s.prescreen_pruned,
-                    solver_fallbacks: s.solver_fallbacks,
-                }
-            })
-            .collect();
-        let aggregate =
-            RunMetrics::merge_all(&per_shard, &self.config.cost).expect("at least one shard");
-        let sp_fallback_queries = self
-            .shards
-            .iter()
-            .map(|s| s.engine.fallback_queries())
-            .sum();
-        let vehicles = fleet_snapshot(&self.shards);
-        let served = std::mem::take(&mut self.served);
-        ShardedReport {
-            aggregate,
-            per_shard,
-            vehicles,
-            served,
-            handoffs: self.handoffs,
-            handoff_bids: self.handoff_bids,
-            migrations: self.migrations,
-            setup_seconds: self.setup_seconds,
-            full_build_seconds: self.full_build_seconds,
-            label_bytes: self.label_bytes,
-            sp_fallback_queries,
-            run_seconds: self.run_t0.elapsed().as_secs_f64(),
-            label_refresh_seconds: self.label_refresh_seconds,
-            epoch_rolls: self.epoch_rolls,
-            labels_rescaled: self.labels_rescaled,
-            labels_rebuilt: self.labels_rebuilt,
-            faults_injected: self.faults_injected,
-            batches_degraded: self.batches_degraded,
-            degraded_offered: self.degraded_offered,
-            degraded_served: self.degraded_served,
-            shards_refreshed: self.shards.iter().map(|s| s.engine.slice_refreshes()).sum(),
-        }
+        self.counters = ckpt.counters;
+        Ok(())
     }
 }
 
@@ -1251,79 +1114,14 @@ impl ShardedSimulator {
     where
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_impl(
+        self.run_with(
             network,
             regions,
             requests,
             vehicles,
-            &make_dispatcher,
+            make_dispatcher,
             workload_name,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// Like [`ShardedSimulator::run`], but hands a [`Checkpoint`] to `sink`
-    /// at every batch boundary the fault plan's checkpoint cadence marks
-    /// (see [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)).
-    /// Capture is a pure read, so a checkpointing run finishes
-    /// bit-identically to a non-checkpointing one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_checkpoints<F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        requests: &[Request],
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: F,
-        workload_name: &str,
-        sink: &mut dyn FnMut(Checkpoint),
-    ) -> ShardedReport
-    where
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        self.run_impl(
-            network,
-            regions,
-            requests,
-            vehicles,
-            &make_dispatcher,
-            workload_name,
-            None,
-            Some(sink),
-            None,
-        )
-    }
-
-    /// Continues a sharded run from `checkpoint` and finishes it
-    /// bit-identically to the uninterrupted run (aggregate and per-shard
-    /// deterministic metrics, served set, final fleet; wall-clock
-    /// diagnostics re-accumulate from zero).  `network`, `regions`,
-    /// `requests` and `make_dispatcher` must match the original run — the
-    /// checkpoint carries the fleets and pools, not the map or the future
-    /// request stream.
-    pub fn resume<F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        requests: &[Request],
-        make_dispatcher: F,
-        checkpoint: &Checkpoint,
-    ) -> ShardedReport
-    where
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        self.run_impl(
-            network,
-            regions,
-            requests,
-            Vec::new(),
-            &make_dispatcher,
-            &checkpoint.workload.clone(),
-            None,
-            None,
-            Some(checkpoint),
+            RunHooks::default(),
         )
     }
 
@@ -1345,25 +1143,27 @@ impl ShardedSimulator {
     where
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_impl(
+        let hooks = RunHooks {
+            recorder: Some(recorder),
+            checkpoints: None,
+        };
+        self.run_with(
             network,
             regions,
             requests,
             vehicles,
-            &make_dispatcher,
+            make_dispatcher,
             workload_name,
-            Some(recorder),
-            None,
-            None,
+            hooks,
         )
     }
 
-    /// Like [`ShardedSimulator::run_recorded`], but also hands a
-    /// [`Checkpoint`] to `sink` at every boundary the fault plan's cadence
-    /// marks — the replay CLI's record flow, which needs the reference trace
-    /// and a mid-run checkpoint from a single run.
+    /// Like [`ShardedSimulator::run`], observed through `hooks`: a trace
+    /// recorder, a checkpoint sink (fed at every batch boundary the fault
+    /// plan's cadence marks), both or neither.  Both are pure reads, so any
+    /// combination finishes bit-identically to a plain run.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_recorded_with_checkpoints<F>(
+    pub fn run_with<F>(
         &self,
         network: &RoadNetwork,
         regions: &RegionGrid,
@@ -1371,23 +1171,52 @@ impl ShardedSimulator {
         vehicles: Vec<Vehicle>,
         make_dispatcher: F,
         workload_name: &str,
-        recorder: &mut TraceRecorder,
-        sink: &mut dyn FnMut(Checkpoint),
+        hooks: RunHooks<'_>,
     ) -> ShardedReport
     where
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_impl(
-            network,
-            regions,
+        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
+        let offered = drive_clock(&mut run, &self.config, requests, workload_name, hooks, None)
+            .expect("only a resume can be refused");
+        run.finish(workload_name, offered.horizon_end)
+    }
+
+    /// Continues a sharded run from `checkpoint` and finishes it
+    /// bit-identically to the uninterrupted run (aggregate and per-shard
+    /// deterministic metrics, served set, final fleet; wall-clock
+    /// diagnostics re-accumulate from zero).  `network`, `regions`,
+    /// `requests` and `make_dispatcher` must match the original run — the
+    /// checkpoint carries the fleets and pools, not the map or the future
+    /// request stream.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] when the checkpoint is a monolithic one, its shard
+    /// sections do not match `regions`, or it points past the end of
+    /// `requests`.
+    pub fn resume<F>(
+        &self,
+        network: &RoadNetwork,
+        regions: &RegionGrid,
+        requests: &[Request],
+        make_dispatcher: F,
+        checkpoint: &Checkpoint,
+    ) -> Result<ShardedReport, ResumeError>
+    where
+        F: Fn(usize) -> ShardDispatcher,
+    {
+        let name = checkpoint.workload.as_str();
+        let mut run = ShardedRun::new(self, network, regions, Vec::new(), &make_dispatcher);
+        let offered = drive_clock(
+            &mut run,
+            &self.config,
             requests,
-            vehicles,
-            &make_dispatcher,
-            workload_name,
-            Some(recorder),
-            Some(sink),
-            None,
-        )
+            name,
+            RunHooks::default(),
+            Some(checkpoint),
+        )?;
+        Ok(run.finish(name, offered.horizon_end))
     }
 
     /// Re-runs the pipeline from *explicit* batch boundaries — each entry is
@@ -1416,79 +1245,12 @@ impl ShardedSimulator {
     {
         let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
         let mut rec = Some(recorder);
-        let mut horizon_end = 0.0_f64;
+        let mut offered = Offered::default();
         for (now, batch) in batches {
-            horizon_end = batch
-                .iter()
-                .map(|r| r.pickup_deadline)
-                .fold(horizon_end, f64::max);
+            batch.iter().for_each(|r| offered.push(r));
             run.step(*now, batch, &mut rec);
         }
-        run.finish(workload_name, horizon_end)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_impl(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        requests: &[Request],
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: &dyn Fn(usize) -> ShardDispatcher,
-        workload_name: &str,
-        mut recorder: Option<&mut TraceRecorder>,
-        mut sink: Option<&mut dyn FnMut(Checkpoint)>,
-        resume_from: Option<&Checkpoint>,
-    ) -> ShardedReport {
-        let mut run = ShardedRun::new(self, network, regions, vehicles, make_dispatcher);
-
-        let mut ordered: Vec<Request> = requests.to_vec();
-        ordered.sort_by(|a, b| {
-            a.release
-                .partial_cmp(&b.release)
-                .expect("finite release times")
-        });
-        let delta = self.config.batch_period.max(1e-3);
-        let horizon_end = ordered
-            .iter()
-            .map(|r| r.pickup_deadline)
-            .fold(0.0_f64, f64::max);
-
-        let mut next = 0usize;
-        let mut now = 0.0;
-        if let Some(ckpt) = resume_from {
-            run.restore(ckpt);
-            next = ckpt.next_request;
-            now = ckpt.now;
-        }
-        while next < ordered.len() || now < horizon_end {
-            now += delta;
-            let start = next;
-            while next < ordered.len() && ordered[next].release <= now {
-                next += 1;
-            }
-            run.step(now, &ordered[start..next], &mut recorder);
-
-            // Same early exit as the monolithic simulator: stream drained
-            // and no shard holds a carried-over request.
-            if next == ordered.len() && run.pending() == 0 {
-                break;
-            }
-            // Checkpoint boundary — placed after the early exit (a finished
-            // run never writes one), asking whether a checkpoint is due
-            // before dispatching the *next* batch.  The cadence flag is
-            // shard-count independent (see `FaultPlan::checkpoint`).
-            if self.config.faults.plan_at(run.batches(), 1).checkpoint {
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink(run.capture(workload_name, next));
-                }
-            }
-            if run.batches() > 10_000_000 {
-                break;
-            }
-        }
-
-        run.finish(workload_name, horizon_end)
+        run.finish(workload_name, offered.horizon_end)
     }
 }
 

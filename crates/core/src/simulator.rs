@@ -1,27 +1,36 @@
-//! The batched dynamic ridesharing simulator (the BDRP driver of §II).
+//! The batched dynamic ridesharing simulator (the BDRP driver of §II), and
+//! the Δ-clock both simulators share.
 //!
-//! The simulator owns the clock: it partitions the request stream into batches
-//! of Δ seconds, moves vehicles along their committed schedules between
-//! batches (fanning the per-vehicle sweep out over worker threads — each
-//! vehicle's movement is independent of every other's), hands every batch to
-//! the configured [`Dispatcher`] through a fresh
-//! [`DispatchContext`](crate::DispatchContext), keeps running empty batches
-//! while carried-over requests may still be assignable, stops as soon as the
-//! request stream is exhausted and no dispatcher-held request is waiting, and
-//! finally executes all remaining schedules and produces the [`RunMetrics`]
-//! the paper reports (unified cost, service rate, running time, #shortest-path
-//! queries, memory).
+//! `drive_clock` owns the simulated clock: it sorts the request stream by
+//! release time, slices it into batches of Δ seconds, steps the run once per
+//! batch, keeps issuing empty batches while carried-over requests may still
+//! be assignable, stops as soon as the stream is exhausted and no
+//! dispatcher-held request is waiting, hands a [`Checkpoint`] to the
+//! caller's sink at the fault plan's cadence, and — on a resume — first
+//! validates and restores the checkpoint.  It is generic over the
+//! crate-private `BatchRun`, so the monolithic [`Simulator`] and the
+//! [`ShardedSimulator`](crate::ShardedSimulator) run the *same* loop.
+//!
+//! The monolithic run itself is a `MonoRun`: one `Lane` (the crate-private
+//! `lane` module — the batch step lives there, once) over the caller's
+//! prebuilt engine and borrowed dispatcher.  After the last batch every
+//! remaining schedule is executed and the lane produces the [`RunMetrics`]
+//! the paper reports (unified cost, service rate, running time,
+//! #shortest-path queries, memory).
+//!
+//! `Simulator` is deliberately *not* a one-shard `ShardedRun`: it borrows
+//! the caller's engine and a non-`Send` dispatcher, where a sharded run
+//! clones the network, builds its own labels and boxes `Send` dispatchers.
+//! Both reach the same `Lane::dispatch`.
 
 use crate::config::StructRideConfig;
-use crate::context::DispatchContext;
 use crate::dispatcher::Dispatcher;
-use crate::fleet_index::FleetIndex;
+use crate::lane::{BatchRun, Lane, Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, CheckpointCounters, ShardCheckpoint, TraceRecorder, VehicleState};
-use rayon::prelude::*;
+use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
 use std::collections::HashSet;
-use std::time::Instant;
-use structride_model::{unified_cost, Request, RequestId, Vehicle};
+use std::fmt;
+use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::SpEngine;
 
 /// The output of one simulated run.
@@ -33,6 +42,265 @@ pub struct SimulationReport {
     pub vehicles: Vec<Vehicle>,
     /// The requests that were assigned to a vehicle.
     pub served: HashSet<RequestId>,
+}
+
+/// The optional observers of a clock-driven run
+/// ([`Simulator::run_with`] / [`ShardedSimulator::run_with`](crate::ShardedSimulator::run_with)).
+/// Both are pure reads of the run, so any combination finishes
+/// bit-identically to a plain run.
+#[derive(Default)]
+pub struct RunHooks<'a> {
+    /// Records every `(batch, fleet-state, outcome)` tuple for the replay
+    /// harness (see [`crate::replay`]).  Recording captures full fleet
+    /// snapshots around every dispatch call, so use it on replay-sized
+    /// workloads, not in the benchmark hot path.
+    pub recorder: Option<&'a mut TraceRecorder>,
+    /// Receives a [`Checkpoint`] at every batch boundary the fault plan's
+    /// cadence marks (see
+    /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)).
+    pub checkpoints: Option<&'a mut dyn FnMut(Checkpoint)>,
+}
+
+/// Why a [`Checkpoint`] cannot be resumed.  A checkpoint is a parsed file,
+/// so a mismatch is an input error the caller reports, not a bug.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeError {
+    /// A sharded checkpoint handed to [`Simulator::resume`], or a monolithic
+    /// one to [`ShardedSimulator::resume`](crate::ShardedSimulator::resume).
+    WrongPipeline,
+    /// The checkpoint's shard sections do not match the run's shard count
+    /// (exactly one for the monolithic simulator).
+    ShardCount {
+        /// Shards of the run being resumed.
+        expected: usize,
+        /// Shard sections in the checkpoint.
+        found: usize,
+    },
+    /// The stream cursor points past the end of the supplied request stream
+    /// — the checkpoint belongs to a different (longer) stream.
+    CursorPastEnd {
+        /// [`Checkpoint::next_request`].
+        cursor: usize,
+        /// Length of the supplied request stream.
+        requests: usize,
+    },
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::WrongPipeline => write!(
+                f,
+                "checkpoint was written by the other pipeline (monolithic vs sharded)"
+            ),
+            ResumeError::ShardCount { expected, found } => write!(
+                f,
+                "checkpoint has {found} shard section(s) but the run has {expected} shard(s)"
+            ),
+            ResumeError::CursorPastEnd { cursor, requests } => write!(
+                f,
+                "checkpoint cursor {cursor} is past the end of the {requests}-request stream"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+/// The Δ-clock: steps `run` over `requests` (any order; processed by release
+/// time) in batches of `config.batch_period` seconds — from the head of the
+/// stream at time zero, or from the position `resume_from` carries once the
+/// checkpoint is validated and restored into the freshly built `run`.
+/// Returns what was offered, for the run's final accounting; only a resume
+/// can fail.
+pub(crate) fn drive_clock<R: BatchRun>(
+    run: &mut R,
+    config: &StructRideConfig,
+    requests: &[Request],
+    workload_name: &str,
+    mut hooks: RunHooks<'_>,
+    resume_from: Option<&Checkpoint>,
+) -> Result<Offered, ResumeError> {
+    let mut ordered: Vec<Request> = requests.to_vec();
+    ordered.sort_by(|a, b| {
+        a.release
+            .partial_cmp(&b.release)
+            .expect("finite release times")
+    });
+    let delta = config.batch_period.max(1e-3);
+    let mut offered = Offered::default();
+    ordered.iter().for_each(|r| offered.push(r));
+    let (mut next, mut now) = (0usize, 0.0);
+    if let Some(checkpoint) = resume_from {
+        if checkpoint.next_request > ordered.len() {
+            return Err(ResumeError::CursorPastEnd {
+                cursor: checkpoint.next_request,
+                requests: ordered.len(),
+            });
+        }
+        run.restore(checkpoint)?;
+        (next, now) = (checkpoint.next_request, checkpoint.now);
+    }
+    // Keep offering empty batches until no request could still be waiting
+    // for pickup (its pickup deadline bounds how long it can linger).
+    while (next < ordered.len() || now < offered.horizon_end) && run.batches() <= MAX_BATCHES {
+        now += delta;
+        // Collect the requests released during this batch window.
+        let start = next;
+        while next < ordered.len() && ordered[next].release <= now {
+            next += 1;
+        }
+        run.step(now, &ordered[start..next], &mut hooks.recorder);
+        // Once the request stream is exhausted and no dispatcher holds a
+        // carried-over request, no later batch can assign anything — stop
+        // instead of spinning until the last pickup deadline.  Side effect
+        // (intended): dispatchers that do per-batch background work, such as
+        // DARM's idle-vehicle repositioning, no longer run it over the empty
+        // tail — where it could only add dead-head travel, never serve a
+        // request.
+        if next == ordered.len() && run.pending() == 0 {
+            break;
+        }
+        // Checkpoint boundary: the step just incremented the batch count, so
+        // the plan's flag asks "is a checkpoint due before dispatching the
+        // *next* batch?" — capturing the state this iteration left behind.
+        // Placed after the early exit so an already-finished run never
+        // writes a checkpoint.  The cadence flag is shard-count independent
+        // (see `FaultPlan::checkpoint`).
+        if config.faults.plan_at(run.batches(), 1).checkpoint {
+            if let Some(sink) = hooks.checkpoints.as_deref_mut() {
+                sink(run.capture(workload_name, next));
+            }
+        }
+    }
+    Ok(offered)
+}
+
+/// The in-flight state of one monolithic run: one [`Lane`] over the caller's
+/// engine and dispatcher, driven by the Δ-clock or the ingest front end.
+pub(crate) struct MonoRun<'a> {
+    engine: &'a SpEngine,
+    dispatcher: &'a mut dyn Dispatcher,
+    lane: Lane,
+    batches: usize,
+    now: f64,
+    sp_before: u64,
+}
+
+impl<'a> MonoRun<'a> {
+    pub(crate) fn new(
+        engine: &'a SpEngine,
+        config: StructRideConfig,
+        vehicles: Vec<Vehicle>,
+        dispatcher: &'a mut dyn Dispatcher,
+    ) -> Self {
+        // A traffic-enabled run needs an engine that actually carries the
+        // model (the caller builds it with `SpEngineBuilder::traffic`);
+        // mismatches would silently drop congestion, so fail loudly in
+        // debug builds.
+        debug_assert!(
+            engine.traffic_config() == Some(config.traffic)
+                || (engine.traffic_config().is_none() && config.traffic.is_static()),
+            "engine traffic model must match config.traffic"
+        );
+        MonoRun {
+            engine,
+            dispatcher,
+            lane: Lane::new(engine, config, config.grid_cells, vehicles),
+            batches: 0,
+            now: 0.0,
+            sp_before: engine.stats().index_queries,
+        }
+    }
+
+    /// Drains every committed schedule and assembles the report.
+    pub(crate) fn finish(mut self, workload_name: &str, offered: &Offered) -> SimulationReport {
+        self.lane.drain(self.engine, self.now, offered.horizon_end);
+        let sp_queries = self.engine.stats().index_queries;
+        let metrics = self.lane.metrics(
+            self.dispatcher,
+            workload_name,
+            &offered.ledger,
+            self.batches,
+            sp_queries.saturating_sub(self.sp_before),
+        );
+        SimulationReport {
+            metrics,
+            vehicles: self.lane.vehicles,
+            served: self.lane.served,
+        }
+    }
+}
+
+impl BatchRun for MonoRun<'_> {
+    fn step(
+        &mut self,
+        now: f64,
+        batch: &[Request],
+        recorder: &mut Option<&mut TraceRecorder>,
+    ) -> Vec<RequestId> {
+        self.now = now;
+        self.lane.roll(self.engine, now);
+        self.lane.advance(self.engine, now);
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.batch_started(self.batches, now, batch, &self.lane.vehicles);
+        }
+        let (outcome, scratch) =
+            self.lane
+                .dispatch(self.engine, self.dispatcher, now, self.batches, batch);
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.batch_finished(&outcome, &self.lane.vehicles, scratch);
+        }
+        self.batches += 1;
+        outcome.assigned
+    }
+
+    fn pending(&self) -> usize {
+        self.dispatcher.pending_requests()
+    }
+
+    fn batches(&self) -> usize {
+        self.batches
+    }
+
+    fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
+        // A monolithic run accounts globally: its one shard section carries
+        // no routed ledger, and the served set moves to the run level.
+        let mut shard = self.lane.capture(self.dispatcher, Vec::new());
+        Checkpoint {
+            algorithm: self.dispatcher.name().to_string(),
+            workload: workload_name.to_string(),
+            config: self.lane.config,
+            sharded: false,
+            now: self.now,
+            batches: self.batches,
+            next_request,
+            served: std::mem::take(&mut shard.served),
+            counters: CheckpointCounters::default(),
+            shards: vec![shard],
+        }
+    }
+
+    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ResumeError> {
+        if checkpoint.sharded {
+            return Err(ResumeError::WrongPipeline);
+        }
+        let [shard] = checkpoint.shards.as_slice() else {
+            return Err(ResumeError::ShardCount {
+                expected: 1,
+                found: checkpoint.shards.len(),
+            });
+        };
+        self.lane.restore(self.engine, self.dispatcher, shard);
+        self.lane.served = checkpoint.served.iter().copied().collect();
+        self.batches = checkpoint.batches;
+        self.now = checkpoint.now;
+        // Prime the engine to the checkpoint's epoch: the epoch is a pure
+        // function of (traffic config, batch clock), so one roll lands
+        // exactly where the uninterrupted run's incremental rolls did.
+        self.lane.roll(self.engine, self.now);
+        Ok(())
+    }
 }
 
 /// The batched simulation driver.
@@ -64,23 +332,12 @@ impl Simulator {
         dispatcher: &mut dyn Dispatcher,
         workload_name: &str,
     ) -> SimulationReport {
-        self.run_impl(
-            engine,
-            requests,
-            vehicles,
-            dispatcher,
-            workload_name,
-            None,
-            None,
-            None,
-        )
+        let hooks = RunHooks::default();
+        self.run_with(engine, requests, vehicles, dispatcher, workload_name, hooks)
     }
 
     /// Like [`Simulator::run`], but records every `(batch, fleet-state,
-    /// outcome)` tuple into `recorder` for the replay harness (see
-    /// [`crate::replay`]).  Recording captures full fleet snapshots around
-    /// every dispatch call, so use it on replay-sized workloads, not in the
-    /// benchmark hot path.
+    /// outcome)` tuple into `recorder` (see [`RunHooks::recorder`]).
     pub fn run_recorded(
         &self,
         engine: &SpEngine,
@@ -90,69 +347,28 @@ impl Simulator {
         workload_name: &str,
         recorder: &mut TraceRecorder,
     ) -> SimulationReport {
-        self.run_impl(
-            engine,
-            requests,
-            vehicles,
-            dispatcher,
-            workload_name,
-            Some(recorder),
-            None,
-            None,
-        )
+        let hooks = RunHooks {
+            recorder: Some(recorder),
+            checkpoints: None,
+        };
+        self.run_with(engine, requests, vehicles, dispatcher, workload_name, hooks)
     }
 
-    /// Like [`Simulator::run`], but hands a [`Checkpoint`] to `sink` at every
-    /// batch boundary the fault plan's checkpoint cadence marks (see
-    /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)).
-    /// Capture is a pure read of the simulation state, so a checkpointing
-    /// run finishes bit-identically to a non-checkpointing one.
-    pub fn run_with_checkpoints(
+    /// Like [`Simulator::run`], observed through `hooks`: a trace recorder,
+    /// a checkpoint sink, both or neither.
+    pub fn run_with(
         &self,
         engine: &SpEngine,
         requests: &[Request],
         vehicles: Vec<Vehicle>,
         dispatcher: &mut dyn Dispatcher,
         workload_name: &str,
-        sink: &mut dyn FnMut(Checkpoint),
+        hooks: RunHooks<'_>,
     ) -> SimulationReport {
-        self.run_impl(
-            engine,
-            requests,
-            vehicles,
-            dispatcher,
-            workload_name,
-            None,
-            Some(sink),
-            None,
-        )
-    }
-
-    /// Like [`Simulator::run_recorded`], but also hands a [`Checkpoint`] to
-    /// `sink` at every boundary the fault plan's cadence marks — the replay
-    /// CLI's record flow, which needs the reference trace and a mid-run
-    /// checkpoint from a single run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_recorded_with_checkpoints(
-        &self,
-        engine: &SpEngine,
-        requests: &[Request],
-        vehicles: Vec<Vehicle>,
-        dispatcher: &mut dyn Dispatcher,
-        workload_name: &str,
-        recorder: &mut TraceRecorder,
-        sink: &mut dyn FnMut(Checkpoint),
-    ) -> SimulationReport {
-        self.run_impl(
-            engine,
-            requests,
-            vehicles,
-            dispatcher,
-            workload_name,
-            Some(recorder),
-            Some(sink),
-            None,
-        )
+        let mut run = MonoRun::new(engine, self.config, vehicles, dispatcher);
+        let offered = drive_clock(&mut run, &self.config, requests, workload_name, hooks, None)
+            .expect("only a resume can be refused");
+        run.finish(workload_name, &offered)
     }
 
     /// Continues a run from `checkpoint` and finishes it bit-identically to
@@ -166,298 +382,43 @@ impl Simulator {
     /// the same network — its traffic epoch is primed to the checkpoint
     /// clock before the first resumed batch.  The fleet is restored from the
     /// checkpoint; the caller supplies none.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] when the checkpoint is a sharded one, does not hold
+    /// exactly one shard section, or points past the end of `requests`.
     pub fn resume(
         &self,
         engine: &SpEngine,
         requests: &[Request],
         dispatcher: &mut dyn Dispatcher,
         checkpoint: &Checkpoint,
-    ) -> SimulationReport {
-        self.run_impl(
-            engine,
+    ) -> Result<SimulationReport, ResumeError> {
+        let name = checkpoint.workload.as_str();
+        let mut run = MonoRun::new(engine, self.config, Vec::new(), dispatcher);
+        let offered = drive_clock(
+            &mut run,
+            &self.config,
             requests,
-            Vec::new(),
-            dispatcher,
-            &checkpoint.workload.clone(),
-            None,
-            None,
+            name,
+            RunHooks::default(),
             Some(checkpoint),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_impl(
-        &self,
-        engine: &SpEngine,
-        requests: &[Request],
-        mut vehicles: Vec<Vehicle>,
-        dispatcher: &mut dyn Dispatcher,
-        workload_name: &str,
-        mut recorder: Option<&mut TraceRecorder>,
-        mut sink: Option<&mut dyn FnMut(Checkpoint)>,
-        resume_from: Option<&Checkpoint>,
-    ) -> SimulationReport {
-        let mut ordered: Vec<Request> = requests.to_vec();
-        ordered.sort_by(|a, b| {
-            a.release
-                .partial_cmp(&b.release)
-                .expect("finite release times")
-        });
-
-        let sp_before = engine.stats().index_queries;
-        let delta = self.config.batch_period.max(1e-3);
-        // Keep offering empty batches until no request could still be waiting
-        // for pickup (its pickup deadline bounds how long it can linger).
-        let horizon_end = ordered
-            .iter()
-            .map(|r| r.pickup_deadline)
-            .fold(0.0_f64, f64::max);
-
-        let mut served: HashSet<RequestId> = HashSet::new();
-        let mut next = 0usize;
-        let mut now = 0.0;
-        let mut batches = 0usize;
-        let mut dispatch_time = 0.0f64;
-        let mut insertion_evaluations = 0u64;
-        let mut groups_enumerated = 0u64;
-        let mut prescreen_pruned = 0u64;
-        let mut solver_fallbacks = 0u64;
-
-        // Resume: reinstate every piece of decision-bearing state the
-        // checkpoint carries, exactly as the capture below wrote it.  The
-        // loop then continues from `now += delta` just as the uninterrupted
-        // run would have.
-        if let Some(ckpt) = resume_from {
-            assert!(
-                !ckpt.sharded,
-                "a sharded checkpoint resumes through ShardedSimulator::resume"
-            );
-            assert_eq!(
-                ckpt.shards.len(),
-                1,
-                "a monolithic checkpoint holds exactly one shard section"
-            );
-            let s = &ckpt.shards[0];
-            vehicles = s.fleet.iter().map(VehicleState::restore).collect();
-            dispatcher.restore_snapshot(s.pending.clone());
-            served = ckpt.served.iter().copied().collect();
-            next = ckpt.next_request;
-            now = ckpt.now;
-            batches = ckpt.batches;
-            insertion_evaluations = s.insertion_evaluations;
-            groups_enumerated = s.groups_enumerated;
-            prescreen_pruned = s.prescreen_pruned;
-            solver_fallbacks = s.solver_fallbacks;
-        }
-
-        // A traffic-enabled run needs an engine that actually carries the
-        // model (the caller builds it with `SpEngineBuilder::traffic`);
-        // mismatches would silently drop congestion, so fail loudly in
-        // debug builds.
-        debug_assert!(
-            engine.traffic_config() == Some(self.config.traffic)
-                || (engine.traffic_config().is_none() && self.config.traffic.is_static()),
-            "engine traffic model must match config.traffic"
-        );
-
-        // The persistent fleet index: built once, then kept in sync with the
-        // fleet incrementally batch over batch instead of being rebuilt.
-        let bbox = structride_spatial::RegionGrid::padded_bbox(engine.network().bounding_box());
-        let mut fleet_index =
-            FleetIndex::build(bbox, self.config.grid_cells, engine.network(), &vehicles);
-        if engine.traffic_active() {
-            // The build above cached the free-flow base rate; pin the
-            // prescreen to the engine's current epoch instead.
-            fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
-        }
-        // Prime a resumed engine to the checkpoint's epoch: the epoch is a
-        // pure function of (traffic config, batch clock), so one roll lands
-        // exactly where the uninterrupted run's incremental rolls did.
-        if resume_from.is_some() && engine.roll_epoch_to(now) {
-            fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
-        }
-
-        while next < ordered.len() || now < horizon_end {
-            now += delta;
-            // Roll the traffic epoch from the batch clock (no-op for static
-            // engines).  The roll happens at this quiescent point — before
-            // the advance sweep and the dispatch — so the whole batch,
-            // including schedule execution, sees one consistent epoch, and
-            // the certified prescreen rate follows the reweighted network.
-            if engine.roll_epoch_to(now) {
-                fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
-            }
-            // Vehicles move along their committed schedules up to the batch
-            // end.  Each vehicle only reads the shared engine and mutates its
-            // own state, so the sweep fans out over the fleet.
-            vehicles.par_iter_mut().for_each(|v| {
-                v.advance_to(engine, now);
-            });
-            fleet_index.sync(engine.network(), &vehicles);
-            // Collect the requests released during this batch window.
-            let start = next;
-            while next < ordered.len() && ordered[next].release <= now {
-                next += 1;
-            }
-            let batch = &ordered[start..next];
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.batch_started(batches, now, batch, &vehicles);
-            }
-            let ctx = DispatchContext::for_batch(engine, self.config, now, batches)
-                .with_fleet_index(&fleet_index);
-            let t0 = Instant::now();
-            let outcome = dispatcher.dispatch_batch(&ctx, &mut vehicles, batch);
-            dispatch_time += t0.elapsed().as_secs_f64();
-            let scratch = ctx.scratch.snapshot();
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.batch_finished(&outcome, &vehicles, scratch);
-            }
-            // The dispatcher commits schedules (changing `free_at` but not
-            // positions: vehicles only move in the advance sweep), so the
-            // index resyncs before the *next* prescreen consumes it.  In
-            // debug builds verify it never drifted from the fleet.
-            fleet_index.sync(engine.network(), &vehicles);
-            #[cfg(debug_assertions)]
-            fleet_index.check_consistency(engine.network(), &vehicles);
-            insertion_evaluations += scratch.insertion_evaluations;
-            groups_enumerated += scratch.groups_enumerated;
-            prescreen_pruned += scratch.prescreen_pruned;
-            solver_fallbacks += outcome.solver.map_or(0, |st| st.fallbacks);
-            batches += 1;
-            served.extend(outcome.assigned);
-            // Once the request stream is exhausted and the dispatcher holds no
-            // carried-over request, no later batch can assign anything — stop
-            // instead of spinning until the last pickup deadline.  Side
-            // effect (intended): dispatchers that do per-batch background
-            // work, such as DARM's idle-vehicle repositioning, no longer run
-            // it over the empty tail — where it could only add dead-head
-            // travel, never serve a request.
-            if next == ordered.len() && dispatcher.pending_requests() == 0 {
-                break;
-            }
-            // Checkpoint boundary: `batches` was just incremented, so the
-            // plan's flag asks "is a checkpoint due before dispatching batch
-            // `batches`?" — capturing the state this iteration left behind.
-            // Placed after the early exit so an already-finished run never
-            // writes a checkpoint.  Capture is a pure read (fleet snapshot,
-            // non-destructive dispatcher snapshot), so runs with and without
-            // a sink stay bit-identical.
-            if self.config.faults.plan_at(batches, 1).checkpoint {
-                if let Some(sink) = sink.as_deref_mut() {
-                    let mut served_sorted: Vec<RequestId> = served.iter().copied().collect();
-                    served_sorted.sort_unstable();
-                    sink(Checkpoint {
-                        algorithm: dispatcher.name().to_string(),
-                        workload: workload_name.to_string(),
-                        config: self.config,
-                        sharded: false,
-                        now,
-                        batches,
-                        next_request: next,
-                        served: served_sorted,
-                        counters: CheckpointCounters::default(),
-                        shards: vec![ShardCheckpoint {
-                            insertion_evaluations,
-                            groups_enumerated,
-                            prescreen_pruned,
-                            solver_fallbacks,
-                            routed: Vec::new(),
-                            served: Vec::new(),
-                            fleet: vehicles.iter().map(VehicleState::capture).collect(),
-                            pending: dispatcher.checkpoint_pending(),
-                        }],
-                    });
-                }
-            }
-            // Safety valve: Δ is positive, so this always terminates, but guard
-            // against pathological configurations anyway.
-            if batches > 10_000_000 {
-                break;
-            }
-        }
-
-        // Let every committed schedule play out.
-        let drain_until = now + horizon_end + 1.0e6;
-        vehicles.par_iter_mut().for_each(|v| {
-            v.advance_to(engine, drain_until);
-        });
-
-        let total_travel: f64 = vehicles.iter().map(|v| v.executed_travel).sum();
-        let unserved_direct_cost: f64 = ordered
-            .iter()
-            .filter(|r| !served.contains(&r.id))
-            .map(Request::direct_cost)
-            .sum();
-        let metrics = RunMetrics {
-            algorithm: dispatcher.name().to_string(),
-            workload: workload_name.to_string(),
-            total_requests: ordered.len(),
-            served_requests: served.len(),
-            total_travel,
-            unserved_direct_cost,
-            unified_cost: unified_cost(&self.config.cost, total_travel, unserved_direct_cost),
-            running_time: dispatch_time,
-            sp_queries: engine.stats().index_queries.saturating_sub(sp_before),
-            memory_bytes: dispatcher.memory_bytes(),
-            batches,
-            insertion_evaluations,
-            groups_enumerated,
-            prescreen_pruned,
-            solver_fallbacks,
-        };
-        SimulationReport {
-            metrics,
-            vehicles,
-            served,
-        }
+        )?;
+        Ok(run.finish(name, &offered))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::BatchOutcome;
+    use crate::dispatcher::testing::Greedy;
     use crate::sard::SardDispatcher;
     use structride_datagen::{CityProfile, Workload, WorkloadParams};
-    use structride_model::insertion;
 
-    /// A minimal greedy insertion dispatcher used to exercise the simulator
-    /// without pulling in the baselines crate (which depends on this one).
-    struct GreedyInsertion;
-
-    impl Dispatcher for GreedyInsertion {
-        fn name(&self) -> &'static str {
-            "greedy-test"
-        }
-
-        fn dispatch_batch(
-            &mut self,
-            ctx: &DispatchContext<'_>,
-            vehicles: &mut [Vehicle],
-            new_requests: &[Request],
-        ) -> BatchOutcome {
-            let engine = ctx.engine;
-            let mut outcome = BatchOutcome::empty();
-            for r in new_requests {
-                let mut best: Option<(usize, structride_model::InsertionOutcome)> = None;
-                for (vi, v) in vehicles.iter().enumerate() {
-                    if let Some(out) = insertion::insert_request(engine, v, r) {
-                        let better = best
-                            .as_ref()
-                            .map(|(_, b)| out.added_cost < b.added_cost)
-                            .unwrap_or(true);
-                        if better {
-                            best = Some((vi, out));
-                        }
-                    }
-                }
-                if let Some((vi, out)) = best {
-                    vehicles[vi].commit_schedule(out.schedule);
-                    outcome.assigned.push(r.id);
-                }
-            }
-            outcome
-        }
+    /// The crate's greedy test dispatcher with the sane (min added cost)
+    /// preference: it holds no pool, so it exercises the bare loop.
+    fn greedy() -> Greedy {
+        Greedy { invert: false }
     }
 
     fn tiny_workload() -> Workload {
@@ -478,7 +439,7 @@ mod tests {
             &w.engine,
             &w.requests,
             w.fresh_vehicles(),
-            &mut GreedyInsertion,
+            &mut greedy(),
             &w.name,
         );
         let m = &report.metrics;
@@ -514,7 +475,7 @@ mod tests {
             &w.engine,
             &w.requests,
             w.fresh_vehicles(),
-            &mut GreedyInsertion,
+            &mut greedy(),
             &w.name,
         );
         let mut sard = SardDispatcher::new(config);
@@ -566,13 +527,13 @@ mod tests {
             "workload must leave a tail worth skipping ({released_by} .. {horizon_end})"
         );
         let sim = Simulator::new(config);
-        // GreedyInsertion holds no pool, so the run must end right after the
+        // The greedy dispatcher holds no pool, so the run must end right after the
         // batch that consumes the last release.
         let report = sim.run(
             &w.engine,
             &w.requests,
             w.fresh_vehicles(),
-            &mut GreedyInsertion,
+            &mut greedy(),
             &w.name,
         );
         let release_batches = (released_by / config.batch_period).ceil() as usize + 1;
@@ -649,13 +610,7 @@ mod tests {
     fn zero_requests_runs_cleanly() {
         let w = tiny_workload();
         let sim = Simulator::new(StructRideConfig::default());
-        let report = sim.run(
-            &w.engine,
-            &[],
-            w.fresh_vehicles(),
-            &mut GreedyInsertion,
-            "empty",
-        );
+        let report = sim.run(&w.engine, &[], w.fresh_vehicles(), &mut greedy(), "empty");
         assert_eq!(report.metrics.total_requests, 0);
         assert_eq!(report.metrics.served_requests, 0);
         assert_eq!(report.metrics.service_rate(), 0.0);

@@ -7,11 +7,14 @@
 //! the uninterrupted run: same deterministic metrics, same served set, same
 //! final fleet.  Exercised monolithically and on a faulted 3-shard rush-hour
 //! run (traffic epochs, shard outages and failover all crossing the
-//! checkpoint boundary).
+//! checkpoint boundary).  A checkpoint is a parsed file, so one that does
+//! not fit the run being resumed must come back as a `ResumeError`, never a
+//! panic or a silently truncated run.
 
 use structride_core::shard::{region_grid_for, ShardDispatcher, ShardedSimulator};
 use structride_core::{
-    Checkpoint, FaultConfig, RunMetrics, SardDispatcher, Simulator, StructRideConfig, VehicleState,
+    Checkpoint, FaultConfig, ResumeError, RunHooks, RunMetrics, SardDispatcher, Simulator,
+    StructRideConfig, VehicleState,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -72,6 +75,14 @@ fn fleet_states(vehicles: &[Vehicle]) -> Vec<VehicleState> {
     vehicles.iter().map(VehicleState::capture).collect()
 }
 
+/// Hooks that only collect checkpoints.
+fn checkpoints_into(sink: &mut dyn FnMut(Checkpoint)) -> RunHooks<'_> {
+    RunHooks {
+        recorder: None,
+        checkpoints: Some(sink),
+    }
+}
+
 fn in_pool<T>(threads: usize, f: impl FnOnce() -> T + Send) -> T
 where
     T: Send,
@@ -120,13 +131,13 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
     let with_ckpts = in_pool(4, || {
         let engine = fresh_engine();
         let mut sard = SardDispatcher::new(config);
-        sim.run_with_checkpoints(
+        sim.run_with(
             &engine,
             &w.requests,
             w.fresh_vehicles(),
             &mut sard,
             &w.name,
-            &mut |c| checkpoints.push(c),
+            checkpoints_into(&mut |c| checkpoints.push(c)),
         )
     });
     assert_eq!(
@@ -156,6 +167,7 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
             let engine = fresh_engine();
             let mut sard = SardDispatcher::new(config);
             sim.resume(&engine, &w.requests, &mut sard, &reparsed)
+                .expect("resumable")
         });
         assert_eq!(
             deterministic_fields(&resumed.metrics),
@@ -213,14 +225,14 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
 
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     let with_ckpts = in_pool(1, || {
-        sim.run_with_checkpoints(
+        sim.run_with(
             w.network(),
             &regions,
             &w.requests,
             w.fresh_vehicles(),
             sard_factory(config),
             &w.name,
-            &mut |c| checkpoints.push(c),
+            checkpoints_into(&mut |c| checkpoints.push(c)),
         )
     });
     assert_eq!(
@@ -252,6 +264,7 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
                 sard_factory(config),
                 &loaded,
             )
+            .expect("resumable")
         });
         assert_eq!(
             deterministic_fields(&resumed.aggregate),
@@ -275,4 +288,135 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
         assert_eq!(resumed.degraded_offered, baseline.degraded_offered);
         assert_eq!(resumed.degraded_served, baseline.degraded_served);
     }
+}
+
+/// A static config whose only fault-plan effect is a checkpoint every three
+/// batches.
+fn cadence_config() -> StructRideConfig {
+    StructRideConfig::default().with_faults(FaultConfig {
+        checkpoint_every: 3,
+        ..FaultConfig::default()
+    })
+}
+
+/// The first checkpoint of a monolithic run over `w`.
+fn monolithic_checkpoint(w: &Workload, config: StructRideConfig) -> Checkpoint {
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
+    Simulator::new(config).run_with(
+        &w.engine,
+        &w.requests,
+        w.fresh_vehicles(),
+        &mut SardDispatcher::new(config),
+        &w.name,
+        checkpoints_into(&mut |c| checkpoints.push(c)),
+    );
+    checkpoints.swap_remove(0)
+}
+
+/// The first checkpoint of a 1×3-sharded run over `w`.
+fn sharded_checkpoint(w: &MultiRegionWorkload, config: StructRideConfig) -> Checkpoint {
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
+    ShardedSimulator::new(config).run_with(
+        w.network(),
+        &region_grid_for(w.network(), 1, 3),
+        &w.requests,
+        w.fresh_vehicles(),
+        sard_factory(config),
+        &w.name,
+        checkpoints_into(&mut |c| checkpoints.push(c)),
+    );
+    checkpoints.swap_remove(0)
+}
+
+#[test]
+fn resume_rejects_a_checkpoint_of_the_other_pipeline() {
+    let config = cadence_config();
+    let (w, multi) = (single_city_workload(), multi_workload(3));
+    let sharded = sharded_checkpoint(&multi, config);
+    let mut sard = SardDispatcher::new(config);
+    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &sharded);
+    assert_eq!(resumed.err(), Some(ResumeError::WrongPipeline));
+
+    let monolithic = monolithic_checkpoint(&w, config);
+    let resumed = ShardedSimulator::new(config).resume(
+        multi.network(),
+        &region_grid_for(multi.network(), 1, 3),
+        &multi.requests,
+        sard_factory(config),
+        &monolithic,
+    );
+    assert_eq!(resumed.err(), Some(ResumeError::WrongPipeline));
+}
+
+#[test]
+fn resume_rejects_a_shard_count_mismatch() {
+    let config = cadence_config();
+    let (w, multi) = (single_city_workload(), multi_workload(3));
+    // A 3-shard checkpoint into a 2-region layout.
+    let sharded = sharded_checkpoint(&multi, config);
+    let resumed = ShardedSimulator::new(config).resume(
+        multi.network(),
+        &region_grid_for(multi.network(), 1, 2),
+        &multi.requests,
+        sard_factory(config),
+        &sharded,
+    );
+    let mismatch = ResumeError::ShardCount {
+        expected: 2,
+        found: 3,
+    };
+    assert_eq!(resumed.err(), Some(mismatch));
+    // A monolithic checkpoint must hold exactly one shard section.
+    let mut doubled = monolithic_checkpoint(&w, config);
+    doubled.shards.push(doubled.shards[0].clone());
+    let mut sard = SardDispatcher::new(config);
+    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &doubled);
+    let mismatch = ResumeError::ShardCount {
+        expected: 1,
+        found: 2,
+    };
+    assert_eq!(resumed.err(), Some(mismatch));
+}
+
+#[test]
+fn resume_rejects_a_cursor_past_the_request_stream() {
+    let config = cadence_config();
+    let (w, multi) = (single_city_workload(), multi_workload(3));
+    // The checkpoint's own cursor against a stream cut short of it (the
+    // "wrong request file" case), and a corrupted cursor against the full
+    // stream — which, once `now` is past the horizon, used to end the run
+    // silently instead of panicking.
+    let mut monolithic = monolithic_checkpoint(&w, config);
+    assert!(monolithic.next_request > 1);
+    let short = &w.requests[..monolithic.next_request - 1];
+    let mut sard = SardDispatcher::new(config);
+    let resumed = Simulator::new(config).resume(&w.engine, short, &mut sard, &monolithic);
+    let past_end = ResumeError::CursorPastEnd {
+        cursor: monolithic.next_request,
+        requests: short.len(),
+    };
+    assert_eq!(resumed.err(), Some(past_end));
+    monolithic.next_request = w.requests.len() + 1;
+    monolithic.now = 1.0e9;
+    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &monolithic);
+    let past_end = ResumeError::CursorPastEnd {
+        cursor: w.requests.len() + 1,
+        requests: w.requests.len(),
+    };
+    assert_eq!(resumed.err(), Some(past_end));
+
+    let mut sharded = sharded_checkpoint(&multi, config);
+    sharded.next_request = multi.requests.len() + 7;
+    let resumed = ShardedSimulator::new(config).resume(
+        multi.network(),
+        &region_grid_for(multi.network(), 1, 3),
+        &multi.requests,
+        sard_factory(config),
+        &sharded,
+    );
+    let past_end = ResumeError::CursorPastEnd {
+        cursor: multi.requests.len() + 7,
+        requests: multi.requests.len(),
+    };
+    assert_eq!(resumed.err(), Some(past_end));
 }

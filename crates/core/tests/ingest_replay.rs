@@ -4,12 +4,15 @@
 //! nondeterministic — but a recorded run captures the realized boundaries,
 //! and given those the pipeline must replay bit-identically under any
 //! worker count.  These tests record ingested runs (monolithic and sharded)
-//! once and verify them under 1 and 8 worker threads.
+//! once and verify them under 1 and 8 worker threads.  The same re-run path
+//! also pins that batch *sources* are interchangeable: the boundaries the
+//! Δ-clock realizes, fed back explicitly, reach the identical steps.
 
-use structride_core::replay::{diff_traces, replay_trace, TraceMeta, TraceRecorder};
+use structride_core::replay::{diff_traces, replay_trace, Trace, TraceMeta, TraceRecorder};
 use structride_core::shard::region_strips_for;
 use structride_core::{
-    IngestConfig, IngestError, SardDispatcher, ShardedSimulator, Simulator, StructRideConfig,
+    IngestConfig, IngestError, SardDispatcher, ShardedSimulator, ShardingConfig, Simulator,
+    StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -114,43 +117,33 @@ fn recorded_ingested_run_replays_bit_identically_across_worker_counts() {
     assert_eq!(parsed.meta.config.ingest, config.ingest);
 }
 
-#[test]
-fn sharded_ingested_run_reruns_bit_identically_from_recorded_boundaries() {
-    let workload = MultiRegionWorkload::generate(MultiRegionParams {
+fn two_city_workload() -> MultiRegionWorkload {
+    MultiRegionWorkload::generate(MultiRegionParams {
         requests_per_region: 40,
         vehicles_per_region: 7,
         horizon: 100.0,
         scale: 0.3,
         ..MultiRegionParams::small(vec![CityProfile::ChengduLike, CityProfile::NycLike])
-    });
-    let config = StructRideConfig::default().with_ingest(ingest_config());
+    })
+}
+
+/// Feeds the recorded `(now, requests)` boundaries of `trace` back through
+/// `run_fed_recorded` on two strips under each worker count and requires
+/// the re-run trace to match `trace` bit for bit.
+fn assert_fed_rerun_matches(
+    sim: &ShardedSimulator,
+    workload: &MultiRegionWorkload,
+    trace: &Trace,
+    worker_counts: [usize; 2],
+) {
+    let config = *sim.config();
     let regions = region_strips_for(workload.network(), 2);
-    let sim = ShardedSimulator::new(config);
-
-    let mut recorder = TraceRecorder::new();
-    let ingested = sim
-        .run_ingested_recorded(
-            workload.network(),
-            &regions,
-            workload.requests.iter().cloned(),
-            workload.fresh_vehicles(),
-            |_| Box::new(SardDispatcher::new(config)),
-            &workload.name,
-            &mut recorder,
-        )
-        .expect("healthy producer");
-    assert!(ingested.report.aggregate.served_requests > 0);
-    let trace = recorder.into_trace(TraceMeta::new("SARD", &workload.name, config));
-    assert!(!trace.batches.is_empty());
-
-    // The recorded realized boundaries, as the re-run feed.
     let boundaries: Vec<(f64, Vec<structride_model::Request>)> = trace
         .batches
         .iter()
         .map(|b| (b.now, b.requests.clone()))
         .collect();
-
-    for threads in [1usize, 8] {
+    for threads in worker_counts {
         let rerun_trace = in_pool(threads, || {
             let mut rec = TraceRecorder::new();
             sim.run_fed_recorded(
@@ -164,13 +157,64 @@ fn sharded_ingested_run_reruns_bit_identically_from_recorded_boundaries() {
             );
             rec.into_trace(trace.meta.clone())
         });
-        let report = diff_traces(&trace, &rerun_trace);
+        let report = diff_traces(trace, &rerun_trace);
         assert!(
             report.is_clean(),
-            "sharded ingested re-run drifted under {threads} threads:\n{report}"
+            "boundary-fed re-run drifted under {threads} threads:\n{report}"
         );
         assert_eq!(report.batches_compared, trace.batches.len());
     }
+}
+
+#[test]
+fn sharded_ingested_run_reruns_bit_identically_from_recorded_boundaries() {
+    let workload = two_city_workload();
+    let config = StructRideConfig::default().with_ingest(ingest_config());
+    let sim = ShardedSimulator::new(config);
+
+    let mut recorder = TraceRecorder::new();
+    let ingested = sim
+        .run_ingested_recorded(
+            workload.network(),
+            &region_strips_for(workload.network(), 2),
+            workload.requests.iter().cloned(),
+            workload.fresh_vehicles(),
+            |_| Box::new(SardDispatcher::new(config)),
+            &workload.name,
+            &mut recorder,
+        )
+        .expect("healthy producer");
+    assert!(ingested.report.aggregate.served_requests > 0);
+    let trace = recorder.into_trace(TraceMeta::new("SARD", &workload.name, config));
+    assert!(!trace.batches.is_empty());
+    assert_fed_rerun_matches(&sim, &workload, &trace, [1, 8]);
+}
+
+#[test]
+fn clock_driven_boundaries_fed_back_reach_the_same_steps() {
+    // The Δ-clock and the fed-boundaries loop are two sources over one
+    // kernel: what the clock slices, fed back explicitly, must step
+    // identically — handoff auction and rebalancing included.
+    let workload = two_city_workload();
+    let config = StructRideConfig::default();
+    let sharding = ShardingConfig::default();
+    assert!(sharding.handoff_band > 0.0 && sharding.rebalance);
+    let sim = ShardedSimulator::with_sharding(config, sharding);
+
+    let mut recorder = TraceRecorder::new();
+    let clocked = sim.run_recorded(
+        workload.network(),
+        &region_strips_for(workload.network(), 2),
+        &workload.requests,
+        workload.fresh_vehicles(),
+        |_| Box::new(SardDispatcher::new(config)),
+        &workload.name,
+        &mut recorder,
+    );
+    assert!(clocked.aggregate.served_requests > 0);
+    let trace = recorder.into_trace(TraceMeta::new("SARD", &workload.name, config));
+    assert!(!trace.batches.is_empty());
+    assert_fed_rerun_matches(&sim, &workload, &trace, [1, 4]);
 }
 
 #[test]

@@ -38,18 +38,22 @@
 //!   candidate-queue construction and the per-vehicle group enumeration of
 //!   each acceptance round, reducing with stable `(cost, vehicle_id)`
 //!   tie-breaks;
-//! * the [`Simulator`](prelude::Simulator) moves vehicles between batches in
-//!   parallel and hands each batch to the dispatcher through a
-//!   [`DispatchContext`](prelude::DispatchContext) — the engine + config +
-//!   clock + scratch-counter bundle whose module docs state the parallel
-//!   invariants dispatchers must preserve.
+//! * the batch step — written once, in `core`'s `lane` module, and shared by
+//!   the [`Simulator`](prelude::Simulator), every shard of a
+//!   [`ShardedSimulator`](prelude::ShardedSimulator) and replay — moves
+//!   vehicles between batches in parallel and hands each batch to the
+//!   dispatcher through a [`DispatchContext`](prelude::DispatchContext) —
+//!   the engine + config + clock + scratch-counter bundle whose module docs
+//!   state the parallel invariants dispatchers must preserve.
 //!
 //! Set `RAYON_NUM_THREADS=1` to force the whole pipeline sequential.
 //!
 //! Determinism is *enforced* by the record/replay harness
 //! ([`core::replay`](structride_core::replay)): the simulator can record
 //! `(batch, fleet-state, outcome)` traces
-//! ([`Simulator::run_recorded`](prelude::Simulator::run_recorded)) and
+//! ([`Simulator::run_recorded`](prelude::Simulator::run_recorded), or
+//! [`run_with`](prelude::Simulator::run_with) and a
+//! [`RunHooks`](prelude::RunHooks) for a checkpoint sink as well) and
 //! [`replay_trace`](structride_core::replay::replay_trace) diffs any
 //! dispatcher against a recording batch-by-batch — CI replays a quickstart
 //! trace under 1 and N worker threads and fails on any drift (see the
@@ -103,9 +107,10 @@ pub mod prelude {
     pub use structride_baselines::{DemandRepositioning, Gas, PruneGdp, Rtv, TicketAssignPlus};
     pub use structride_core::{
         diff_traces, region_strips_for, replay_trace, BatchOutcome, DispatchContext, Dispatcher,
-        DriftReport, IngestConfig, IngestReport, IngestStats, RunMetrics, SardDispatcher,
-        ShardDispatcher, ShardedIngestReport, ShardedReport, ShardedSimulator, ShardingConfig,
-        SimulationReport, Simulator, StructRideConfig, Trace, TraceMeta, TraceRecorder,
+        DriftReport, IngestConfig, IngestReport, IngestStats, ResumeError, RunHooks, RunMetrics,
+        SardDispatcher, ShardDispatcher, ShardedIngestReport, ShardedReport, ShardedSimulator,
+        ShardingConfig, SimulationReport, Simulator, StructRideConfig, Trace, TraceMeta,
+        TraceRecorder,
     };
     pub use structride_datagen::{
         ArrivalProfile, ArrivalStream, ArrivalStreamParams, CityProfile, MultiRegionParams,

@@ -2,16 +2,30 @@
 //!
 //! The facade's other tests compare outcomes with tolerances; none would
 //! notice a travel time that moved by one ulp.  The traces committed under
-//! `crates/bench/tests/data/` record every dispatch decision of a SARD and
-//! an exact-assignment run bit for bit, so replaying them here — under 1
-//! and 4 worker threads — puts the replay invariant into
-//! `cargo build --release && cargo test -q`.  (`structride-bench`'s own
-//! `pre_faults_golden` suite replays the traffic and sharded traces too.)
+//! `crates/bench/tests/data/` record every dispatch decision of a run bit
+//! for bit, so checking them here — under 1 and 4 worker threads — puts the
+//! replay invariant into `cargo build --release && cargo test -q`:
+//!
+//! * the SARD and exact-assignment traces are *replayed*: every batch starts
+//!   from the recorded pre-dispatch fleet, which pins the dispatchers but
+//!   would not notice a change to the loop around them;
+//! * the rush-hour SARD trace (`loop_sard_rush.trace`, recorded by the build
+//!   before the batch step moved into `core::lane`) is *re-recorded* end to
+//!   end and diffed, inputs included — advance sweep, batch slicing, early
+//!   exit and tail of the monolithic loop all have to land bit for bit;
+//! * the 3-shard rush-hour trace is re-run end to end the same way, for the
+//!   sharded loop.
+//!
+//! (`structride-bench`'s own `pre_faults_golden` suite replays the traffic
+//! RTV trace too.)
 
-use structride_bench::replay_cli::{regenerate_workload, replay_run, trace_dispatcher_key};
-use structride_core::replay::Trace;
+use structride_bench::replay_cli::{
+    params_from_meta, record_run, regenerate_multi_workload, regenerate_workload, replay_run,
+    rerun_sharded, trace_dispatcher_key,
+};
+use structride_core::replay::{diff_traces, DriftReport, Trace};
 
-fn replays_with_zero_drift(file: &str) {
+fn golden_trace(file: &str) -> Trace {
     let path = format!(
         "{}/crates/bench/tests/data/{file}",
         env!("CARGO_MANIFEST_DIR")
@@ -19,22 +33,34 @@ fn replays_with_zero_drift(file: &str) {
     let text = std::fs::read_to_string(&path).expect("golden trace file exists");
     let trace = Trace::parse(&text).expect("golden trace parses");
     assert!(!trace.batches.is_empty(), "{file}: empty golden trace");
+    trace
+}
+
+/// Runs `check` against the golden trace in `file` under 1 and 4 worker
+/// threads and requires a clean report covering every recorded batch.
+fn zero_drift(file: &str, check: impl Fn(&Trace, &str) -> DriftReport + Sync) {
+    let trace = golden_trace(file);
     let key = trace_dispatcher_key(&trace).expect("golden trace records its dispatcher");
-    let workload =
-        regenerate_workload(&trace.meta).expect("golden trace records generation params");
     for threads in [1usize, 4] {
         let report = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool")
-            .install(|| replay_run(&workload, key, &trace))
-            .expect("known dispatcher");
+            .install(|| check(&trace, key));
         assert!(
             report.is_clean(),
             "{file} drifted under {threads} threads:\n{report}"
         );
         assert_eq!(report.batches_compared, trace.batches.len());
     }
+}
+
+fn replays_with_zero_drift(file: &str) {
+    zero_drift(file, |trace, key| {
+        let workload =
+            regenerate_workload(&trace.meta).expect("golden trace records generation params");
+        replay_run(&workload, key, trace).expect("known dispatcher")
+    });
 }
 
 #[test]
@@ -45,4 +71,23 @@ fn golden_sard_trace_replays_with_zero_drift() {
 #[test]
 fn golden_assign_trace_replays_with_zero_drift() {
     replays_with_zero_drift("pre_faults_assign.trace");
+}
+
+#[test]
+fn golden_rush_trace_rerecords_through_the_monolithic_loop_with_zero_drift() {
+    zero_drift("loop_sard_rush.trace", |trace, key| {
+        let params = params_from_meta(&trace.meta).expect("golden trace records its params");
+        let (_, rerecorded, _) =
+            record_run(params, trace.meta.config, key).expect("known dispatcher");
+        diff_traces(trace, &rerecorded)
+    });
+}
+
+#[test]
+fn golden_sharded_rush_trace_reruns_through_the_sharded_loop_with_zero_drift() {
+    zero_drift("pre_faults_sharded_rush.trace", |trace, key| {
+        let workload =
+            regenerate_multi_workload(&trace.meta).expect("golden trace records generation params");
+        rerun_sharded(&workload, key, trace).expect("known dispatcher")
+    });
 }
