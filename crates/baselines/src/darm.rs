@@ -1,4 +1,4 @@
-//! Demand-aware repositioning — the stand-in for DARM+DPRS [53].
+//! Demand-aware repositioning — the stand-in for DARM+DPRS \[53\].
 //!
 //! The paper's DARM+DPRS baseline uses deep reinforcement learning to move
 //! idle vehicles toward anticipated high-demand areas and to match requests.

@@ -1,4 +1,4 @@
-//! GAS — the additive-tree batch baseline (Zeng et al. [33]).
+//! GAS — the additive-tree batch baseline (Zeng et al. \[33\]).
 //!
 //! Per batch, GAS considers the pooled requests (new plus carried-over) and
 //! lets every vehicle — visited in a seeded random order, as in the paper —

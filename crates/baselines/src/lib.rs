@@ -4,21 +4,21 @@
 //! trait as SARD, so the simulator and the experiment harness can run them
 //! side by side exactly as the paper does:
 //!
-//! * [`PruneGdp`] — the online linear-insertion greedy of Tong et al. [37]:
+//! * [`PruneGdp`] — the online linear-insertion greedy of Tong et al. \[37\]:
 //!   each request is inserted into the vehicle with the smallest cost increase
 //!   the moment it arrives;
-//! * [`TicketAssignPlus`] — the parallel online method of Pan & Li [54]:
+//! * [`TicketAssignPlus`] — the parallel online method of Pan & Li \[54\]:
 //!   multiple worker threads insert requests concurrently, serialising on
 //!   per-vehicle ticket locks;
-//! * [`Gas`] — the additive-tree batch method of Zeng et al. [33]: per batch,
+//! * [`Gas`] — the additive-tree batch method of Zeng et al. \[33\]: per batch,
 //!   vehicles (in random order) enumerate feasible request groups and take the
 //!   most profitable one (total request length as profit);
-//! * [`Rtv`] — the trip-vehicle assignment of Alonso-Mora et al. [27]: per
+//! * [`Rtv`] — the trip-vehicle assignment of Alonso-Mora et al. \[27\]: per
 //!   batch, feasible trips are enumerated per vehicle and a global assignment
 //!   is solved.  The paper uses a glpk ILP; this reproduction substitutes a
 //!   greedy + swap local-search solver over the same trip candidates (see
 //!   `DESIGN.md` §4);
-//! * [`DemandRepositioning`] — the stand-in for the deep-RL DARM+DPRS [53]:
+//! * [`DemandRepositioning`] — the stand-in for the deep-RL DARM+DPRS \[53\]:
 //!   greedy matching plus demand-aware repositioning of idle vehicles toward
 //!   hot grid cells (a learned policy is out of scope; the substitution is
 //!   documented in `DESIGN.md` §4).

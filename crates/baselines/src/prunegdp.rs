@@ -1,4 +1,4 @@
-//! pruneGDP — the online insertion baseline (Tong et al. [37]).
+//! pruneGDP — the online insertion baseline (Tong et al. \[37\]).
 //!
 //! Requests are handled strictly in arrival order: each one is inserted into
 //! the current schedule of the vehicle whose total travel cost increases the

@@ -1,4 +1,4 @@
-//! RTV — trip-vehicle assignment (Alonso-Mora et al. [27]).
+//! RTV — trip-vehicle assignment (Alonso-Mora et al. \[27\]).
 //!
 //! The original method builds, per batch, the RV graph (which requests each
 //! vehicle can serve and which request pairs are shareable), expands it into
@@ -11,7 +11,7 @@
 //! *exactly*: the deterministic branch-and-bound of
 //! [`structride_core::lap::solve_group_choice`] over the same candidate set
 //! replaces the glpk ILP, seeded with the earlier greedy + pairwise-swap
-//! heuristic as its incumbent (kept as [`Rtv::greedy_swap_reference`], the
+//! heuristic as its incumbent (kept as `Rtv::greedy_swap_reference`, the
 //! test reference and the floor the exact answer can never fall below).  The
 //! committed assignment is therefore the true ILP optimum whenever the node
 //! budget holds — restoring the original method's optimality while staying

@@ -1,5 +1,5 @@
 //! TicketAssign+ — parallel online insertion with per-vehicle ticket locks
-//! (Pan & Li [54]).
+//! (Pan & Li \[54\]).
 //!
 //! Several worker threads process the batch's requests concurrently.  Each
 //! thread computes the cheapest feasible insertion across the fleet and then

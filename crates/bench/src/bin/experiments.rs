@@ -4,117 +4,90 @@
 //! experiments [EXPERIMENT ...] [--quick]
 //!
 //! EXPERIMENT ∈ { fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15,
-//!                fig16, table_pruning, angle_model, sharded, ingest, all }
+//!                fig16, fig17, table_pruning, insertion_order,
+//!                ablation_candidates, angle_model, all }
 //! ```
 //!
 //! Output is TSV on stdout: one row per (sweep point, algorithm) with the
 //! metrics the paper plots (service rate, unified cost, running time,
 //! shortest-path queries, memory).  `--quick` shrinks the workloads for a
-//! fast smoke run.
-//!
-//! `sharded` and `ingest` go beyond the paper: `sharded` compares the
-//! monolithic pipeline with the multi-region sharded one on a three-city
-//! workload and writes the machine-readable `BENCH_sharded.json`
-//! (throughput, per-batch wall-clock, service rate); `ingest` drives the
-//! async ingest front end over Poisson and bursty-surge arrival streams and
-//! writes `BENCH_ingest.json` (sustained throughput, p50/p99 batch latency,
-//! queue depth, drop/timeout counts).  Both are consumed by the
-//! perf-trajectory tooling (`bench_guard`), print their own TSV schemas, and
-//! are therefore **not** implied by `all` — name them explicitly (the figure
-//! header is suppressed when either runs alone).
+//! fast smoke run; no experiment name means `all`.  An unknown name or flag
+//! prints the usage on stderr and exits 2 before anything runs.
 
 use structride_bench::harness;
-use structride_bench::ingestbench;
-use structride_bench::shardbench;
 use structride_bench::ExperimentScale;
 
+/// The names that select an experiment, and the function that runs it.
+type Experiment = (&'static [&'static str], fn(&ExperimentScale));
+
+/// Every experiment in output order: the one list arguments are validated
+/// against, the usage text is printed from and the run walks.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["fig8"], harness::fig8_vary_vehicles),
+    (&["fig9"], harness::fig9_vary_requests),
+    (&["fig10"], harness::fig10_vary_gamma),
+    (&["fig11"], harness::fig11_vary_capacity),
+    (&["fig12"], harness::fig12_vary_penalty),
+    (&["fig13"], harness::fig13_vary_batch),
+    (&["fig14"], harness::fig14_memory),
+    (&["fig15"], harness::fig15_cainiao),
+    (
+        &["fig16", "fig17"],
+        harness::fig16_fig17_capacity_distribution,
+    ),
+    (&["table_pruning"], harness::table_angle_pruning),
+    (&["insertion_order"], harness::insertion_order_study),
+    (&["ablation_candidates"], harness::ablation_candidate_cap),
+    (&["angle_model"], |_| harness::angle_probability_model()),
+];
+
+fn selects(arg: &str, names: &[&str]) -> bool {
+    arg == "all" || names.contains(&arg)
+}
+
+fn usage_and_exit(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .collect();
+    eprintln!(
+        "{problem}\nusage: experiments [EXPERIMENT ...] [--quick]\nEXPERIMENT: {}, all",
+        names.join(", ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut quick = false;
+    let mut selected: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--quick" {
+            quick = true;
+        } else if arg.starts_with("--") {
+            usage_and_exit(&format!("unknown flag {arg:?}"));
+        } else if EXPERIMENTS.iter().any(|(names, _)| selects(&arg, names)) {
+            selected.push(arg);
+        } else {
+            usage_and_exit(&format!("unknown experiment {arg:?}"));
+        }
+    }
+    if selected.is_empty() {
+        selected.push("all".to_string());
+    }
     let scale = if quick {
         ExperimentScale::quick()
     } else {
         ExperimentScale::standard()
     };
-    let mut selected: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
-    if selected.is_empty() {
-        selected.push("all".to_string());
-    }
-    let wants = |name: &str| selected.iter().any(|s| s == name || s == "all");
-    // `sharded` and `ingest` emit their own TSV schemas (ShardBenchRow /
-    // IngestBenchRow): they are never implied by `all` and refuse to share a
-    // stdout stream with the figure experiments — two header shapes in one
-    // stream would break downstream TSV consumers.
-    let wants_sharded = selected.iter().any(|s| s == "sharded");
-    let wants_ingest = selected.iter().any(|s| s == "ingest");
-    if (wants_sharded || wants_ingest) && selected.len() != 1 {
-        eprintln!(
-            "`sharded` and `ingest` print their own TSV schemas and cannot be \
-             combined with other experiments; run each in a separate invocation"
-        );
-        std::process::exit(2);
-    }
 
     eprintln!(
         "# running {:?} at scale: {} requests / {} vehicles / horizon {}s",
         selected, scale.requests, scale.vehicles, scale.horizon
     );
-    if !wants_sharded && !wants_ingest {
-        harness::print_header();
-    }
-
-    if wants("fig8") {
-        harness::fig8_vary_vehicles(&scale);
-    }
-    if wants("fig9") {
-        harness::fig9_vary_requests(&scale);
-    }
-    if wants("fig10") {
-        harness::fig10_vary_gamma(&scale);
-    }
-    if wants("fig11") {
-        harness::fig11_vary_capacity(&scale);
-    }
-    if wants("fig12") {
-        harness::fig12_vary_penalty(&scale);
-    }
-    if wants("fig13") {
-        harness::fig13_vary_batch(&scale);
-    }
-    if wants("fig14") {
-        harness::fig14_memory(&scale);
-    }
-    if wants("fig15") {
-        harness::fig15_cainiao(&scale);
-    }
-    if wants("fig16") || wants("fig17") {
-        harness::fig16_fig17_capacity_distribution(&scale);
-    }
-    if wants("table_pruning") {
-        harness::table_angle_pruning(&scale);
-    }
-    if wants("insertion_order") {
-        harness::insertion_order_study(&scale);
-    }
-    if wants("ablation_candidates") {
-        harness::ablation_candidate_cap(&scale);
-    }
-    if wants("angle_model") {
-        harness::angle_probability_model();
-    }
-    if wants_sharded {
-        // Strip layouts at 1 and 3 shards, plus a 2×3 = 6-region grid so
-        // the k-scaling of setup cost stays visible in the trajectory.
-        let layouts = [(1u32, 1u32), (1, 3), (2, 3)];
-        if let Err(e) = shardbench::run_and_write(&scale, &layouts, "BENCH_sharded.json") {
-            eprintln!("failed to write BENCH_sharded.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if wants_ingest {
-        if let Err(e) = ingestbench::run_and_write(&scale, "BENCH_ingest.json") {
-            eprintln!("failed to write BENCH_ingest.json: {e}");
-            std::process::exit(1);
+    harness::print_header();
+    for (names, run) in EXPERIMENTS {
+        if selected.iter().any(|arg| selects(arg, names)) {
+            run(&scale);
         }
     }
 }

@@ -6,18 +6,15 @@
 //! (workload-point, algorithm) pair — the same series the paper plots.  The
 //! `experiments` binary exposes them on the command line; the Criterion
 //! benches in `benches/` cover the running-time comparisons at a micro level.
+//! [`replay_cli`] is the library half of the `replay` binary (record, replay,
+//! resume, diff, verify).
 //!
 //! Scale note: the workloads are laptop-sized (hundreds to a few thousand
 //! requests instead of 250 K), so absolute numbers differ from the paper; the
 //! sweep structure, parameter values and relative orderings are what the
-//! harness reproduces (see `EXPERIMENTS.md`).
+//! harness reproduces.
 
 pub mod harness;
-pub mod ingestbench;
-pub mod perf;
 pub mod replay_cli;
-pub mod shardbench;
 
 pub use harness::{ExperimentScale, SuiteKind};
-pub use ingestbench::IngestBenchRow;
-pub use shardbench::ShardBenchRow;

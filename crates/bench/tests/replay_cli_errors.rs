@@ -1,4 +1,4 @@
-//! Error-path coverage for the `replay` and `bench_guard` binaries: bad
+//! Error-path coverage for the `replay` and `experiments` binaries: bad
 //! arguments, missing/malformed traces and exempt dispatchers must exit
 //! non-zero with a diagnostic, never panic or succeed silently.
 
@@ -11,11 +11,11 @@ fn replay(args: &[&str]) -> Output {
         .expect("spawn replay binary")
 }
 
-fn bench_guard(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_guard"))
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .output()
-        .expect("spawn bench_guard binary")
+        .expect("spawn experiments binary")
 }
 
 fn stderr(output: &Output) -> String {
@@ -101,7 +101,7 @@ fn replay_trace_without_metadata_asks_for_algo() {
     // the workload and must say so (after the dispatcher default fails).
     let dir = std::env::temp_dir();
     let path = dir.join("structride-bare-trace.txt");
-    std::fs::write(&path, "structride-trace v1\nalgorithm X\nworkload w\n").unwrap();
+    std::fs::write(&path, "structride-trace v4\nalgorithm X\nworkload w\n").unwrap();
     let out = replay(&["replay", "--trace", path.to_str().unwrap()]);
     assert_eq!(exit_code(&out), 2);
     assert!(
@@ -134,27 +134,18 @@ fn verify_rejects_the_exempt_ticket_dispatcher() {
 }
 
 #[test]
-fn bench_guard_usage_and_missing_files() {
-    let out = bench_guard(&[]);
-    assert_eq!(exit_code(&out), 2);
-    assert!(stderr(&out).contains("usage:"));
-
-    let out = bench_guard(&[
-        "--baseline",
-        "/nonexistent/a.json",
-        "--current",
-        "/nonexistent/b.json",
-    ]);
-    assert_eq!(exit_code(&out), 1);
-    assert!(stderr(&out).contains("failed to read"), "{}", stderr(&out));
-
-    let out = bench_guard(&[
-        "--baseline",
-        "x",
-        "--current",
-        "y",
-        "--max-regression",
-        "abc",
-    ]);
-    assert_eq!(exit_code(&out), 2);
+fn experiments_rejects_unknown_names_and_flags_before_running_anything() {
+    // `sharded` was an experiment once: a stale script must fail loudly
+    // rather than print a header, measure nothing and exit 0.
+    for args in [
+        &["fig99"][..],
+        &["fig14", "--quik"],
+        &["--quick", "sharded"],
+    ] {
+        let out = experiments(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        assert!(stderr(&out).contains("usage:"), "{args:?}");
+        assert!(stderr(&out).contains("table_pruning"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed rows");
+    }
 }

@@ -92,8 +92,8 @@ impl Default for IngestConfig {
     }
 }
 
-/// Ingest-level statistics of one run — the quantities `BENCH_ingest.json`
-/// reports next to the usual [`RunMetrics`].
+/// Ingest-level statistics of one run, reported next to the usual
+/// [`RunMetrics`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IngestStats {
     /// Requests emitted by the arrival stream.

@@ -8,16 +8,16 @@
 //!   the [`lap`] kernel;
 //! * [`config`] — the experiment knobs of Table III (batch period Δ, penalty
 //!   coefficient `p_r`, angle threshold δ, …);
-//! * [`context`] — the per-batch [`DispatchContext`](context::DispatchContext)
+//! * [`context`] — the per-batch [`DispatchContext`]
 //!   bundling engine + configuration + clock + scratch counters that the
 //!   simulator hands to every dispatcher; it is `Sync`, so batch-parallel
 //!   dispatch code closes over one shared borrow (see the module docs for the
 //!   parallel invariants);
-//! * [`dispatcher`] — the [`Dispatcher`](dispatcher::Dispatcher) trait that the
+//! * [`dispatcher`] — the [`Dispatcher`] trait that the
 //!   SARD algorithm and every baseline implement, so the batched simulator can
 //!   drive any of them interchangeably;
 //! * [`faults`] — deterministic fault injection: a pure, seeded
-//!   [`FaultPlan`](faults::FaultPlan) derived from `(FaultConfig, batch
+//!   [`FaultPlan`] derived from `(FaultConfig, batch
 //!   clock)` alone (the traffic-epoch purity contract) scheduling shard
 //!   outages, solver deadline budgets and checkpoint boundaries, each with
 //!   a graceful-degradation path;
@@ -33,9 +33,9 @@
 //! * `lane` (crate-private) — the batch step, written once: a `Lane` owns a
 //!   pipeline's fleet, fleet index, served set and work counters and is the
 //!   only code that advances the fleet, builds the
-//!   [`DispatchContext`](context::DispatchContext) and calls
+//!   [`DispatchContext`] and calls
 //!   `dispatch_batch`; the monolithic simulator, every shard and
-//!   [`replay_trace`](replay::replay_trace) all step through it;
+//!   [`replay_trace`] all step through it;
 //! * [`lap`] — the in-workspace exact solvers: a deterministic Kuhn–Munkres
 //!   LAP kernel over rectangular, partially-forbidden cost matrices and a
 //!   branch-and-bound over its relaxation for the trip-group choice step;
@@ -43,15 +43,15 @@
 //!   [`DispatcherBuilder`] mapping keys to constructors, the single place
 //!   the replay CLI and every bench driver build dispatchers from;
 //! * [`replay`] — the record/replay harness: a
-//!   [`TraceRecorder`](replay::TraceRecorder) capturing per-batch
+//!   [`TraceRecorder`] capturing per-batch
 //!   `(inputs, fleet-state, outcome)` tuples from the simulator, and
-//!   [`replay_trace`](replay::replay_trace) diffing any dispatcher against a
+//!   [`replay_trace`] diffing any dispatcher against a
 //!   recorded trace into a structured drift report — the enforcement of the
 //!   "deterministic regardless of worker count" invariant;
 //! * [`sard`] — Algorithm 3, the two-phase "proposal–acceptance" SARD
 //!   dispatcher guided by the shareability loss;
 //! * [`shard`] — multi-region sharded dispatch: a
-//!   [`ShardedSimulator`](shard::ShardedSimulator) partitioning the fleet
+//!   [`ShardedSimulator`] partitioning the fleet
 //!   and request stream by region into parallel per-shard pipelines (one
 //!   `SpEngine` + dispatcher per shard), with deterministic best-bid
 //!   cross-shard handoff, idle-vehicle rebalancing, and shard-merged

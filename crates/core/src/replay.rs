@@ -29,7 +29,10 @@
 //!
 //! Traces serialize to a versioned, line-oriented text format whose floats
 //! round-trip exactly (Rust's shortest-representation formatting), so a
-//! trace recorded on one machine replays bit-identically on another.
+//! trace recorded on one machine replays bit-identically on another.  Two
+//! versions exist: v4, which every recording is written at, and v3 (no
+//! fault tokens on the config line), which is still read and re-serialized
+//! byte for byte.  The header fixes the shape of every line below it.
 
 use crate::config::StructRideConfig;
 use crate::context::ScratchStats;
@@ -43,29 +46,26 @@ use structride_roadnet::{
 };
 use structride_sharegraph::builder::BuildStats;
 
-/// Magic first line of the v1 trace text format (pre-prescreen: 3-token
-/// outcome lines, no `prescreen_pruned` counter).
-const TRACE_HEADER_V1: &str = "structride-trace v1";
-
-/// Magic first line of the v2 trace text format, whose outcome lines carry
-/// the `prescreen_pruned` scratch counter.
-const TRACE_HEADER_V2: &str = "structride-trace v2";
-
-/// Magic first line of the v3 trace text format, whose config line
-/// additionally records the traffic model (profile, epoch granularity,
-/// congestion zones).  v1/v2 traces parse with the static
-/// [`TrafficConfig::default`] and replay bit-identically.
-const TRACE_HEADER_V3: &str = "structride-trace v3";
-
-/// Magic first line of the current (v4) trace text format, whose config line
-/// additionally records the fault-injection model (outage cadence, solver
-/// budget, checkpoint cadence).  v1/v2/v3 traces parse with the inert
-/// [`FaultConfig::default`](crate::faults::FaultConfig) and replay
-/// bit-identically.
-const TRACE_HEADER_V4: &str = "structride-trace v4";
-
-/// The trace format version new recordings are written at.
+/// The trace format version new recordings are written at.  Its config line
+/// ends with the fault-injection model (outage cadence, solver budget,
+/// checkpoint cadence).
 const TRACE_VERSION: u32 = 4;
+
+/// The trace format versions [`Trace::parse`] accepts.  A v3 config line
+/// stops after the traffic model, so a v3 trace parses with the inert
+/// [`FaultConfig::default`](crate::faults::FaultConfig) and replays
+/// bit-identically.
+const TRACE_VERSIONS: [u32; 2] = [3, TRACE_VERSION];
+
+/// Magic first line of a trace at format `version` — the one place version
+/// and header are paired, for [`Trace::to_text`] and [`Trace::parse`] alike.
+fn trace_header(version: u32) -> &'static str {
+    match version {
+        3 => "structride-trace v3",
+        4 => "structride-trace v4",
+        other => panic!("there is no trace format v{other}"),
+    }
+}
 
 /// A plain-data snapshot of one [`Vehicle`], captured before and after each
 /// dispatch call.
@@ -143,10 +143,9 @@ pub struct BatchRecord {
 /// Run-level metadata stored alongside the recorded batches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceMeta {
-    /// Trace format version (1 = pre-prescreen, 2 = current).  Set from the
-    /// header on parse; [`TraceMeta::new`] stamps the current version.
-    /// [`replay_trace`] only compares the scratch counters whose semantics
-    /// the recorded version actually pins (see the field docs there).
+    /// Trace format version (3 or 4).  Set from the header on parse, so a
+    /// parsed trace re-serializes in the format it was read in;
+    /// [`TraceMeta::new`] stamps the current version.
     pub version: u32,
     /// Name of the dispatcher that produced the trace.
     pub algorithm: String,
@@ -483,16 +482,7 @@ pub fn replay_trace(
         report.batches_compared += 1;
 
         let mut deltas = Vec::new();
-        // v1 traces predate the certified prescreen: see `diff_outcome`.
-        let comparable = trace.meta.version >= 2;
-        diff_outcome(
-            &mut deltas,
-            comparable,
-            batch,
-            &outcome.assigned,
-            scratch,
-            &fleet_after,
-        );
+        diff_outcome(&mut deltas, batch, &outcome.assigned, scratch, &fleet_after);
         if !deltas.is_empty() {
             report.divergences.push(BatchDivergence {
                 batch_index: batch.index,
@@ -506,16 +496,8 @@ pub fn replay_trace(
 /// Diffs a replayed `(assigned, scratch, post-dispatch fleet)` outcome
 /// against the `recorded` batch — the comparison [`replay_trace`] and
 /// [`diff_traces`] share.
-///
-/// A v1 trace predates the certified prescreen: its recorded
-/// `insertion_evaluations` counted the full-fleet sweep and it has no
-/// `prescreen_pruned` at all, so those two counters are only compared when
-/// `counters_comparable` (v2+ on every side).  Decisions (assignments, fleet
-/// state) and `groups_enumerated` are compared for every version — the
-/// prescreen provably never changes them.
 fn diff_outcome(
     deltas: &mut Vec<FieldDelta>,
-    counters_comparable: bool,
     recorded: &BatchRecord,
     assigned: &[RequestId],
     scratch: ScratchStats,
@@ -538,18 +520,16 @@ fn diff_outcome(
         }
     };
     let (rec, rep) = (recorded.scratch, scratch);
-    if counters_comparable {
-        counter(
-            "insertion_evaluations",
-            rec.insertion_evaluations,
-            rep.insertion_evaluations,
-        );
-        counter(
-            "prescreen_pruned",
-            rec.prescreen_pruned,
-            rep.prescreen_pruned,
-        );
-    }
+    counter(
+        "insertion_evaluations",
+        rec.insertion_evaluations,
+        rep.insertion_evaluations,
+    );
+    counter(
+        "prescreen_pruned",
+        rec.prescreen_pruned,
+        rep.prescreen_pruned,
+    );
     counter(
         "groups_enumerated",
         rec.groups_enumerated,
@@ -593,9 +573,6 @@ fn diff_fleet(
 /// first divergent field pins where.
 pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
     let mut report = DriftReport::default();
-    // The evaluation counters are not comparable across the v1 boundary
-    // (see `diff_outcome`).
-    let counters_comparable = recorded.meta.version >= 2 && replayed.meta.version >= 2;
     if recorded.batches.len() != replayed.batches.len() {
         report.divergences.push(BatchDivergence {
             batch_index: recorded.batches.len().min(replayed.batches.len()),
@@ -631,7 +608,6 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
         );
         diff_outcome(
             &mut deltas,
-            counters_comparable,
             rec,
             &rep.assigned,
             rep.scratch,
@@ -750,16 +726,16 @@ fn vehicle_to_line(v: &VehicleState) -> String {
 }
 
 /// Serializes a [`StructRideConfig`] to the `config ` line body shared by the
-/// trace and checkpoint text formats.  `version` gates the trailing token
-/// groups: the four traffic tokens exist only at v3+ and the five fault
-/// tokens only at v4+, so re-serializing a parsed older trace stays
-/// byte-identical to its original text.  Checkpoints always serialize at the
-/// current version (all tokens).
+/// trace and checkpoint text formats.  The five fault tokens exist only at
+/// v4, so re-serializing a parsed v3 trace stays byte-identical to its
+/// original text.  Checkpoints always serialize at the current version (all
+/// tokens).
 fn config_to_tokens(c: &StructRideConfig, version: u32) -> String {
     let mut out = format!(
         "batch_period={} alpha={} penalty={} shareability_capacity={} \
          angle_enabled={} angle_threshold={} grid_cells={} max_candidate_vehicles={} \
-         ingest_max_batch={} ingest_deadline={} ingest_queue={} ingest_time_scale={}",
+         ingest_max_batch={} ingest_deadline={} ingest_queue={} ingest_time_scale={} \
+         traffic_profile={} traffic_epoch_s={} traffic_hour_s={} traffic_zones={}",
         c.batch_period,
         c.cost.alpha,
         c.cost.penalty_coefficient,
@@ -771,17 +747,12 @@ fn config_to_tokens(c: &StructRideConfig, version: u32) -> String {
         c.ingest.max_batch_size,
         c.ingest.batch_deadline,
         c.ingest.queue_capacity,
-        c.ingest.time_scale
+        c.ingest.time_scale,
+        traffic_profile_token(&c.traffic.profile),
+        c.traffic.epoch_seconds,
+        c.traffic.hour_scale,
+        traffic_zones_token(&c.traffic)
     );
-    if version >= 3 {
-        out.push_str(&format!(
-            " traffic_profile={} traffic_epoch_s={} traffic_hour_s={} traffic_zones={}",
-            traffic_profile_token(&c.traffic.profile),
-            c.traffic.epoch_seconds,
-            c.traffic.hour_scale,
-            traffic_zones_token(&c.traffic)
-        ));
-    }
     if version >= 4 {
         out.push_str(&format!(
             " faults_seed={} faults_outage_every={} faults_outage_batches={} \
@@ -801,15 +772,7 @@ impl Trace {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let m = &self.meta;
-        out.push_str(if m.version >= 4 {
-            TRACE_HEADER_V4
-        } else if m.version >= 3 {
-            TRACE_HEADER_V3
-        } else if m.version >= 2 {
-            TRACE_HEADER_V2
-        } else {
-            TRACE_HEADER_V1
-        });
+        out.push_str(trace_header(m.version));
         out.push('\n');
         out.push_str(&format!("algorithm {}\n", m.algorithm));
         out.push_str(&format!("workload {}\n", m.workload));
@@ -834,40 +797,22 @@ impl Trace {
         for b in &self.batches {
             out.push_str(&format!("batch {} now={}\n", b.index, b.now));
             for r in &b.requests {
-                out.push_str(&format!(
-                    "request {} {} {} {} {} {} {} {}\n",
-                    r.id,
-                    r.source,
-                    r.destination,
-                    r.riders,
-                    r.release,
-                    r.deadline,
-                    r.pickup_deadline,
-                    r.shortest_cost
-                ));
+                out.push_str(&request_to_line(r));
+                out.push('\n');
             }
             out.push_str("fleet before\n");
             for v in &b.fleet_before {
                 out.push_str(&vehicle_to_line(v));
                 out.push('\n');
             }
-            if m.version >= 2 {
-                out.push_str(&format!(
-                    "outcome assigned={} insertion_evaluations={} groups_enumerated={} \
-                     prescreen_pruned={}\n",
-                    ids_to_token(&b.assigned),
-                    b.scratch.insertion_evaluations,
-                    b.scratch.groups_enumerated,
-                    b.scratch.prescreen_pruned
-                ));
-            } else {
-                out.push_str(&format!(
-                    "outcome assigned={} insertion_evaluations={} groups_enumerated={}\n",
-                    ids_to_token(&b.assigned),
-                    b.scratch.insertion_evaluations,
-                    b.scratch.groups_enumerated
-                ));
-            }
+            out.push_str(&format!(
+                "outcome assigned={} insertion_evaluations={} groups_enumerated={} \
+                 prescreen_pruned={}\n",
+                ids_to_token(&b.assigned),
+                b.scratch.insertion_evaluations,
+                b.scratch.groups_enumerated,
+                b.scratch.prescreen_pruned
+            ));
             out.push_str("fleet after\n");
             for v in &b.fleet_after {
                 out.push_str(&vehicle_to_line(v));
@@ -1290,13 +1235,20 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_fleet(&mut self, expected_marker: &str) -> Result<Vec<VehicleState>, TraceParseError> {
-        let marker = self
+    /// Consumes the next line, which must be exactly `marker`.
+    fn expect_marker(&mut self, marker: &str) -> Result<(), TraceParseError> {
+        let line = self
             .next_line()
-            .ok_or_else(|| self.err(format!("missing {expected_marker:?} marker")))?;
-        if marker != expected_marker {
-            return Err(self.err(format!("expected {expected_marker:?}, got {marker:?}")));
+            .ok_or_else(|| self.err(format!("missing {marker:?} marker")))?;
+        if line != marker {
+            return Err(self.err(format!("expected {marker:?}, got {line:?}")));
         }
+        Ok(())
+    }
+
+    /// Parses `marker` and the run of `vehicle ` lines below it.
+    fn parse_fleet(&mut self, marker: &str) -> Result<Vec<VehicleState>, TraceParseError> {
+        self.expect_marker(marker)?;
         let mut fleet = Vec::new();
         while let Some(line) = self.peek() {
             if !line.starts_with("vehicle ") {
@@ -1308,8 +1260,21 @@ impl<'a> Parser<'a> {
         Ok(fleet)
     }
 
-    /// Parses a `request ` line body (8 space-separated fields) — shared by
-    /// the trace batches and the checkpoint pool sections.
+    /// Parses the run of `request ` lines at the cursor — a trace batch's
+    /// releases or a checkpoint shard's pool.
+    fn parse_requests(&mut self) -> Result<Vec<Request>, TraceParseError> {
+        let mut requests = Vec::new();
+        while let Some(line) = self.peek() {
+            let Some(rest) = line.strip_prefix("request ") else {
+                break;
+            };
+            self.next_line();
+            requests.push(self.parse_request(rest)?);
+        }
+        Ok(requests)
+    }
+
+    /// Parses a `request ` line body (8 space-separated fields).
     fn parse_request(&self, rest: &str) -> Result<Request, TraceParseError> {
         let tokens: Vec<&str> = rest.split(' ').collect();
         if tokens.len() != 8 {
@@ -1327,37 +1292,33 @@ impl<'a> Parser<'a> {
         ))
     }
 
-    /// Parses a `config ` line body — shared by the trace and checkpoint
-    /// formats.  8 fields is the pre-ingest (v1 without ingest knobs) shape,
-    /// 12 the pre-traffic (v2) shape, 16 the pre-fault (v3) shape; older
-    /// shapes parse with the default (static) traffic model, default ingest
-    /// knobs and the inert fault config.
-    fn parse_config(&self, rest: &str) -> Result<StructRideConfig, TraceParseError> {
+    /// Parses a `config ` line body of format `version` — shared by the
+    /// trace and checkpoint formats (checkpoints are always at the current
+    /// version).  The token count must be exactly the version's: a v3 line
+    /// has no fault tokens and parses with the inert fault config.
+    fn parse_config(&self, rest: &str, version: u32) -> Result<StructRideConfig, TraceParseError> {
         let tokens: Vec<&str> = rest.split(' ').collect();
-        if tokens.len() != 8 && tokens.len() != 12 && tokens.len() != 16 && tokens.len() != 21 {
-            return Err(self.err("config line needs 8, 12, 16 or 21 fields"));
+        // v4 appends the five fault tokens to v3's sixteen.
+        let expected = if version >= 4 { 21 } else { 16 };
+        if tokens.len() != expected {
+            return Err(self.err(format!(
+                "a v{version} config line needs {expected} fields, got {}",
+                tokens.len()
+            )));
         }
-        let ingest = if tokens.len() >= 12 {
-            crate::ingest::IngestConfig {
-                max_batch_size: self.parse_kv(tokens[8], "ingest_max_batch")?,
-                batch_deadline: self.parse_kv(tokens[9], "ingest_deadline")?,
-                queue_capacity: self.parse_kv(tokens[10], "ingest_queue")?,
-                time_scale: self.parse_kv(tokens[11], "ingest_time_scale")?,
-            }
-        } else {
-            crate::ingest::IngestConfig::default()
+        let ingest = crate::ingest::IngestConfig {
+            max_batch_size: self.parse_kv(tokens[8], "ingest_max_batch")?,
+            batch_deadline: self.parse_kv(tokens[9], "ingest_deadline")?,
+            queue_capacity: self.parse_kv(tokens[10], "ingest_queue")?,
+            time_scale: self.parse_kv(tokens[11], "ingest_time_scale")?,
         };
-        let traffic = if tokens.len() >= 16 {
-            TrafficConfig {
-                profile: self.parse_traffic_profile(tokens[12])?,
-                epoch_seconds: self.parse_kv(tokens[13], "traffic_epoch_s")?,
-                hour_scale: self.parse_kv(tokens[14], "traffic_hour_s")?,
-                zones: self.parse_traffic_zones(tokens[15])?,
-            }
-        } else {
-            TrafficConfig::default()
+        let traffic = TrafficConfig {
+            profile: self.parse_traffic_profile(tokens[12])?,
+            epoch_seconds: self.parse_kv(tokens[13], "traffic_epoch_s")?,
+            hour_scale: self.parse_kv(tokens[14], "traffic_hour_s")?,
+            zones: self.parse_traffic_zones(tokens[15])?,
         };
-        let faults = if tokens.len() >= 21 {
+        let faults = if version >= 4 {
             crate::faults::FaultConfig {
                 seed: self.parse_kv(tokens[16], "faults_seed")?,
                 outage_every: self.parse_kv(tokens[17], "faults_outage_every")?,
@@ -1389,13 +1350,10 @@ impl<'a> Parser<'a> {
 
     fn parse(mut self) -> Result<Trace, TraceParseError> {
         let header = self.next_line().ok_or_else(|| self.err("empty trace"))?;
-        let version = match header {
-            TRACE_HEADER_V1 => 1,
-            TRACE_HEADER_V2 => 2,
-            TRACE_HEADER_V3 => 3,
-            TRACE_HEADER_V4 => 4,
-            _ => return Err(self.err(format!("unsupported trace header {header:?}"))),
-        };
+        let version = TRACE_VERSIONS
+            .into_iter()
+            .find(|&v| trace_header(v) == header)
+            .ok_or_else(|| self.err(format!("unsupported trace header {header:?}")))?;
         let mut meta = TraceMeta {
             version,
             ..TraceMeta::default()
@@ -1411,7 +1369,7 @@ impl<'a> Parser<'a> {
             } else if let Some(rest) = line.strip_prefix("workload ") {
                 meta.workload = rest.to_string();
             } else if let Some(rest) = line.strip_prefix("config ") {
-                meta.config = self.parse_config(rest)?;
+                meta.config = self.parse_config(rest, version)?;
             } else if let Some(rest) = line.strip_prefix("param ") {
                 let (key, value) = rest
                     .split_once(' ')
@@ -1457,15 +1415,7 @@ impl<'a> Parser<'a> {
             let index: usize = self.parse_scalar(index_tok, "batch index")?;
             let now: f64 = self.parse_kv(now_tok, "now")?;
 
-            let mut requests = Vec::new();
-            while let Some(line) = self.peek() {
-                if !line.starts_with("request ") {
-                    break;
-                }
-                let line = self.next_line().expect("peeked line exists");
-                requests.push(self.parse_request(&line["request ".len()..])?);
-            }
-
+            let requests = self.parse_requests()?;
             let fleet_before = self.parse_fleet("fleet before")?;
 
             let outcome_line = self
@@ -1475,10 +1425,8 @@ impl<'a> Parser<'a> {
                 self.err(format!("expected an outcome line, got {outcome_line:?}"))
             })?;
             let tokens: Vec<&str> = rest.split(' ').collect();
-            // 3 fields is the v1 shape (no prescreen counter); v2 adds
-            // `prescreen_pruned` as a fourth.
-            if tokens.len() != 3 && tokens.len() != 4 {
-                return Err(self.err("outcome line needs 3 or 4 fields"));
+            if tokens.len() != 4 {
+                return Err(self.err("outcome line needs 4 fields"));
             }
             let assigned_tok = tokens[0]
                 .strip_prefix("assigned=")
@@ -1487,21 +1435,11 @@ impl<'a> Parser<'a> {
             let scratch = ScratchStats {
                 insertion_evaluations: self.parse_kv(tokens[1], "insertion_evaluations")?,
                 groups_enumerated: self.parse_kv(tokens[2], "groups_enumerated")?,
-                prescreen_pruned: if tokens.len() == 4 {
-                    self.parse_kv(tokens[3], "prescreen_pruned")?
-                } else {
-                    0
-                },
+                prescreen_pruned: self.parse_kv(tokens[3], "prescreen_pruned")?,
             };
 
             let fleet_after = self.parse_fleet("fleet after")?;
-
-            let end = self
-                .next_line()
-                .ok_or_else(|| self.err("missing end marker"))?;
-            if end != "end" {
-                return Err(self.err(format!("expected \"end\", got {end:?}")));
-            }
+            self.expect_marker("end")?;
 
             batches.push(BatchRecord {
                 index,
@@ -1577,7 +1515,7 @@ impl<'a> Parser<'a> {
         let algorithm = self.expect_line("algorithm")?.to_string();
         let workload = self.expect_line("workload")?.to_string();
         let config_rest = self.expect_line("config")?;
-        let config = self.parse_config(config_rest)?;
+        let config = self.parse_config(config_rest, TRACE_VERSION)?;
         let sharded = match self.expect_line("mode")? {
             "sharded" => true,
             "mono" => false,
@@ -1636,42 +1574,12 @@ impl<'a> Parser<'a> {
             let routed = self.parse_routed(routed_tok)?;
             let served_tok = self.expect_line("served")?;
             let shard_served = self.parse_ids(served_tok)?;
-            let marker = self
-                .next_line()
-                .ok_or_else(|| self.err("missing fleet marker"))?;
-            if marker != "fleet" {
-                return Err(self.err(format!("expected \"fleet\", got {marker:?}")));
-            }
-            let mut fleet = Vec::new();
-            while let Some(line) = self.peek() {
-                if !line.starts_with("vehicle ") {
-                    break;
-                }
-                let line = self.next_line().expect("peeked line exists");
-                fleet.push(self.parse_vehicle(line)?);
-            }
-            let marker = self
-                .next_line()
-                .ok_or_else(|| self.err("missing pool marker"))?;
-            if marker != "pool" {
-                return Err(self.err(format!("expected \"pool\", got {marker:?}")));
-            }
-            let mut pool = Vec::new();
-            while let Some(line) = self.peek() {
-                if !line.starts_with("request ") {
-                    break;
-                }
-                let line = self.next_line().expect("peeked line exists");
-                pool.push(self.parse_request(&line["request ".len()..])?);
-            }
+            let fleet = self.parse_fleet("fleet")?;
+            self.expect_marker("pool")?;
+            let pool = self.parse_requests()?;
             let edges_tok = self.expect_line("edges")?;
             let edges = self.parse_edges(edges_tok)?;
-            let end = self
-                .next_line()
-                .ok_or_else(|| self.err("missing end marker"))?;
-            if end != "end" {
-                return Err(self.err(format!("expected \"end\", got {end:?}")));
-            }
+            self.expect_marker("end")?;
             shards.push(ShardCheckpoint {
                 insertion_evaluations,
                 groups_enumerated,
@@ -1867,104 +1775,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_roundtrip_and_replay_with_counter_comparison_gated() {
-        let (engine, mut trace) = record_greedy();
-        // Render the recording in the legacy v1 format: 3-token outcome
-        // lines, no prescreen counter.
-        trace.meta.version = 1;
-        for b in &mut trace.batches {
-            b.scratch.prescreen_pruned = 0;
-        }
-        let text = trace.to_text();
-        assert!(text.starts_with("structride-trace v1\n"), "{text}");
-        assert!(!text.contains("prescreen_pruned"), "{text}");
-        let parsed = Trace::parse(&text).expect("parse v1 trace");
-        assert_eq!(parsed.meta.version, 1);
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.to_text(), text);
-
-        // A v1 recording predates the prescreen, so its evaluation counters
-        // are not comparable — replay must ignore them...
-        let mut stale = parsed.clone();
-        for b in &mut stale.batches {
-            b.scratch.insertion_evaluations += 1000;
-        }
-        let mut dispatcher = Greedy { invert: false };
-        let report = replay_trace(&engine, &mut dispatcher, &stale);
-        assert!(report.is_clean(), "v1 counters must not drift:\n{report}");
-
-        // ...while the same perturbation in a v2+ recording is drift.
-        let (engine, mut v2) = record_greedy();
-        assert_eq!(v2.meta.version, TRACE_VERSION);
-        for b in &mut v2.batches {
-            b.scratch.insertion_evaluations += 1000;
-        }
-        let mut dispatcher = Greedy { invert: false };
-        let report = replay_trace(&engine, &mut dispatcher, &v2);
-        assert!(!report.is_clean());
-        assert!(report
-            .first_divergence()
-            .unwrap()
-            .deltas
-            .iter()
-            .any(|d| d.field == "scratch.insertion_evaluations"));
-    }
-
-    #[test]
-    fn diff_traces_gates_evaluation_counters_across_the_version_boundary() {
-        // The sharded pipeline diffs a *recorded* trace against a fresh
-        // end-to-end re-run.  Against a v1 recording, the re-run's (v2)
-        // evaluation counters use the post-prescreen semantics and must not
-        // count as drift; group enumeration and decisions always must.
-        let (_engine, v2) = record_greedy();
-        let mut v1 = v2.clone();
-        v1.meta.version = 1;
-        for b in &mut v1.batches {
-            b.scratch.insertion_evaluations += 1000;
-            b.scratch.prescreen_pruned = 0;
-        }
-        assert!(diff_traces(&v1, &v2).is_clean());
-        assert!(diff_traces(&v2, &v1).is_clean());
-        // groups_enumerated kept its meaning: still compared across versions.
-        let mut v1_groups = v1.clone();
-        v1_groups.batches[0].scratch.groups_enumerated += 1;
-        assert!(!diff_traces(&v1_groups, &v2).is_clean());
-        // Two v2 traces diff fully strictly.
-        let mut v2_pruned = v2.clone();
-        v2_pruned.batches[0].scratch.prescreen_pruned += 1;
-        let report = diff_traces(&v2, &v2_pruned);
-        assert!(!report.is_clean());
-        assert!(report
-            .first_divergence()
-            .unwrap()
-            .deltas
-            .iter()
-            .any(|d| d.field == "scratch.prescreen_pruned"));
-    }
-
-    #[test]
-    fn v2_header_and_prescreen_counter_roundtrip() {
+    fn only_v3_and_v4_parse_and_the_header_fixes_the_line_shapes() {
         let (_engine, mut trace) = record_greedy();
-        // Render in the legacy v2 format: prescreen counter present, no
-        // traffic tokens on the config line.
-        trace.meta.version = 2;
-        trace.batches[0].scratch.prescreen_pruned = 17;
-        let text = trace.to_text();
-        assert!(text.starts_with("structride-trace v2\n"), "{text}");
-        assert!(text.contains("prescreen_pruned=17"), "{text}");
-        assert!(!text.contains("traffic_profile"), "{text}");
-        let parsed = Trace::parse(&text).expect("parse v2 trace");
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.to_text(), text);
-        // Pre-traffic traces parse with the static traffic model.
-        assert!(parsed.meta.config.traffic.is_static());
+        let v4_text = trace.to_text();
+        trace.meta.version = 3;
+        let v3_text = trace.to_text();
+
+        // The two retired formats are refused by name, not half-read.
+        for old in ["structride-trace v1", "structride-trace v2"] {
+            let text = v4_text.replacen("structride-trace v4", old, 1);
+            let err = Trace::parse(&text).expect_err("retired format");
+            assert!(err.message.contains(old), "{err}");
+            assert_eq!(err.line, 1);
+        }
+
+        // A header over the other version's config line is an error — not a
+        // trace that silently drops (or invents) the fault plan and then
+        // re-serializes to different bytes.
+        let v3_config = v3_text.lines().nth(3).expect("config line");
+        let v4_config = v4_text.lines().nth(3).expect("config line");
+        assert!(v3_config.starts_with("config ") && v4_config.starts_with("config "));
+        let err = Trace::parse(&v4_text.replacen(v4_config, v3_config, 1)).expect_err("v4 + v3");
+        assert!(err.message.contains("v4 config line needs 21"), "{err}");
+        let err = Trace::parse(&v3_text.replacen(v3_config, v4_config, 1)).expect_err("v3 + v4");
+        assert!(err.message.contains("v3 config line needs 16"), "{err}");
+
+        // Outcome lines always carry all three counters.
+        let outcome = v4_text
+            .lines()
+            .find(|l| l.starts_with("outcome "))
+            .expect("outcome line");
+        let (three_tokens, _) = outcome.rsplit_once(' ').expect("four tokens");
+        assert!(Trace::parse(&v4_text.replacen(outcome, three_tokens, 1)).is_err());
     }
 
     #[test]
     fn v3_traces_roundtrip_the_traffic_model() {
         let (_engine, mut trace) = record_greedy();
-        // Render in the legacy v3 format: traffic tokens present, no fault
-        // tokens on the config line.
+        // Render in the v3 format: the config line ends with the traffic
+        // tokens, no fault tokens.
         trace.meta.version = 3;
         let text = trace.to_text();
         assert!(text.starts_with("structride-trace v3\n"), "{text}");
@@ -2057,9 +1906,9 @@ mod tests {
         assert_eq!(parsed.meta.config.faults, trace.meta.config.faults);
         assert_eq!(parsed.to_text(), text);
 
-        // Pre-fault (v3 and older) traces parse with the inert config and
-        // re-serialize byte-identically — the zero-drift guarantee for every
-        // trace recorded before the fault injector existed.
+        // Pre-fault (v3) traces parse with the inert config and re-serialize
+        // byte-identically — the zero-drift guarantee for every trace
+        // recorded before the fault injector existed.
         trace.meta.config.faults = crate::FaultConfig::default();
         trace.meta.version = 3;
         let v3_text = trace.to_text();
@@ -2086,6 +1935,17 @@ mod tests {
         );
         let rendered = report.to_string();
         assert!(rendered.contains("first at batch 0"), "{rendered}");
+
+        // The right decisions reached by other work are drift too: a
+        // recording whose evaluation counter is off replays dirty.
+        let mut stale = trace.clone();
+        for b in &mut stale.batches {
+            b.scratch.insertion_evaluations += 1000;
+        }
+        let report = replay_trace(&engine, &mut Greedy { invert: false }, &stale);
+        let first = report.first_divergence().expect("a divergence");
+        assert_eq!(first.deltas.len(), 1, "{report}");
+        assert_eq!(first.deltas[0].field, "scratch.insertion_evaluations");
     }
 
     #[test]
@@ -2132,6 +1992,22 @@ mod tests {
         assert!(report.first_divergence().unwrap().deltas[0]
             .field
             .contains("assigned"));
+
+        // So is any scratch counter that moved while the decisions held.
+        type Bump = fn(&mut ScratchStats);
+        let bumps: [(&str, Bump); 3] = [
+            ("insertion_evaluations", |s| s.insertion_evaluations += 1),
+            ("groups_enumerated", |s| s.groups_enumerated += 1),
+            ("prescreen_pruned", |s| s.prescreen_pruned += 1),
+        ];
+        for (counter, bump) in bumps {
+            let mut moved = trace.clone();
+            bump(&mut moved.batches[0].scratch);
+            let report = diff_traces(&trace, &moved);
+            let first = report.first_divergence().expect("a divergence");
+            assert_eq!(first.deltas.len(), 1, "{report}");
+            assert_eq!(first.deltas[0].field, format!("scratch.{counter}"));
+        }
 
         // A truncated re-run (missing tail batches) is drift, not silence.
         let mut truncated = trace.clone();

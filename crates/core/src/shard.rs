@@ -4,7 +4,7 @@
 //! The [`Simulator`](crate::Simulator) drives one monolithic pipeline — one
 //! dispatcher over the whole fleet and the whole request stream.  This
 //! module partitions both by *region*: a
-//! [`RegionGrid`](structride_spatial::RegionGrid) divides the road network's
+//! [`RegionGrid`] divides the road network's
 //! bounding box into `k` regions, each region maps 1:1 to a **shard** owning
 //! its own [`SpEngine`] (independent shortest-path cache), its own
 //! [`Dispatcher`] instance and the slice of the fleet currently homed there.
@@ -22,8 +22,9 @@
 //! the whole network: the global road network and one canonical hub-label
 //! index are built **once** per run (the label construction itself is
 //! parallel, see [`HubLabels::build`]) and shared across shards via `Arc`;
-//! each shard additionally carries the [`SubNetwork`] induced by its
-//! *halo* — its region plus every vertex within
+//! each shard additionally carries the
+//! [`SubNetwork`](structride_roadnet::SubNetwork) induced by its *halo* —
+//! its region plus every vertex within
 //! [`ShardingConfig::handoff_band`] of it ([`halo_vertices`]) — and a
 //! compact restriction of the label index to those vertices.  Setup cost and
 //! label memory therefore no longer scale as `k×|V|`.
@@ -49,8 +50,9 @@
 //! deterministically** (strictly lower `added_cost` wins; ties go to the
 //! lowest shard id; if no candidate has a feasible insertion the home shard
 //! keeps the request).  The shortlist replaces the old full-fleet exact
-//! insertion scan: a per-batch [`GridIndex`] over vehicle positions is range
-//! queried with the certified reachability radius derived from
+//! insertion scan: a per-batch
+//! [`GridIndex`](structride_spatial::GridIndex) over vehicle positions is
+//! range queried with the certified reachability radius derived from
 //! [`RoadNetwork::min_time_per_meter`] — a vehicle outside it provably
 //! cannot meet the pickup deadline from its release state, so dropping it
 //! cannot change any bid — and the survivors are ranked by that lower bound
@@ -184,7 +186,7 @@ pub struct ShardedReport {
     pub setup_seconds: f64,
     /// Wall-clock of the one shared hub-label build alone, seconds.  The
     /// pre-sub-network design paid roughly `shards ×` this (one build per
-    /// shard), which is what the bench's `setup_reduction` column reports.
+    /// shard); `setup_seconds` stays near one.
     pub full_build_seconds: f64,
     /// Actual label-index bytes resident for the run: the shared global
     /// index plus every shard's halo slice (summed
@@ -233,8 +235,8 @@ pub struct ShardedReport {
 
 impl ShardedReport {
     /// Service rate over the degraded batches alone: assigned / routed while
-    /// some shard was down (`0.0` when no batch ran degraded).  The number
-    /// the chaos bench row reports — how much service survives an outage.
+    /// some shard was down (`0.0` when no batch ran degraded) — how much
+    /// service survives an outage.
     pub fn service_rate_degraded(&self) -> f64 {
         if self.degraded_offered == 0 {
             0.0
@@ -549,7 +551,7 @@ pub fn region_strips_for(network: &RoadNetwork, shards: u32) -> RegionGrid {
 
 /// A `rows × cols` region layout covering `network`'s bounding box — the
 /// general form of [`region_strips_for`] for two-dimensional shard layouts
-/// (e.g. the 2×3 six-region bench row).
+/// (e.g. a 2×3 six-region grid).
 pub fn region_grid_for(network: &RoadNetwork, rows: u32, cols: u32) -> RegionGrid {
     RegionGrid::covering(network.bounding_box(), rows, cols)
 }

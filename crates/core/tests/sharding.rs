@@ -580,8 +580,8 @@ fn top_m_shortlist_caps_bids_deterministically() {
     );
 }
 
-/// Six regions in a 2×3 grid (the higher-shard-count CI bench row): the run
-/// completes, every shard is accounted for, and the aggregate still merges.
+/// Six regions in a 2×3 grid: the run completes, every shard is accounted
+/// for, and the aggregate still merges.
 #[test]
 fn two_by_three_grid_sharding_runs_and_merges() {
     let w = multi_workload(3);

@@ -8,7 +8,7 @@
 //! lazy iterator drawing inter-arrival gaps from an [`ArrivalProfile`]
 //! (homogeneous Poisson, or a bursty surge profile that alternates calm and
 //! surge rates) and sampling each trip through the shared
-//! [`TripSampler`](crate::requests::TripSampler), so streamed and
+//! [`TripSampler`], so streamed and
 //! pre-materialised workloads follow the identical spatial model.
 //!
 //! Everything is seeded: a stream is a pure function of

@@ -1,5 +1,5 @@
-//! The linear insertion operator (§IV-A, following Tong et al. [37] and
-//! Xu et al. [36]).
+//! The linear insertion operator (§IV-A, following Tong et al. \[37\] and
+//! Xu et al. \[36\]).
 //!
 //! Linear insertion places the pickup and drop-off of a *new* request into an
 //! existing schedule **without reordering** the way-points already planned,

@@ -1,4 +1,4 @@
-//! Kinetic-tree schedule maintenance (Huang et al. [7], discussed in §IV-A).
+//! Kinetic-tree schedule maintenance (Huang et al. \[7\], discussed in §IV-A).
 //!
 //! The kinetic tree keeps **every** feasible way-point ordering for a vehicle
 //! instead of a single one, so inserting a new request explores all orderings

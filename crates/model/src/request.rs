@@ -3,7 +3,7 @@
 //! A request `r_i = ⟨s_i, e_i, n_i, t_i, d_i⟩` asks for `n_i` riders to travel
 //! from source `s_i` to destination `e_i`, is released at time `t_i` and must
 //! reach the destination by the delivery deadline `d_i`.  Following the paper
-//! (and [40], [31], [34]) the deadline is derived from a detour-tolerance
+//! (and \[40\], \[31\], \[34\]) the deadline is derived from a detour-tolerance
 //! parameter `γ > 1` as `d_i = t_i + γ · cost(s_i, e_i)`, and the pickup must
 //! additionally happen within the maximum waiting time
 //! `w_i = min(5 min, d_i − cost(s_i, e_i) − t_i)`.
@@ -15,7 +15,7 @@ use structride_roadnet::NodeId;
 pub type RequestId = u32;
 
 /// Default maximum waiting time before pickup, in seconds (5 minutes, per the
-/// paper's experimental settings which follow Santi et al. [23]).
+/// paper's experimental settings which follow Santi et al. \[23\]).
 pub const DEFAULT_MAX_WAIT: f64 = 300.0;
 
 /// A ridesharing request.

@@ -293,9 +293,8 @@ struct TrafficRuntime {
     slot: RwLock<EpochSlot>,
     /// Cumulative wall-clock seconds spent *on the roll path* swapping in
     /// epoch artifacts (memo lookups, waits on background prebuilds, scoped
-    /// repairs, slice re-cuts) — the measured hot path of the `rush_hour`
-    /// bench row.  Background prebuild time overlaps dispatch and is not
-    /// booked here.
+    /// repairs, slice re-cuts) — the hot path of a rush-hour run.
+    /// Background prebuild time overlaps dispatch and is not booked here.
     refresh_seconds: Mutex<f64>,
     rolls: AtomicU64,
     /// Tier-1 rolls: served by a uniform (zone-free) epoch artifact — same

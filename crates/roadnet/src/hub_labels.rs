@@ -1,7 +1,7 @@
 //! Pruned-landmark hub labeling for exact point-to-point travel-time queries.
 //!
 //! The paper (§V-A) answers all shortest-path queries through the hub-labeling
-//! index of Li et al. [50].  We implement the classic pruned landmark labeling
+//! index of Li et al. \[50\].  We implement the classic pruned landmark labeling
 //! (Akiba et al.) generalised to directed weighted graphs: vertices are
 //! processed in descending degree order; for each landmark `v` a *pruned*
 //! forward Dijkstra adds `(v, d)` to the **in-labels** of every vertex it
@@ -568,7 +568,7 @@ impl HubLabels {
     ///
     /// Every entry is **bit-identical** to [`HubLabels::query`] (including
     /// its `source == target → 0.0` case).  Each common hub contributes the
-    /// same `out.dist + in.dist` sum the merge in [`HubLabels::query_with`]
+    /// same `out.dist + in.dist` sum the merge in `HubLabels::query_with`
     /// forms (IEEE addition is commutative, so which operand came out of the
     /// bucket does not matter); a hub the scattered side lacks reads `∞`,
     /// and `d + ∞ = ∞` never wins.  The scan keeps four independent running

@@ -1,6 +1,6 @@
 //! A bounded least-recently-used cache for shortest-path query results.
 //!
-//! The paper follows Huang et al. [40] and fronts the hub-labeling index with
+//! The paper follows Huang et al. \[40\] and fronts the hub-labeling index with
 //! an LRU cache keyed by `(source, target)`.  This is a purpose-built LRU:
 //! a hash map from key to slot index plus an intrusive doubly-linked list over
 //! a slot arena, so `get`/`insert` are O(1) with no per-operation allocation

@@ -13,7 +13,7 @@
 //! vertices that detours outside the clip must leave and re-enter through
 //! frontier vertices.  The per-shard engines therefore never answer queries
 //! from an independently built clipped index; they restrict the parent's
-//! hub labels to the clip ([`HubLabels::restrict_to`]), which keeps every
+//! hub labels to the clip ([`crate::HubLabels::restrict_to`]), which keeps every
 //! answer bit-identical to the whole-network index, and fall back to the
 //! shared parent index for endpoints outside the clip.
 

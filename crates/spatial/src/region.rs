@@ -89,8 +89,8 @@ impl RegionGrid {
     /// A `rows × cols` grid over a `(min_x, min_y, max_x, max_y)` bounding
     /// box, padded via [`RegionGrid::padded_bbox`] so the grid is always
     /// valid.  The general form of [`RegionGrid::strips_covering`];
-    /// higher-shard-count layouts (e.g. the 2×3 six-region sharded bench
-    /// row) go through this constructor.
+    /// higher-shard-count layouts (e.g. a 2×3 six-region grid) go through
+    /// this constructor.
     pub fn covering(bbox: (f64, f64, f64, f64), rows: u32, cols: u32) -> Self {
         let (min_x, min_y, max_x, max_y) = Self::padded_bbox(bbox);
         RegionGrid::new(min_x, min_y, max_x, max_y, rows, cols)

@@ -13,7 +13,7 @@
 //!   tree, unified cost;
 //! * [`sharegraph`] — the shareability graph, its dynamic builder with angle
 //!   pruning, and the shareability loss;
-//! * [`core`] — the per-batch [`DispatchContext`](prelude::DispatchContext),
+//! * [`core`] — the per-batch [`DispatchContext`],
 //!   request grouping (Algorithm 2), the SARD dispatcher (Algorithm 3), the
 //!   batched simulator and the run metrics;
 //! * [`baselines`] — pruneGDP, TicketAssign+, GAS, RTV and the DARM-style
@@ -26,35 +26,35 @@
 //! **deterministic** — the same inputs produce the same assignments and the
 //! same shareability graph regardless of the worker count:
 //!
-//! * [`SpEngine`](prelude::SpEngine) shards its shortest-path LRU cache
+//! * [`SpEngine`] shards its shortest-path LRU cache
 //!   (16 ways by default), so concurrent `cost()` queries from dispatch
 //!   workers don't serialise on a global lock;
-//! * [`ShareabilityGraphBuilder`](prelude::ShareabilityGraphBuilder)
+//! * [`ShareabilityGraphBuilder`]
 //!   par-maps the exact pairwise shareability checks of Algorithm 1 over the
 //!   prefiltered candidate list and inserts the discovered edges in
 //!   sequential order (bit-identical to its `add_batch_sequential` reference
 //!   path);
-//! * [`SardDispatcher`](prelude::SardDispatcher) par-maps its per-request
+//! * [`SardDispatcher`] par-maps its per-request
 //!   candidate-queue construction and the per-vehicle group enumeration of
 //!   each acceptance round, reducing with stable `(cost, vehicle_id)`
 //!   tie-breaks;
 //! * the batch step — written once, in `core`'s `lane` module, and shared by
-//!   the [`Simulator`](prelude::Simulator), every shard of a
-//!   [`ShardedSimulator`](prelude::ShardedSimulator) and replay — moves
+//!   the [`Simulator`], every shard of a
+//!   [`ShardedSimulator`] and replay — moves
 //!   vehicles between batches in parallel and hands each batch to the
-//!   dispatcher through a [`DispatchContext`](prelude::DispatchContext) —
+//!   dispatcher through a [`DispatchContext`] —
 //!   the engine + config + clock + scratch-counter bundle whose module docs
 //!   state the parallel invariants dispatchers must preserve.
 //!
 //! Set `RAYON_NUM_THREADS=1` to force the whole pipeline sequential.
 //!
 //! Determinism is *enforced* by the record/replay harness
-//! ([`core::replay`](structride_core::replay)): the simulator can record
+//! ([`core::replay`]): the simulator can record
 //! `(batch, fleet-state, outcome)` traces
 //! ([`Simulator::run_recorded`](prelude::Simulator::run_recorded), or
 //! [`run_with`](prelude::Simulator::run_with) and a
-//! [`RunHooks`](prelude::RunHooks) for a checkpoint sink as well) and
-//! [`replay_trace`](structride_core::replay::replay_trace) diffs any
+//! [`RunHooks`] for a checkpoint sink as well) and
+//! [`replay_trace`] diffs any
 //! dispatcher against a recording batch-by-batch — CI replays a quickstart
 //! trace under 1 and N worker threads and fails on any drift (see the
 //! `replay` binary in `structride-bench`).

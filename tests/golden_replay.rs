@@ -6,9 +6,9 @@
 //! for bit, so checking them here — under 1 and 4 worker threads — puts the
 //! replay invariant into `cargo build --release && cargo test -q`:
 //!
-//! * the SARD and exact-assignment traces are *replayed*: every batch starts
-//!   from the recorded pre-dispatch fleet, which pins the dispatchers but
-//!   would not notice a change to the loop around them;
+//! * the SARD, exact-assignment and rush-hour RTV traces are *replayed*:
+//!   every batch starts from the recorded pre-dispatch fleet, which pins the
+//!   dispatchers but would not notice a change to the loop around them;
 //! * the rush-hour SARD trace (`loop_sard_rush.trace`, recorded by the build
 //!   before the batch step moved into `core::lane`) is *re-recorded* end to
 //!   end and diffed, inputs included — advance sweep, batch slicing, early
@@ -16,14 +16,16 @@
 //! * the 3-shard rush-hour trace is re-run end to end the same way, for the
 //!   sharded loop.
 //!
-//! (`structride-bench`'s own `pre_faults_golden` suite replays the traffic
-//! RTV trace too.)
+//! The four `pre_faults_*` files are format v3, recorded just before fault
+//! injection existed; `loop_sard_rush.trace` is v4.  Each is replayed here
+//! and nowhere else.
 
 use structride_bench::replay_cli::{
     params_from_meta, record_run, regenerate_multi_workload, regenerate_workload, replay_run,
     rerun_sharded, trace_dispatcher_key,
 };
 use structride_core::replay::{diff_traces, DriftReport, Trace};
+use structride_core::FaultConfig;
 
 fn golden_trace(file: &str) -> Trace {
     let path = format!(
@@ -33,6 +35,15 @@ fn golden_trace(file: &str) -> Trace {
     let text = std::fs::read_to_string(&path).expect("golden trace file exists");
     let trace = Trace::parse(&text).expect("golden trace parses");
     assert!(!trace.batches.is_empty(), "{file}: empty golden trace");
+    assert!(
+        trace.to_text() == text,
+        "{file}: re-serialisation moved bytes"
+    );
+    if text.starts_with("structride-trace v3\n") {
+        // A v3 config line has no fault tokens: it parses to the inert
+        // default, so these recordings replay with fault injection off.
+        assert_eq!(trace.meta.config.faults, FaultConfig::default(), "{file}");
+    }
     trace
 }
 
@@ -71,6 +82,11 @@ fn golden_sard_trace_replays_with_zero_drift() {
 #[test]
 fn golden_assign_trace_replays_with_zero_drift() {
     replays_with_zero_drift("pre_faults_assign.trace");
+}
+
+#[test]
+fn golden_rtv_rush_trace_replays_with_zero_drift() {
+    replays_with_zero_drift("pre_faults_rtv_rush.trace");
 }
 
 #[test]
