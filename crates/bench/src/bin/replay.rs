@@ -11,23 +11,26 @@
 //! ```
 //!
 //! * `record` runs the quickstart-style workload under the chosen dispatcher
-//!   and writes the `(batch, fleet-state, outcome)` trace to `--out`.
-//! * `replay` loads a trace, regenerates the identical workload from the
-//!   trace metadata and replays it with a fresh dispatcher (optionally under
-//!   an explicit worker-thread count); exits non-zero on any drift.
+//!   and writes the `(batch, fleet-state, outcome)` trace to `--out`.  Its
+//!   `param` lines are the run's `Scenario`; it writes no `sp_stats` line, so
+//!   recordings of one scenario are byte-identical under any worker count.
+//! * `replay` loads a trace, reads its scenario back strictly (a missing,
+//!   unknown or duplicate `param` key, or a bad value, exits 1 with `bad
+//!   scenario in trace: …` naming the key), regenerates the workload and
+//!   checks the trace against a fresh dispatcher (optionally under an
+//!   explicit worker-thread count); exits non-zero on any drift.
 //! * `diff` compares two trace files batch by batch (inputs, clock,
-//!   pre-dispatch fleet, outcomes) and exits non-zero on any drift — how CI
-//!   checks that recordings made under different worker counts, or by two
-//!   builds, are the same run.
-//! * `verify` is the CI smoke flow: record in-process, replay under 1 and N
-//!   worker threads asserting zero drift, then replay with a *different*
+//!   pre-dispatch fleet, outcomes) and exits non-zero on any drift, naming
+//!   the first divergent field.
+//! * `verify` is the CI smoke flow: record in-process, check under 1 and N
+//!   worker threads asserting zero drift, then check with a *different*
 //!   dispatcher and assert the harness flags the drift (self-test).
 //!
-//! `--shards N` switches `record`/`verify` to the **sharded** pipeline: a
-//! two-city multi-region workload dispatched by `N` parallel shards with one
+//! `--shards N` (N ≥ 1) switches `record`/`verify` to the **sharded** pipeline:
+//! a two-city multi-region workload dispatched by `N` parallel shards with one
 //! `KEY` dispatcher each.  A sharded trace records the canonical global view
 //! (release-ordered batches, id-sorted union fleet, shard-ordered merged
-//! outcomes); `replay` detects such traces by their metadata, re-runs the
+//! outcomes); `replay` knows such traces by their scenario, re-runs the
 //! whole sharded pipeline and diffs the two traces — the sharded form of the
 //! replay invariant (bit-identical across worker counts).
 //!
@@ -55,7 +58,7 @@
 //! (full simulation state at a fault-plan checkpoint boundary) to `PATH`;
 //! `resume` then loads it, continues the run to completion, and verifies it
 //! finishes bit-identically to the uninterrupted reference (re-run
-//! in-process from the trace metadata) — the kill-at-checkpoint/restore
+//! in-process from the trace's scenario) — the kill-at-checkpoint/restore
 //! smoke, exercised under 1 and N worker threads in CI.
 //!
 //! `KEY` is any registered dispatcher key — `sard`, `assign` (the exact
@@ -65,15 +68,14 @@
 //! exempt from `verify` — its commit-order races are the algorithm being
 //! reproduced.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use structride_bench::replay_cli::{
-    deterministic_keys, dispatcher_by_name, dispatcher_keys, ingest_quickstart_config,
-    is_sharded_ingested_trace, is_sharded_trace, quickstart_params, record_ingested_run,
-    record_run, record_sharded_ingested_run, record_sharded_run, regenerate_multi_workload,
-    regenerate_workload, replay_run, rerun_sharded, rerun_sharded_ingested, resume_and_verify,
-    sharded_quickstart_params, trace_dispatcher_key, trace_shards, traffic_by_name, TRAFFIC_KEYS,
+    deterministic_keys, dispatcher_by_name, dispatcher_keys, traffic_by_name, Pipeline, Scenario,
+    ScenarioWorkload, Source, TRAFFIC_KEYS,
 };
 use structride_core::replay::{diff_traces, Checkpoint, Trace};
+use structride_core::shard::ShardingConfig;
 use structride_core::{FaultConfig, StructRideConfig};
 
 fn usage() -> ExitCode {
@@ -98,7 +100,7 @@ struct Args {
     trace: Option<String>,
     against: Option<String>,
     threads: Option<usize>,
-    shards: Option<usize>,
+    shards: Option<NonZeroUsize>,
     ingest: bool,
     traffic: Option<String>,
     chaos: bool,
@@ -139,28 +141,41 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
     Some((subcommand, args))
 }
 
-/// The framework configuration `record`/`verify` run with: defaults, plus
-/// the quickstart ingest knobs when `--ingest` is on and the chosen traffic
-/// scenario (compressed to the quickstart horizon) when `--traffic` is.
-/// `None` means the `--traffic` key is unknown.
-fn run_config(args: &Args) -> Option<StructRideConfig> {
-    let mut config = if args.ingest {
-        StructRideConfig::default().with_ingest(ingest_quickstart_config(args.quick))
-    } else {
-        StructRideConfig::default()
+/// The quickstart scenario the `record`/`verify` flags describe, run by the
+/// `algo` dispatcher: default configuration, plus the chosen traffic scenario
+/// (compressed to the workload's horizon) with `--traffic` and the chaos
+/// preset with `--chaos`.  An unknown `--traffic` key is a usage error.
+fn flag_scenario(args: &Args, algo: &str) -> Result<Scenario, ExitCode> {
+    let pipeline = match args.shards {
+        None => Pipeline::Mono,
+        Some(shards) => Pipeline::Sharded {
+            shards,
+            sharding: ShardingConfig::default(),
+        },
     };
+    let source = if args.ingest {
+        Source::Ingest
+    } else {
+        Source::Clock
+    };
+    let algo = algo.to_ascii_lowercase();
+    let config = StructRideConfig::default();
+    let mut scenario = Scenario::quickstart(args.quick, &algo, pipeline, source, config);
     if let Some(key) = args.traffic.as_deref() {
-        let horizon = if args.shards.is_some() {
-            sharded_quickstart_params(args.quick).horizon
-        } else {
-            quickstart_params(args.quick).horizon
+        let horizon = match &scenario.workload {
+            ScenarioWorkload::Single(params) => params.horizon,
+            ScenarioWorkload::Regions(params) => params.horizon,
         };
-        config = config.with_traffic(traffic_by_name(key, horizon)?);
+        let Some(traffic) = traffic_by_name(key, horizon) else {
+            eprintln!("unknown traffic scenario {key:?}");
+            return Err(usage());
+        };
+        scenario.config.traffic = traffic;
     }
     if args.chaos {
-        config = config.with_faults(FaultConfig::chaos());
+        scenario.config.faults = FaultConfig::chaos();
     }
-    Some(config)
+    Ok(scenario)
 }
 
 /// Exit path for an unresolvable dispatcher key: name the registered keys
@@ -194,39 +209,22 @@ fn print_trace_summary(trace: &Trace) {
 }
 
 fn cmd_record(args: &Args) -> ExitCode {
-    let algo = args.algo.as_deref().unwrap_or("sard");
     let out = args.out.as_deref().unwrap_or("replay-trace.txt");
-    let Some(config) = run_config(args) else {
-        eprintln!("unknown traffic scenario {:?}", args.traffic);
-        return usage();
+    let scenario = match flag_scenario(args, args.algo.as_deref().unwrap_or("sard")) {
+        Ok(scenario) => scenario,
+        Err(code) => return code,
     };
     if args.checkpoint.is_some() {
         if args.ingest {
             eprintln!("--checkpoint applies to the clock-driven pipelines; drop --ingest");
             return usage();
         }
-        if config.faults.checkpoint_every == 0 {
+        if scenario.config.faults.checkpoint_every == 0 {
             eprintln!("--checkpoint needs a checkpoint cadence; pass --chaos");
             return usage();
         }
     }
-    let recorded = match (args.ingest, args.shards) {
-        (true, Some(shards)) => {
-            record_sharded_ingested_run(sharded_quickstart_params(args.quick), config, algo, shards)
-                .map(|(_, trace)| (trace, Vec::new()))
-        }
-        (true, None) => record_ingested_run(quickstart_params(args.quick), config, algo)
-            .map(|(_, trace)| (trace, Vec::new())),
-        (false, Some(shards)) => {
-            record_sharded_run(sharded_quickstart_params(args.quick), config, algo, shards)
-                .map(|(_, trace, checkpoints)| (trace, checkpoints))
-        }
-        (false, None) => record_run(quickstart_params(args.quick), config, algo)
-            .map(|(_, trace, checkpoints)| (trace, checkpoints)),
-    };
-    let Some((trace, checkpoints)) = recorded else {
-        return unknown_dispatcher(algo);
-    };
+    let (trace, checkpoints) = scenario.record();
     // Checkpointed record: the same trace, plus the run's mid-run checkpoint
     // written to `ckpt_path` for `resume`.
     if let Some(ckpt_path) = args.checkpoint.as_deref() {
@@ -269,72 +267,32 @@ fn in_pool<R: Send>(threads: Option<usize>, op: impl FnOnce() -> R + Send) -> R 
     }
 }
 
-fn replay_in_pool(
-    workload: &structride_datagen::Workload,
-    algo: &str,
-    trace: &Trace,
-    threads: Option<usize>,
-) -> Option<structride_core::replay::DriftReport> {
-    in_pool(threads, || replay_run(workload, algo, trace))
+/// Loads a trace file and the scenario its metadata describes, reporting
+/// either failure on stderr.
+fn load_scenario(path: &str) -> Result<(Trace, Scenario), ExitCode> {
+    let trace = load_trace(path)?;
+    print_trace_summary(&trace);
+    match Scenario::from_meta(&trace.meta) {
+        Ok(scenario) => Ok((trace, scenario)),
+        Err(e) => {
+            eprintln!("bad scenario in trace: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
+/// Checks a trace file against a fresh run of its scenario (or of `--algo`)
+/// under the requested worker-thread count.
 fn cmd_replay(args: &Args) -> ExitCode {
     let Some(path) = args.trace.as_deref() else {
         return usage();
     };
-    let trace = match load_trace(path) {
-        Ok(t) => t,
+    let (trace, scenario) = match load_scenario(path) {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
-    print_trace_summary(&trace);
-    let algo = match args
-        .algo
-        .as_deref()
-        .or_else(|| trace_dispatcher_key(&trace))
-    {
-        Some(a) => a.to_string(),
-        None => {
-            eprintln!("trace names no dispatcher; pass --algo");
-            return ExitCode::from(2);
-        }
-    };
-    if is_sharded_trace(&trace) || is_sharded_ingested_trace(&trace) {
-        let Some(workload) = regenerate_multi_workload(&trace.meta) else {
-            eprintln!("sharded trace metadata lacks regeneration parameters");
-            return ExitCode::FAILURE;
-        };
-        let ingested = is_sharded_ingested_trace(&trace);
-        eprintln!(
-            "# sharded trace: shards={} ingested={ingested}",
-            trace_shards(&trace).unwrap_or(0)
-        );
-        // A clock-driven sharded trace re-runs the whole pipeline; an
-        // ingested one re-runs it from the recorded realized boundaries.
-        let report = in_pool(args.threads, || {
-            if ingested {
-                rerun_sharded_ingested(&workload, &algo, &trace)
-            } else {
-                rerun_sharded(&workload, &algo, &trace)
-            }
-        });
-        let Some(report) = report else {
-            eprintln!("malformed sharded metadata, or:");
-            return unknown_dispatcher(&algo);
-        };
-        println!("{report}");
-        return if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    let Some(workload) = regenerate_workload(&trace.meta) else {
-        eprintln!("trace metadata lacks regeneration parameters");
-        return ExitCode::FAILURE;
-    };
-    let Some(report) = replay_in_pool(&workload, &algo, &trace, args.threads) else {
-        return unknown_dispatcher(&algo);
-    };
+    let algo = args.algo.as_deref().unwrap_or(&scenario.dispatcher);
+    let report = in_pool(args.threads, || scenario.check(&trace, algo));
     println!("{report}");
     if report.is_clean() {
         ExitCode::SUCCESS
@@ -346,14 +304,14 @@ fn cmd_replay(args: &Args) -> ExitCode {
 /// The kill-at-checkpoint/restore smoke: load the checkpoint a faulted
 /// `record --checkpoint` run wrote, resume the run from it (under the
 /// requested worker-thread count) and verify it finishes bit-identically to
-/// the uninterrupted reference re-run in-process from the trace metadata.
+/// the uninterrupted reference re-run in-process from the trace's scenario.
 fn cmd_resume(args: &Args) -> ExitCode {
     let (Some(trace_path), Some(ckpt_path)) = (args.trace.as_deref(), args.checkpoint.as_deref())
     else {
         return usage();
     };
-    let trace = match load_trace(trace_path) {
-        Ok(t) => t,
+    let scenario = match load_scenario(trace_path) {
+        Ok((_, scenario)) => scenario,
         Err(code) => return code,
     };
     let checkpoint = match Checkpoint::load(ckpt_path) {
@@ -363,7 +321,6 @@ fn cmd_resume(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print_trace_summary(&trace);
     eprintln!(
         "# checkpoint: batch {} now {} shards {} ({})",
         checkpoint.batches,
@@ -375,10 +332,7 @@ fn cmd_resume(args: &Args) -> ExitCode {
             "monolithic"
         }
     );
-    let Some(mismatches) = in_pool(args.threads, || resume_and_verify(&trace, &checkpoint)) else {
-        eprintln!("trace metadata lacks regeneration parameters or names an unknown dispatcher");
-        return ExitCode::FAILURE;
-    };
+    let mismatches = in_pool(args.threads, || scenario.resume_and_verify(&checkpoint));
     if mismatches.is_empty() {
         println!(
             "resume OK: run resumed from batch {} finished bit-identically to the uninterrupted reference",
@@ -419,78 +373,10 @@ fn cmd_diff(args: &Args) -> ExitCode {
     }
 }
 
-/// The sharded verify flow: record a sharded trace in-process (clock-driven,
-/// or ingested with `--ingest`), re-run the pipeline under 1 and N worker
-/// threads asserting zero drift, then re-run with a different per-shard
-/// dispatcher and assert the drift is flagged.
-fn cmd_verify_sharded(args: &Args, algo: &str, shards: usize) -> ExitCode {
-    let Some(config) = run_config(args) else {
-        eprintln!("unknown traffic scenario {:?}", args.traffic);
-        return usage();
-    };
-    let params = sharded_quickstart_params(args.quick);
-    let recorded = if args.ingest {
-        record_sharded_ingested_run(params, config, algo, shards)
-    } else {
-        record_sharded_run(params, config, algo, shards).map(|(w, trace, _)| (w, trace))
-    };
-    let Some((workload, trace)) = recorded else {
-        return unknown_dispatcher(algo);
-    };
-    print_trace_summary(&trace);
-    // Exercise the codec: the parsed form must re-verify identically.
-    let trace = match Trace::parse(&trace.to_text()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("self-test FAILED: sharded trace does not round-trip: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rerun = |key: &str, trace: &Trace| {
-        if args.ingest {
-            rerun_sharded_ingested(&workload, key, trace)
-        } else {
-            rerun_sharded(&workload, key, trace)
-        }
-    };
-    let many = args
-        .threads
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(2);
-    for threads in [1, many] {
-        let Some(report) = in_pool(Some(threads), || rerun(algo, &trace)) else {
-            return unknown_dispatcher(algo);
-        };
-        println!("shards={shards} threads={threads}: {report}");
-        if !report.is_clean() {
-            eprintln!("verify FAILED: sharded drift under {threads} worker thread(s)");
-            return ExitCode::FAILURE;
-        }
-    }
-    // Self-test: a different per-shard dispatcher must be flagged.
-    let other = if algo == "prunegdp" {
-        "gas"
-    } else {
-        "prunegdp"
-    };
-    let Some(report) = rerun(other, &trace) else {
-        return unknown_dispatcher(other);
-    };
-    if report.is_clean() {
-        eprintln!(
-            "self-test FAILED: sharded re-run with {other} against a {algo} trace reported no drift"
-        );
-        return ExitCode::FAILURE;
-    }
-    let first = report
-        .first_divergence()
-        .map(|d| d.batch_index)
-        .expect("non-clean report has a divergence");
-    println!("self-test: sharded {other} drift detected at batch {first}, as expected");
-    println!("verify OK: sharded run bit-identical across 1 and {many} worker threads");
-    ExitCode::SUCCESS
-}
-
+/// The CI smoke flow for every pipeline and source: record in-process,
+/// check the parsed trace under 1 and N worker threads asserting zero drift,
+/// then check it with a *different* dispatcher and assert the drift is
+/// flagged (self-test).
 fn cmd_verify(args: &Args) -> ExitCode {
     let algo = args.algo.as_deref().unwrap_or("sard").to_ascii_lowercase();
     if !deterministic_keys().contains(&algo.as_str()) {
@@ -500,26 +386,14 @@ fn cmd_verify(args: &Args) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if let Some(shards) = args.shards {
-        return cmd_verify_sharded(args, &algo, shards);
-    }
-    let Some(config) = run_config(args) else {
-        eprintln!("unknown traffic scenario {:?}", args.traffic);
-        return usage();
+    let scenario = match flag_scenario(args, &algo) {
+        Ok(scenario) => scenario,
+        Err(code) => return code,
     };
-    // An ingested recording goes through the same 1-vs-N replay loop below:
-    // the realized boundaries are in the trace, and replay re-feeds them.
-    let recorded = if args.ingest {
-        record_ingested_run(quickstart_params(args.quick), config, &algo)
-    } else {
-        record_run(quickstart_params(args.quick), config, &algo).map(|(w, trace, _)| (w, trace))
-    };
-    let Some((workload, trace)) = recorded else {
-        return unknown_dispatcher(&algo);
-    };
+    let (trace, _) = scenario.record();
     print_trace_summary(&trace);
 
-    // Exercise the on-disk path too: everything below replays the parsed
+    // Exercise the on-disk path too: everything below checks the parsed
     // form, so a codec regression fails verify rather than hiding.
     let trace = match Trace::parse(&trace.to_text()) {
         Ok(t) => t,
@@ -528,15 +402,17 @@ fn cmd_verify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if Scenario::from_meta(&trace.meta).as_ref() != Ok(&scenario) {
+        eprintln!("self-test FAILED: the trace does not read back as the recorded scenario");
+        return ExitCode::FAILURE;
+    }
 
     let many = args
         .threads
         .unwrap_or_else(rayon::current_num_threads)
         .max(2);
     for threads in [1, many] {
-        let Some(report) = replay_in_pool(&workload, &algo, &trace, Some(threads)) else {
-            return unknown_dispatcher(&algo);
-        };
+        let report = in_pool(Some(threads), || scenario.check(&trace, &algo));
         println!("threads={threads}: {report}");
         if !report.is_clean() {
             eprintln!("verify FAILED: drift under {threads} worker thread(s)");
@@ -551,11 +427,9 @@ fn cmd_verify(args: &Args) -> ExitCode {
     } else {
         "prunegdp"
     };
-    let Some(report) = replay_in_pool(&workload, other, &trace, None) else {
-        return unknown_dispatcher(other);
-    };
+    let report = scenario.check(&trace, other);
     if report.is_clean() {
-        eprintln!("self-test FAILED: replaying {other} against a {algo} trace reported no drift");
+        eprintln!("self-test FAILED: checking {other} against a {algo} trace reported no drift");
         return ExitCode::FAILURE;
     }
     let first = report

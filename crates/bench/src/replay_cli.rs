@@ -1,25 +1,33 @@
-//! Plumbing behind the `replay` binary: dispatcher lookup by name, workload
-//! regeneration from trace metadata, and the record/replay/verify flows.
+//! Plumbing behind the `replay` binary: dispatcher lookup by name, the typed
+//! [`Scenario`] a trace was recorded from, and the record / check / resume
+//! flows over it.
 //!
-//! A trace does not ship its road network — it stores the
-//! [`WorkloadParams`] that generated it (all generation is seeded and
-//! deterministic), so `replay` regenerates an identical engine from the
-//! metadata.  Floats in the metadata round-trip exactly through the text
-//! format, making cross-process replays bit-identical.
+//! A trace does not ship its road network — it stores the scenario that
+//! generated it (all generation is seeded and deterministic) as `param`
+//! lines, so `replay` regenerates an identical engine from the metadata.
+//! [`Scenario::from_meta`] is strict: a missing, unknown or duplicate key, or
+//! a value that does not parse, is a [`ScenarioError`] naming the key.
+//! Floats round-trip exactly through the text format, making cross-process
+//! replays bit-identical.
 
+use std::collections::HashSet;
+use std::fmt;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use structride_baselines::standard_registry;
 use structride_core::replay::{
     diff_traces, replay_trace, Checkpoint, DriftReport, Trace, TraceMeta, TraceRecorder,
     VehicleState,
 };
-use structride_core::shard::{region_strips_for, ShardedSimulator, ShardingConfig};
+use structride_core::shard::{region_strips_for, ShardedReport, ShardedSimulator, ShardingConfig};
 use structride_core::{
-    Dispatcher, IngestConfig, RunHooks, RunMetrics, SardDispatcher, Simulator, StructRideConfig,
+    Dispatcher, IngestConfig, RunHooks, RunMetrics, SardDispatcher, SimulationReport, Simulator,
+    StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
-use structride_model::{Request, Vehicle};
+use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::{SpEngine, SpEngineBuilder, TrafficConfig};
 
 /// The dispatcher keys `--algo` accepts, straight from the registry
@@ -77,15 +85,9 @@ pub fn dispatcher_by_name(
     standard_registry().build_by_key(&key.to_ascii_lowercase(), &config)
 }
 
-/// The quickstart-style workload the `record`/`verify` subcommands use.
-pub fn quickstart_params(quick: bool) -> WorkloadParams {
-    WorkloadParams {
-        num_requests: if quick { 80 } else { 240 },
-        num_vehicles: if quick { 12 } else { 40 },
-        horizon: if quick { 120.0 } else { 300.0 },
-        scale: 0.3,
-        ..WorkloadParams::small(CityProfile::NycLike)
-    }
+/// [`dispatcher_by_name`] for a key already checked against the registry.
+fn registered(key: &str, config: StructRideConfig) -> Box<dyn Dispatcher + Send> {
+    dispatcher_by_name(key, config).expect("dispatcher keys are validated before a scenario runs")
 }
 
 fn city_from_name(name: &str) -> Option<CityProfile> {
@@ -98,638 +100,540 @@ fn city_from_name(name: &str) -> Option<CityProfile> {
     .find(|c| c.name() == name)
 }
 
-/// Serializes workload-generation parameters into trace metadata pairs.
-pub fn params_to_meta(params: &WorkloadParams) -> Vec<(String, String)> {
-    vec![
-        ("city".to_string(), params.city.name().to_string()),
-        ("num_requests".to_string(), params.num_requests.to_string()),
-        ("num_vehicles".to_string(), params.num_vehicles.to_string()),
-        ("capacity".to_string(), params.capacity.to_string()),
-        (
-            "capacity_sigma".to_string(),
-            params.capacity_sigma.to_string(),
-        ),
-        ("gamma".to_string(), params.gamma.to_string()),
-        ("horizon".to_string(), params.horizon.to_string()),
-        ("scale".to_string(), params.scale.to_string()),
-        ("seed".to_string(), params.seed.to_string()),
-    ]
+/// The generated workload a scenario runs on.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioWorkload {
+    /// One city ([`Workload`]).
+    Single(WorkloadParams),
+    /// Several cities side by side ([`MultiRegionWorkload`]).
+    Regions(MultiRegionParams),
 }
 
-/// Reconstructs the workload-generation parameters from trace metadata.
-pub fn params_from_meta(meta: &TraceMeta) -> Option<WorkloadParams> {
-    Some(WorkloadParams {
-        city: city_from_name(meta.param("city")?)?,
-        num_requests: meta.param("num_requests")?.parse().ok()?,
-        num_vehicles: meta.param("num_vehicles")?.parse().ok()?,
-        capacity: meta.param("capacity")?.parse().ok()?,
-        capacity_sigma: meta.param("capacity_sigma")?.parse().ok()?,
-        gamma: meta.param("gamma")?.parse().ok()?,
-        horizon: meta.param("horizon")?.parse().ok()?,
-        scale: meta.param("scale")?.parse().ok()?,
-        seed: meta.param("seed")?.parse().ok()?,
-    })
+/// One simulator over the whole network, or one per vertical strip.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pipeline {
+    /// [`Simulator`].
+    Mono,
+    /// [`ShardedSimulator`], one dispatcher per shard.  The knobs are
+    /// recorded so a check rebuilds the *recorded* pipeline, not whatever
+    /// the defaults are at replay time.
+    Sharded {
+        /// Number of vertical strips.
+        shards: NonZeroUsize,
+        /// Handoff band, rebalancing and top-m shortlist.
+        sharding: ShardingConfig,
+    },
 }
 
-/// Regenerates the exact workload a trace was recorded on.
-pub fn regenerate_workload(meta: &TraceMeta) -> Option<Workload> {
-    params_from_meta(meta).map(Workload::generate)
+/// Where batch boundaries come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The simulated Δ clock.
+    Clock,
+    /// The wall-clock ingest front end (`core::ingest`); the realized
+    /// boundaries land in the trace.
+    Ingest,
+}
+
+/// Everything that makes a recorded run reproducible.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// What is generated.
+    pub workload: ScenarioWorkload,
+    /// Registry key of the dispatcher (one instance per shard when sharded).
+    pub dispatcher: String,
+    /// Monolithic or sharded.
+    pub pipeline: Pipeline,
+    /// Clock-driven or ingested.
+    pub source: Source,
+    /// The framework configuration (the trace's `config` line).
+    pub config: StructRideConfig,
+}
+
+/// Why a trace's `param` lines do not describe a [`Scenario`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// A key the scenario's shape needs is absent.
+    Missing(&'static str),
+    /// A key no scenario of this shape has.
+    Unknown(String),
+    /// A key given twice.
+    Duplicate(String),
+    /// A key and its value that does not parse — an unknown `mode`, city or
+    /// dispatcher, a zero shard count, a number that is not one.
+    BadValue(String, String),
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Missing(key) => write!(f, "missing param `{key}`"),
+            ScenarioError::Unknown(key) => write!(f, "unknown param `{key}`"),
+            ScenarioError::Duplicate(key) => write!(f, "duplicate param `{key}`"),
+            ScenarioError::BadValue(key, value) => {
+                write!(f, "param `{key}` has bad value {value:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+/// Generates `workload`: its name, engine, requests and initial fleet.
+fn generate(workload: &ScenarioWorkload) -> (String, SpEngine, Vec<Request>, Vec<Vehicle>) {
+    match workload {
+        ScenarioWorkload::Single(params) => {
+            let w = Workload::generate(*params);
+            (w.name, w.engine, w.requests, w.vehicles)
+        }
+        ScenarioWorkload::Regions(params) => {
+            let w = MultiRegionWorkload::generate(params.clone());
+            (w.name, w.engine, w.requests, w.vehicles)
+        }
+    }
 }
 
 /// The engine a monolithic run needs under `config`: `None` (use the
-/// workload's own free-flow engine) when the traffic model is static,
-/// otherwise a fresh engine over the same network carrying the traffic
-/// model, so the simulator can roll its epoch from the batch clock.  The
-/// sharded pipelines need no equivalent — they build their per-shard
-/// engines from `config.traffic` themselves.
-pub fn traffic_engine(workload: &Workload, config: &StructRideConfig) -> Option<SpEngine> {
+/// workload's own free-flow engine) when traffic is static, otherwise a fresh
+/// engine over the same network carrying the traffic model, so the simulator
+/// can roll its epoch from the batch clock — one per run, since epoch state
+/// lives inside it.  The sharded pipelines build their per-shard engines
+/// from `config.traffic` themselves.
+fn traffic_engine(engine: &SpEngine, config: &StructRideConfig) -> Option<SpEngine> {
     (!config.traffic.is_static()).then(|| {
         SpEngineBuilder::new()
             .traffic(config.traffic)
-            .build(workload.engine.network().clone())
+            .build(engine.network().clone())
     })
 }
 
-/// Records a run of `algo_key` on the workload described by `params`.
-///
-/// Returns the workload (for immediate in-process replays), the trace —
-/// with the generation parameters, the dispatcher key, the engine's
-/// shortest-path counters and, for SARD, the shareability-graph build
-/// counters captured into the metadata — and the [`Checkpoint`]s the run's
-/// fault-plan cadence produced (empty unless
-/// `config.faults.checkpoint_every > 0`; capture is a pure read, so the
-/// trace is the same either way).
-pub fn record_run(
-    params: WorkloadParams,
-    config: StructRideConfig,
-    algo_key: &str,
-) -> Option<(Workload, Trace, Vec<Checkpoint>)> {
-    let workload = Workload::generate(params);
-    let traffic = traffic_engine(&workload, &config);
-    let engine = traffic.as_ref().unwrap_or(&workload.engine);
-    let mut recorder = TraceRecorder::new();
-    let mut checkpoints = Vec::new();
-    let mut run = |dispatcher: &mut dyn Dispatcher| {
-        let hooks = RunHooks {
-            recorder: Some(&mut recorder),
-            checkpoints: Some(&mut |c| checkpoints.push(c)),
+impl Scenario {
+    /// The quickstart-style scenario the `record` / `verify` flows run: an
+    /// NYC-like city on the monolithic pipeline; a Chengdu-like and an
+    /// NYC-like region side by side when sharded.  An ingested one replaces
+    /// `config.ingest` with knobs that compress the stream into well under a
+    /// second of wall clock, so CI record steps stay fast.
+    pub fn quickstart(
+        quick: bool,
+        dispatcher: &str,
+        pipeline: Pipeline,
+        source: Source,
+        config: StructRideConfig,
+    ) -> Scenario {
+        let workload = match pipeline {
+            Pipeline::Mono => ScenarioWorkload::Single(WorkloadParams {
+                num_requests: if quick { 80 } else { 240 },
+                num_vehicles: if quick { 12 } else { 40 },
+                horizon: if quick { 120.0 } else { 300.0 },
+                scale: 0.3,
+                ..WorkloadParams::small(CityProfile::NycLike)
+            }),
+            Pipeline::Sharded { .. } => ScenarioWorkload::Regions(MultiRegionParams {
+                cities: vec![CityProfile::ChengduLike, CityProfile::NycLike],
+                requests_per_region: if quick { 50 } else { 110 },
+                vehicles_per_region: if quick { 8 } else { 18 },
+                capacity: 4,
+                horizon: if quick { 120.0 } else { 280.0 },
+                scale: 0.3,
+                seed: 42,
+            }),
         };
-        Simulator::new(config).run_with(
-            engine,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            dispatcher,
-            &workload.name,
-            hooks,
-        );
-    };
-    // SARD is handled concretely so its build stats can be captured; every
-    // other dispatcher goes through the trait object.
-    let (algorithm, build_stats) = if algo_key.eq_ignore_ascii_case("sard") {
-        let mut sard = SardDispatcher::new(config);
-        run(&mut sard);
-        (sard.name().to_string(), sard.build_stats())
-    } else {
-        let mut dispatcher = dispatcher_by_name(algo_key, config)?;
-        run(dispatcher.as_mut());
-        (dispatcher.name().to_string(), None)
-    };
-    let mut meta = TraceMeta::new(algorithm, &workload.name, config);
-    meta.params = params_to_meta(&params);
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    meta.sp_stats = Some(engine.stats());
-    meta.build_stats = build_stats;
-    Some((workload, recorder.into_trace(meta), checkpoints))
-}
-
-/// The dispatcher key a trace should be replayed with by default.
-pub fn trace_dispatcher_key(trace: &Trace) -> Option<&str> {
-    trace.meta.param("dispatcher")
-}
-
-/// Replays `trace` on `workload` with a fresh dispatcher built from
-/// `algo_key`.  Traffic-aware traces replay on a fresh engine carrying the
-/// recorded traffic model, so epoch rolls replay exactly as recorded.
-pub fn replay_run(workload: &Workload, algo_key: &str, trace: &Trace) -> Option<DriftReport> {
-    let mut dispatcher = dispatcher_by_name(algo_key, trace.meta.config)?;
-    let traffic = traffic_engine(workload, &trace.meta.config);
-    let engine = traffic.as_ref().unwrap_or(&workload.engine);
-    Some(replay_trace(engine, dispatcher.as_mut(), trace))
-}
-
-// ---------------------------------------------------------------------------
-// Sharded traces
-// ---------------------------------------------------------------------------
-
-/// The quickstart-style multi-region workload the sharded `record`/`verify`
-/// subcommands use: a Chengdu-like and an NYC-like region side by side.
-pub fn sharded_quickstart_params(quick: bool) -> MultiRegionParams {
-    MultiRegionParams {
-        cities: vec![CityProfile::ChengduLike, CityProfile::NycLike],
-        requests_per_region: if quick { 50 } else { 110 },
-        vehicles_per_region: if quick { 8 } else { 18 },
-        capacity: 4,
-        horizon: if quick { 120.0 } else { 280.0 },
-        scale: 0.3,
-        seed: 42,
-    }
-}
-
-/// Serializes multi-region generation parameters, the shard count and the
-/// sharding knobs into trace metadata pairs.  `mode=sharded` marks the trace
-/// as a sharded one.  The [`ShardingConfig`] is recorded for the same reason
-/// `StructRideConfig` is serialized into every trace: replay must rebuild
-/// the *recorded* pipeline, not whatever the defaults are at replay time.
-pub fn multi_params_to_meta(
-    params: &MultiRegionParams,
-    shards: usize,
-    sharding: &ShardingConfig,
-) -> Vec<(String, String)> {
-    let cities: Vec<&str> = params.cities.iter().map(|c| c.name()).collect();
-    vec![
-        ("mode".to_string(), "sharded".to_string()),
-        ("shards".to_string(), shards.to_string()),
-        (
-            "handoff_band".to_string(),
-            sharding.handoff_band.to_string(),
-        ),
-        ("rebalance".to_string(), sharding.rebalance.to_string()),
-        (
-            "max_migrations_per_batch".to_string(),
-            sharding.max_migrations_per_batch.to_string(),
-        ),
-        ("top_m".to_string(), sharding.top_m.to_string()),
-        ("cities".to_string(), cities.join(",")),
-        (
-            "requests_per_region".to_string(),
-            params.requests_per_region.to_string(),
-        ),
-        (
-            "vehicles_per_region".to_string(),
-            params.vehicles_per_region.to_string(),
-        ),
-        ("capacity".to_string(), params.capacity.to_string()),
-        ("horizon".to_string(), params.horizon.to_string()),
-        ("scale".to_string(), params.scale.to_string()),
-        ("seed".to_string(), params.seed.to_string()),
-    ]
-}
-
-/// True when `trace` was recorded by the sharded pipeline.
-pub fn is_sharded_trace(trace: &Trace) -> bool {
-    trace.meta.param("mode") == Some("sharded")
-}
-
-/// The shard count a sharded trace was recorded with.
-pub fn trace_shards(trace: &Trace) -> Option<usize> {
-    trace.meta.param("shards")?.parse().ok()
-}
-
-/// The sharding knobs a sharded trace was recorded with.  Traces predating
-/// the top-m shortlist carry no `top_m` parameter and replay with the
-/// default cap (which reproduces the old full-scan outcomes for every fleet
-/// that fits under it).
-pub fn trace_sharding(trace: &Trace) -> Option<ShardingConfig> {
-    Some(ShardingConfig {
-        handoff_band: trace.meta.param("handoff_band")?.parse().ok()?,
-        rebalance: trace.meta.param("rebalance")?.parse().ok()?,
-        max_migrations_per_batch: trace.meta.param("max_migrations_per_batch")?.parse().ok()?,
-        top_m: trace
-            .meta
-            .param("top_m")
-            .and_then(|raw| raw.parse().ok())
-            .unwrap_or(ShardingConfig::default().top_m),
-    })
-}
-
-/// Reconstructs the multi-region generation parameters from trace metadata.
-pub fn multi_params_from_meta(meta: &TraceMeta) -> Option<MultiRegionParams> {
-    let cities: Vec<CityProfile> = meta
-        .param("cities")?
-        .split(',')
-        .map(city_from_name)
-        .collect::<Option<Vec<_>>>()?;
-    Some(MultiRegionParams {
-        cities,
-        requests_per_region: meta.param("requests_per_region")?.parse().ok()?,
-        vehicles_per_region: meta.param("vehicles_per_region")?.parse().ok()?,
-        capacity: meta.param("capacity")?.parse().ok()?,
-        horizon: meta.param("horizon")?.parse().ok()?,
-        scale: meta.param("scale")?.parse().ok()?,
-        seed: meta.param("seed")?.parse().ok()?,
-    })
-}
-
-/// Regenerates the exact multi-region workload a sharded trace was recorded
-/// on.
-pub fn regenerate_multi_workload(meta: &TraceMeta) -> Option<MultiRegionWorkload> {
-    multi_params_from_meta(meta).map(MultiRegionWorkload::generate)
-}
-
-/// Records a sharded run: one `algo_key` dispatcher per shard over `shards`
-/// vertical strips of the multi-region workload described by `params`.
-/// Also returns the [`Checkpoint`]s the run's fault-plan cadence produced
-/// (empty unless `config.faults.checkpoint_every > 0`).
-pub fn record_sharded_run(
-    params: MultiRegionParams,
-    config: StructRideConfig,
-    algo_key: &str,
-    shards: usize,
-) -> Option<(MultiRegionWorkload, Trace, Vec<Checkpoint>)> {
-    // Validate the key once up front (each shard gets a fresh instance).
-    let probe = dispatcher_by_name(algo_key, config)?;
-    let algorithm = probe.name().to_string();
-    let workload = MultiRegionWorkload::generate(params.clone());
-    let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-    let sharding = ShardingConfig::default();
-    let mut recorder = TraceRecorder::new();
-    let mut checkpoints = Vec::new();
-    ShardedSimulator::with_sharding(config, sharding).run_with(
-        workload.network(),
-        &regions,
-        &workload.requests,
-        workload.fresh_vehicles(),
-        |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
-        &workload.name,
-        RunHooks {
-            recorder: Some(&mut recorder),
-            checkpoints: Some(&mut |c| checkpoints.push(c)),
-        },
-    );
-    let mut meta = TraceMeta::new(algorithm, &workload.name, config);
-    meta.params = multi_params_to_meta(&params, shards.max(1), &sharding);
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    Some((workload, recorder.into_trace(meta), checkpoints))
-}
-
-/// Re-runs the sharded pipeline a trace was recorded from and diffs the two
-/// global traces ([`diff_traces`]) — sharded runs cannot be replayed through
-/// a single dispatcher, so verification is an end-to-end re-run.
-pub fn rerun_sharded(
-    workload: &MultiRegionWorkload,
-    algo_key: &str,
-    trace: &Trace,
-) -> Option<DriftReport> {
-    dispatcher_by_name(algo_key, trace.meta.config)?;
-    let shards = trace_shards(trace)?;
-    // Rebuild the *recorded* sharding configuration, never the current
-    // defaults — a default that drifts after recording must not turn into a
-    // false replay failure.
-    let sharding = trace_sharding(trace)?;
-    let config = trace.meta.config;
-    let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-    let mut recorder = TraceRecorder::new();
-    ShardedSimulator::with_sharding(config, sharding).run_recorded(
-        workload.network(),
-        &regions,
-        &workload.requests,
-        workload.fresh_vehicles(),
-        |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
-        &workload.name,
-        &mut recorder,
-    );
-    let rerun = recorder.into_trace(trace.meta.clone());
-    Some(diff_traces(trace, &rerun))
-}
-
-// ---------------------------------------------------------------------------
-// Resuming checkpointed (faulted) runs
-// ---------------------------------------------------------------------------
-
-/// Compares the deterministic halves of two [`RunMetrics`] (wall-clock
-/// diagnostics — `running_time`, `sp_queries`, `memory_bytes` — excluded,
-/// exactly as in replay comparisons; floats by bit pattern).
-fn metrics_mismatches(label: &str, resumed: &RunMetrics, reference: &RunMetrics) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut check = |field: &str, same: bool| {
-        if !same {
-            out.push(format!("{label}: {field} diverged"));
-        }
-    };
-    check("algorithm", resumed.algorithm == reference.algorithm);
-    check("workload", resumed.workload == reference.workload);
-    check(
-        "total_requests",
-        resumed.total_requests == reference.total_requests,
-    );
-    check(
-        "served_requests",
-        resumed.served_requests == reference.served_requests,
-    );
-    check(
-        "total_travel",
-        resumed.total_travel.to_bits() == reference.total_travel.to_bits(),
-    );
-    check(
-        "unserved_direct_cost",
-        resumed.unserved_direct_cost.to_bits() == reference.unserved_direct_cost.to_bits(),
-    );
-    check(
-        "unified_cost",
-        resumed.unified_cost.to_bits() == reference.unified_cost.to_bits(),
-    );
-    check("batches", resumed.batches == reference.batches);
-    check(
-        "insertion_evaluations",
-        resumed.insertion_evaluations == reference.insertion_evaluations,
-    );
-    check(
-        "groups_enumerated",
-        resumed.groups_enumerated == reference.groups_enumerated,
-    );
-    out
-}
-
-/// Bit-compares two final fleets through [`VehicleState::capture`].
-fn fleet_mismatch(resumed: &[Vehicle], reference: &[Vehicle]) -> Option<String> {
-    let a: Vec<VehicleState> = resumed.iter().map(VehicleState::capture).collect();
-    let b: Vec<VehicleState> = reference.iter().map(VehicleState::capture).collect();
-    (a != b).then(|| "final fleet state diverged".to_string())
-}
-
-/// Resumes `checkpoint` and verifies the finished run lands bit-identically
-/// on the uninterrupted reference, which is re-run in process from the
-/// trace metadata (all generation is seeded, so the regenerated workload is
-/// the recorded one).
-///
-/// Returns `None` when the trace names no (or an unknown) dispatcher or its
-/// metadata fails to regenerate; otherwise `Some(mismatches)` — empty means
-/// zero drift.  A checkpoint the simulator refuses to resume
-/// ([`ResumeError`](structride_core::ResumeError)) is reported as a mismatch
-/// too, not a panic.
-pub fn resume_and_verify(trace: &Trace, checkpoint: &Checkpoint) -> Option<Vec<String>> {
-    let algo_key = trace_dispatcher_key(trace)?.to_string();
-    dispatcher_by_name(&algo_key, trace.meta.config)?;
-    let config = trace.meta.config;
-    let mut mismatches = Vec::new();
-    if checkpoint.workload != trace.meta.workload {
-        mismatches.push(format!(
-            "checkpoint workload {:?} does not match trace workload {:?}",
-            checkpoint.workload, trace.meta.workload
-        ));
-        return Some(mismatches);
-    }
-    if checkpoint.config != config {
-        mismatches.push("checkpoint and trace disagree on the framework configuration".to_string());
-        return Some(mismatches);
-    }
-    if checkpoint.sharded {
-        let workload = regenerate_multi_workload(&trace.meta)?;
-        let shards = trace_shards(trace)?;
-        let sharding = trace_sharding(trace)?;
-        let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-        let sim = ShardedSimulator::with_sharding(config, sharding);
-        let make =
-            |_: usize| dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
-        let resumed = match sim.resume(
-            workload.network(),
-            &regions,
-            &workload.requests,
-            make,
-            checkpoint,
-        ) {
-            Ok(report) => report,
-            Err(e) => return Some(vec![format!("cannot resume: {e}")]),
+        let config = match source {
+            Source::Clock => config,
+            Source::Ingest => config.with_ingest(IngestConfig {
+                max_batch_size: 32,
+                batch_deadline: 0.01,
+                queue_capacity: 4096,
+                time_scale: if quick { 240.0 } else { 120.0 },
+            }),
         };
-        let reference = sim.run(
-            workload.network(),
-            &regions,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            make,
-            &workload.name,
-        );
-        mismatches.extend(metrics_mismatches(
-            "aggregate",
-            &resumed.aggregate,
-            &reference.aggregate,
-        ));
-        for (i, (a, b)) in resumed
-            .per_shard
-            .iter()
-            .zip(&reference.per_shard)
-            .enumerate()
-        {
-            mismatches.extend(metrics_mismatches(&format!("shard {i}"), a, b));
+        Scenario {
+            workload,
+            dispatcher: dispatcher.to_string(),
+            pipeline,
+            source,
+            config,
         }
-        if resumed.served != reference.served {
-            mismatches.push("served request set diverged".to_string());
+    }
+
+    /// The trace `param` pairs, in the order every trace has carried them: a
+    /// sharded scenario opens with `mode`, the shard count and the sharding
+    /// knobs; the workload's generation parameters follow; a monolithic
+    /// ingested one then says `mode ingested`; `dispatcher` comes last.
+    pub fn to_params(&self) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut put = |key: &str, value: String| out.push((key.to_string(), value));
+        if let Pipeline::Sharded { shards, sharding } = &self.pipeline {
+            let mode = match self.source {
+                Source::Clock => "sharded",
+                Source::Ingest => "sharded-ingested",
+            };
+            put("mode", mode.to_string());
+            put("shards", shards.to_string());
+            put("handoff_band", sharding.handoff_band.to_string());
+            put("rebalance", sharding.rebalance.to_string());
+            let migrations = sharding.max_migrations_per_batch;
+            put("max_migrations_per_batch", migrations.to_string());
+            put("top_m", sharding.top_m.to_string());
         }
-        mismatches.extend(fleet_mismatch(&resumed.vehicles, &reference.vehicles));
-        let counters = [
-            ("handoffs", resumed.handoffs, reference.handoffs),
-            ("handoff_bids", resumed.handoff_bids, reference.handoff_bids),
-            ("migrations", resumed.migrations, reference.migrations),
-            ("epoch_rolls", resumed.epoch_rolls, reference.epoch_rolls),
-            (
-                "faults_injected",
-                resumed.faults_injected,
-                reference.faults_injected,
-            ),
-            (
-                "batches_degraded",
-                resumed.batches_degraded,
-                reference.batches_degraded,
-            ),
-            (
-                "degraded_offered",
-                resumed.degraded_offered,
-                reference.degraded_offered,
-            ),
-            (
-                "degraded_served",
-                resumed.degraded_served,
-                reference.degraded_served,
-            ),
-        ];
-        for (name, a, b) in counters {
-            if a != b {
-                mismatches.push(format!("{name} diverged: resumed {a} vs reference {b}"));
+        match &self.workload {
+            ScenarioWorkload::Single(p) => {
+                put("city", p.city.name().to_string());
+                put("num_requests", p.num_requests.to_string());
+                put("num_vehicles", p.num_vehicles.to_string());
+                put("capacity", p.capacity.to_string());
+                put("capacity_sigma", p.capacity_sigma.to_string());
+                put("gamma", p.gamma.to_string());
+                put("horizon", p.horizon.to_string());
+                put("scale", p.scale.to_string());
+                put("seed", p.seed.to_string());
+            }
+            ScenarioWorkload::Regions(p) => {
+                let cities: Vec<&str> = p.cities.iter().map(|c| c.name()).collect();
+                put("cities", cities.join(","));
+                put("requests_per_region", p.requests_per_region.to_string());
+                put("vehicles_per_region", p.vehicles_per_region.to_string());
+                put("capacity", p.capacity.to_string());
+                put("horizon", p.horizon.to_string());
+                put("scale", p.scale.to_string());
+                put("seed", p.seed.to_string());
             }
         }
-    } else {
-        let workload = regenerate_workload(&trace.meta)?;
-        let sim = Simulator::new(config);
-        // Traffic epoch state lives inside the engine, so the reference and
-        // the resumed run each get a fresh one (static runs share the
-        // workload's free-flow engine — its caches don't affect decisions).
-        let resumed = {
-            let traffic = traffic_engine(&workload, &config);
-            let engine = traffic.as_ref().unwrap_or(&workload.engine);
-            let mut dispatcher =
-                dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
-            sim.resume(engine, &workload.requests, dispatcher.as_mut(), checkpoint)
-        };
-        let resumed = match resumed {
-            Ok(report) => report,
-            Err(e) => return Some(vec![format!("cannot resume: {e}")]),
-        };
-        let reference = {
-            let traffic = traffic_engine(&workload, &config);
-            let engine = traffic.as_ref().unwrap_or(&workload.engine);
-            let mut dispatcher =
-                dispatcher_by_name(&algo_key, config).expect("validated dispatcher key");
-            sim.run(
-                engine,
-                &workload.requests,
-                workload.fresh_vehicles(),
-                dispatcher.as_mut(),
-                &workload.name,
-            )
-        };
-        mismatches.extend(metrics_mismatches(
-            "run",
-            &resumed.metrics,
-            &reference.metrics,
-        ));
-        if resumed.served != reference.served {
-            mismatches.push("served request set diverged".to_string());
+        if self.pipeline == Pipeline::Mono && self.source == Source::Ingest {
+            put("mode", "ingested".to_string());
         }
-        mismatches.extend(fleet_mismatch(&resumed.vehicles, &reference.vehicles));
+        put("dispatcher", self.dispatcher.clone());
+        out
     }
-    Some(mismatches)
-}
 
-// ---------------------------------------------------------------------------
-// Ingested traces
-// ---------------------------------------------------------------------------
-
-/// The ingest knobs the `record --ingest` / `verify --ingest` flows use:
-/// compress the quickstart stream into well under a second of wall clock so
-/// CI record steps stay fast.
-pub fn ingest_quickstart_config(quick: bool) -> IngestConfig {
-    IngestConfig {
-        max_batch_size: 32,
-        batch_deadline: 0.01,
-        queue_capacity: 4096,
-        time_scale: if quick { 240.0 } else { 120.0 },
+    /// Reads the scenario a trace was recorded from — the inverse of
+    /// [`Scenario::to_params`] over `meta.params`, plus `meta.config`.  The
+    /// `mode` key picks the pipeline and source, a `cities` key the
+    /// multi-region workload; the dispatcher must be a registered key.
+    pub fn from_meta(meta: &TraceMeta) -> Result<Scenario, ScenarioError> {
+        fn param<T: FromStr>(meta: &TraceMeta, key: &'static str) -> Result<T, ScenarioError> {
+            let value = meta.param(key).ok_or(ScenarioError::Missing(key))?;
+            value.parse().map_err(|_| bad_value(key, value))
+        }
+        fn bad_value(key: &str, value: &str) -> ScenarioError {
+            ScenarioError::BadValue(key.to_string(), value.to_string())
+        }
+        let mode = meta.param("mode");
+        let pipeline = match mode {
+            None | Some("ingested") => Pipeline::Mono,
+            Some("sharded" | "sharded-ingested") => Pipeline::Sharded {
+                shards: param(meta, "shards")?,
+                sharding: ShardingConfig {
+                    handoff_band: param(meta, "handoff_band")?,
+                    rebalance: param(meta, "rebalance")?,
+                    max_migrations_per_batch: param(meta, "max_migrations_per_batch")?,
+                    top_m: param(meta, "top_m")?,
+                },
+            },
+            Some(other) => return Err(bad_value("mode", other)),
+        };
+        let source = match mode {
+            Some("ingested" | "sharded-ingested") => Source::Ingest,
+            _ => Source::Clock,
+        };
+        let workload = if let Some(cities) = meta.param("cities") {
+            ScenarioWorkload::Regions(MultiRegionParams {
+                cities: cities
+                    .split(',')
+                    .map(city_from_name)
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| bad_value("cities", cities))?,
+                requests_per_region: param(meta, "requests_per_region")?,
+                vehicles_per_region: param(meta, "vehicles_per_region")?,
+                capacity: param(meta, "capacity")?,
+                horizon: param(meta, "horizon")?,
+                scale: param(meta, "scale")?,
+                seed: param(meta, "seed")?,
+            })
+        } else {
+            let city: String = param(meta, "city")?;
+            ScenarioWorkload::Single(WorkloadParams {
+                city: city_from_name(&city).ok_or_else(|| bad_value("city", &city))?,
+                num_requests: param(meta, "num_requests")?,
+                num_vehicles: param(meta, "num_vehicles")?,
+                capacity: param(meta, "capacity")?,
+                capacity_sigma: param(meta, "capacity_sigma")?,
+                gamma: param(meta, "gamma")?,
+                horizon: param(meta, "horizon")?,
+                scale: param(meta, "scale")?,
+                seed: param(meta, "seed")?,
+            })
+        };
+        let dispatcher: String = param(meta, "dispatcher")?;
+        if dispatcher_by_name(&dispatcher, meta.config).is_none() {
+            return Err(bad_value("dispatcher", &dispatcher));
+        }
+        let scenario = Scenario {
+            workload,
+            dispatcher,
+            pipeline,
+            source,
+            config: meta.config,
+        };
+        // The keys this shape writes are the only ones it may read.
+        let known = scenario.to_params();
+        for (i, (key, _)) in meta.params.iter().enumerate() {
+            if meta.params[..i].iter().any(|(k, _)| k == key) {
+                return Err(ScenarioError::Duplicate(key.clone()));
+            }
+            if !known.iter().any(|(k, _)| k == key) {
+                return Err(ScenarioError::Unknown(key.clone()));
+            }
+        }
+        Ok(scenario)
     }
-}
 
-/// True when `trace` was recorded by the monolithic ingested pipeline.
-/// Such traces *replay* exactly like clock-driven ones — the realized batch
-/// boundaries are in the trace — so this marker is informational.
-pub fn is_ingested_trace(trace: &Trace) -> bool {
-    trace.meta.param("mode") == Some("ingested")
-}
+    /// Runs the scenario and returns its trace — metadata from
+    /// [`Scenario::to_params`], plus SARD's shareability-graph build counters
+    /// on the monolithic pipeline — and the [`Checkpoint`]s the run's
+    /// fault-plan cadence produced (empty unless
+    /// `config.faults.checkpoint_every > 0` on a clock-driven run; capture
+    /// is a pure read, so the trace is the same either way).  The engine's
+    /// shortest-path counters are not recorded: their hit/index split races
+    /// on same-key cache misses, and a recording must be byte-identical
+    /// under any worker count.
+    ///
+    /// # Panics
+    /// Panics if `dispatcher` is not a registered key.
+    pub fn record(&self) -> (Trace, Vec<Checkpoint>) {
+        self.run(&self.dispatcher, None)
+    }
 
-/// True when `trace` was recorded by the **sharded** ingested pipeline:
-/// verification re-runs the sharded pipeline from the recorded boundaries
-/// ([`rerun_sharded_ingested`]) instead of re-slicing by the batch clock.
-pub fn is_sharded_ingested_trace(trace: &Trace) -> bool {
-    trace.meta.param("mode") == Some("sharded-ingested")
-}
+    /// Checks `trace` — a recording of this scenario — against a fresh run
+    /// of the `dispatcher` key on the regenerated workload.  A monolithic
+    /// trace (clock-driven or ingested: the realized boundaries are in the
+    /// trace) is replayed batch by batch ([`replay_trace`]).  A sharded one
+    /// cannot be replayed through a single dispatcher, so the whole pipeline
+    /// is re-run — from the batch clock, or from the recorded boundaries
+    /// when ingested — and the two global traces are diffed
+    /// ([`diff_traces`]).
+    ///
+    /// # Panics
+    /// Panics if `dispatcher` is not a registered key.
+    pub fn check(&self, trace: &Trace, dispatcher: &str) -> DriftReport {
+        if self.pipeline == Pipeline::Mono {
+            let (_, engine, _, _) = generate(&self.workload);
+            let traffic = traffic_engine(&engine, &self.config);
+            let engine = traffic.as_ref().unwrap_or(&engine);
+            return replay_trace(engine, registered(dispatcher, self.config).as_mut(), trace);
+        }
+        let boundaries: Vec<(f64, Vec<Request>)> = trace
+            .batches
+            .iter()
+            .map(|b| (b.now, b.requests.clone()))
+            .collect();
+        diff_traces(trace, &self.run(dispatcher, Some(&boundaries)).0)
+    }
 
-/// Records an ingested run of `algo_key` on the workload described by
-/// `params`, using the workload's own (fixed, regenerable) request stream as
-/// the arrival source.  `config.ingest` controls the batching and is
-/// serialized into the trace.
-pub fn record_ingested_run(
-    params: WorkloadParams,
-    config: StructRideConfig,
-    algo_key: &str,
-) -> Option<(Workload, Trace)> {
-    let mut dispatcher = dispatcher_by_name(algo_key, config)?;
-    let workload = Workload::generate(params);
-    let traffic = traffic_engine(&workload, &config);
-    let engine = traffic.as_ref().unwrap_or(&workload.engine);
-    let mut recorder = TraceRecorder::new();
-    Simulator::new(config)
-        .run_ingested_recorded(
-            engine,
-            workload.requests.iter().cloned(),
-            workload.fresh_vehicles(),
-            dispatcher.as_mut(),
-            &workload.name,
-            &mut recorder,
-        )
-        .expect("ingest producer replays a generated stream");
-    let mut meta = TraceMeta::new(dispatcher.name(), &workload.name, config);
-    meta.params = params_to_meta(&params);
-    meta.params
-        .push(("mode".to_string(), "ingested".to_string()));
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    meta.sp_stats = Some(engine.stats());
-    Some((workload, recorder.into_trace(meta)))
-}
+    /// One recorded run of the scenario under `dispatcher`.  A sharded
+    /// ingested run is fed `boundaries` — the realized batches of an earlier
+    /// recording — when given, instead of ingesting live: the boundaries are
+    /// the nondeterministic part, and given them the pipeline must be
+    /// bit-identical.  (Monolithic traces never need re-feeding: they replay
+    /// batch by batch.)
+    fn run(
+        &self,
+        dispatcher: &str,
+        boundaries: Option<&[(f64, Vec<Request>)]>,
+    ) -> (Trace, Vec<Checkpoint>) {
+        const INGEST: &str = "ingest producer replays a generated stream";
+        let (name, engine, requests, vehicles) = generate(&self.workload);
+        let config = self.config;
+        let mut recorder = TraceRecorder::new();
+        let mut checkpoints = Vec::new();
+        let mut push = |c| checkpoints.push(c);
+        let hooks = RunHooks {
+            recorder: Some(&mut recorder),
+            checkpoints: Some(&mut push),
+        };
+        let arrivals = requests.iter().cloned();
+        let (algorithm, build_stats) = match self.pipeline {
+            Pipeline::Mono => {
+                let traffic = traffic_engine(&engine, &config);
+                let engine = traffic.as_ref().unwrap_or(&engine);
+                // SARD is built concretely so its build stats can be
+                // captured; every other dispatcher goes through the registry.
+                let is_sard = dispatcher.eq_ignore_ascii_case("sard");
+                let mut sard = is_sard.then(|| SardDispatcher::new(config));
+                let mut other;
+                let dispatcher: &mut dyn Dispatcher = match sard.as_mut() {
+                    Some(sard) => sard,
+                    None => {
+                        other = registered(dispatcher, config);
+                        other.as_mut()
+                    }
+                };
+                let sim = Simulator::new(config);
+                match self.source {
+                    Source::Clock => {
+                        sim.run_with(engine, &requests, vehicles, dispatcher, &name, hooks);
+                    }
+                    Source::Ingest => {
+                        let recorder = &mut recorder;
+                        sim.run_ingested_recorded(
+                            engine, arrivals, vehicles, dispatcher, &name, recorder,
+                        )
+                        .expect(INGEST);
+                    }
+                }
+                let algorithm = dispatcher.name().to_string();
+                (algorithm, sard.and_then(|s| s.build_stats()))
+            }
+            Pipeline::Sharded { shards, sharding } => {
+                let net = engine.network();
+                let regions = region_strips_for(net, shards.get() as u32);
+                let sim = ShardedSimulator::with_sharding(config, sharding);
+                let make = |_| registered(dispatcher, config);
+                match (self.source, boundaries) {
+                    (Source::Clock, _) => {
+                        sim.run_with(net, &regions, &requests, vehicles, make, &name, hooks);
+                    }
+                    (Source::Ingest, None) => {
+                        let recorder = &mut recorder;
+                        sim.run_ingested_recorded(
+                            net, &regions, arrivals, vehicles, make, &name, recorder,
+                        )
+                        .expect(INGEST);
+                    }
+                    (Source::Ingest, Some(fed)) => {
+                        let recorder = &mut recorder;
+                        sim.run_fed_recorded(net, &regions, fed, vehicles, make, &name, recorder);
+                    }
+                }
+                (make(0).name().to_string(), None)
+            }
+        };
+        let mut meta = TraceMeta::new(algorithm, &name, config);
+        meta.params = self.to_params();
+        meta.build_stats = build_stats;
+        (recorder.into_trace(meta), checkpoints)
+    }
 
-/// Records a **sharded** ingested run: realized batches routed through the
-/// region grid into `shards` per-shard pipelines.
-pub fn record_sharded_ingested_run(
-    params: MultiRegionParams,
-    config: StructRideConfig,
-    algo_key: &str,
-    shards: usize,
-) -> Option<(MultiRegionWorkload, Trace)> {
-    let probe = dispatcher_by_name(algo_key, config)?;
-    let algorithm = probe.name().to_string();
-    let workload = MultiRegionWorkload::generate(params.clone());
-    let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-    let sharding = ShardingConfig::default();
-    let mut recorder = TraceRecorder::new();
-    ShardedSimulator::with_sharding(config, sharding)
-        .run_ingested_recorded(
-            workload.network(),
-            &regions,
-            workload.requests.iter().cloned(),
-            workload.fresh_vehicles(),
-            |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
-            &workload.name,
-            &mut recorder,
-        )
-        .expect("ingest producer replays a generated stream");
-    let mut meta = TraceMeta::new(algorithm, &workload.name, config);
-    meta.params = multi_params_to_meta(&params, shards.max(1), &sharding);
-    // multi_params_to_meta marks mode=sharded; this trace needs the
-    // boundary-fed re-run path instead.
-    for (key, value) in meta.params.iter_mut() {
-        if key == "mode" {
-            *value = "sharded-ingested".to_string();
+    /// Resumes `checkpoint` and verifies the finished run lands
+    /// bit-identically on the uninterrupted reference, re-run in process
+    /// from the scenario.  Returns the mismatches — empty means zero drift.
+    /// A checkpoint the simulator refuses to resume
+    /// ([`ResumeError`](structride_core::ResumeError)) is reported as a
+    /// mismatch too, not a panic.
+    ///
+    /// # Panics
+    /// Panics if `dispatcher` is not a registered key.
+    pub fn resume_and_verify(&self, checkpoint: &Checkpoint) -> Vec<String> {
+        let (name, engine, requests, vehicles) = generate(&self.workload);
+        let config = self.config;
+        if checkpoint.workload != name {
+            return vec![format!(
+                "checkpoint workload {:?} does not match the scenario's workload {name:?}",
+                checkpoint.workload
+            )];
+        }
+        if checkpoint.config != config {
+            return vec!["checkpoint and trace disagree on the framework configuration".into()];
+        }
+        let make = |_| registered(&self.dispatcher, config);
+        let sharded_finish = |r: &ShardedReport| {
+            let mut lanes = vec![("aggregate".to_string(), &r.aggregate)];
+            let shards = r.per_shard.iter().enumerate();
+            lanes.extend(shards.map(|(i, m)| (format!("shard {i}"), m)));
+            let counters = [
+                r.handoffs,
+                r.handoff_bids,
+                r.migrations,
+                r.epoch_rolls,
+                r.faults_injected,
+                r.batches_degraded,
+                r.degraded_offered,
+                r.degraded_served,
+            ];
+            finish(&lanes, &counters, &r.served, &r.vehicles)
+        };
+        let mono_finish = |r: &SimulationReport| {
+            finish(&[("run".into(), &r.metrics)], &[], &r.served, &r.vehicles)
+        };
+        let finished = match self.pipeline {
+            Pipeline::Sharded { shards, sharding } => {
+                let net = engine.network();
+                let regions = region_strips_for(net, shards.get() as u32);
+                let sim = ShardedSimulator::with_sharding(config, sharding);
+                sim.resume(net, &regions, &requests, make, checkpoint)
+                    .map(|resumed| {
+                        let reference = sim.run(net, &regions, &requests, vehicles, make, &name);
+                        (sharded_finish(&resumed), sharded_finish(&reference))
+                    })
+            }
+            Pipeline::Mono => {
+                let sim = Simulator::new(config);
+                let traffic = traffic_engine(&engine, &config);
+                let resume_engine = traffic.as_ref().unwrap_or(&engine);
+                sim.resume(resume_engine, &requests, make(0).as_mut(), checkpoint)
+                    .map(|resumed| {
+                        let traffic = traffic_engine(&engine, &config);
+                        let engine = traffic.as_ref().unwrap_or(&engine);
+                        let reference =
+                            sim.run(engine, &requests, vehicles, make(0).as_mut(), &name);
+                        (mono_finish(&resumed), mono_finish(&reference))
+                    })
+            }
+        };
+        match finished {
+            Ok((resumed, reference)) => resumed
+                .iter()
+                .zip(&reference)
+                .filter(|(a, b)| a.1 != b.1)
+                .map(|((what, _), _)| format!("{what} diverged"))
+                .collect(),
+            Err(e) => vec![format!("cannot resume: {e}")],
         }
     }
-    meta.params
-        .push(("dispatcher".to_string(), algo_key.to_ascii_lowercase()));
-    Some((workload, recorder.into_trace(meta)))
 }
 
-/// Re-runs the sharded pipeline from the *recorded* realized batch
-/// boundaries of an ingested trace and diffs the two global traces.  The
-/// boundaries are the nondeterministic part; given them, the pipeline must
-/// be bit-identical under any worker count.
-pub fn rerun_sharded_ingested(
-    workload: &MultiRegionWorkload,
-    algo_key: &str,
-    trace: &Trace,
-) -> Option<DriftReport> {
-    dispatcher_by_name(algo_key, trace.meta.config)?;
-    let shards = trace_shards(trace)?;
-    let config = trace.meta.config;
-    let regions = region_strips_for(workload.network(), shards.max(1) as u32);
-    let boundaries: Vec<(f64, Vec<Request>)> = trace
-        .batches
+/// What a resumed run must reproduce bit for bit, as labelled renderings:
+/// each lane's metrics with the wall-clock diagnostics `running_time`,
+/// `sp_queries` and `memory_bytes` zeroed (`Debug` is exact for floats), the
+/// sharded run counters, the served set and the final fleet.
+fn finish(
+    lanes: &[(String, &RunMetrics)],
+    counters: &[u64],
+    served: &HashSet<RequestId>,
+    fleet: &[Vehicle],
+) -> Vec<(String, String)> {
+    let zeroed = |m: &RunMetrics| RunMetrics {
+        running_time: 0.0,
+        sp_queries: 0,
+        memory_bytes: 0,
+        ..m.clone()
+    };
+    let mut parts: Vec<(String, String)> = lanes
         .iter()
-        .map(|b| (b.now, b.requests.clone()))
+        .map(|(lane, m)| (format!("{lane} metrics"), format!("{:?}", zeroed(m))))
         .collect();
-    let mut recorder = TraceRecorder::new();
-    ShardedSimulator::with_sharding(config, trace_sharding(trace)?).run_fed_recorded(
-        workload.network(),
-        &regions,
-        &boundaries,
-        workload.fresh_vehicles(),
-        |_| dispatcher_by_name(algo_key, config).expect("validated dispatcher key"),
-        &workload.name,
-        &mut recorder,
-    );
-    let rerun = recorder.into_trace(trace.meta.clone());
-    Some(diff_traces(trace, &rerun))
+    let mut served: Vec<&RequestId> = served.iter().collect();
+    served.sort_unstable();
+    let fleet: Vec<VehicleState> = fleet.iter().map(VehicleState::capture).collect();
+    parts.push(("run counters".to_string(), format!("{counters:?}")));
+    parts.push(("served request set".to_string(), format!("{served:?}")));
+    parts.push(("final fleet state".to_string(), format!("{fleet:?}")));
+    parts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use structride_core::FaultConfig;
+
+    fn quick(pipeline: Pipeline, source: Source, key: &str, config: StructRideConfig) -> Scenario {
+        Scenario::quickstart(true, key, pipeline, source, config)
+    }
+
+    fn sharded(shards: usize, sharding: ShardingConfig) -> Pipeline {
+        let shards = NonZeroUsize::new(shards).expect("non-zero");
+        Pipeline::Sharded { shards, sharding }
+    }
 
     #[test]
     fn every_key_builds_a_dispatcher() {
@@ -757,172 +661,160 @@ mod tests {
     }
 
     #[test]
-    fn workload_params_roundtrip_through_meta() {
-        let params = quickstart_params(true);
-        let mut meta = TraceMeta::new("SARD", "w", StructRideConfig::default());
-        meta.params = params_to_meta(&params);
-        assert_eq!(params_from_meta(&meta), Some(params));
-    }
-
-    #[test]
-    fn multi_region_params_roundtrip_through_meta() {
-        let params = sharded_quickstart_params(true);
-        let sharding = ShardingConfig {
+    fn every_shape_round_trips_through_meta_and_regenerates_its_workload() {
+        let knobs = ShardingConfig {
             handoff_band: 312.5,
             rebalance: false,
             max_migrations_per_batch: 7,
             top_m: 9,
         };
-        let mut meta = TraceMeta::new("SARD", "w", StructRideConfig::default());
-        meta.params = multi_params_to_meta(&params, 2, &sharding);
-        assert_eq!(multi_params_from_meta(&meta), Some(params));
-        let trace = Trace {
-            meta,
-            batches: Vec::new(),
+        // (pipeline, source, where `mode` sits and what it says)
+        let shapes = [
+            (Pipeline::Mono, Source::Clock, None),
+            (Pipeline::Mono, Source::Ingest, Some((9, "ingested"))),
+            (sharded(3, knobs), Source::Clock, Some((0, "sharded"))),
+            (
+                sharded(3, knobs),
+                Source::Ingest,
+                Some((0, "sharded-ingested")),
+            ),
+        ];
+        let capture = |f: &[Vehicle]| f.iter().map(VehicleState::capture).collect::<Vec<_>>();
+        for (pipeline, source, mode) in shapes {
+            let scenario = quick(pipeline, source, "gas", StructRideConfig::default());
+            let mut meta = TraceMeta::new("GAS", "w", scenario.config);
+            meta.params = scenario.to_params();
+            let at = meta.params.iter().position(|(k, _)| k == "mode");
+            assert_eq!(at.map(|i| (i, meta.params[i].1.as_str())), mode);
+            assert_eq!(
+                meta.params.last().map(|(k, _)| k.as_str()),
+                Some("dispatcher")
+            );
+            let parsed = Scenario::from_meta(&meta).expect("round trip");
+            assert_eq!(parsed, scenario);
+            let (name, _, requests, vehicles) = generate(&scenario.workload);
+            let (name2, _, requests2, vehicles2) = generate(&parsed.workload);
+            assert_eq!((name, requests), (name2, requests2));
+            assert_eq!(capture(&vehicles), capture(&vehicles2));
+        }
+    }
+
+    #[test]
+    fn strict_codec_names_the_offending_key() {
+        use ScenarioError::*;
+        let config = StructRideConfig::default();
+        let from = |params: Vec<(String, String)>| {
+            let mut meta = TraceMeta::new("SARD", "w", config);
+            meta.params = params;
+            Scenario::from_meta(&meta)
         };
-        assert!(is_sharded_trace(&trace));
-        assert_eq!(trace_shards(&trace), Some(2));
-        // The sharding knobs round-trip too — replay rebuilds the recorded
-        // pipeline, not the current defaults.
-        assert_eq!(trace_sharding(&trace), Some(sharding));
-        // Legacy traces (recorded before the top-m shortlist) have no top_m
-        // parameter and must fall back to the default cap, not fail.
-        let mut legacy = trace;
-        legacy.meta.params.retain(|(k, _)| k != "top_m");
-        assert_eq!(
-            trace_sharding(&legacy).map(|s| s.top_m),
-            Some(ShardingConfig::default().top_m)
+        let pair = |k: &str, v: &str| (k.to_string(), v.to_string());
+        let good = quick(
+            sharded(2, ShardingConfig::default()),
+            Source::Clock,
+            "sard",
+            config,
         );
+        let good = good.to_params();
+        assert_eq!(from(good.clone()).map(|s| s.to_params()), Ok(good.clone()));
+        // No silent default for a key an older recording might lack.
+        let without = good.iter().filter(|(k, _)| k != "top_m").cloned().collect();
+        assert_eq!(from(without), Err(Missing("top_m")));
+        let bogus = [good.clone(), vec![pair("bogus", "7")]].concat();
+        assert_eq!(from(bogus), Err(Unknown("bogus".into())));
+        let twice = [good.clone(), vec![pair("seed", "42")]].concat();
+        assert_eq!(from(twice), Err(Duplicate("seed".into())));
+        for (key, value) in [
+            ("mode", "shraded"),
+            ("shards", "0"),
+            ("capacity", "four"),
+            ("cities", "CHD,Atlantis"),
+            ("dispatcher", "nope"),
+        ] {
+            let edited = good
+                .iter()
+                .map(|(k, v)| pair(k, if k == key { value } else { v }));
+            assert_eq!(
+                from(edited.collect()),
+                Err(BadValue(key.into(), value.into()))
+            );
+        }
+        // A monolithic trace has no sharding knobs; a bare one lacks a city.
+        let mono = quick(Pipeline::Mono, Source::Clock, "sard", config).to_params();
+        let knob = [mono, vec![pair("top_m", "64")]].concat();
+        assert_eq!(from(knob), Err(Unknown("top_m".into())));
+        let bare = from(Vec::new()).expect_err("no params");
+        assert_eq!(bare.to_string(), "missing param `city`");
     }
 
     #[test]
-    fn regenerated_multi_workload_is_identical() {
-        let params = sharded_quickstart_params(true);
-        let original = MultiRegionWorkload::generate(params.clone());
-        let mut meta = TraceMeta::new("SARD", &original.name, StructRideConfig::default());
-        meta.params = multi_params_to_meta(&params, 2, &ShardingConfig::default());
-        let regenerated = regenerate_multi_workload(&meta).expect("params round-trip");
-        assert_eq!(regenerated.requests, original.requests);
-        assert_eq!(regenerated.name, original.name);
-    }
-
-    #[test]
-    fn ingested_record_replays_clean_through_the_standard_path() {
-        let config = StructRideConfig::default().with_ingest(ingest_quickstart_config(true));
-        let (workload, trace) =
-            record_ingested_run(quickstart_params(true), config, "prunegdp").expect("record");
-        assert!(is_ingested_trace(&trace));
-        assert!(!is_sharded_trace(&trace));
-        assert!(!trace.batches.is_empty());
-        // The realized boundaries are in the trace, so the ordinary replay
-        // path verifies an ingested recording unchanged.
-        let report = replay_run(&workload, "prunegdp", &trace).expect("replay");
-        assert!(report.is_clean(), "{report}");
-        // The ingest knobs round-trip through the trace text.
-        let parsed = Trace::parse(&trace.to_text()).expect("parse");
-        assert_eq!(parsed.meta.config.ingest, config.ingest);
-        // A regenerated workload replays the same trace clean too (the
-        // cross-process flow).
-        let regenerated = regenerate_workload(&trace.meta).expect("regenerate");
-        let report = replay_run(&regenerated, "prunegdp", &trace).expect("replay");
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn sharded_ingested_rerun_is_clean_and_flags_a_different_dispatcher() {
-        let config = StructRideConfig::default().with_ingest(ingest_quickstart_config(true));
-        let (workload, trace) =
-            record_sharded_ingested_run(sharded_quickstart_params(true), config, "prunegdp", 2)
-                .expect("record");
-        assert!(is_sharded_ingested_trace(&trace));
-        assert!(!is_sharded_trace(&trace));
-        assert!(!trace.batches.is_empty());
-        let report = rerun_sharded_ingested(&workload, "prunegdp", &trace).expect("rerun");
-        assert!(report.is_clean(), "{report}");
-        let drift = rerun_sharded_ingested(&workload, "gas", &trace).expect("rerun");
-        assert!(!drift.is_clean(), "a different dispatcher must drift");
-    }
-
-    #[test]
-    fn traffic_record_and_replay_are_clean_across_regenerated_workloads() {
-        let traffic = structride_datagen::rush_hour(30.0, 15.0);
-        let config = StructRideConfig::default().with_traffic(traffic);
-        let (workload, trace, _) =
-            record_run(quickstart_params(true), config, "sard").expect("record");
-        assert_eq!(trace.meta.config.traffic, traffic);
-        let report = replay_run(&workload, "sard", &trace).expect("replay");
-        assert!(report.is_clean(), "{report}");
-        // Cross-process flow: the v3 text round-trips the traffic model and
-        // a regenerated workload replays the parsed trace clean.
-        let parsed = Trace::parse(&trace.to_text()).expect("parse");
-        assert_eq!(parsed.meta.config.traffic, traffic);
-        let regenerated = regenerate_workload(&parsed.meta).expect("regenerate");
-        let report = replay_run(&regenerated, "sard", &parsed).expect("replay");
-        assert!(report.is_clean(), "{report}");
+    fn ingested_recordings_check_clean_from_text_and_flag_a_different_dispatcher() {
+        let config = StructRideConfig::default();
+        for pipeline in [Pipeline::Mono, sharded(2, ShardingConfig::default())] {
+            let scenario = quick(pipeline, Source::Ingest, "sard", config);
+            let (trace, checkpoints) = scenario.record();
+            assert!(checkpoints.is_empty());
+            assert!(!trace.batches.is_empty());
+            // SARD's build counters ride along on the monolithic pipeline,
+            // whatever the source.
+            let mono = pipeline == Pipeline::Mono;
+            assert_eq!(trace.meta.build_stats.is_some(), mono);
+            // The realized boundaries are in the trace: a monolithic trace
+            // replays batch by batch, a sharded one re-runs from them.
+            let parsed = Trace::parse(&trace.to_text()).expect("parse");
+            assert_eq!(Scenario::from_meta(&parsed.meta).as_ref(), Ok(&scenario));
+            let report = scenario.check(&parsed, "sard");
+            assert!(report.is_clean(), "{report}");
+            let drift = scenario.check(&parsed, "prunegdp");
+            assert!(!drift.is_clean(), "a different dispatcher must drift");
+        }
     }
 
     #[test]
     fn sharded_traffic_record_reruns_clean() {
         let traffic = structride_datagen::rush_hour(30.0, 15.0);
         let config = StructRideConfig::default().with_traffic(traffic);
-        let (workload, trace, checkpoints) =
-            record_sharded_run(sharded_quickstart_params(true), config, "sard", 3).expect("record");
+        let scenario = quick(
+            sharded(3, ShardingConfig::default()),
+            Source::Clock,
+            "sard",
+            config,
+        );
+        let (trace, checkpoints) = scenario.record();
         assert!(checkpoints.is_empty(), "no cadence, no checkpoints");
-        let report = rerun_sharded(&workload, "sard", &trace).expect("rerun");
+        let report = scenario.check(&trace, "sard");
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
-    fn chaos_checkpointed_sharded_record_reruns_clean_and_resumes_clean() {
-        let traffic = structride_datagen::rush_hour(30.0, 15.0);
-        let config = StructRideConfig::default()
-            .with_traffic(traffic)
-            .with_faults(structride_core::FaultConfig::chaos());
-        let (workload, trace, checkpoints) =
-            record_sharded_run(sharded_quickstart_params(true), config, "sard", 3).expect("record");
-        assert!(!checkpoints.is_empty(), "the chaos cadence must fire");
-        assert!(checkpoints.iter().all(|c| c.sharded));
-        // The faulted trace replays clean (the fault schedule re-derives
-        // from the config serialized into the trace).
-        let report = rerun_sharded(&workload, "sard", &trace).expect("rerun");
-        assert!(report.is_clean(), "{report}");
-        // A run resumed from the text-round-tripped mid-run checkpoint
-        // finishes bit-identically to the uninterrupted reference.
-        let picked = &checkpoints[checkpoints.len() / 2];
-        let reparsed = Checkpoint::parse(&picked.to_text()).expect("checkpoint codec");
-        let mismatches = resume_and_verify(&trace, &reparsed).expect("resume");
-        assert!(mismatches.is_empty(), "{mismatches:?}");
-        // A checkpoint from some other run is rejected loudly, not resumed.
-        let mut bogus = reparsed;
-        bogus.workload = "other-workload".to_string();
-        let mismatches = resume_and_verify(&trace, &bogus).expect("resume");
-        assert!(!mismatches.is_empty());
-    }
-
-    #[test]
-    fn chaos_checkpointed_monolithic_record_resumes_clean() {
-        // `assign` so the chaos solver node budget actually gates the exact
-        // solver on the resumed half too.
-        let config = StructRideConfig::default().with_faults(structride_core::FaultConfig::chaos());
-        let (workload, trace, checkpoints) =
-            record_run(quickstart_params(true), config, "assign").expect("record");
-        assert!(!checkpoints.is_empty(), "the chaos cadence must fire");
-        assert!(checkpoints.iter().all(|c| !c.sharded));
-        let report = replay_run(&workload, "assign", &trace).expect("replay");
-        assert!(report.is_clean(), "{report}");
-        let mismatches = resume_and_verify(&trace, &checkpoints[0]).expect("resume");
-        assert!(mismatches.is_empty(), "{mismatches:?}");
-    }
-
-    #[test]
-    fn regenerated_workload_is_identical() {
-        let params = quickstart_params(true);
-        let original = Workload::generate(params);
-        let mut meta = TraceMeta::new("SARD", &original.name, StructRideConfig::default());
-        meta.params = params_to_meta(&params);
-        let regenerated = regenerate_workload(&meta).expect("params round-trip");
-        assert_eq!(regenerated.requests, original.requests);
-        assert_eq!(regenerated.vehicles.len(), original.vehicles.len());
-        assert_eq!(regenerated.name, original.name);
+    fn chaos_checkpointed_records_check_clean_and_resume_clean() {
+        let chaos = StructRideConfig::default().with_faults(FaultConfig::chaos());
+        let rush = chaos.with_traffic(structride_datagen::rush_hour(30.0, 15.0));
+        // `assign` on the monolithic pipeline, so the chaos solver node
+        // budget actually gates the exact solver on the resumed half too.
+        let three = sharded(3, ShardingConfig::default());
+        for scenario in [
+            quick(Pipeline::Mono, Source::Clock, "assign", chaos),
+            quick(three, Source::Clock, "sard", rush),
+        ] {
+            let (trace, checkpoints) = scenario.record();
+            assert!(!checkpoints.is_empty(), "the chaos cadence must fire");
+            let is_sharded = scenario.pipeline != Pipeline::Mono;
+            assert!(checkpoints.iter().all(|c| c.sharded == is_sharded));
+            // The faulted trace checks clean (the fault schedule re-derives
+            // from the config serialized into the trace).
+            let report = scenario.check(&trace, &scenario.dispatcher);
+            assert!(report.is_clean(), "{report}");
+            // A run resumed from the text-round-tripped mid-run checkpoint
+            // finishes bit-identically to the uninterrupted reference.
+            let picked = &checkpoints[checkpoints.len() / 2];
+            let reparsed = Checkpoint::parse(&picked.to_text()).expect("checkpoint codec");
+            let mismatches = scenario.resume_and_verify(&reparsed);
+            assert!(mismatches.is_empty(), "{mismatches:?}");
+            // A checkpoint from some other run is rejected loudly.
+            let mut bogus = reparsed;
+            bogus.workload = "other-workload".to_string();
+            assert!(!scenario.resume_and_verify(&bogus).is_empty());
+        }
     }
 }

@@ -63,6 +63,7 @@ fn non_numeric_flag_values_are_rejected() {
     for args in [
         ["verify", "--threads", "many"],
         ["verify", "--shards", "two"],
+        ["verify", "--shards", "0"],
     ] {
         let out = replay(&args);
         assert_eq!(exit_code(&out), 2, "{args:?}");
@@ -97,32 +98,32 @@ fn replay_malformed_trace_fails_with_parse_diagnostic() {
 
 #[test]
 fn replay_trace_without_metadata_asks_for_algo() {
-    // A structurally valid trace with no params: replay cannot regenerate
-    // the workload and must say so (after the dispatcher default fails).
+    // A structurally valid trace with no params names no scenario: replay
+    // and resume must say which key is missing instead of guessing, and an
+    // explicit --algo does not stand in for the workload parameters.
     let dir = std::env::temp_dir();
     let path = dir.join("structride-bare-trace.txt");
     std::fs::write(&path, "structride-trace v4\nalgorithm X\nworkload w\n").unwrap();
-    let out = replay(&["replay", "--trace", path.to_str().unwrap()]);
-    assert_eq!(exit_code(&out), 2);
-    assert!(
-        stderr(&out).contains("names no dispatcher"),
-        "{}",
-        stderr(&out)
-    );
-    // With --algo the next failure is the missing regeneration parameters.
-    let out = replay(&[
-        "replay",
-        "--trace",
-        path.to_str().unwrap(),
-        "--algo",
-        "prunegdp",
-    ]);
-    assert_eq!(exit_code(&out), 1);
-    assert!(
-        stderr(&out).contains("lacks regeneration parameters"),
-        "{}",
-        stderr(&out)
-    );
+    let trace = path.to_str().unwrap();
+    for args in [
+        &["replay", "--trace", trace][..],
+        &["replay", "--trace", trace, "--algo", "prunegdp"],
+        &[
+            "resume",
+            "--trace",
+            trace,
+            "--checkpoint",
+            "/nonexistent/ckpt.txt",
+        ],
+    ] {
+        let out = replay(args);
+        assert_eq!(exit_code(&out), 1, "{args:?}");
+        assert!(
+            stderr(&out).contains("bad scenario in trace: missing param `city`"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 

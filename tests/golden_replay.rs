@@ -16,18 +16,21 @@
 //! * the 3-shard rush-hour trace is re-run end to end the same way, for the
 //!   sharded loop.
 //!
+//! Every check runs through the `Scenario` read back from the file's `param`
+//! lines, which must write those lines back byte for byte.
+//!
 //! The four `pre_faults_*` files are format v3, recorded just before fault
 //! injection existed; `loop_sard_rush.trace` is v4.  Each is replayed here
 //! and nowhere else.
 
-use structride_bench::replay_cli::{
-    params_from_meta, record_run, regenerate_multi_workload, regenerate_workload, replay_run,
-    rerun_sharded, trace_dispatcher_key,
-};
+use structride_bench::replay_cli::Scenario;
 use structride_core::replay::{diff_traces, DriftReport, Trace};
 use structride_core::FaultConfig;
 
-fn golden_trace(file: &str) -> Trace {
+/// Loads a golden trace and the scenario its metadata describes.  Both
+/// codecs are held to the file's bytes: the trace re-serialises to the same
+/// text, and the scenario writes back the same `param` lines.
+fn golden_trace(file: &str) -> (Trace, Scenario) {
     let path = format!(
         "{}/crates/bench/tests/data/{file}",
         env!("CARGO_MANIFEST_DIR")
@@ -44,20 +47,21 @@ fn golden_trace(file: &str) -> Trace {
         // default, so these recordings replay with fault injection off.
         assert_eq!(trace.meta.config.faults, FaultConfig::default(), "{file}");
     }
-    trace
+    let scenario = Scenario::from_meta(&trace.meta).expect("golden trace names its scenario");
+    assert_eq!(scenario.to_params(), trace.meta.params, "{file}");
+    (trace, scenario)
 }
 
 /// Runs `check` against the golden trace in `file` under 1 and 4 worker
 /// threads and requires a clean report covering every recorded batch.
-fn zero_drift(file: &str, check: impl Fn(&Trace, &str) -> DriftReport + Sync) {
-    let trace = golden_trace(file);
-    let key = trace_dispatcher_key(&trace).expect("golden trace records its dispatcher");
+fn zero_drift(file: &str, check: impl Fn(&Scenario, &Trace) -> DriftReport + Sync) {
+    let (trace, scenario) = golden_trace(file);
     for threads in [1usize, 4] {
         let report = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool")
-            .install(|| check(&trace, key));
+            .install(|| check(&scenario, &trace));
         assert!(
             report.is_clean(),
             "{file} drifted under {threads} threads:\n{report}"
@@ -66,44 +70,37 @@ fn zero_drift(file: &str, check: impl Fn(&Trace, &str) -> DriftReport + Sync) {
     }
 }
 
-fn replays_with_zero_drift(file: &str) {
-    zero_drift(file, |trace, key| {
-        let workload =
-            regenerate_workload(&trace.meta).expect("golden trace records generation params");
-        replay_run(&workload, key, trace).expect("known dispatcher")
+/// Checks the golden trace in `file` against its own scenario: a replay
+/// for the monolithic traces, an end-to-end re-run for the sharded one.
+fn checks_with_zero_drift(file: &str) {
+    zero_drift(file, |scenario, trace| {
+        scenario.check(trace, &scenario.dispatcher)
     });
 }
 
 #[test]
 fn golden_sard_trace_replays_with_zero_drift() {
-    replays_with_zero_drift("pre_faults_sard.trace");
+    checks_with_zero_drift("pre_faults_sard.trace");
 }
 
 #[test]
 fn golden_assign_trace_replays_with_zero_drift() {
-    replays_with_zero_drift("pre_faults_assign.trace");
+    checks_with_zero_drift("pre_faults_assign.trace");
 }
 
 #[test]
 fn golden_rtv_rush_trace_replays_with_zero_drift() {
-    replays_with_zero_drift("pre_faults_rtv_rush.trace");
+    checks_with_zero_drift("pre_faults_rtv_rush.trace");
 }
 
 #[test]
 fn golden_rush_trace_rerecords_through_the_monolithic_loop_with_zero_drift() {
-    zero_drift("loop_sard_rush.trace", |trace, key| {
-        let params = params_from_meta(&trace.meta).expect("golden trace records its params");
-        let (_, rerecorded, _) =
-            record_run(params, trace.meta.config, key).expect("known dispatcher");
-        diff_traces(trace, &rerecorded)
+    zero_drift("loop_sard_rush.trace", |scenario, trace| {
+        diff_traces(trace, &scenario.record().0)
     });
 }
 
 #[test]
 fn golden_sharded_rush_trace_reruns_through_the_sharded_loop_with_zero_drift() {
-    zero_drift("pre_faults_sharded_rush.trace", |trace, key| {
-        let workload =
-            regenerate_multi_workload(&trace.meta).expect("golden trace records generation params");
-        rerun_sharded(&workload, key, trace).expect("known dispatcher")
-    });
+    checks_with_zero_drift("pre_faults_sharded_rush.trace");
 }
