@@ -594,7 +594,8 @@ impl Scenario {
 
 /// What a resumed run must reproduce bit for bit, as labelled renderings:
 /// each lane's metrics with the wall-clock diagnostics `running_time`,
-/// `sp_queries` and `memory_bytes` zeroed (`Debug` is exact for floats), the
+/// `sp_queries` and `memory_bytes` and the score-memo counters zeroed
+/// (`Debug` is exact for floats; a resumed run starts with a cold memo), the
 /// sharded run counters, the served set and the final fleet.
 fn finish(
     lanes: &[(String, &RunMetrics)],
@@ -606,6 +607,8 @@ fn finish(
         running_time: 0.0,
         sp_queries: 0,
         memory_bytes: 0,
+        memo_lookups: 0,
+        memo_hits: 0,
         ..m.clone()
     };
     let mut parts: Vec<(String, String)> = lanes

@@ -33,12 +33,26 @@
 //! worker-count-dependent observable (cache-miss races, excluded from the
 //! drift diff).  CI records a quickstart trace and replays it under 1 and N
 //! workers, failing on any drift (`replay verify`).
+//!
+//! # The score memo
+//!
+//! A lane attaches its [`ScoreMemo`] with
+//! [`DispatchContext::with_score_memo`].  [`DispatchContext::scored_candidates`]
+//! then answers every `(request, vehicle)` pair whose inputs are unchanged
+//! since it was last scored from the memo, and sends only the misses through
+//! the pickup-cost `many_to_many` pass and `insert_request`.  The memo keys
+//! on the vehicle's exact insertion inputs (see [`crate::score_memo`]), so a
+//! hit carries the bits the computation would have produced, and the scratch
+//! counters count hits exactly as computed pairs.  What the memo does change
+//! is the shortest-path query count: a hit issues none.  Without a memo
+//! every lookup misses — the same loop, not a second path.
 
 use crate::config::StructRideConfig;
 use crate::fleet_index::{FleetIndex, REACH_GRACE};
+use crate::score_memo::{Score, ScoreMemo};
 use std::sync::atomic::{AtomicU64, Ordering};
 use structride_model::{insertion, Request, Vehicle};
-use structride_roadnet::SpEngine;
+use structride_roadnet::{NodeId, SpEngine};
 
 /// Per-batch scratch counters, updated atomically by (possibly parallel)
 /// dispatch code and drained by the simulator after each batch.
@@ -123,6 +137,9 @@ pub struct DispatchContext<'a> {
     /// back to the full-fleet scan (the two paths are bit-identical in
     /// dispatch decisions — the index only prunes provably infeasible pairs).
     pub fleet_index: Option<&'a FleetIndex>,
+    /// The cross-batch score memo, when the caller keeps one.  With `None`
+    /// every candidate is scored from scratch; the results are the same.
+    pub score_memo: Option<&'a ScoreMemo>,
 }
 
 impl<'a> DispatchContext<'a> {
@@ -146,6 +163,7 @@ impl<'a> DispatchContext<'a> {
             epoch: engine.current_epoch(),
             scratch: BatchScratch::default(),
             fleet_index: None,
+            score_memo: None,
         }
     }
 
@@ -153,6 +171,12 @@ impl<'a> DispatchContext<'a> {
     /// prescreen in dispatchers that support it.
     pub fn with_fleet_index(mut self, index: &'a FleetIndex) -> Self {
         self.fleet_index = Some(index);
+        self
+    }
+
+    /// Attaches a cross-batch score memo to [`DispatchContext::scored_candidates`].
+    pub fn with_score_memo(mut self, memo: &'a ScoreMemo) -> Self {
+        self.score_memo = Some(memo);
         self
     }
 
@@ -169,6 +193,11 @@ impl<'a> DispatchContext<'a> {
     /// still misses it.  Both stages only remove vehicles whose insertion
     /// would have been rejected, so the list is bit-identical to the one the
     /// full-fleet scan (no index) produces.
+    ///
+    /// With a score memo attached, pairs whose vehicle inputs are unchanged
+    /// since they were last scored are read from it instead; only the misses
+    /// go through the `many_to_many` pass (whose per-pair bits do not depend
+    /// on the matrix shape) and the insertion.
     pub fn scored_candidates(
         &self,
         vehicles: &[Vehicle],
@@ -176,36 +205,78 @@ impl<'a> DispatchContext<'a> {
         keep: usize,
     ) -> Vec<(f64, usize)> {
         let engine = self.engine;
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
-        let mut score = |vi: usize| {
-            if let Some(out) = insertion::insert_request(engine, &vehicles[vi], request) {
-                candidates.push((out.added_cost, vi));
+        let prescreen = self.fleet_index.is_some();
+        let survivors: Vec<usize> = match self.fleet_index {
+            Some(index) => {
+                let network = engine.network();
+                let p = network.coord(request.source);
+                index.certified_candidates(network, vehicles, p.x, p.y, request.pickup_deadline)
             }
+            None => (0..vehicles.len()).collect(),
         };
-        let evaluated = if let Some(index) = self.fleet_index {
-            let network = engine.network();
-            let p = network.coord(request.source);
-            let survivors =
-                index.certified_candidates(network, vehicles, p.x, p.y, request.pickup_deadline);
-            let nodes: Vec<u32> = survivors.iter().map(|&vi| vehicles[vi].node).collect();
-            let pickup_costs = engine.many_to_many(&nodes, &[request.source]);
-            let mut evaluated = 0u64;
-            for (&vi, &cost) in survivors.iter().zip(&pickup_costs) {
-                if vehicles[vi].free_at + cost > request.pickup_deadline + REACH_GRACE {
-                    // Even the direct drive to the pickup misses the
-                    // deadline: every insertion position does too.
-                    continue;
+        let memoized: Vec<Option<Score>> = survivors
+            .iter()
+            .map(|&vi| {
+                let memo = self.score_memo?;
+                memo.get(&vehicles[vi], self.epoch, request.id, prescreen)
+            })
+            .collect();
+        let miss_nodes: Vec<NodeId> = survivors
+            .iter()
+            .zip(&memoized)
+            .filter(|(_, score)| score.is_none())
+            .map(|(&vi, _)| vehicles[vi].node)
+            .collect();
+        let mut miss_pickup_costs = if prescreen && !miss_nodes.is_empty() {
+            engine.many_to_many(&miss_nodes, &[request.source])
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+
+        let mut candidates: Vec<(f64, usize)> = Vec::new();
+        let mut evaluated = 0u64;
+        for (&vi, memoized) in survivors.iter().zip(memoized) {
+            let vehicle = &vehicles[vi];
+            let score = memoized.unwrap_or_else(|| {
+                let reachable = prescreen.then(|| {
+                    let cost = miss_pickup_costs
+                        .next()
+                        .expect("one pickup cost per memo miss");
+                    // When even the direct drive to the pickup misses the
+                    // deadline, every insertion position does too.
+                    let misses = vehicle.free_at + cost > request.pickup_deadline + REACH_GRACE;
+                    !misses
+                });
+                let added_cost = match reachable {
+                    Some(false) => None,
+                    _ => insertion::insert_request(engine, vehicle, request)
+                        .map(|out| out.added_cost),
+                };
+                let score = Score {
+                    reachable,
+                    added_cost,
+                };
+                if let Some(memo) = self.score_memo {
+                    memo.put(vehicle, self.epoch, request.id, score);
                 }
-                evaluated += 1;
-                score(vi);
+                score
+            });
+            // Without the prescreen every vehicle counts as evaluated, even
+            // one a screened entry marks unreachable (its certified added
+            // cost is `None`, as the insertion would find).
+            if prescreen && score.reachable == Some(false) {
+                continue;
             }
+            evaluated += 1;
+            if let Some(added_cost) = score.added_cost {
+                candidates.push((added_cost, vi));
+            }
+        }
+        if prescreen {
             self.scratch
                 .count_prescreen_pruned(vehicles.len() as u64 - evaluated);
-            evaluated
-        } else {
-            (0..vehicles.len()).for_each(&mut score);
-            vehicles.len() as u64
-        };
+        }
         self.scratch.count_insertion_evaluations(evaluated);
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         candidates.truncate(keep.max(1));

@@ -16,7 +16,7 @@
 //!   lane per shard over the shard's own clipped engine and boxed
 //!   dispatcher, with routing, faults and rebalancing layered around it;
 //! * [`replay_trace`](crate::replay::replay_trace) — a fresh lane per
-//!   recorded pre-dispatch fleet.
+//!   recorded pre-dispatch fleet, each lent the replay's one score memo.
 //!
 //! The lane borrows the engine and the dispatcher per call instead of owning
 //! them, which is what lets an owning shard and a borrowing monolithic run
@@ -34,6 +34,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, ShardCheckpoint, TraceRecorder, VehicleState};
+use crate::score_memo::ScoreMemo;
 use crate::simulator::ResumeError;
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -94,7 +95,8 @@ pub(crate) trait BatchRun {
 }
 
 /// The fleet-side state of one dispatch pipeline: the fleet, its persistent
-/// index, the served set and the cross-batch work counters.
+/// index, the candidate-score memo, the served set and the cross-batch work
+/// counters.
 pub(crate) struct Lane {
     /// The framework configuration every batch of this pipeline runs with.
     pub(crate) config: StructRideConfig,
@@ -104,6 +106,10 @@ pub(crate) struct Lane {
     /// fleet advances and commits, rebuilt ([`Lane::reindex`]) only when
     /// slots shift.
     pub(crate) fleet_index: FleetIndex,
+    /// Candidate scores carried across batches (see [`crate::score_memo`]).
+    /// Not checkpointed: it is keyed on exact inputs, so a cold memo only
+    /// recomputes what a warm one would have returned.
+    pub(crate) score_memo: ScoreMemo,
     /// Requests this lane's dispatcher assigned.
     pub(crate) served: HashSet<RequestId>,
     dispatch_time: f64,
@@ -135,6 +141,7 @@ impl Lane {
             config,
             vehicles,
             fleet_index,
+            score_memo: ScoreMemo::new(),
             served: HashSet::new(),
             dispatch_time: 0.0,
             insertion_evaluations: 0,
@@ -175,7 +182,8 @@ impl Lane {
 
     /// Hands `batch` to `dispatcher` through a fresh [`DispatchContext`] and
     /// books the outcome: dispatch wall time, scratch counters, solver
-    /// fallbacks and the served set.
+    /// fallbacks and the served set.  Score-memo entries the batch did not
+    /// touch are evicted afterwards.
     pub(crate) fn dispatch(
         &mut self,
         engine: &SpEngine,
@@ -188,12 +196,14 @@ impl Lane {
         // post-dispatch resync below.
         let (outcome, scratch) = {
             let ctx = DispatchContext::for_batch(engine, self.config, now, batch_index)
-                .with_fleet_index(&self.fleet_index);
+                .with_fleet_index(&self.fleet_index)
+                .with_score_memo(&self.score_memo);
             let t0 = Instant::now();
             let outcome = dispatcher.dispatch_batch(&ctx, &mut self.vehicles, batch);
             self.dispatch_time += t0.elapsed().as_secs_f64();
             (outcome, ctx.scratch.snapshot())
         };
+        self.score_memo.evict_unseen();
         // The dispatcher commits schedules (changing `free_at` but not
         // positions: vehicles only move in the advance sweep), so the index
         // resyncs before the *next* prescreen or routing pass consumes it.
@@ -247,6 +257,8 @@ impl Lane {
             groups_enumerated: self.groups_enumerated,
             prescreen_pruned: self.prescreen_pruned,
             solver_fallbacks: self.solver_fallbacks,
+            memo_lookups: self.score_memo.lookups(),
+            memo_hits: self.score_memo.hits(),
         }
     }
 

@@ -50,6 +50,9 @@
 //!   "deterministic regardless of worker count" invariant;
 //! * [`sard`] — Algorithm 3, the two-phase "proposal–acceptance" SARD
 //!   dispatcher guided by the shareability loss;
+//! * [`score_memo`] — the lane-owned cross-batch memo of `(request,
+//!   vehicle)` candidate scores, keyed on the vehicle's exact insertion
+//!   inputs;
 //! * [`shard`] — multi-region sharded dispatch: a
 //!   [`ShardedSimulator`] partitioning the fleet
 //!   and request stream by region into parallel per-shard pipelines (one
@@ -78,6 +81,7 @@ pub mod ordering;
 pub mod registry;
 pub mod replay;
 pub mod sard;
+pub mod score_memo;
 pub mod shard;
 pub mod simulator;
 
@@ -101,6 +105,7 @@ pub use replay::{
     VehicleState,
 };
 pub use sard::SardDispatcher;
+pub use score_memo::ScoreMemo;
 pub use shard::{
     region_strips_for, ShardDispatcher, ShardedReport, ShardedSimulator, ShardingConfig,
 };

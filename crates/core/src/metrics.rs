@@ -46,6 +46,12 @@ pub struct RunMetrics {
     /// (see [`crate::faults`]) made an exact dispatcher fall back to its
     /// seeded incumbent.  Always 0 under the inert default fault config.
     pub solver_fallbacks: u64,
+    /// `(request, vehicle)` pairs candidate scoring looked up in the lane's
+    /// score memo (see [`crate::score_memo`]).  Telemetry: not recorded in
+    /// traces or checkpoints, and a resumed run counts from its resume point.
+    pub memo_lookups: u64,
+    /// Lookups the score memo answered without recomputing (same caveat).
+    pub memo_hits: u64,
 }
 
 impl RunMetrics {
@@ -69,9 +75,10 @@ impl RunMetrics {
     /// Merges the metrics of two *disjoint* parts of one logical run — the
     /// shard-aggregation operation of the multi-region sharded simulator.
     ///
-    /// Counts, travel, unserved direct cost, shortest-path queries, memory
-    /// and the scratch counters add; `batches` takes the maximum (shards are
-    /// batch-synchronous, so parts of one run share the batch clock);
+    /// Counts, travel, unserved direct cost, shortest-path queries, memory,
+    /// the scratch counters and the memo counters add; `batches` takes the
+    /// maximum (shards are batch-synchronous, so parts of one run share the
+    /// batch clock);
     /// `running_time` adds (aggregate dispatcher CPU time — shards dispatch
     /// concurrently, so wall-clock is reported separately by the bench
     /// harness).  The unified cost is **recomputed** from the merged travel
@@ -109,6 +116,8 @@ impl RunMetrics {
             groups_enumerated: self.groups_enumerated + other.groups_enumerated,
             prescreen_pruned: self.prescreen_pruned + other.prescreen_pruned,
             solver_fallbacks: self.solver_fallbacks + other.solver_fallbacks,
+            memo_lookups: self.memo_lookups + other.memo_lookups,
+            memo_hits: self.memo_hits + other.memo_hits,
         }
     }
 
@@ -166,6 +175,8 @@ mod tests {
             groups_enumerated: 321,
             prescreen_pruned: 4_100,
             solver_fallbacks: 7,
+            memo_lookups: 5_000,
+            memo_hits: 4_000,
         }
     }
 
@@ -214,6 +225,8 @@ mod tests {
             groups_enumerated: 600,
             prescreen_pruned: 9_000,
             solver_fallbacks: 60,
+            memo_lookups: 0,
+            memo_hits: 0,
         };
         // Three disjoint parts of the same run (batch-synchronous shards:
         // every part saw all 50 batches).
@@ -275,6 +288,8 @@ mod tests {
                 groups_enumerated: grp,
                 prescreen_pruned: pre,
                 solver_fallbacks: fb,
+                memo_lookups: 0,
+                memo_hits: 0,
             },
         );
         let merged = RunMetrics::merge_all(&parts, &params).expect("non-empty parts");
@@ -335,6 +350,8 @@ mod tests {
             groups_enumerated: 0,
             prescreen_pruned: 0,
             solver_fallbacks: 0,
+            memo_lookups: 0,
+            memo_hits: 0,
         };
         let merged = a.merge(&empty, &params);
         assert_eq!(merged, a);
@@ -368,6 +385,8 @@ mod tests {
         assert_eq!(doubled.groups_enumerated, 2 * a.groups_enumerated);
         assert_eq!(doubled.prescreen_pruned, 2 * a.prescreen_pruned);
         assert_eq!(doubled.solver_fallbacks, 2 * a.solver_fallbacks);
+        assert_eq!(doubled.memo_lookups, 2 * a.memo_lookups);
+        assert_eq!(doubled.memo_hits, 2 * a.memo_hits);
         assert_eq!(doubled.batches, a.batches, "batches is a max, not a sum");
         assert_eq!(
             doubled.unified_cost,
@@ -402,6 +421,8 @@ mod tests {
             groups_enumerated: 2,
             prescreen_pruned: 41,
             solver_fallbacks: 3,
+            memo_lookups: 60,
+            memo_hits: 50,
         };
         let ab = a.merge(&b, &params);
         let ba = b.merge(&a, &params);
@@ -418,7 +439,12 @@ mod tests {
                 m.batches,
                 m.insertion_evaluations,
                 m.groups_enumerated,
-                (m.prescreen_pruned, m.solver_fallbacks),
+                (
+                    m.prescreen_pruned,
+                    m.solver_fallbacks,
+                    m.memo_lookups,
+                    m.memo_hits,
+                ),
             )
         };
         assert_eq!(numeric(&ab), numeric(&ba));

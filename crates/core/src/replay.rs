@@ -38,6 +38,7 @@ use crate::config::StructRideConfig;
 use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::lane::Lane;
+use crate::score_memo::ScoreMemo;
 use std::fmt;
 use std::str::FromStr;
 use structride_model::{Request, RequestId, Schedule, Vehicle, Waypoint, WaypointKind};
@@ -323,6 +324,9 @@ pub struct DriftReport {
     pub batches_compared: usize,
     /// Batches whose replayed outcome differed from the recording.
     pub divergences: Vec<BatchDivergence>,
+    /// Candidate scores [`replay_trace`]'s score memo answered without
+    /// recomputing (telemetry; 0 for [`diff_traces`]).
+    pub memo_hits: u64,
 }
 
 impl DriftReport {
@@ -452,12 +456,17 @@ fn diff_vehicle(deltas: &mut Vec<FieldDelta>, recorded: &VehicleState, replayed:
 /// cascading.  The dispatcher must be freshly constructed (no batches
 /// dispatched yet) and configured identically to the recording; the context
 /// is rebuilt from `trace.meta.config`.
+///
+/// One score memo runs warm across the whole replay, lent to each batch's
+/// lane: it keys on exact vehicle inputs, so carrying it across the per-batch
+/// fleet restores is as sound as carrying it across the recording's batches.
 pub fn replay_trace(
     engine: &SpEngine,
     dispatcher: &mut dyn Dispatcher,
     trace: &Trace,
 ) -> DriftReport {
     let mut report = DriftReport::default();
+    let mut score_memo = ScoreMemo::new();
     for batch in &trace.batches {
         // Mirror the simulators: the engine serves each batch under the
         // traffic epoch of the batch clock (no-op for static engines, i.e.
@@ -475,10 +484,12 @@ pub fn replay_trace(
             .collect();
         let config = trace.meta.config;
         let mut lane = Lane::new(engine, config, config.grid_cells, fleet);
+        lane.score_memo = score_memo;
         let (outcome, scratch) =
             lane.dispatch(engine, dispatcher, batch.now, batch.index, &batch.requests);
         let fleet_after: Vec<VehicleState> =
             lane.vehicles.iter().map(VehicleState::capture).collect();
+        score_memo = lane.score_memo;
         report.batches_compared += 1;
 
         let mut deltas = Vec::new();
@@ -490,6 +501,7 @@ pub fn replay_trace(
             });
         }
     }
+    report.memo_hits = score_memo.hits();
     report
 }
 

@@ -80,6 +80,21 @@ fn every_dispatcher_produces_consistent_metrics() {
 }
 
 #[test]
+fn sard_and_assign_runs_hit_the_score_memo() {
+    let workload = small_workload(CityProfile::NycLike, 23);
+    let config = StructRideConfig::default();
+    let sard = run(&workload, &mut SardDispatcher::new(config), config).metrics;
+    let mut assign = structride::core::AssignDispatcher::new(config);
+    let assign = run(&workload, &mut assign, config).metrics;
+    for m in [sard, assign] {
+        // The pool carries over between batches, so most pairs are scored
+        // again with unchanged inputs.
+        assert!(m.memo_hits > 0, "{}: no memo hits", m.algorithm);
+        assert!(m.memo_hits <= m.memo_lookups, "{}", m.algorithm);
+    }
+}
+
+#[test]
 fn batch_methods_serve_at_least_as_many_as_the_online_greedy() {
     let workload = small_workload(CityProfile::ChengduLike, 11);
     let config = StructRideConfig::default();

@@ -8,7 +8,10 @@
 //!
 //! * the SARD, exact-assignment and rush-hour RTV traces are *replayed*:
 //!   every batch starts from the recorded pre-dispatch fleet, which pins the
-//!   dispatchers but would not notice a change to the loop around them;
+//!   dispatchers but would not notice a change to the loop around them.  The
+//!   replay carries one score memo across batches, and the SARD and
+//!   exact-assignment replays must hit it, so their zero drift covers the
+//!   memo's hits;
 //! * the rush-hour SARD trace (`loop_sard_rush.trace`, recorded by the build
 //!   before the batch step moved into `core::lane`) is *re-recorded* end to
 //!   end and diffed, inputs included — advance sweep, batch slicing, early
@@ -78,14 +81,27 @@ fn checks_with_zero_drift(file: &str) {
     });
 }
 
+/// Like [`checks_with_zero_drift`] for a monolithic replay, which must also
+/// run with a warm score memo: the zero drift then covers its hits.
+fn replays_warm_with_zero_drift(file: &str) {
+    zero_drift(file, |scenario, trace| {
+        let report = scenario.check(trace, &scenario.dispatcher);
+        assert!(
+            report.memo_hits > 0,
+            "{file}: the replay never hit its memo"
+        );
+        report
+    });
+}
+
 #[test]
 fn golden_sard_trace_replays_with_zero_drift() {
-    checks_with_zero_drift("pre_faults_sard.trace");
+    replays_warm_with_zero_drift("pre_faults_sard.trace");
 }
 
 #[test]
 fn golden_assign_trace_replays_with_zero_drift() {
-    checks_with_zero_drift("pre_faults_assign.trace");
+    replays_warm_with_zero_drift("pre_faults_assign.trace");
 }
 
 #[test]
