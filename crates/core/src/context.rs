@@ -29,10 +29,7 @@
 //! scratch counters — regardless of the worker-thread count and across
 //! processes.  Any dispatcher consuming a `DispatchContext` must therefore
 //! reduce its parallel stages into canonically ordered results before taking
-//! decisions; shortest-path *query counts* are the only tolerated
-//! worker-count-dependent observable (cache-miss races, excluded from the
-//! drift diff).  CI records a quickstart trace and replays it under 1 and N
-//! workers, failing on any drift (`replay verify`).
+//! decisions.
 //!
 //! # The score memo
 //!

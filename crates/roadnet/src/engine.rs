@@ -528,10 +528,13 @@ fn build_zoned_artifacts(
     }
 }
 
+/// A background prebuild in flight (see [`EpochStore::ensure_prebuild`]).
+type Prebuild = std::thread::JoinHandle<Result<EpochArtifacts, rayon::ThreadPoolBuildError>>;
+
 /// A memoized artifact, or the handle of a background prebuild in flight.
 #[derive(Debug)]
 enum SignatureSlot {
-    Pending(std::thread::JoinHandle<EpochArtifacts>),
+    Pending(Prebuild),
     Ready(Arc<EpochArtifacts>),
 }
 
@@ -546,13 +549,13 @@ enum SignatureSlot {
 /// build.  Per signature, the cheapest sound producer is chosen:
 ///
 /// * **Uniform signatures** (no effective zones — every roll of a zone-free
-///   `Rush`/`Custom` profile) are built by the parallel wholesale builder,
-///   but *off the roll path*: [`EpochStore::ensure_prebuild`] enumerates the
+///   `Rush`/`Custom` profile) are built by the wholesale builder, but *off
+///   the roll path*: [`EpochStore::ensure_prebuild`] enumerates the
 ///   distinct uniform signatures of the profile's first day and builds each
-///   one on a background thread while dispatch proceeds under the current
-///   epoch.  A roll that arrives before its prebuild finishes joins it (the
-///   wait is booked as refresh time); every later roll to that signature is
-///   a memo hit.  A from-scratch *rescale* of the stored label distances
+///   one on a single-worker background thread while dispatch proceeds
+///   under the current epoch.  A roll that arrives before its prebuild
+///   finishes joins it (the wait is booked as refresh time); every later
+///   roll to that signature is a memo hit.  A from-scratch *rescale* of the stored label distances
 ///   would be cheaper still but is **not sound**: the prune check compares
 ///   two floating-point sums of the same path length accumulated in
 ///   different association orders, and a uniform factor re-rounds both
@@ -656,6 +659,13 @@ impl EpochStore {
     /// of stalling epoch rolls.  Idempotent and cheap after the first call;
     /// called by every [`SpEngine::roll_epoch_to`], so stores driven by any
     /// pipeline start prefetching at the first batch.
+    ///
+    /// Each builder is single-worker: it runs [`HubLabels::build`] under a
+    /// one-thread `rayon` pool, so the builders' per-landmark `join`s never
+    /// queue on the shared worker pool ahead of dispatch's parallel calls.
+    /// The labels are the same bits under any worker count.  A builder that
+    /// panics costs nothing but time: the roll that needs its signature
+    /// builds it on demand instead.
     pub fn ensure_prebuild(&self) {
         if !self.use_hub_labels || self.prebuild_started.swap(true, Ordering::Relaxed) {
             return;
@@ -684,7 +694,10 @@ impl EpochStore {
             let base = self.base.clone();
             let record_plans = self.record_plans;
             let handle = std::thread::spawn(move || {
-                build_uniform_artifacts(&base, signature, true, record_plans)
+                Ok(rayon::ThreadPoolBuilder::new()
+                    .num_threads(1)
+                    .build()?
+                    .install(|| build_uniform_artifacts(&base, signature, true, record_plans)))
             });
             memo.insert(signature, SignatureSlot::Pending(handle));
         }
@@ -702,7 +715,7 @@ impl EpochStore {
                 artifact
             }
             Some(SignatureSlot::Pending(handle)) => {
-                let artifact = Arc::new(handle.join().expect("prebuild thread panicked"));
+                let artifact = Arc::new(self.join_prebuild(handle, signature));
                 memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
                 artifact
             }
@@ -738,9 +751,7 @@ impl EpochStore {
     ) -> Arc<EpochArtifacts> {
         let artifact = match memo.remove(&signature) {
             Some(SignatureSlot::Ready(artifact)) => artifact,
-            Some(SignatureSlot::Pending(handle)) => {
-                Arc::new(handle.join().expect("prebuild thread panicked"))
-            }
+            Some(SignatureSlot::Pending(handle)) => Arc::new(self.join_prebuild(handle, signature)),
             None => Arc::new(build_uniform_artifacts(
                 &self.base,
                 signature,
@@ -750,6 +761,21 @@ impl EpochStore {
         };
         memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
         artifact
+    }
+
+    /// The artifacts a background prebuild of the uniform `signature`
+    /// produced — or, when its thread panicked or could not set up its
+    /// worker, the same bits built here on demand.
+    fn join_prebuild(&self, handle: Prebuild, signature: EpochSignature) -> EpochArtifacts {
+        match handle.join() {
+            Ok(Ok(artifact)) => artifact,
+            _ => build_uniform_artifacts(
+                &self.base,
+                signature,
+                self.use_hub_labels,
+                self.record_plans,
+            ),
+        }
     }
 }
 
@@ -1510,6 +1536,27 @@ mod tests {
         assert_eq!(traffic.current_epoch(), 6);
         assert_eq!(traffic.epoch_rolls(), 1);
         assert!(!traffic.roll_epoch_to(699.0));
+    }
+
+    #[test]
+    fn a_panicked_prebuild_falls_back_to_the_on_demand_build() {
+        let base = Arc::new(line_graph(12));
+        let store = EpochStore::new(base.clone(), rush_config(), true);
+        let epoch = rush_config().epoch_at(820.0); // hour 8: uniform ×1.75
+        let signature = epoch.signature();
+        assert!(signature.is_uniform());
+        let failed: Prebuild = std::thread::spawn(|| panic!("prebuild failed"));
+        store
+            .memo
+            .lock()
+            .unwrap()
+            .insert(signature, SignatureSlot::Pending(failed));
+        let artifact = store.artifacts_for(&epoch);
+        let fresh = build_uniform_artifacts(&base, signature, true, false);
+        assert_eq!(artifact.labels(), fresh.labels());
+        assert_eq!(artifact.min_tpm().to_bits(), fresh.min_tpm().to_bits());
+        // The fallback is memoized like a joined prebuild.
+        assert!(Arc::ptr_eq(&artifact, &store.artifacts_for(&epoch)));
     }
 
     #[test]
