@@ -211,13 +211,10 @@ impl<'a> DispatchContext<'a> {
             }
             None => (0..vehicles.len()).collect(),
         };
-        let memoized: Vec<Option<Score>> = survivors
-            .iter()
-            .map(|&vi| {
-                let memo = self.score_memo?;
-                memo.get(&vehicles[vi], self.epoch, request.id, prescreen)
-            })
-            .collect();
+        let memoized: Vec<Option<Score>> = match self.score_memo {
+            Some(memo) => memo.get_all(vehicles, &survivors, self.epoch, request.id, prescreen),
+            None => vec![None; survivors.len()],
+        };
         let miss_nodes: Vec<NodeId> = survivors
             .iter()
             .zip(&memoized)

@@ -7,6 +7,14 @@
 //! advance, commit schedules, hand off or migrate — retiring the
 //! grid-rebuild-per-batch of the earlier pipelines.
 //!
+//! The grid is sized from the fleet it indexes, at every build and rebuild:
+//! `⌈√n⌉` cells per side for `n` vehicles — about one vehicle per cell — with
+//! the caller's `cells` only a cap.  A range query's cost is the cells it
+//! touches plus the vehicles in them, so a fixed fine grid over a small fleet
+//! spends most of each query on empty cells.  Granularity changes no result:
+//! the certified set is sorted by slot and every shortlist ranks by a total
+//! order (see [`FleetIndex::certified_candidates`]).
+//!
 //! # The reachability certificate
 //!
 //! A vehicle is kept for a request only when its certified lower bound on
@@ -60,7 +68,8 @@ pub const REACH_GRACE: f64 = 1.0;
 pub struct FleetIndex {
     grid: GridIndex,
     bbox: (f64, f64, f64, f64),
-    cells: u32,
+    /// Cap on the grid's cells per side.
+    max_cells: u32,
     /// `min(free_at)` over the indexed fleet (∞ for an empty fleet).
     free_floor: f64,
     /// Cached [`RoadNetwork::min_time_per_meter`] (an O(E) scan).
@@ -69,8 +78,9 @@ pub struct FleetIndex {
 
 impl FleetIndex {
     /// Builds the index over `vehicles` (keyed by slot position) inside the
-    /// given bounding box.  `bbox` must be non-degenerate (use
-    /// [`structride_spatial::RegionGrid::padded_bbox`]) and `cells ≥ 1`.
+    /// given bounding box, on a grid of about one vehicle per cell with at
+    /// most `cells` cells per side (see the module docs).  `bbox` must be
+    /// non-degenerate (use [`structride_spatial::RegionGrid::padded_bbox`]).
     pub fn build(
         bbox: (f64, f64, f64, f64),
         cells: u32,
@@ -78,17 +88,25 @@ impl FleetIndex {
         vehicles: &[Vehicle],
     ) -> FleetIndex {
         let mut index = FleetIndex {
-            grid: GridIndex::new(bbox.0, bbox.1, bbox.2, bbox.3, cells.max(1)),
+            // Replaced by `rebuild`, which sizes the grid for `vehicles`.
+            grid: GridIndex::new(bbox.0, bbox.1, bbox.2, bbox.3, 1),
             bbox,
-            cells: cells.max(1),
+            max_cells: cells.max(1),
             free_floor: f64::INFINITY,
             min_tpm: network.min_time_per_meter(),
         };
-        index.insert_all(network, vehicles);
+        index.rebuild(network, vehicles);
         index
     }
 
-    fn insert_all(&mut self, network: &RoadNetwork, vehicles: &[Vehicle]) {
+    /// Re-keys the whole index on a grid sized for `vehicles` — required
+    /// after the vehicle slice was reordered or resized (idle-vehicle
+    /// migration removes and pushes entries, shifting every later slot
+    /// index; a shard's lane is built empty and filled this way).
+    pub fn rebuild(&mut self, network: &RoadNetwork, vehicles: &[Vehicle]) {
+        let side = ((vehicles.len() as f64).sqrt().ceil() as u32).clamp(1, self.max_cells);
+        let (min_x, min_y, max_x, max_y) = self.bbox;
+        self.grid = GridIndex::new(min_x, min_y, max_x, max_y, side);
         let mut floor = f64::INFINITY;
         for (slot, vehicle) in vehicles.iter().enumerate() {
             let p = network.coord(vehicle.node);
@@ -117,20 +135,6 @@ impl FleetIndex {
             }
         }
         self.free_floor = floor;
-    }
-
-    /// Re-keys the whole index — required after the vehicle slice was
-    /// reordered or resized (idle-vehicle migration removes and pushes
-    /// entries, shifting every later slot index).
-    pub fn rebuild(&mut self, network: &RoadNetwork, vehicles: &[Vehicle]) {
-        self.grid = GridIndex::new(
-            self.bbox.0,
-            self.bbox.1,
-            self.bbox.2,
-            self.bbox.3,
-            self.cells,
-        );
-        self.insert_all(network, vehicles);
     }
 
     /// Number of indexed vehicles.
@@ -167,7 +171,9 @@ impl FleetIndex {
 
     /// Visits every indexed slot within `radius` meters of `(x, y)` (exact
     /// Euclidean test on true coordinates) — the raw range query behind
-    /// shortlists that rank survivors themselves.
+    /// shortlists that rank survivors themselves.  The visit order depends on
+    /// the grid's granularity, so a caller must rank what it collects by a
+    /// total order.
     pub fn for_each_in_range(&self, x: f64, y: f64, radius: f64, f: impl FnMut(u64)) {
         self.grid.for_each_in_range(x, y, radius, f);
     }
@@ -341,6 +347,48 @@ mod tests {
         assert!(index
             .certified_candidates(&net, &vehicles, p.x, p.y, -10.0)
             .is_empty());
+    }
+
+    /// The certified set does not depend on grid granularity: every cap,
+    /// before and after a sync that moves vehicles and changes `free_at`,
+    /// and for an index built empty and then rebuilt (the shard path).
+    #[test]
+    fn certified_candidates_are_independent_of_the_cell_cap() {
+        let net = line_network(30);
+        let bbox = RegionGrid::padded_bbox(net.bounding_box());
+        let min_tpm = net.min_time_per_meter();
+        let mut vehicles = fleet(&net, &[0, 3, 7, 12, 18, 25, 29, 2, 14, 22, 9, 9]);
+        let check = |index: &FleetIndex, vehicles: &[Vehicle], label: &str| {
+            index.check_consistency(&net, vehicles);
+            for target in [0u32, 5, 15, 29] {
+                let p = net.coord(target);
+                for deadline in [0.5, 30.0, 200.0, 2000.0] {
+                    let got = index.certified_candidates(&net, vehicles, p.x, p.y, deadline);
+                    let want = brute_force(&net, vehicles, min_tpm, p.x, p.y, deadline);
+                    assert_eq!(got, want, "{label}: target {target} deadline {deadline}");
+                }
+            }
+        };
+        for cap in [1, 2, 16, 64] {
+            let mut index = FleetIndex::build(bbox, cap, &net, &vehicles);
+            check(&index, &vehicles, &format!("cap {cap}, built"));
+
+            let mut moved = vehicles.clone();
+            for (i, v) in moved.iter_mut().enumerate() {
+                v.node = (v.node + 7 * i as u32) % 30;
+                v.free_at = (i * 37 % 11) as f64 * 9.0;
+            }
+            index.sync(&net, &moved);
+            check(&index, &moved, &format!("cap {cap}, synced"));
+
+            let mut shard = FleetIndex::build(bbox, cap, &net, &[]);
+            assert!(shard.is_empty());
+            shard.rebuild(&net, &moved);
+            check(&shard, &moved, &format!("cap {cap}, rebuilt"));
+        }
+        vehicles.truncate(1);
+        let index = FleetIndex::build(bbox, 64, &net, &vehicles);
+        check(&index, &vehicles, "one vehicle");
     }
 
     #[test]

@@ -121,17 +121,13 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// Builds a lane dispatching `vehicles` under `config` on `engine`'s
-    /// network, with a `cells × cells` fleet index whose certified prescreen
-    /// rate is pinned to the engine's current traffic epoch.
-    pub(crate) fn new(
-        engine: &SpEngine,
-        config: StructRideConfig,
-        cells: u32,
-        vehicles: Vec<Vehicle>,
-    ) -> Lane {
+    /// network, with a fleet index of at most `config.grid_cells` cells per
+    /// side whose certified prescreen rate is pinned to the engine's current
+    /// traffic epoch.
+    pub(crate) fn new(engine: &SpEngine, config: StructRideConfig, vehicles: Vec<Vehicle>) -> Lane {
         let network = engine.network();
         let bbox = RegionGrid::padded_bbox(network.bounding_box());
-        let mut fleet_index = FleetIndex::build(bbox, cells, network, &vehicles);
+        let mut fleet_index = FleetIndex::build(bbox, config.grid_cells, network, &vehicles);
         if engine.traffic_active() {
             // The build cached the free-flow base rate; pin the engine's
             // current (epoch-certified) rate instead.

@@ -483,7 +483,7 @@ pub fn replay_trace(
             .map(VehicleState::restore)
             .collect();
         let config = trace.meta.config;
-        let mut lane = Lane::new(engine, config, config.grid_cells, fleet);
+        let mut lane = Lane::new(engine, config, fleet);
         lane.score_memo = score_memo;
         let (outcome, scratch) =
             lane.dispatch(engine, dispatcher, batch.now, batch.index, &batch.requests);
@@ -1652,7 +1652,7 @@ mod tests {
         // Both vehicles can serve every request, at different added costs, so
         // an inverted cost preference genuinely changes the commitments.
         let vehicles = vec![Vehicle::new(1, 0, 4), Vehicle::new(2, 1, 4)];
-        let mut lane = Lane::new(&engine, config, config.grid_cells, vehicles);
+        let mut lane = Lane::new(&engine, config, vehicles);
         // Two hand-driven batches (the simulator integration is exercised by
         // the crate-level tests; here the recorder is driven directly).
         for (index, batch) in [vec![req(1, 1, 3, 0.0, 20.0)], vec![req(3, 2, 5, 4.0, 30.0)]]

@@ -50,8 +50,8 @@
 //! deterministically** (strictly lower `added_cost` wins; ties go to the
 //! lowest shard id; if no candidate has a feasible insertion the home shard
 //! keeps the request).  The shortlist replaces the old full-fleet exact
-//! insertion scan: a per-batch
-//! [`GridIndex`](structride_spatial::GridIndex) over vehicle positions is
+//! insertion scan: the shard's persistent
+//! [`FleetIndex`] over vehicle positions is
 //! range queried with the certified reachability radius derived from
 //! [`RoadNetwork::min_time_per_meter`] — a vehicle outside it provably
 //! cannot meet the pickup deadline from its release state, so dropping it
@@ -277,11 +277,6 @@ struct RouteDecision {
     bids: u64,
 }
 
-/// Cells per axis of each shard's persistent vehicle-position index (the
-/// granularity the pre-persistent per-batch grids used; range queries check
-/// exact coordinates, so the cell count only affects constant factors).
-const SHARD_GRID_CELLS: u32 = 16;
-
 /// The read-only slice of one shard the router needs — `Sync`, unlike
 /// [`Shard`] itself (whose dispatcher is only `Send`), so routing can fan
 /// out over worker threads.  Borrows the shard's persistent fleet index for
@@ -308,8 +303,8 @@ impl<'a> ShardView<'a> {
     /// `free_at` plus the certified travel-time lower bound to the pickup
     /// already misses the deadline can never produce a feasible insertion),
     /// ranked by that lower bound (ties to the lower fleet index) and capped
-    /// at `top_m` entries (`0` = uncapped).  Deterministic: the grid is
-    /// filled in fleet order and the ranking is a total order.
+    /// at `top_m` entries (`0` = uncapped).  Deterministic: the ranking is a
+    /// total order, so the grid's visit order does not matter.
     fn shortlist(
         &self,
         network: &RoadNetwork,
@@ -340,11 +335,7 @@ impl<'a> ShardView<'a> {
             // prescreening the whole fleet slice without a radius.
             (0..self.vehicles.len()).for_each(&mut consider);
         }
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         if top_m > 0 {
             candidates.truncate(top_m);
         }
@@ -667,7 +658,7 @@ impl<'a> ShardedRun<'a> {
             .into_iter()
             .enumerate()
             .map(|(i, engine)| Shard {
-                lane: Lane::new(&engine, *sim.config(), SHARD_GRID_CELLS, Vec::new()),
+                lane: Lane::new(&engine, *sim.config(), Vec::new()),
                 engine,
                 dispatcher: make_dispatcher(i),
                 inbox: Vec::new(),

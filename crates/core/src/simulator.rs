@@ -206,7 +206,7 @@ impl<'a> MonoRun<'a> {
         MonoRun {
             engine,
             dispatcher,
-            lane: Lane::new(engine, config, config.grid_cells, vehicles),
+            lane: Lane::new(engine, config, vehicles),
             batches: 0,
             now: 0.0,
             sp_before: engine.stats().index_queries,

@@ -1,11 +1,12 @@
 //! The grid index of §II-B.
 //!
 //! The road network's bounding box is divided into `n × n` square cells.  Each
-//! cell keeps the set of items (vehicle ids, request ids — any `u64`-like key)
-//! currently located inside it.  Insertion, removal and relocation are O(1);
-//! a range query visits only the cells intersecting the query disc, which is
-//! what the paper means by "retrieve all available vehicles … in constant
-//! time" for a fixed radius.
+//! cell keeps the items (vehicle ids, request ids — any `u64`-like key)
+//! currently located inside it, each beside its coordinates.  Insertion,
+//! removal and relocation are O(1); a range query visits only the cells
+//! intersecting the query disc and tests each item against the coordinates
+//! stored in its cell, with no per-item map lookup — what the paper means by
+//! "retrieve all available vehicles … in constant time" for a fixed radius.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -20,9 +21,11 @@ pub struct GridIndex {
     min_y: f64,
     cell_size: f64,
     cells_per_side: u32,
-    /// Items per cell.
-    cells: Vec<Vec<u64>>,
-    /// Current cell of each item (for O(1) relocation).
+    /// Items per cell, each with its coordinates, in insertion order
+    /// (removal swaps the cell's last item into the gap).
+    cells: Vec<Vec<(u64, f64, f64)>>,
+    /// Current cell and coordinates of each item (for O(1) relocation and
+    /// [`GridIndex::location`]); always equal to the copy in the cell.
     locations: HashMap<u64, (CellId, f64, f64)>,
 }
 
@@ -118,7 +121,7 @@ impl GridIndex {
             self.remove(item);
         }
         let cell = self.cell_of(x, y);
-        self.cells[cell as usize].push(item);
+        self.cells[cell as usize].push((item, x, y));
         self.locations.insert(item, (cell, x, y));
     }
 
@@ -127,7 +130,7 @@ impl GridIndex {
         match self.locations.remove(&item) {
             Some((cell, _, _)) => {
                 let bucket = &mut self.cells[cell as usize];
-                if let Some(pos) = bucket.iter().position(|&i| i == item) {
+                if let Some(pos) = bucket.iter().position(|&(i, _, _)| i == item) {
                     bucket.swap_remove(pos);
                 }
                 true
@@ -165,8 +168,7 @@ impl GridIndex {
         for cy in lo_cy..=hi_cy {
             for cx in lo_cx..=hi_cx {
                 let cell = (cy * self.cells_per_side + cx) as usize;
-                for &item in &self.cells[cell] {
-                    let (_, ix, iy) = self.locations[&item];
+                for &(item, ix, iy) in &self.cells[cell] {
                     let dx = ix - x;
                     let dy = iy - y;
                     if dx * dx + dy * dy <= r2 {
@@ -177,10 +179,11 @@ impl GridIndex {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: 24 per item slot in the cells
+    /// (id and coordinates) plus the location map.
     pub fn approx_bytes(&self) -> usize {
-        let cell_items: usize = self.cells.iter().map(|c| c.capacity() * 8).sum();
-        self.cells.capacity() * std::mem::size_of::<Vec<u64>>()
+        let cell_items: usize = self.cells.iter().map(|c| c.capacity() * 24).sum();
+        self.cells.capacity() * std::mem::size_of::<Vec<(u64, f64, f64)>>()
             + cell_items
             + self.locations.capacity() * (8 + 4 + 16 + 8)
     }
@@ -318,35 +321,58 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The grid range query returns exactly the same set as a brute-force
-            /// scan over all inserted points.
+            /// The range queries return exactly what a brute-force scan finds.
+            /// After random insert / relocate / remove sequences, with
+            /// coordinates past the border, both range queries equal a filter
+            /// over `location()` for random discs, zero-radius discs on each
+            /// item and discs poking past the border, so the coordinates the
+            /// queries test (the cells' copies) never drift from it; `len()`
+            /// counts the items `location()` knows.
             #[test]
             fn matches_brute_force(
-                points in proptest::collection::vec((0u64..500, 0.0f64..100.0, 0.0f64..100.0), 1..80),
-                qx in 0.0f64..100.0,
-                qy in 0.0f64..100.0,
-                radius in 0.0f64..60.0,
+                ops in proptest::collection::vec(
+                    (0u32..3, 0u64..200, -30.0f64..130.0, -30.0f64..130.0),
+                    1..160,
+                ),
+                discs in proptest::collection::vec((-60.0f64..160.0, -60.0f64..160.0, 0.0f64..90.0), 1..12),
             ) {
-                let mut g = GridIndex::new(0.0, 0.0, 100.0, 100.0, 8);
-                // Later duplicates overwrite earlier ones, as in the index.
+                let mut g = GridIndex::new(0.0, 0.0, 100.0, 100.0, 7);
                 let mut truth: std::collections::HashMap<u64, (f64, f64)> = Default::default();
-                for (id, x, y) in &points {
-                    g.insert(*id, *x, *y);
-                    truth.insert(*id, (*x, *y));
+                for &(kind, id, x, y) in &ops {
+                    match kind {
+                        0 => g.insert(id, x, y),
+                        1 => g.relocate(id, x, y),
+                        _ => {
+                            prop_assert_eq!(g.remove(id), truth.remove(&id).is_some());
+                            continue;
+                        }
+                    }
+                    truth.insert(id, (x, y));
                 }
-                let mut expected: Vec<u64> = truth
-                    .iter()
-                    .filter(|(_, (x, y))| {
-                        let dx = x - qx;
-                        let dy = y - qy;
-                        dx * dx + dy * dy <= radius * radius
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                expected.sort_unstable();
-                let mut got = g.range_query(qx, qy, radius);
-                got.sort_unstable();
-                prop_assert_eq!(got, expected);
+                let known: Vec<(u64, (f64, f64))> =
+                    (0u64..200).filter_map(|id| g.location(id).map(|p| (id, p))).collect();
+                prop_assert_eq!(g.len(), known.len());
+                prop_assert_eq!(known.len(), truth.len());
+                for &(id, p) in &known {
+                    prop_assert_eq!(truth.get(&id), Some(&p));
+                }
+                let on_items = known.iter().map(|&(_, (x, y))| (x, y, 0.0));
+                for (qx, qy, radius) in discs.iter().copied().chain(on_items) {
+                    let mut expected: Vec<u64> = known
+                        .iter()
+                        .filter(|(_, (x, y))| {
+                            let (dx, dy) = (x - qx, y - qy);
+                            dx * dx + dy * dy <= radius * radius
+                        })
+                        .map(|&(id, _)| id)
+                        .collect();
+                    let mut visited = Vec::new();
+                    g.for_each_in_range(qx, qy, radius, |id| visited.push(id));
+                    prop_assert_eq!(&g.range_query(qx, qy, radius), &visited);
+                    visited.sort_unstable();
+                    expected.sort_unstable();
+                    prop_assert_eq!(visited, expected, "disc ({}, {}) r {}", qx, qy, radius);
+                }
             }
         }
     }

@@ -83,14 +83,33 @@ fn every_dispatcher_produces_consistent_metrics() {
 fn sard_and_assign_runs_hit_the_score_memo() {
     let workload = small_workload(CityProfile::NycLike, 23);
     let config = StructRideConfig::default();
-    let sard = run(&workload, &mut SardDispatcher::new(config), config).metrics;
-    let mut assign = structride::core::AssignDispatcher::new(config);
-    let assign = run(&workload, &mut assign, config).metrics;
-    for m in [sard, assign] {
+    let runs = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(|| {
+                let sard = run(&workload, &mut SardDispatcher::new(config), config).metrics;
+                let mut assign = structride::core::AssignDispatcher::new(config);
+                [sard, run(&workload, &mut assign, config).metrics]
+            })
+    };
+    let sequential = runs(1);
+    for m in &sequential {
         // The pool carries over between batches, so most pairs are scored
         // again with unchanged inputs.
         assert!(m.memo_hits > 0, "{}: no memo hits", m.algorithm);
         assert!(m.memo_hits <= m.memo_lookups, "{}", m.algorithm);
+    }
+    // The memo's telemetry is logical: what a batch looks up and finds does
+    // not depend on how its requests are spread over workers.
+    for (one, four) in sequential.iter().zip(&runs(4)) {
+        assert_eq!(
+            (one.memo_lookups, one.memo_hits),
+            (four.memo_lookups, four.memo_hits),
+            "{}: memo telemetry differs between 1 and 4 threads",
+            one.algorithm
+        );
     }
 }
 
