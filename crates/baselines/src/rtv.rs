@@ -23,7 +23,7 @@ use structride_core::{
     enumerate_groups, BatchOutcome, CandidateGroup, DispatchContext, Dispatcher, PendingSnapshot,
 };
 use structride_model::{Request, RequestId, Vehicle};
-use structride_sharegraph::{pairwise_shareable, ShareabilityGraph};
+use structride_sharegraph::{ShareabilityCheck, ShareabilityGraph};
 
 /// One candidate assignment: a trip (request group) served by a vehicle.
 #[derive(Debug, Clone)]
@@ -176,8 +176,10 @@ impl Dispatcher for Rtv {
             ids
         };
 
-        // --- RV graph: pairwise-shareable requests (no angle pruning). -----
+        // --- RV graph: pairwise-shareable requests (no angle pruning), one
+        //     screened check for the whole batch. ---------------------------
         let max_capacity = vehicles.iter().map(|v| v.capacity).max().unwrap_or(4);
+        let check = ShareabilityCheck::new(engine, max_capacity);
         let mut rv = ShareabilityGraph::new();
         for &id in &pool_ids {
             rv.add_node(id);
@@ -186,7 +188,7 @@ impl Dispatcher for Rtv {
             for j in (i + 1)..pool_ids.len() {
                 let a = &self.pending[&pool_ids[i]];
                 let b = &self.pending[&pool_ids[j]];
-                if pairwise_shareable(engine, a, b, max_capacity) {
+                if check.shareable(a, b) {
                     rv.add_edge(a.id, b.id);
                 }
             }

@@ -13,7 +13,7 @@ use structride_datagen::{CityProfile, Workload, WorkloadParams};
 use structride_model::{insertion, Request, RequestId, Schedule, Vehicle};
 use structride_roadnet::dijkstra;
 use structride_sharegraph::{
-    pairwise_shareable, AnglePruning, BuilderConfig, ShareabilityGraphBuilder,
+    AnglePruning, BuilderConfig, ShareabilityCheck, ShareabilityGraphBuilder,
 };
 
 fn workload() -> Workload {
@@ -134,10 +134,11 @@ fn bench_insertion_and_shareability(c: &mut Criterion) {
     });
     group.bench_function("pairwise_shareability_check", |b| {
         b.iter(|| {
+            let check = ShareabilityCheck::new(&w.engine, 4);
             let mut edges = 0u32;
             for i in 0..20 {
                 for j in (i + 1)..20 {
-                    if pairwise_shareable(&w.engine, reqs[i], reqs[j], 4) {
+                    if check.shareable(reqs[i], reqs[j]) {
                         edges += 1;
                     }
                 }

@@ -58,9 +58,10 @@ use structride_roadnet::RoadNetwork;
 use structride_spatial::GridIndex;
 
 /// Grace (seconds) added to the pickup deadline when prescreening bidders
-/// and candidates by the certified reachability lower bound: generous
-/// against float rounding, far below any real slack in the workloads.
-pub const REACH_GRACE: f64 = 1.0;
+/// and candidates by the certified reachability lower bound — the road
+/// network's one floating-point grace, under the name this crate has always
+/// exported.
+pub use structride_roadnet::LOWER_BOUND_GRACE as REACH_GRACE;
 
 /// A persistent spatial index over the fleet's current positions plus the
 /// cached per-meter travel-time floor of the road network.

@@ -263,6 +263,7 @@ impl SpEngineBuilder {
 
     fn assemble(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
         SpEngine {
+            static_min_tpm: net.min_time_per_meter(),
             net,
             index,
             traffic: None,
@@ -789,6 +790,9 @@ impl EpochStore {
 #[derive(Debug)]
 pub struct SpEngine {
     net: Arc<RoadNetwork>,
+    /// `net.min_time_per_meter()`, scanned once at assembly: the certified
+    /// rate of a static engine.
+    static_min_tpm: f64,
     index: SpIndex,
     /// `Some` for self-rolling traffic engines; `None` keeps the static
     /// fast path (no lock anywhere on the query path).
@@ -1188,15 +1192,15 @@ impl SpEngine {
 
     /// The certified prescreen rate for the **current** epoch's weights:
     /// `travel_time(u, v) >= min_time_per_meter() * euclidean(u, v)` holds
-    /// for the network as currently weighted.  Static engines scan the base
-    /// network (callers should cache the value — it never changes); traffic
+    /// for the network as currently weighted.  Static engines return the
+    /// base network's rate, scanned once when the engine was built; traffic
     /// engines return the rate precomputed at the last epoch roll, which is
-    /// what keeps SARD/pruneGDP/GAS candidate retrieval and top-m handoff
-    /// bidding *sound* under congestion.
+    /// what keeps SARD/pruneGDP/GAS candidate retrieval, top-m handoff
+    /// bidding and the shareability screen *sound* under congestion.
     pub fn min_time_per_meter(&self) -> f64 {
         match &self.traffic {
             Some(rt) => rt.slot.read().unwrap().artifact.min_tpm(),
-            None => self.net.min_time_per_meter(),
+            None => self.static_min_tpm,
         }
     }
 

@@ -39,6 +39,24 @@ impl Point {
     }
 }
 
+/// Seconds of slack every certified travel-time lower bound gives away to
+/// floating-point rounding: a caller compares `min_time_per_meter ×
+/// euclid(u, v)` with exact costs only after subtracting this grace from the
+/// bound (or adding it to the deadline the bound is tested against).
+///
+/// [`RoadNetwork::min_time_per_meter`]'s guarantee holds in exact arithmetic.
+/// In `f64` the rate is a quotient over a rounded square root, the Euclidean
+/// distance is another rounded square root, and their product rounds once
+/// more: a few units of 2⁻⁵³ of relative error.  A shortest-path cost is a
+/// sum of at most `|V|` rounded edge weights, or two such sums for a hub-label
+/// answer, so its error is at most `|V|` × 2⁻⁵³ of the cost.  For travel times
+/// below 10⁶ s on networks below 10⁶ nodes both errors stay under a
+/// millisecond.  One second is therefore a huge margin.  It is still far
+/// below any slack the deadlines leave, so the bound keeps nearly all of its
+/// pruning power.  The shareability screen, the fleet index's reachability
+/// certificate, the handoff shortlist and GAS's pool prescreen all use it.
+pub const LOWER_BOUND_GRACE: f64 = 1.0;
+
 /// A directed weighted road network with planar node coordinates.
 ///
 /// The adjacency is stored in CSR form for cache-friendly traversal; the
@@ -154,8 +172,10 @@ impl RoadNetwork {
     /// pruning: for any pair of nodes, `travel_time(u, v) >=
     /// min_time_per_meter() * euclidean(u, v)` holds in exact arithmetic,
     /// because every path is at least as long as the straight line and every
-    /// edge costs at least this rate per meter of its own length.  Returns
-    /// `0.0` (a trivially sound bound) when no edge has positive length.
+    /// edge costs at least this rate per meter of its own length.  In `f64`,
+    /// compare it with exact costs only with [`LOWER_BOUND_GRACE`] of slack.
+    /// Returns `0.0` (a trivially sound bound) when no edge has positive
+    /// length.
     pub fn min_time_per_meter(&self) -> f64 {
         let mut best = f64::INFINITY;
         for node in self.nodes() {

@@ -42,7 +42,7 @@ pub mod traffic;
 
 pub use engine::{EpochArtifacts, EpochStore, SpEngine, SpEngineBuilder, SpStats};
 pub use error::RoadNetError;
-pub use graph::{EdgeId, NodeId, Point, RoadNetwork, RoadNetworkBuilder};
+pub use graph::{EdgeId, NodeId, Point, RoadNetwork, RoadNetworkBuilder, LOWER_BOUND_GRACE};
 pub use hub_labels::HubLabels;
 pub use lru::LruCache;
 pub use path::{expand_route, shortest_path, Path};

@@ -12,7 +12,8 @@
 //! 3. the **angle pruning** rule of §III-B discards candidates whose travel
 //!    direction diverges too much from the new request;
 //! 4. the surviving pairs are tested with the exact shareability check
-//!    (linear-insertion style schedule enumeration) and edges are added.
+//!    (the six-ordering schedule enumeration of
+//!    [`crate::shareable::ShareabilityCheck`]) and edges are added.
 //!
 //! Counters for candidate pairs, pruned pairs and exact checks feed the
 //! Table V / Table VI ablation.
@@ -20,8 +21,11 @@
 //! # Parallel batch builds
 //!
 //! [`ShareabilityGraphBuilder::add_batch`] runs the expensive step — the
-//! exact shareability checks, each a small schedule enumeration issuing
-//! shortest-path queries — in parallel: a sequential prefilter pass registers
+//! exact shareability checks — in parallel.  One screened check is built
+//! per batch from the engine's certified `min_time_per_meter` (the current
+//! epoch's on a traffic engine), so a pair whose orderings all fail on
+//! lower-bound legs costs no shortest-path query, and every other leg is
+//! queried at most once per pair.  A sequential prefilter pass registers
 //! the batch's requests and collects the surviving candidate pairs *in the
 //! exact order the sequential algorithm would visit them*, the checks are
 //! par-mapped over that list, the batch's [`BuildStats`] delta is folded into
@@ -29,13 +33,13 @@
 //! order.  Because the
 //! prefilters never consult the edge set, deferring the insertions does not
 //! change any decision, so the resulting graph and counters are bit-identical
-//! to [`ShareabilityGraphBuilder::add_batch_sequential`] regardless of the
-//! worker count (a property locked in by the `parallel_determinism`
-//! integration test).
+//! to [`ShareabilityGraphBuilder::add_batch_sequential`], which checks each
+//! pair unscreened, regardless of the worker count (a property locked in by
+//! the `parallel_determinism` integration test).
 
 use crate::angle::AnglePruning;
 use crate::graph::ShareabilityGraph;
-use crate::shareable::pairwise_shareable;
+use crate::shareable::{pairwise_shareable, ShareabilityCheck};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -208,13 +212,14 @@ impl ShareabilityGraphBuilder {
             self.requests.insert(id, r.clone());
         }
 
-        // --- phase 2 (parallel): the exact checks (line 7).  Every id in
-        //     `jobs` is registered by now and the table is only read. --------
-        let capacity = self.config.vehicle_capacity;
+        // --- phase 2 (parallel): the exact checks (line 7), screened at the
+        //     engine's rate read once for the batch.  Every id in `jobs` is
+        //     registered by now and the table is only read. -----------------
+        let check = ShareabilityCheck::new(engine, self.config.vehicle_capacity);
         let requests = &self.requests;
         let verdicts: Vec<bool> = jobs
             .par_iter()
-            .map(|&(a, b)| pairwise_shareable(engine, &requests[&a], &requests[&b], capacity))
+            .map(|&(a, b)| check.shareable(&requests[&a], &requests[&b]))
             .collect();
         self.stats = self.stats.merged(BuildStats {
             shareability_checks: jobs.len() as u64,

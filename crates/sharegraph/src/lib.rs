@@ -6,7 +6,8 @@
 //! * [`ShareabilityGraph`] — the adjacency structure with degrees,
 //!   neighborhoods and the supernode-substitution operation;
 //! * [`shareable`] — the pairwise shareability test (all precedence-valid
-//!   interleavings of the four way-points);
+//!   interleavings of the four way-points, screened by certified lower
+//!   bounds before any shortest-path query);
 //! * [`angle`] — the angle-pruning strategy of §III-B (Theorem III.1),
 //!   including the log-normal sharing-probability model;
 //! * [`builder`] — the dynamic shareability-graph builder of Algorithm 1,
@@ -29,4 +30,4 @@ pub use angle::AnglePruning;
 pub use builder::{BuilderConfig, ShareabilityGraphBuilder};
 pub use graph::ShareabilityGraph;
 pub use loss::shareability_loss;
-pub use shareable::pairwise_shareable;
+pub use shareable::{pairwise_shareable, ShareabilityCheck};

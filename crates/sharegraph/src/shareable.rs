@@ -3,71 +3,223 @@
 //! Two requests are *shareable* when at least one feasible schedule serves
 //! both in a single trip.  With four way-points and the order constraint
 //! (pickup before drop-off for each request) there are exactly six candidate
-//! interleavings; we evaluate each from the most permissive vehicle state —
-//! an empty vehicle that is already standing at the first pickup when that
-//! request is released — and report success as soon as one is feasible.
+//! interleavings, three starting at each source.  Each is evaluated from the
+//! most permissive vehicle state — an empty vehicle that is already standing
+//! at the first pickup when that request is released — and the pair is
+//! shareable as soon as one is feasible.  The test is symmetric.
 //!
-//! The builder (Algorithm 1) additionally restricts the enumeration to the
-//! schedules whose *first* way-point is the new request's source, matching
-//! the paper's duplicate-avoidance rule; [`pairwise_shareable_from`] exposes
-//! that restricted variant, while [`pairwise_shareable`] checks both
-//! directions and is therefore symmetric.
+//! # One stack evaluator
+//!
+//! [`ShareabilityCheck::shareable`] walks an ordering of the pair's four
+//! stops, held as a `[Waypoint; 4]`, with `Schedule::evaluate`'s exact
+//! arithmetic: `arrive = now + leg`, `service = arrive.max(earliest)`, the
+//! `deadline + TIME_EPS` test and the capacity test on pickups.  It tries
+//! the orderings in the same sequence and stops at the same first violation,
+//! and it allocates nothing.  Legs come from a per-check 4 × 4 memo.  Its
+//! diagonal is `0.0`, which is exactly what `SpEngine::cost(s, s)` returns
+//! for every ordering's first leg, from the vehicle's start to the pickup it
+//! stands on.  Every other leg is fetched through `SpEngine::cost` at most
+//! once per check.
+//!
+//! # The certified screen
+//!
+//! Before any engine call, every ordering is walked once with lower-bound
+//! legs `max(0, min_time_per_meter × euclid(u, v) − LOWER_BOUND_GRACE)`.
+//! [`RoadNetwork::min_time_per_meter`] and the grace make each bound at most
+//! the leg's exact `f64` cost.  The walk only adds legs, takes a `max` with a
+//! release time and compares against deadlines, and IEEE `+` and `max` are
+//! monotone.  So shorter legs can only make every service time earlier, and
+//! an ordering that fails on lower bounds fails on exact legs too.  The
+//! screen skips those orderings, and a pair with none left is rejected
+//! without a shortest-path query.  Verdicts are therefore bool-equal to the
+//! unscreened walk; only the number of `cost` calls changes.  A rate of `0.0`
+//! gives zero-length bounds, which still screen on release times, deadlines
+//! and capacity alone.
+//!
+//! [`RoadNetwork::min_time_per_meter`]: structride_roadnet::RoadNetwork::min_time_per_meter
 
-use structride_model::{Request, Schedule, Waypoint};
-use structride_roadnet::SpEngine;
+use structride_model::schedule::TIME_EPS;
+use structride_model::{Request, Waypoint, WaypointKind};
+use structride_roadnet::{SpEngine, LOWER_BOUND_GRACE};
 
-/// All interleavings of `(a, b)` way-points in which `a`'s source comes first.
-fn orderings_first<'r>(a: &'r Request, b: &'r Request) -> [Schedule; 3] {
-    let sa = Waypoint::pickup(a);
-    let ea = Waypoint::dropoff(a);
-    let sb = Waypoint::pickup(b);
-    let eb = Waypoint::dropoff(b);
-    [
-        Schedule::from_waypoints(vec![sa, sb, eb, ea]),
-        Schedule::from_waypoints(vec![sa, sb, ea, eb]),
-        Schedule::from_waypoints(vec![sa, ea, sb, eb]),
-    ]
+/// The six interleavings of a pair's stops `[s_a, e_a, s_b, e_b]`, in the
+/// order they are tried: the three starting at `a`'s source, then the three
+/// starting at `b`'s.
+const ORDERINGS: [[usize; 4]; 6] = [
+    [0, 2, 3, 1],
+    [0, 2, 1, 3],
+    [0, 1, 2, 3],
+    [2, 0, 1, 3],
+    [2, 0, 3, 1],
+    [2, 3, 0, 1],
+];
+
+/// The certified lower bound on the travel time from `u`'s stop to `v`'s:
+/// never more than `engine.cost(u, v)` when `rate` is the engine's current
+/// `min_time_per_meter` (or `0.0`).
+fn leg_lower_bound(engine: &SpEngine, rate: f64, u: u32, v: u32) -> f64 {
+    (rate * engine.euclidean(u, v) - LOWER_BOUND_GRACE).max(0.0)
 }
 
-/// Tests whether some schedule *starting at `first`'s source* serves both
-/// requests feasibly with a vehicle of the given seat `capacity`.
-///
-/// The hypothetical vehicle starts empty at `first.source`, available at
-/// `first.release` — the most favourable state any real vehicle could be in,
-/// so this is exactly the existence test of Definition 5 restricted to
-/// first-source schedules.
-pub fn pairwise_shareable_from(
-    engine: &SpEngine,
-    first: &Request,
-    second: &Request,
+/// Walks `order` over `stops` from an empty vehicle standing on the first
+/// stop at its release, reading the leg between stop indices `(i, j)` from
+/// `leg`, and reports whether every stop is served feasibly.
+fn feasible(
+    stops: &[Waypoint; 4],
+    order: &[usize; 4],
     capacity: u32,
+    mut leg: impl FnMut(usize, usize) -> f64,
 ) -> bool {
-    if first.id == second.id {
-        return false;
+    let mut at = order[0];
+    let mut now = stops[at].earliest;
+    let mut onboard = 0u32;
+    for &next in order {
+        let wp = &stops[next];
+        let leg = leg(at, next);
+        if !leg.is_finite() {
+            return false;
+        }
+        let service = (now + leg).max(wp.earliest);
+        if service > wp.deadline + TIME_EPS {
+            return false;
+        }
+        match wp.kind {
+            WaypointKind::Pickup => {
+                onboard += wp.riders;
+                if onboard > capacity {
+                    return false;
+                }
+            }
+            WaypointKind::Dropoff => onboard = onboard.saturating_sub(wp.riders),
+        }
+        now = service;
+        at = next;
     }
-    // Note: even if the combined rider count exceeds the capacity the pair may
-    // still share sequentially (⟨s_a, e_a, s_b, e_b⟩), so no early exit here —
-    // the per-ordering capacity check below handles both cases.
-    for schedule in orderings_first(first, second) {
-        let eval = schedule.evaluate(engine, first.source, first.release, 0, capacity);
-        if eval.feasible {
-            return true;
+    true
+}
+
+/// Definition 5's exact test for one batch: the engine, its certified
+/// lower-bound rate read once, and the seat capacity of the hypothetical
+/// shared vehicle.  Cheap to copy and safe to share across workers.
+#[derive(Debug, Clone, Copy)]
+pub struct ShareabilityCheck<'e> {
+    engine: &'e SpEngine,
+    min_time_per_meter: f64,
+    capacity: u32,
+}
+
+impl<'e> ShareabilityCheck<'e> {
+    /// A screened check at the engine's current certified rate.  On a
+    /// traffic engine that is the current epoch's rate, so build the check
+    /// per batch and never carry it across an epoch roll.
+    pub fn new(engine: &'e SpEngine, capacity: u32) -> Self {
+        ShareabilityCheck {
+            engine,
+            min_time_per_meter: engine.min_time_per_meter(),
+            capacity,
         }
     }
-    false
+
+    /// True if `a` and `b` can be served together in one trip (Definition
+    /// 5), in either order.  A request is never shareable with itself.
+    pub fn shareable(&self, a: &Request, b: &Request) -> bool {
+        if a.id == b.id {
+            return false;
+        }
+        // Even if the combined rider count exceeds the capacity the pair may
+        // still share sequentially (⟨s_a, e_a, s_b, e_b⟩), so there is no
+        // early exit on riders: the per-ordering capacity test handles both.
+        let stops = [
+            Waypoint::pickup(a),
+            Waypoint::dropoff(a),
+            Waypoint::pickup(b),
+            Waypoint::dropoff(b),
+        ];
+        let node = |i: usize| stops[i].node;
+        let bounds: [[f64; 4]; 4] = std::array::from_fn(|i| {
+            std::array::from_fn(|j| {
+                leg_lower_bound(self.engine, self.min_time_per_meter, node(i), node(j))
+            })
+        });
+        let open =
+            ORDERINGS.map(|order| feasible(&stops, &order, self.capacity, |i, j| bounds[i][j]));
+
+        let mut legs: [[Option<f64>; 4]; 4] =
+            std::array::from_fn(|i| std::array::from_fn(|j| (i == j).then_some(0.0)));
+        ORDERINGS
+            .iter()
+            .zip(open)
+            .filter(|&(_, open)| open)
+            .any(|(order, _)| {
+                feasible(&stops, order, self.capacity, |i, j| {
+                    *legs[i][j].get_or_insert_with(|| self.engine.cost(node(i), node(j)))
+                })
+            })
+    }
 }
 
 /// Symmetric shareability test (Definition 5): true if the two requests can be
 /// served together by one vehicle of seat capacity `capacity`, in any order.
+///
+/// A [`ShareabilityCheck`] at rate `0.0`: its bounds are all zero, so it
+/// reads no rate and is still exact.  Callers testing many pairs should
+/// build one screened check instead.
 pub fn pairwise_shareable(engine: &SpEngine, a: &Request, b: &Request, capacity: u32) -> bool {
-    pairwise_shareable_from(engine, a, b, capacity)
-        || pairwise_shareable_from(engine, b, a, capacity)
+    ShareabilityCheck {
+        engine,
+        min_time_per_meter: 0.0,
+        capacity,
+    }
+    .shareable(a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use structride_roadnet::{Point, RoadNetworkBuilder};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+    use structride_model::Schedule;
+    use structride_roadnet::{
+        CongestionZone, HubLabels, Point, RoadNetwork, RoadNetworkBuilder, SpEngineBuilder,
+        TrafficConfig, TrafficProfile,
+    };
+
+    /// All interleavings of `(a, b)` way-points in which `a`'s source comes
+    /// first, as allocated schedules.
+    fn orderings_first(a: &Request, b: &Request) -> [Schedule; 3] {
+        let sa = Waypoint::pickup(a);
+        let ea = Waypoint::dropoff(a);
+        let sb = Waypoint::pickup(b);
+        let eb = Waypoint::dropoff(b);
+        [
+            Schedule::from_waypoints(vec![sa, sb, eb, ea]),
+            Schedule::from_waypoints(vec![sa, sb, ea, eb]),
+            Schedule::from_waypoints(vec![sa, ea, sb, eb]),
+        ]
+    }
+
+    /// The reference test restricted to schedules starting at `first`'s
+    /// source: a full `Schedule::evaluate` per ordering, from an empty
+    /// vehicle standing at `first.source` at `first.release`.
+    fn pairwise_shareable_from(
+        engine: &SpEngine,
+        first: &Request,
+        second: &Request,
+        capacity: u32,
+    ) -> bool {
+        first.id != second.id
+            && orderings_first(first, second).iter().any(|schedule| {
+                schedule
+                    .evaluate(engine, first.source, first.release, 0, capacity)
+                    .feasible
+            })
+    }
+
+    /// The six-`Schedule` reference for the symmetric test.
+    fn reference_shareable(engine: &SpEngine, a: &Request, b: &Request, capacity: u32) -> bool {
+        pairwise_shareable_from(engine, a, b, capacity)
+            || pairwise_shareable_from(engine, b, a, capacity)
+    }
 
     /// 0 -10- 1 -10- 2 -10- 3 -10- 4 (bidirectional line).
     fn line_engine() -> SpEngine {
@@ -165,5 +317,204 @@ mod tests {
                 .evaluate(&engine, a.source, a.release, 0, 4)
                 .feasible
         );
+    }
+
+    #[test]
+    fn a_screened_rejection_issues_no_shortest_path_query() {
+        let engine = line_engine();
+        // Opposite ends, both due at once: no ordering survives the bounds.
+        let a = req(1, 0, 1, 0.0, 10.0, 1.0);
+        let b = req(2, 4, 3, 0.0, 10.0, 1.0);
+        let check = ShareabilityCheck::new(&engine, 4);
+        let before = engine.stats().total_queries;
+        assert!(!check.shareable(&a, &b));
+        assert_eq!(engine.stats().total_queries, before);
+        // The unscreened wrapper reaches the same verdict the long way.
+        assert!(!pairwise_shareable(&engine, &a, &b, 4));
+        assert!(engine.stats().total_queries > before);
+    }
+
+    /// Nodes per side of the main grid; the island is a second, smaller grid
+    /// with no edge to the first.
+    const SIDE: u32 = 5;
+    const ISLAND_SIDE: u32 = 2;
+
+    /// A jittered `SIDE × SIDE` grid with random per-direction speeds (so
+    /// legs are asymmetric), two nodes sharing one coordinate, a disconnected
+    /// island, and a detached two-node street faster than every other edge,
+    /// drawn from `seed`.  The street sets `min_time_per_meter`, and it is
+    /// drawn so that `rate × length` rounds *above* its weight: the rounding
+    /// `LOWER_BOUND_GRACE` exists for.
+    fn random_network(seed: u64) -> RoadNetwork {
+        let mut gen = proptest::Gen::new(seed);
+        let mut coords: Vec<Point> = Vec::new();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut grid = |coords: &mut Vec<Point>, side: u32, x0: f64| {
+            let first = coords.len() as u32;
+            for i in 0..side * side {
+                let (x, y) = ((i % side) as f64 * 100.0, (i / side) as f64 * 100.0);
+                coords.push(Point::new(
+                    x0 + x + gen.next_f64() * 30.0,
+                    y + gen.next_f64() * 30.0,
+                ));
+                if i % side + 1 < side {
+                    edges.push((first + i, first + i + 1));
+                }
+                if i + side < side * side {
+                    edges.push((first + i, first + i + side));
+                }
+            }
+        };
+        grid(&mut coords, SIDE, 0.0);
+        grid(&mut coords, ISLAND_SIDE, 5_000.0);
+        let mut b = RoadNetworkBuilder::new();
+        for &p in &coords {
+            b.add_node(p);
+        }
+        for (u, v) in edges {
+            let len = coords[u as usize].distance(&coords[v as usize]);
+            // 5–20 m/s per direction: awkward quotients on purpose.
+            b.add_edge(u, v, len / (5.0 + 15.0 * gen.next_f64()))
+                .unwrap();
+            b.add_edge(v, u, len / (5.0 + 15.0 * gen.next_f64()))
+                .unwrap();
+        }
+        // A twin of node 0 on its exact coordinate: a zero-length edge.
+        let twin = b.add_node(coords[0]);
+        b.add_bidirectional(0, twin, 3.0).unwrap();
+        let (p, q, weight) = loop {
+            let p = Point::new(2_500.0, gen.next_f64() * 100.0);
+            let q = Point::new(2_600.0 + gen.next_f64() * 100.0, gen.next_f64() * 100.0);
+            let len = p.distance(&q);
+            let weight = len / (25.0 + gen.next_f64());
+            if weight / len * len > weight {
+                break (p, q, weight);
+            }
+        };
+        let (p, q) = (b.add_node(p), b.add_node(q));
+        b.add_bidirectional(p, q, weight).unwrap();
+        b.build().unwrap()
+    }
+
+    /// The three engine shapes the builder meets: static, a rush-hour
+    /// traffic engine rolled into its congested epoch, and a halo-clipped
+    /// engine answering half its queries through the fallback.
+    fn engines(seed: u64) -> Vec<SpEngine> {
+        let net = random_network(seed);
+        let labels = Arc::new(HubLabels::build(&net));
+        let halo: Vec<u32> = (0..SIDE * SIDE / 2).collect();
+        let traffic = TrafficConfig {
+            profile: TrafficProfile::Rush,
+            epoch_seconds: 40.0,
+            hour_scale: 20.0,
+            ..TrafficConfig::default()
+        }
+        .with_zone(CongestionZone {
+            min_x: 0.0,
+            min_y: 0.0,
+            max_x: 250.0,
+            max_y: 250.0,
+            factor: 2.5,
+            active_from: 0.0,
+            active_until: 1e9,
+        });
+        let rush = SpEngineBuilder::new().traffic(traffic).build(net.clone());
+        assert!(rush.roll_epoch_to(8.0 * 20.0));
+        let net = Arc::new(net);
+        vec![
+            SpEngineBuilder::new().build_with_index(net.clone(), labels.clone()),
+            rush,
+            SpEngineBuilder::new().build_clipped(net, labels, &halo),
+        ]
+    }
+
+    /// A request drawn from `gen` over the engine's nodes: `s == e`,
+    /// cross-island trips (an unreachable own leg), 1–3 riders, deadlines
+    /// with no detour slack, and pickup windows on the knife edge
+    /// (`pickup_deadline == release`, or `release − TIME_EPS`, which only the
+    /// tolerance admits).
+    fn random_request(engine: &SpEngine, gen: &mut proptest::Gen, id: u32) -> Request {
+        let nodes = engine.node_count();
+        // Draw from a few hot nodes half the time, so pairs share stops.
+        let node = |gen: &mut proptest::Gen| {
+            let range = if gen.next_f64() < 0.5 { 4 } else { nodes };
+            gen.usize_in(0, range) as u32
+        };
+        let source = node(gen);
+        let destination = if gen.next_f64() < 0.1 {
+            source
+        } else {
+            node(gen)
+        };
+        let riders = gen.usize_in(1, 4) as u32;
+        let release = (gen.usize_in(0, 40) * 5) as f64;
+        let direct = engine.cost(source, destination);
+        // An unreachable trip keeps a finite nominal cost; its own leg is ∞.
+        let nominal = if direct.is_finite() { direct } else { 60.0 };
+        let detour = if gen.next_f64() < 0.2 {
+            1.0
+        } else {
+            1.0 + 1.5 * gen.next_f64()
+        };
+        let deadline = release + nominal * detour;
+        let pickup_deadline = match gen.usize_in(0, 8) {
+            0 => release,
+            1 => release - TIME_EPS,
+            _ => release + (deadline - release - nominal).clamp(0.0, 120.0),
+        };
+        Request::new(
+            id,
+            source,
+            destination,
+            riders,
+            release,
+            deadline,
+            pickup_deadline,
+            nominal,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The screened, memoised check and its unscreened wrapper agree
+        /// bool for bool with six full `Schedule::evaluate` walks.
+        #[test]
+        fn the_screened_check_matches_the_six_schedule_reference(
+            seed in 0u64..1_000_000,
+            capacity in 1u32..6,
+        ) {
+            for engine in engines(seed) {
+                let check = ShareabilityCheck::new(&engine, capacity);
+                let mut gen = proptest::Gen::new(seed ^ 0xA5A5);
+                let requests: Vec<Request> =
+                    (0..40).map(|id| random_request(&engine, &mut gen, id)).collect();
+                for a in &requests {
+                    for b in &requests {
+                        let expected = reference_shareable(&engine, a, b, capacity);
+                        prop_assert_eq!(check.shareable(a, b), expected, "{:?} / {:?}", a, b);
+                        prop_assert_eq!(pairwise_shareable(&engine, a, b, capacity), expected);
+                    }
+                }
+            }
+        }
+
+        /// Every certified lower-bound leg is at most the engine's exact
+        /// cost, over every ordered node pair.
+        #[test]
+        fn the_lower_bound_never_exceeds_the_exact_cost(seed in 0u64..1_000_000) {
+            for engine in engines(seed) {
+                let rate = engine.min_time_per_meter();
+                prop_assert!(rate > 0.0);
+                let n = engine.node_count() as u32;
+                for u in 0..n {
+                    for v in 0..n {
+                        let bound = leg_lower_bound(&engine, rate, u, v);
+                        let cost = engine.cost(u, v);
+                        prop_assert!(bound <= cost, "{u}->{v}: bound {bound} > cost {cost}");
+                    }
+                }
+            }
+        }
     }
 }
