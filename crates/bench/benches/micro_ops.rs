@@ -3,7 +3,8 @@
 //! shareability test, shareability-graph construction and request grouping.
 //!
 //! These are the building blocks behind the running-time panels of
-//! Figs. 8–13; `benches/dispatchers.rs` measures the dispatchers end to end.
+//! Figs. 8–13; the repo benchmark under `benchmark/` measures the
+//! dispatchers end to end.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::HashMap;

@@ -12,7 +12,7 @@
 //!
 //! * `record` runs the quickstart-style workload under the chosen dispatcher
 //!   and writes the `(batch, fleet-state, outcome)` trace to `--out`.  Its
-//!   `param` lines are the run's `Scenario`; it writes no `sp_stats` line, so
+//!   `param` lines are the run's `Scenario`; it writes no query counts, so
 //!   recordings of one scenario are byte-identical under any worker count.
 //! * `replay` loads a trace, reads its scenario back strictly (a missing,
 //!   unknown or duplicate `param` key, or a bad value, exits 1 with `bad
@@ -46,13 +46,13 @@
 //! `--traffic T` (T ∈ {rush, incident}) switches `record`/`verify` to a
 //! time-dependent travel-time model compressed to the quickstart horizon:
 //! epoch boundaries roll mid-run, hub labels refresh, and the trace records
-//! the traffic config (format v3+) so `replay` reproduces the exact epoch
-//! sequence from the batch clock alone.
+//! the traffic config so `replay` reproduces the exact epoch sequence from
+//! the batch clock alone.
 //!
 //! `--chaos` turns on the deterministic fault injector's chaos preset
 //! (`FaultConfig::chaos()`: periodic shard outages with failover, a solver
-//! node budget, a checkpoint cadence).  The fault config lands in the trace
-//! (format v4), so a faulted recording replays bit-identically — the
+//! node budget, a checkpoint cadence).  The fault config lands in the trace,
+//! so a faulted recording replays bit-identically — the
 //! degraded-mode schedule is pure in `(config, batch clock)`.  With
 //! `--checkpoint PATH`, `record` also writes the run's mid-run checkpoint
 //! (full simulation state at a fault-plan checkpoint boundary) to `PATH`;
@@ -197,14 +197,8 @@ fn print_trace_summary(trace: &Trace) {
         trace.batches.len(),
         assigned
     );
-    if let Some(s) = trace.meta.sp_stats {
-        eprintln!(
-            "# sp queries: total={} hits={} index={}",
-            s.total_queries, s.cache_hits, s.index_queries
-        );
-    }
     if let Some(s) = trace.meta.build_stats {
-        eprintln!("# sharegraph: {s}");
+        eprintln!("# sharegraph: {s:?}");
     }
 }
 

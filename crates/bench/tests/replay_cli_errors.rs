@@ -3,6 +3,7 @@
 //! non-zero with a diagnostic, never panic or succeed silently.
 
 use std::process::{Command, Output};
+use structride_core::{StructRideConfig, Trace, TraceMeta};
 
 fn replay(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_replay"))
@@ -103,7 +104,12 @@ fn replay_trace_without_metadata_asks_for_algo() {
     // explicit --algo does not stand in for the workload parameters.
     let dir = std::env::temp_dir();
     let path = dir.join("structride-bare-trace.txt");
-    std::fs::write(&path, "structride-trace v4\nalgorithm X\nworkload w\n").unwrap();
+    let meta = TraceMeta::new("X", "w", StructRideConfig::default());
+    let bare = Trace {
+        meta,
+        batches: Vec::new(),
+    };
+    std::fs::write(&path, bare.to_text()).unwrap();
     let trace = path.to_str().unwrap();
     for args in [
         &["replay", "--trace", trace][..],

@@ -38,8 +38,8 @@ pub struct BatchOutcome {
     /// Telemetry of the exact-assignment solve behind this batch, when the
     /// dispatcher used one ([`crate::assign::AssignDispatcher`], exact RTV).
     /// Heuristic dispatchers leave it `None`.  Deliberately *not* part of
-    /// the recorded trace format (v3 traces parse and compare unchanged):
-    /// replay pins decisions, and solver telemetry is derived, not decided.
+    /// the recorded trace format: replay pins decisions, and solver
+    /// telemetry is derived, not decided.
     pub solver: Option<SolverStats>,
 }
 

@@ -170,15 +170,6 @@ impl FleetIndex {
         self.min_tpm = rate;
     }
 
-    /// Visits every indexed slot within `radius` meters of `(x, y)` (exact
-    /// Euclidean test on true coordinates) — the raw range query behind
-    /// shortlists that rank survivors themselves.  The visit order depends on
-    /// the grid's granularity, so a caller must rank what it collects by a
-    /// total order.
-    pub fn for_each_in_range(&self, x: f64, y: f64, radius: f64, f: impl FnMut(u64)) {
-        self.grid.for_each_in_range(x, y, radius, f);
-    }
-
     /// The certified candidate set for a pickup at `(x, y)` with the given
     /// deadline: every slot whose vehicle could possibly reach the pickup in
     /// time (see the module docs), in ascending slot order.
@@ -406,12 +397,10 @@ mod tests {
         index.sync(&net, &vehicles);
         index.check_consistency(&net, &vehicles);
         assert_eq!(index.free_floor(), 0.25);
+        // Only the moved vehicle, now standing on the pickup, makes a
+        // deadline equal to its new free time.
         let p = net.coord(17);
-        let near: Vec<usize> = {
-            let mut out = Vec::new();
-            index.for_each_in_range(p.x, p.y, 1.0, |slot| out.push(slot as usize));
-            out
-        };
+        let near = index.certified_candidates(&net, &vehicles, p.x, p.y, 42.0);
         assert_eq!(near, vec![0]);
     }
 

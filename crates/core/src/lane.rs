@@ -113,9 +113,7 @@ pub(crate) struct Lane {
     /// Requests this lane's dispatcher assigned.
     pub(crate) served: HashSet<RequestId>,
     dispatch_time: f64,
-    insertion_evaluations: u64,
-    groups_enumerated: u64,
-    prescreen_pruned: u64,
+    scratch: ScratchStats,
     solver_fallbacks: u64,
 }
 
@@ -140,9 +138,7 @@ impl Lane {
             score_memo: ScoreMemo::new(),
             served: HashSet::new(),
             dispatch_time: 0.0,
-            insertion_evaluations: 0,
-            groups_enumerated: 0,
-            prescreen_pruned: 0,
+            scratch: ScratchStats::default(),
             solver_fallbacks: 0,
         }
     }
@@ -208,9 +204,9 @@ impl Lane {
         #[cfg(debug_assertions)]
         self.fleet_index
             .check_consistency(engine.network(), &self.vehicles);
-        self.insertion_evaluations += scratch.insertion_evaluations;
-        self.groups_enumerated += scratch.groups_enumerated;
-        self.prescreen_pruned += scratch.prescreen_pruned;
+        self.scratch.insertion_evaluations += scratch.insertion_evaluations;
+        self.scratch.groups_enumerated += scratch.groups_enumerated;
+        self.scratch.prescreen_pruned += scratch.prescreen_pruned;
         self.solver_fallbacks += outcome.solver.map_or(0, |st| st.fallbacks);
         self.served.extend(outcome.assigned.iter().copied());
         (outcome, scratch)
@@ -249,9 +245,9 @@ impl Lane {
             sp_queries,
             memory_bytes: dispatcher.memory_bytes(),
             batches,
-            insertion_evaluations: self.insertion_evaluations,
-            groups_enumerated: self.groups_enumerated,
-            prescreen_pruned: self.prescreen_pruned,
+            insertion_evaluations: self.scratch.insertion_evaluations,
+            groups_enumerated: self.scratch.groups_enumerated,
+            prescreen_pruned: self.scratch.prescreen_pruned,
             solver_fallbacks: self.solver_fallbacks,
             memo_lookups: self.score_memo.lookups(),
             memo_hits: self.score_memo.hits(),
@@ -270,9 +266,7 @@ impl Lane {
         let mut served: Vec<RequestId> = self.served.iter().copied().collect();
         served.sort_unstable();
         ShardCheckpoint {
-            insertion_evaluations: self.insertion_evaluations,
-            groups_enumerated: self.groups_enumerated,
-            prescreen_pruned: self.prescreen_pruned,
+            scratch: self.scratch,
             solver_fallbacks: self.solver_fallbacks,
             routed,
             served,
@@ -293,9 +287,7 @@ impl Lane {
         self.vehicles = checkpoint.fleet.iter().map(VehicleState::restore).collect();
         self.reindex(engine);
         self.served = checkpoint.served.iter().copied().collect();
-        self.insertion_evaluations = checkpoint.insertion_evaluations;
-        self.groups_enumerated = checkpoint.groups_enumerated;
-        self.prescreen_pruned = checkpoint.prescreen_pruned;
+        self.scratch = checkpoint.scratch;
         self.solver_fallbacks = checkpoint.solver_fallbacks;
         dispatcher.restore_snapshot(checkpoint.pending.clone());
     }

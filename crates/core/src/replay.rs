@@ -1,11 +1,9 @@
 //! Record/replay harness pinning dispatcher behavior.
 //!
-//! PR 1 made the whole batch-dispatch pipeline parallel and promised
-//! determinism regardless of worker count; this module turns that promise
-//! into an enforced invariant.  A [`TraceRecorder`] hooks into the simulator
-//! (see [`Simulator::run_recorded`](crate::Simulator::run_recorded)) and
-//! captures, per batch, the released requests, the full pre-dispatch fleet
-//! state and the dispatch outcome (assignments, post-dispatch fleet state,
+//! A [`TraceRecorder`] hooks into the simulator (see
+//! [`Simulator::run_recorded`](crate::Simulator::run_recorded)) and captures,
+//! per batch, the released requests, the full pre-dispatch fleet state and
+//! the dispatch outcome (assignments, post-dispatch fleet state,
 //! scratch-counter deltas).  [`replay_trace`] re-feeds the recorded batches
 //! to any [`Dispatcher`] through a fresh
 //! [`DispatchContext`](crate::DispatchContext) and diffs the outcomes batch
@@ -21,56 +19,46 @@
 //! recorded pre-dispatch fleet state, a divergence cannot cascade: the
 //! report pins the exact batch (and field) where a refactored dispatcher
 //! first drifts from the recorded behavior.  Shortest-path *query counts*
-//! are deliberately excluded from the diff — under concurrency two workers
-//! may race on the same missing cache key and both consult the index (see
+//! are not recorded at all — under concurrency two workers may race on the
+//! same missing cache key and both consult the index (see
 //! `structride_roadnet::engine`), which perturbs the counters but never the
 //! decisions.  The one bundled dispatcher exempt from the invariant is
 //! TicketAssign+, whose commit-order races are the algorithm under study.
 //!
-//! Traces serialize to a versioned, line-oriented text format whose floats
-//! round-trip exactly (Rust's shortest-representation formatting), so a
-//! trace recorded on one machine replays bit-identically on another.  Two
-//! versions exist: v4, which every recording is written at, and v3 (no
-//! fault tokens on the config line), which is still read and re-serialized
-//! byte for byte.  The header fixes the shape of every line below it.
+//! # The text format
+//!
+//! There is one trace format, `structride-trace v4`, beside the checkpoint
+//! format `structride-checkpoint v1`; any other header is an error.  Both
+//! are line-oriented, and one codec serves both.  Every line kind is a
+//! record that declares its fields once, in a single table giving each
+//! field's key (or position), its order and its token form; the writer and
+//! the reader are both expanded from that table, so a new field is one line.
+//! Field values are scalars through `Display` / `FromStr` — floats in Rust's
+//! shortest round-trip form, so a trace recorded on one machine replays
+//! bit-identically on another — separator-joined lists, way-points, the
+//! traffic profile and zones, the routed ledger and the shareability edges.
+//! A parse error names its line and the field it could not read.
 
 use crate::config::StructRideConfig;
 use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::lane::Lane;
 use crate::score_memo::ScoreMemo;
-use std::fmt;
-use std::str::FromStr;
+use std::fmt::{self, Write as _};
 use structride_model::{Request, RequestId, Schedule, Vehicle, Waypoint, WaypointKind};
-use structride_roadnet::{
-    CongestionZone, SpEngine, SpStats, TrafficConfig, TrafficProfile, MAX_TRAFFIC_ZONES,
-};
+use structride_roadnet::{CongestionZone, SpEngine, TrafficProfile, MAX_TRAFFIC_ZONES};
 use structride_sharegraph::builder::BuildStats;
 
-/// The trace format version new recordings are written at.  Its config line
-/// ends with the fault-injection model (outage cadence, solver budget,
-/// checkpoint cadence).
-const TRACE_VERSION: u32 = 4;
+/// Magic first line of a trace.  Its config line ends with the
+/// fault-injection model (outage cadence, solver budget, checkpoint cadence).
+const TRACE_HEADER: &str = "structride-trace v4";
 
-/// The trace format versions [`Trace::parse`] accepts.  A v3 config line
-/// stops after the traffic model, so a v3 trace parses with the inert
-/// [`FaultConfig::default`](crate::faults::FaultConfig) and replays
-/// bit-identically.
-const TRACE_VERSIONS: [u32; 2] = [3, TRACE_VERSION];
-
-/// Magic first line of a trace at format `version` — the one place version
-/// and header are paired, for [`Trace::to_text`] and [`Trace::parse`] alike.
-fn trace_header(version: u32) -> &'static str {
-    match version {
-        3 => "structride-trace v3",
-        4 => "structride-trace v4",
-        other => panic!("there is no trace format v{other}"),
-    }
-}
+/// Magic first line of a checkpoint (see [`Checkpoint`]).
+const CHECKPOINT_HEADER: &str = "structride-checkpoint v1";
 
 /// A plain-data snapshot of one [`Vehicle`], captured before and after each
 /// dispatch call.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VehicleState {
     /// Vehicle identifier.
     pub id: u32,
@@ -123,7 +111,7 @@ impl VehicleState {
 
 /// Everything recorded about one batch: the inputs the dispatcher saw and
 /// the outcome it produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchRecord {
     /// Zero-based batch index within the run.
     pub index: usize,
@@ -142,12 +130,8 @@ pub struct BatchRecord {
 }
 
 /// Run-level metadata stored alongside the recorded batches.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceMeta {
-    /// Trace format version (3 or 4).  Set from the header on parse, so a
-    /// parsed trace re-serializes in the format it was read in;
-    /// [`TraceMeta::new`] stamps the current version.
-    pub version: u32,
     /// Name of the dispatcher that produced the trace.
     pub algorithm: String,
     /// Workload name (as passed to the simulator).
@@ -158,27 +142,9 @@ pub struct TraceMeta {
     /// generation parameters here so `replay` can regenerate the road
     /// network without shipping it inside the trace.
     pub params: Vec<(String, String)>,
-    /// Shortest-path engine counters at the end of the recording
-    /// (informational: query *counts* are excluded from the drift diff, see
-    /// the module docs).
-    pub sp_stats: Option<SpStats>,
     /// Shareability-graph build counters at the end of the recording, when
     /// the recorded dispatcher exposes them (SARD).
     pub build_stats: Option<BuildStats>,
-}
-
-impl Default for TraceMeta {
-    fn default() -> Self {
-        TraceMeta {
-            version: TRACE_VERSION,
-            algorithm: String::new(),
-            workload: String::new(),
-            config: StructRideConfig::default(),
-            params: Vec::new(),
-            sp_stats: None,
-            build_stats: None,
-        }
-    }
 }
 
 impl TraceMeta {
@@ -189,13 +155,10 @@ impl TraceMeta {
         config: StructRideConfig,
     ) -> Self {
         TraceMeta {
-            version: TRACE_VERSION,
             algorithm: algorithm.into(),
             workload: workload.into(),
             config,
-            params: Vec::new(),
-            sp_stats: None,
-            build_stats: None,
+            ..TraceMeta::default()
         }
     }
 
@@ -258,9 +221,7 @@ impl TraceRecorder {
             now,
             requests: requests.to_vec(),
             fleet_before: fleet.iter().map(VehicleState::capture).collect(),
-            assigned: Vec::new(),
-            fleet_after: Vec::new(),
-            scratch: ScratchStats::default(),
+            ..BatchRecord::default()
         });
     }
 
@@ -301,9 +262,9 @@ impl TraceRecorder {
 pub struct FieldDelta {
     /// Dotted path of the differing field (e.g. `vehicle[3].schedule`).
     pub field: String,
-    /// The recorded value, rendered for display.
+    /// The recorded value, in its trace text form.
     pub recorded: String,
-    /// The replayed value, rendered for display.
+    /// The replayed value, in its trace text form.
     pub replayed: String,
 }
 
@@ -362,88 +323,12 @@ impl fmt::Display for DriftReport {
             for delta in &div.deltas {
                 writeln!(
                     f,
-                    "    {}: recorded {} != replayed {}",
+                    "    {}: recorded {:?} != replayed {:?}",
                     delta.field, delta.recorded, delta.replayed
                 )?;
             }
         }
         Ok(())
-    }
-}
-
-fn fmt_ids(ids: &[RequestId]) -> String {
-    let strs: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-    format!("[{}]", strs.join(","))
-}
-
-fn fmt_schedule(wps: &[Waypoint]) -> String {
-    let strs: Vec<String> = wps.iter().map(waypoint_to_token).collect();
-    format!("[{}]", strs.join(";"))
-}
-
-fn diff_vehicle(deltas: &mut Vec<FieldDelta>, recorded: &VehicleState, replayed: &VehicleState) {
-    let prefix = format!("vehicle[{}]", recorded.id);
-    let mut push = |field: &str, rec: String, rep: String| {
-        deltas.push(FieldDelta {
-            field: format!("{prefix}.{field}"),
-            recorded: rec,
-            replayed: rep,
-        });
-    };
-    if recorded.id != replayed.id {
-        push("id", recorded.id.to_string(), replayed.id.to_string());
-    }
-    if recorded.capacity != replayed.capacity {
-        push(
-            "capacity",
-            recorded.capacity.to_string(),
-            replayed.capacity.to_string(),
-        );
-    }
-    if recorded.node != replayed.node {
-        push("node", recorded.node.to_string(), replayed.node.to_string());
-    }
-    if recorded.free_at.to_bits() != replayed.free_at.to_bits() {
-        push(
-            "free_at",
-            recorded.free_at.to_string(),
-            replayed.free_at.to_string(),
-        );
-    }
-    if recorded.onboard != replayed.onboard {
-        push(
-            "onboard",
-            recorded.onboard.to_string(),
-            replayed.onboard.to_string(),
-        );
-    }
-    if recorded.executed_travel.to_bits() != replayed.executed_travel.to_bits() {
-        push(
-            "executed_travel",
-            recorded.executed_travel.to_string(),
-            replayed.executed_travel.to_string(),
-        );
-    }
-    if recorded.assigned != replayed.assigned {
-        push(
-            "assigned",
-            fmt_ids(&recorded.assigned),
-            fmt_ids(&replayed.assigned),
-        );
-    }
-    if recorded.completed != replayed.completed {
-        push(
-            "completed",
-            fmt_ids(&recorded.completed),
-            fmt_ids(&replayed.completed),
-        );
-    }
-    if recorded.schedule != replayed.schedule {
-        push(
-            "schedule",
-            fmt_schedule(&recorded.schedule),
-            fmt_schedule(&replayed.schedule),
-        );
     }
 }
 
@@ -487,13 +372,17 @@ pub fn replay_trace(
         lane.score_memo = score_memo;
         let (outcome, scratch) =
             lane.dispatch(engine, dispatcher, batch.now, batch.index, &batch.requests);
-        let fleet_after: Vec<VehicleState> =
-            lane.vehicles.iter().map(VehicleState::capture).collect();
+        let replayed = BatchRecord {
+            assigned: outcome.assigned,
+            scratch,
+            fleet_after: lane.vehicles.iter().map(VehicleState::capture).collect(),
+            ..BatchRecord::default()
+        };
         score_memo = lane.score_memo;
         report.batches_compared += 1;
 
         let mut deltas = Vec::new();
-        diff_outcome(&mut deltas, batch, &outcome.assigned, scratch, &fleet_after);
+        diff_outcome(&mut deltas, batch, &replayed);
         if !deltas.is_empty() {
             report.divergences.push(BatchDivergence {
                 batch_index: batch.index,
@@ -505,49 +394,17 @@ pub fn replay_trace(
     report
 }
 
-/// Diffs a replayed `(assigned, scratch, post-dispatch fleet)` outcome
-/// against the `recorded` batch — the comparison [`replay_trace`] and
+/// Diffs a replayed outcome (assignments, scratch counters, post-dispatch
+/// fleet) against the `recorded` batch — the comparison [`replay_trace`] and
 /// [`diff_traces`] share.
-fn diff_outcome(
-    deltas: &mut Vec<FieldDelta>,
-    recorded: &BatchRecord,
-    assigned: &[RequestId],
-    scratch: ScratchStats,
-    fleet_after: &[VehicleState],
-) {
-    if assigned != recorded.assigned {
-        deltas.push(FieldDelta {
-            field: "outcome.assigned".to_string(),
-            recorded: fmt_ids(&recorded.assigned),
-            replayed: fmt_ids(assigned),
-        });
-    }
-    let mut counter = |name: &str, recorded: u64, replayed: u64| {
-        if recorded != replayed {
-            deltas.push(FieldDelta {
-                field: format!("scratch.{name}"),
-                recorded: recorded.to_string(),
-                replayed: replayed.to_string(),
-            });
-        }
-    };
-    let (rec, rep) = (recorded.scratch, scratch);
-    counter(
-        "insertion_evaluations",
-        rec.insertion_evaluations,
-        rep.insertion_evaluations,
+fn diff_outcome(deltas: &mut Vec<FieldDelta>, recorded: &BatchRecord, replayed: &BatchRecord) {
+    OutcomeLine::diff(recorded, replayed, "", deltas);
+    diff_fleet(
+        deltas,
+        "fleet_after",
+        &recorded.fleet_after,
+        &replayed.fleet_after,
     );
-    counter(
-        "prescreen_pruned",
-        rec.prescreen_pruned,
-        rep.prescreen_pruned,
-    );
-    counter(
-        "groups_enumerated",
-        rec.groups_enumerated,
-        rep.groups_enumerated,
-    );
-    diff_fleet(deltas, "fleet_after", &recorded.fleet_after, fleet_after);
 }
 
 fn diff_fleet(
@@ -566,7 +423,7 @@ fn diff_fleet(
     }
     for (rec, rep) in recorded.iter().zip(replayed) {
         if rec != rep {
-            diff_vehicle(deltas, rec, rep);
+            VehicleFields::diff(rec, rep, &format!("vehicle[{}].", rec.id), deltas);
         }
     }
 }
@@ -598,18 +455,14 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
     for (rec, rep) in recorded.batches.iter().zip(&replayed.batches) {
         report.batches_compared += 1;
         let mut deltas = Vec::new();
-        if rec.now.to_bits() != rep.now.to_bits() {
-            deltas.push(FieldDelta {
-                field: "batch.now".to_string(),
-                recorded: rec.now.to_string(),
-                replayed: rep.now.to_string(),
-            });
-        }
+        BatchLine::diff(rec, rep, "batch.", &mut deltas);
         if rec.requests != rep.requests {
+            let ids =
+                |b: &BatchRecord| rendered(&b.requests.iter().map(|r| r.id).collect::<Vec<_>>());
             deltas.push(FieldDelta {
                 field: "batch.requests".to_string(),
-                recorded: fmt_ids(&rec.requests.iter().map(|r| r.id).collect::<Vec<_>>()),
-                replayed: fmt_ids(&rep.requests.iter().map(|r| r.id).collect::<Vec<_>>()),
+                recorded: ids(rec),
+                replayed: ids(rep),
             });
         }
         diff_fleet(
@@ -618,13 +471,7 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
             &rec.fleet_before,
             &rep.fleet_before,
         );
-        diff_outcome(
-            &mut deltas,
-            rec,
-            &rep.assigned,
-            rep.scratch,
-            &rep.fleet_after,
-        );
+        diff_outcome(&mut deltas, rec, rep);
         if !deltas.is_empty() {
             report.divergences.push(BatchDivergence {
                 batch_index: rec.index,
@@ -637,224 +484,8 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
 }
 
 // ---------------------------------------------------------------------------
-// Text codec
+// Checkpoints
 // ---------------------------------------------------------------------------
-
-/// Error parsing a trace from its text form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    /// 1-based line number the error was detected at.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-fn waypoint_to_token(wp: &Waypoint) -> String {
-    let kind = match wp.kind {
-        WaypointKind::Pickup => 'P',
-        WaypointKind::Dropoff => 'D',
-    };
-    format!(
-        "{kind}:{}:{}:{}:{}:{}",
-        wp.request, wp.node, wp.deadline, wp.earliest, wp.riders
-    )
-}
-
-fn ids_to_token(ids: &[RequestId]) -> String {
-    ids.iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Renders the traffic profile as a single config token value:
-/// `none`, `rush`, or `custom:<24 colon-joined hourly factors>`.
-fn traffic_profile_token(profile: &TrafficProfile) -> String {
-    match profile {
-        TrafficProfile::None => "none".to_string(),
-        TrafficProfile::Rush => "rush".to_string(),
-        TrafficProfile::Custom(factors) => {
-            let joined = factors
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join(":");
-            format!("custom:{joined}")
-        }
-    }
-}
-
-/// Renders the congestion zones as a single config token value: `-` when
-/// there are none, else `;`-joined `minx,miny,maxx,maxy,factor,from,until`
-/// tuples in slot order.
-fn traffic_zones_token(config: &TrafficConfig) -> String {
-    let zones: Vec<String> = config
-        .zones()
-        .map(|z| {
-            format!(
-                "{},{},{},{},{},{},{}",
-                z.min_x, z.min_y, z.max_x, z.max_y, z.factor, z.active_from, z.active_until
-            )
-        })
-        .collect();
-    if zones.is_empty() {
-        "-".to_string()
-    } else {
-        zones.join(";")
-    }
-}
-
-fn vehicle_to_line(v: &VehicleState) -> String {
-    let sched = v
-        .schedule
-        .iter()
-        .map(waypoint_to_token)
-        .collect::<Vec<_>>()
-        .join(";");
-    format!(
-        "vehicle {} {} {} {} {} {} a={} c={} s={}",
-        v.id,
-        v.capacity,
-        v.node,
-        v.free_at,
-        v.onboard,
-        v.executed_travel,
-        ids_to_token(&v.assigned),
-        ids_to_token(&v.completed),
-        sched
-    )
-}
-
-/// Serializes a [`StructRideConfig`] to the `config ` line body shared by the
-/// trace and checkpoint text formats.  The five fault tokens exist only at
-/// v4, so re-serializing a parsed v3 trace stays byte-identical to its
-/// original text.  Checkpoints always serialize at the current version (all
-/// tokens).
-fn config_to_tokens(c: &StructRideConfig, version: u32) -> String {
-    let mut out = format!(
-        "batch_period={} alpha={} penalty={} shareability_capacity={} \
-         angle_enabled={} angle_threshold={} grid_cells={} max_candidate_vehicles={} \
-         ingest_max_batch={} ingest_deadline={} ingest_queue={} ingest_time_scale={} \
-         traffic_profile={} traffic_epoch_s={} traffic_hour_s={} traffic_zones={}",
-        c.batch_period,
-        c.cost.alpha,
-        c.cost.penalty_coefficient,
-        c.shareability_capacity,
-        c.angle.enabled,
-        c.angle.threshold,
-        c.grid_cells,
-        c.max_candidate_vehicles,
-        c.ingest.max_batch_size,
-        c.ingest.batch_deadline,
-        c.ingest.queue_capacity,
-        c.ingest.time_scale,
-        traffic_profile_token(&c.traffic.profile),
-        c.traffic.epoch_seconds,
-        c.traffic.hour_scale,
-        traffic_zones_token(&c.traffic)
-    );
-    if version >= 4 {
-        out.push_str(&format!(
-            " faults_seed={} faults_outage_every={} faults_outage_batches={} \
-             faults_solver_budget={} faults_checkpoint_every={}",
-            c.faults.seed,
-            c.faults.outage_every,
-            c.faults.outage_batches,
-            c.faults.solver_node_budget,
-            c.faults.checkpoint_every
-        ));
-    }
-    out
-}
-
-impl Trace {
-    /// Serializes the trace to its versioned text form.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let m = &self.meta;
-        out.push_str(trace_header(m.version));
-        out.push('\n');
-        out.push_str(&format!("algorithm {}\n", m.algorithm));
-        out.push_str(&format!("workload {}\n", m.workload));
-        out.push_str(&format!(
-            "config {}\n",
-            config_to_tokens(&m.config, m.version)
-        ));
-        for (k, v) in &m.params {
-            out.push_str(&format!("param {k} {v}\n"));
-        }
-        if let Some(s) = m.sp_stats {
-            out.push_str(&format!(
-                "sp_stats total={} hits={} index={}\n",
-                s.total_queries, s.cache_hits, s.index_queries
-            ));
-        }
-        if let Some(s) = m.build_stats {
-            // BuildStats's Display is the trace rendering (single source of
-            // truth shared with the replay binary's summary output).
-            out.push_str(&format!("build_stats {s}\n"));
-        }
-        for b in &self.batches {
-            out.push_str(&format!("batch {} now={}\n", b.index, b.now));
-            for r in &b.requests {
-                out.push_str(&request_to_line(r));
-                out.push('\n');
-            }
-            out.push_str("fleet before\n");
-            for v in &b.fleet_before {
-                out.push_str(&vehicle_to_line(v));
-                out.push('\n');
-            }
-            out.push_str(&format!(
-                "outcome assigned={} insertion_evaluations={} groups_enumerated={} \
-                 prescreen_pruned={}\n",
-                ids_to_token(&b.assigned),
-                b.scratch.insertion_evaluations,
-                b.scratch.groups_enumerated,
-                b.scratch.prescreen_pruned
-            ));
-            out.push_str("fleet after\n");
-            for v in &b.fleet_after {
-                out.push_str(&vehicle_to_line(v));
-                out.push('\n');
-            }
-            out.push_str("end\n");
-        }
-        out
-    }
-
-    /// Parses a trace from its text form.
-    pub fn parse(text: &str) -> Result<Trace, TraceParseError> {
-        Parser::new(text).parse()
-    }
-
-    /// Writes the trace to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
-    }
-
-    /// Reads a trace from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
-        let text = std::fs::read_to_string(path)?;
-        Trace::parse(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-/// Magic first line of the checkpoint text format (see [`Checkpoint`]).
-const CHECKPOINT_HEADER_V1: &str = "structride-checkpoint v1";
 
 /// Run-level counters carried across a checkpoint boundary.  Monolithic runs
 /// leave the sharded-only fields (handoffs, migrations, epoch/label rolls,
@@ -888,12 +519,8 @@ pub struct CheckpointCounters {
 /// and `served` ledgers, since the monolithic simulator accounts globally).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardCheckpoint {
-    /// Accumulated insertion-evaluation scratch counter.
-    pub insertion_evaluations: u64,
-    /// Accumulated group-enumeration scratch counter.
-    pub groups_enumerated: u64,
-    /// Accumulated certified-prescreen prune counter.
-    pub prescreen_pruned: u64,
+    /// Accumulated scratch counters.
+    pub scratch: ScratchStats,
     /// Accumulated degraded exact solves
     /// ([`SolverStats::fallbacks`](crate::lap::SolverStats)).
     pub solver_fallbacks: u64,
@@ -932,7 +559,7 @@ pub struct ShardCheckpoint {
 /// caller to supply the same request slice as the original run (workloads
 /// are deterministic generators), and `next_request` indexes into its
 /// release-sorted order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Dispatcher name (`RunMetrics::algorithm`).
     pub algorithm: String,
@@ -957,97 +584,619 @@ pub struct Checkpoint {
     pub shards: Vec<ShardCheckpoint>,
 }
 
-fn routed_to_token(routed: &[(RequestId, f64)]) -> String {
-    routed
-        .iter()
-        .map(|(id, cost)| format!("{id}:{cost}"))
-        .collect::<Vec<_>>()
-        .join(";")
+// ---------------------------------------------------------------------------
+// Text codec
+// ---------------------------------------------------------------------------
+
+/// Error parsing a trace or checkpoint from its text form.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceParseError {
+    /// 1-based line number the error was detected at.
+    pub line: usize,
+    /// What went wrong.
+    pub message: String,
 }
 
-fn edges_to_token(edges: &[(RequestId, RequestId)]) -> String {
-    edges
-        .iter()
-        .map(|(a, b)| format!("{a}-{b}"))
-        .collect::<Vec<_>>()
-        .join(";")
+impl fmt::Display for TraceParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace parse error at line {}: {}",
+            self.line, self.message
+        )
+    }
 }
 
-fn request_to_line(r: &Request) -> String {
-    format!(
-        "request {} {} {} {} {} {} {} {}",
-        r.id,
-        r.source,
-        r.destination,
-        r.riders,
-        r.release,
-        r.deadline,
-        r.pickup_deadline,
-        r.shortest_cost
-    )
+impl std::error::Error for TraceParseError {}
+
+/// A field value with one text form: `put` writes it and `take` reads it
+/// back bit for bit.
+trait Token: Sized {
+    fn put(&self, out: &mut String);
+    fn take(text: &str) -> Result<Self, String>;
+
+    /// How many `sep`-separated pieces the text spans inside a record
+    /// separated by `sep`: one, except for a record nested in its own
+    /// separator.
+    fn width(_sep: char) -> usize {
+        1
+    }
+
+    /// Pushes the delta `prefix` + `name` when the two texts differ.
+    fn diff(&self, replayed: &Self, prefix: &str, name: &str, deltas: &mut Vec<FieldDelta>) {
+        let (recorded, replayed) = (rendered(self), rendered(replayed));
+        if recorded != replayed {
+            deltas.push(FieldDelta {
+                field: format!("{prefix}{name}"),
+                recorded,
+                replayed,
+            });
+        }
+    }
+}
+
+/// Renders a token on its own.
+fn rendered<T: Token>(value: &T) -> String {
+    let mut out = String::new();
+    value.put(&mut out);
+    out
+}
+
+/// Scalars go through `Display` / `FromStr`; floats print in Rust's
+/// shortest round-trip form.
+macro_rules! display_tokens {
+    ($($ty:ty),*) => {$(
+        impl Token for $ty {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn take(text: &str) -> Result<Self, String> {
+                text.parse().map_err(|_| format!("invalid value {text:?}"))
+            }
+        }
+    )*};
+}
+display_tokens!(u32, u64, usize, f64, bool, String);
+
+/// A list element, and the character that joins a list of them.
+trait Item: Token {
+    const SEP: char;
+}
+
+impl Item for RequestId {
+    const SEP: char = ',';
+}
+
+impl Item for Waypoint {
+    const SEP: char = ';';
+}
+
+impl Item for CongestionZone {
+    const SEP: char = ';';
+}
+
+impl Item for (RequestId, f64) {
+    const SEP: char = ';';
+}
+
+impl Item for (RequestId, RequestId) {
+    const SEP: char = ';';
+}
+
+impl<T: Item> Token for Vec<T> {
+    fn put(&self, out: &mut String) {
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(T::SEP);
+            }
+            item.put(out);
+        }
+    }
+    fn take(text: &str) -> Result<Self, String> {
+        if text.is_empty() {
+            return Ok(Vec::new());
+        }
+        text.split(T::SEP).map(T::take).collect()
+    }
+}
+
+/// `a<sep>b` pairs: `param` lines' key and value, the routed ledger's
+/// `id:cost` and the shareability edges' `a-b`.
+macro_rules! pair_tokens {
+    ($(($a:ty, $sep:literal, $b:ty)),*) => {$(
+        impl Token for ($a, $b) {
+            fn put(&self, out: &mut String) {
+                self.0.put(out);
+                out.push($sep);
+                self.1.put(out);
+            }
+            fn take(text: &str) -> Result<Self, String> {
+                let (a, b) = text
+                    .split_once($sep)
+                    .ok_or_else(|| format!("expected a {:?}-joined pair, got {text:?}", $sep))?;
+                Ok((<$a>::take(a)?, <$b>::take(b)?))
+            }
+        }
+    )*};
+}
+pair_tokens!(
+    (String, ' ', String),
+    (RequestId, ':', f64),
+    (RequestId, '-', RequestId)
+);
+
+impl Token for WaypointKind {
+    fn put(&self, out: &mut String) {
+        out.push(match self {
+            WaypointKind::Pickup => 'P',
+            WaypointKind::Dropoff => 'D',
+        });
+    }
+    fn take(text: &str) -> Result<Self, String> {
+        match text {
+            "P" => Ok(WaypointKind::Pickup),
+            "D" => Ok(WaypointKind::Dropoff),
+            _ => Err(format!("unknown waypoint kind {text:?}")),
+        }
+    }
+}
+
+/// `none`, `rush`, or `custom:<24 colon-joined hourly factors>`.
+impl Token for TrafficProfile {
+    fn put(&self, out: &mut String) {
+        match self {
+            TrafficProfile::None => out.push_str("none"),
+            TrafficProfile::Rush => out.push_str("rush"),
+            TrafficProfile::Custom(factors) => {
+                out.push_str("custom");
+                for factor in factors {
+                    out.push(':');
+                    factor.put(out);
+                }
+            }
+        }
+    }
+    fn take(text: &str) -> Result<Self, String> {
+        match text {
+            "none" => Ok(TrafficProfile::None),
+            "rush" => Ok(TrafficProfile::Rush),
+            _ => {
+                let factors = text
+                    .strip_prefix("custom:")
+                    .ok_or_else(|| format!("unknown traffic profile {text:?}"))?;
+                let hourly: Vec<f64> = factors
+                    .split(':')
+                    .map(f64::take)
+                    .collect::<Result<_, _>>()?;
+                let hourly = hourly
+                    .try_into()
+                    .map_err(|_| "a custom traffic profile needs 24 factors".to_string())?;
+                Ok(TrafficProfile::Custom(hourly))
+            }
+        }
+    }
+}
+
+/// The congestion zones in slot order, or `-` when there are none.
+impl Token for [Option<CongestionZone>; MAX_TRAFFIC_ZONES] {
+    fn put(&self, out: &mut String) {
+        let zones: Vec<CongestionZone> = self.iter().flatten().copied().collect();
+        if zones.is_empty() {
+            out.push('-');
+        } else {
+            zones.put(out);
+        }
+    }
+    fn take(text: &str) -> Result<Self, String> {
+        let mut slots = [None; MAX_TRAFFIC_ZONES];
+        if text != "-" {
+            let zones = Vec::<CongestionZone>::take(text)?;
+            if zones.len() > MAX_TRAFFIC_ZONES {
+                return Err(format!(
+                    "at most {MAX_TRAFFIC_ZONES} congestion zones supported"
+                ));
+            }
+            for (slot, zone) in slots.iter_mut().zip(zones) {
+                *slot = Some(zone);
+            }
+        }
+        Ok(slots)
+    }
+}
+
+/// The fields of one record — a line body, or a compound token — in text
+/// order.  `put`, `take` and `diff` are all expanded by `record!` from one
+/// field table.
+trait Record {
+    type Of;
+    const FIELDS: usize;
+    fn put(value: &Self::Of, out: &mut String);
+    /// Reads every field of `text` into `value`; anything left over is an
+    /// error.
+    fn take(value: &mut Self::Of, text: &str) -> Result<(), String>;
+    /// Pushes a `prefix`-ed delta for each field whose text differs.
+    fn diff(recorded: &Self::Of, replayed: &Self::Of, prefix: &str, deltas: &mut Vec<FieldDelta>);
+}
+
+/// Declares a [`Record`] as `Name('sep'): Type { "key" field.path, … }`,
+/// one entry per field in text order.  An empty key is a positional field;
+/// any other is written `key=value`.  A record declared `token` is also the
+/// [`Token`] of its type (which then needs `Default`), so other records can
+/// nest it as a field.
+macro_rules! record {
+    (token $name:ident($sep:literal): $ty:ty { $($fields:tt)* }) => {
+        record!($name($sep): $ty { $($fields)* });
+        impl Token for $ty {
+            fn put(&self, out: &mut String) {
+                $name::put(self, out)
+            }
+            fn take(text: &str) -> Result<Self, String> {
+                let mut value = Self::default();
+                $name::take(&mut value, text)?;
+                Ok(value)
+            }
+            fn width(sep: char) -> usize {
+                if sep == $sep { $name::FIELDS } else { 1 }
+            }
+            fn diff(&self, replayed: &Self, prefix: &str, name: &str, deltas: &mut Vec<FieldDelta>) {
+                $name::diff(self, replayed, &format!("{prefix}{name}."), deltas)
+            }
+        }
+    };
+    ($name:ident($sep:literal): $ty:ty { $($key:tt $($path:ident).+),+ $(,)? }) => {
+        struct $name;
+        impl Record for $name {
+            type Of = $ty;
+            const FIELDS: usize = [$($key),+].len();
+            fn put(value: &$ty, out: &mut String) {
+                let mut sep = None;
+                $(
+                    if let Some(sep) = sep.replace($sep) {
+                        out.push(sep);
+                    }
+                    if !$key.is_empty() {
+                        out.push_str($key);
+                        out.push('=');
+                    }
+                    value.$($path).+.put(out);
+                )+
+            }
+            fn take(value: &mut $ty, text: &str) -> Result<(), String> {
+                let mut fields = Fields { rest: Some(text), sep: $sep };
+                $(value.$($path).+ = fields.take($key, stringify!($($path).+))?;)+
+                match fields.rest {
+                    None => Ok(()),
+                    Some(extra) => Err(format!("unexpected trailing text {extra:?}")),
+                }
+            }
+            fn diff(recorded: &$ty, replayed: &$ty, prefix: &str, deltas: &mut Vec<FieldDelta>) {
+                $(recorded.$($path).+.diff(&replayed.$($path).+, prefix, stringify!($($path).+), deltas);)+
+            }
+        }
+    };
+}
+
+/// The unread fields of one record body.
+struct Fields<'a> {
+    /// `None` once the last field has been split off.
+    rest: Option<&'a str>,
+    sep: char,
+}
+
+impl Fields<'_> {
+    /// Splits off the next field, which must carry `key` (if non-empty),
+    /// and reads its value; errors name the key, or the field's `path`.
+    fn take<T: Token>(&mut self, key: &str, path: &str) -> Result<T, String> {
+        let name = if key.is_empty() { path } else { key };
+        let text = self.rest.ok_or_else(|| format!("missing field {name}"))?;
+        let split = match T::width(self.sep) {
+            1 => text.split_once(self.sep),
+            width => (text.match_indices(self.sep).nth(width - 1))
+                .map(|(i, sep)| (&text[..i], &text[i + sep.len()..])),
+        };
+        let (token, rest) = match split {
+            Some((token, rest)) => (token, Some(rest)),
+            None => (text, None),
+        };
+        self.rest = rest;
+        let value = if key.is_empty() {
+            token
+        } else {
+            token
+                .strip_prefix(key)
+                .and_then(|v| v.strip_prefix('='))
+                .ok_or_else(|| format!("expected {key}=..., got {token:?}"))?
+        };
+        T::take(value).map_err(|e| format!("{name}: {e}"))
+    }
+}
+
+record!(token RequestFields(' '): Request {
+    "" id, "" source, "" destination, "" riders,
+    "" release, "" deadline, "" pickup_deadline, "" shortest_cost,
+});
+
+record!(token WaypointFields(':'): Waypoint {
+    "" kind, "" request, "" node, "" deadline, "" earliest, "" riders,
+});
+
+record!(token VehicleFields(' '): VehicleState {
+    "" id, "" capacity, "" node, "" free_at, "" onboard, "" executed_travel,
+    "a" assigned, "c" completed, "s" schedule,
+});
+
+record!(token ZoneFields(','): CongestionZone {
+    "" min_x, "" min_y, "" max_x, "" max_y, "" factor, "" active_from, "" active_until,
+});
+
+record!(token ConfigFields(' '): StructRideConfig {
+    "batch_period" batch_period,
+    "alpha" cost.alpha,
+    "penalty" cost.penalty_coefficient,
+    "shareability_capacity" shareability_capacity,
+    "angle_enabled" angle.enabled,
+    "angle_threshold" angle.threshold,
+    "grid_cells" grid_cells,
+    "max_candidate_vehicles" max_candidate_vehicles,
+    "ingest_max_batch" ingest.max_batch_size,
+    "ingest_deadline" ingest.batch_deadline,
+    "ingest_queue" ingest.queue_capacity,
+    "ingest_time_scale" ingest.time_scale,
+    "traffic_profile" traffic.profile,
+    "traffic_epoch_s" traffic.epoch_seconds,
+    "traffic_hour_s" traffic.hour_scale,
+    "traffic_zones" traffic.zones,
+    "faults_seed" faults.seed,
+    "faults_outage_every" faults.outage_every,
+    "faults_outage_batches" faults.outage_batches,
+    "faults_solver_budget" faults.solver_node_budget,
+    "faults_checkpoint_every" faults.checkpoint_every,
+});
+
+record!(token BuildStatsFields(' '): BuildStats {
+    "candidate_pairs" candidate_pairs,
+    "angle_pruned" angle_pruned,
+    "shareability_checks" shareability_checks,
+    "edges_added" edges_added,
+});
+
+/// The key of the clock in both `batch` and `clock` lines.
+const NOW: &str = "now";
+
+record!(BatchLine(' '): BatchRecord { "" index, NOW now });
+
+// A trace's `outcome` line and a checkpoint's `scratch` line both nest
+// these counters.
+record!(token ScratchFields(' '): ScratchStats {
+    "insertion_evaluations" insertion_evaluations,
+    "groups_enumerated" groups_enumerated,
+    "prescreen_pruned" prescreen_pruned,
+});
+
+record!(OutcomeLine(' '): BatchRecord { "assigned" assigned, "" scratch });
+
+record!(ShardScratchLine(' '): ShardCheckpoint {
+    "" scratch, "solver_fallbacks" solver_fallbacks,
+});
+
+record!(ClockLine(' '): Checkpoint {
+    NOW now, "batches" batches, "next_request" next_request,
+});
+
+record!(token CounterFields(' '): CheckpointCounters {
+    "handoffs" handoffs,
+    "handoff_bids" handoff_bids,
+    "migrations" migrations,
+    "epoch_rolls" epoch_rolls,
+    "labels_rescaled" labels_rescaled,
+    "labels_rebuilt" labels_rebuilt,
+    "faults_injected" faults_injected,
+    "batches_degraded" batches_degraded,
+    "degraded_offered" degraded_offered,
+    "degraded_served" degraded_served,
+});
+
+/// Appends the line `tag value`.
+fn put_line<T: Token>(out: &mut String, tag: &str, value: &T) {
+    out.push_str(tag);
+    out.push(' ');
+    value.put(out);
+    out.push('\n');
+}
+
+/// Appends one `tag value` line per element of `values`.
+fn put_lines<T: Token>(out: &mut String, tag: &str, values: &[T]) {
+    for value in values {
+        put_line(out, tag, value);
+    }
+}
+
+/// Appends the line `tag fields`, the fields read off `value` by `R`.
+fn put_record<R: Record>(out: &mut String, tag: &str, value: &R::Of) {
+    out.push_str(tag);
+    out.push(' ');
+    R::put(value, out);
+    out.push('\n');
+}
+
+/// Reads a trace or checkpoint line by line, naming the line of every error.
+struct Reader<'a> {
+    lines: std::iter::Peekable<std::str::Lines<'a>>,
+    line_no: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Reader {
+            lines: text.lines().peekable(),
+            line_no: 0,
+        }
+    }
+
+    fn err(&self, message: impl Into<String>) -> TraceParseError {
+        TraceParseError {
+            line: self.line_no.max(1),
+            message: message.into(),
+        }
+    }
+
+    fn is_done(&mut self) -> bool {
+        self.lines.peek().is_none()
+    }
+
+    /// True when the next line is tagged `tag`.
+    fn at(&mut self, tag: &str) -> bool {
+        self.lines
+            .peek()
+            .and_then(|line| line.strip_prefix(tag))
+            .is_some_and(|rest| rest.starts_with(' '))
+    }
+
+    /// Consumes the next line, which `what` names if it is missing.
+    fn line(&mut self, what: &str) -> Result<&'a str, TraceParseError> {
+        let line = self
+            .lines
+            .next()
+            .ok_or_else(|| self.err(format!("missing {what} line")))?;
+        self.line_no += 1;
+        Ok(line)
+    }
+
+    /// Consumes the next line, which must be exactly `marker`.
+    fn marker(&mut self, marker: &str) -> Result<(), TraceParseError> {
+        let line = self.line(marker)?;
+        if line != marker {
+            return Err(self.err(format!("expected {marker:?}, got {line:?}")));
+        }
+        Ok(())
+    }
+
+    /// Consumes the next line, which must be tagged `tag`, and returns the
+    /// rest of it.
+    fn body(&mut self, tag: &str) -> Result<&'a str, TraceParseError> {
+        let line = self.line(tag)?;
+        line.strip_prefix(tag)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .ok_or_else(|| self.err(format!("expected a {tag} line, got {line:?}")))
+    }
+
+    /// Reads the next line, `tag value`.
+    fn value<T: Token>(&mut self, tag: &str) -> Result<T, TraceParseError> {
+        let body = self.body(tag)?;
+        T::take(body).map_err(|e| self.err(format!("{tag} {e}")))
+    }
+
+    /// Reads the run of `tag` lines at the cursor.
+    fn values<T: Token>(&mut self, tag: &str) -> Result<Vec<T>, TraceParseError> {
+        let mut values = Vec::new();
+        while self.at(tag) {
+            values.push(self.value(tag)?);
+        }
+        Ok(values)
+    }
+
+    /// Reads the next line, `tag fields`, into `value` through `R`.
+    fn record<R: Record>(&mut self, tag: &str, value: &mut R::Of) -> Result<(), TraceParseError> {
+        let body = self.body(tag)?;
+        R::take(value, body).map_err(|e| self.err(format!("{tag} {e}")))
+    }
+}
+
+impl Trace {
+    /// Serializes the trace to its text form.
+    pub fn to_text(&self) -> String {
+        let meta = &self.meta;
+        let mut out = format!("{TRACE_HEADER}\n");
+        put_line(&mut out, "algorithm", &meta.algorithm);
+        put_line(&mut out, "workload", &meta.workload);
+        put_line(&mut out, "config", &meta.config);
+        put_lines(&mut out, "param", &meta.params);
+        if let Some(stats) = &meta.build_stats {
+            put_line(&mut out, "build_stats", stats);
+        }
+        for b in &self.batches {
+            put_record::<BatchLine>(&mut out, "batch", b);
+            put_lines(&mut out, "request", &b.requests);
+            out.push_str("fleet before\n");
+            put_lines(&mut out, "vehicle", &b.fleet_before);
+            put_record::<OutcomeLine>(&mut out, "outcome", b);
+            out.push_str("fleet after\n");
+            put_lines(&mut out, "vehicle", &b.fleet_after);
+            out.push_str("end\n");
+        }
+        out
+    }
+
+    /// Parses a trace from its text form.
+    pub fn parse(text: &str) -> Result<Trace, TraceParseError> {
+        let mut r = Reader::new(text);
+        r.marker(TRACE_HEADER)?;
+        let meta = TraceMeta {
+            algorithm: r.value("algorithm")?,
+            workload: r.value("workload")?,
+            config: r.value("config")?,
+            params: r.values("param")?,
+            build_stats: if r.at("build_stats") {
+                Some(r.value("build_stats")?)
+            } else {
+                None
+            },
+        };
+        let mut batches = Vec::new();
+        while !r.is_done() {
+            let mut b = BatchRecord::default();
+            r.record::<BatchLine>("batch", &mut b)?;
+            b.requests = r.values("request")?;
+            r.marker("fleet before")?;
+            b.fleet_before = r.values("vehicle")?;
+            r.record::<OutcomeLine>("outcome", &mut b)?;
+            r.marker("fleet after")?;
+            b.fleet_after = r.values("vehicle")?;
+            r.marker("end")?;
+            batches.push(b);
+        }
+        Ok(Trace { meta, batches })
+    }
+
+    /// Writes the trace to a file.
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        std::fs::write(path, self.to_text())
+    }
+
+    /// Reads a trace from a file.
+    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
+        let text = std::fs::read_to_string(path)?;
+        Trace::parse(&text)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    }
 }
 
 impl Checkpoint {
     /// Serializes the checkpoint to its line-oriented text form (floats in
     /// Rust's shortest round-trip representation, like traces).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(CHECKPOINT_HEADER_V1);
-        out.push('\n');
-        out.push_str(&format!("algorithm {}\n", self.algorithm));
-        out.push_str(&format!("workload {}\n", self.workload));
-        out.push_str(&format!(
-            "config {}\n",
-            config_to_tokens(&self.config, TRACE_VERSION)
-        ));
-        out.push_str(&format!(
-            "mode {}\n",
-            if self.sharded { "sharded" } else { "mono" }
-        ));
-        out.push_str(&format!(
-            "clock now={} batches={} next_request={}\n",
-            self.now, self.batches, self.next_request
-        ));
-        out.push_str(&format!("served {}\n", ids_to_token(&self.served)));
-        let c = &self.counters;
-        out.push_str(&format!(
-            "counters handoffs={} handoff_bids={} migrations={} epoch_rolls={} \
-             labels_rescaled={} labels_rebuilt={} faults_injected={} batches_degraded={} \
-             degraded_offered={} degraded_served={}\n",
-            c.handoffs,
-            c.handoff_bids,
-            c.migrations,
-            c.epoch_rolls,
-            c.labels_rescaled,
-            c.labels_rebuilt,
-            c.faults_injected,
-            c.batches_degraded,
-            c.degraded_offered,
-            c.degraded_served
-        ));
+        let mut out = format!("{CHECKPOINT_HEADER}\n");
+        put_line(&mut out, "algorithm", &self.algorithm);
+        put_line(&mut out, "workload", &self.workload);
+        put_line(&mut out, "config", &self.config);
+        out.push_str(if self.sharded {
+            "mode sharded\n"
+        } else {
+            "mode mono\n"
+        });
+        put_record::<ClockLine>(&mut out, "clock", self);
+        put_line(&mut out, "served", &self.served);
+        put_line(&mut out, "counters", &self.counters);
         for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!("shard {i}\n"));
-            out.push_str(&format!(
-                "scratch insertion_evaluations={} groups_enumerated={} prescreen_pruned={} \
-                 solver_fallbacks={}\n",
-                s.insertion_evaluations,
-                s.groups_enumerated,
-                s.prescreen_pruned,
-                s.solver_fallbacks
-            ));
-            out.push_str(&format!("routed {}\n", routed_to_token(&s.routed)));
-            out.push_str(&format!("served {}\n", ids_to_token(&s.served)));
+            put_line(&mut out, "shard", &i);
+            put_record::<ShardScratchLine>(&mut out, "scratch", s);
+            put_line(&mut out, "routed", &s.routed);
+            put_line(&mut out, "served", &s.served);
             out.push_str("fleet\n");
-            for v in &s.fleet {
-                out.push_str(&vehicle_to_line(v));
-                out.push('\n');
-            }
+            put_lines(&mut out, "vehicle", &s.fleet);
             out.push_str("pool\n");
-            for r in &s.pending.pool {
-                out.push_str(&request_to_line(r));
-                out.push('\n');
-            }
-            out.push_str(&format!("edges {}\n", edges_to_token(&s.pending.edges)));
+            put_lines(&mut out, "request", &s.pending.pool);
+            put_line(&mut out, "edges", &s.pending.edges);
             out.push_str("end\n");
         }
         out
@@ -1055,7 +1204,46 @@ impl Checkpoint {
 
     /// Parses a checkpoint from its text form.
     pub fn parse(text: &str) -> Result<Checkpoint, TraceParseError> {
-        Parser::new(text).parse_checkpoint()
+        let mut r = Reader::new(text);
+        r.marker(CHECKPOINT_HEADER)?;
+        let mut checkpoint = Checkpoint {
+            algorithm: r.value("algorithm")?,
+            workload: r.value("workload")?,
+            config: r.value("config")?,
+            sharded: match r.body("mode")? {
+                "sharded" => true,
+                "mono" => false,
+                other => return Err(r.err(format!("unknown checkpoint mode {other:?}"))),
+            },
+            ..Checkpoint::default()
+        };
+        r.record::<ClockLine>("clock", &mut checkpoint)?;
+        checkpoint.served = r.value("served")?;
+        checkpoint.counters = r.value("counters")?;
+        while !r.is_done() {
+            let index: usize = r.value("shard")?;
+            if index != checkpoint.shards.len() {
+                return Err(r.err(format!(
+                    "shard sections must be in order: expected {}, got {index}",
+                    checkpoint.shards.len()
+                )));
+            }
+            let mut s = ShardCheckpoint::default();
+            r.record::<ShardScratchLine>("scratch", &mut s)?;
+            s.routed = r.value("routed")?;
+            s.served = r.value("served")?;
+            r.marker("fleet")?;
+            s.fleet = r.values("vehicle")?;
+            r.marker("pool")?;
+            s.pending.pool = r.values("request")?;
+            s.pending.edges = r.value("edges")?;
+            r.marker("end")?;
+            checkpoint.shards.push(s);
+        }
+        if checkpoint.shards.is_empty() {
+            return Err(r.err("checkpoint needs at least one shard section"));
+        }
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to a file.
@@ -1071,563 +1259,12 @@ impl Checkpoint {
     }
 }
 
-struct Parser<'a> {
-    lines: std::iter::Peekable<std::str::Lines<'a>>,
-    line_no: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            lines: text.lines().peekable(),
-            line_no: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> TraceParseError {
-        TraceParseError {
-            line: self.line_no,
-            message: message.into(),
-        }
-    }
-
-    fn next_line(&mut self) -> Option<&'a str> {
-        let line = self.lines.next();
-        if line.is_some() {
-            self.line_no += 1;
-        }
-        line
-    }
-
-    fn peek(&mut self) -> Option<&'a str> {
-        self.lines.peek().copied()
-    }
-
-    fn parse_scalar<T: FromStr>(&self, token: &str, what: &str) -> Result<T, TraceParseError> {
-        token
-            .parse::<T>()
-            .map_err(|_| self.err(format!("invalid {what}: {token:?}")))
-    }
-
-    /// Parses `key=value` out of a token, checking the key.
-    fn parse_kv<T: FromStr>(&self, token: &str, key: &str) -> Result<T, TraceParseError> {
-        let value = token
-            .strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix('='))
-            .ok_or_else(|| self.err(format!("expected {key}=..., got {token:?}")))?;
-        self.parse_scalar(value, key)
-    }
-
-    /// Parses the `traffic_profile=` token: `none`, `rush`, or
-    /// `custom:<24 colon-joined hourly factors>`.
-    fn parse_traffic_profile(&self, token: &str) -> Result<TrafficProfile, TraceParseError> {
-        let value = token
-            .strip_prefix("traffic_profile=")
-            .ok_or_else(|| self.err(format!("expected traffic_profile=..., got {token:?}")))?;
-        match value {
-            "none" => Ok(TrafficProfile::None),
-            "rush" => Ok(TrafficProfile::Rush),
-            custom => {
-                let factors = custom
-                    .strip_prefix("custom:")
-                    .ok_or_else(|| self.err(format!("unknown traffic profile {value:?}")))?;
-                let parsed: Vec<f64> = factors
-                    .split(':')
-                    .map(|t| self.parse_scalar(t, "traffic profile factor"))
-                    .collect::<Result<_, _>>()?;
-                let hourly: [f64; 24] = parsed
-                    .try_into()
-                    .map_err(|_| self.err("custom traffic profile needs 24 factors"))?;
-                Ok(TrafficProfile::Custom(hourly))
-            }
-        }
-    }
-
-    /// Parses the `traffic_zones=` token: `-` for none, else `;`-joined
-    /// `minx,miny,maxx,maxy,factor,from,until` tuples.
-    fn parse_traffic_zones(
-        &self,
-        token: &str,
-    ) -> Result<[Option<CongestionZone>; MAX_TRAFFIC_ZONES], TraceParseError> {
-        let value = token
-            .strip_prefix("traffic_zones=")
-            .ok_or_else(|| self.err(format!("expected traffic_zones=..., got {token:?}")))?;
-        let mut zones: [Option<CongestionZone>; MAX_TRAFFIC_ZONES] = [None; MAX_TRAFFIC_ZONES];
-        if value == "-" {
-            return Ok(zones);
-        }
-        for (slot, tuple) in value.split(';').enumerate() {
-            if slot >= MAX_TRAFFIC_ZONES {
-                return Err(self.err(format!(
-                    "at most {MAX_TRAFFIC_ZONES} congestion zones supported"
-                )));
-            }
-            let parts: Vec<&str> = tuple.split(',').collect();
-            if parts.len() != 7 {
-                return Err(self.err(format!("malformed congestion zone {tuple:?}")));
-            }
-            zones[slot] = Some(CongestionZone {
-                min_x: self.parse_scalar(parts[0], "zone min_x")?,
-                min_y: self.parse_scalar(parts[1], "zone min_y")?,
-                max_x: self.parse_scalar(parts[2], "zone max_x")?,
-                max_y: self.parse_scalar(parts[3], "zone max_y")?,
-                factor: self.parse_scalar(parts[4], "zone factor")?,
-                active_from: self.parse_scalar(parts[5], "zone active_from")?,
-                active_until: self.parse_scalar(parts[6], "zone active_until")?,
-            });
-        }
-        Ok(zones)
-    }
-
-    fn parse_ids(&self, token: &str) -> Result<Vec<RequestId>, TraceParseError> {
-        if token.is_empty() {
-            return Ok(Vec::new());
-        }
-        token
-            .split(',')
-            .map(|t| self.parse_scalar(t, "request id"))
-            .collect()
-    }
-
-    fn parse_waypoint(&self, token: &str) -> Result<Waypoint, TraceParseError> {
-        let parts: Vec<&str> = token.split(':').collect();
-        if parts.len() != 6 {
-            return Err(self.err(format!("malformed waypoint token {token:?}")));
-        }
-        let kind = match parts[0] {
-            "P" => WaypointKind::Pickup,
-            "D" => WaypointKind::Dropoff,
-            other => return Err(self.err(format!("unknown waypoint kind {other:?}"))),
-        };
-        Ok(Waypoint {
-            request: self.parse_scalar(parts[1], "waypoint request")?,
-            node: self.parse_scalar(parts[2], "waypoint node")?,
-            kind,
-            deadline: self.parse_scalar(parts[3], "waypoint deadline")?,
-            earliest: self.parse_scalar(parts[4], "waypoint earliest")?,
-            riders: self.parse_scalar(parts[5], "waypoint riders")?,
-        })
-    }
-
-    fn parse_vehicle(&self, line: &str) -> Result<VehicleState, TraceParseError> {
-        let rest = line
-            .strip_prefix("vehicle ")
-            .ok_or_else(|| self.err("expected a vehicle line"))?;
-        let tokens: Vec<&str> = rest.split(' ').collect();
-        if tokens.len() != 9 {
-            return Err(self.err(format!("vehicle line needs 9 fields, got {}", tokens.len())));
-        }
-        let assigned = tokens[6]
-            .strip_prefix("a=")
-            .ok_or_else(|| self.err("expected a=<ids>"))?;
-        let completed = tokens[7]
-            .strip_prefix("c=")
-            .ok_or_else(|| self.err("expected c=<ids>"))?;
-        let sched = tokens[8]
-            .strip_prefix("s=")
-            .ok_or_else(|| self.err("expected s=<waypoints>"))?;
-        let schedule = if sched.is_empty() {
-            Vec::new()
-        } else {
-            sched
-                .split(';')
-                .map(|t| self.parse_waypoint(t))
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        Ok(VehicleState {
-            id: self.parse_scalar(tokens[0], "vehicle id")?,
-            capacity: self.parse_scalar(tokens[1], "vehicle capacity")?,
-            node: self.parse_scalar(tokens[2], "vehicle node")?,
-            free_at: self.parse_scalar(tokens[3], "vehicle free_at")?,
-            onboard: self.parse_scalar(tokens[4], "vehicle onboard")?,
-            executed_travel: self.parse_scalar(tokens[5], "vehicle executed_travel")?,
-            assigned: self.parse_ids(assigned)?,
-            completed: self.parse_ids(completed)?,
-            schedule,
-        })
-    }
-
-    /// Consumes the next line, which must be exactly `marker`.
-    fn expect_marker(&mut self, marker: &str) -> Result<(), TraceParseError> {
-        let line = self
-            .next_line()
-            .ok_or_else(|| self.err(format!("missing {marker:?} marker")))?;
-        if line != marker {
-            return Err(self.err(format!("expected {marker:?}, got {line:?}")));
-        }
-        Ok(())
-    }
-
-    /// Parses `marker` and the run of `vehicle ` lines below it.
-    fn parse_fleet(&mut self, marker: &str) -> Result<Vec<VehicleState>, TraceParseError> {
-        self.expect_marker(marker)?;
-        let mut fleet = Vec::new();
-        while let Some(line) = self.peek() {
-            if !line.starts_with("vehicle ") {
-                break;
-            }
-            let line = self.next_line().expect("peeked line exists");
-            fleet.push(self.parse_vehicle(line)?);
-        }
-        Ok(fleet)
-    }
-
-    /// Parses the run of `request ` lines at the cursor — a trace batch's
-    /// releases or a checkpoint shard's pool.
-    fn parse_requests(&mut self) -> Result<Vec<Request>, TraceParseError> {
-        let mut requests = Vec::new();
-        while let Some(line) = self.peek() {
-            let Some(rest) = line.strip_prefix("request ") else {
-                break;
-            };
-            self.next_line();
-            requests.push(self.parse_request(rest)?);
-        }
-        Ok(requests)
-    }
-
-    /// Parses a `request ` line body (8 space-separated fields).
-    fn parse_request(&self, rest: &str) -> Result<Request, TraceParseError> {
-        let tokens: Vec<&str> = rest.split(' ').collect();
-        if tokens.len() != 8 {
-            return Err(self.err("request line needs 8 fields"));
-        }
-        Ok(Request::new(
-            self.parse_scalar(tokens[0], "request id")?,
-            self.parse_scalar(tokens[1], "request source")?,
-            self.parse_scalar(tokens[2], "request destination")?,
-            self.parse_scalar(tokens[3], "request riders")?,
-            self.parse_scalar(tokens[4], "request release")?,
-            self.parse_scalar(tokens[5], "request deadline")?,
-            self.parse_scalar(tokens[6], "request pickup_deadline")?,
-            self.parse_scalar(tokens[7], "request shortest_cost")?,
-        ))
-    }
-
-    /// Parses a `config ` line body of format `version` — shared by the
-    /// trace and checkpoint formats (checkpoints are always at the current
-    /// version).  The token count must be exactly the version's: a v3 line
-    /// has no fault tokens and parses with the inert fault config.
-    fn parse_config(&self, rest: &str, version: u32) -> Result<StructRideConfig, TraceParseError> {
-        let tokens: Vec<&str> = rest.split(' ').collect();
-        // v4 appends the five fault tokens to v3's sixteen.
-        let expected = if version >= 4 { 21 } else { 16 };
-        if tokens.len() != expected {
-            return Err(self.err(format!(
-                "a v{version} config line needs {expected} fields, got {}",
-                tokens.len()
-            )));
-        }
-        let ingest = crate::ingest::IngestConfig {
-            max_batch_size: self.parse_kv(tokens[8], "ingest_max_batch")?,
-            batch_deadline: self.parse_kv(tokens[9], "ingest_deadline")?,
-            queue_capacity: self.parse_kv(tokens[10], "ingest_queue")?,
-            time_scale: self.parse_kv(tokens[11], "ingest_time_scale")?,
-        };
-        let traffic = TrafficConfig {
-            profile: self.parse_traffic_profile(tokens[12])?,
-            epoch_seconds: self.parse_kv(tokens[13], "traffic_epoch_s")?,
-            hour_scale: self.parse_kv(tokens[14], "traffic_hour_s")?,
-            zones: self.parse_traffic_zones(tokens[15])?,
-        };
-        let faults = if version >= 4 {
-            crate::faults::FaultConfig {
-                seed: self.parse_kv(tokens[16], "faults_seed")?,
-                outage_every: self.parse_kv(tokens[17], "faults_outage_every")?,
-                outage_batches: self.parse_kv(tokens[18], "faults_outage_batches")?,
-                solver_node_budget: self.parse_kv(tokens[19], "faults_solver_budget")?,
-                checkpoint_every: self.parse_kv(tokens[20], "faults_checkpoint_every")?,
-            }
-        } else {
-            crate::faults::FaultConfig::default()
-        };
-        Ok(StructRideConfig {
-            batch_period: self.parse_kv(tokens[0], "batch_period")?,
-            cost: structride_model::CostParams {
-                alpha: self.parse_kv(tokens[1], "alpha")?,
-                penalty_coefficient: self.parse_kv(tokens[2], "penalty")?,
-            },
-            shareability_capacity: self.parse_kv(tokens[3], "shareability_capacity")?,
-            angle: structride_sharegraph::AnglePruning {
-                enabled: self.parse_kv(tokens[4], "angle_enabled")?,
-                threshold: self.parse_kv(tokens[5], "angle_threshold")?,
-            },
-            grid_cells: self.parse_kv(tokens[6], "grid_cells")?,
-            max_candidate_vehicles: self.parse_kv(tokens[7], "max_candidate_vehicles")?,
-            ingest,
-            traffic,
-            faults,
-        })
-    }
-
-    fn parse(mut self) -> Result<Trace, TraceParseError> {
-        let header = self.next_line().ok_or_else(|| self.err("empty trace"))?;
-        let version = TRACE_VERSIONS
-            .into_iter()
-            .find(|&v| trace_header(v) == header)
-            .ok_or_else(|| self.err(format!("unsupported trace header {header:?}")))?;
-        let mut meta = TraceMeta {
-            version,
-            ..TraceMeta::default()
-        };
-        // Metadata lines, until the first `batch`.
-        while let Some(line) = self.peek() {
-            if line.starts_with("batch ") {
-                break;
-            }
-            let line = self.next_line().expect("peeked line exists");
-            if let Some(rest) = line.strip_prefix("algorithm ") {
-                meta.algorithm = rest.to_string();
-            } else if let Some(rest) = line.strip_prefix("workload ") {
-                meta.workload = rest.to_string();
-            } else if let Some(rest) = line.strip_prefix("config ") {
-                meta.config = self.parse_config(rest, version)?;
-            } else if let Some(rest) = line.strip_prefix("param ") {
-                let (key, value) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| self.err("param line needs a key and a value"))?;
-                meta.params.push((key.to_string(), value.to_string()));
-            } else if let Some(rest) = line.strip_prefix("sp_stats ") {
-                let tokens: Vec<&str> = rest.split(' ').collect();
-                if tokens.len() != 3 {
-                    return Err(self.err("sp_stats line needs 3 fields"));
-                }
-                meta.sp_stats = Some(SpStats {
-                    total_queries: self.parse_kv(tokens[0], "total")?,
-                    cache_hits: self.parse_kv(tokens[1], "hits")?,
-                    index_queries: self.parse_kv(tokens[2], "index")?,
-                });
-            } else if let Some(rest) = line.strip_prefix("build_stats ") {
-                let tokens: Vec<&str> = rest.split(' ').collect();
-                if tokens.len() != 4 {
-                    return Err(self.err("build_stats line needs 4 fields"));
-                }
-                meta.build_stats = Some(BuildStats {
-                    candidate_pairs: self.parse_kv(tokens[0], "candidate_pairs")?,
-                    angle_pruned: self.parse_kv(tokens[1], "angle_pruned")?,
-                    shareability_checks: self.parse_kv(tokens[2], "shareability_checks")?,
-                    edges_added: self.parse_kv(tokens[3], "edges_added")?,
-                });
-            } else if !line.trim().is_empty() {
-                return Err(self.err(format!("unexpected metadata line {line:?}")));
-            }
-        }
-
-        let mut batches = Vec::new();
-        while let Some(line) = self.next_line() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("batch ")
-                .ok_or_else(|| self.err(format!("expected a batch header, got {line:?}")))?;
-            let (index_tok, now_tok) = rest
-                .split_once(' ')
-                .ok_or_else(|| self.err("batch header needs an index and now=..."))?;
-            let index: usize = self.parse_scalar(index_tok, "batch index")?;
-            let now: f64 = self.parse_kv(now_tok, "now")?;
-
-            let requests = self.parse_requests()?;
-            let fleet_before = self.parse_fleet("fleet before")?;
-
-            let outcome_line = self
-                .next_line()
-                .ok_or_else(|| self.err("missing outcome line"))?;
-            let rest = outcome_line.strip_prefix("outcome ").ok_or_else(|| {
-                self.err(format!("expected an outcome line, got {outcome_line:?}"))
-            })?;
-            let tokens: Vec<&str> = rest.split(' ').collect();
-            if tokens.len() != 4 {
-                return Err(self.err("outcome line needs 4 fields"));
-            }
-            let assigned_tok = tokens[0]
-                .strip_prefix("assigned=")
-                .ok_or_else(|| self.err("expected assigned=<ids>"))?;
-            let assigned = self.parse_ids(assigned_tok)?;
-            let scratch = ScratchStats {
-                insertion_evaluations: self.parse_kv(tokens[1], "insertion_evaluations")?,
-                groups_enumerated: self.parse_kv(tokens[2], "groups_enumerated")?,
-                prescreen_pruned: self.parse_kv(tokens[3], "prescreen_pruned")?,
-            };
-
-            let fleet_after = self.parse_fleet("fleet after")?;
-            self.expect_marker("end")?;
-
-            batches.push(BatchRecord {
-                index,
-                now,
-                requests,
-                fleet_before,
-                assigned,
-                fleet_after,
-                scratch,
-            });
-        }
-
-        Ok(Trace { meta, batches })
-    }
-
-    /// Consumes the next line, requiring prefix `what ` and returning the
-    /// remainder; a bare `what` line (no payload) returns the empty string.
-    fn expect_line(&mut self, what: &str) -> Result<&'a str, TraceParseError> {
-        let line = self
-            .next_line()
-            .ok_or_else(|| self.err(format!("missing {what} line")))?;
-        if line == what {
-            return Ok("");
-        }
-        line.strip_prefix(what)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or_else(|| self.err(format!("expected a {what} line, got {line:?}")))
-    }
-
-    fn parse_routed(&self, token: &str) -> Result<Vec<(RequestId, f64)>, TraceParseError> {
-        if token.is_empty() {
-            return Ok(Vec::new());
-        }
-        token
-            .split(';')
-            .map(|t| {
-                let (id, cost) = t
-                    .split_once(':')
-                    .ok_or_else(|| self.err("routed entry needs id:cost"))?;
-                Ok((
-                    self.parse_scalar(id, "routed id")?,
-                    self.parse_scalar(cost, "routed cost")?,
-                ))
-            })
-            .collect()
-    }
-
-    fn parse_edges(&self, token: &str) -> Result<Vec<(RequestId, RequestId)>, TraceParseError> {
-        if token.is_empty() {
-            return Ok(Vec::new());
-        }
-        token
-            .split(';')
-            .map(|t| {
-                let (a, b) = t
-                    .split_once('-')
-                    .ok_or_else(|| self.err("edge entry needs a-b"))?;
-                Ok((
-                    self.parse_scalar(a, "edge endpoint")?,
-                    self.parse_scalar(b, "edge endpoint")?,
-                ))
-            })
-            .collect()
-    }
-
-    fn parse_checkpoint(mut self) -> Result<Checkpoint, TraceParseError> {
-        let header = self
-            .next_line()
-            .ok_or_else(|| self.err("empty checkpoint"))?;
-        if header != CHECKPOINT_HEADER_V1 {
-            return Err(self.err(format!("unsupported checkpoint header {header:?}")));
-        }
-        let algorithm = self.expect_line("algorithm")?.to_string();
-        let workload = self.expect_line("workload")?.to_string();
-        let config_rest = self.expect_line("config")?;
-        let config = self.parse_config(config_rest, TRACE_VERSION)?;
-        let sharded = match self.expect_line("mode")? {
-            "sharded" => true,
-            "mono" => false,
-            other => return Err(self.err(format!("unknown checkpoint mode {other:?}"))),
-        };
-        let clock: Vec<&str> = self.expect_line("clock")?.split(' ').collect();
-        if clock.len() != 3 {
-            return Err(self.err("clock line needs 3 fields"));
-        }
-        let now: f64 = self.parse_kv(clock[0], "now")?;
-        let batches: usize = self.parse_kv(clock[1], "batches")?;
-        let next_request: usize = self.parse_kv(clock[2], "next_request")?;
-        let served_tok = self.expect_line("served")?;
-        let served = self.parse_ids(served_tok)?;
-        let counters: Vec<&str> = self.expect_line("counters")?.split(' ').collect();
-        if counters.len() != 10 {
-            return Err(self.err("counters line needs 10 fields"));
-        }
-        let counters = CheckpointCounters {
-            handoffs: self.parse_kv(counters[0], "handoffs")?,
-            handoff_bids: self.parse_kv(counters[1], "handoff_bids")?,
-            migrations: self.parse_kv(counters[2], "migrations")?,
-            epoch_rolls: self.parse_kv(counters[3], "epoch_rolls")?,
-            labels_rescaled: self.parse_kv(counters[4], "labels_rescaled")?,
-            labels_rebuilt: self.parse_kv(counters[5], "labels_rebuilt")?,
-            faults_injected: self.parse_kv(counters[6], "faults_injected")?,
-            batches_degraded: self.parse_kv(counters[7], "batches_degraded")?,
-            degraded_offered: self.parse_kv(counters[8], "degraded_offered")?,
-            degraded_served: self.parse_kv(counters[9], "degraded_served")?,
-        };
-
-        let mut shards = Vec::new();
-        while let Some(line) = self.next_line() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("shard ")
-                .ok_or_else(|| self.err(format!("expected a shard header, got {line:?}")))?;
-            let index: usize = self.parse_scalar(rest, "shard index")?;
-            if index != shards.len() {
-                return Err(self.err(format!(
-                    "shard sections must be in order: expected {}, got {index}",
-                    shards.len()
-                )));
-            }
-            let scratch: Vec<&str> = self.expect_line("scratch")?.split(' ').collect();
-            if scratch.len() != 4 {
-                return Err(self.err("scratch line needs 4 fields"));
-            }
-            let insertion_evaluations = self.parse_kv(scratch[0], "insertion_evaluations")?;
-            let groups_enumerated = self.parse_kv(scratch[1], "groups_enumerated")?;
-            let prescreen_pruned = self.parse_kv(scratch[2], "prescreen_pruned")?;
-            let solver_fallbacks = self.parse_kv(scratch[3], "solver_fallbacks")?;
-            let routed_tok = self.expect_line("routed")?;
-            let routed = self.parse_routed(routed_tok)?;
-            let served_tok = self.expect_line("served")?;
-            let shard_served = self.parse_ids(served_tok)?;
-            let fleet = self.parse_fleet("fleet")?;
-            self.expect_marker("pool")?;
-            let pool = self.parse_requests()?;
-            let edges_tok = self.expect_line("edges")?;
-            let edges = self.parse_edges(edges_tok)?;
-            self.expect_marker("end")?;
-            shards.push(ShardCheckpoint {
-                insertion_evaluations,
-                groups_enumerated,
-                prescreen_pruned,
-                solver_fallbacks,
-                routed,
-                served: shard_served,
-                fleet,
-                pending: PendingSnapshot { pool, edges },
-            });
-        }
-        if shards.is_empty() {
-            return Err(self.err("checkpoint needs at least one shard section"));
-        }
-
-        Ok(Checkpoint {
-            algorithm,
-            workload,
-            config,
-            sharded,
-            now,
-            batches,
-            next_request,
-            served,
-            counters,
-            shards,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dispatcher::testing::Greedy;
     use structride_model::insertion;
-    use structride_roadnet::{Point, RoadNetworkBuilder};
+    use structride_roadnet::{Point, RoadNetworkBuilder, TrafficConfig};
 
     fn line_engine() -> SpEngine {
         let mut b = RoadNetworkBuilder::new();
@@ -1667,7 +1304,6 @@ mod tests {
         }
         let mut meta = TraceMeta::new("greedy", "unit-line", config);
         meta.params.push(("nodes".to_string(), "6".to_string()));
-        meta.sp_stats = Some(engine.stats());
         (engine, recorder.into_trace(meta))
     }
 
@@ -1734,9 +1370,11 @@ mod tests {
             },
             shards: vec![
                 ShardCheckpoint {
-                    insertion_evaluations: 100,
-                    groups_enumerated: 40,
-                    prescreen_pruned: 8,
+                    scratch: ScratchStats {
+                        insertion_evaluations: 100,
+                        groups_enumerated: 40,
+                        prescreen_pruned: 8,
+                    },
                     solver_fallbacks: 1,
                     routed: vec![(1, 1.5), (7, 0.30000000000000004)],
                     served: vec![1, 7],
@@ -1760,7 +1398,7 @@ mod tests {
 
         assert!(Checkpoint::parse("garbage").is_err());
         assert!(
-            Checkpoint::parse(CHECKPOINT_HEADER_V1).is_err(),
+            Checkpoint::parse(CHECKPOINT_HEADER).is_err(),
             "a header alone is not a checkpoint"
         );
     }
@@ -1787,58 +1425,55 @@ mod tests {
     }
 
     #[test]
-    fn only_v3_and_v4_parse_and_the_header_fixes_the_line_shapes() {
-        let (_engine, mut trace) = record_greedy();
-        let v4_text = trace.to_text();
-        trace.meta.version = 3;
-        let v3_text = trace.to_text();
+    fn only_v4_parses_and_errors_name_the_line_and_the_key() {
+        let (_engine, trace) = record_greedy();
+        let text = trace.to_text();
 
-        // The two retired formats are refused by name, not half-read.
-        for old in ["structride-trace v1", "structride-trace v2"] {
-            let text = v4_text.replacen("structride-trace v4", old, 1);
-            let err = Trace::parse(&text).expect_err("retired format");
+        // The retired formats are refused by name, not half-read.
+        for old in [
+            "structride-trace v1",
+            "structride-trace v2",
+            "structride-trace v3",
+        ] {
+            let err =
+                Trace::parse(&text.replacen(TRACE_HEADER, old, 1)).expect_err("retired format");
             assert!(err.message.contains(old), "{err}");
             assert_eq!(err.line, 1);
         }
 
-        // A header over the other version's config line is an error — not a
-        // trace that silently drops (or invents) the fault plan and then
-        // re-serializes to different bytes.
-        let v3_config = v3_text.lines().nth(3).expect("config line");
-        let v4_config = v4_text.lines().nth(3).expect("config line");
-        assert!(v3_config.starts_with("config ") && v4_config.starts_with("config "));
-        let err = Trace::parse(&v4_text.replacen(v4_config, v3_config, 1)).expect_err("v4 + v3");
-        assert!(err.message.contains("v4 config line needs 21"), "{err}");
-        let err = Trace::parse(&v3_text.replacen(v3_config, v4_config, 1)).expect_err("v3 + v4");
-        assert!(err.message.contains("v3 config line needs 16"), "{err}");
+        // A config line without the fault tokens (the retired v3 shape) is
+        // an error naming the first missing key, not an inert fault plan.
+        let config = text.lines().nth(3).expect("config line");
+        let (v3_config, _) = config.split_once(" faults_seed=").expect("fault tokens");
+        let err = Trace::parse(&text.replacen(config, v3_config, 1)).expect_err("no faults");
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("faults_seed"), "{err}");
+        let bad = config.replacen("alpha=1", "alpha=x", 1);
+        let err = Trace::parse(&text.replacen(config, &bad, 1)).expect_err("bad value");
+        assert!(err.message.contains("alpha"), "{err}");
 
         // Outcome lines always carry all three counters.
-        let outcome = v4_text
+        let outcome = text
             .lines()
             .find(|l| l.starts_with("outcome "))
             .expect("outcome line");
         let (three_tokens, _) = outcome.rsplit_once(' ').expect("four tokens");
-        assert!(Trace::parse(&v4_text.replacen(outcome, three_tokens, 1)).is_err());
+        let err = Trace::parse(&text.replacen(outcome, three_tokens, 1)).expect_err("short");
+        assert!(err.message.contains("prescreen_pruned"), "{err}");
+        let long = format!("{outcome} extra=1");
+        assert!(Trace::parse(&text.replacen(outcome, &long, 1)).is_err());
     }
 
     #[test]
-    fn v3_traces_roundtrip_the_traffic_model() {
+    fn traces_roundtrip_the_traffic_model() {
         let (_engine, mut trace) = record_greedy();
-        // Render in the v3 format: the config line ends with the traffic
-        // tokens, no fault tokens.
-        trace.meta.version = 3;
         let text = trace.to_text();
-        assert!(text.starts_with("structride-trace v3\n"), "{text}");
         assert!(
             text.contains(
                 "traffic_profile=none traffic_epoch_s=3600 traffic_hour_s=3600 traffic_zones=-"
             ),
             "{text}"
         );
-        assert!(!text.contains("faults_seed"), "{text}");
-        let parsed = Trace::parse(&text).expect("parse v3 trace");
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.to_text(), text);
 
         // A non-trivial model — rush profile plus two congestion zones —
         // round-trips field for field, and a custom profile keeps all 24
@@ -1886,11 +1521,10 @@ mod tests {
     }
 
     #[test]
-    fn v4_traces_roundtrip_the_fault_config() {
+    fn traces_roundtrip_the_fault_config() {
         let (_engine, mut trace) = record_greedy();
-        // Fresh recordings are v4: the fault tokens ride on the config line
-        // so a faulted run's replay derives the identical injection schedule.
-        assert_eq!(trace.meta.version, TRACE_VERSION);
+        // The fault tokens ride on the config line so a faulted run's replay
+        // derives the identical injection schedule.
         let text = trace.to_text();
         assert!(text.starts_with("structride-trace v4\n"), "{text}");
         assert!(
@@ -1917,16 +1551,6 @@ mod tests {
         let parsed = Trace::parse(&text).expect("parse chaos trace");
         assert_eq!(parsed.meta.config.faults, trace.meta.config.faults);
         assert_eq!(parsed.to_text(), text);
-
-        // Pre-fault (v3) traces parse with the inert config and re-serialize
-        // byte-identically — the zero-drift guarantee for every trace
-        // recorded before the fault injector existed.
-        trace.meta.config.faults = crate::FaultConfig::default();
-        trace.meta.version = 3;
-        let v3_text = trace.to_text();
-        let v3_parsed = Trace::parse(&v3_text).expect("parse v3 trace");
-        assert!(v3_parsed.meta.config.faults.is_inert());
-        assert_eq!(v3_parsed.to_text(), v3_text);
     }
 
     #[test]
@@ -1982,7 +1606,7 @@ mod tests {
             ..a.clone()
         };
         let mut deltas = Vec::new();
-        diff_vehicle(&mut deltas, &a, &b);
+        VehicleFields::diff(&a, &b, "vehicle[1].", &mut deltas);
         let fields: Vec<&str> = deltas.iter().map(|d| d.field.as_str()).collect();
         assert!(fields.contains(&"vehicle[1].id"), "{fields:?}");
         assert!(fields.contains(&"vehicle[1].capacity"), "{fields:?}");

@@ -97,7 +97,7 @@
 use crate::config::StructRideConfig;
 use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher};
-use crate::fleet_index::{FleetIndex, REACH_GRACE};
+use crate::fleet_index::FleetIndex;
 use crate::lane::{BatchRun, Lane, Offered};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
@@ -298,48 +298,31 @@ impl<'a> ShardView<'a> {
         }
     }
 
-    /// The top-m candidate shortlist for `request`: every vehicle that could
-    /// possibly meet the pickup deadline (exact prescreen — a vehicle whose
-    /// `free_at` plus the certified travel-time lower bound to the pickup
-    /// already misses the deadline can never produce a feasible insertion),
-    /// ranked by that lower bound (ties to the lower fleet index) and capped
-    /// at `top_m` entries (`0` = uncapped).  Deterministic: the ranking is a
-    /// total order, so the grid's visit order does not matter.
-    fn shortlist(
-        &self,
-        network: &RoadNetwork,
-        request: &Request,
-        top_m: usize,
-        min_tpm: f64,
-    ) -> Vec<usize> {
+    /// The top-m candidate shortlist for `request`: the fleet index's
+    /// certified candidates (every vehicle that could possibly meet the
+    /// pickup deadline; the others can never produce a feasible insertion),
+    /// ranked by their certified travel-time lower bound to the pickup (ties
+    /// to the lower fleet index) and capped at `top_m` entries (`0` =
+    /// uncapped).  The ranking is a total order, so the grid does not matter.
+    fn shortlist(&self, network: &RoadNetwork, request: &Request, top_m: usize) -> Vec<usize> {
         let p = network.coord(request.source);
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
-        let mut consider = |idx: usize| {
-            let vehicle = &self.vehicles[idx];
-            let lb = min_tpm * network.coord(vehicle.node).distance(&p);
-            if vehicle.free_at + lb <= request.pickup_deadline + REACH_GRACE {
-                candidates.push((lb, idx));
-            }
-        };
-        let slack = request.pickup_deadline + REACH_GRACE - self.index.free_floor();
-        if min_tpm > 0.0 && slack.is_finite() {
-            if slack < 0.0 {
-                // Even the earliest-free vehicle standing on the pickup
-                // would miss the deadline: nothing can bid.
-                return Vec::new();
-            }
-            self.index
-                .for_each_in_range(p.x, p.y, slack / min_tpm, |item| consider(item as usize));
-        } else {
-            // No certified per-meter rate (or no vehicles): fall back to
-            // prescreening the whole fleet slice without a radius.
-            (0..self.vehicles.len()).for_each(&mut consider);
-        }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let min_tpm = self.index.min_time_per_meter();
+        let mut ranked: Vec<(f64, usize)> = self
+            .index
+            .certified_candidates(network, self.vehicles, p.x, p.y, request.pickup_deadline)
+            .into_iter()
+            .map(|idx| {
+                (
+                    min_tpm * network.coord(self.vehicles[idx].node).distance(&p),
+                    idx,
+                )
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         if top_m > 0 {
-            candidates.truncate(top_m);
+            ranked.truncate(top_m);
         }
-        candidates.into_iter().map(|(_, idx)| idx).collect()
+        ranked.into_iter().map(|(_, idx)| idx).collect()
     }
 }
 
@@ -405,7 +388,6 @@ fn route_request(
     shards: &[ShardView<'_>],
     band: f64,
     top_m: usize,
-    min_tpm: f64,
     down: Option<usize>,
 ) -> RouteDecision {
     let p = network.coord(request.source);
@@ -442,7 +424,7 @@ fn route_request(
     let mut best: Option<(f64, usize)> = None;
     for &c in &candidates {
         let shard = &shards[c];
-        for idx in shard.shortlist(network, request, top_m, min_tpm) {
+        for idx in shard.shortlist(network, request, top_m) {
             let vehicle = &shard.vehicles[idx];
             if let Some(out) = insertion::insert_request(shard.engine, vehicle, request) {
                 bids += 1;
@@ -572,14 +554,6 @@ pub(crate) struct ShardedRun<'a> {
     full_build_seconds: f64,
     /// Shared global index + per-shard halo slices, bytes.
     label_bytes: usize,
-    /// The *current epoch's* certified seconds-per-meter floor (0 = no
-    /// bound).  Re-pinned from the epoch artifacts at every roll so the
-    /// top-m shortlist and the per-shard fleet-index prescreens stay sound
-    /// under congestion.
-    min_tpm: f64,
-    /// The shared tiered epoch-roll repair engine all shard engines roll
-    /// through (`None` for static configs).
-    store: Option<Arc<EpochStore>>,
     /// Traffic epoch currently loaded into the shard engines.
     current_epoch: u64,
     label_refresh_seconds: f64,
@@ -606,7 +580,6 @@ impl<'a> ShardedRun<'a> {
         let setup_t0 = Instant::now();
         let shared_net = Arc::new(network.clone());
         let traffic = sim.config().traffic;
-        let epoch0 = traffic.epoch_at(0.0);
         let halos = halo_vertices(network, regions, sim.sharding().handoff_band);
         // Static configs keep the pre-traffic fast path: one shared label
         // build, static clipped engines, no epoch store.  Traffic configs
@@ -615,7 +588,7 @@ impl<'a> ShardedRun<'a> {
         // is free flow) and per-shard *self-rolling* clipped engines over
         // it, so every later epoch boundary is handled inside
         // `SpEngine::roll_epoch_to` instead of by an external rebuild.
-        let (store, full_build_seconds, engines, min_tpm, full_label_bytes);
+        let (store, full_build_seconds, engines, full_label_bytes);
         if traffic.is_static() {
             let full_t0 = Instant::now();
             let full_labels = Arc::new(HubLabels::build(&shared_net));
@@ -625,12 +598,13 @@ impl<'a> ShardedRun<'a> {
             engines = halos
                 .par_iter()
                 .map(|halo| {
-                    SpEngineBuilder::new()
-                        .epoch_tag(epoch0.index)
-                        .build_clipped(shared_net.clone(), full_labels.clone(), halo)
+                    SpEngineBuilder::new().build_clipped(
+                        shared_net.clone(),
+                        full_labels.clone(),
+                        halo,
+                    )
                 })
                 .collect::<Vec<SpEngine>>();
-            min_tpm = shared_net.min_time_per_meter();
             full_label_bytes = full_labels.approx_bytes();
             store = None;
         } else {
@@ -642,7 +616,6 @@ impl<'a> ShardedRun<'a> {
                 .map(|halo| SpEngineBuilder::new().build_traffic_clipped(epoch_store.clone(), halo))
                 .collect::<Vec<SpEngine>>();
             let initial = epoch_store.initial_artifacts();
-            min_tpm = initial.min_tpm();
             full_label_bytes = initial.labels().map(|l| l.approx_bytes()).unwrap_or(0);
             store = Some(epoch_store);
         }
@@ -676,7 +649,6 @@ impl<'a> ShardedRun<'a> {
         }
         for shard in &mut shards {
             shard.lane.reindex(&shard.engine);
-            shard.lane.fleet_index.set_min_time_per_meter(min_tpm);
         }
         // Kick the background label prebuild only now — after setup_seconds
         // is measured — so the builder threads overlap the batch loop
@@ -697,9 +669,7 @@ impl<'a> ShardedRun<'a> {
             setup_seconds,
             full_build_seconds,
             label_bytes,
-            min_tpm,
-            store,
-            current_epoch: epoch0.index,
+            current_epoch: traffic.epoch_at(0.0).index,
             label_refresh_seconds: 0.0,
             run_t0: Instant::now(),
         }
@@ -729,10 +699,6 @@ impl<'a> ShardedRun<'a> {
         }
         let t0 = Instant::now();
         for_each_shard(&mut self.shards, &|s| s.lane.roll(&s.engine, now));
-        if let Some(store) = &self.store {
-            // Memo hit: every shard engine just rolled to this signature.
-            self.min_tpm = store.artifacts_for(&epoch).min_tpm();
-        }
         if epoch.uniform_multiplier().is_some() {
             self.counters.labels_rescaled += 1;
         } else {
@@ -907,10 +873,8 @@ impl BatchRun for ShardedRun<'_> {
         let decisions: Vec<RouteDecision> = if has_boundary_request || down.is_some() {
             let views: Vec<ShardView<'_>> = self.shards.iter().map(ShardView::new).collect();
             let (network, regions) = (self.network, self.regions);
-            let (top_m, min_tpm) = (self.sharding.top_m, self.min_tpm);
-            let route = |r: &Request| {
-                route_request(r, network, regions, &views, band, top_m, min_tpm, down)
-            };
+            let top_m = self.sharding.top_m;
+            let route = |r: &Request| route_request(r, network, regions, &views, band, top_m, down);
             // The dead shard's drained pool fails over through the same
             // auction, ahead of the batch's own requests (they were released
             // earlier).

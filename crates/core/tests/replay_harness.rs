@@ -34,7 +34,6 @@ fn record_sard(workload: &Workload, config: StructRideConfig) -> (Trace, Simulat
         &mut recorder,
     );
     let mut meta = TraceMeta::new(sard.name(), &workload.name, config);
-    meta.sp_stats = Some(workload.engine.stats());
     meta.build_stats = sard.build_stats();
     (recorder.into_trace(meta), report)
 }

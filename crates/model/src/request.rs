@@ -19,7 +19,7 @@ pub type RequestId = u32;
 pub const DEFAULT_MAX_WAIT: f64 = 300.0;
 
 /// A ridesharing request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Unique identifier.
     pub id: RequestId,

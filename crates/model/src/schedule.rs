@@ -16,16 +16,17 @@ use structride_roadnet::{NodeId, SpEngine};
 pub const TIME_EPS: f64 = 1e-7;
 
 /// Whether a way-point picks riders up or drops them off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WaypointKind {
     /// The source of a request: riders board here.
+    #[default]
     Pickup,
     /// The destination of a request: riders alight here.
     Dropoff,
 }
 
 /// One stop of a vehicle schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Waypoint {
     /// The request served at this stop.
     pub request: RequestId,

@@ -51,7 +51,6 @@ pub struct SpEngineBuilder {
     cache_shards: usize,
     use_hub_labels: bool,
     traffic: TrafficConfig,
-    epoch_tag: u64,
 }
 
 impl Default for SpEngineBuilder {
@@ -61,7 +60,6 @@ impl Default for SpEngineBuilder {
             cache_shards: DEFAULT_SHARDS,
             use_hub_labels: true,
             traffic: TrafficConfig::default(),
-            epoch_tag: 0,
         }
     }
 }
@@ -112,14 +110,6 @@ impl SpEngineBuilder {
         self
     }
 
-    /// Stamps the engine's cache keys with an epoch tag (default 0).  Used
-    /// by the sharded pipeline when it rebuilds per-shard engines at an
-    /// epoch boundary, so entries from different epochs can never collide.
-    pub fn epoch_tag(mut self, tag: u64) -> Self {
-        self.epoch_tag = tag;
-        self
-    }
-
     /// Builds the engine for the given road network.
     pub fn build(self, net: RoadNetwork) -> SpEngine {
         self.build_shared(Arc::new(net))
@@ -134,11 +124,10 @@ impl SpEngineBuilder {
         if !self.traffic.is_static() {
             return self.build_traffic(net);
         }
-        let index = if self.use_hub_labels {
-            SpIndex::Full(Arc::new(HubLabels::build(&net)))
-        } else {
-            SpIndex::Dijkstra
-        };
+        let labels = self
+            .use_hub_labels
+            .then(|| Arc::new(HubLabels::build(&net)));
+        let index = full_index(labels.as_ref(), self.use_hub_labels);
         self.assemble(net, index)
     }
 
@@ -178,8 +167,8 @@ impl SpEngineBuilder {
         let epoch = store.initial_epoch();
         let artifact = store.initial_artifacts();
         let index = match &halo {
-            Some(h) => clipped_index_for(&artifact, h, use_hub_labels),
-            None => full_index_for(&artifact, use_hub_labels),
+            Some(h) => clipped_index(artifact.net(), artifact.labels(), h, use_hub_labels),
+            None => full_index(artifact.labels(), use_hub_labels),
         };
         let base = store.base().clone();
         let runtime = TrafficRuntime {
@@ -210,11 +199,7 @@ impl SpEngineBuilder {
     /// of constructing labels from scratch.  `labels` must have been built
     /// over `net`.
     pub fn build_with_index(self, net: Arc<RoadNetwork>, labels: Arc<HubLabels>) -> SpEngine {
-        let index = if self.use_hub_labels {
-            SpIndex::Full(labels)
-        } else {
-            SpIndex::Dijkstra
-        };
+        let index = full_index(Some(&labels), self.use_hub_labels);
         self.assemble(net, index)
     }
 
@@ -240,25 +225,8 @@ impl SpEngineBuilder {
         labels: Arc<HubLabels>,
         halo: &[NodeId],
     ) -> SpEngine {
-        if !self.use_hub_labels {
-            return self.assemble(net, SpIndex::Dijkstra);
-        }
-        if halo.is_empty() {
-            return self.assemble(net, SpIndex::FallbackOnly { full: labels });
-        }
-        let sub = SubNetwork::extract(&net, halo).expect("halo vertices must be in range");
-        if sub.covers_parent() {
-            return self.assemble(net, SpIndex::Full(labels));
-        }
-        let slice = labels.restrict_to(sub.to_global());
-        self.assemble(
-            net,
-            SpIndex::Clipped {
-                sub: Box::new(sub),
-                slice,
-                full: labels,
-            },
-        )
+        let index = clipped_index(&net, Some(&labels), halo, self.use_hub_labels);
+        self.assemble(net, index)
     }
 
     fn assemble(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
@@ -267,7 +235,7 @@ impl SpEngineBuilder {
             net,
             index,
             traffic: None,
-            epoch_tag: AtomicU64::new(self.epoch_tag),
+            epoch_tag: AtomicU64::new(0),
             cache: ShardedLruCache::new(self.cache_capacity, self.cache_shards),
             total_queries: AtomicU64::new(0),
             index_queries: AtomicU64::new(0),
@@ -324,20 +292,27 @@ struct EpochSlot {
     index: SpIndex,
 }
 
-/// The index a full-network traffic engine queries for one epoch.
-fn full_index_for(artifact: &EpochArtifacts, use_hub_labels: bool) -> SpIndex {
-    match artifact.labels() {
+/// The index a full-network engine queries: `labels` when it uses them,
+/// else point-to-point Dijkstra.
+fn full_index(labels: Option<&Arc<HubLabels>>, use_hub_labels: bool) -> SpIndex {
+    match labels {
         Some(labels) if use_hub_labels => SpIndex::Full(labels.clone()),
         _ => SpIndex::Dijkstra,
     }
 }
 
-/// The index a halo-clipped traffic engine queries for one epoch: the
-/// sub-network induced by `halo` over the epoch's reweighted network plus
-/// the label slice restricted to it, with the same degenerate cases as
-/// [`SpEngineBuilder::build_clipped`].
-fn clipped_index_for(artifact: &EpochArtifacts, halo: &[NodeId], use_hub_labels: bool) -> SpIndex {
-    let Some(labels) = artifact.labels().filter(|_| use_hub_labels) else {
+/// The index a halo-clipped engine queries — statically built, or for one
+/// traffic epoch: the sub-network of `net` induced by `halo` plus the label
+/// slice restricted to it.  Without labels it is Dijkstra; an empty halo
+/// answers everything through the full labels, and a halo covering `net`
+/// is a plain full engine sharing them.
+fn clipped_index(
+    net: &RoadNetwork,
+    labels: Option<&Arc<HubLabels>>,
+    halo: &[NodeId],
+    use_hub_labels: bool,
+) -> SpIndex {
+    let Some(labels) = labels.filter(|_| use_hub_labels) else {
         return SpIndex::Dijkstra;
     };
     if halo.is_empty() {
@@ -345,7 +320,7 @@ fn clipped_index_for(artifact: &EpochArtifacts, halo: &[NodeId], use_hub_labels:
             full: labels.clone(),
         };
     }
-    let sub = SubNetwork::extract(artifact.net(), halo).expect("halo vertices must be in range");
+    let sub = SubNetwork::extract(net, halo).expect("halo vertices must be in range");
     if sub.covers_parent() {
         return SpIndex::Full(labels.clone());
     }
@@ -1169,9 +1144,9 @@ impl SpEngine {
             }
             (Some(halo), _) => {
                 rt.slice_refreshes.fetch_add(1, Ordering::Relaxed);
-                clipped_index_for(&artifact, halo, rt.use_hub_labels)
+                clipped_index(artifact.net(), artifact.labels(), halo, rt.use_hub_labels)
             }
-            (None, _) => full_index_for(&artifact, rt.use_hub_labels),
+            (None, _) => full_index(artifact.labels(), rt.use_hub_labels),
         };
         slot.epoch = epoch.index;
         drop(slot);

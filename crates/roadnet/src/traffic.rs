@@ -77,7 +77,7 @@ impl TrafficProfile {
 
 /// An axis-aligned congestion box with its own travel-time factor and an
 /// active window in simulation seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CongestionZone {
     /// West edge of the box (meters, projected).
     pub min_x: f64,

@@ -95,18 +95,6 @@ impl BuildStats {
     }
 }
 
-impl std::fmt::Display for BuildStats {
-    /// One-line `key=value` rendering, as captured into replay traces and
-    /// printed by the `replay` binary.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "candidate_pairs={} angle_pruned={} shareability_checks={} edges_added={}",
-            self.candidate_pairs, self.angle_pruned, self.shareability_checks, self.edges_added
-        )
-    }
-}
-
 /// Dynamic shareability-graph builder (Algorithm 1).
 #[derive(Debug)]
 pub struct ShareabilityGraphBuilder {
@@ -536,9 +524,5 @@ mod tests {
         assert!(builder.approx_bytes() > 0);
         assert!(builder.request(1).is_some());
         assert!(builder.request(42).is_none());
-        // The trace-facing rendering carries every counter.
-        let rendered = s.to_string();
-        assert!(rendered.contains(&format!("candidate_pairs={}", s.candidate_pairs)));
-        assert!(rendered.contains(&format!("edges_added={}", s.edges_added)));
     }
 }

@@ -22,13 +22,15 @@
 //! Every check runs through the `Scenario` read back from the file's `param`
 //! lines, which must write those lines back byte for byte.
 //!
-//! The four `pre_faults_*` files are format v3, recorded just before fault
-//! injection existed; `loop_sard_rush.trace` is v4.  Each is replayed here
-//! and nowhere else.
+//! All five files are format v4.  The four `pre_faults_*` files were
+//! recorded just before fault injection existed and later converted, not
+//! re-recorded: their header became v4 and their config line gained the
+//! inert fault tokens, while every `batch`, `request`, `vehicle`, `outcome`
+//! and `end` line kept its recorded bytes, so they still pin the decisions
+//! of the pre-fault builds.  Each is replayed here and nowhere else.
 
 use structride_bench::replay_cli::Scenario;
 use structride_core::replay::{diff_traces, DriftReport, Trace};
-use structride_core::FaultConfig;
 
 /// Loads a golden trace and the scenario its metadata describes.  Both
 /// codecs are held to the file's bytes: the trace re-serialises to the same
@@ -45,11 +47,6 @@ fn golden_trace(file: &str) -> (Trace, Scenario) {
         trace.to_text() == text,
         "{file}: re-serialisation moved bytes"
     );
-    if text.starts_with("structride-trace v3\n") {
-        // A v3 config line has no fault tokens: it parses to the inert
-        // default, so these recordings replay with fault injection off.
-        assert_eq!(trace.meta.config.faults, FaultConfig::default(), "{file}");
-    }
     let scenario = Scenario::from_meta(&trace.meta).expect("golden trace names its scenario");
     assert_eq!(scenario.to_params(), trace.meta.params, "{file}");
     (trace, scenario)
