@@ -17,8 +17,8 @@
 //! enumeration, the shareability builder's exact checks and the simulator's
 //! vehicle sweep all fan out under a shared `&DispatchContext` (or
 //! `&SpEngine`) without additional locking.  The engine's shortest-path cache
-//! is sharded internally (see `structride_roadnet::sharded`), so concurrent
-//! `cost()` calls do not serialise on a global lock.
+//! is split over independently locked stripes, so concurrent `cost()` calls
+//! do not serialise on a global lock.
 //!
 //! # The replay invariant
 //!
@@ -109,7 +109,7 @@ impl BatchScratch {
 /// invariants.
 #[derive(Debug)]
 pub struct DispatchContext<'a> {
-    /// The shared shortest-path oracle (sharded cache, thread-safe).
+    /// The shared shortest-path oracle (striped cache, thread-safe).
     pub engine: &'a SpEngine,
     /// The framework configuration the simulator runs with.  Note that
     /// dispatchers constructed with their own configuration (e.g.

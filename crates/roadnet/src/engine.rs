@@ -1,32 +1,42 @@
 //! The shortest-path query engine used by every dispatcher.
 //!
 //! [`SpEngine`] bundles the road network, an optional hub-label index and a
-//! sharded LRU cache behind a single `cost(u, v)` entry point.  It also counts
-//! the number of *index* queries (cache misses that hit the labels /
+//! shortest-path cache behind a single `cost(u, v)` entry point.  It also
+//! counts the number of *index* queries (cache misses that hit the labels /
 //! Dijkstra), which is the "#Shortest Path Queries" column of the paper's
 //! Table V and Table VI angle-pruning ablation.
 //!
+//! The cache stands where the paper puts its LRU cache (after Huang et al.),
+//! with a different replacement policy.  It is a fixed table of 4-way sets
+//! of `(source, target) → travel time` entries, split over 64 independently
+//! locked stripes.  One multiplicative hash picks the stripe and the set; a
+//! hit compares four slots and bumps a counter under that stripe's lock, and
+//! touches nothing that every worker shares.  A full set evicts a
+//! hash-chosen way instead of the least recently used entry.  At the default
+//! 2¹⁸ entries the dispatch working set fits, so the hit ratio is the LRU's;
+//! and since every entry is the exact index answer, replacement never
+//! changes a result.  [`SpEngine::clear_cache`] and epoch rolls retire every
+//! entry at once by advancing a key tag, without sweeping the table.
+//!
 //! The engine takes `&self` everywhere so it can be shared freely between the
 //! dispatchers *and between the worker threads of the parallel batch
-//! pipeline*: the `(source, target)` key is hashed to one of N independently
-//! locked cache shards (see [`ShardedLruCache`]), so concurrent `cost()`
-//! calls only contend when they hit the same shard, and the counters are
-//! atomics.  Under concurrency two threads may race on the same missing key
-//! and both consult the index; the counters report exactly what happened and
-//! both threads obtain the same exact distance.  Consequently every
-//! *non-trivial* `cost()` call (source ≠ target) records exactly one cache
-//! hit or one index query — trivial self-queries return early and touch
-//! neither counter, and direct `cost_uncached()` calls add index queries
-//! without total queries, so no global identity ties the three counters
-//! together.  Note the race also means `index_queries` (the paper's
+//! pipeline*: concurrent `cost()` calls only contend when their keys land on
+//! the same stripe.  Under concurrency two threads may race on the same
+//! missing key and both consult the index; the counters report exactly what
+//! happened and both threads obtain the same exact distance.  Consequently
+//! every *non-trivial* `cost()` call (source ≠ target) records exactly one
+//! cache hit or one index query — trivial self-queries return early and
+//! count only as total queries, and direct `cost_uncached()` calls add index
+//! queries without total queries, so no global identity ties the three
+//! counters together.  Note the race also means `index_queries` (the paper's
 //! "#Shortest Path Queries") can differ by a handful between runs when more
 //! than one worker thread is active, even though dispatch decisions are
 //! bit-deterministic.
 
+use crate::cache::SpCache;
 use crate::dijkstra;
 use crate::graph::{NodeId, Point, RoadNetwork};
 use crate::hub_labels::{BuildPlan, HubLabels};
-use crate::sharded::{ShardedLruCache, DEFAULT_SHARDS};
 use crate::subnet::SubNetwork;
 use crate::traffic::{EpochSignature, TrafficConfig, TrafficEpoch};
 use std::collections::HashMap;
@@ -38,7 +48,7 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct SpStats {
     /// Total `cost()` calls.
     pub total_queries: u64,
-    /// Queries answered by the LRU cache.
+    /// Queries answered by the cache.
     pub cache_hits: u64,
     /// Queries that had to consult the hub labels / run Dijkstra.
     pub index_queries: u64,
@@ -48,7 +58,6 @@ pub struct SpStats {
 #[derive(Debug, Clone)]
 pub struct SpEngineBuilder {
     cache_capacity: usize,
-    cache_shards: usize,
     use_hub_labels: bool,
     traffic: TrafficConfig,
 }
@@ -57,7 +66,6 @@ impl Default for SpEngineBuilder {
     fn default() -> Self {
         SpEngineBuilder {
             cache_capacity: 1 << 18,
-            cache_shards: DEFAULT_SHARDS,
             use_hub_labels: true,
             traffic: TrafficConfig::default(),
         }
@@ -65,22 +73,16 @@ impl Default for SpEngineBuilder {
 }
 
 impl SpEngineBuilder {
-    /// Starts from the default configuration (hub labels on, 256K-entry cache
-    /// split over 16 shards).
+    /// Starts from the default configuration (hub labels on, 256K-entry
+    /// cache).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the LRU cache capacity (entries). Zero disables caching.
+    /// Sets the cache capacity in entries, rounded up to a power-of-two
+    /// number of sets per stripe.  Zero disables caching.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the number of cache shards (rounded up to a power of two).  More
-    /// shards reduce lock contention between concurrent `cost()` callers.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
         self
     }
 
@@ -188,10 +190,8 @@ impl SpEngineBuilder {
             slice_refreshes: AtomicU64::new(0),
             fallback_mark: AtomicU64::new(0),
         };
-        let tag = epoch.index;
         let mut engine = self.assemble(base, SpIndex::Dijkstra);
         engine.traffic = Some(Box::new(runtime));
-        engine.epoch_tag.store(tag, Ordering::Relaxed);
         engine
     }
 
@@ -235,11 +235,9 @@ impl SpEngineBuilder {
             net,
             index,
             traffic: None,
-            epoch_tag: AtomicU64::new(0),
-            cache: ShardedLruCache::new(self.cache_capacity, self.cache_shards),
-            total_queries: AtomicU64::new(0),
+            cache: SpCache::new(self.cache_capacity),
+            same_node_queries: AtomicU64::new(0),
             index_queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
             fallback_queries: AtomicU64::new(0),
         }
     }
@@ -755,13 +753,13 @@ impl EpochStore {
     }
 }
 
-/// Shared shortest-path oracle: hub labels + sharded LRU cache + query
+/// Shared shortest-path oracle: hub labels + shortest-path cache + query
 /// counters.
 ///
-/// Cache keys are **epoch-stamped** `(epoch_tag, source, target)` triples:
-/// static engines keep tag 0 forever, traffic engines bump the tag at every
-/// epoch roll (and clear the cache besides), so an entry cached under one
-/// epoch's weights can never answer a query in another.
+/// Cache entries carry the cache's key tag, which only grows.  Every roll
+/// that changes weights a cached answer may depend on advances it, and so
+/// does [`SpEngine::clear_cache`], so an entry cached under one epoch's
+/// weights can never answer a query in another.
 #[derive(Debug)]
 pub struct SpEngine {
     net: Arc<RoadNetwork>,
@@ -772,16 +770,16 @@ pub struct SpEngine {
     /// `Some` for self-rolling traffic engines; `None` keeps the static
     /// fast path (no lock anywhere on the query path).
     traffic: Option<Box<TrafficRuntime>>,
-    epoch_tag: AtomicU64,
-    cache: ShardedLruCache<(u64, NodeId, NodeId), f64>,
-    total_queries: AtomicU64,
+    cache: SpCache,
+    /// `cost(v, v)` calls, which never reach the cache; the cache counts
+    /// every other `cost()` call as one hit or one miss.
+    same_node_queries: AtomicU64,
     index_queries: AtomicU64,
-    cache_hits: AtomicU64,
     fallback_queries: AtomicU64,
 }
 
 impl SpEngine {
-    /// Builds an engine with default settings (hub labels + LRU cache).
+    /// Builds an engine with default settings (hub labels + cache).
     pub fn new(net: RoadNetwork) -> Self {
         SpEngineBuilder::default().build(net)
     }
@@ -809,23 +807,17 @@ impl SpEngine {
     ///
     /// Results are exact; unreachable pairs return infinity.
     pub fn cost(&self, source: NodeId, target: NodeId) -> f64 {
-        self.total_queries.fetch_add(1, Ordering::Relaxed);
         if source == target {
+            self.same_node_queries.fetch_add(1, Ordering::Relaxed);
             return 0.0;
         }
-        let key = (self.epoch_tag.load(Ordering::Relaxed), source, target);
-        if let Some(v) = self.cache.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let tag = self.cache.tag();
+        if let Some(v) = self.cache.get(tag, source, target) {
             return v;
         }
         let d = self.cost_uncached(source, target);
-        self.cache.insert(key, d);
+        self.cache.insert(tag, source, target, d);
         d
-    }
-
-    /// Number of independently locked cache shards.
-    pub fn cache_shards(&self) -> usize {
-        self.cache.shard_count()
     }
 
     /// Travel time bypassing the cache (still counted as an index query).
@@ -868,7 +860,7 @@ impl SpEngine {
 
     /// Batched exact |S|×|T| travel-time matrix (row-major: entry
     /// `i * targets.len() + j` is the cost from `sources[i]` to
-    /// `targets[j]`), bypassing the per-pair LRU cache.
+    /// `targets[j]`), bypassing the per-pair cache.
     ///
     /// With hub labels this is [`HubLabels::many_to_many`]: the smaller side's
     /// labels are scattered into a per-thread hub bucket, once each, and the
@@ -1025,19 +1017,20 @@ impl SpEngine {
 
     /// Snapshot of the query counters.
     pub fn stats(&self) -> SpStats {
+        let (hits, misses) = self.cache.counts();
         SpStats {
-            total_queries: self.total_queries.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            total_queries: self.same_node_queries.load(Ordering::Relaxed) + hits + misses,
+            cache_hits: hits,
             index_queries: self.index_queries.load(Ordering::Relaxed),
         }
     }
 
-    /// Empties the LRU cache (counters are kept).  Call this between
-    /// algorithm runs that share one engine so that no run benefits from the
-    /// cache its predecessor warmed up — keeping query counts and runtimes
-    /// comparable.
+    /// Empties the cache by retiring every entry (counters are kept).  Call
+    /// this between algorithm runs that share one engine so that no run
+    /// benefits from the cache its predecessor warmed up — keeping query
+    /// counts and runtimes comparable.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.cache.retire();
     }
 
     // -----------------------------------------------------------------------
@@ -1055,15 +1048,14 @@ impl SpEngine {
         self.traffic.as_ref().map(|rt| rt.config)
     }
 
-    /// The current traffic epoch index for self-rolling engines, the
-    /// builder-assigned tag (default 0) otherwise.  Note this is no longer
-    /// the cache-key tag: cache keys carry a private *era* counter that
-    /// advances only when a roll actually changes edge weights, so entries
-    /// survive rolls between bit-identical epochs.
+    /// The current traffic epoch index for self-rolling engines, 0 for
+    /// static ones.  This is not the cache's key tag: that advances only when
+    /// a roll actually changes edge weights (or the cache is cleared), so
+    /// entries survive rolls between bit-identical epochs.
     pub fn current_epoch(&self) -> u64 {
         match &self.traffic {
             Some(rt) => rt.slot.read().unwrap().epoch,
-            None => self.epoch_tag.load(Ordering::Relaxed),
+            None => 0,
         }
     }
 
@@ -1090,7 +1082,7 @@ impl SpEngine {
     /// Static engines return `false` unconditionally, so pipelines can call
     /// this every batch without guarding.  Must be called from the batch
     /// control thread at a quiescent point — concurrent `cost()` callers in
-    /// the same instant could cache a fresh-epoch value under the old era.
+    /// the same instant could cache a fresh-epoch value under the old tag.
     pub fn roll_epoch_to(&self, now: f64) -> bool {
         let Some(rt) = &self.traffic else {
             return false;
@@ -1150,14 +1142,13 @@ impl SpEngine {
         };
         slot.epoch = epoch.index;
         drop(slot);
-        // Cache era: entries answered through a retained clip stayed inside
+        // Cache tag: entries answered through a retained clip stayed inside
         // the halo, where no weight changed — keep them.  Any fallback since
-        // the last clear may have crossed reweighted edges, so the era must
-        // advance (which orphans the old entries) and the cache is emptied.
+        // the last clear may have crossed reweighted edges, so the tag must
+        // advance, which retires every old entry.
         let fallbacks = self.fallback_queries.load(Ordering::Relaxed);
         if !(kept_clip && fallbacks == rt.fallback_mark.load(Ordering::Relaxed)) {
-            self.epoch_tag.fetch_add(1, Ordering::Relaxed);
-            self.cache.clear();
+            self.cache.retire();
             rt.fallback_mark.store(fallbacks, Ordering::Relaxed);
         }
         rt.rolls.fetch_add(1, Ordering::Relaxed);
@@ -1233,9 +1224,9 @@ impl SpEngine {
 
     /// Resets the query counters (the cache contents are kept).
     pub fn reset_stats(&self) {
-        self.total_queries.store(0, Ordering::Relaxed);
+        self.same_node_queries.store(0, Ordering::Relaxed);
         self.index_queries.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
+        self.cache.reset_counts();
     }
 
     /// Approximate heap footprint (graph + locally queried labels + clip
@@ -1353,14 +1344,6 @@ mod tests {
         let net = line_graph(3);
         let eng = SpEngine::new(net);
         assert!((eng.euclidean(0, 2) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn default_engine_has_at_least_eight_cache_shards() {
-        let eng = SpEngine::new(line_graph(4));
-        assert!(eng.cache_shards() >= 8, "got {} shards", eng.cache_shards());
-        let two = SpEngineBuilder::new().cache_shards(2).build(line_graph(4));
-        assert_eq!(two.cache_shards(), 2);
     }
 
     #[test]
@@ -1592,8 +1575,8 @@ mod tests {
         assert_eq!(traffic.cost(0, 11).to_bits(), free_flow.to_bits());
     }
 
-    /// The sharded cache must agree with `cost_uncached` under concurrent
-    /// access, and the atomic counters must stay exact: every `cost()` call
+    /// The cache must agree bit for bit with `cost_uncached` under
+    /// concurrent access, and the counters must stay exact: every `cost()` call
     /// either hits the cache or performs exactly one index query, even when
     /// two threads race on the same missing key.
     #[test]
@@ -1612,8 +1595,9 @@ mod tests {
                         let d = (i * 13 + t * 3) % 64;
                         let cached = eng.cost(s, d);
                         let exact = if s == d { 0.0 } else { eng.cost_uncached(s, d) };
-                        assert!(
-                            (cached - exact).abs() < 1e-9,
+                        assert_eq!(
+                            cached.to_bits(),
+                            exact.to_bits(),
                             "cached {cached} != exact {exact} for ({s}, {d})"
                         );
                     }

@@ -11,32 +11,34 @@
 //!   correctness oracle) and to construct the hub labels.
 //! * [`HubLabels`] — a pruned-landmark 2-hop labeling supporting exact
 //!   point-to-point travel-time queries in (near) constant time.
-//! * [`LruCache`] — a bounded least-recently-used cache for `(source, target)`
-//!   query results, mirroring the LRU cache of Huang et al. used by the paper.
-//! * [`ShardedLruCache`] — the N-way sharded concurrent wrapper around
-//!   [`LruCache`] that the engine uses so parallel dispatch workers don't
-//!   serialise on a single cache lock.
 //! * [`SubNetwork`] — induced subgraph extraction with an old↔new vertex-id
 //!   mapping, the substrate of the sharded pipeline's halo-clipped per-shard
 //!   engines.
-//! * [`SpEngine`] — the query façade combining labels + sharded cache + query
+//! * [`SpEngine`] — the query façade combining labels + cache + query
 //!   counters (the counters feed the Table V / Table VI angle-pruning
 //!   ablation).  Safe to share (`&SpEngine`) across worker threads; the road
 //!   network and the hub-label index can be `Arc`-shared between engines
 //!   (see [`SpEngineBuilder::build_shared`] /
 //!   [`SpEngineBuilder::build_clipped`]).
 //!
+//! The engine's cache plays the role of the paper's LRU cache (after Huang
+//! et al.) but is not an LRU: it is a fixed table of 4-way sets split over
+//! 64 independently locked stripes, and a full set evicts a hash-chosen way
+//! rather than its least recently used one.  A hit hashes the key once and
+//! reads one set.  At the default 2¹⁸ entries the dispatch working set fits,
+//! so the hit ratio is the LRU's; and since every cached value is the exact
+//! index answer, no replacement policy can change a result.
+//!
 //! All distances are travel times in seconds, represented as `f64`.  A missing
 //! path is reported as [`INFINITY`](f64::INFINITY).
 
+mod cache;
 pub mod dijkstra;
 pub mod engine;
 pub mod error;
 pub mod graph;
 pub mod hub_labels;
-pub mod lru;
 pub mod path;
-pub mod sharded;
 pub mod subnet;
 pub mod traffic;
 
@@ -44,9 +46,7 @@ pub use engine::{EpochArtifacts, EpochStore, SpEngine, SpEngineBuilder, SpStats}
 pub use error::RoadNetError;
 pub use graph::{EdgeId, NodeId, Point, RoadNetwork, RoadNetworkBuilder, LOWER_BOUND_GRACE};
 pub use hub_labels::HubLabels;
-pub use lru::LruCache;
 pub use path::{expand_route, shortest_path, Path};
-pub use sharded::ShardedLruCache;
 pub use subnet::SubNetwork;
 pub use traffic::{CongestionZone, TrafficConfig, TrafficEpoch, TrafficProfile, MAX_TRAFFIC_ZONES};
 

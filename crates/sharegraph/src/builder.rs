@@ -33,13 +33,14 @@
 //! order.  Because the
 //! prefilters never consult the edge set, deferring the insertions does not
 //! change any decision, so the resulting graph and counters are bit-identical
-//! to [`ShareabilityGraphBuilder::add_batch_sequential`], which checks each
-//! pair unscreened, regardless of the worker count (a property locked in by
-//! the `parallel_determinism` integration test).
+//! to a one-request-at-a-time build that checks each pair unscreened on the
+//! calling thread, regardless of the worker count.  That sequential build
+//! lives in this module's tests, which hold the parallel one to it batch by
+//! batch.
 
 use crate::angle::AnglePruning;
 use crate::graph::ShareabilityGraph;
-use crate::shareable::{pairwise_shareable, ShareabilityCheck};
+use crate::shareable::ShareabilityCheck;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -179,9 +180,8 @@ impl ShareabilityGraphBuilder {
 
     /// Adds a batch of new requests and discovers their shareability edges
     /// (Algorithm 1, lines 2–8), fanning the exact shareability checks out
-    /// over the rayon workers.  Bit-identical to
-    /// [`ShareabilityGraphBuilder::add_batch_sequential`]; see the module docs
-    /// for why.
+    /// over the rayon workers.  Bit-identical to the sequential build; see
+    /// the module docs for why.
     pub fn add_batch(&mut self, engine: &SpEngine, batch: &[Request]) {
         // --- phase 1 (sequential): register requests and prefilter, keeping
         //     the surviving pairs in sequential visit order. -----------------
@@ -222,37 +222,6 @@ impl ShareabilityGraphBuilder {
                 self.graph.add_edge(a, b);
             }
         }
-    }
-
-    /// Adds a batch one request at a time on the calling thread — the
-    /// reference path the parallel build is checked against.
-    pub fn add_batch_sequential(&mut self, engine: &SpEngine, batch: &[Request]) {
-        for r in batch {
-            self.add_request(engine, r.clone());
-        }
-    }
-
-    /// Adds a single new request and connects it to the shareable live ones.
-    pub fn add_request(&mut self, engine: &SpEngine, request: Request) {
-        let id = request.id;
-        if self.requests.contains_key(&id) {
-            return;
-        }
-        self.graph.add_node(id);
-
-        for cand_id in self.prefilter_candidates(engine, &request) {
-            // --- exact shareability check (line 7) ----------------------
-            self.stats.shareability_checks += 1;
-            let other = &self.requests[&cand_id];
-            if pairwise_shareable(engine, &request, other, self.config.vehicle_capacity) {
-                self.graph.add_edge(id, cand_id);
-                self.stats.edges_added += 1;
-            }
-        }
-
-        let src = engine.coord(request.source);
-        self.source_index.insert(id as u64, src.x, src.y);
-        self.requests.insert(id, request);
     }
 
     /// Candidate generation and cheap pruning for one incoming request
@@ -384,6 +353,8 @@ impl ShareabilityGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shareable::pairwise_shareable;
+    use structride_datagen::{CityProfile, Workload, WorkloadParams};
     use structride_roadnet::{Point, RoadNetworkBuilder};
 
     /// A 5-node west-east line with coordinates matching the travel times
@@ -524,5 +495,134 @@ mod tests {
         assert!(builder.approx_bytes() > 0);
         assert!(builder.request(1).is_some());
         assert!(builder.request(42).is_none());
+    }
+
+    impl ShareabilityGraphBuilder {
+        /// The reference the parallel build is held to: one request at a
+        /// time on the calling thread, each surviving pair checked unscreened
+        /// and its edge inserted as soon as it is found.
+        fn add_batch_sequential(&mut self, engine: &SpEngine, batch: &[Request]) {
+            for request in batch {
+                let id = request.id;
+                if self.requests.contains_key(&id) {
+                    continue;
+                }
+                self.graph.add_node(id);
+                for cand_id in self.prefilter_candidates(engine, request) {
+                    self.stats.shareability_checks += 1;
+                    let other = &self.requests[&cand_id];
+                    if pairwise_shareable(engine, request, other, self.config.vehicle_capacity) {
+                        self.graph.add_edge(id, cand_id);
+                        self.stats.edges_added += 1;
+                    }
+                }
+                let src = engine.coord(request.source);
+                self.source_index.insert(id as u64, src.x, src.y);
+                self.requests.insert(id, request.clone());
+            }
+        }
+    }
+
+    /// The full edge set as a sorted list of normalised `(min, max)` pairs.
+    fn edge_set(builder: &ShareabilityGraphBuilder) -> Vec<(RequestId, RequestId)> {
+        let graph = builder.graph();
+        let mut edges: Vec<(RequestId, RequestId)> = Vec::new();
+        for node in graph.nodes() {
+            for neighbor in graph.neighbors(node) {
+                if node < neighbor {
+                    edges.push((node, neighbor));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges
+    }
+
+    fn seeded_workload(seed: u64) -> Workload {
+        Workload::generate(WorkloadParams {
+            num_requests: 220,
+            num_vehicles: 10,
+            horizon: 400.0,
+            scale: 0.4,
+            seed,
+            ..WorkloadParams::small(CityProfile::NycLike)
+        })
+    }
+
+    /// On any workload, the rayon-parallel `add_batch` must produce exactly
+    /// the graph and `BuildStats` of the sequential reference.
+    #[test]
+    fn parallel_batch_build_matches_sequential_build() {
+        for (seed, angle) in [
+            (41u64, AnglePruning::default()),
+            (42, AnglePruning::disabled()),
+        ] {
+            let w = seeded_workload(seed);
+            let config = BuilderConfig {
+                vehicle_capacity: 4,
+                angle,
+                grid_cells: 32,
+            };
+
+            let mut parallel = ShareabilityGraphBuilder::new(&w.engine, config);
+            parallel.add_batch(&w.engine, &w.requests);
+
+            let mut sequential = ShareabilityGraphBuilder::new(&w.engine, config);
+            sequential.add_batch_sequential(&w.engine, &w.requests);
+
+            assert_eq!(
+                edge_set(&parallel),
+                edge_set(&sequential),
+                "seed {seed}: edge sets differ"
+            );
+            assert_eq!(
+                parallel.stats(),
+                sequential.stats(),
+                "seed {seed}: stats differ"
+            );
+            assert_eq!(
+                parallel.stats().edges_added as usize,
+                edge_set(&parallel).len(),
+                "edges_added must count exactly the edges present"
+            );
+            assert!(
+                parallel.graph().edge_count() > 0,
+                "workload must be non-trivial"
+            );
+            for node in parallel.graph().nodes() {
+                assert_eq!(
+                    parallel.graph().degree(node),
+                    sequential.graph().degree(node)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_parallel_batches_match_sequential_batches() {
+        let w = seeded_workload(7);
+        let config = BuilderConfig::default();
+        let mut parallel = ShareabilityGraphBuilder::new(&w.engine, config);
+        let mut sequential = ShareabilityGraphBuilder::new(&w.engine, config);
+
+        // Feed the stream in uneven batches, checking equality after every
+        // batch: the live working set (carried-over requests) must stay in
+        // lockstep too.
+        for chunk in w.requests.chunks(37) {
+            parallel.add_batch(&w.engine, chunk);
+            sequential.add_batch_sequential(&w.engine, chunk);
+            assert_eq!(edge_set(&parallel), edge_set(&sequential));
+            assert_eq!(parallel.stats(), sequential.stats());
+        }
+
+        // Removals keep the two in lockstep as well.
+        let victims: Vec<RequestId> = w.requests.iter().take(40).map(|r| r.id).collect();
+        for id in victims {
+            assert_eq!(parallel.remove_request(id), sequential.remove_request(id));
+        }
+        parallel.remove_expired(200.0);
+        sequential.remove_expired(200.0);
+        assert_eq!(edge_set(&parallel), edge_set(&sequential));
+        assert_eq!(parallel.len(), sequential.len());
     }
 }

@@ -6,7 +6,7 @@
 //! downstream users, the examples and the integration tests can depend on a
 //! single crate:
 //!
-//! * [`roadnet`] — road network, Dijkstra, hub labeling, LRU-cached
+//! * [`roadnet`] — road network, Dijkstra, hub labeling, cached
 //!   shortest-path engine;
 //! * [`spatial`] — grid index and the angle geometry;
 //! * [`model`] — requests, vehicles, schedules, linear insertion, kinetic
@@ -26,14 +26,14 @@
 //! **deterministic** — the same inputs produce the same assignments and the
 //! same shareability graph regardless of the worker count:
 //!
-//! * [`SpEngine`] shards its shortest-path LRU cache
-//!   (16 ways by default), so concurrent `cost()` queries from dispatch
-//!   workers don't serialise on a global lock;
+//! * [`SpEngine`] splits its shortest-path cache over 64 independently
+//!   locked stripes, so concurrent `cost()` queries from dispatch workers
+//!   don't serialise on a global lock;
 //! * [`ShareabilityGraphBuilder`]
 //!   par-maps the exact pairwise shareability checks of Algorithm 1 over the
 //!   prefiltered candidate list and inserts the discovered edges in
-//!   sequential order (bit-identical to its `add_batch_sequential` reference
-//!   path);
+//!   sequential order (bit-identical to the one-request-at-a-time build its
+//!   tests hold it to);
 //! * [`SardDispatcher`] par-maps its per-request
 //!   candidate-queue construction and the per-vehicle group enumeration of
 //!   each acceptance round, reducing with stable `(cost, vehicle_id)`
