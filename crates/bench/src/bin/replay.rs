@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! replay record  [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T]
-//!                [--chaos] [--checkpoint PATH]
+//!                [--chaos] [--checkpoint PATH] [--stages PATH]
 //! replay replay  --trace PATH [--algo KEY] [--threads N]
 //! replay resume  --trace PATH --checkpoint PATH [--threads N]
 //! replay diff    --trace PATH --against PATH
@@ -14,6 +14,10 @@
 //!   and writes the `(batch, fleet-state, outcome)` trace to `--out`.  Its
 //!   `param` lines are the run's `Scenario`; it writes no query counts, so
 //!   recordings of one scenario are byte-identical under any worker count.
+//!   With `--stages PATH` it also writes the run's per-batch stage table
+//!   (`structride_core::StageTable`, TSV: wall time of each top-level stage,
+//!   CPU time of each dispatch stage summed over workers); the trace is the
+//!   same bytes either way.  Clock-driven runs only.
 //! * `replay` loads a trace, reads its scenario back strictly (a missing,
 //!   unknown or duplicate `param` key, or a bad value, exits 1 with `bad
 //!   scenario in trace: …` naming the key), regenerates the workload and
@@ -76,11 +80,11 @@ use structride_bench::replay_cli::{
 };
 use structride_core::replay::{diff_traces, Checkpoint, Trace};
 use structride_core::shard::ShardingConfig;
-use structride_core::{FaultConfig, StructRideConfig};
+use structride_core::{FaultConfig, StageTable, StructRideConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: replay record [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T] [--chaos] [--checkpoint PATH]\n\
+        "usage: replay record [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T] [--chaos] [--checkpoint PATH] [--stages PATH]\n\
          \x20      replay replay --trace PATH [--algo KEY] [--threads N]\n\
          \x20      replay resume --trace PATH --checkpoint PATH [--threads N]\n\
          \x20      replay diff   --trace PATH --against PATH\n\
@@ -105,6 +109,7 @@ struct Args {
     traffic: Option<String>,
     chaos: bool,
     checkpoint: Option<String>,
+    stages: Option<String>,
 }
 
 fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
@@ -121,6 +126,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
         traffic: None,
         chaos: false,
         checkpoint: None,
+        stages: None,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -135,6 +141,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
             "--traffic" => args.traffic = Some(argv.next()?),
             "--chaos" => args.chaos = true,
             "--checkpoint" => args.checkpoint = Some(argv.next()?),
+            "--stages" => args.stages = Some(argv.next()?),
             _ => return None,
         }
     }
@@ -218,7 +225,22 @@ fn cmd_record(args: &Args) -> ExitCode {
             return usage();
         }
     }
-    let (trace, checkpoints) = scenario.record();
+    if args.stages.is_some() && args.ingest {
+        eprintln!("--stages applies to the clock-driven pipelines; drop --ingest");
+        return usage();
+    }
+    let mut table = StageTable::new();
+    let (trace, checkpoints) = match args.stages {
+        Some(_) => scenario.record_observed(&mut table),
+        None => scenario.record(),
+    };
+    if let Some(path) = args.stages.as_deref() {
+        if let Err(e) = std::fs::write(path, table.to_tsv()) {
+            eprintln!("failed to write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("# wrote {path} ({} batches)", table.rows.len());
+    }
     // Checkpointed record: the same trace, plus the run's mid-run checkpoint
     // written to `ckpt_path` for `resume`.
     if let Some(ckpt_path) = args.checkpoint.as_deref() {

@@ -21,8 +21,8 @@ use structride_core::replay::{
 };
 use structride_core::shard::{region_strips_for, ShardedReport, ShardedSimulator, ShardingConfig};
 use structride_core::{
-    Dispatcher, IngestConfig, RunHooks, RunMetrics, SardDispatcher, SimulationReport, Simulator,
-    StructRideConfig,
+    Dispatcher, IngestConfig, RunHooks, RunMetrics, RunObserver, SardDispatcher, SimulationReport,
+    Simulator, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -401,7 +401,17 @@ impl Scenario {
     /// # Panics
     /// Panics if `dispatcher` is not a registered key.
     pub fn record(&self) -> (Trace, Vec<Checkpoint>) {
-        self.run(&self.dispatcher, None)
+        self.run(&self.dispatcher, None, None)
+    }
+
+    /// [`Scenario::record`], reporting every batch's stage spans to
+    /// `observer` (see `structride_core::stages`).  Ingested runs take no
+    /// observer; the call ignores it there.
+    ///
+    /// # Panics
+    /// Panics if `dispatcher` is not a registered key.
+    pub fn record_observed(&self, observer: &mut dyn RunObserver) -> (Trace, Vec<Checkpoint>) {
+        self.run(&self.dispatcher, None, Some(observer))
     }
 
     /// Checks `trace` — a recording of this scenario — against a fresh run
@@ -427,7 +437,7 @@ impl Scenario {
             .iter()
             .map(|b| (b.now, b.requests.clone()))
             .collect();
-        diff_traces(trace, &self.run(dispatcher, Some(&boundaries)).0)
+        diff_traces(trace, &self.run(dispatcher, Some(&boundaries), None).0)
     }
 
     /// One recorded run of the scenario under `dispatcher`.  A sharded
@@ -435,11 +445,13 @@ impl Scenario {
     /// recording — when given, instead of ingesting live: the boundaries are
     /// the nondeterministic part, and given them the pipeline must be
     /// bit-identical.  (Monolithic traces never need re-feeding: they replay
-    /// batch by batch.)
+    /// batch by batch.)  `observer` sees the stage spans of a clock-driven
+    /// run.
     fn run(
         &self,
         dispatcher: &str,
         boundaries: Option<&[(f64, Vec<Request>)]>,
+        observer: Option<&mut dyn RunObserver>,
     ) -> (Trace, Vec<Checkpoint>) {
         const INGEST: &str = "ingest producer replays a generated stream";
         let (name, engine, requests, vehicles) = generate(&self.workload);
@@ -450,6 +462,7 @@ impl Scenario {
         let hooks = RunHooks {
             recorder: Some(&mut recorder),
             checkpoints: Some(&mut push),
+            observer: observer.map(|o| -> &mut dyn RunObserver { o }),
         };
         let arrivals = requests.iter().cloned();
         let (algorithm, build_stats) = match self.pipeline {

@@ -47,6 +47,7 @@
 use crate::config::StructRideConfig;
 use crate::fleet_index::{FleetIndex, REACH_GRACE};
 use crate::score_memo::{Score, ScoreMemo};
+use crate::stages::{Span, Stage, StageClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use structride_model::{insertion, Request, Vehicle};
 use structride_roadnet::{NodeId, SpEngine};
@@ -137,6 +138,9 @@ pub struct DispatchContext<'a> {
     /// The cross-batch score memo, when the caller keeps one.  With `None`
     /// every candidate is scored from scratch; the results are the same.
     pub score_memo: Option<&'a ScoreMemo>,
+    /// The run's stage clock, when an observer is attached: dispatch code
+    /// books its nested spans ([`crate::stages`]) into it.
+    pub stages: Option<&'a StageClock>,
 }
 
 impl<'a> DispatchContext<'a> {
@@ -161,6 +165,7 @@ impl<'a> DispatchContext<'a> {
             scratch: BatchScratch::default(),
             fleet_index: None,
             score_memo: None,
+            stages: None,
         }
     }
 
@@ -203,6 +208,7 @@ impl<'a> DispatchContext<'a> {
     ) -> Vec<(f64, usize)> {
         let engine = self.engine;
         let prescreen = self.fleet_index.is_some();
+        let span = Span::open(self.stages, Stage::Prescreen);
         let survivors: Vec<usize> = match self.fleet_index {
             Some(index) => {
                 let network = engine.network();
@@ -211,10 +217,14 @@ impl<'a> DispatchContext<'a> {
             }
             None => (0..vehicles.len()).collect(),
         };
+        span.close();
+        let span = Span::open(self.stages, Stage::MemoLookup);
         let memoized: Vec<Option<Score>> = match self.score_memo {
             Some(memo) => memo.get_all(vehicles, &survivors, self.epoch, request.id, prescreen),
             None => vec![None; survivors.len()],
         };
+        span.close();
+        let span = Span::open(self.stages, Stage::ManyToMany);
         let miss_nodes: Vec<NodeId> = survivors
             .iter()
             .zip(&memoized)
@@ -227,7 +237,9 @@ impl<'a> DispatchContext<'a> {
             Vec::new()
         }
         .into_iter();
+        span.close();
 
+        let span = Span::open(self.stages, Stage::InsertLoop);
         let mut candidates: Vec<(f64, usize)> = Vec::new();
         let mut evaluated = 0u64;
         for (&vi, memoized) in survivors.iter().zip(memoized) {
@@ -267,6 +279,7 @@ impl<'a> DispatchContext<'a> {
                 candidates.push((added_cost, vi));
             }
         }
+        span.close();
         if prescreen {
             self.scratch
                 .count_prescreen_pruned(vehicles.len() as u64 - evaluated);

@@ -486,7 +486,7 @@ where
             let (live, expired) = drop_expired(batch, now);
             collector.timed_out += expired;
             collector.observe_releases(&live);
-            let assigned = run.step(now, &live, &mut recorder);
+            let assigned = run.step(now, &live, &mut recorder, None);
             collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
             collector.observe_batch(
                 live.len(),
@@ -513,7 +513,7 @@ where
     let delta = config.batch_period.max(1e-3);
     while run.pending() > 0 && clock.now < offered.horizon_end && run.batches() <= MAX_BATCHES {
         let now = clock.tick(delta);
-        let assigned = run.step(now, &[], &mut recorder);
+        let assigned = run.step(now, &[], &mut recorder, None);
         collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
     }
     let ingest = collector.finish(&offered, dropped_queue_full, wall_seconds);

@@ -36,6 +36,7 @@ use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, ShardCheckpoint, TraceRecorder, VehicleState};
 use crate::score_memo::ScoreMemo;
 use crate::simulator::ResumeError;
+use crate::stages::StageClock;
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -77,6 +78,7 @@ pub(crate) trait BatchRun {
         now: f64,
         batch: &[Request],
         recorder: &mut Option<&mut TraceRecorder>,
+        stages: Option<&StageClock>,
     ) -> Vec<RequestId>;
 
     /// Requests currently held by the run's dispatcher(s).
@@ -175,7 +177,8 @@ impl Lane {
     /// Hands `batch` to `dispatcher` through a fresh [`DispatchContext`] and
     /// books the outcome: dispatch wall time, scratch counters, solver
     /// fallbacks and the served set.  Score-memo entries the batch did not
-    /// touch are evicted afterwards.
+    /// touch are evicted afterwards.  With `stages` the dispatcher's nested
+    /// spans book into it.
     pub(crate) fn dispatch(
         &mut self,
         engine: &SpEngine,
@@ -183,13 +186,15 @@ impl Lane {
         now: f64,
         batch_index: usize,
         batch: &[Request],
+        stages: Option<&StageClock>,
     ) -> (BatchOutcome, ScratchStats) {
         // Scoped so the context's borrow of the fleet index ends before the
         // post-dispatch resync below.
         let (outcome, scratch) = {
-            let ctx = DispatchContext::for_batch(engine, self.config, now, batch_index)
+            let mut ctx = DispatchContext::for_batch(engine, self.config, now, batch_index)
                 .with_fleet_index(&self.fleet_index)
                 .with_score_memo(&self.score_memo);
+            ctx.stages = stages;
             let t0 = Instant::now();
             let outcome = dispatcher.dispatch_batch(&ctx, &mut self.vehicles, batch);
             self.dispatch_time += t0.elapsed().as_secs_f64();

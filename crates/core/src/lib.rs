@@ -84,6 +84,7 @@ pub mod sard;
 pub mod score_memo;
 pub mod shard;
 pub mod simulator;
+pub mod stages;
 
 pub use assign::AssignDispatcher;
 pub use config::StructRideConfig;
@@ -110,3 +111,4 @@ pub use shard::{
     region_strips_for, ShardDispatcher, ShardedReport, ShardedSimulator, ShardingConfig,
 };
 pub use simulator::{ResumeError, RunHooks, SimulationReport, Simulator};
+pub use stages::{RunObserver, Stage, StageClock, StageTable};

@@ -370,8 +370,14 @@ pub fn replay_trace(
         let config = trace.meta.config;
         let mut lane = Lane::new(engine, config, fleet);
         lane.score_memo = score_memo;
-        let (outcome, scratch) =
-            lane.dispatch(engine, dispatcher, batch.now, batch.index, &batch.requests);
+        let (outcome, scratch) = lane.dispatch(
+            engine,
+            dispatcher,
+            batch.now,
+            batch.index,
+            &batch.requests,
+            None,
+        );
         let replayed = BatchRecord {
             assigned: outcome.assigned,
             scratch,
@@ -1299,7 +1305,8 @@ mod tests {
             let now = 5.0 * (index + 1) as f64;
             lane.advance(&engine, now);
             recorder.batch_started(index, now, &batch, &lane.vehicles);
-            let (outcome, scratch) = lane.dispatch(&engine, &mut dispatcher, now, index, &batch);
+            let (outcome, scratch) =
+                lane.dispatch(&engine, &mut dispatcher, now, index, &batch, None);
             recorder.batch_finished(&outcome, &lane.vehicles, scratch);
         }
         let mut meta = TraceMeta::new("greedy", "unit-line", config);

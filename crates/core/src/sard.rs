@@ -36,10 +36,28 @@ use crate::config::StructRideConfig;
 use crate::context::DispatchContext;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::grouping::{enumerate_groups, CandidateGroup};
+use crate::stages::Stage;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use structride_model::{Request, RequestId, Vehicle};
 use structride_sharegraph::{shareability_loss, ShareabilityGraph, ShareabilityGraphBuilder};
+
+/// Adds `batch` to the shareability graph, booking the build's three phases
+/// to the context's stage clock when one is attached.
+fn add_to_graph(
+    builder: &mut ShareabilityGraphBuilder,
+    ctx: &DispatchContext<'_>,
+    batch: &[Request],
+) {
+    let Some(clock) = ctx.stages else {
+        builder.add_batch(ctx.engine, batch);
+        return;
+    };
+    let times = builder.add_batch_timed(ctx.engine, batch);
+    clock.add(Stage::GraphPrefilter, times.prefilter);
+    clock.add(Stage::GraphChecks, times.checks);
+    clock.add(Stage::GraphInsert, times.insert);
+}
 
 /// The SARD dispatcher (the paper's contribution).
 pub struct SardDispatcher {
@@ -146,7 +164,7 @@ impl Dispatcher for SardDispatcher {
         // never saw these requests, so their edges are evaluated now.
         if !self.restored.is_empty() {
             let restored = std::mem::take(&mut self.restored);
-            builder.add_batch(engine, &restored);
+            add_to_graph(builder, ctx, &restored);
         }
 
         // Requests whose pickup deadline already passed can no longer be
@@ -155,7 +173,7 @@ impl Dispatcher for SardDispatcher {
 
         // Line 3: extend the shareability graph with the batch's requests
         // (edge discovery fans out internally; see the sharegraph builder).
-        builder.add_batch(engine, new_requests);
+        add_to_graph(builder, ctx, new_requests);
 
         // From here until the commit phase the builder and the fleet are only
         // read, so parallel workers may share them.

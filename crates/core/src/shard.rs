@@ -102,6 +102,7 @@ use crate::lane::{BatchRun, Lane, Offered};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
 use crate::simulator::{drive_clock, ResumeError, RunHooks};
+use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -794,12 +795,15 @@ impl BatchRun for ShardedRun<'_> {
         now: f64,
         batch: &[Request],
         recorder: &mut Option<&mut TraceRecorder>,
+        stages: Option<&StageClock>,
     ) -> Vec<RequestId> {
         // Roll the traffic epoch *before* the advance sweep so the whole
         // batch — vehicle movement, routing bids, dispatch — sees one epoch
         // (mirrors the monolithic simulator's ordering).  Down shards roll
         // too: an outage kills the dispatcher, not the map.
+        let span = Span::open(stages, Stage::Roll);
         self.roll_epoch_to(now);
+        span.close();
         self.now = now;
         // The batch's fault plan: pure in (config, batch index, shard
         // count), so a replay or a resumed checkpoint derives the identical
@@ -813,6 +817,7 @@ impl BatchRun for ShardedRun<'_> {
         for (i, s) in self.shards.iter_mut().enumerate() {
             s.down = down == Some(i);
         }
+        let span = Span::open(stages, Stage::Advance);
         for_each_shard(&mut self.shards, &|s| {
             // A down shard's fleet is frozen — `advance_to` is a pure
             // fast-forward of committed schedules, so the recovery batch
@@ -831,9 +836,12 @@ impl BatchRun for ShardedRun<'_> {
                 s.lane.reindex(&s.engine);
             }
         }
+        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
+            let _span = Span::open(stages, Stage::Record);
             rec.batch_started(self.batches, now, batch, &fleet_snapshot(&self.shards));
         }
+        let span = Span::open(stages, Stage::Route);
 
         // Outage injection: the moment a shard goes down, its carried-over
         // pending pool is drained and rerouted below through the same
@@ -900,8 +908,11 @@ impl BatchRun for ShardedRun<'_> {
             shard.inbox.push(request.clone());
         }
 
+        span.close();
+
         // Dispatch every shard's sub-batch in parallel.
         let batch_index = self.batches;
+        let span = Span::open(stages, Stage::Dispatch);
         for_each_shard(&mut self.shards, &|s| {
             if s.down {
                 // The dead shard neither received requests nor dispatches;
@@ -916,10 +927,11 @@ impl BatchRun for ShardedRun<'_> {
             let dispatcher = s.dispatcher.as_mut();
             let (outcome, scratch) =
                 s.lane
-                    .dispatch(&s.engine, dispatcher, now, batch_index, &inbox);
+                    .dispatch(&s.engine, dispatcher, now, batch_index, &inbox, stages);
             s.last_scratch = scratch;
             s.last_assigned = outcome.assigned;
         });
+        span.close();
 
         // Merge per-shard outcomes in ascending shard order (canonical).
         let mut merged = BatchOutcome::empty();
@@ -936,10 +948,12 @@ impl BatchRun for ShardedRun<'_> {
         }
         self.batches += 1;
         if let Some(rec) = recorder.as_deref_mut() {
+            let _span = Span::open(stages, Stage::Record);
             rec.batch_finished(&merged, &fleet_snapshot(&self.shards), merged_scratch);
         }
 
         if self.sharding.rebalance && self.shards.len() > 1 {
+            let _span = Span::open(stages, Stage::Rebalance);
             let moved = rebalance(
                 &mut self.shards,
                 self.regions,
@@ -1102,7 +1116,7 @@ impl ShardedSimulator {
     {
         let hooks = RunHooks {
             recorder: Some(recorder),
-            checkpoints: None,
+            ..RunHooks::default()
         };
         self.run_with(
             network,
@@ -1205,7 +1219,7 @@ impl ShardedSimulator {
         let mut offered = Offered::default();
         for (now, batch) in batches {
             batch.iter().for_each(|r| offered.push(r));
-            run.step(*now, batch, &mut rec);
+            run.step(*now, batch, &mut rec, None);
         }
         run.finish(workload_name, offered.horizon_end)
     }

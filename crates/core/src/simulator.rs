@@ -28,8 +28,10 @@ use crate::dispatcher::Dispatcher;
 use crate::lane::{BatchRun, Lane, Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
+use crate::stages::{RunObserver, Span, Stage, StageClock};
 use std::collections::HashSet;
 use std::fmt;
+use std::time::Instant;
 use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::SpEngine;
 
@@ -46,7 +48,7 @@ pub struct SimulationReport {
 
 /// The optional observers of a clock-driven run
 /// ([`Simulator::run_with`] / [`ShardedSimulator::run_with`](crate::ShardedSimulator::run_with)).
-/// Both are pure reads of the run, so any combination finishes
+/// All are pure reads of the run, so any combination finishes
 /// bit-identically to a plain run.
 #[derive(Default)]
 pub struct RunHooks<'a> {
@@ -59,6 +61,9 @@ pub struct RunHooks<'a> {
     /// cadence marks (see
     /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)).
     pub checkpoints: Option<&'a mut dyn FnMut(Checkpoint)>,
+    /// Receives every batch's stage spans (see [`crate::stages`]).  Without
+    /// one no span reads the clock.
+    pub observer: Option<&'a mut dyn RunObserver>,
 }
 
 /// Why a [`Checkpoint`] cannot be resumed.  A checkpoint is a parsed file,
@@ -131,6 +136,8 @@ pub(crate) fn drive_clock<R: BatchRun>(
     let mut offered = Offered::default();
     ordered.iter().for_each(|r| offered.push(r));
     let (mut next, mut now) = (0usize, 0.0);
+    let clock = StageClock::default();
+    let stages = hooks.observer.is_some().then_some(&clock);
     if let Some(checkpoint) = resume_from {
         if checkpoint.next_request > ordered.len() {
             return Err(ResumeError::CursorPastEnd {
@@ -150,7 +157,15 @@ pub(crate) fn drive_clock<R: BatchRun>(
         while next < ordered.len() && ordered[next].release <= now {
             next += 1;
         }
-        run.step(now, &ordered[start..next], &mut hooks.recorder);
+        let batch_index = run.batches();
+        let t0 = hooks.observer.as_deref_mut().map(|observer| {
+            observer.on_batch_start(batch_index, now);
+            Instant::now()
+        });
+        run.step(now, &ordered[start..next], &mut hooks.recorder, stages);
+        if let (Some(observer), Some(t0)) = (hooks.observer.as_deref_mut(), t0) {
+            clock.report(observer, batch_index, t0);
+        }
         // Once the request stream is exhausted and no dispatcher holds a
         // carried-over request, no later batch can assign anything — stop
         // instead of spinning until the last pickup deadline.  Side effect
@@ -172,6 +187,9 @@ pub(crate) fn drive_clock<R: BatchRun>(
                 sink(run.capture(workload_name, next));
             }
         }
+    }
+    if let Some(observer) = hooks.observer {
+        observer.on_finish();
     }
     Ok(offered)
 }
@@ -238,17 +256,31 @@ impl BatchRun for MonoRun<'_> {
         now: f64,
         batch: &[Request],
         recorder: &mut Option<&mut TraceRecorder>,
+        stages: Option<&StageClock>,
     ) -> Vec<RequestId> {
         self.now = now;
+        let span = Span::open(stages, Stage::Roll);
         self.lane.roll(self.engine, now);
+        span.close();
+        let span = Span::open(stages, Stage::Advance);
         self.lane.advance(self.engine, now);
+        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
+            let _span = Span::open(stages, Stage::Record);
             rec.batch_started(self.batches, now, batch, &self.lane.vehicles);
         }
-        let (outcome, scratch) =
-            self.lane
-                .dispatch(self.engine, self.dispatcher, now, self.batches, batch);
+        let span = Span::open(stages, Stage::Dispatch);
+        let (outcome, scratch) = self.lane.dispatch(
+            self.engine,
+            self.dispatcher,
+            now,
+            self.batches,
+            batch,
+            stages,
+        );
+        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
+            let _span = Span::open(stages, Stage::Record);
             rec.batch_finished(&outcome, &self.lane.vehicles, scratch);
         }
         self.batches += 1;
@@ -349,13 +381,13 @@ impl Simulator {
     ) -> SimulationReport {
         let hooks = RunHooks {
             recorder: Some(recorder),
-            checkpoints: None,
+            ..RunHooks::default()
         };
         self.run_with(engine, requests, vehicles, dispatcher, workload_name, hooks)
     }
 
-    /// Like [`Simulator::run`], observed through `hooks`: a trace recorder,
-    /// a checkpoint sink, both or neither.
+    /// Like [`Simulator::run`], observed through `hooks`: any combination of
+    /// a trace recorder, a checkpoint sink and a stage observer.
     pub fn run_with(
         &self,
         engine: &SpEngine,

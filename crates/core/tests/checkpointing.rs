@@ -78,8 +78,8 @@ fn fleet_states(vehicles: &[Vehicle]) -> Vec<VehicleState> {
 /// Hooks that only collect checkpoints.
 fn checkpoints_into(sink: &mut dyn FnMut(Checkpoint)) -> RunHooks<'_> {
     RunHooks {
-        recorder: None,
         checkpoints: Some(sink),
+        ..RunHooks::default()
     }
 }
 

@@ -172,8 +172,8 @@ fn recorded_checkpoint() -> String {
         move |_| Box::new(SardDispatcher::new(config)),
         &w.name,
         RunHooks {
-            recorder: None,
             checkpoints: Some(&mut |c| checkpoints.push(c)),
+            ..RunHooks::default()
         },
     );
     let text = checkpoints.first().expect("the cadence fires").to_text();

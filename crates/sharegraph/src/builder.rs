@@ -44,6 +44,7 @@ use crate::shareable::ShareabilityCheck;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId};
 use structride_roadnet::SpEngine;
 use structride_spatial::GridIndex;
@@ -94,6 +95,18 @@ impl BuildStats {
             edges_added: self.edges_added + other.edges_added,
         }
     }
+}
+
+/// Where one [`ShareabilityGraphBuilder::add_batch_timed`] call spent its
+/// time.  `checks` is CPU time summed over the workers that ran them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildTimes {
+    /// Phase 1: registering the batch and prefiltering candidate pairs.
+    pub prefilter: Duration,
+    /// Phase 2: the exact shareability checks.
+    pub checks: Duration,
+    /// Phase 3: inserting the edges.
+    pub insert: Duration,
 }
 
 /// Dynamic shareability-graph builder (Algorithm 1).
@@ -183,8 +196,22 @@ impl ShareabilityGraphBuilder {
     /// over the rayon workers.  Bit-identical to the sequential build; see
     /// the module docs for why.
     pub fn add_batch(&mut self, engine: &SpEngine, batch: &[Request]) {
+        self.add_batch_inner(engine, batch, false);
+    }
+
+    /// [`ShareabilityGraphBuilder::add_batch`], timing its three phases.
+    /// Only the clock reads differ; the graph and counters are the same.
+    pub fn add_batch_timed(&mut self, engine: &SpEngine, batch: &[Request]) -> BuildTimes {
+        self.add_batch_inner(engine, batch, true)
+    }
+
+    fn add_batch_inner(&mut self, engine: &SpEngine, batch: &[Request], timed: bool) -> BuildTimes {
+        let mut times = BuildTimes::default();
+        let clock = || timed.then(Instant::now);
+        let elapsed = |t0: Option<Instant>| t0.map_or(Duration::ZERO, |t0| t0.elapsed());
         // --- phase 1 (sequential): register requests and prefilter, keeping
         //     the surviving pairs in sequential visit order. -----------------
+        let t0 = clock();
         let mut jobs: Vec<(RequestId, RequestId)> = Vec::new();
         for r in batch {
             let id = r.id;
@@ -199,29 +226,39 @@ impl ShareabilityGraphBuilder {
             self.source_index.insert(id as u64, src.x, src.y);
             self.requests.insert(id, r.clone());
         }
+        times.prefilter = elapsed(t0);
 
         // --- phase 2 (parallel): the exact checks (line 7), screened at the
         //     engine's rate read once for the batch.  Every id in `jobs` is
         //     registered by now and the table is only read. -----------------
         let check = ShareabilityCheck::new(engine, self.config.vehicle_capacity);
         let requests = &self.requests;
-        let verdicts: Vec<bool> = jobs
+        let checked: Vec<(bool, Duration)> = jobs
             .par_iter()
-            .map(|&(a, b)| check.shareable(&requests[&a], &requests[&b]))
+            .map(|&(a, b)| {
+                let t0 = clock();
+                let verdict = check.shareable(&requests[&a], &requests[&b]);
+                (verdict, elapsed(t0))
+            })
             .collect();
+        times.checks = checked.iter().map(|&(_, spent)| spent).sum();
+        let verdicts = checked.into_iter().map(|(verdict, _)| verdict);
         self.stats = self.stats.merged(BuildStats {
             shareability_checks: jobs.len() as u64,
-            edges_added: verdicts.iter().filter(|&&v| v).count() as u64,
+            edges_added: verdicts.clone().filter(|&v| v).count() as u64,
             ..BuildStats::default()
         });
 
         // --- phase 3 (sequential): insert edges in the recorded order, which
         //     is exactly the order the sequential build would use. -----------
+        let t0 = clock();
         for (&(a, b), shareable) in jobs.iter().zip(verdicts) {
             if shareable {
                 self.graph.add_edge(a, b);
             }
         }
+        times.insert = elapsed(t0);
+        times
     }
 
     /// Candidate generation and cheap pruning for one incoming request

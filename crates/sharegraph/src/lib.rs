@@ -27,7 +27,7 @@ pub mod shareable;
 pub mod stats;
 
 pub use angle::AnglePruning;
-pub use builder::{BuilderConfig, ShareabilityGraphBuilder};
+pub use builder::{BuildTimes, BuilderConfig, ShareabilityGraphBuilder};
 pub use graph::ShareabilityGraph;
 pub use loss::shareability_loss;
 pub use shareable::{pairwise_shareable, ShareabilityCheck};

@@ -108,9 +108,9 @@ pub mod prelude {
     pub use structride_core::{
         diff_traces, region_strips_for, replay_trace, BatchOutcome, DispatchContext, Dispatcher,
         DriftReport, IngestConfig, IngestReport, IngestStats, ResumeError, RunHooks, RunMetrics,
-        SardDispatcher, ShardDispatcher, ShardedIngestReport, ShardedReport, ShardedSimulator,
-        ShardingConfig, SimulationReport, Simulator, StructRideConfig, Trace, TraceMeta,
-        TraceRecorder,
+        RunObserver, SardDispatcher, ShardDispatcher, ShardedIngestReport, ShardedReport,
+        ShardedSimulator, ShardingConfig, SimulationReport, Simulator, Stage, StageTable,
+        StructRideConfig, Trace, TraceMeta, TraceRecorder,
     };
     pub use structride_datagen::{
         ArrivalProfile, ArrivalStream, ArrivalStreamParams, CityProfile, MultiRegionParams,

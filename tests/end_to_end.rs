@@ -235,3 +235,47 @@ fn rtv_memory_footprint_exceeds_the_online_methods() {
         "RTV {rtv_mem} bytes vs pruneGDP {gdp_mem} bytes"
     );
 }
+
+#[test]
+fn stage_spans_cover_the_batch_wall_and_change_no_decision() {
+    let workload = small_workload(CityProfile::NycLike, 5);
+    let config = StructRideConfig::default();
+    let plain = run(&workload, &mut SardDispatcher::new(config), config);
+    workload.engine.clear_cache();
+    let mut table = StageTable::new();
+    let observed = Simulator::new(config).run_with(
+        &workload.engine,
+        &workload.requests,
+        workload.fresh_vehicles(),
+        &mut SardDispatcher::new(config),
+        &workload.name,
+        RunHooks {
+            observer: Some(&mut table),
+            ..RunHooks::default()
+        },
+    );
+    // Spans only read the clock.
+    assert_eq!(observed.served, plain.served);
+    assert_eq!(
+        observed.metrics.unified_cost.to_bits(),
+        plain.metrics.unified_cost.to_bits()
+    );
+    assert_eq!(table.rows.len(), observed.metrics.batches);
+    // The top-level stages partition each step, so over the run they sum to
+    // the batch wall within 2 %; the nested ones ran inside dispatch.
+    let (wall, stages) = table.totals();
+    let top: u64 = Stage::ALL
+        .iter()
+        .zip(stages)
+        .filter(|(stage, _)| stage.parent().is_none())
+        .map(|(_, nanos)| nanos)
+        .sum();
+    assert!(
+        top <= wall && top as f64 >= 0.98 * wall as f64,
+        "top-level stages {top} ns vs wall {wall} ns"
+    );
+    let nested = |stage: Stage| stages[Stage::ALL.iter().position(|&s| s == stage).unwrap()];
+    for stage in [Stage::Prescreen, Stage::InsertLoop, Stage::GraphChecks] {
+        assert!(nested(stage) > 0, "{stage:?} never booked");
+    }
+}
