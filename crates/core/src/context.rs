@@ -50,7 +50,7 @@ use crate::score_memo::{Score, ScoreMemo};
 use crate::stages::{Span, Stage, StageClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use structride_model::{insertion, Request, Vehicle};
-use structride_roadnet::{NodeId, SpEngine};
+use structride_roadnet::{LegBound, NodeId, SpEngine};
 
 /// Per-batch scratch counters, updated atomically by (possibly parallel)
 /// dispatch code and drained by the simulator after each batch.
@@ -123,6 +123,9 @@ pub struct DispatchContext<'a> {
     /// Zero-based index of this batch within the run (diagnostics/logging;
     /// the bundled dispatchers do not branch on it).
     pub batch_index: usize,
+    /// The engine's certified leg bound for this batch's epoch, read with
+    /// `epoch` (see [`SpEngine::leg_bound`]).
+    pub leg_bound: LegBound<'a>,
     /// The traffic epoch the engine is serving this batch under (0 forever
     /// for static engines).  Snapshotted from the engine when the context is
     /// created — i.e. *after* the simulator's epoch roll for the batch — so
@@ -161,6 +164,7 @@ impl<'a> DispatchContext<'a> {
             config,
             now,
             batch_index,
+            leg_bound: engine.leg_bound(),
             epoch: engine.current_epoch(),
             scratch: BatchScratch::default(),
             fleet_index: None,
@@ -188,18 +192,29 @@ impl<'a> DispatchContext<'a> {
     /// queues and the exact-assignment cost matrix are both built from this.
     ///
     /// With a fleet index attached this is certified retrieval (§II-B's
-    /// grid-range retrieval, made exact): range-query the index at the
-    /// reachability radius — a vehicle outside it provably cannot meet the
-    /// pickup deadline — then drop survivors whose *exact* travel time to
-    /// the pickup (one batched [`SpEngine::many_to_many`] pass, no cache)
-    /// still misses it.  Both stages only remove vehicles whose insertion
-    /// would have been rejected, so the list is bit-identical to the one the
-    /// full-fleet scan (no index) produces.
+    /// grid-range retrieval, made exact), in three stages:
+    ///
+    /// 1. range-query the index at the reachability radius — a vehicle
+    ///    outside it provably cannot meet the pickup deadline;
+    /// 2. drop survivors whose certified pickup bound
+    ///    ([`DispatchContext::leg_bound`], the euclid and landmark bounds)
+    ///    already misses the deadline: `free_at + bound > pickup_deadline +
+    ///    REACH_GRACE`;
+    /// 3. drop survivors whose *exact* travel time to the pickup (one
+    ///    batched [`SpEngine::many_to_many`] pass, no cache) still misses it.
+    ///
+    /// Each stage only removes vehicles whose insertion would have been
+    /// rejected, so the list is bit-identical to the one the full-fleet scan
+    /// (no index) produces, and every removed vehicle counts as
+    /// prescreen-pruned.  Stage 2's bound is at most the exact cost, so it
+    /// rejects a subset of what stage 3 would reject.
     ///
     /// With a score memo attached, pairs whose vehicle inputs are unchanged
     /// since they were last scored are read from it instead; only the misses
     /// go through the `many_to_many` pass (whose per-pair bits do not depend
-    /// on the matrix shape) and the insertion.
+    /// on the matrix shape) and the insertion.  Pairs stage 2 removes never
+    /// reach the memo: the bound is a few array reads, cheaper than a memo
+    /// lookup, and it gives the same verdict every time the inputs recur.
     pub fn scored_candidates(
         &self,
         vehicles: &[Vehicle],
@@ -213,7 +228,22 @@ impl<'a> DispatchContext<'a> {
             Some(index) => {
                 let network = engine.network();
                 let p = network.coord(request.source);
-                index.certified_candidates(network, vehicles, p.x, p.y, request.pickup_deadline)
+                let mut survivors = index.certified_candidates(
+                    network,
+                    vehicles,
+                    p.x,
+                    p.y,
+                    request.pickup_deadline,
+                );
+                // The landmark screen: a pair whose certified pickup bound
+                // already misses the deadline would miss it on the exact
+                // cost too, so it skips the memo and `many_to_many`.
+                survivors.retain(|&vi| {
+                    let vehicle = &vehicles[vi];
+                    let bound = self.leg_bound.lower_bound(vehicle.node, request.source);
+                    vehicle.free_at + bound <= request.pickup_deadline + REACH_GRACE
+                });
+                survivors
             }
             None => (0..vehicles.len()).collect(),
         };
@@ -334,6 +364,47 @@ mod tests {
         let stats = ctx.scratch.snapshot();
         assert_eq!(stats.insertion_evaluations, 4000);
         assert_eq!(stats.groups_enumerated, 20);
+    }
+
+    #[test]
+    fn a_pickup_screen_rejection_implies_the_many_to_many_rejection() {
+        use structride_datagen::{rush_hour, CityProfile, Workload, WorkloadParams};
+        use structride_roadnet::SpEngineBuilder;
+        let w = Workload::generate(WorkloadParams {
+            num_requests: 60,
+            num_vehicles: 10,
+            horizon: 240.0,
+            scale: 0.3,
+            ..WorkloadParams::small(CityProfile::NycLike)
+        });
+        let rush = SpEngineBuilder::new()
+            .traffic(rush_hour(30.0, 30.0))
+            .build(w.engine.network().clone());
+        assert!(rush.roll_epoch_to(8.0 * 30.0));
+        let nodes: Vec<NodeId> = w.engine.network().nodes().collect();
+        for engine in [&w.engine, &rush] {
+            let ctx = DispatchContext::new(engine, StructRideConfig::default(), 0.0);
+            let (mut screened, mut rejected) = (0, 0);
+            for request in &w.requests {
+                let costs = engine.many_to_many(&nodes, &[request.source]);
+                for (&node, cost) in nodes.iter().zip(costs) {
+                    // A vehicle at `node`, free when the request is released.
+                    let deadline = request.pickup_deadline + REACH_GRACE;
+                    let bound = ctx.leg_bound.lower_bound(node, request.source);
+                    let screen_rejects = request.release + bound > deadline;
+                    let exact_rejects = request.release + cost > deadline;
+                    assert!(
+                        !screen_rejects || exact_rejects,
+                        "node {node} -> pickup {}: bound {bound} vs cost {cost}",
+                        request.source
+                    );
+                    screened += usize::from(screen_rejects);
+                    rejected += usize::from(exact_rejects);
+                }
+            }
+            // The screen is not vacuous: it proves most exact rejections.
+            assert!(2 * screened > rejected, "{screened} of {rejected}");
+        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub struct StageClock {
 
 impl StageClock {
     /// Books `elapsed` to `stage`.
-    pub fn add(&self, stage: Stage, elapsed: Duration) {
+    pub(crate) fn add(&self, stage: Stage, elapsed: Duration) {
         self.nanos[stage.slot()].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
@@ -163,16 +163,16 @@ impl StageClock {
 /// An open span: books the time from [`Span::open`] to its drop to one
 /// stage.  Inert (no clock read) when opened without a clock.
 #[must_use = "a span measures until it is dropped"]
-pub struct Span<'c>(Option<(&'c StageClock, Stage, Instant)>);
+pub(crate) struct Span<'c>(Option<(&'c StageClock, Stage, Instant)>);
 
 impl<'c> Span<'c> {
     /// Starts timing `stage` on `clock`, if there is one.
-    pub fn open(clock: Option<&'c StageClock>, stage: Stage) -> Self {
+    pub(crate) fn open(clock: Option<&'c StageClock>, stage: Stage) -> Self {
         Span(clock.map(|clock| (clock, stage, Instant::now())))
     }
 
     /// Ends the span (the same as dropping it).
-    pub fn close(self) {}
+    pub(crate) fn close(self) {}
 }
 
 impl Drop for Span<'_> {

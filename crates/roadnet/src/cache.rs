@@ -274,7 +274,12 @@ mod tests {
                     let c = &c;
                     scope.spawn(move || {
                         for i in 0..per_thread {
-                            let (s, d) = ((i * 13 + t) % 61, (i * 29 + t * 5) % 67);
+                            // Each key twice in a row: the second lookup
+                            // hits unless another thread evicted the entry
+                            // in between, so hits do not hinge on keys
+                            // coinciding across threads.
+                            let k = i / 2;
+                            let (s, d) = ((k * 13 + t) % 61, (k * 29 + t * 5) % 67);
                             match c.get(tag, s, d) {
                                 Some(v) => assert_eq!(
                                     v.to_bits(),

@@ -35,8 +35,9 @@
 
 use crate::cache::SpCache;
 use crate::dijkstra;
-use crate::graph::{NodeId, Point, RoadNetwork};
+use crate::graph::{NodeId, Point, RoadNetwork, LOWER_BOUND_GRACE};
 use crate::hub_labels::{BuildPlan, HubLabels};
+use crate::landmarks::Landmarks;
 use crate::subnet::SubNetwork;
 use crate::traffic::{EpochSignature, TrafficConfig, TrafficEpoch};
 use std::collections::HashMap;
@@ -130,7 +131,7 @@ impl SpEngineBuilder {
             .use_hub_labels
             .then(|| Arc::new(HubLabels::build(&net)));
         let index = full_index(labels.as_ref(), self.use_hub_labels);
-        self.assemble(net, index)
+        self.assemble_static(net, index)
     }
 
     /// Builds a self-rolling traffic engine over the free-flow base `net`,
@@ -190,7 +191,8 @@ impl SpEngineBuilder {
             slice_refreshes: AtomicU64::new(0),
             fallback_mark: AtomicU64::new(0),
         };
-        let mut engine = self.assemble(base, SpIndex::Dijkstra);
+        let landmarks = runtime.store.landmarks.clone();
+        let mut engine = self.assemble(base, SpIndex::Dijkstra, landmarks);
         engine.traffic = Some(Box::new(runtime));
         engine
     }
@@ -200,7 +202,7 @@ impl SpEngineBuilder {
     /// over `net`.
     pub fn build_with_index(self, net: Arc<RoadNetwork>, labels: Arc<HubLabels>) -> SpEngine {
         let index = full_index(Some(&labels), self.use_hub_labels);
-        self.assemble(net, index)
+        self.assemble_static(net, index)
     }
 
     /// Builds a **halo-clipped** engine: the sub-network induced by `halo`
@@ -226,14 +228,26 @@ impl SpEngineBuilder {
         halo: &[NodeId],
     ) -> SpEngine {
         let index = clipped_index(&net, Some(&labels), halo, self.use_hub_labels);
-        self.assemble(net, index)
+        self.assemble_static(net, index)
     }
 
-    fn assemble(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
+    /// A static engine: its landmark table is built on `net` here.
+    fn assemble_static(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
+        let landmarks = Arc::new(Landmarks::build(&net));
+        self.assemble(net, index, landmarks)
+    }
+
+    fn assemble(
+        self,
+        net: Arc<RoadNetwork>,
+        index: SpIndex,
+        landmarks: Arc<Landmarks>,
+    ) -> SpEngine {
         SpEngine {
             static_min_tpm: net.min_time_per_meter(),
             net,
             index,
+            landmarks,
             traffic: None,
             cache: SpCache::new(self.cache_capacity),
             same_node_queries: AtomicU64::new(0),
@@ -369,6 +383,10 @@ pub struct EpochArtifacts {
     /// from.
     plan: Option<Arc<BuildPlan>>,
     min_tpm: f64,
+    /// The smallest epoch weight ÷ base weight over all edges (see
+    /// [`RoadNetwork::min_weight_ratio`]): scales the base network's
+    /// landmark bound to this epoch.
+    min_ratio: f64,
     /// For zoned artifacts: `changed[v]` iff `v`'s label vectors or an
     /// incident edge weight differ from the same-profile uniform reference.
     /// `None` for uniform artifacts (the empty set).
@@ -401,6 +419,12 @@ impl EpochArtifacts {
     /// The epoch's certified `min_time_per_meter` prescreen rate.
     pub fn min_tpm(&self) -> f64 {
         self.min_tpm
+    }
+
+    /// The epoch's smallest weight ratio over the free-flow base: every
+    /// travel time of the epoch is at least this factor times the base one.
+    pub fn min_ratio(&self) -> f64 {
+        self.min_ratio
     }
 
     /// True when every edge scales by one profile factor (Tier-1 artifact);
@@ -449,6 +473,7 @@ fn build_uniform_artifacts(
     EpochArtifacts {
         signature,
         min_tpm: net.min_time_per_meter(),
+        min_ratio: net.min_weight_ratio(base),
         net,
         labels,
         plan,
@@ -493,6 +518,7 @@ fn build_zoned_artifacts(
     EpochArtifacts {
         signature,
         min_tpm: net.min_time_per_meter(),
+        min_ratio: net.min_weight_ratio(base),
         net,
         labels,
         plan: None,
@@ -558,6 +584,9 @@ pub struct EpochStore {
     initial: Arc<EpochArtifacts>,
     memo: Mutex<HashMap<EpochSignature, SignatureSlot>>,
     prebuild_started: AtomicBool,
+    /// The free-flow base's landmark table, shared by every engine rolling
+    /// through this store: each epoch scales it by its `min_ratio`.
+    landmarks: Arc<Landmarks>,
 }
 
 impl EpochStore {
@@ -596,6 +625,7 @@ impl EpochStore {
         };
         memo.insert(signature, SignatureSlot::Ready(initial.clone()));
         Arc::new(EpochStore {
+            landmarks: Arc::new(Landmarks::build(&base)),
             base,
             config,
             use_hub_labels,
@@ -767,6 +797,9 @@ pub struct SpEngine {
     /// rate of a static engine.
     static_min_tpm: f64,
     index: SpIndex,
+    /// The landmark table of `net` (the free-flow base, for traffic
+    /// engines; shared with every engine of the same [`EpochStore`]).
+    landmarks: Arc<Landmarks>,
     /// `Some` for self-rolling traffic engines; `None` keeps the static
     /// fast path (no lock anywhere on the query path).
     traffic: Option<Box<TrafficRuntime>>,
@@ -1170,6 +1203,26 @@ impl SpEngine {
         }
     }
 
+    /// The certified travel-time lower bound for the **current** epoch,
+    /// bundling the euclid rate, the epoch's weight ratio and the landmark
+    /// table.  Read it once per batch, after the roll, and never carry it
+    /// across a roll.  See [`LegBound`].
+    pub fn leg_bound(&self) -> LegBound<'_> {
+        let (rate, ratio) = match &self.traffic {
+            Some(rt) => {
+                let slot = rt.slot.read().unwrap();
+                (slot.artifact.min_tpm(), slot.artifact.min_ratio())
+            }
+            None => (self.static_min_tpm, 1.0),
+        };
+        LegBound {
+            net: &self.net,
+            landmarks: &self.landmarks,
+            rate,
+            ratio,
+        }
+    }
+
     /// Cumulative wall-clock seconds spent *on the roll path* in
     /// [`SpEngine::roll_epoch_to`]: memo lookups, joins on background
     /// prebuilds, on-demand scoped repairs, and clip re-cuts.  Label builds
@@ -1240,7 +1293,62 @@ impl SpEngine {
             },
             None => self.clip().map(SubNetwork::approx_bytes).unwrap_or(0),
         };
-        self.net.approx_bytes() + self.index_bytes() + clip_bytes + self.cache.approx_bytes()
+        self.net.approx_bytes()
+            + self.index_bytes()
+            + clip_bytes
+            + self.cache.approx_bytes()
+            + self.landmarks.approx_bytes()
+    }
+}
+
+/// A certified lower bound on every leg's travel time under one epoch's
+/// weights: `max(0, max(rate × euclid(u, v), ratio × lb(u, v)) −
+/// LOWER_BOUND_GRACE)`, from [`SpEngine::leg_bound`].
+///
+/// * `rate × euclid` is the [`RoadNetwork::min_time_per_meter`] bound.
+/// * `lb` is the landmark bound ([`Landmarks::lower_bound`]) on the base
+///   network the table was built on, and `ratio` is the epoch's smallest
+///   weight ratio over that base ([`RoadNetwork::min_weight_ratio`]; 1 on a
+///   static engine).  Every epoch path costs at least `ratio` times its
+///   base cost, edge by edge, so `d'(u, v) ≥ ratio · d(u, v) ≥ ratio ·
+///   lb(u, v)`.  That holds for ratios below 1 too, so zones that speed
+///   edges up stay sound.  Halo-clipped engines answer exactly what the full
+///   index answers, so the full network's table serves them as well.
+/// * Both hold in exact arithmetic.  The computed costs and bounds are sums
+///   and differences of rounded distances, each within a few ulps of
+///   10⁴-second values, far inside the one-second grace.
+/// * `f64::max` drops the `NaN` of `0 × ∞` (a zero ratio on an
+///   unreachable pair), falling back to the euclid bound.
+#[derive(Debug, Clone, Copy)]
+pub struct LegBound<'e> {
+    net: &'e RoadNetwork,
+    landmarks: &'e Landmarks,
+    rate: f64,
+    ratio: f64,
+}
+
+impl LegBound<'_> {
+    /// The certified lower bound on the travel time from `u` to `v`: at
+    /// most the engine's `cost(u, v)` in the epoch this bound was read in.
+    pub fn lower_bound(&self, u: NodeId, v: NodeId) -> f64 {
+        let euclid = self.rate * self.net.coord(u).distance(&self.net.coord(v));
+        let landmark = self.ratio * self.landmarks.lower_bound(u, v);
+        (euclid.max(landmark) - LOWER_BOUND_GRACE).max(0.0)
+    }
+
+    /// The euclid rate (`min_time_per_meter` of the epoch).
+    pub fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    /// The epoch's weight ratio over the landmark table's network.
+    pub fn ratio(&self) -> f64 {
+        self.ratio
+    }
+
+    /// The landmark table.
+    pub fn landmarks(&self) -> &Landmarks {
+        self.landmarks
     }
 }
 

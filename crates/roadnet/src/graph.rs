@@ -54,7 +54,10 @@ impl Point {
 /// millisecond.  One second is therefore a huge margin.  It is still far
 /// below any slack the deadlines leave, so the bound keeps nearly all of its
 /// pruning power.  The shareability screen, the fleet index's reachability
-/// certificate, the handoff shortlist and GAS's pool prescreen all use it.
+/// certificate, the pickup reach screen, the handoff shortlist and GAS's pool
+/// prescreen all use it.  The landmark bound ([`crate::LegBound`]) is a
+/// difference of two such rounded sums, scaled by one rounded ratio, so the
+/// same argument covers it.
 pub const LOWER_BOUND_GRACE: f64 = 1.0;
 
 /// A directed weighted road network with planar node coordinates.
@@ -190,6 +193,29 @@ impl RoadNetwork {
                 }
             }
         }
+        if best.is_finite() {
+            best
+        } else {
+            0.0
+        }
+    }
+
+    /// The smallest factor by which this network's edge weights exceed
+    /// `base`'s, `min(w / w_base)` over the edges in edge order, skipping
+    /// edges of zero base weight.  `self` must be a reweighted copy of
+    /// `base` ([`RoadNetwork::reweighted`]): same topology, same edge order.
+    /// Then every path costs at least this factor times its cost in `base`,
+    /// so `d(u, v) ≥ ratio × d_base(u, v)` holds in exact arithmetic.
+    /// Returns `0.0` (a trivially sound factor) when no edge has positive
+    /// base weight.
+    pub fn min_weight_ratio(&self, base: &RoadNetwork) -> f64 {
+        debug_assert_eq!(self.fwd_targets, base.fwd_targets, "same topology");
+        let best = self
+            .fwd_weights
+            .iter()
+            .zip(&base.fwd_weights)
+            .filter(|&(_, &b)| b > 0.0)
+            .fold(f64::INFINITY, |best, (&w, &b)| best.min(w / b));
         if best.is_finite() {
             best
         } else {

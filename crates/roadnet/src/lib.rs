@@ -11,6 +11,9 @@
 //!   correctness oracle) and to construct the hub labels.
 //! * [`HubLabels`] — a pruned-landmark 2-hop labeling supporting exact
 //!   point-to-point travel-time queries in (near) constant time.
+//! * [`Landmarks`] — eight landmarks' distances to and from every node,
+//!   giving the ALT triangle-inequality lower bound on any pair's travel
+//!   time in a few array reads.
 //! * [`SubNetwork`] — induced subgraph extraction with an old↔new vertex-id
 //!   mapping, the substrate of the sharded pipeline's halo-clipped per-shard
 //!   engines.
@@ -19,7 +22,9 @@
 //!   ablation).  Safe to share (`&SpEngine`) across worker threads; the road
 //!   network and the hub-label index can be `Arc`-shared between engines
 //!   (see [`SpEngineBuilder::build_shared`] /
-//!   [`SpEngineBuilder::build_clipped`]).
+//!   [`SpEngineBuilder::build_clipped`]).  Its [`LegBound`] bundles the
+//!   certified lower bounds the dispatch screens use: `min_time_per_meter ×
+//!   euclid` and the landmark bound, scaled to the current traffic epoch.
 //!
 //! The engine's cache plays the role of the paper's LRU cache (after Huang
 //! et al.) but is not an LRU: it is a fixed table of 4-way sets split over
@@ -38,14 +43,16 @@ pub mod engine;
 pub mod error;
 pub mod graph;
 pub mod hub_labels;
+pub mod landmarks;
 pub mod path;
 pub mod subnet;
 pub mod traffic;
 
-pub use engine::{EpochArtifacts, EpochStore, SpEngine, SpEngineBuilder, SpStats};
+pub use engine::{EpochArtifacts, EpochStore, LegBound, SpEngine, SpEngineBuilder, SpStats};
 pub use error::RoadNetError;
 pub use graph::{EdgeId, NodeId, Point, RoadNetwork, RoadNetworkBuilder, LOWER_BOUND_GRACE};
 pub use hub_labels::HubLabels;
+pub use landmarks::{Landmarks, LANDMARKS};
 pub use path::{expand_route, shortest_path, Path};
 pub use subnet::SubNetwork;
 pub use traffic::{CongestionZone, TrafficConfig, TrafficEpoch, TrafficProfile, MAX_TRAFFIC_ZONES};

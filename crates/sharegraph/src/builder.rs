@@ -22,10 +22,11 @@
 //!
 //! [`ShareabilityGraphBuilder::add_batch`] runs the expensive step — the
 //! exact shareability checks — in parallel.  One screened check is built
-//! per batch from the engine's certified `min_time_per_meter` (the current
-//! epoch's on a traffic engine), so a pair whose orderings all fail on
-//! lower-bound legs costs no shortest-path query, and every other leg is
-//! queried at most once per pair.  A sequential prefilter pass registers
+//! per batch from the engine's certified leg bound (the euclid and landmark
+//! bounds, at the current epoch's rate and weight ratio on a traffic
+//! engine), so a pair whose orderings all fail on lower-bound legs costs no
+//! shortest-path query, and every other leg is queried at most once per
+//! pair.  A sequential prefilter pass registers
 //! the batch's requests and collects the surviving candidate pairs *in the
 //! exact order the sequential algorithm would visit them*, the checks are
 //! par-mapped over that list, the batch's [`BuildStats`] delta is folded into

@@ -24,23 +24,24 @@
 //! # The certified screen
 //!
 //! Before any engine call, every ordering is walked once with lower-bound
-//! legs `max(0, min_time_per_meter × euclid(u, v) − LOWER_BOUND_GRACE)`.
-//! [`RoadNetwork::min_time_per_meter`] and the grace make each bound at most
-//! the leg's exact `f64` cost.  The walk only adds legs, takes a `max` with a
-//! release time and compares against deadlines, and IEEE `+` and `max` are
-//! monotone.  So shorter legs can only make every service time earlier, and
-//! an ordering that fails on lower bounds fails on exact legs too.  The
-//! screen skips those orderings, and a pair with none left is rejected
-//! without a shortest-path query.  Verdicts are therefore bool-equal to the
-//! unscreened walk; only the number of `cost` calls changes.  A rate of `0.0`
-//! gives zero-length bounds, which still screen on release times, deadlines
-//! and capacity alone.
-//!
-//! [`RoadNetwork::min_time_per_meter`]: structride_roadnet::RoadNetwork::min_time_per_meter
+//! legs from the engine's [`LegBound`], read once per batch:
+//! `max(0, max(min_time_per_meter × euclid(u, v), min_ratio × lb(u, v)) −
+//! LOWER_BOUND_GRACE)`, where `lb` is the landmark (ALT) bound and
+//! `min_ratio` scales it to the current traffic epoch.  [`LegBound`]'s docs
+//! show that each bound is at most the leg's exact `f64` cost.  The walk
+//! only adds legs, takes a `max` with a release time and compares against
+//! deadlines, and IEEE `+` and `max` are monotone.  So shorter legs can only
+//! make every service time earlier, and an ordering that fails on lower
+//! bounds fails on exact legs too.  The screen skips those orderings, and a
+//! pair with none left is rejected without a shortest-path query.  Verdicts
+//! are therefore bool-equal to the unscreened walk; only the number of
+//! `cost` calls changes.  The unscreened check
+//! ([`pairwise_shareable`]) uses zero-length bounds, which still screen on
+//! release times, deadlines and capacity alone.
 
 use structride_model::schedule::TIME_EPS;
 use structride_model::{Request, Waypoint, WaypointKind};
-use structride_roadnet::{SpEngine, LOWER_BOUND_GRACE};
+use structride_roadnet::{LegBound, SpEngine};
 
 /// The six interleavings of a pair's stops `[s_a, e_a, s_b, e_b]`, in the
 /// order they are tried: the three starting at `a`'s source, then the three
@@ -53,13 +54,6 @@ const ORDERINGS: [[usize; 4]; 6] = [
     [2, 0, 3, 1],
     [2, 3, 0, 1],
 ];
-
-/// The certified lower bound on the travel time from `u`'s stop to `v`'s:
-/// never more than `engine.cost(u, v)` when `rate` is the engine's current
-/// `min_time_per_meter` (or `0.0`).
-fn leg_lower_bound(engine: &SpEngine, rate: f64, u: u32, v: u32) -> f64 {
-    (rate * engine.euclidean(u, v) - LOWER_BOUND_GRACE).max(0.0)
-}
 
 /// Walks `order` over `stops` from an empty vehicle standing on the first
 /// stop at its release, reading the leg between stop indices `(i, j)` from
@@ -98,24 +92,25 @@ fn feasible(
     true
 }
 
-/// Definition 5's exact test for one batch: the engine, its certified
-/// lower-bound rate read once, and the seat capacity of the hypothetical
-/// shared vehicle.  Cheap to copy and safe to share across workers.
+/// Definition 5's exact test for one batch: the engine, its certified leg
+/// bound read once (`None` for the unscreened check), and the seat capacity
+/// of the hypothetical shared vehicle.  Cheap to copy and safe to share
+/// across workers.
 #[derive(Debug, Clone, Copy)]
 pub struct ShareabilityCheck<'e> {
     engine: &'e SpEngine,
-    min_time_per_meter: f64,
+    bound: Option<LegBound<'e>>,
     capacity: u32,
 }
 
 impl<'e> ShareabilityCheck<'e> {
-    /// A screened check at the engine's current certified rate.  On a
-    /// traffic engine that is the current epoch's rate, so build the check
+    /// A screened check at the engine's current certified leg bound.  On a
+    /// traffic engine that is the current epoch's bound, so build the check
     /// per batch and never carry it across an epoch roll.
     pub fn new(engine: &'e SpEngine, capacity: u32) -> Self {
         ShareabilityCheck {
             engine,
-            min_time_per_meter: engine.min_time_per_meter(),
+            bound: Some(engine.leg_bound()),
             capacity,
         }
     }
@@ -138,7 +133,8 @@ impl<'e> ShareabilityCheck<'e> {
         let node = |i: usize| stops[i].node;
         let bounds: [[f64; 4]; 4] = std::array::from_fn(|i| {
             std::array::from_fn(|j| {
-                leg_lower_bound(self.engine, self.min_time_per_meter, node(i), node(j))
+                self.bound
+                    .map_or(0.0, |bound| bound.lower_bound(node(i), node(j)))
             })
         });
         let open =
@@ -161,13 +157,13 @@ impl<'e> ShareabilityCheck<'e> {
 /// Symmetric shareability test (Definition 5): true if the two requests can be
 /// served together by one vehicle of seat capacity `capacity`, in any order.
 ///
-/// A [`ShareabilityCheck`] at rate `0.0`: its bounds are all zero, so it
-/// reads no rate and is still exact.  Callers testing many pairs should
+/// An unscreened [`ShareabilityCheck`]: its bounds are all zero, so it
+/// reads no bound and is still exact.  Callers testing many pairs should
 /// build one screened check instead.
 pub fn pairwise_shareable(engine: &SpEngine, a: &Request, b: &Request, capacity: u32) -> bool {
     ShareabilityCheck {
         engine,
-        min_time_per_meter: 0.0,
+        bound: None,
         capacity,
     }
     .shareable(a, b)
@@ -180,8 +176,8 @@ mod tests {
     use std::sync::Arc;
     use structride_model::Schedule;
     use structride_roadnet::{
-        CongestionZone, HubLabels, Point, RoadNetwork, RoadNetworkBuilder, SpEngineBuilder,
-        TrafficConfig, TrafficProfile,
+        CongestionZone, EpochStore, HubLabels, Point, RoadNetwork, RoadNetworkBuilder,
+        SpEngineBuilder, TrafficConfig, TrafficProfile, LOWER_BOUND_GRACE,
     };
 
     /// All interleavings of `(a, b)` way-points in which `a`'s source comes
@@ -396,35 +392,50 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The three engine shapes the builder meets: static, a rush-hour
-    /// traffic engine rolled into its congested epoch, and a halo-clipped
-    /// engine answering half its queries through the fallback.
+    /// The engine shapes the builder meets: static, a rush-hour traffic
+    /// engine rolled into its congested epoch, a free-flow epoch whose zone
+    /// halves edge weights (`min_ratio` 0.5), a halo-clipped engine
+    /// answering half its queries through the fallback, and a halo-clipped
+    /// rush engine (the store's free-flow landmark table behind a clip).
     fn engines(seed: u64) -> Vec<SpEngine> {
         let net = random_network(seed);
         let labels = Arc::new(HubLabels::build(&net));
         let halo: Vec<u32> = (0..SIDE * SIDE / 2).collect();
-        let traffic = TrafficConfig {
-            profile: TrafficProfile::Rush,
-            epoch_seconds: 40.0,
-            hour_scale: 20.0,
-            ..TrafficConfig::default()
-        }
-        .with_zone(CongestionZone {
-            min_x: 0.0,
-            min_y: 0.0,
-            max_x: 250.0,
-            max_y: 250.0,
-            factor: 2.5,
-            active_from: 0.0,
-            active_until: 1e9,
-        });
-        let rush = SpEngineBuilder::new().traffic(traffic).build(net.clone());
+        let zoned = |factor: f64| {
+            TrafficConfig {
+                profile: TrafficProfile::Rush,
+                epoch_seconds: 40.0,
+                hour_scale: 20.0,
+                ..TrafficConfig::default()
+            }
+            .with_zone(CongestionZone {
+                min_x: 0.0,
+                min_y: 0.0,
+                max_x: 250.0,
+                max_y: 250.0,
+                factor,
+                active_from: 0.0,
+                active_until: 1e9,
+            })
+        };
+        let rush = SpEngineBuilder::new()
+            .traffic(zoned(2.5))
+            .build(net.clone());
         assert!(rush.roll_epoch_to(8.0 * 20.0));
+        let fast_lane = SpEngineBuilder::new()
+            .traffic(zoned(0.5))
+            .build(net.clone());
+        assert!(fast_lane.roll_epoch_to(2.0 * 20.0));
         let net = Arc::new(net);
+        let store = EpochStore::new(net.clone(), zoned(2.5), true);
+        let clipped_rush = SpEngineBuilder::new().build_traffic_clipped(store, &halo);
+        assert!(clipped_rush.roll_epoch_to(8.0 * 20.0));
         vec![
             SpEngineBuilder::new().build_with_index(net.clone(), labels.clone()),
             rush,
+            fast_lane,
             SpEngineBuilder::new().build_clipped(net, labels, &halo),
+            clipped_rush,
         ]
     }
 
@@ -504,17 +515,46 @@ mod tests {
         #[test]
         fn the_lower_bound_never_exceeds_the_exact_cost(seed in 0u64..1_000_000) {
             for engine in engines(seed) {
-                let rate = engine.min_time_per_meter();
-                prop_assert!(rate > 0.0);
+                let bound = engine.leg_bound();
+                prop_assert!(bound.rate() > 0.0);
+                prop_assert_eq!(bound.rate().to_bits(), engine.min_time_per_meter().to_bits());
                 let n = engine.node_count() as u32;
                 for u in 0..n {
+                    prop_assert_eq!(bound.lower_bound(u, u), 0.0);
                     for v in 0..n {
-                        let bound = leg_lower_bound(&engine, rate, u, v);
+                        let certified = bound.lower_bound(u, v);
                         let cost = engine.cost(u, v);
-                        prop_assert!(bound <= cost, "{u}->{v}: bound {bound} > cost {cost}");
+                        prop_assert!(certified <= cost, "{u}->{v}: bound {certified} > cost {cost}");
                     }
                 }
             }
+        }
+
+        /// The landmark part alone, `max(0, min_ratio × lb − grace)`, is at
+        /// most the exact cost over every ordered node pair: on the static,
+        /// rush-rolled, fast-lane (`min_ratio < 1`) and clipped engines,
+        /// with the island's infinite bounds and the twin's zero-length edge.
+        #[test]
+        fn the_landmark_bound_never_exceeds_the_exact_cost(seed in 0u64..1_000_000) {
+            let engines = engines(seed);
+            let ratios: Vec<f64> = engines.iter().map(|e| e.leg_bound().ratio()).collect();
+            prop_assert_eq!(ratios[0], 1.0);
+            prop_assert!(ratios[1] > 1.0 && ratios[2] < 1.0, "{:?}", ratios);
+            let mut infinite = 0;
+            for engine in &engines {
+                let bound = engine.leg_bound();
+                let n = engine.node_count() as u32;
+                for u in 0..n {
+                    for v in 0..n {
+                        let lb = bound.landmarks().lower_bound(u, v);
+                        let landmark = (bound.ratio() * lb - LOWER_BOUND_GRACE).max(0.0);
+                        let cost = engine.cost(u, v);
+                        prop_assert!(landmark <= cost, "{u}->{v}: landmark {landmark} > cost {cost}");
+                        infinite += usize::from(landmark.is_infinite());
+                    }
+                }
+            }
+            prop_assert!(infinite > 0, "the islands prove some pairs unreachable");
         }
     }
 }
