@@ -37,11 +37,6 @@ impl Gas {
         }
     }
 
-    /// Number of requests currently waiting in the pool.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// A deterministic pseudo-random permutation of `0..n` (xorshift-based
     /// Fisher–Yates) — enough randomness for the batch ordering without
     /// pulling a full RNG dependency into the baseline.
@@ -215,7 +210,7 @@ mod tests {
         assert!(out.assigned.contains(&2));
         // Request 3 (reverse direction, tight deadline) stays pending.
         assert!(!out.assigned.contains(&3));
-        assert_eq!(gas.pending_len(), 1);
+        assert_eq!(gas.pending_requests(), 1);
     }
 
     #[test]
@@ -226,17 +221,17 @@ mod tests {
         let r = req(1, 0, 2, 20.0, 2.0);
         let out = gas.dispatch_batch(&ctx(&engine, 0.0), &mut [], std::slice::from_ref(&r));
         assert!(out.assigned.is_empty());
-        assert_eq!(gas.pending_len(), 1);
+        assert_eq!(gas.pending_requests(), 1);
         // Later, with a vehicle and before expiry, the request is served.
         let mut vehicles = vec![Vehicle::new(0, 0, 4)];
         let out = gas.dispatch_batch(&ctx(&engine, 5.0), &mut vehicles, &[]);
         assert_eq!(out.assigned, vec![1]);
-        assert_eq!(gas.pending_len(), 0);
+        assert_eq!(gas.pending_requests(), 0);
         // Expired requests are silently dropped from the pool.
         let stale = req(2, 0, 2, 20.0, 1.5);
         let out = gas.dispatch_batch(&ctx(&engine, 10_000.0), &mut vehicles, &[stale]);
         assert!(out.assigned.is_empty());
-        assert_eq!(gas.pending_len(), 0);
+        assert_eq!(gas.pending_requests(), 0);
     }
 
     #[test]

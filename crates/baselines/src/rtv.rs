@@ -64,11 +64,6 @@ impl Rtv {
         }
     }
 
-    /// Number of requests currently waiting in the pool.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Greedy assignment + pairwise improvement over the trip candidates —
     /// the pre-exact commit path, kept as the branch-and-bound's incumbent
     /// seed and as the reference the exact answer is tested against.
@@ -362,11 +357,11 @@ mod tests {
         let r = req(1, 0, 2, 20.0, 2.0);
         let out = rtv.dispatch_batch(&ctx(&engine, 0.0), &mut [], &[r]);
         assert!(out.assigned.is_empty());
-        assert_eq!(rtv.pending_len(), 1);
+        assert_eq!(rtv.pending_requests(), 1);
         // After its pickup deadline the request silently leaves the pool.
         let out = rtv.dispatch_batch(&ctx(&engine, 10_000.0), &mut [], &[]);
         assert!(out.assigned.is_empty());
-        assert_eq!(rtv.pending_len(), 0);
+        assert_eq!(rtv.pending_requests(), 0);
     }
 
     fn trip(vehicle: usize, members: Vec<RequestId>, gain: f64) -> TripCandidate {

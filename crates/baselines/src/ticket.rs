@@ -10,7 +10,7 @@
 //! improves on pruneGDP's service rate through simultaneous decision making,
 //! at the price of contention overhead on the runtime side.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
 use structride_model::{insertion, Request, RequestId, Vehicle};
 
@@ -50,6 +50,12 @@ struct Slot<'a> {
     generation: u64,
 }
 
+/// Locks `mutex`, ignoring poison: a panicking worker re-raises out of the
+/// thread scope anyway, so a poisoned lock carries no extra information.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Dispatcher for TicketAssignPlus {
     fn name(&self) -> &'static str {
         "TicketAssign+"
@@ -78,17 +84,17 @@ impl Dispatcher for TicketAssignPlus {
         let conflicts = &self.conflicts;
 
         let chunk = new_requests.len().div_ceil(self.threads);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for chunk_requests in new_requests.chunks(chunk.max(1)) {
                 let slots = &slots;
                 let assigned = &assigned;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for request in chunk_requests {
                         // Evaluate every vehicle under its ticket lock, keep a
                         // ranked list of feasible insertions.
                         let mut ranked: Vec<(f64, usize, u64)> = Vec::new();
                         for (vi, slot) in slots.iter().enumerate() {
-                            let guard = slot.lock();
+                            let guard = lock(slot);
                             if let Some(out) =
                                 insertion::insert_request(engine, guard.vehicle, request)
                             {
@@ -100,7 +106,7 @@ impl Dispatcher for TicketAssignPlus {
                         // generation re-evaluate under the lock before falling
                         // through to the next candidate.
                         for (_, vi, seen_gen) in ranked {
-                            let mut guard = slots[vi].lock();
+                            let mut guard = lock(&slots[vi]);
                             if guard.generation != seen_gen {
                                 conflicts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             }
@@ -109,17 +115,18 @@ impl Dispatcher for TicketAssignPlus {
                             {
                                 guard.vehicle.commit_schedule(out.schedule);
                                 guard.generation += 1;
-                                assigned.lock().push(request.id);
+                                lock(assigned).push(request.id);
                                 break;
                             }
                         }
                     }
                 });
             }
-        })
-        .expect("ticket workers never panic");
+        });
 
-        let mut ids = assigned.into_inner();
+        let mut ids = assigned
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         ids.sort_unstable();
         BatchOutcome {
             assigned: ids,

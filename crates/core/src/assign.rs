@@ -70,11 +70,6 @@ impl AssignDispatcher {
             peak_cells: 0,
         }
     }
-
-    /// Number of requests currently waiting in the pool.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// The seeded greedy incumbent used when the per-batch solver budget trips

@@ -2,13 +2,12 @@
 
 use crate::faults::FaultConfig;
 use crate::ingest::IngestConfig;
-use serde::{Deserialize, Serialize};
 use structride_model::CostParams;
 use structride_roadnet::TrafficConfig;
 use structride_sharegraph::{AnglePruning, BuilderConfig};
 
 /// Framework-level configuration shared by SARD and the batch simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructRideConfig {
     /// Batch period Δ in seconds (Table III default: 5 s).
     pub batch_period: f64,

@@ -29,8 +29,6 @@
 //!   [`crate::replay`]'s checkpoint codec), so a crashed run resumes
 //!   bit-identically instead of losing everything since batch 0.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the deterministic fault injector.
 ///
 /// The default is **inert**: no outages, no solver budget, no checkpoint
@@ -38,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// config — the same "default is a no-op" guarantee
 /// [`TrafficConfig::is_static`](structride_roadnet::TrafficConfig::is_static)
 /// gives the traffic model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// Seed mixed into the outage schedule (which shard goes down in which
     /// window).  Irrelevant while `outage_every` is 0.

@@ -11,8 +11,8 @@
 //!
 //! * a **producer thread** replays a timestamped request stream in wall
 //!   clock (release times compressed by [`IngestConfig::time_scale`]) into a
-//!   **bounded** channel (the [`crossbeam::channel`] shim); when the queue
-//!   is full the arrival is load-shed and counted, never blocked — the
+//!   **bounded** channel ([`std::sync::mpsc::sync_channel`]); when the
+//!   queue is full the arrival is load-shed and counted, never blocked — the
 //!   arrival process does not slow down because the dispatcher is busy;
 //! * an **adaptive batcher** ([`AdaptiveBatcher`]) that closes each batch on
 //!   whichever comes first of a wall-clock deadline
@@ -50,9 +50,9 @@ use crate::metrics::RunMetrics;
 use crate::replay::TraceRecorder;
 use crate::shard::{ShardDispatcher, ShardedReport, ShardedRun, ShardedSimulator};
 use crate::simulator::{MonoRun, SimulationReport, Simulator};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::{RoadNetwork, SpEngine};
@@ -64,7 +64,7 @@ use structride_spatial::RegionGrid;
 const MIN_CLOCK_STEP: f64 = 1e-3;
 
 /// Knobs of the ingest front end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
     /// Size cap: a batch closes immediately once it holds this many
     /// requests.
@@ -94,7 +94,7 @@ impl Default for IngestConfig {
 
 /// Ingest-level statistics of one run, reported next to the usual
 /// [`RunMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestStats {
     /// Requests emitted by the arrival stream.
     pub arrivals: usize,
@@ -109,7 +109,9 @@ pub struct IngestStats {
     /// Batches dispatched during the ingest phase (excludes the carried-over
     /// tail batches issued after the stream ends).
     pub batches: usize,
-    /// Largest queue depth observed at a batch boundary.
+    /// Largest queue depth observed at a batch boundary.  A sample is
+    /// arrivals queued minus arrivals taken out, so it never exceeds the true
+    /// occupancy (nor [`IngestConfig::queue_capacity`]).
     pub max_queue_depth: usize,
     /// Mean queue depth over all batch boundaries.
     pub mean_queue_depth: f64,
@@ -211,12 +213,14 @@ pub struct ShardedIngestReport {
 
 /// Replays `arrivals` in compressed wall-clock into `tx`; runs on the
 /// producer thread.  Load-sheds (never blocks) when the queue is full, so
-/// the arrival process is independent of dispatcher latency.  Returns every
+/// the arrival process is independent of dispatcher latency, and bumps
+/// `sent` after every arrival the queue accepted.  Returns every
 /// arrival in emission order — enough to account for unserved/dropped
 /// requests and to bound the carried-over tail — and the load-shed count.
 fn produce<I: Iterator<Item = Request>>(
     arrivals: I,
-    tx: Sender<Request>,
+    tx: SyncSender<Request>,
+    sent: &AtomicUsize,
     start: Instant,
     time_scale: f64,
 ) -> (Offered, usize) {
@@ -230,7 +234,9 @@ fn produce<I: Iterator<Item = Request>>(
             std::thread::sleep(due - elapsed);
         }
         offered.push(&request);
-        if tx.try_send(request).is_err() {
+        if tx.try_send(request).is_ok() {
+            sent.fetch_add(1, Ordering::Relaxed);
+        } else {
             dropped_queue_full += 1;
         }
     }
@@ -248,6 +254,8 @@ pub struct AdaptiveBatcher<'a> {
     rx: &'a Receiver<Request>,
     max_batch_size: usize,
     deadline: Duration,
+    /// Arrivals taken out of the queue so far.
+    taken: usize,
 }
 
 impl<'a> AdaptiveBatcher<'a> {
@@ -257,12 +265,13 @@ impl<'a> AdaptiveBatcher<'a> {
             rx,
             max_batch_size: config.max_batch_size.max(1),
             deadline: Duration::from_secs_f64(config.batch_deadline.max(0.0)),
+            taken: 0,
         }
     }
 
     /// The next realized batch and the instant it opened, or `None` once the
     /// stream has ended and the queue is drained.
-    pub fn next_batch(&self) -> Option<(Vec<Request>, Instant)> {
+    pub fn next_batch(&mut self) -> Option<(Vec<Request>, Instant)> {
         // Block for the opening arrival; a disconnect with an empty buffer
         // means the stream is over.
         let first = self.rx.recv().ok()?;
@@ -293,7 +302,15 @@ impl<'a> AdaptiveBatcher<'a> {
                 }
             }
         }
+        self.taken += batch.len();
         Some((batch, opened))
+    }
+
+    /// The queue depth given `sent` arrivals queued so far.  The producer
+    /// counts an arrival only after queueing it, so the result never
+    /// exceeds the true occupancy.
+    fn queue_depth(&self, sent: usize) -> usize {
+        sent.saturating_sub(self.taken)
     }
 }
 
@@ -469,7 +486,8 @@ where
     I::IntoIter: Send,
 {
     let icfg = config.ingest;
-    let (tx, rx) = bounded::<Request>(icfg.queue_capacity.max(1));
+    let (tx, rx) = sync_channel::<Request>(icfg.queue_capacity.max(1));
+    let sent = AtomicUsize::new(0);
     // The caller built the run (fleet index, shard engines, hub labels)
     // *before* the wall clock starts here: setup time must not consume the
     // arrival stream's deadline budget.
@@ -479,8 +497,9 @@ where
 
     let arrivals = arrivals.into_iter();
     let (offered, dropped_queue_full) = std::thread::scope(|scope| {
-        let producer = scope.spawn(move || produce(arrivals, tx, start, icfg.time_scale));
-        let batcher = AdaptiveBatcher::new(&rx, &icfg);
+        let sent = &sent;
+        let producer = scope.spawn(move || produce(arrivals, tx, sent, start, icfg.time_scale));
+        let mut batcher = AdaptiveBatcher::new(&rx, &icfg);
         while let Some((batch, opened)) = batcher.next_batch() {
             let now = clock.advance_past(&batch);
             let (live, expired) = drop_expired(batch, now);
@@ -491,7 +510,7 @@ where
             collector.observe_batch(
                 live.len(),
                 opened.elapsed().as_secs_f64() * 1000.0,
-                rx.len(),
+                batcher.queue_depth(sent.load(Ordering::Relaxed)),
             );
             if run.batches() > MAX_BATCHES {
                 break;
@@ -637,7 +656,7 @@ impl ShardedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     /// The ledger of `arrivals` unit-cost arrivals.
     fn offered_of(arrivals: u32) -> Offered {
@@ -653,7 +672,7 @@ mod tests {
 
     #[test]
     fn batcher_closes_on_size_cap() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..10 {
             tx.send(req(i, 0.0)).unwrap();
         }
@@ -663,7 +682,7 @@ mod tests {
             batch_deadline: 60.0, // never the trigger here
             ..IngestConfig::default()
         };
-        let batcher = AdaptiveBatcher::new(&rx, &cfg);
+        let mut batcher = AdaptiveBatcher::new(&rx, &cfg);
         let sizes: Vec<usize> = std::iter::from_fn(|| batcher.next_batch())
             .map(|(b, _)| b.len())
             .collect();
@@ -672,14 +691,14 @@ mod tests {
 
     #[test]
     fn batcher_closes_on_deadline_with_partial_batch() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         tx.send(req(0, 0.0)).unwrap();
         let cfg = IngestConfig {
             max_batch_size: 1000,
             batch_deadline: 0.01,
             ..IngestConfig::default()
         };
-        let batcher = AdaptiveBatcher::new(&rx, &cfg);
+        let mut batcher = AdaptiveBatcher::new(&rx, &cfg);
         let (batch, opened) = batcher.next_batch().expect("one batch");
         assert_eq!(batch.len(), 1);
         // The deadline, not the sender disconnect, closed this batch.
@@ -690,7 +709,7 @@ mod tests {
 
     #[test]
     fn batcher_tops_up_backlog_after_slow_consumer() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..6 {
             tx.send(req(i, 0.0)).unwrap();
         }
@@ -700,7 +719,7 @@ mod tests {
             batch_deadline: 0.0, // deadline already expired at open
             ..IngestConfig::default()
         };
-        let batcher = AdaptiveBatcher::new(&rx, &cfg);
+        let mut batcher = AdaptiveBatcher::new(&rx, &cfg);
         // Even with a zero deadline the queued backlog joins the batch.
         let (batch, _) = batcher.next_batch().expect("one batch");
         assert_eq!(batch.len(), 6);

@@ -1,10 +1,9 @@
 //! Run-level metrics: the quantities reported in every figure of §V.
 
-use serde::{Deserialize, Serialize};
 use structride_model::CostParams;
 
 /// Metrics of one simulated run of one dispatcher on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Algorithm name.
     pub algorithm: String,

@@ -49,33 +49,58 @@ fn small_workload() -> Workload {
 #[test]
 fn ingested_run_accounts_for_every_arrival() {
     let w = small_workload();
-    let config = StructRideConfig::default().with_ingest(ingest_config());
-    let mut sard = SardDispatcher::new(config);
-    let report = Simulator::new(config)
-        .run_ingested(
-            &w.engine,
-            w.requests.iter().cloned(),
-            w.fresh_vehicles(),
-            &mut sard,
-            &w.name,
-        )
-        .expect("healthy producer");
-    let stats = &report.ingest;
-    assert_eq!(stats.arrivals, w.requests.len());
-    assert_eq!(
-        stats.dispatched + stats.dropped_queue_full + stats.timed_out,
-        stats.arrivals,
-        "every arrival is dispatched, load-shed or timed out"
+    let run = |ingest: IngestConfig| {
+        let config = StructRideConfig::default().with_ingest(ingest);
+        let mut sard = SardDispatcher::new(config);
+        Simulator::new(config)
+            .run_ingested(
+                &w.engine,
+                w.requests.iter().cloned(),
+                w.fresh_vehicles(),
+                &mut sard,
+                &w.name,
+            )
+            .expect("healthy producer")
+    };
+    // The paced stream, and a flood: every arrival is due at once into a
+    // two-slot queue, so the producer must load-shed.
+    let flood = IngestConfig {
+        queue_capacity: 2,
+        time_scale: 1e9,
+        ..ingest_config()
+    };
+    let paced = run(ingest_config());
+    let flooded = run(flood);
+    for (report, ingest) in [(&paced, ingest_config()), (&flooded, flood)] {
+        let stats = &report.ingest;
+        assert_eq!(stats.arrivals, w.requests.len());
+        assert_eq!(
+            stats.dispatched + stats.dropped_queue_full + stats.timed_out,
+            stats.arrivals,
+            "every arrival is dispatched, load-shed or timed out"
+        );
+        assert_eq!(report.metrics.total_requests, w.requests.len());
+        assert!(report.metrics.served_requests <= stats.dispatched);
+        assert!(
+            stats.max_queue_depth <= ingest.queue_capacity,
+            "queue depth {} above capacity {}",
+            stats.max_queue_depth,
+            ingest.queue_capacity
+        );
+    }
+    assert!(
+        flooded.ingest.dropped_queue_full > 0,
+        "the flood load-sheds"
     );
-    assert_eq!(report.metrics.total_requests, w.requests.len());
-    assert!(report.metrics.served_requests > 0, "some requests served");
-    assert!(report.metrics.served_requests <= stats.dispatched);
+
+    let stats = &paced.ingest;
+    assert!(paced.metrics.served_requests > 0, "some requests served");
     assert!(stats.batches > 0);
     assert!(stats.wall_seconds > 0.0);
     assert!(stats.throughput_rps > 0.0);
     assert!(stats.batch_latency_p99_ms >= stats.batch_latency_p50_ms);
     // The size cap was respected.
-    assert!(stats.mean_batch_size <= config.ingest.max_batch_size as f64);
+    assert!(stats.mean_batch_size <= ingest_config().max_batch_size as f64);
 }
 
 #[test]

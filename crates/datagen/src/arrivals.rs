@@ -20,12 +20,11 @@ use crate::distributions;
 use crate::requests::{RequestGenParams, TripSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use structride_model::Request;
 use structride_roadnet::SpEngine;
 
 /// The arrival-rate profile of a request stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProfile {
     /// Homogeneous Poisson arrivals at `rate` requests per second.
     Poisson {
@@ -99,7 +98,7 @@ impl ArrivalProfile {
 }
 
 /// Parameters of one streamed arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalStreamParams {
     /// The arrival-rate profile.
     pub profile: ArrivalProfile,

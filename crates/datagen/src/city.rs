@@ -13,10 +13,9 @@
 
 use crate::network::NetworkParams;
 use crate::requests::RequestGenParams;
-use serde::{Deserialize, Serialize};
 
 /// Which synthetic city to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CityProfile {
     /// Didi Chengdu-like taxi workload.
     ChengduLike,
@@ -113,17 +112,6 @@ impl CityProfile {
         }
     }
 
-    /// Default request rate (requests per second of simulated time) at scale
-    /// 1.0; the NYC-like workload is roughly twice as dense as the
-    /// Chengdu-like one, matching the paper's observation.
-    pub fn request_rate(&self) -> f64 {
-        match self {
-            CityProfile::ChengduLike => 1.5,
-            CityProfile::NycLike => 3.0,
-            CityProfile::CainiaoLike => 1.0,
-        }
-    }
-
     /// Default deadline parameter γ (Table III / Table IV defaults).
     pub fn default_gamma(&self) -> f64 {
         match self {
@@ -152,12 +140,6 @@ mod tests {
         let nyc = CityProfile::NycLike.network_params(1.0, 1);
         assert!(nyc.node_count() < chd.node_count());
         assert!(nyc.spacing_m < chd.spacing_m);
-    }
-
-    #[test]
-    fn nyc_request_rate_roughly_double_chengdu() {
-        let ratio = CityProfile::NycLike.request_rate() / CityProfile::ChengduLike.request_rate();
-        assert!((1.5..=2.5).contains(&ratio));
     }
 
     #[test]

@@ -8,11 +8,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use structride_roadnet::{Point, RoadNetwork, RoadNetworkBuilder};
 
 /// Parameters of the synthetic road-network generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// Number of intersection rows.
     pub rows: u32,

@@ -174,11 +174,6 @@ impl MultiRegionWorkload {
     pub fn fresh_vehicles(&self) -> Vec<Vehicle> {
         self.vehicles.clone()
     }
-
-    /// Sum of the direct travel costs of all requests.
-    pub fn total_direct_cost(&self) -> f64 {
-        self.requests.iter().map(Request::direct_cost).sum()
-    }
 }
 
 /// Vertical strip regions over `network`'s bounding box — the same

@@ -10,13 +10,12 @@
 use crate::distributions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use structride_model::Request;
 use structride_roadnet::{NodeId, SpEngine};
 use structride_spatial::GridIndex;
 
 /// Parameters of the request generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestGenParams {
     /// Number of demand hotspots.
     pub hotspots: u32,

@@ -8,12 +8,11 @@
 use crate::distributions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use structride_model::Vehicle;
 use structride_roadnet::SpEngine;
 
 /// Parameters of the fleet generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetParams {
     /// Number of vehicles.
     pub count: usize,

@@ -10,12 +10,11 @@ use crate::city::CityProfile;
 use crate::network::synthetic_city_network;
 use crate::requests::{generate_requests, RequestGenParams};
 use crate::vehicles::{generate_vehicles, FleetParams};
-use serde::{Deserialize, Serialize};
 use structride_model::{Request, Vehicle};
 use structride_roadnet::{SpEngine, SpEngineBuilder};
 
 /// Parameters describing one generated workload instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadParams {
     /// Which city profile to imitate.
     pub city: CityProfile,
@@ -49,21 +48,6 @@ impl WorkloadParams {
             gamma: city.default_gamma(),
             horizon: 600.0,
             scale: 0.5,
-            seed: 42,
-        }
-    }
-
-    /// The default experiment-scale workload for the given city.
-    pub fn default_for(city: CityProfile) -> Self {
-        WorkloadParams {
-            city,
-            num_requests: 1500,
-            num_vehicles: 120,
-            capacity: 4,
-            capacity_sigma: 0.0,
-            gamma: city.default_gamma(),
-            horizon: 1200.0,
-            scale: 1.0,
             seed: 42,
         }
     }
@@ -120,12 +104,6 @@ impl Workload {
         }
     }
 
-    /// Sum of the direct travel costs of all requests (denominator of several
-    /// reported metrics).
-    pub fn total_direct_cost(&self) -> f64 {
-        self.requests.iter().map(Request::direct_cost).sum()
-    }
-
     /// A fresh copy of the initial fleet (vehicles are consumed mutably by the
     /// dispatchers, so experiments clone per algorithm).
     pub fn fresh_vehicles(&self) -> Vec<Vehicle> {
@@ -147,7 +125,7 @@ mod tests {
         let w = Workload::generate(params);
         assert!(w.requests.len() >= 110);
         assert_eq!(w.vehicles.len(), 15);
-        assert!(w.total_direct_cost() > 0.0);
+        assert!(w.requests.iter().map(Request::direct_cost).sum::<f64>() > 0.0);
         assert!(w.name.contains("NYC"));
         // Requests reference valid nodes.
         for r in &w.requests {

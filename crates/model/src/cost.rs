@@ -7,10 +7,8 @@
 //! travel cost, maximum service rate, maximum revenue); the paper fixes
 //! `α = 1` and sweeps `p_r` in Fig. 12.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the unified cost function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Weight `α` on the total travel cost (the paper fixes it to 1).
     pub alpha: f64,
@@ -37,12 +35,6 @@ impl CostParams {
             penalty_coefficient,
         }
     }
-
-    /// The penalty incurred by leaving a request with direct cost
-    /// `direct_cost` unserved.
-    pub fn penalty_for(&self, direct_cost: f64) -> f64 {
-        self.penalty_coefficient * direct_cost
-    }
 }
 
 /// Evaluates the unified cost `U` given the total travel cost of all planned
@@ -67,7 +59,6 @@ mod tests {
         let p = CostParams::with_penalty(5.0);
         // 100 seconds of driving + 40 seconds of unserved direct cost.
         assert_eq!(unified_cost(&p, 100.0, 40.0), 100.0 + 5.0 * 40.0);
-        assert_eq!(p.penalty_for(40.0), 200.0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! additionally happen within the maximum waiting time
 //! `w_i = min(5 min, d_i − cost(s_i, e_i) − t_i)`.
 
-use serde::{Deserialize, Serialize};
 use structride_roadnet::NodeId;
 
 /// Identifier of a request.
@@ -19,7 +18,7 @@ pub type RequestId = u32;
 pub const DEFAULT_MAX_WAIT: f64 = 300.0;
 
 /// A ridesharing request.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Request {
     /// Unique identifier.
     pub id: RequestId,

@@ -9,14 +9,13 @@
 //! of Definition 3 that the linear-insertion operator uses for pruning.
 
 use crate::request::{Request, RequestId};
-use serde::{Deserialize, Serialize};
 use structride_roadnet::{NodeId, SpEngine};
 
 /// Numerical tolerance for deadline comparisons (seconds).
 pub const TIME_EPS: f64 = 1e-7;
 
 /// Whether a way-point picks riders up or drops them off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WaypointKind {
     /// The source of a request: riders board here.
     #[default]
@@ -26,7 +25,7 @@ pub enum WaypointKind {
 }
 
 /// One stop of a vehicle schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Waypoint {
     /// The request served at this stop.
     pub request: RequestId,
@@ -110,7 +109,7 @@ impl ScheduleEval {
 }
 
 /// An ordered sequence of way-points planned for one vehicle.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     waypoints: Vec<Waypoint>,
 }

@@ -9,14 +9,13 @@
 
 use crate::request::RequestId;
 use crate::schedule::{Schedule, ScheduleEval, WaypointKind};
-use serde::{Deserialize, Serialize};
 use structride_roadnet::{NodeId, SpEngine};
 
 /// Identifier of a vehicle.
 pub type VehicleId = u32;
 
 /// A vehicle (the paper's worker `w_j`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vehicle {
     /// Unique identifier.
     pub id: VehicleId,
@@ -58,11 +57,6 @@ impl Vehicle {
     /// True if the vehicle has no planned way-points and no riders on board.
     pub fn is_idle(&self) -> bool {
         self.schedule.is_empty() && self.onboard == 0
-    }
-
-    /// Remaining seats.
-    pub fn free_seats(&self) -> u32 {
-        self.capacity.saturating_sub(self.onboard)
     }
 
     /// Evaluates a candidate schedule from this vehicle's current state.
@@ -182,7 +176,7 @@ mod tests {
     fn new_vehicle_is_idle() {
         let v = Vehicle::new(1, 3, 4);
         assert!(v.is_idle());
-        assert_eq!(v.free_seats(), 4);
+        assert_eq!(v.capacity - v.onboard, 4);
     }
 
     #[test]

@@ -150,15 +150,6 @@ impl SpCache {
         })
     }
 
-    /// Zeroes the hit and miss counters (entries are kept).
-    pub(crate) fn reset_counts(&self) {
-        for stripe in self.stripes.iter() {
-            let mut sets = stripe.0.lock().expect("sp cache stripe poisoned");
-            sets.hits = 0;
-            sets.misses = 0;
-        }
-    }
-
     /// Heap footprint of the table in bytes.
     pub(crate) fn approx_bytes(&self) -> usize {
         let slots: usize = self
@@ -189,9 +180,6 @@ mod tests {
         c.insert(0, 1, 2, 6.0);
         assert_eq!(c.get(0, 1, 2), Some(6.0));
         assert_eq!(c.counts(), (2, 2));
-        c.reset_counts();
-        assert_eq!(c.counts(), (0, 0));
-        assert_eq!(c.get(0, 1, 2), Some(6.0), "a reset keeps entries");
         assert!(c.approx_bytes() >= (1 << 10) * std::mem::size_of::<Slot>());
     }
 

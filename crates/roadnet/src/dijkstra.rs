@@ -39,13 +39,13 @@ impl PartialOrd for HeapEntry {
 ///
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn sssp(net: &RoadNetwork, source: NodeId) -> Vec<f64> {
-    search(net, source, None, Direction::Forward, f64::INFINITY)
+    search(net, source, None, Direction::Forward)
 }
 
 /// Single-source shortest path distances over the reverse graph, i.e.
 /// `result[u] = dist(u -> source)` in the original graph.
 pub fn sssp_reverse(net: &RoadNetwork, source: NodeId) -> Vec<f64> {
-    search(net, source, None, Direction::Backward, f64::INFINITY)
+    search(net, source, None, Direction::Backward)
 }
 
 /// Point-to-point distance with early termination once the target is settled.
@@ -53,15 +53,8 @@ pub fn p2p(net: &RoadNetwork, source: NodeId, target: NodeId) -> f64 {
     if source == target {
         return 0.0;
     }
-    let dist = search(net, source, Some(target), Direction::Forward, f64::INFINITY);
+    let dist = search(net, source, Some(target), Direction::Forward);
     dist[target as usize]
-}
-
-/// Bounded forward search: nodes farther than `radius` are left at infinity.
-///
-/// Used to prefilter candidate pickups reachable within a deadline slack.
-pub fn bounded_sssp(net: &RoadNetwork, source: NodeId, radius: f64) -> Vec<f64> {
-    search(net, source, None, Direction::Forward, radius)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -70,13 +63,7 @@ enum Direction {
     Backward,
 }
 
-fn search(
-    net: &RoadNetwork,
-    source: NodeId,
-    target: Option<NodeId>,
-    dir: Direction,
-    radius: f64,
-) -> Vec<f64> {
+fn search(net: &RoadNetwork, source: NodeId, target: Option<NodeId>, dir: Direction) -> Vec<f64> {
     let n = net.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut settled = vec![false; n];
@@ -93,11 +80,6 @@ fn search(
         }
         settled[node as usize] = true;
         if Some(node) == target {
-            break;
-        }
-        if d > radius {
-            // Everything left in the heap is at least this far.
-            dist[node as usize] = f64::INFINITY;
             break;
         }
         let relax = |to: NodeId, w: f64, dist: &mut Vec<f64>, heap: &mut BinaryHeap<HeapEntry>| {
@@ -117,14 +99,6 @@ fn search(
                 for (to, w) in net.in_edges(node) {
                     relax(to, w, &mut dist, &mut heap);
                 }
-            }
-        }
-    }
-    // Clamp tentative (unsettled) distances beyond the radius back to infinity.
-    if radius.is_finite() {
-        for d in dist.iter_mut() {
-            if *d > radius {
-                *d = f64::INFINITY;
             }
         }
     }
@@ -210,15 +184,5 @@ mod tests {
         let g = b.build().unwrap();
         assert!(p2p(&g, 0, 1).is_infinite());
         assert_eq!(p2p(&g, 1, 1), 0.0);
-    }
-
-    #[test]
-    fn bounded_search_cuts_off() {
-        let g = figure1_network();
-        let d = bounded_sssp(&g, 0, 6.0);
-        assert_eq!(d[1], 2.0);
-        assert_eq!(d[2], 5.0);
-        assert!(d[3].is_infinite()); // 13 > 6
-        assert!(d[4].is_infinite()); // 15 > 6
     }
 }

@@ -1022,25 +1022,6 @@ impl SpEngine {
         }
     }
 
-    /// Distances from `source` to every node (one full Dijkstra, counted as a
-    /// single index query).  Useful for warming batch computations.
-    pub fn one_to_all(&self, source: NodeId) -> Vec<f64> {
-        self.index_queries.fetch_add(1, Ordering::Relaxed);
-        match &self.traffic {
-            Some(rt) => dijkstra::sssp(rt.slot.read().unwrap().artifact.net(), source),
-            None => dijkstra::sssp(&self.net, source),
-        }
-    }
-
-    /// Distances from every node to `source` (reverse Dijkstra).
-    pub fn all_to_one(&self, target: NodeId) -> Vec<f64> {
-        self.index_queries.fetch_add(1, Ordering::Relaxed);
-        match &self.traffic {
-            Some(rt) => dijkstra::sssp_reverse(rt.slot.read().unwrap().artifact.net(), target),
-            None => dijkstra::sssp_reverse(&self.net, target),
-        }
-    }
-
     /// Straight-line (Euclidean) distance between the coordinates of two
     /// nodes, in meters.  Used only by geometric pruning, never as a travel
     /// cost.
@@ -1275,13 +1256,6 @@ impl SpEngine {
             .unwrap_or(0)
     }
 
-    /// Resets the query counters (the cache contents are kept).
-    pub fn reset_stats(&self) {
-        self.same_node_queries.store(0, Ordering::Relaxed);
-        self.index_queries.store(0, Ordering::Relaxed);
-        self.cache.reset_counts();
-    }
-
     /// Approximate heap footprint (graph + locally queried labels + clip
     /// maps + cache) in bytes.  The network and any shared full index may be
     /// `Arc`-shared with other engines; they are counted here as if owned.
@@ -1413,15 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters() {
-        let net = line_graph(5);
-        let eng = SpEngine::new(net);
-        eng.cost(0, 4);
-        eng.reset_stats();
-        assert_eq!(eng.stats(), SpStats::default());
-    }
-
-    #[test]
     fn clear_cache_forces_fresh_index_queries() {
         let net = line_graph(6);
         let eng = SpEngine::new(net);
@@ -1431,20 +1396,6 @@ mod tests {
         let stats = eng.stats();
         assert_eq!(stats.index_queries, 2);
         assert_eq!(stats.cache_hits, 0);
-    }
-
-    #[test]
-    fn one_to_all_matches_point_queries() {
-        let net = line_graph(12);
-        let eng = SpEngine::new(net);
-        let all = eng.one_to_all(0);
-        for t in 0..12u32 {
-            assert!((all[t as usize] - eng.cost(0, t)).abs() < 1e-9);
-        }
-        let back = eng.all_to_one(0);
-        for s in 0..12u32 {
-            assert!((back[s as usize] - eng.cost(s, 0)).abs() < 1e-9);
-        }
     }
 
     #[test]

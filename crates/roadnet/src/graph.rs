@@ -7,7 +7,6 @@
 
 use crate::error::RoadNetError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a road-network node (intersection).
 pub type NodeId = u32;
@@ -17,7 +16,7 @@ pub type EdgeId = u32;
 
 /// Planar coordinate of a node, in meters (projected), used by the grid index
 /// and the angle-pruning geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in meters.
     pub x: f64,
@@ -66,7 +65,7 @@ pub const LOWER_BOUND_GRACE: f64 = 1.0;
 /// reverse adjacency is stored as well so backward Dijkstra searches (needed
 /// by hub labeling and by "which vehicles can reach this pickup in time"
 /// queries) are as cheap as forward ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadNetwork {
     coords: Vec<Point>,
     // forward CSR
@@ -96,17 +95,6 @@ impl RoadNetwork {
     /// Panics if `node` is out of range.
     pub fn coord(&self, node: NodeId) -> Point {
         self.coords[node as usize]
-    }
-
-    /// Checked coordinate lookup.
-    pub fn try_coord(&self, node: NodeId) -> Result<Point> {
-        self.coords
-            .get(node as usize)
-            .copied()
-            .ok_or(RoadNetError::InvalidNode {
-                node,
-                node_count: self.node_count(),
-            })
     }
 
     /// Returns true if `node` is a valid node id.
@@ -524,10 +512,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_lookup_checked() {
+    fn contains_is_range_checked() {
         let g = triangle();
-        assert!(g.try_coord(2).is_ok());
-        assert!(g.try_coord(99).is_err());
         assert!(g.contains(0));
         assert!(!g.contains(3));
     }

@@ -14,8 +14,9 @@
 //! [`HubLabels::build`] runs the forward and backward searches of each root
 //! in parallel ([`rayon::join`]) and merges their results in a fixed order
 //! (forward entries, then backward entries).  This is **bit-identical** to
-//! the sequential reference ([`HubLabels::build_sequential`]) for every
-//! worker count, because the two searches of one root are independent:
+//! the sequential reference (a test-only build that runs each root's two
+//! searches one after the other) for every worker count, because the two
+//! searches of one root are independent:
 //!
 //! * the forward search reads `out(root)` and the `in` labels of the nodes it
 //!   settles, and writes only `in` labels;
@@ -33,20 +34,19 @@
 //! equivalence is pinned by the `parallel_build_matches_sequential` test.
 
 use crate::graph::{NodeId, RoadNetwork};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One label entry: a hub and the distance to/from it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LabelEntry {
     hub: u32,
     dist: f64,
 }
 
 /// A 2-hop hub labeling of a directed weighted graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HubLabels {
     /// `out_labels[v]` — hubs reachable *from* v, sorted by hub rank.
     out_labels: Vec<Vec<LabelEntry>>,
@@ -202,8 +202,8 @@ impl HubLabels {
     ///
     /// The forward and backward pruned searches of each root run in parallel
     /// (see the module docs for why that is exactly equivalent to the
-    /// sequential reference); the result is bit-identical to
-    /// [`HubLabels::build_sequential`] under every rayon worker count.
+    /// sequential reference); the result is bit-identical to the test-only
+    /// sequential build under every rayon worker count.
     pub fn build(net: &RoadNetwork) -> HubLabels {
         let n = net.node_count();
         let (order, rank) = Self::ordering(net);
@@ -313,7 +313,8 @@ impl HubLabels {
     /// The sequential reference construction: identical output to
     /// [`HubLabels::build`], kept (and tested) as the baseline the parallel
     /// build must reproduce bit for bit.
-    pub fn build_sequential(net: &RoadNetwork) -> HubLabels {
+    #[cfg(test)]
+    fn build_sequential(net: &RoadNetwork) -> HubLabels {
         let n = net.node_count();
         let (order, rank) = Self::ordering(net);
 
@@ -351,13 +352,13 @@ impl HubLabels {
         labels
     }
 
-    /// The read-only form of [`HubLabels::pruned_search`]: identical search,
-    /// but the produced label entries are recorded into `scratch.settled`
-    /// instead of being pushed into `labels` — the caller merges them after
-    /// both directions of the root complete.  A pruned search never reads a
-    /// label vector it extends (the prune check precedes the push and every
-    /// node settles at most once), so recording instead of pushing cannot
-    /// change the search.
+    /// The read-only form of the sequential reference's `pruned_search`:
+    /// identical search, but the produced label entries are recorded into
+    /// `scratch.settled` instead of being pushed into `labels` — the caller
+    /// merges them after both directions of the root complete.  A pruned
+    /// search never reads a label vector it extends (the prune check
+    /// precedes the push and every node settles at most once), so recording
+    /// instead of pushing cannot change the search.
     fn collect_search(
         net: &RoadNetwork,
         landmark: NodeId,
@@ -446,6 +447,7 @@ impl HubLabels {
         touched.clear();
     }
 
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn pruned_search(
         net: &RoadNetwork,
@@ -619,18 +621,6 @@ impl HubLabels {
             }
         });
         out
-    }
-
-    /// Average number of label entries per node (an index-size diagnostic).
-    pub fn average_label_size(&self) -> f64 {
-        let n = self.out_labels.len().max(1);
-        let total: usize = self
-            .out_labels
-            .iter()
-            .map(Vec::len)
-            .chain(self.in_labels.iter().map(Vec::len))
-            .sum();
-        total as f64 / n as f64
     }
 
     /// Restricts the labeling to the vertex subset `nodes`, producing a
@@ -1037,10 +1027,9 @@ mod tests {
     }
 
     #[test]
-    fn label_size_and_bytes_reported() {
+    fn label_bytes_reported() {
         let g = random_graph(30, 60, 2);
         let labels = HubLabels::build(&g);
-        assert!(labels.average_label_size() > 0.0);
         assert!(labels.approx_bytes() > 0);
     }
 

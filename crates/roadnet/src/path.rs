@@ -40,13 +40,6 @@ pub struct Path {
     pub cost: f64,
 }
 
-impl Path {
-    /// Number of edges on the path.
-    pub fn hop_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-}
-
 /// Computes the shortest path from `source` to `target` with its node
 /// sequence.  Returns `None` if the target is unreachable.
 pub fn shortest_path(net: &RoadNetwork, source: NodeId, target: NodeId) -> Option<Path> {
@@ -164,7 +157,7 @@ mod tests {
                 assert!((p.cost - d[t as usize]).abs() < 1e-12);
                 assert_eq!(p.nodes.first(), Some(&s));
                 assert_eq!(p.nodes.last(), Some(&t));
-                assert_eq!(p.hop_count() as f64, p.cost);
+                assert_eq!((p.nodes.len() - 1) as f64, p.cost);
                 // Consecutive nodes are actually connected.
                 for w in p.nodes.windows(2) {
                     assert!(g.out_edges(w[0]).any(|(to, _)| to == w[1]));

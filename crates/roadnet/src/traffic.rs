@@ -30,7 +30,6 @@
 //! like every other knob replay pins.
 
 use crate::graph::Point;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of congestion zones a config can carry.  A fixed cap keeps
 /// [`TrafficConfig`] `Copy` and the trace text format bounded.
@@ -51,7 +50,7 @@ pub const RUSH_PROFILE: [f64; 24] = [
 ];
 
 /// Which time-of-day curve scales edge travel times.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TrafficProfile {
     /// Free flow: every hour's factor is exactly 1.0.  The engine treats a
     /// config with this profile and no zones as *static* and keeps the
@@ -77,7 +76,7 @@ impl TrafficProfile {
 
 /// An axis-aligned congestion box with its own travel-time factor and an
 /// active window in simulation seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CongestionZone {
     /// West edge of the box (meters, projected).
     pub min_x: f64,
@@ -110,7 +109,7 @@ impl CongestionZone {
 /// The complete time-dependent travel-time model: profile + zones + epoch
 /// granularity.  `Copy`, `PartialEq`, and fully serialized into trace
 /// metadata so replay reconstructs the identical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Time-of-day curve.
     pub profile: TrafficProfile,

@@ -12,13 +12,12 @@
 //! by numerical integration — the paper reports ≈ 41 % for `δ = π/2`,
 //! `γ = 1.5`.  [`sharing_probability`] reproduces that computation.
 
-use serde::{Deserialize, Serialize};
 use structride_model::Request;
 use structride_roadnet::SpEngine;
 use structride_spatial::{angle_between, Vec2};
 
 /// Configuration of the angle-pruning rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnglePruning {
     /// Whether the rule is active (SARD vs. SARD-O in Tables V/VI).
     pub enabled: bool,
@@ -65,7 +64,7 @@ impl AnglePruning {
 }
 
 /// Parameters of a log-normal trip-distance distribution (`ln x ~ N(μ, σ²)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     /// Location parameter μ of the underlying normal.
     pub mu: f64,

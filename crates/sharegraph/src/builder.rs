@@ -43,7 +43,6 @@ use crate::angle::AnglePruning;
 use crate::graph::ShareabilityGraph;
 use crate::shareable::ShareabilityCheck;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId};
@@ -51,7 +50,7 @@ use structride_roadnet::SpEngine;
 use structride_spatial::GridIndex;
 
 /// Configuration of the dynamic builder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuilderConfig {
     /// Seat capacity assumed for the hypothetical shared vehicle (the paper
     /// uses the fleet's capacity `c`).
@@ -73,7 +72,7 @@ impl Default for BuilderConfig {
 }
 
 /// Counters describing the work done by the builder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Candidate pairs returned by the spatial/deadline prefilter.
     pub candidate_pairs: u64,

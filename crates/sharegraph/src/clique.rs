@@ -1,12 +1,8 @@
-//! Clique predicates and clique-partition bounds (Observation 2, Theorem IV.1).
+//! The clique predicate of Observation 2.
 //!
-//! Observation 2: any group of requests that can be served together must form
-//! a clique in the shareability graph, so clique checks prune infeasible
-//! groups cheaply in Algorithm 2.  Theorem IV.1 analyses the assignment as a
-//! bounded clique-partition problem; this module implements the upper bound of
-//! Bhasker & Samad (Equation 6), the power-law clique-size scaling of Janson
-//! et al. (Equation 7), their combination (Equation 8), and a simple greedy
-//! clique partition used for diagnostics.
+//! Any group of requests that can be served together must form a clique in
+//! the shareability graph, so clique checks prune infeasible groups cheaply
+//! in Algorithm 2.
 
 use crate::graph::ShareabilityGraph;
 use structride_model::RequestId;
@@ -22,86 +18,6 @@ pub fn is_clique(graph: &ShareabilityGraph, group: &[RequestId]) -> bool {
         }
     }
     true
-}
-
-/// The Bhasker–Samad upper bound on the clique-partition number of a graph
-/// with `n` nodes and `e` edges (Equation 6):
-/// `θ_upper = ⌊(1 + √(4n² − 4n − 8e + 1)) / 2⌋`.
-pub fn clique_partition_upper_bound(n: usize, e: usize) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    let n = n as f64;
-    let e = e as f64;
-    let disc = (4.0 * n * n - 4.0 * n - 8.0 * e + 1.0).max(0.0);
-    (((1.0 + disc.sqrt()) / 2.0).floor() as usize).max(1)
-}
-
-/// The asymptotic size of the largest clique in a power-law random graph with
-/// `n` nodes and exponent `eta` (Equation 7, Janson et al.): constant for
-/// `eta > 2`, `O_p(1)` at `eta = 2`, and `Θ(n^{1−η/2} (log n)^{−η/2})` for
-/// heavy tails `0 < eta < 2`.
-pub fn largest_clique_estimate(n: usize, eta: f64) -> f64 {
-    if n < 2 {
-        return n as f64;
-    }
-    if eta > 2.0 {
-        3.0
-    } else if (eta - 2.0).abs() < 1e-9 {
-        4.0
-    } else {
-        let n = n as f64;
-        (n.powf(1.0 - eta / 2.0) * n.ln().powf(-eta / 2.0)).max(2.0)
-    }
-}
-
-/// The capacity-bounded clique-partition upper bound of Equation 8:
-/// every clique of the optimal partition may have to be split into
-/// `⌈ω(SG)/k⌉` pieces when groups are limited to the vehicle capacity `k`.
-pub fn bounded_clique_partition_upper_bound(n: usize, e: usize, eta: f64, k: usize) -> usize {
-    if k == 0 {
-        return usize::MAX;
-    }
-    let base = clique_partition_upper_bound(n, e);
-    let omega = largest_clique_estimate(n, eta);
-    base * (omega / k as f64).ceil() as usize
-}
-
-/// A greedy clique partition: repeatedly grows a clique from the highest-degree
-/// unassigned node, bounded by `max_size`.  Returns the cliques (each a vector
-/// of request ids).  Used for diagnostics and as a sanity check that the
-/// analytic upper bounds hold on generated graphs.
-pub fn greedy_clique_partition(graph: &ShareabilityGraph, max_size: usize) -> Vec<Vec<RequestId>> {
-    let mut remaining: Vec<RequestId> = graph.nodes().collect();
-    // Deterministic order: degree descending, id ascending.
-    remaining.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let mut assigned: std::collections::HashSet<RequestId> = std::collections::HashSet::new();
-    let mut cliques = Vec::new();
-    for &seed in &remaining {
-        if assigned.contains(&seed) {
-            continue;
-        }
-        let mut clique = vec![seed];
-        assigned.insert(seed);
-        if max_size > 1 {
-            let mut candidates: Vec<RequestId> = graph
-                .neighbors(seed)
-                .filter(|v| !assigned.contains(v))
-                .collect();
-            candidates.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-            for cand in candidates {
-                if clique.len() >= max_size {
-                    break;
-                }
-                if clique.iter().all(|&m| graph.has_edge(m, cand)) {
-                    clique.push(cand);
-                    assigned.insert(cand);
-                }
-            }
-        }
-        cliques.push(clique);
-    }
-    cliques
 }
 
 #[cfg(test)]
@@ -126,66 +42,5 @@ mod tests {
         assert!(is_clique(&g, &[2, 4]));
         assert!(!is_clique(&g, &[1, 2, 4]));
         assert!(!is_clique(&g, &[1, 4]));
-    }
-
-    #[test]
-    fn partition_bound_edge_cases() {
-        assert_eq!(clique_partition_upper_bound(0, 0), 0);
-        assert_eq!(clique_partition_upper_bound(1, 0), 1);
-        // A graph with no edges needs n cliques.
-        assert_eq!(clique_partition_upper_bound(5, 0), 5);
-        // A complete graph on 5 nodes (10 edges) needs just 1.
-        assert_eq!(clique_partition_upper_bound(5, 10), 1);
-    }
-
-    #[test]
-    fn more_edges_never_increase_the_bound() {
-        let n = 40;
-        let mut prev = usize::MAX;
-        for e in (0..=(n * (n - 1) / 2)).step_by(50) {
-            let b = clique_partition_upper_bound(n, e);
-            assert!(b <= prev);
-            prev = b;
-        }
-    }
-
-    #[test]
-    fn clique_estimate_regimes() {
-        assert_eq!(largest_clique_estimate(1000, 2.5), 3.0);
-        assert_eq!(largest_clique_estimate(1000, 2.0), 4.0);
-        let heavy = largest_clique_estimate(1000, 1.0);
-        assert!(heavy > 3.0);
-        // Heavier tails give larger cliques.
-        assert!(largest_clique_estimate(1000, 0.8) >= largest_clique_estimate(1000, 1.4));
-    }
-
-    #[test]
-    fn bounded_partition_scales_with_capacity() {
-        let loose = bounded_clique_partition_upper_bound(100, 300, 1.0, 6);
-        let tight = bounded_clique_partition_upper_bound(100, 300, 1.0, 2);
-        assert!(tight >= loose);
-        assert_eq!(
-            bounded_clique_partition_upper_bound(10, 5, 2.5, 0),
-            usize::MAX
-        );
-    }
-
-    #[test]
-    fn greedy_partition_is_valid_and_bounded() {
-        let g = figure1_graph();
-        let parts = greedy_clique_partition(&g, 3);
-        // Every node appears exactly once.
-        let mut all: Vec<RequestId> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3, 4]);
-        // Every part is a clique within the size bound.
-        for p in &parts {
-            assert!(p.len() <= 3);
-            assert!(is_clique(&g, p));
-        }
-        // The analytic bound (with generous eta) is not violated in spirit:
-        // the greedy partition cannot use fewer than 2 cliques here (r4 is not
-        // adjacent to r1/r3).
-        assert!(parts.len() >= 2);
     }
 }

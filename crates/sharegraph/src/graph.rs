@@ -6,12 +6,11 @@
 //! dispatcher constantly adds/removes nodes as requests arrive, get assigned
 //! or expire.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use structride_model::RequestId;
 
 /// An undirected graph over request ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShareabilityGraph {
     adjacency: HashMap<RequestId, HashSet<RequestId>>,
     edge_count: usize,
@@ -180,20 +179,6 @@ impl ShareabilityGraph {
         edges
     }
 
-    /// Removes every node not in `keep` (used when a batch ends and expired
-    /// requests must leave the graph).
-    pub fn retain_nodes(&mut self, keep: &HashSet<RequestId>) {
-        let to_remove: Vec<RequestId> = self
-            .adjacency
-            .keys()
-            .copied()
-            .filter(|id| !keep.contains(id))
-            .collect();
-        for id in to_remove {
-            self.remove_node(id);
-        }
-    }
-
     /// Approximate heap footprint in bytes (Fig. 14 accounting).
     pub fn approx_bytes(&self) -> usize {
         let per_entry = std::mem::size_of::<RequestId>() + 8;
@@ -297,16 +282,6 @@ mod tests {
         let g = figure1_graph();
         assert_eq!(g.edges_sorted(), vec![(1, 2), (1, 3), (2, 3), (2, 4)]);
         assert!(ShareabilityGraph::new().edges_sorted().is_empty());
-    }
-
-    #[test]
-    fn retain_nodes_drops_everything_else() {
-        let mut g = figure1_graph();
-        let keep: HashSet<RequestId> = [2, 4].into_iter().collect();
-        g.retain_nodes(&keep);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-        assert!(g.has_edge(2, 4));
     }
 
     #[test]

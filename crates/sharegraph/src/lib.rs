@@ -13,10 +13,8 @@
 //! * [`builder`] — the dynamic shareability-graph builder of Algorithm 1,
 //!   combining the grid index, deadline/detour prefilters and angle pruning;
 //! * [`loss`] — the shareability loss of Definition 6 (Theorems IV.1/IV.2);
-//! * [`clique`] — clique predicates and the clique-partition bounds used in
-//!   the proof of Theorem IV.1;
-//! * [`stats`] — degree-distribution diagnostics (the paper argues the degrees
-//!   follow a power law).
+//! * [`clique`] — the clique predicate of Observation 2, which prunes
+//!   Algorithm 2's groups.
 
 pub mod angle;
 pub mod builder;
@@ -24,7 +22,6 @@ pub mod clique;
 pub mod graph;
 pub mod loss;
 pub mod shareable;
-pub mod stats;
 
 pub use angle::AnglePruning;
 pub use builder::{BuildTimes, BuilderConfig, ShareabilityGraphBuilder};

@@ -1,9 +1,7 @@
 //! Planar geometry used by the angle-pruning strategy (§III-B).
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D vector in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component.
     pub x: f64,

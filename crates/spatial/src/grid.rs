@@ -8,14 +8,13 @@
 //! stored in its cell, with no per-item map lookup — what the paper means by
 //! "retrieve all available vehicles … in constant time" for a fixed radius.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a grid cell (row-major).
 pub type CellId = u32;
 
 /// A uniform grid over a rectangular region, indexing items by id.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridIndex {
     min_x: f64,
     min_y: f64,

@@ -21,13 +21,11 @@
 //! request* exactly when that list has more than one entry for the handoff
 //! band radius.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a region (row-major, `row * cols + col`).
 pub type RegionId = u32;
 
 /// A `rows × cols` rectangular partition of a bounding box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionGrid {
     min_x: f64,
     min_y: f64,
