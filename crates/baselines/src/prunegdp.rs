@@ -55,8 +55,8 @@ impl Dispatcher for PruneGdp {
                 }
             };
             if let Some(index) = ctx.fleet_index {
-                // Certified prescreen: vehicles outside the reachability
-                // radius provably cannot meet the pickup deadline, so
+                // Certified prescreen: vehicles failing the reachability
+                // bound provably cannot meet the pickup deadline, so
                 // skipping them cannot change which insertion wins (the
                 // survivors keep ascending fleet order, preserving the
                 // first-within-epsilon tie-break).

@@ -47,6 +47,7 @@ use crate::config::StructRideConfig;
 use crate::context::DispatchContext;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::lap::{self, SolverStats};
+use crate::stages::{Span, Stage};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use structride_model::{insertion, Request, RequestId, Vehicle};
@@ -201,6 +202,7 @@ impl Dispatcher for AssignDispatcher {
             self.peak_cells = self.peak_cells.max(n_rows * (n_cols + n_rows));
 
             let cells = (n_rows * (n_cols + n_rows)) as u64;
+            let span = Span::open(ctx.stages, Stage::Lap);
             let assignment = match budget {
                 Some(limit) if cells_spent.saturating_add(cells) > limit => {
                     // Deadline tripped: degrade to the greedy incumbent —
@@ -217,6 +219,7 @@ impl Dispatcher for AssignDispatcher {
                         .row_to_col
                 }
             };
+            span.close();
 
             let mut committed = 0usize;
             for (i, (rid, _)) in rows.iter().enumerate() {

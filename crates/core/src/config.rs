@@ -17,7 +17,8 @@ pub struct StructRideConfig {
     pub shareability_capacity: u32,
     /// The angle-pruning configuration (δ, on/off).
     pub angle: AnglePruning,
-    /// Number of grid cells per side for the spatial indexes.
+    /// No longer read (the fleet index keeps no grid); the trace codec and
+    /// the repo benchmark still carry it.
     pub grid_cells: u32,
     /// Maximum number of candidate vehicles kept per request in SARD's
     /// proposal queues.  The paper retrieves candidates with a radius-bounded

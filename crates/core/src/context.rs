@@ -194,12 +194,14 @@ impl<'a> DispatchContext<'a> {
     /// With a fleet index attached this is certified retrieval (§II-B's
     /// grid-range retrieval, made exact), in three stages:
     ///
-    /// 1. range-query the index at the reachability radius — a vehicle
-    ///    outside it provably cannot meet the pickup deadline;
+    /// 1. scan the index's columns for the euclid reachability certificate —
+    ///    a vehicle failing it provably cannot meet the pickup deadline;
     /// 2. drop survivors whose certified pickup bound
     ///    ([`DispatchContext::leg_bound`], the euclid and landmark bounds)
     ///    already misses the deadline: `free_at + bound > pickup_deadline +
-    ///    REACH_GRACE`;
+    ///    REACH_GRACE`.  Stages 1 and 2 are one call,
+    ///    [`FleetIndex::screened_candidates`], which reuses stage 1's
+    ///    distances;
     /// 3. drop survivors whose *exact* travel time to the pickup (one
     ///    batched [`SpEngine::many_to_many`] pass, no cache) still misses it.
     ///
@@ -225,26 +227,14 @@ impl<'a> DispatchContext<'a> {
         let prescreen = self.fleet_index.is_some();
         let span = Span::open(self.stages, Stage::Prescreen);
         let survivors: Vec<usize> = match self.fleet_index {
-            Some(index) => {
-                let network = engine.network();
-                let p = network.coord(request.source);
-                let mut survivors = index.certified_candidates(
-                    network,
-                    vehicles,
-                    p.x,
-                    p.y,
-                    request.pickup_deadline,
-                );
-                // The landmark screen: a pair whose certified pickup bound
-                // already misses the deadline would miss it on the exact
-                // cost too, so it skips the memo and `many_to_many`.
-                survivors.retain(|&vi| {
-                    let vehicle = &vehicles[vi];
-                    let bound = self.leg_bound.lower_bound(vehicle.node, request.source);
-                    vehicle.free_at + bound <= request.pickup_deadline + REACH_GRACE
-                });
-                survivors
-            }
+            // Stages 1 and 2 in one pass over the index's columns.
+            Some(index) => index.screened_candidates(
+                engine.network(),
+                vehicles,
+                &self.leg_bound,
+                request.source,
+                request.pickup_deadline,
+            ),
             None => (0..vehicles.len()).collect(),
         };
         span.close();

@@ -1,19 +1,18 @@
 //! The persistent fleet index behind certified candidate retrieval.
 //!
-//! The paper's §II-B retrieves candidate vehicles for a request with a grid
-//! range query instead of scanning the whole fleet.  [`FleetIndex`] is that
-//! structure made *persistent*: a [`GridIndex`] over the current vehicle
-//! positions, built **once per run** and updated incrementally as vehicles
-//! advance, commit schedules, hand off or migrate — retiring the
-//! grid-rebuild-per-batch of the earlier pipelines.
+//! The paper's §II-B retrieves candidate vehicles with a grid range query
+//! instead of scanning the whole fleet.  [`FleetIndex`] keeps that retrieval
+//! exact and drops the grid: it holds the fleet as per-slot columns (node
+//! coordinates `x` and `y`, `free_at` and `node`), refreshed by the walks
+//! that already visit every vehicle ([`FleetIndex::sync`] after the advance
+//! sweep, [`FleetIndex::rebuild`] after slots shift), and answers a request
+//! with **one dense pass** over them.
 //!
-//! The grid is sized from the fleet it indexes, at every build and rebuild:
-//! `⌈√n⌉` cells per side for `n` vehicles — about one vehicle per cell — with
-//! the caller's `cells` only a cap.  A range query's cost is the cells it
-//! touches plus the vehicles in them, so a fixed fine grid over a small fleet
-//! spends most of each query on empty cells.  Granularity changes no result:
-//! the certified set is sorted by slot and every shortlist ranks by a total
-//! order (see [`FleetIndex::certified_candidates`]).
+//! Why no grid: a range query's radius had to come from the fleet's
+//! *minimum* `free_at`, so it covered a large part of the city, and walking
+//! its cells cost more than testing every vehicle from contiguous columns in
+//! a loop that vectorises.  The pass needs no radius and no fallback sweep
+//! for a zero rate or an infinite slack: it is the reference filter itself.
 //!
 //! # The reachability certificate
 //!
@@ -29,33 +28,26 @@
 //! insertion position's pickup-arrival time is `≥ free_at + cost(node,
 //! pickup)` (schedule legs are shortest paths, so the triangle inequality
 //! applies), so a vehicle failing the bound provably fails *every* insertion
-//! position — `insert_request` would return `None`.  The surviving set is
-//! therefore exactly the feasible-relevant subset of the full scan, and any
-//! dispatch decision computed over it is **bit-identical** to the full-fleet
-//! sweep.  The one-second [`REACH_GRACE`] absorbs floating-point rounding in
-//! the schedule-leg summations with a huge margin (the exact-arithmetic
-//! slack is `TIME_EPS`-sized).
-//!
-//! The same certificate bounds the *radius* of the grid range query: every
-//! survivor satisfies `euclid ≤ (deadline + grace − free_floor) /
-//! min_time_per_meter` where `free_floor = min(free_at)` over the fleet, so
-//! one range query at that radius followed by the per-vehicle bound check
-//! returns the complete surviving set.
+//! position — `insert_request` would return `None`.  Any dispatch decision
+//! computed over the survivors is therefore **bit-identical** to the
+//! full-fleet sweep.  The one-second [`REACH_GRACE`] absorbs floating-point
+//! rounding in the schedule-leg summations with a huge margin.
+//! [`FleetIndex::screened_candidates`] adds the landmark bound of
+//! [`LegBound`] on the euclid survivors, reusing the pass's distances.
 //!
 //! # Index lifecycle
 //!
 //! Entries are keyed by **slot index** (position in the caller's vehicle
-//! slice), matching the `vi` indices every dispatcher already sorts and
-//! tie-breaks on.  [`FleetIndex::sync`] refreshes positions and the free
-//! floor after the per-batch advance sweep (a no-op relocation is skipped);
-//! [`FleetIndex::rebuild`] re-keys from scratch after operations that shift
-//! slot indices (idle-vehicle migration removes/pushes slice entries).
-//! [`FleetIndex::check_consistency`] asserts the index ↔ fleet invariant and
-//! is run by debug builds of the simulators after every batch.
+//! slice), the `vi` every dispatcher sorts and tie-breaks on; survivors come
+//! out in ascending slot order.  Dispatch commits change neither `node` nor
+//! `free_at`: only the advance sweep, DARM's end-of-batch repositioning and
+//! a checkpoint restore write them, each followed by a sync or a rebuild.
+//! Debug builds check the columns against the fleet on every query, and
+//! [`FleetIndex::check_consistency`] (run by debug builds of the simulators
+//! after every batch) compares all four bit for bit.
 
 use structride_model::Vehicle;
-use structride_roadnet::RoadNetwork;
-use structride_spatial::GridIndex;
+use structride_roadnet::{LegBound, NodeId, RoadNetwork};
 
 /// Grace (seconds) added to the pickup deadline when prescreening bidders
 /// and candidates by the certified reachability lower bound — the road
@@ -63,14 +55,14 @@ use structride_spatial::GridIndex;
 /// exported.
 pub use structride_roadnet::LOWER_BOUND_GRACE as REACH_GRACE;
 
-/// A persistent spatial index over the fleet's current positions plus the
-/// cached per-meter travel-time floor of the road network.
+/// The fleet's node coordinates, free times and nodes as per-slot columns,
+/// plus the cached per-meter travel-time floor of the road network.
 #[derive(Debug)]
 pub struct FleetIndex {
-    grid: GridIndex,
-    bbox: (f64, f64, f64, f64),
-    /// Cap on the grid's cells per side.
-    max_cells: u32,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    free_at: Vec<f64>,
+    node: Vec<NodeId>,
     /// `min(free_at)` over the indexed fleet (∞ for an empty fleet).
     free_floor: f64,
     /// Cached [`RoadNetwork::min_time_per_meter`] (an O(E) scan).
@@ -78,21 +70,20 @@ pub struct FleetIndex {
 }
 
 impl FleetIndex {
-    /// Builds the index over `vehicles` (keyed by slot position) inside the
-    /// given bounding box, on a grid of about one vehicle per cell with at
-    /// most `cells` cells per side (see the module docs).  `bbox` must be
-    /// non-degenerate (use [`structride_spatial::RegionGrid::padded_bbox`]).
+    /// Builds the index over `vehicles` (keyed by slot position).  `bbox`
+    /// and `cells` sized the grid this index no longer keeps and are not
+    /// read.
     pub fn build(
-        bbox: (f64, f64, f64, f64),
-        cells: u32,
+        _bbox: (f64, f64, f64, f64),
+        _cells: u32,
         network: &RoadNetwork,
         vehicles: &[Vehicle],
     ) -> FleetIndex {
         let mut index = FleetIndex {
-            // Replaced by `rebuild`, which sizes the grid for `vehicles`.
-            grid: GridIndex::new(bbox.0, bbox.1, bbox.2, bbox.3, 1),
-            bbox,
-            max_cells: cells.max(1),
+            x: Vec::new(),
+            y: Vec::new(),
+            free_at: Vec::new(),
+            node: Vec::new(),
             free_floor: f64::INFINITY,
             min_tpm: network.min_time_per_meter(),
         };
@@ -100,55 +91,39 @@ impl FleetIndex {
         index
     }
 
-    /// Re-keys the whole index on a grid sized for `vehicles` — required
-    /// after the vehicle slice was reordered or resized (idle-vehicle
-    /// migration removes and pushes entries, shifting every later slot
-    /// index; a shard's lane is built empty and filled this way).
+    /// Re-keys the whole index — required after the vehicle slice was
+    /// reordered or resized (idle-vehicle migration removes and pushes
+    /// entries, shifting every later slot index; a shard's lane is built
+    /// empty and filled this way).
     pub fn rebuild(&mut self, network: &RoadNetwork, vehicles: &[Vehicle]) {
-        let side = ((vehicles.len() as f64).sqrt().ceil() as u32).clamp(1, self.max_cells);
-        let (min_x, min_y, max_x, max_y) = self.bbox;
-        self.grid = GridIndex::new(min_x, min_y, max_x, max_y, side);
-        let mut floor = f64::INFINITY;
-        for (slot, vehicle) in vehicles.iter().enumerate() {
-            let p = network.coord(vehicle.node);
-            self.grid.insert(slot as u64, p.x, p.y);
-            if vehicle.free_at < floor {
-                floor = vehicle.free_at;
-            }
-        }
-        self.free_floor = floor;
+        self.x = vehicles.iter().map(|v| network.coord(v.node).x).collect();
+        self.y = vehicles.iter().map(|v| network.coord(v.node).y).collect();
+        self.free_at = vehicles.iter().map(|v| v.free_at).collect();
+        self.node = vehicles.iter().map(|v| v.node).collect();
+        // `free_at` is never NaN, so the fold is the exact minimum.
+        self.free_floor = self.free_at.iter().copied().fold(f64::INFINITY, f64::min);
     }
 
-    /// Refreshes positions and the free floor after vehicles moved in place
-    /// (the per-batch advance sweep, post-dispatch commits).  Slot indices
-    /// must not have shifted since the last build/rebuild; relocations whose
-    /// coordinates are unchanged are skipped.
+    /// Refreshes the columns after vehicles moved in place (the per-batch
+    /// advance sweep, DARM's repositioning).  Slot indices must not have
+    /// shifted since the last build/rebuild.
     pub fn sync(&mut self, network: &RoadNetwork, vehicles: &[Vehicle]) {
-        debug_assert_eq!(self.grid.len(), vehicles.len(), "slot count drifted");
-        let mut floor = f64::INFINITY;
-        for (slot, vehicle) in vehicles.iter().enumerate() {
-            let p = network.coord(vehicle.node);
-            if self.grid.location(slot as u64) != Some((p.x, p.y)) {
-                self.grid.insert(slot as u64, p.x, p.y);
-            }
-            if vehicle.free_at < floor {
-                floor = vehicle.free_at;
-            }
-        }
-        self.free_floor = floor;
+        debug_assert_eq!(self.len(), vehicles.len(), "slot count drifted");
+        self.rebuild(network, vehicles);
     }
 
     /// Number of indexed vehicles.
     pub fn len(&self) -> usize {
-        self.grid.len()
+        self.node.len()
     }
 
     /// True when no vehicle is indexed.
     pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
+        self.node.is_empty()
     }
 
     /// `min(free_at)` over the indexed fleet, as of the last build/sync.
+    /// Retrieval does not read it; the repo benchmark's grid kernel does.
     pub fn free_floor(&self) -> f64 {
         self.free_floor
     }
@@ -172,12 +147,9 @@ impl FleetIndex {
 
     /// The certified candidate set for a pickup at `(x, y)` with the given
     /// deadline: every slot whose vehicle could possibly reach the pickup in
-    /// time (see the module docs), in ascending slot order.
-    ///
-    /// The result is a pure function of the vehicle positions/free times and
-    /// the arguments — independent of grid granularity and insertion
-    /// history — which is what lets a replay rebuild the index from a fleet
-    /// snapshot and reproduce the recorded prescreen counters exactly.
+    /// time (see the module docs), in ascending slot order.  A pure function
+    /// of the fleet and the arguments, so a replay that rebuilds the index
+    /// from a fleet snapshot reproduces the recorded prescreen counters.
     pub fn certified_candidates(
         &self,
         network: &RoadNetwork,
@@ -186,69 +158,83 @@ impl FleetIndex {
         y: f64,
         deadline: f64,
     ) -> Vec<usize> {
-        debug_assert_eq!(self.grid.len(), vehicles.len(), "index out of sync");
-        let pickup = structride_roadnet::Point::new(x, y);
-        let keep = |vehicle: &Vehicle| {
-            let lb = self.min_tpm * network.coord(vehicle.node).distance(&pickup);
-            vehicle.free_at + lb <= deadline + REACH_GRACE
-        };
-        let mut survivors: Vec<usize> = Vec::new();
-        let slack = deadline + REACH_GRACE - self.free_floor;
-        if self.min_tpm <= 0.0 || !slack.is_finite() {
-            // No useful radius bound: fall back to the full prescreen sweep
-            // (with `min_tpm == 0` the bound still prunes on `free_at`).
-            survivors.extend(
-                vehicles
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| keep(v))
-                    .map(|(slot, _)| slot),
-            );
-            return survivors;
+        if cfg!(debug_assertions) {
+            self.check_consistency(network, vehicles);
         }
-        if slack < 0.0 {
-            // Even the freest vehicle teleported to the pickup is late.
-            return survivors;
+        self.scan(x, y, deadline).0
+    }
+
+    /// [`FleetIndex::certified_candidates`] for a pickup at node `pickup`,
+    /// with the landmark screen fused in: a survivor stays only when
+    /// `free_at + bound.lower_bound(node, pickup) ≤ deadline + grace`,
+    /// computed by [`LegBound::lower_bound_with_distance`] on the distance
+    /// the pass already holds (the same bits).
+    pub fn screened_candidates(
+        &self,
+        network: &RoadNetwork,
+        vehicles: &[Vehicle],
+        bound: &LegBound<'_>,
+        pickup: NodeId,
+        deadline: f64,
+    ) -> Vec<usize> {
+        if cfg!(debug_assertions) {
+            self.check_consistency(network, vehicles);
         }
-        self.grid
-            .for_each_in_range(x, y, slack / self.min_tpm, |slot| {
-                if keep(&vehicles[slot as usize]) {
-                    survivors.push(slot as usize);
-                }
-            });
-        survivors.sort_unstable();
+        let p = network.coord(pickup);
+        let (mut survivors, dist) = self.scan(p.x, p.y, deadline);
+        survivors.retain(|&slot| {
+            let lb = bound.lower_bound_with_distance(self.node[slot], pickup, dist[slot]);
+            self.free_at[slot] + lb <= deadline + REACH_GRACE
+        });
         survivors
     }
 
-    /// Asserts the index ↔ fleet invariant: one entry per slot, located at
-    /// the vehicle's current node coordinates, and a free floor equal to the
-    /// fleet minimum.  Called by the simulators after every batch in debug
-    /// builds.
-    pub fn check_consistency(&self, network: &RoadNetwork, vehicles: &[Vehicle]) {
-        assert_eq!(
-            self.grid.len(),
-            vehicles.len(),
-            "fleet index holds {} entries for {} vehicles",
-            self.grid.len(),
-            vehicles.len()
-        );
-        let mut floor = f64::INFINITY;
-        for (slot, vehicle) in vehicles.iter().enumerate() {
-            let p = network.coord(vehicle.node);
-            assert_eq!(
-                self.grid.location(slot as u64),
-                Some((p.x, p.y)),
-                "slot {slot} (vehicle {}) is indexed away from its node",
-                vehicle.id
-            );
-            if vehicle.free_at < floor {
-                floor = vehicle.free_at;
-            }
+    /// The euclid certificate over every slot: the survivors in ascending
+    /// slot order, and the distance column they were tested with.
+    fn scan(&self, x: f64, y: f64, deadline: f64) -> (Vec<usize>, Vec<f64>) {
+        // Distances first, in a loop with no branch and no push, so it
+        // vectorises; `vx − x` is `Point::distance`'s operand order.
+        let dist: Vec<f64> = (self.x.iter().zip(&self.y))
+            .map(|(&vx, &vy)| ((vx - x) * (vx - x) + (vy - y) * (vy - y)).sqrt())
+            .collect();
+        // Then a branch-free compaction: each slot is written at the cursor,
+        // which only moves past a survivor.
+        let mut survivors = vec![0; dist.len()];
+        let mut kept = 0;
+        for (slot, (&free_at, &d)) in self.free_at.iter().zip(&dist).enumerate() {
+            survivors[kept] = slot;
+            kept += usize::from(free_at + self.min_tpm * d <= deadline + REACH_GRACE);
         }
+        survivors.truncate(kept);
+        (survivors, dist)
+    }
+
+    /// Asserts the index ↔ fleet invariant: one entry per slot whose four
+    /// columns equal the vehicle's node coordinates, `free_at` and node bit
+    /// for bit, and a free floor equal to the fleet minimum.  Called by the
+    /// simulators after every batch in debug builds.
+    pub fn check_consistency(&self, network: &RoadNetwork, vehicles: &[Vehicle]) {
+        assert_eq!(self.len(), vehicles.len(), "fleet index length drifted");
+        for (slot, v) in vehicles.iter().enumerate() {
+            let p = network.coord(v.node);
+            let at = (
+                self.node[slot],
+                self.x[slot].to_bits(),
+                self.y[slot].to_bits(),
+            );
+            let want = (v.node, p.x.to_bits(), p.y.to_bits());
+            assert_eq!(at, want, "slot {slot} (vehicle {}) is indexed away", v.id);
+            let stale = self.free_at[slot].to_bits() != v.free_at.to_bits();
+            assert!(!stale, "slot {slot} (vehicle {}) has a stale free_at", v.id);
+        }
+        let floor = vehicles
+            .iter()
+            .map(|v| v.free_at)
+            .fold(f64::INFINITY, f64::min);
         assert_eq!(
             self.free_floor.to_bits(),
             floor.to_bits(),
-            "free floor drifted from the fleet minimum"
+            "free floor drifted"
         );
     }
 }
@@ -256,6 +242,7 @@ impl FleetIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use structride_roadnet::{Point, RoadNetworkBuilder};
     use structride_spatial::RegionGrid;
 
@@ -292,8 +279,8 @@ mod tests {
         )
     }
 
-    /// Brute-force reference for the certified set: the bound applied to
-    /// every vehicle directly.
+    /// The reference for the certified set: the certificate applied to every
+    /// vehicle directly, through `Point::distance`.
     fn brute_force(
         net: &RoadNetwork,
         vehicles: &[Vehicle],
@@ -341,46 +328,62 @@ mod tests {
             .is_empty());
     }
 
-    /// The certified set does not depend on grid granularity: every cap,
-    /// before and after a sync that moves vehicles and changes `free_at`,
-    /// and for an index built empty and then rebuilt (the shard path).
-    #[test]
-    fn certified_candidates_are_independent_of_the_cell_cap() {
-        let net = line_network(30);
-        let bbox = RegionGrid::padded_bbox(net.bounding_box());
-        let min_tpm = net.min_time_per_meter();
-        let mut vehicles = fleet(&net, &[0, 3, 7, 12, 18, 25, 29, 2, 14, 22, 9, 9]);
-        let check = |index: &FleetIndex, vehicles: &[Vehicle], label: &str| {
-            index.check_consistency(&net, vehicles);
-            for target in [0u32, 5, 15, 29] {
-                let p = net.coord(target);
-                for deadline in [0.5, 30.0, 200.0, 2000.0] {
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The dense scan equals the reference filter on random fleets: after
+        /// a build, after a sync that moves vehicles and changes `free_at`,
+        /// and for an index built empty and then rebuilt (the shard path).
+        /// The draws cover a zero rate, never-free vehicles (`free_at = ∞`),
+        /// deadlines earlier than every `free_at`, empty fleets and vehicles
+        /// sharing a node.
+        #[test]
+        fn the_dense_scan_equals_the_reference_filter(
+            seed in 0u64..1_000_000,
+            len in 0usize..40,
+        ) {
+            let net = line_network(30);
+            let mut gen = proptest::Gen::new(seed);
+            let draw_fleet = |gen: &mut proptest::Gen| -> Vec<Vehicle> {
+                (0..len)
+                    .map(|i| {
+                        // Half the fleet stands on the first three nodes.
+                        let range = if gen.next_f64() < 0.5 { 3 } else { 30 };
+                        let mut v = Vehicle::new(i as u32, gen.usize_in(0, range) as u32, 4);
+                        v.free_at = if gen.next_f64() < 0.1 {
+                            f64::INFINITY
+                        } else {
+                            100.0 + gen.next_f64() * 1000.0
+                        };
+                        v
+                    })
+                    .collect()
+            };
+            let rate = if gen.next_f64() < 0.25 { 0.0 } else { net.min_time_per_meter() };
+            let check = |index: &FleetIndex, vehicles: &[Vehicle], gen: &mut proptest::Gen| {
+                for _ in 0..8 {
+                    let p = net.coord(gen.usize_in(0, 30) as u32);
+                    // Some deadlines precede every finite free time.
+                    let deadline = gen.next_f64() * 1500.0 - 50.0;
                     let got = index.certified_candidates(&net, vehicles, p.x, p.y, deadline);
-                    let want = brute_force(&net, vehicles, min_tpm, p.x, p.y, deadline);
-                    assert_eq!(got, want, "{label}: target {target} deadline {deadline}");
+                    prop_assert_eq!(got, brute_force(&net, vehicles, rate, p.x, p.y, deadline));
                 }
-            }
-        };
-        for cap in [1, 2, 16, 64] {
-            let mut index = FleetIndex::build(bbox, cap, &net, &vehicles);
-            check(&index, &vehicles, &format!("cap {cap}, built"));
+            };
+            let vehicles = draw_fleet(&mut gen);
+            let mut index = index_for(&net, &vehicles);
+            index.set_min_time_per_meter(rate);
+            check(&index, &vehicles, &mut gen);
 
-            let mut moved = vehicles.clone();
-            for (i, v) in moved.iter_mut().enumerate() {
-                v.node = (v.node + 7 * i as u32) % 30;
-                v.free_at = (i * 37 % 11) as f64 * 9.0;
-            }
+            let moved = draw_fleet(&mut gen);
             index.sync(&net, &moved);
-            check(&index, &moved, &format!("cap {cap}, synced"));
+            check(&index, &moved, &mut gen);
 
-            let mut shard = FleetIndex::build(bbox, cap, &net, &[]);
-            assert!(shard.is_empty());
+            let mut shard = index_for(&net, &[]);
+            prop_assert!(shard.is_empty());
+            shard.set_min_time_per_meter(rate);
             shard.rebuild(&net, &moved);
-            check(&shard, &moved, &format!("cap {cap}, rebuilt"));
+            check(&shard, &moved, &mut gen);
         }
-        vehicles.truncate(1);
-        let index = FleetIndex::build(bbox, 64, &net, &vehicles);
-        check(&index, &vehicles, "one vehicle");
     }
 
     #[test]
@@ -424,6 +427,17 @@ mod tests {
         let mut vehicles = fleet(&net, &[2, 6]);
         let index = index_for(&net, &vehicles);
         vehicles[1].node = 8; // moved without sync
+        index.check_consistency(&net, &vehicles);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale free_at")]
+    fn consistency_check_catches_a_stale_free_time() {
+        let net = line_network(10);
+        let mut vehicles = fleet(&net, &[2, 6]);
+        let index = index_for(&net, &vehicles);
+        // DARM's repositioning shape, without the sync that follows it.
+        vehicles[1].free_at += 30.0;
         index.check_consistency(&net, &vehicles);
     }
 
@@ -489,8 +503,34 @@ mod tests {
         }
     }
 
+    /// On a star of equal arms, tips that are no landmark differ from every
+    /// landmark by the same amount, so `lb = 0` between them and only the
+    /// fused bound's euclid term, on the scan's distance, can reject.
     #[test]
-    fn zero_rate_networks_fall_back_to_the_free_at_sweep() {
+    fn the_fused_screen_rejects_on_the_scan_distance() {
+        let mut b = RoadNetworkBuilder::new();
+        let hub = b.add_node(Point::new(0.0, 0.0));
+        for k in 0..12 {
+            let angle = k as f64 * std::f64::consts::PI / 6.0;
+            let tip = b.add_node(Point::new(100.0 * angle.cos(), 100.0 * angle.sin()));
+            b.add_bidirectional(hub, tip, 10.0).unwrap();
+        }
+        let engine = structride_roadnet::SpEngine::new(b.build().unwrap());
+        let (net, bound) = (engine.network(), engine.leg_bound());
+        assert_eq!(bound.landmarks().lower_bound(8, 11), 0.0);
+        // 141, 100, 52 and 52 m from tip 11; free at 0, 1, 2 and 3 s.
+        let vehicles = fleet(net, &[8, 9, 10, 12]);
+        let mut index = index_for(net, &vehicles);
+        index.set_min_time_per_meter(0.0);
+        let p = net.coord(11);
+        let euclid = index.certified_candidates(net, &vehicles, p.x, p.y, 7.0);
+        assert_eq!(euclid.len(), 4);
+        let screened = index.screened_candidates(net, &vehicles, &bound, 11, 7.0);
+        assert_eq!(screened, vec![2, 3]);
+    }
+
+    #[test]
+    fn zero_rate_networks_still_prune_on_free_at() {
         // Two coincident nodes: no positive-length edge, min_tpm == 0.
         let mut b = RoadNetworkBuilder::new();
         b.add_node(Point::new(0.0, 0.0));

@@ -42,7 +42,6 @@ use std::collections::HashSet;
 use std::time::Instant;
 use structride_model::{unified_cost, Request, RequestId, Vehicle};
 use structride_roadnet::SpEngine;
-use structride_spatial::RegionGrid;
 
 /// Safety valve shared by every batch source: no run issues more batches
 /// than this (Δ is positive, so runs terminate anyway; this guards against
@@ -104,9 +103,8 @@ pub(crate) struct Lane {
     pub(crate) config: StructRideConfig,
     /// The fleet, in slot order (the fleet index is keyed by slot).
     pub(crate) vehicles: Vec<Vehicle>,
-    /// Persistent spatial index over `vehicles`: synced incrementally as the
-    /// fleet advances and commits, rebuilt ([`Lane::reindex`]) only when
-    /// slots shift.
+    /// Per-slot columns over `vehicles`: synced after the advance sweep and
+    /// after dispatch, rebuilt ([`Lane::reindex`]) when slots shift.
     pub(crate) fleet_index: FleetIndex,
     /// Candidate scores carried across batches (see [`crate::score_memo`]).
     /// Not checkpointed: it is keyed on exact inputs, so a cold memo only
@@ -121,13 +119,11 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// Builds a lane dispatching `vehicles` under `config` on `engine`'s
-    /// network, with a fleet index of at most `config.grid_cells` cells per
-    /// side whose certified prescreen rate is pinned to the engine's current
-    /// traffic epoch.
+    /// network, with a fleet index whose certified prescreen rate is pinned
+    /// to the engine's current traffic epoch.
     pub(crate) fn new(engine: &SpEngine, config: StructRideConfig, vehicles: Vec<Vehicle>) -> Lane {
-        let network = engine.network();
-        let bbox = RegionGrid::padded_bbox(network.bounding_box());
-        let mut fleet_index = FleetIndex::build(bbox, config.grid_cells, network, &vehicles);
+        // The index reads neither a bounding box nor a cell count.
+        let mut fleet_index = FleetIndex::build(Default::default(), 0, engine.network(), &vehicles);
         if engine.traffic_active() {
             // The build cached the free-flow base rate; pin the engine's
             // current (epoch-certified) rate instead.
@@ -201,10 +197,10 @@ impl Lane {
             (outcome, ctx.scratch.snapshot())
         };
         self.score_memo.evict_unseen();
-        // The dispatcher commits schedules (changing `free_at` but not
-        // positions: vehicles only move in the advance sweep), so the index
-        // resyncs before the *next* prescreen or routing pass consumes it.
-        // In debug builds verify it never drifted from the fleet.
+        // Commits change neither `node` nor `free_at`; DARM's end-of-batch
+        // repositioning writes both, so the index resyncs before the *next*
+        // prescreen or routing pass consumes it.  In debug builds verify it
+        // never drifted from the fleet.
         self.fleet_index.sync(engine.network(), &self.vehicles);
         #[cfg(debug_assertions)]
         self.fleet_index

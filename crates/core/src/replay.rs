@@ -360,8 +360,8 @@ pub fn replay_trace(
         // A fresh lane over the recorded pre-dispatch state, so the batch
         // takes the simulators' own dispatch path.  Its fleet index is
         // rebuilt per batch: the certified survivor set depends only on
-        // vehicle positions (the grid granularity never changes which
-        // vehicles survive), so it reproduces the recorded counters.
+        // vehicle positions and free times, so it reproduces the recorded
+        // counters.
         let fleet = batch
             .fleet_before
             .iter()

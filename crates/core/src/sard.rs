@@ -36,7 +36,7 @@ use crate::config::StructRideConfig;
 use crate::context::DispatchContext;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::grouping::{enumerate_groups, CandidateGroup};
-use crate::stages::Stage;
+use crate::stages::{Span, Stage};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use structride_model::{Request, RequestId, Vehicle};
@@ -256,6 +256,7 @@ impl Dispatcher for SardDispatcher {
             let decisions: Vec<(usize, Vec<RequestId>, Option<CandidateGroup>)> = jobs
                 .par_iter()
                 .map(|(vi, pooled)| {
+                    let span = Span::open(ctx.stages, Stage::Grouping);
                     let vehicle = &vehicles_view[*vi];
                     let groups = enumerate_groups(
                         ctx,
@@ -267,6 +268,7 @@ impl Dispatcher for SardDispatcher {
                     );
                     let best = Self::select_group(builder_view.graph(), &groups)
                         .map(|best_idx| groups[best_idx].clone());
+                    span.close();
                     (*vi, pooled.clone(), best)
                 })
                 .collect();

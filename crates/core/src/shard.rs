@@ -52,11 +52,11 @@
 //! keeps the request).  The shortlist replaces the old full-fleet exact
 //! insertion scan: the shard's persistent
 //! [`FleetIndex`] over vehicle positions is
-//! range queried with the certified reachability radius derived from
-//! [`RoadNetwork::min_time_per_meter`] — a vehicle outside it provably
+//! scanned with the certified reachability bound derived from
+//! [`RoadNetwork::min_time_per_meter`] — a vehicle failing it provably
 //! cannot meet the pickup deadline from its release state, so dropping it
 //! cannot change any bid — and the survivors are ranked by that lower bound
-//! and capped at [`ShardingConfig::top_m`].  The radius prescreen is exact;
+//! and capped at [`ShardingConfig::top_m`].  The prescreen is exact;
 //! only the cap can (deliberately, for bounded bidding work on very large
 //! fleets) exclude a feasible bidder.  Idle
 //! vehicles migrate between adjacent shards to rebalance load when
@@ -281,7 +281,7 @@ struct RouteDecision {
 /// The read-only slice of one shard the router needs — `Sync`, unlike
 /// [`Shard`] itself (whose dispatcher is only `Send`), so routing can fan
 /// out over worker threads.  Borrows the shard's persistent fleet index for
-/// the top-m shortlist instead of rebuilding a position grid per batch.
+/// the top-m shortlist instead of rebuilding a position index per batch.
 struct ShardView<'a> {
     engine: &'a SpEngine,
     vehicles: &'a [Vehicle],
@@ -304,7 +304,8 @@ impl<'a> ShardView<'a> {
     /// pickup deadline; the others can never produce a feasible insertion),
     /// ranked by their certified travel-time lower bound to the pickup (ties
     /// to the lower fleet index) and capped at `top_m` entries (`0` =
-    /// uncapped).  The ranking is a total order, so the grid does not matter.
+    /// uncapped).  The ranking is a total order over a set that depends
+    /// only on the fleet, so the shortlist does too.
     fn shortlist(&self, network: &RoadNetwork, request: &Request, top_m: usize) -> Vec<usize> {
         let p = network.coord(request.source);
         let min_tpm = self.index.min_time_per_meter();
@@ -625,9 +626,6 @@ impl<'a> ShardedRun<'a> {
                 .iter()
                 .map(|e| if e.is_clipped() { e.index_bytes() } else { 0 })
                 .sum::<usize>();
-        // Each lane's index grid is padded the same way the region
-        // constructors pad, so the shortlist grid is always valid and lines
-        // up with the region layout.
         let mut shards: Vec<Shard> = engines
             .into_iter()
             .enumerate()

@@ -10,10 +10,11 @@
 //!   so they sum to the batch wall up to the few statements between spans.
 //! * **Nested stages** belong to [`Stage::Dispatch`] and run on the worker
 //!   pool: the four columns of
-//!   [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates)
-//!   and the three phases of the shareability-graph build.  Each worker adds
-//!   the time it spent, so a nested stage is CPU time summed over workers
-//!   and can exceed its parent's wall.
+//!   [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates),
+//!   the three phases of the shareability-graph build, SARD's per-vehicle
+//!   grouping and the exact assignment's LAP solve.  Each worker adds the
+//!   time it spent, so a nested stage is CPU time summed over workers and
+//!   can exceed its parent's wall.
 //!
 //! With no observer attached no clock is read: each span is one `Option`
 //! test, and the run is the plain run.  Spans only read the clock, so an
@@ -38,8 +39,8 @@ pub enum Stage {
     Dispatch,
     /// Sharded runs: idle-vehicle migration between shards.
     Rebalance,
-    /// Candidate prescreen: the fleet-index range query and the pickup
-    /// reach screen.
+    /// Candidate prescreen: the fleet index's dense scan with the landmark
+    /// pickup screen fused in.
     Prescreen,
     /// Score-memo lookups of the prescreen's survivors.
     MemoLookup,
@@ -53,11 +54,15 @@ pub enum Stage {
     GraphChecks,
     /// Shareability graph: inserting the discovered edges.
     GraphInsert,
+    /// SARD's acceptance rounds: per-vehicle group enumeration and choice.
+    Grouping,
+    /// The exact assignment's per-round LAP solve (or greedy incumbent).
+    Lap,
 }
 
 impl Stage {
     /// Every stage, top-level stages first, in report (declaration) order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 15] = [
         Stage::Roll,
         Stage::Advance,
         Stage::Record,
@@ -71,6 +76,8 @@ impl Stage {
         Stage::GraphPrefilter,
         Stage::GraphChecks,
         Stage::GraphInsert,
+        Stage::Grouping,
+        Stage::Lap,
     ];
 
     /// The stage's column name.
@@ -89,6 +96,8 @@ impl Stage {
             Stage::GraphPrefilter => "graph_prefilter",
             Stage::GraphChecks => "graph_checks",
             Stage::GraphInsert => "graph_insert",
+            Stage::Grouping => "grouping",
+            Stage::Lap => "lap",
         }
     }
 
@@ -231,7 +240,7 @@ impl StageTable {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let mut out = String::from(
             "# top-level stages (roll..rebalance): wall ms on the batch thread\n\
-             # nested stages (prescreen..graph_insert): CPU ms summed over workers, inside dispatch\n\
+             # nested stages (prescreen..lap): CPU ms summed over workers, inside dispatch\n\
              batch\tnow\twall_ms",
         );
         for stage in Stage::ALL {

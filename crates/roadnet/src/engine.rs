@@ -1305,7 +1305,14 @@ impl LegBound<'_> {
     /// The certified lower bound on the travel time from `u` to `v`: at
     /// most the engine's `cost(u, v)` in the epoch this bound was read in.
     pub fn lower_bound(&self, u: NodeId, v: NodeId) -> f64 {
-        let euclid = self.rate * self.net.coord(u).distance(&self.net.coord(v));
+        let distance = self.net.coord(u).distance(&self.net.coord(v));
+        self.lower_bound_with_distance(u, v, distance)
+    }
+
+    /// [`LegBound::lower_bound`] given `distance = coord(u).distance(&coord(v))`
+    /// (the same bits); any other `distance` voids the certificate.
+    pub fn lower_bound_with_distance(&self, u: NodeId, v: NodeId, distance: f64) -> f64 {
+        let euclid = self.rate * distance;
         let landmark = self.ratio * self.landmarks.lower_bound(u, v);
         (euclid.max(landmark) - LOWER_BOUND_GRACE).max(0.0)
     }

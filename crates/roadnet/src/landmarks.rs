@@ -111,13 +111,18 @@ impl Landmarks {
     /// d(v, L))`, `∞` when the table proves `v` unreachable from `u`.
     /// Compare it with computed costs only after giving away
     /// [`LOWER_BOUND_GRACE`](crate::LOWER_BOUND_GRACE).
+    ///
+    /// The two triangle terms keep independent maxima.  Order cannot change
+    /// the bits: distances are never `−0.0`, and `f64::max` drops the `NaN`
+    /// of `∞ − ∞` wherever it falls.
     pub fn lower_bound(&self, u: NodeId, v: NodeId) -> f64 {
         let (u, v) = (&self.rows[u as usize], &self.rows[v as usize]);
-        let mut bound = 0.0f64;
+        let (mut forward, mut backward) = (0.0f64, 0.0f64);
         for i in 0..LANDMARKS {
-            bound = bound.max(v.from[i] - u.from[i]).max(u.to[i] - v.to[i]);
+            forward = forward.max(v.from[i] - u.from[i]);
+            backward = backward.max(u.to[i] - v.to[i]);
         }
-        bound
+        forward.max(backward)
     }
 
     /// Approximate heap footprint in bytes.
@@ -173,6 +178,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The two running maxima give the bits of the one-chain fold the
+    /// bound was defined with, unreachable (`∞`, `∞ − ∞`) pairs included,
+    /// on a 6 × 6 grid with different weights each way plus an island, where
+    /// either term can be the larger.
+    #[test]
+    fn split_maxima_match_the_single_chain_fold() {
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..37u32 {
+            b.add_node(Point::new((i % 6) as f64 * 100.0, (i / 6) as f64 * 100.0));
+        }
+        for u in 0..36u32 {
+            for v in [u + 1, u + 6] {
+                if v < 36 && (v == u + 6 || v % 6 != 0) {
+                    b.add_edge(u, v, 10.0 + ((u * 7 + v * 13) % 17) as f64)
+                        .unwrap();
+                    b.add_edge(v, u, 10.0 + ((u * 11 + v * 5) % 19) as f64)
+                        .unwrap();
+                }
+            }
+        }
+        let net = b.build().unwrap();
+        let table = Landmarks::build(&net);
+        let mut backward_wins = 0;
+        for u in net.nodes() {
+            for v in net.nodes() {
+                let (ru, rv) = (&table.rows[u as usize], &table.rows[v as usize]);
+                let (mut fold, mut forward) = (0.0f64, 0.0f64);
+                for i in 0..LANDMARKS {
+                    fold = fold.max(rv.from[i] - ru.from[i]).max(ru.to[i] - rv.to[i]);
+                    forward = forward.max(rv.from[i] - ru.from[i]);
+                }
+                let bound = table.lower_bound(u, v);
+                assert_eq!(bound.to_bits(), fold.to_bits(), "{u}->{v}");
+                backward_wins += usize::from(fold > forward);
+            }
+        }
+        assert!(backward_wins > 0);
     }
 
     #[test]
