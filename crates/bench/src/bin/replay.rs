@@ -17,7 +17,7 @@
 //!   With `--stages PATH` it also writes the run's per-batch stage table
 //!   (`structride_core::StageTable`, TSV: wall time of each top-level stage,
 //!   CPU time of each dispatch stage summed over workers); the trace is the
-//!   same bytes either way.  Clock-driven runs only.
+//!   same bytes either way.
 //! * `replay` loads a trace, reads its scenario back strictly (a missing,
 //!   unknown or duplicate `param` key, or a bad value, exits 1 with `bad
 //!   scenario in trace: …` naming the key), regenerates the workload and
@@ -63,7 +63,9 @@
 //! `resume` then loads it, continues the run to completion, and verifies it
 //! finishes bit-identically to the uninterrupted reference (re-run
 //! in-process from the trace's scenario) — the kill-at-checkpoint/restore
-//! smoke, exercised under 1 and N worker threads in CI.
+//! smoke, exercised under 1 and N worker threads in CI.  A checkpoint that
+//! does not fit the scenario (another workload, configuration, dispatcher,
+//! pipeline or shard count) is refused with `cannot resume: …`, exit 1.
 //!
 //! `KEY` is any registered dispatcher key — `sard`, `assign` (the exact
 //! global-assignment dispatcher), `rtv`, `prunegdp` (alias `gdp`), `gas`,
@@ -224,10 +226,6 @@ fn cmd_record(args: &Args) -> ExitCode {
             eprintln!("--checkpoint needs a checkpoint cadence; pass --chaos");
             return usage();
         }
-    }
-    if args.stages.is_some() && args.ingest {
-        eprintln!("--stages applies to the clock-driven pipelines; drop --ingest");
-        return usage();
     }
     let mut table = StageTable::new();
     let (trace, checkpoints) = match args.stages {

@@ -21,8 +21,8 @@ use structride_core::replay::{
 };
 use structride_core::shard::{region_strips_for, ShardedReport, ShardedSimulator, ShardingConfig};
 use structride_core::{
-    Dispatcher, IngestConfig, RunHooks, RunMetrics, RunObserver, SardDispatcher, SimulationReport,
-    Simulator, StructRideConfig,
+    BatchSource, Dispatcher, IngestConfig, RunHooks, RunMetrics, RunObserver, SardDispatcher,
+    SimulationReport, Simulator, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -405,8 +405,8 @@ impl Scenario {
     }
 
     /// [`Scenario::record`], reporting every batch's stage spans to
-    /// `observer` (see `structride_core::stages`).  Ingested runs take no
-    /// observer; the call ignores it there.
+    /// `observer` (see `structride_core::stages`), clock-driven or
+    /// ingested.
     ///
     /// # Panics
     /// Panics if `dispatcher` is not a registered key.
@@ -445,15 +445,14 @@ impl Scenario {
     /// recording — when given, instead of ingesting live: the boundaries are
     /// the nondeterministic part, and given them the pipeline must be
     /// bit-identical.  (Monolithic traces never need re-feeding: they replay
-    /// batch by batch.)  `observer` sees the stage spans of a clock-driven
-    /// run.
+    /// batch by batch.)  `observer` sees the run's stage spans.
     fn run(
         &self,
         dispatcher: &str,
         boundaries: Option<&[(f64, Vec<Request>)]>,
         observer: Option<&mut dyn RunObserver>,
     ) -> (Trace, Vec<Checkpoint>) {
-        const INGEST: &str = "ingest producer replays a generated stream";
+        const FRESH: &str = "a fresh run of a generated stream is never refused";
         let (name, engine, requests, vehicles) = generate(&self.workload);
         let config = self.config;
         let mut recorder = TraceRecorder::new();
@@ -464,7 +463,11 @@ impl Scenario {
             checkpoints: Some(&mut push),
             observer: observer.map(|o| -> &mut dyn RunObserver { o }),
         };
-        let arrivals = requests.iter().cloned();
+        let source = match (self.source, boundaries) {
+            (Source::Clock, _) => BatchSource::Clock(&requests),
+            (Source::Ingest, None) => BatchSource::Ingest(Box::new(requests.iter().cloned())),
+            (Source::Ingest, Some(fed)) => BatchSource::Fed(fed),
+        };
         let (algorithm, build_stats) = match self.pipeline {
             Pipeline::Mono => {
                 let traffic = traffic_engine(&engine, &config);
@@ -482,18 +485,8 @@ impl Scenario {
                     }
                 };
                 let sim = Simulator::new(config);
-                match self.source {
-                    Source::Clock => {
-                        sim.run_with(engine, &requests, vehicles, dispatcher, &name, hooks);
-                    }
-                    Source::Ingest => {
-                        let recorder = &mut recorder;
-                        sim.run_ingested_recorded(
-                            engine, arrivals, vehicles, dispatcher, &name, recorder,
-                        )
-                        .expect(INGEST);
-                    }
-                }
+                sim.execute(engine, source, vehicles, dispatcher, &name, hooks)
+                    .expect(FRESH);
                 let algorithm = dispatcher.name().to_string();
                 (algorithm, sard.and_then(|s| s.build_stats()))
             }
@@ -502,22 +495,8 @@ impl Scenario {
                 let regions = region_strips_for(net, shards.get() as u32);
                 let sim = ShardedSimulator::with_sharding(config, sharding);
                 let make = |_| registered(dispatcher, config);
-                match (self.source, boundaries) {
-                    (Source::Clock, _) => {
-                        sim.run_with(net, &regions, &requests, vehicles, make, &name, hooks);
-                    }
-                    (Source::Ingest, None) => {
-                        let recorder = &mut recorder;
-                        sim.run_ingested_recorded(
-                            net, &regions, arrivals, vehicles, make, &name, recorder,
-                        )
-                        .expect(INGEST);
-                    }
-                    (Source::Ingest, Some(fed)) => {
-                        let recorder = &mut recorder;
-                        sim.run_fed_recorded(net, &regions, fed, vehicles, make, &name, recorder);
-                    }
-                }
+                sim.execute(net, &regions, source, vehicles, make, &name, hooks)
+                    .expect(FRESH);
                 (make(0).name().to_string(), None)
             }
         };
@@ -530,8 +509,9 @@ impl Scenario {
     /// Resumes `checkpoint` and verifies the finished run lands
     /// bit-identically on the uninterrupted reference, re-run in process
     /// from the scenario.  Returns the mismatches — empty means zero drift.
-    /// A checkpoint the simulator refuses to resume
-    /// ([`ResumeError`](structride_core::ResumeError)) is reported as a
+    /// A checkpoint the simulator refuses to resume — another workload,
+    /// configuration, dispatcher, pipeline or shard count
+    /// ([`ResumeError`](structride_core::ResumeError)) — is reported as a
     /// mismatch too, not a panic.
     ///
     /// # Panics
@@ -539,15 +519,7 @@ impl Scenario {
     pub fn resume_and_verify(&self, checkpoint: &Checkpoint) -> Vec<String> {
         let (name, engine, requests, vehicles) = generate(&self.workload);
         let config = self.config;
-        if checkpoint.workload != name {
-            return vec![format!(
-                "checkpoint workload {:?} does not match the scenario's workload {name:?}",
-                checkpoint.workload
-            )];
-        }
-        if checkpoint.config != config {
-            return vec!["checkpoint and trace disagree on the framework configuration".into()];
-        }
+        let source = BatchSource::Resume(&requests, checkpoint);
         let make = |_| registered(&self.dispatcher, config);
         let sharded_finish = |r: &ShardedReport| {
             let mut lanes = vec![("aggregate".to_string(), &r.aggregate)];
@@ -573,7 +545,8 @@ impl Scenario {
                 let net = engine.network();
                 let regions = region_strips_for(net, shards.get() as u32);
                 let sim = ShardedSimulator::with_sharding(config, sharding);
-                sim.resume(net, &regions, &requests, make, checkpoint)
+                let hooks = RunHooks::default();
+                sim.execute(net, &regions, source, Vec::new(), make, &name, hooks)
                     .map(|resumed| {
                         let reference = sim.run(net, &regions, &requests, vehicles, make, &name);
                         (sharded_finish(&resumed), sharded_finish(&reference))
@@ -583,14 +556,21 @@ impl Scenario {
                 let sim = Simulator::new(config);
                 let traffic = traffic_engine(&engine, &config);
                 let resume_engine = traffic.as_ref().unwrap_or(&engine);
-                sim.resume(resume_engine, &requests, make(0).as_mut(), checkpoint)
-                    .map(|resumed| {
-                        let traffic = traffic_engine(&engine, &config);
-                        let engine = traffic.as_ref().unwrap_or(&engine);
-                        let reference =
-                            sim.run(engine, &requests, vehicles, make(0).as_mut(), &name);
-                        (mono_finish(&resumed), mono_finish(&reference))
-                    })
+                let hooks = RunHooks::default();
+                sim.execute(
+                    resume_engine,
+                    source,
+                    Vec::new(),
+                    make(0).as_mut(),
+                    &name,
+                    hooks,
+                )
+                .map(|resumed| {
+                    let traffic = traffic_engine(&engine, &config);
+                    let engine = traffic.as_ref().unwrap_or(&engine);
+                    let reference = sim.run(engine, &requests, vehicles, make(0).as_mut(), &name);
+                    (mono_finish(&resumed), mono_finish(&reference))
+                })
             }
         };
         match finished {

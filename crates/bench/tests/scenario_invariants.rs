@@ -8,7 +8,8 @@
 use structride_baselines::standard_registry;
 use structride_core::shard::{region_grid_for, region_strips_for, ShardedReport, ShardedSimulator};
 use structride_core::{
-    Dispatcher, DispatcherKind, FaultConfig, IngestConfig, IngestStats, Simulator, StructRideConfig,
+    BatchSource, Dispatcher, DispatcherKind, FaultConfig, IngestConfig, IngestStats, RunHooks,
+    Simulator, StructRideConfig,
 };
 use structride_datagen::{
     incident_spike, rush_hour, ArrivalProfile, ArrivalStream, ArrivalStreamParams, CityProfile,
@@ -175,11 +176,13 @@ fn lazy_arrival_streams_are_fully_accounted_for_by_the_ingest_front_end() {
 
     let (net, fleet) = (w.engine.network(), w.fresh_vehicles());
     let regions = region_strips_for(net, 2);
-    let arrivals = ArrivalStream::new(&w.engine, &poisson);
+    let arrivals = BatchSource::Ingest(Box::new(ArrivalStream::new(&w.engine, &poisson)));
     let dispatcher = |_| build(DispatcherKind::Sard, &config);
+    let hooks = RunHooks::default();
     let sharded = ShardedSimulator::new(config)
-        .run_ingested(net, &regions, arrivals, fleet, dispatcher, &w.name)
+        .execute(net, &regions, arrivals, fleet, dispatcher, &w.name, hooks)
         .expect("the producer replays a generated stream");
-    let served = sharded.report.aggregate.served_requests;
-    check("poisson, 2 shards", &sharded.ingest, served);
+    let served = sharded.aggregate.served_requests;
+    let stats = sharded.ingest.expect("an ingested run reports its queue");
+    check("poisson, 2 shards", &stats, served);
 }

@@ -21,12 +21,12 @@
 //!   whatever queued while the previous dispatch ran.  Batch cadence
 //!   therefore tracks *dispatcher latency*: a slow dispatch means a fuller
 //!   queue means a bigger next batch, with the cap bounding the worst case;
-//! * `drive_ingest`, the one driver behind [`Simulator::run_ingested`] and
-//!   the sharded [`ShardedSimulator::run_ingested`]: it steps the very run
-//!   the Δ-clock steps (same `BatchRun`, same `Lane` batch step underneath)
-//!   from realized batches instead of Δ-windows and reports [`IngestStats`]
-//!   (sustained throughput, p50/p99 batch latency, queue depth,
-//!   drop/timeout counts) next to the usual [`RunMetrics`].
+//! * `drive_ingest`, the driver behind [`crate::BatchSource::Ingest`] on
+//!   both pipelines: it steps the very run the Δ-clock steps (same
+//!   `BatchRun`, same per-batch observer bracket, same `Lane` batch step
+//!   underneath) from realized batches instead of Δ-windows and reports
+//!   [`IngestStats`] (sustained throughput, p50/p99 batch latency, queue
+//!   depth, drop/timeout counts) next to the usual [`RunMetrics`].
 //!
 //! # Replay semantics
 //!
@@ -37,26 +37,22 @@
 //! simulated `now` — into the trace, and replay re-feeds those recorded
 //! batches.  Given the same batches, dispatch is deterministic regardless of
 //! worker count, so a recorded ingested trace replays bit-identically under
-//! any thread count ([`crate::replay::replay_trace`] for the monolithic
-//! pipeline, [`ShardedSimulator::run_fed_recorded`] + `diff_traces` for the
-//! sharded one).  The simulated clock handed to dispatchers is derived from
-//! wall time (`elapsed × time_scale`), clamped to be monotone and never
-//! behind the latest release in the batch.
+//! any thread count: [`crate::replay::replay_trace`] re-feeds a monolithic
+//! trace, and either pipeline re-runs whole from the recorded boundaries
+//! ([`crate::BatchSource::Fed`]) for `diff_traces` against the recording.
+//! The simulated clock handed to dispatchers is derived from wall time
+//! (`elapsed × time_scale`), clamped to be monotone and never behind the
+//! latest release in the batch.
 
 use crate::config::StructRideConfig;
-use crate::dispatcher::Dispatcher;
 use crate::lane::{BatchRun, Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
-use crate::replay::TraceRecorder;
-use crate::shard::{ShardDispatcher, ShardedReport, ShardedRun, ShardedSimulator};
-use crate::simulator::{MonoRun, SimulationReport, Simulator};
+use crate::simulator::Stepper;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId, Vehicle};
-use structride_roadnet::{RoadNetwork, SpEngine};
-use structride_spatial::RegionGrid;
 
 /// Smallest simulated-clock step between consecutive batches, seconds.
 /// Keeps `now` strictly monotone even when two batches close within the
@@ -187,26 +183,6 @@ pub struct IngestReport {
     pub vehicles: Vec<Vehicle>,
     /// Requests assigned to some vehicle.
     pub served: HashSet<RequestId>,
-    /// Ingest-level statistics.
-    pub ingest: IngestStats,
-}
-
-impl IngestReport {
-    fn new(report: SimulationReport, ingest: IngestStats) -> Self {
-        IngestReport {
-            metrics: report.metrics,
-            vehicles: report.vehicles,
-            served: report.served,
-            ingest,
-        }
-    }
-}
-
-/// The output of one ingested run on the sharded pipeline.
-#[derive(Debug)]
-pub struct ShardedIngestReport {
-    /// The usual sharded report (per-shard + aggregate metrics, handoffs).
-    pub report: ShardedReport,
     /// Ingest-level statistics.
     pub ingest: IngestStats,
 }
@@ -474,12 +450,13 @@ fn drop_expired(batch: Vec<Request>, now: f64) -> (Vec<Request>, usize) {
 /// realized batches with the [`AdaptiveBatcher`], steps `run` once per
 /// batch, and — once the stream ends — keeps stepping empty batches at the
 /// Δ cadence while the run still holds carried-over requests.  Generic over
-/// [`BatchRun`], so the monolithic and the sharded pipeline share it.
+/// [`BatchRun`], so the monolithic and the sharded pipeline share it; every
+/// batch goes through `stepper`, the observer bracket all sources share.
 pub(crate) fn drive_ingest<R: BatchRun, I>(
     run: &mut R,
     config: &StructRideConfig,
     arrivals: I,
-    mut recorder: Option<&mut TraceRecorder>,
+    stepper: &mut Stepper<'_>,
 ) -> Result<(Offered, IngestStats), IngestError>
 where
     I: IntoIterator<Item = Request>,
@@ -505,7 +482,7 @@ where
             let (live, expired) = drop_expired(batch, now);
             collector.timed_out += expired;
             collector.observe_releases(&live);
-            let assigned = run.step(now, &live, &mut recorder, None);
+            let assigned = stepper.step(run, now, &live);
             collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
             collector.observe_batch(
                 live.len(),
@@ -532,125 +509,11 @@ where
     let delta = config.batch_period.max(1e-3);
     while run.pending() > 0 && clock.now < offered.horizon_end && run.batches() <= MAX_BATCHES {
         let now = clock.tick(delta);
-        let assigned = run.step(now, &[], &mut recorder, None);
+        let assigned = stepper.step(run, now, &[]);
         collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
     }
     let ingest = collector.finish(&offered, dropped_queue_full, wall_seconds);
     Ok((offered, ingest))
-}
-
-impl Simulator {
-    /// Runs `dispatcher` over a *streamed* arrival process with wall-clock
-    /// adaptive batching instead of fixed Δ-windows.
-    ///
-    /// `arrivals` is any timestamped request source in release order — a
-    /// pre-materialised workload slice or a lazy
-    /// `structride_datagen::ArrivalStream`.  See the module docs for the
-    /// batching and replay semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError::ProducerPanicked`] when the arrivals iterator panics
-    /// on the producer thread.
-    pub fn run_ingested<I>(
-        &self,
-        engine: &SpEngine,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        dispatcher: &mut dyn Dispatcher,
-        workload_name: &str,
-    ) -> Result<IngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-    {
-        let mut run = MonoRun::new(engine, *self.config(), vehicles, dispatcher);
-        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, None)?;
-        let report = run.finish(workload_name, &offered);
-        Ok(IngestReport::new(report, ingest))
-    }
-
-    /// Like [`Simulator::run_ingested`], but records the realized batches
-    /// (requests + assigned simulated `now` + fleet snapshots) into
-    /// `recorder`, making the nondeterministically-batched run replayable:
-    /// [`crate::replay::replay_trace`] re-feeds the recorded batches and
-    /// must observe zero drift under any worker count.
-    pub fn run_ingested_recorded<I>(
-        &self,
-        engine: &SpEngine,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        dispatcher: &mut dyn Dispatcher,
-        workload_name: &str,
-        recorder: &mut TraceRecorder,
-    ) -> Result<IngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-    {
-        let mut run = MonoRun::new(engine, *self.config(), vehicles, dispatcher);
-        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, Some(recorder))?;
-        let report = run.finish(workload_name, &offered);
-        Ok(IngestReport::new(report, ingest))
-    }
-}
-
-impl ShardedSimulator {
-    /// The sharded form of [`Simulator::run_ingested`]: realized batches
-    /// from the adaptive batcher are routed through the [`RegionGrid`] into
-    /// per-shard inboxes (home region or best-bid handoff, exactly as in the
-    /// clock-driven mode) and every shard dispatches its sub-batch in
-    /// parallel.
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError::ProducerPanicked`] when the arrivals iterator panics
-    /// on the producer thread.
-    pub fn run_ingested<I, F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: F,
-        workload_name: &str,
-    ) -> Result<ShardedIngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
-        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, None)?;
-        let report = run.finish(workload_name, offered.horizon_end);
-        Ok(ShardedIngestReport { report, ingest })
-    }
-
-    /// Like [`ShardedSimulator::run_ingested`], recording the realized
-    /// batches into the canonical global trace.  Verification re-runs the
-    /// pipeline from the recorded boundaries with
-    /// [`ShardedSimulator::run_fed_recorded`] and diffs the two traces.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ingested_recorded<I, F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        arrivals: I,
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: F,
-        workload_name: &str,
-        recorder: &mut TraceRecorder,
-    ) -> Result<ShardedIngestReport, IngestError>
-    where
-        I: IntoIterator<Item = Request>,
-        I::IntoIter: Send,
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
-        let (offered, ingest) = drive_ingest(&mut run, self.config(), arrivals, Some(recorder))?;
-        let report = run.finish(workload_name, offered.horizon_end);
-        Ok(ShardedIngestReport { report, ingest })
-    }
 }
 
 #[cfg(test)]

@@ -25,13 +25,15 @@
 //!
 //! [`BatchRun`] is the shape a batch *source* drives: the Δ-clock
 //! (`simulator::drive_clock`), the wall-clock ingest front end
-//! (`ingest::drive_ingest`) and the fed-boundaries loop are each written
-//! once, generic over it.
+//! (`ingest::drive_ingest`) and the fed-boundaries loop
+//! (`simulator::drive_fed`) are each written once, generic over it, and
+//! share one per-batch observer bracket (`simulator::Stepper`).
 
 use crate::config::StructRideConfig;
 use crate::context::{DispatchContext, ScratchStats};
 use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
+use crate::ingest::IngestStats;
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, ShardCheckpoint, TraceRecorder, VehicleState};
 use crate::score_memo::ScoreMemo;
@@ -48,7 +50,8 @@ use structride_roadnet::SpEngine;
 /// pathological configurations).
 pub(crate) const MAX_BATCHES: usize = 10_000_000;
 
-/// What a batch source offered a run: the penalty ledger and the horizon.
+/// What a batch source offered a run: the penalty ledger and the horizon —
+/// and, behind the ingest front end, how its queue behaved.
 #[derive(Debug, Default)]
 pub(crate) struct Offered {
     /// `(id, direct cost)` of every request the source emitted, in emission
@@ -57,6 +60,8 @@ pub(crate) struct Offered {
     pub(crate) ledger: Vec<(RequestId, f64)>,
     /// The latest pickup deadline: past it nothing can be assigned.
     pub(crate) horizon_end: f64,
+    /// The ingest front end's statistics (`None` for every other source).
+    pub(crate) ingest: Option<IngestStats>,
 }
 
 impl Offered {
@@ -85,6 +90,10 @@ pub(crate) trait BatchRun {
 
     /// Number of batches stepped so far.
     fn batches(&self) -> usize;
+
+    /// The [`Dispatcher::name`] of the run's dispatcher(s) — what a
+    /// checkpoint it captures records as its algorithm.
+    fn algorithm(&self) -> &'static str;
 
     /// Snapshots the full mutable run state at a batch boundary — a pure
     /// read, so a checkpointing run steps bit-identically to a plain one.

@@ -27,15 +27,15 @@
 //! * [`ingest`] — the async ingest front end: a bounded arrival queue fed by
 //!   a wall-clock producer thread and an adaptive batcher that closes
 //!   batches on a latency deadline or a size cap, so batch cadence tracks
-//!   dispatcher latency instead of the simulated Δ — one driver behind
-//!   [`Simulator::run_ingested`](simulator::Simulator) and the sharded
-//!   equivalent;
+//!   dispatcher latency instead of the simulated Δ — the driver behind
+//!   [`BatchSource::Ingest`] on both pipelines;
 //! * `lane` (crate-private) — the batch step, written once: a `Lane` owns a
 //!   pipeline's fleet, fleet index, served set and work counters and is the
 //!   only code that advances the fleet, builds the
 //!   [`DispatchContext`] and calls
 //!   `dispatch_batch`; the monolithic simulator, every shard and
-//!   [`replay_trace`] all step through it;
+//!   [`replay_trace`] all step through it, and every [`BatchSource`] drives
+//!   it through one loop per source, written once for both pipelines;
 //! * [`lap`] — the in-workspace exact solvers: a deterministic Kuhn–Munkres
 //!   LAP kernel over rectangular, partially-forbidden cost matrices and a
 //!   branch-and-bound over its relaxation for the trip-group choice step;
@@ -61,8 +61,9 @@
 //!   metrics; with one shard it reduces exactly to [`simulator`] (same
 //!   clock, same lane);
 //! * [`simulator`] — the batched dynamic simulation engine used by every
-//!   experiment, and the Δ-clock (batch slicing, early exit, checkpoint
-//!   cadence, validated resume) it shares with [`shard`];
+//!   experiment, the run API both pipelines share ([`BatchSource`],
+//!   [`RunHooks`], [`RunError`]) and the Δ-clock (batch slicing, early exit,
+//!   checkpoint cadence, validated resume);
 //! * [`metrics`] — the run-level metrics the paper reports (unified cost,
 //!   service rate, running time, shortest-path queries, memory footprint).
 
@@ -93,9 +94,7 @@ pub use dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 pub use faults::{FaultConfig, FaultPlan};
 pub use fleet_index::{FleetIndex, REACH_GRACE};
 pub use grouping::{enumerate_groups, CandidateGroup};
-pub use ingest::{
-    AdaptiveBatcher, IngestConfig, IngestError, IngestReport, IngestStats, ShardedIngestReport,
-};
+pub use ingest::{AdaptiveBatcher, IngestConfig, IngestError, IngestReport, IngestStats};
 pub use lap::{GroupCandidate, GroupChoice, LapSolution, SolverStats, FORBIDDEN};
 pub use metrics::RunMetrics;
 pub use ordering::{InsertionOrdering, OrderingStudy};
@@ -110,5 +109,5 @@ pub use score_memo::ScoreMemo;
 pub use shard::{
     region_strips_for, ShardDispatcher, ShardedReport, ShardedSimulator, ShardingConfig,
 };
-pub use simulator::{ResumeError, RunHooks, SimulationReport, Simulator};
+pub use simulator::{BatchSource, ResumeError, RunError, RunHooks, SimulationReport, Simulator};
 pub use stages::{RunObserver, Stage, StageClock, StageTable};

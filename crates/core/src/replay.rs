@@ -543,12 +543,13 @@ pub struct ShardCheckpoint {
 }
 
 /// A full simulation snapshot at a batch boundary, handed to the
-/// [`RunHooks::checkpoints`](crate::RunHooks) sink of
-/// [`Simulator::run_with`](crate::Simulator::run_with) /
-/// [`ShardedSimulator::run_with`](crate::ShardedSimulator::run_with)
+/// [`RunHooks::checkpoints`](crate::RunHooks) sink of a clock-driven
+/// [`Simulator::execute`](crate::Simulator::execute) /
+/// [`ShardedSimulator::execute`](crate::ShardedSimulator::execute)
 /// whenever the fault plan's checkpoint cadence fires (see
 /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)), and
-/// consumed by the matching `resume` entry points.
+/// consumed by the same entry points through
+/// [`BatchSource::Resume`](crate::BatchSource::Resume).
 ///
 /// The contract is **bit-identical resume**: a run restored from a
 /// checkpoint must finish with exactly the decisions, served sets and

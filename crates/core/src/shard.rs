@@ -87,7 +87,7 @@
 //!   `Lane::advance` / `Lane::dispatch` — the aggregate report matches
 //!   field for field (wall-clock `running_time` and the racy shortest-path
 //!   query counters excepted, as documented on [`RunMetrics`]).
-//! * **Recording.** [`ShardedSimulator::run_recorded`] captures a *global*
+//! * **Recording.** A [`RunHooks::recorder`] captures a *global*
 //!   trace (released requests in release order, the union fleet sorted by
 //!   vehicle id, merged outcomes in shard order).  A sharded run cannot be
 //!   replayed through a single `Dispatcher`, so verification re-runs the
@@ -98,10 +98,11 @@ use crate::config::StructRideConfig;
 use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
+use crate::ingest::IngestStats;
 use crate::lane::{BatchRun, Lane, Offered};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
-use crate::simulator::{drive_clock, ResumeError, RunHooks};
+use crate::simulator::{drive, BatchSource, ResumeError, RunError, RunHooks, CLOCK_RUNS};
 use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -232,6 +233,9 @@ pub struct ShardedReport {
     /// ever skipped; lower numbers mean zone activity left some halos
     /// untouched and their clips (and caches) stayed live.
     pub shards_refreshed: u64,
+    /// Ingest-level statistics: `Some` exactly for a
+    /// [`BatchSource::Ingest`] run.
+    pub ingest: Option<IngestStats>,
 }
 
 impl ShardedReport {
@@ -533,13 +537,11 @@ pub fn region_grid_for(network: &RoadNetwork, rows: u32, cols: u32) -> RegionGri
 
 /// The in-flight state of one sharded run: the shards (one [`Lane`] each)
 /// plus every cross-batch counter, with the per-batch routing / dispatch /
-/// merge / rebalance sequence in its [`BatchRun::step`] so the three batch
-/// sources — clock-driven ([`ShardedSimulator::run`]), fed from recorded
-/// boundaries ([`ShardedSimulator::run_fed_recorded`]) and ingested
-/// ([`ShardedSimulator::run_ingested`](crate::ingest)) — execute the
-/// *identical* step.  That sharing is what makes a recorded ingested run
-/// re-runnable: determinism holds per step, whatever produced the batch
-/// boundaries.
+/// merge / rebalance sequence in its [`BatchRun::step`] so every
+/// [`BatchSource`] — clock-driven, resumed, fed from recorded boundaries and
+/// ingested — executes the *identical* step.  That sharing is what makes a
+/// recorded ingested run re-runnable: determinism holds per step, whatever
+/// produced the batch boundaries.
 pub(crate) struct ShardedRun<'a> {
     config: StructRideConfig,
     sharding: ShardingConfig,
@@ -709,8 +711,8 @@ impl<'a> ShardedRun<'a> {
     }
 
     /// Drains every committed schedule and assembles the report.
-    pub(crate) fn finish(mut self, workload_name: &str, horizon_end: f64) -> ShardedReport {
-        let now = self.now;
+    pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
+        let (now, horizon_end) = (self.now, offered.horizon_end);
         for_each_shard(&mut self.shards, &|s| {
             s.lane.drain(&s.engine, now, horizon_end)
         });
@@ -766,6 +768,7 @@ impl<'a> ShardedRun<'a> {
             degraded_offered: self.counters.degraded_offered,
             degraded_served: self.counters.degraded_served,
             shards_refreshed: self.shards.iter().map(|s| s.engine.slice_refreshes()).sum(),
+            ingest: offered.ingest,
         }
     }
 }
@@ -773,6 +776,10 @@ impl<'a> ShardedRun<'a> {
 impl BatchRun for ShardedRun<'_> {
     fn batches(&self) -> usize {
         self.batches
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.shards[0].dispatcher.name()
     }
 
     /// Requests currently held across all shard dispatchers.
@@ -981,7 +988,7 @@ impl BatchRun for ShardedRun<'_> {
         let mut served: Vec<RequestId> = self.served.iter().copied().collect();
         served.sort_unstable();
         Checkpoint {
-            algorithm: self.shards[0].dispatcher.name().to_string(),
+            algorithm: self.algorithm().to_string(),
             workload: workload_name.to_string(),
             config: self.config,
             sharded: true,
@@ -1083,143 +1090,58 @@ impl ShardedSimulator {
     where
         F: Fn(usize) -> ShardDispatcher,
     {
-        self.run_with(
+        let (source, hooks) = (BatchSource::Clock(requests), RunHooks::default());
+        self.execute(
             network,
             regions,
-            requests,
-            vehicles,
-            make_dispatcher,
-            workload_name,
-            RunHooks::default(),
-        )
-    }
-
-    /// Like [`ShardedSimulator::run`], but records the canonical global
-    /// trace (release-ordered batches, id-sorted union fleet, shard-ordered
-    /// merged outcomes) into `recorder` for
-    /// [`diff_traces`](crate::replay::diff_traces)-based verification.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_recorded<F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        requests: &[Request],
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: F,
-        workload_name: &str,
-        recorder: &mut TraceRecorder,
-    ) -> ShardedReport
-    where
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        let hooks = RunHooks {
-            recorder: Some(recorder),
-            ..RunHooks::default()
-        };
-        self.run_with(
-            network,
-            regions,
-            requests,
+            source,
             vehicles,
             make_dispatcher,
             workload_name,
             hooks,
         )
+        .expect(CLOCK_RUNS)
     }
 
-    /// Like [`ShardedSimulator::run`], observed through `hooks`: a trace
-    /// recorder, a checkpoint sink (fed at every batch boundary the fault
-    /// plan's cadence marks), both or neither.  Both are pure reads, so any
-    /// combination finishes bit-identically to a plain run.
+    /// Runs the sharded pipeline over the batches `source` produces,
+    /// observed through `hooks` — the sharded form of
+    /// [`Simulator::execute`](crate::Simulator::execute), with the network,
+    /// regions and dispatcher factory of [`ShardedSimulator::run`].  Every
+    /// source executes the identical sharded step: an ingested run's
+    /// realized batches are routed through `regions` into per-shard inboxes
+    /// exactly as clock-driven ones are, and a recorder captures the
+    /// canonical global trace (release-ordered batches, id-sorted union
+    /// fleet, shard-ordered merged outcomes) for
+    /// [`diff_traces`](crate::replay::diff_traces)-based verification.  A
+    /// resumed run must be given the original run's `network`, `regions`,
+    /// requests and dispatcher factory: the checkpoint carries the fleets
+    /// and pools, not the map or the future request stream.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Resume`] when a resumed checkpoint does not fit the run,
+    /// [`RunError::Ingest`] when an ingest producer panics.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_with<F>(
+    pub fn execute<F>(
         &self,
         network: &RoadNetwork,
         regions: &RegionGrid,
-        requests: &[Request],
+        source: BatchSource<'_>,
         vehicles: Vec<Vehicle>,
         make_dispatcher: F,
         workload_name: &str,
         hooks: RunHooks<'_>,
-    ) -> ShardedReport
+    ) -> Result<ShardedReport, RunError>
     where
         F: Fn(usize) -> ShardDispatcher,
     {
+        debug_assert!(
+            !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
+            "a resumed run restores its fleet from the checkpoint"
+        );
         let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
-        let offered = drive_clock(&mut run, &self.config, requests, workload_name, hooks, None)
-            .expect("only a resume can be refused");
-        run.finish(workload_name, offered.horizon_end)
-    }
-
-    /// Continues a sharded run from `checkpoint` and finishes it
-    /// bit-identically to the uninterrupted run (aggregate and per-shard
-    /// deterministic metrics, served set, final fleet; wall-clock
-    /// diagnostics re-accumulate from zero).  `network`, `regions`,
-    /// `requests` and `make_dispatcher` must match the original run — the
-    /// checkpoint carries the fleets and pools, not the map or the future
-    /// request stream.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] when the checkpoint is a monolithic one, its shard
-    /// sections do not match `regions`, or it points past the end of
-    /// `requests`.
-    pub fn resume<F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        requests: &[Request],
-        make_dispatcher: F,
-        checkpoint: &Checkpoint,
-    ) -> Result<ShardedReport, ResumeError>
-    where
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        let name = checkpoint.workload.as_str();
-        let mut run = ShardedRun::new(self, network, regions, Vec::new(), &make_dispatcher);
-        let offered = drive_clock(
-            &mut run,
-            &self.config,
-            requests,
-            name,
-            RunHooks::default(),
-            Some(checkpoint),
-        )?;
-        Ok(run.finish(name, offered.horizon_end))
-    }
-
-    /// Re-runs the pipeline from *explicit* batch boundaries — each entry is
-    /// `(now, released requests)` — recording the canonical global trace.
-    ///
-    /// This is the verification path for **ingested** sharded runs (see
-    /// [`crate::ingest`]): realized wall-clock boundaries are not
-    /// reproducible, but given the recorded boundaries the pipeline is
-    /// deterministic, so re-running from them under a different worker count
-    /// and diffing the traces ([`diff_traces`](crate::replay::diff_traces))
-    /// enforces the replay invariant.  No early exit and no carried-over
-    /// tail: exactly the fed batches are stepped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_fed_recorded<F>(
-        &self,
-        network: &RoadNetwork,
-        regions: &RegionGrid,
-        batches: &[(f64, Vec<Request>)],
-        vehicles: Vec<Vehicle>,
-        make_dispatcher: F,
-        workload_name: &str,
-        recorder: &mut TraceRecorder,
-    ) -> ShardedReport
-    where
-        F: Fn(usize) -> ShardDispatcher,
-    {
-        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
-        let mut rec = Some(recorder);
-        let mut offered = Offered::default();
-        for (now, batch) in batches {
-            batch.iter().for_each(|r| offered.push(r));
-            run.step(*now, batch, &mut rec, None);
-        }
-        run.finish(workload_name, offered.horizon_end)
+        let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
+        Ok(run.finish(workload_name, offered))
     }
 }
 

@@ -1,15 +1,20 @@
-//! The batched dynamic ridesharing simulator (the BDRP driver of §II), and
-//! the Δ-clock both simulators share.
+//! The batched dynamic ridesharing simulator (the BDRP driver of §II), the
+//! run API both simulators share, and the Δ-clock.
+//!
+//! A run is one loop: each batch, released requests go to a dispatcher.
+//! [`Simulator::execute`] and its sharded twin take where the batches come
+//! from as a value, [`BatchSource`], and what watches the run as another,
+//! [`RunHooks`].  One crate-private `drive` dispatches on the source,
+//! generic over the crate-private `BatchRun` and through one per-batch
+//! observer bracket, so both pipelines run the *same* loops.
 //!
 //! `drive_clock` owns the simulated clock: it sorts the request stream by
 //! release time, slices it into batches of Δ seconds, steps the run once per
 //! batch, keeps issuing empty batches while carried-over requests may still
 //! be assignable, stops as soon as the stream is exhausted and no
-//! dispatcher-held request is waiting, hands a [`Checkpoint`] to the
-//! caller's sink at the fault plan's cadence, and — on a resume — first
-//! validates and restores the checkpoint.  It is generic over the
-//! crate-private `BatchRun`, so the monolithic [`Simulator`] and the
-//! [`ShardedSimulator`](crate::ShardedSimulator) run the *same* loop.
+//! dispatcher-held request is waiting, and hands a [`Checkpoint`] to the
+//! caller's sink at the fault plan's cadence.  On a resume `drive` first
+//! checks that the checkpoint fits the run and restores it.
 //!
 //! The monolithic run itself is a `MonoRun`: one `Lane` (the crate-private
 //! `lane` module — the batch step lives there, once) over the caller's
@@ -25,6 +30,7 @@
 
 use crate::config::StructRideConfig;
 use crate::dispatcher::Dispatcher;
+use crate::ingest::{drive_ingest, IngestError, IngestReport, IngestStats};
 use crate::lane::{BatchRun, Lane, Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
@@ -44,10 +50,50 @@ pub struct SimulationReport {
     pub vehicles: Vec<Vehicle>,
     /// The requests that were assigned to a vehicle.
     pub served: HashSet<RequestId>,
+    /// Ingest-level statistics: `Some` exactly for a
+    /// [`BatchSource::Ingest`] run.
+    pub ingest: Option<IngestStats>,
 }
 
-/// The optional observers of a clock-driven run
-/// ([`Simulator::run_with`] / [`ShardedSimulator::run_with`](crate::ShardedSimulator::run_with)).
+/// Where a run's batches come from — the one argument that picks the run
+/// mode of [`Simulator::execute`] and
+/// [`ShardedSimulator::execute`](crate::ShardedSimulator::execute).  Every
+/// source steps the same batch step, so given the same batches every source
+/// decides identically.
+pub enum BatchSource<'a> {
+    /// The Δ-clock from time zero: the request stream (any order; processed
+    /// by release time) sliced into batches of `config.batch_period`
+    /// seconds, with empty batches issued while a carried-over request may
+    /// still be assigned.
+    Clock(&'a [Request]),
+    /// The Δ-clock continued from a [`Checkpoint`], finishing bit-identically
+    /// to the uninterrupted run (deterministic metrics, served set, final
+    /// fleet; wall-clock diagnostics excluded, as in replay comparisons).
+    ///
+    /// The requests must be the stream the original run started with
+    /// (checkpoints carry a cursor into its release-sorted order, not the
+    /// future requests), the dispatcher(s) freshly constructed ones of the
+    /// checkpointed algorithm and the network the same — the traffic epoch
+    /// is primed to the checkpoint clock before the first resumed batch.
+    /// The fleet is restored from the checkpoint: the caller passes an empty
+    /// `vehicles`.  A checkpoint that does not fit the run is refused with a
+    /// [`ResumeError`].
+    Resume(&'a [Request], &'a Checkpoint),
+    /// The wall-clock ingest front end (see [`crate::ingest`]): any
+    /// timestamped request source in release order — a pre-materialised
+    /// workload slice or a lazy `structride_datagen::ArrivalStream` —
+    /// replayed on a producer thread and batched adaptively.  The report
+    /// carries [`IngestStats`].
+    Ingest(Box<dyn Iterator<Item = Request> + Send + 'a>),
+    /// Explicit batch boundaries, each `(now, released requests)`: exactly
+    /// these batches are stepped, with no early exit and no carried-over
+    /// tail.  This re-runs a recorded ingested run from its realized
+    /// boundaries (see [`crate::ingest`]'s replay semantics).
+    Fed(&'a [(f64, Vec<Request>)]),
+}
+
+/// The optional observers of a run ([`Simulator::execute`] /
+/// [`ShardedSimulator::execute`](crate::ShardedSimulator::execute)).
 /// All are pure reads of the run, so any combination finishes
 /// bit-identically to a plain run.
 #[derive(Default)]
@@ -60,18 +106,39 @@ pub struct RunHooks<'a> {
     /// Receives a [`Checkpoint`] at every batch boundary the fault plan's
     /// cadence marks (see
     /// [`FaultConfig::checkpoint_every`](crate::faults::FaultConfig)).
+    /// Only the Δ-clock sources ([`BatchSource::Clock`] and
+    /// [`BatchSource::Resume`]) call it: a checkpoint's cursor points into
+    /// the release-sorted request stream, which ingested and fed runs do
+    /// not have.
     pub checkpoints: Option<&'a mut dyn FnMut(Checkpoint)>,
-    /// Receives every batch's stage spans (see [`crate::stages`]).  Without
-    /// one no span reads the clock.
+    /// Receives every batch's stage spans (see [`crate::stages`]), whatever
+    /// the source.  Without one no span reads the clock.
     pub observer: Option<&'a mut dyn RunObserver>,
 }
 
 /// Why a [`Checkpoint`] cannot be resumed.  A checkpoint is a parsed file,
 /// so a mismatch is an input error the caller reports, not a bug.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeError {
-    /// A sharded checkpoint handed to [`Simulator::resume`], or a monolithic
-    /// one to [`ShardedSimulator::resume`](crate::ShardedSimulator::resume).
+    /// The checkpoint was written by a run over another workload.
+    Workload {
+        /// Workload name of the run being resumed.
+        expected: String,
+        /// [`Checkpoint::workload`].
+        found: String,
+    },
+    /// The checkpoint was written under another framework configuration.
+    Config,
+    /// The checkpoint holds another dispatcher's state (its pool and edges
+    /// would not restore into the run's dispatcher).
+    Algorithm {
+        /// [`Dispatcher::name`] of the run being resumed.
+        expected: String,
+        /// [`Checkpoint::algorithm`].
+        found: String,
+    },
+    /// A sharded checkpoint resumed on the monolithic [`Simulator`], or a
+    /// monolithic one on the [`ShardedSimulator`](crate::ShardedSimulator).
     WrongPipeline,
     /// The checkpoint's shard sections do not match the run's shard count
     /// (exactly one for the monolithic simulator).
@@ -94,6 +161,18 @@ pub enum ResumeError {
 impl fmt::Display for ResumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ResumeError::Workload { expected, found } => write!(
+                f,
+                "checkpoint workload {found:?} does not match the run's workload {expected:?}"
+            ),
+            ResumeError::Config => write!(
+                f,
+                "checkpoint and run disagree on the framework configuration"
+            ),
+            ResumeError::Algorithm { expected, found } => write!(
+                f,
+                "checkpoint holds {found} state but the run dispatches with {expected}"
+            ),
             ResumeError::WrongPipeline => write!(
                 f,
                 "checkpoint was written by the other pipeline (monolithic vs sharded)"
@@ -112,20 +191,152 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
+/// Why [`Simulator::execute`] or
+/// [`ShardedSimulator::execute`](crate::ShardedSimulator::execute) returned
+/// no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// A [`BatchSource::Resume`] checkpoint does not fit the run.
+    Resume(ResumeError),
+    /// A [`BatchSource::Ingest`] arrivals iterator panicked on the producer
+    /// thread.
+    Ingest(IngestError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Resume(e) => e.fmt(f),
+            RunError::Ingest(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Why the shorthands may `expect` their run: only a resume or an ingest
+/// producer can fail.
+pub(crate) const CLOCK_RUNS: &str = "a clock-driven run is never refused";
+
+/// The per-batch observer bracket, written once for every batch source:
+/// the observer's batch start, the run's step, the stage report (`drive`
+/// calls the observer's finish after the last batch).
+#[derive(Default)]
+pub(crate) struct Stepper<'a> {
+    hooks: RunHooks<'a>,
+    clock: StageClock,
+}
+
+impl Stepper<'_> {
+    /// Steps `run` once at simulated time `now` over `batch`, recording and
+    /// observing it through the hooks; returns the committed request ids.
+    pub(crate) fn step<R: BatchRun>(
+        &mut self,
+        run: &mut R,
+        now: f64,
+        batch: &[Request],
+    ) -> Vec<RequestId> {
+        let batch_index = run.batches();
+        let t0 = self.hooks.observer.as_deref_mut().map(|observer| {
+            observer.on_batch_start(batch_index, now);
+            Instant::now()
+        });
+        let stages = self.hooks.observer.is_some().then_some(&self.clock);
+        let assigned = run.step(now, batch, &mut self.hooks.recorder, stages);
+        if let (Some(observer), Some(t0)) = (self.hooks.observer.as_deref_mut(), t0) {
+            self.clock.report(observer, batch_index, t0);
+        }
+        assigned
+    }
+}
+
+/// Runs `run` over `source` through `hooks`: the one dispatch on the batch
+/// source behind both pipelines' `execute`.  A resume is checked against the
+/// run — workload, configuration, dispatcher, stream length, then (in
+/// `restore`) pipeline and shard count — before any state is restored.
+/// Returns what was offered, for the run's final accounting.
+pub(crate) fn drive<R: BatchRun>(
+    run: &mut R,
+    config: &StructRideConfig,
+    workload_name: &str,
+    source: BatchSource<'_>,
+    hooks: RunHooks<'_>,
+) -> Result<Offered, RunError> {
+    let mut stepper = Stepper {
+        hooks,
+        ..Stepper::default()
+    };
+    let offered = match source {
+        BatchSource::Clock(requests) => {
+            drive_clock(run, config, requests, workload_name, &mut stepper, None)
+        }
+        BatchSource::Resume(requests, checkpoint) => {
+            check_fit(run.algorithm(), config, workload_name, requests, checkpoint)
+                .and_then(|()| run.restore(checkpoint))
+                .map_err(RunError::Resume)?;
+            let from = Some(checkpoint);
+            drive_clock(run, config, requests, workload_name, &mut stepper, from)
+        }
+        BatchSource::Ingest(arrivals) => {
+            let (mut offered, stats) =
+                drive_ingest(run, config, arrivals, &mut stepper).map_err(RunError::Ingest)?;
+            offered.ingest = Some(stats);
+            offered
+        }
+        BatchSource::Fed(batches) => drive_fed(run, batches, &mut stepper),
+    };
+    if let Some(observer) = stepper.hooks.observer {
+        observer.on_finish();
+    }
+    Ok(offered)
+}
+
+/// Refuses a checkpoint written by another workload, configuration or
+/// dispatcher, or whose cursor is past the end of `requests`.
+fn check_fit(
+    algorithm: &str,
+    config: &StructRideConfig,
+    workload_name: &str,
+    requests: &[Request],
+    checkpoint: &Checkpoint,
+) -> Result<(), ResumeError> {
+    if checkpoint.workload != workload_name {
+        return Err(ResumeError::Workload {
+            expected: workload_name.to_string(),
+            found: checkpoint.workload.clone(),
+        });
+    }
+    if checkpoint.config != *config {
+        return Err(ResumeError::Config);
+    }
+    if checkpoint.algorithm != algorithm {
+        return Err(ResumeError::Algorithm {
+            expected: algorithm.to_string(),
+            found: checkpoint.algorithm.clone(),
+        });
+    }
+    if checkpoint.next_request > requests.len() {
+        return Err(ResumeError::CursorPastEnd {
+            cursor: checkpoint.next_request,
+            requests: requests.len(),
+        });
+    }
+    Ok(())
+}
+
 /// The Δ-clock: steps `run` over `requests` (any order; processed by release
 /// time) in batches of `config.batch_period` seconds — from the head of the
-/// stream at time zero, or from the position `resume_from` carries once the
-/// checkpoint is validated and restored into the freshly built `run`.
-/// Returns what was offered, for the run's final accounting; only a resume
-/// can fail.
-pub(crate) fn drive_clock<R: BatchRun>(
+/// stream at time zero, or from the position `resume_from` carries (the
+/// checkpoint is already restored into `run`).  Returns what was offered,
+/// for the run's final accounting.
+fn drive_clock<R: BatchRun>(
     run: &mut R,
     config: &StructRideConfig,
     requests: &[Request],
     workload_name: &str,
-    mut hooks: RunHooks<'_>,
+    stepper: &mut Stepper<'_>,
     resume_from: Option<&Checkpoint>,
-) -> Result<Offered, ResumeError> {
+) -> Offered {
     let mut ordered: Vec<Request> = requests.to_vec();
     ordered.sort_by(|a, b| {
         a.release
@@ -136,16 +347,7 @@ pub(crate) fn drive_clock<R: BatchRun>(
     let mut offered = Offered::default();
     ordered.iter().for_each(|r| offered.push(r));
     let (mut next, mut now) = (0usize, 0.0);
-    let clock = StageClock::default();
-    let stages = hooks.observer.is_some().then_some(&clock);
     if let Some(checkpoint) = resume_from {
-        if checkpoint.next_request > ordered.len() {
-            return Err(ResumeError::CursorPastEnd {
-                cursor: checkpoint.next_request,
-                requests: ordered.len(),
-            });
-        }
-        run.restore(checkpoint)?;
         (next, now) = (checkpoint.next_request, checkpoint.now);
     }
     // Keep offering empty batches until no request could still be waiting
@@ -157,15 +359,7 @@ pub(crate) fn drive_clock<R: BatchRun>(
         while next < ordered.len() && ordered[next].release <= now {
             next += 1;
         }
-        let batch_index = run.batches();
-        let t0 = hooks.observer.as_deref_mut().map(|observer| {
-            observer.on_batch_start(batch_index, now);
-            Instant::now()
-        });
-        run.step(now, &ordered[start..next], &mut hooks.recorder, stages);
-        if let (Some(observer), Some(t0)) = (hooks.observer.as_deref_mut(), t0) {
-            clock.report(observer, batch_index, t0);
-        }
+        stepper.step(run, now, &ordered[start..next]);
         // Once the request stream is exhausted and no dispatcher holds a
         // carried-over request, no later batch can assign anything — stop
         // instead of spinning until the last pickup deadline.  Side effect
@@ -183,15 +377,27 @@ pub(crate) fn drive_clock<R: BatchRun>(
         // writes a checkpoint.  The cadence flag is shard-count independent
         // (see `FaultPlan::checkpoint`).
         if config.faults.plan_at(run.batches(), 1).checkpoint {
-            if let Some(sink) = hooks.checkpoints.as_deref_mut() {
+            if let Some(sink) = stepper.hooks.checkpoints.as_deref_mut() {
                 sink(run.capture(workload_name, next));
             }
         }
     }
-    if let Some(observer) = hooks.observer {
-        observer.on_finish();
+    offered
+}
+
+/// Steps `run` over explicit `(now, released requests)` boundaries, exactly
+/// once each: no early exit and no carried-over tail.
+fn drive_fed<R: BatchRun>(
+    run: &mut R,
+    batches: &[(f64, Vec<Request>)],
+    stepper: &mut Stepper<'_>,
+) -> Offered {
+    let mut offered = Offered::default();
+    for (now, batch) in batches {
+        batch.iter().for_each(|r| offered.push(r));
+        stepper.step(run, *now, batch);
     }
-    Ok(offered)
+    offered
 }
 
 /// The in-flight state of one monolithic run: one [`Lane`] over the caller's
@@ -232,7 +438,7 @@ impl<'a> MonoRun<'a> {
     }
 
     /// Drains every committed schedule and assembles the report.
-    pub(crate) fn finish(mut self, workload_name: &str, offered: &Offered) -> SimulationReport {
+    pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> SimulationReport {
         self.lane.drain(self.engine, self.now, offered.horizon_end);
         let sp_queries = self.engine.stats().index_queries;
         let metrics = self.lane.metrics(
@@ -246,6 +452,7 @@ impl<'a> MonoRun<'a> {
             metrics,
             vehicles: self.lane.vehicles,
             served: self.lane.served,
+            ingest: offered.ingest,
         }
     }
 }
@@ -295,12 +502,16 @@ impl BatchRun for MonoRun<'_> {
         self.batches
     }
 
+    fn algorithm(&self) -> &'static str {
+        self.dispatcher.name()
+    }
+
     fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
         // A monolithic run accounts globally: its one shard section carries
         // no routed ledger, and the served set moves to the run level.
         let mut shard = self.lane.capture(self.dispatcher, Vec::new());
         Checkpoint {
-            algorithm: self.dispatcher.name().to_string(),
+            algorithm: self.algorithm().to_string(),
             workload: workload_name.to_string(),
             config: self.lane.config,
             sharded: false,
@@ -364,8 +575,9 @@ impl Simulator {
         dispatcher: &mut dyn Dispatcher,
         workload_name: &str,
     ) -> SimulationReport {
-        let hooks = RunHooks::default();
-        self.run_with(engine, requests, vehicles, dispatcher, workload_name, hooks)
+        let (source, hooks) = (BatchSource::Clock(requests), RunHooks::default());
+        self.execute(engine, source, vehicles, dispatcher, workload_name, hooks)
+            .expect(CLOCK_RUNS)
     }
 
     /// Like [`Simulator::run`], but records every `(batch, fleet-state,
@@ -383,60 +595,74 @@ impl Simulator {
             recorder: Some(recorder),
             ..RunHooks::default()
         };
-        self.run_with(engine, requests, vehicles, dispatcher, workload_name, hooks)
+        let source = BatchSource::Clock(requests);
+        self.execute(engine, source, vehicles, dispatcher, workload_name, hooks)
+            .expect(CLOCK_RUNS)
     }
 
-    /// Like [`Simulator::run`], observed through `hooks`: any combination of
-    /// a trace recorder, a checkpoint sink and a stage observer.
-    pub fn run_with(
+    /// Runs `dispatcher` over a *streamed* arrival process with wall-clock
+    /// adaptive batching instead of fixed Δ-windows (the
+    /// [`BatchSource::Ingest`] run without hooks).
+    ///
+    /// `arrivals` is any timestamped request source in release order — a
+    /// pre-materialised workload slice or a lazy
+    /// `structride_datagen::ArrivalStream`.  See the [`crate::ingest`] docs
+    /// for the batching and replay semantics.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::ProducerPanicked`] when the arrivals iterator panics
+    /// on the producer thread.
+    pub fn run_ingested<I>(
         &self,
         engine: &SpEngine,
-        requests: &[Request],
+        arrivals: I,
+        vehicles: Vec<Vehicle>,
+        dispatcher: &mut dyn Dispatcher,
+        workload_name: &str,
+    ) -> Result<IngestReport, IngestError>
+    where
+        I: IntoIterator<Item = Request>,
+        I::IntoIter: Send,
+    {
+        let mut run = MonoRun::new(engine, self.config, vehicles, dispatcher);
+        let mut stepper = Stepper::default();
+        let (offered, ingest) = drive_ingest(&mut run, &self.config, arrivals, &mut stepper)?;
+        let report = run.finish(workload_name, offered);
+        Ok(IngestReport {
+            metrics: report.metrics,
+            vehicles: report.vehicles,
+            served: report.served,
+            ingest,
+        })
+    }
+
+    /// Runs `dispatcher` over the batches `source` produces, observed
+    /// through `hooks`: any combination of a trace recorder, a checkpoint
+    /// sink and a stage observer.  `vehicles` is the initial fleet
+    /// (consumed and returned fully executed; empty for
+    /// [`BatchSource::Resume`], which restores the checkpoint's).
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Resume`] when a resumed checkpoint does not fit the run,
+    /// [`RunError::Ingest`] when an ingest producer panics.
+    pub fn execute(
+        &self,
+        engine: &SpEngine,
+        source: BatchSource<'_>,
         vehicles: Vec<Vehicle>,
         dispatcher: &mut dyn Dispatcher,
         workload_name: &str,
         hooks: RunHooks<'_>,
-    ) -> SimulationReport {
+    ) -> Result<SimulationReport, RunError> {
+        debug_assert!(
+            !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
+            "a resumed run restores its fleet from the checkpoint"
+        );
         let mut run = MonoRun::new(engine, self.config, vehicles, dispatcher);
-        let offered = drive_clock(&mut run, &self.config, requests, workload_name, hooks, None)
-            .expect("only a resume can be refused");
-        run.finish(workload_name, &offered)
-    }
-
-    /// Continues a run from `checkpoint` and finishes it bit-identically to
-    /// the uninterrupted run (deterministic metrics, served set, final fleet;
-    /// wall-clock diagnostics excluded, as in replay comparisons).
-    ///
-    /// `requests` must be the same request stream the original run was
-    /// started with (checkpoints carry a cursor into its release-sorted
-    /// order, not the future requests), `dispatcher` a freshly constructed
-    /// dispatcher of the checkpointed algorithm, and `engine` an engine over
-    /// the same network — its traffic epoch is primed to the checkpoint
-    /// clock before the first resumed batch.  The fleet is restored from the
-    /// checkpoint; the caller supplies none.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] when the checkpoint is a sharded one, does not hold
-    /// exactly one shard section, or points past the end of `requests`.
-    pub fn resume(
-        &self,
-        engine: &SpEngine,
-        requests: &[Request],
-        dispatcher: &mut dyn Dispatcher,
-        checkpoint: &Checkpoint,
-    ) -> Result<SimulationReport, ResumeError> {
-        let name = checkpoint.workload.as_str();
-        let mut run = MonoRun::new(engine, self.config, Vec::new(), dispatcher);
-        let offered = drive_clock(
-            &mut run,
-            &self.config,
-            requests,
-            name,
-            RunHooks::default(),
-            Some(checkpoint),
-        )?;
-        Ok(run.finish(name, &offered))
+        let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
+        Ok(run.finish(workload_name, offered))
     }
 }
 

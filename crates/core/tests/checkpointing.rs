@@ -11,10 +11,11 @@
 //! not fit the run being resumed must come back as a `ResumeError`, never a
 //! panic or a silently truncated run.
 
+use structride_baselines::PruneGdp;
 use structride_core::shard::{region_grid_for, ShardDispatcher, ShardedSimulator};
 use structride_core::{
-    Checkpoint, FaultConfig, ResumeError, RunHooks, RunMetrics, SardDispatcher, Simulator,
-    StructRideConfig, VehicleState,
+    BatchSource, Checkpoint, Dispatcher, FaultConfig, ResumeError, RunError, RunHooks, RunMetrics,
+    SardDispatcher, Simulator, StructRideConfig, VehicleState,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -75,6 +76,8 @@ fn fleet_states(vehicles: &[Vehicle]) -> Vec<VehicleState> {
     vehicles.iter().map(VehicleState::capture).collect()
 }
 
+const CLOCK: &str = "a clock-driven run is never refused";
+
 /// Hooks that only collect checkpoints.
 fn checkpoints_into(sink: &mut dyn FnMut(Checkpoint)) -> RunHooks<'_> {
     RunHooks {
@@ -131,14 +134,15 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
     let with_ckpts = in_pool(4, || {
         let engine = fresh_engine();
         let mut sard = SardDispatcher::new(config);
-        sim.run_with(
+        sim.execute(
             &engine,
-            &w.requests,
+            BatchSource::Clock(&w.requests),
             w.fresh_vehicles(),
             &mut sard,
             &w.name,
             checkpoints_into(&mut |c| checkpoints.push(c)),
         )
+        .expect(CLOCK)
     });
     assert_eq!(
         deterministic_fields(&with_ckpts.metrics),
@@ -166,8 +170,15 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
         let resumed = in_pool(threads, || {
             let engine = fresh_engine();
             let mut sard = SardDispatcher::new(config);
-            sim.resume(&engine, &w.requests, &mut sard, &reparsed)
-                .expect("resumable")
+            sim.execute(
+                &engine,
+                BatchSource::Resume(&w.requests, &reparsed),
+                Vec::new(),
+                &mut sard,
+                &w.name,
+                RunHooks::default(),
+            )
+            .expect("resumable")
         });
         assert_eq!(
             deterministic_fields(&resumed.metrics),
@@ -225,15 +236,16 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
 
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     let with_ckpts = in_pool(1, || {
-        sim.run_with(
+        sim.execute(
             w.network(),
             &regions,
-            &w.requests,
+            BatchSource::Clock(&w.requests),
             w.fresh_vehicles(),
             sard_factory(config),
             &w.name,
             checkpoints_into(&mut |c| checkpoints.push(c)),
         )
+        .expect(CLOCK)
     });
     assert_eq!(
         deterministic_fields(&with_ckpts.aggregate),
@@ -257,12 +269,14 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
 
     for threads in [1usize, 4] {
         let resumed = in_pool(threads, || {
-            sim.resume(
+            sim.execute(
                 w.network(),
                 &regions,
-                &w.requests,
+                BatchSource::Resume(&w.requests, &loaded),
+                Vec::new(),
                 sard_factory(config),
-                &loaded,
+                &w.name,
+                RunHooks::default(),
             )
             .expect("resumable")
         });
@@ -302,29 +316,33 @@ fn cadence_config() -> StructRideConfig {
 /// The first checkpoint of a monolithic run over `w`.
 fn monolithic_checkpoint(w: &Workload, config: StructRideConfig) -> Checkpoint {
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    Simulator::new(config).run_with(
-        &w.engine,
-        &w.requests,
-        w.fresh_vehicles(),
-        &mut SardDispatcher::new(config),
-        &w.name,
-        checkpoints_into(&mut |c| checkpoints.push(c)),
-    );
+    Simulator::new(config)
+        .execute(
+            &w.engine,
+            BatchSource::Clock(&w.requests),
+            w.fresh_vehicles(),
+            &mut SardDispatcher::new(config),
+            &w.name,
+            checkpoints_into(&mut |c| checkpoints.push(c)),
+        )
+        .expect(CLOCK);
     checkpoints.swap_remove(0)
 }
 
 /// The first checkpoint of a 1×3-sharded run over `w`.
 fn sharded_checkpoint(w: &MultiRegionWorkload, config: StructRideConfig) -> Checkpoint {
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    ShardedSimulator::new(config).run_with(
-        w.network(),
-        &region_grid_for(w.network(), 1, 3),
-        &w.requests,
-        w.fresh_vehicles(),
-        sard_factory(config),
-        &w.name,
-        checkpoints_into(&mut |c| checkpoints.push(c)),
-    );
+    ShardedSimulator::new(config)
+        .execute(
+            w.network(),
+            &region_grid_for(w.network(), 1, 3),
+            BatchSource::Clock(&w.requests),
+            w.fresh_vehicles(),
+            sard_factory(config),
+            &w.name,
+            checkpoints_into(&mut |c| checkpoints.push(c)),
+        )
+        .expect(CLOCK);
     checkpoints.swap_remove(0)
 }
 
@@ -334,18 +352,33 @@ fn resume_rejects_a_checkpoint_of_the_other_pipeline() {
     let (w, multi) = (single_city_workload(), multi_workload(3));
     let sharded = sharded_checkpoint(&multi, config);
     let mut sard = SardDispatcher::new(config);
-    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &sharded);
-    assert_eq!(resumed.err(), Some(ResumeError::WrongPipeline));
+    let resumed = Simulator::new(config).execute(
+        &w.engine,
+        BatchSource::Resume(&w.requests, &sharded),
+        Vec::new(),
+        &mut sard,
+        &sharded.workload,
+        RunHooks::default(),
+    );
+    assert_eq!(
+        resumed.err(),
+        Some(RunError::Resume(ResumeError::WrongPipeline))
+    );
 
     let monolithic = monolithic_checkpoint(&w, config);
-    let resumed = ShardedSimulator::new(config).resume(
+    let resumed = ShardedSimulator::new(config).execute(
         multi.network(),
         &region_grid_for(multi.network(), 1, 3),
-        &multi.requests,
+        BatchSource::Resume(&multi.requests, &monolithic),
+        Vec::new(),
         sard_factory(config),
-        &monolithic,
+        &monolithic.workload,
+        RunHooks::default(),
     );
-    assert_eq!(resumed.err(), Some(ResumeError::WrongPipeline));
+    assert_eq!(
+        resumed.err(),
+        Some(RunError::Resume(ResumeError::WrongPipeline))
+    );
 }
 
 #[test]
@@ -354,28 +387,37 @@ fn resume_rejects_a_shard_count_mismatch() {
     let (w, multi) = (single_city_workload(), multi_workload(3));
     // A 3-shard checkpoint into a 2-region layout.
     let sharded = sharded_checkpoint(&multi, config);
-    let resumed = ShardedSimulator::new(config).resume(
+    let resumed = ShardedSimulator::new(config).execute(
         multi.network(),
         &region_grid_for(multi.network(), 1, 2),
-        &multi.requests,
+        BatchSource::Resume(&multi.requests, &sharded),
+        Vec::new(),
         sard_factory(config),
-        &sharded,
+        &sharded.workload,
+        RunHooks::default(),
     );
     let mismatch = ResumeError::ShardCount {
         expected: 2,
         found: 3,
     };
-    assert_eq!(resumed.err(), Some(mismatch));
+    assert_eq!(resumed.err(), Some(RunError::Resume(mismatch)));
     // A monolithic checkpoint must hold exactly one shard section.
     let mut doubled = monolithic_checkpoint(&w, config);
     doubled.shards.push(doubled.shards[0].clone());
     let mut sard = SardDispatcher::new(config);
-    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &doubled);
+    let resumed = Simulator::new(config).execute(
+        &w.engine,
+        BatchSource::Resume(&w.requests, &doubled),
+        Vec::new(),
+        &mut sard,
+        &doubled.workload,
+        RunHooks::default(),
+    );
     let mismatch = ResumeError::ShardCount {
         expected: 1,
         found: 2,
     };
-    assert_eq!(resumed.err(), Some(mismatch));
+    assert_eq!(resumed.err(), Some(RunError::Resume(mismatch)));
 }
 
 #[test]
@@ -390,33 +432,123 @@ fn resume_rejects_a_cursor_past_the_request_stream() {
     assert!(monolithic.next_request > 1);
     let short = &w.requests[..monolithic.next_request - 1];
     let mut sard = SardDispatcher::new(config);
-    let resumed = Simulator::new(config).resume(&w.engine, short, &mut sard, &monolithic);
+    let resumed = Simulator::new(config).execute(
+        &w.engine,
+        BatchSource::Resume(short, &monolithic),
+        Vec::new(),
+        &mut sard,
+        &monolithic.workload,
+        RunHooks::default(),
+    );
     let past_end = ResumeError::CursorPastEnd {
         cursor: monolithic.next_request,
         requests: short.len(),
     };
-    assert_eq!(resumed.err(), Some(past_end));
+    assert_eq!(resumed.err(), Some(RunError::Resume(past_end)));
     monolithic.next_request = w.requests.len() + 1;
     monolithic.now = 1.0e9;
-    let resumed = Simulator::new(config).resume(&w.engine, &w.requests, &mut sard, &monolithic);
+    let resumed = Simulator::new(config).execute(
+        &w.engine,
+        BatchSource::Resume(&w.requests, &monolithic),
+        Vec::new(),
+        &mut sard,
+        &monolithic.workload,
+        RunHooks::default(),
+    );
     let past_end = ResumeError::CursorPastEnd {
         cursor: w.requests.len() + 1,
         requests: w.requests.len(),
     };
-    assert_eq!(resumed.err(), Some(past_end));
+    assert_eq!(resumed.err(), Some(RunError::Resume(past_end)));
 
     let mut sharded = sharded_checkpoint(&multi, config);
     sharded.next_request = multi.requests.len() + 7;
-    let resumed = ShardedSimulator::new(config).resume(
+    let resumed = ShardedSimulator::new(config).execute(
         multi.network(),
         &region_grid_for(multi.network(), 1, 3),
-        &multi.requests,
+        BatchSource::Resume(&multi.requests, &sharded),
+        Vec::new(),
         sard_factory(config),
-        &sharded,
+        &sharded.workload,
+        RunHooks::default(),
     );
     let past_end = ResumeError::CursorPastEnd {
         cursor: multi.requests.len() + 7,
         requests: multi.requests.len(),
     };
-    assert_eq!(resumed.err(), Some(past_end));
+    assert_eq!(resumed.err(), Some(RunError::Resume(past_end)));
+}
+
+#[test]
+fn resume_rejects_a_checkpoint_of_another_workload_config_or_dispatcher() {
+    let config = cadence_config();
+    let w = single_city_workload();
+    let monolithic = monolithic_checkpoint(&w, config);
+    let resume = |config: StructRideConfig, name: &str, dispatcher: &mut dyn Dispatcher| {
+        let source = BatchSource::Resume(&w.requests, &monolithic);
+        let sim = Simulator::new(config);
+        sim.execute(
+            &w.engine,
+            source,
+            Vec::new(),
+            dispatcher,
+            name,
+            RunHooks::default(),
+        )
+        .err()
+    };
+    let other_workload = ResumeError::Workload {
+        expected: "elsewhere".to_string(),
+        found: w.name.clone(),
+    };
+    let mut sard = SardDispatcher::new(config);
+    assert_eq!(
+        resume(config, "elsewhere", &mut sard),
+        Some(RunError::Resume(other_workload))
+    );
+    let slower = StructRideConfig {
+        batch_period: config.batch_period * 2.0,
+        ..config
+    };
+    let mut sard = SardDispatcher::new(slower);
+    assert_eq!(
+        resume(slower, &w.name, &mut sard),
+        Some(RunError::Resume(ResumeError::Config))
+    );
+    let other_dispatcher = ResumeError::Algorithm {
+        expected: "pruneGDP".to_string(),
+        found: "SARD".to_string(),
+    };
+    assert_eq!(
+        resume(config, &w.name, &mut PruneGdp::new()),
+        Some(RunError::Resume(other_dispatcher))
+    );
+}
+
+/// pruneGDP holds no pool, so restoring a SARD pool into it would panic in
+/// the default `restore_snapshot`; the dispatcher check must refuse the
+/// checkpoint before any state is restored.
+#[test]
+fn a_sard_checkpoint_resumed_into_prune_gdp_is_refused_not_a_panic() {
+    let config = cadence_config();
+    let multi = multi_workload(3);
+    let sharded = sharded_checkpoint(&multi, config);
+    assert!(
+        sharded.shards.iter().any(|s| !s.pending.is_empty()),
+        "the checkpoint must carry a SARD pool"
+    );
+    let resumed = ShardedSimulator::new(config).execute(
+        multi.network(),
+        &region_grid_for(multi.network(), 1, 3),
+        BatchSource::Resume(&multi.requests, &sharded),
+        Vec::new(),
+        |_| Box::new(PruneGdp::new()),
+        &multi.name,
+        RunHooks::default(),
+    );
+    let other_dispatcher = ResumeError::Algorithm {
+        expected: "pruneGDP".to_string(),
+        found: "SARD".to_string(),
+    };
+    assert_eq!(resumed.err(), Some(RunError::Resume(other_dispatcher)));
 }

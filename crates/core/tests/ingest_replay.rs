@@ -11,12 +11,22 @@
 use structride_core::replay::{diff_traces, replay_trace, Trace, TraceMeta, TraceRecorder};
 use structride_core::shard::region_strips_for;
 use structride_core::{
-    IngestConfig, IngestError, SardDispatcher, ShardedSimulator, ShardingConfig, Simulator,
-    StructRideConfig,
+    BatchSource, IngestConfig, IngestError, RunHooks, SardDispatcher, ShardedSimulator,
+    ShardingConfig, Simulator, StageTable, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
+
+const HEALTHY: &str = "healthy producer";
+
+/// Hooks that only record the run's trace.
+fn recording(recorder: &mut TraceRecorder) -> RunHooks<'_> {
+    RunHooks {
+        recorder: Some(recorder),
+        ..RunHooks::default()
+    }
+}
 
 fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -110,15 +120,15 @@ fn recorded_ingested_run_replays_bit_identically_across_worker_counts() {
     let mut recorder = TraceRecorder::new();
     let mut sard = SardDispatcher::new(config);
     Simulator::new(config)
-        .run_ingested_recorded(
+        .execute(
             &w.engine,
-            w.requests.iter().cloned(),
+            BatchSource::Ingest(Box::new(w.requests.iter().cloned())),
             w.fresh_vehicles(),
             &mut sard,
             &w.name,
-            &mut recorder,
+            recording(&mut recorder),
         )
-        .expect("healthy producer");
+        .expect(HEALTHY);
     let trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
     assert!(!trace.batches.is_empty());
 
@@ -153,7 +163,7 @@ fn two_city_workload() -> MultiRegionWorkload {
 }
 
 /// Feeds the recorded `(now, requests)` boundaries of `trace` back through
-/// `run_fed_recorded` on two strips under each worker count and requires
+/// `execute` with [`BatchSource::Fed`] on two strips under each worker count and requires
 /// the re-run trace to match `trace` bit for bit.
 fn assert_fed_rerun_matches(
     sim: &ShardedSimulator,
@@ -171,15 +181,16 @@ fn assert_fed_rerun_matches(
     for threads in worker_counts {
         let rerun_trace = in_pool(threads, || {
             let mut rec = TraceRecorder::new();
-            sim.run_fed_recorded(
+            sim.execute(
                 workload.network(),
                 &regions,
-                &boundaries,
+                BatchSource::Fed(&boundaries),
                 workload.fresh_vehicles(),
                 |_| Box::new(SardDispatcher::new(config)),
                 &workload.name,
-                &mut rec,
-            );
+                recording(&mut rec),
+            )
+            .expect("a fed run is never refused");
             rec.into_trace(trace.meta.clone())
         });
         let report = diff_traces(trace, &rerun_trace);
@@ -199,17 +210,17 @@ fn sharded_ingested_run_reruns_bit_identically_from_recorded_boundaries() {
 
     let mut recorder = TraceRecorder::new();
     let ingested = sim
-        .run_ingested_recorded(
+        .execute(
             workload.network(),
             &region_strips_for(workload.network(), 2),
-            workload.requests.iter().cloned(),
+            BatchSource::Ingest(Box::new(workload.requests.iter().cloned())),
             workload.fresh_vehicles(),
             |_| Box::new(SardDispatcher::new(config)),
             &workload.name,
-            &mut recorder,
+            recording(&mut recorder),
         )
-        .expect("healthy producer");
-    assert!(ingested.report.aggregate.served_requests > 0);
+        .expect(HEALTHY);
+    assert!(ingested.aggregate.served_requests > 0);
     let trace = recorder.into_trace(TraceMeta::new("SARD", &workload.name, config));
     assert!(!trace.batches.is_empty());
     assert_fed_rerun_matches(&sim, &workload, &trace, [1, 8]);
@@ -227,15 +238,17 @@ fn clock_driven_boundaries_fed_back_reach_the_same_steps() {
     let sim = ShardedSimulator::with_sharding(config, sharding);
 
     let mut recorder = TraceRecorder::new();
-    let clocked = sim.run_recorded(
-        workload.network(),
-        &region_strips_for(workload.network(), 2),
-        &workload.requests,
-        workload.fresh_vehicles(),
-        |_| Box::new(SardDispatcher::new(config)),
-        &workload.name,
-        &mut recorder,
-    );
+    let clocked = sim
+        .execute(
+            workload.network(),
+            &region_strips_for(workload.network(), 2),
+            BatchSource::Clock(&workload.requests),
+            workload.fresh_vehicles(),
+            |_| Box::new(SardDispatcher::new(config)),
+            &workload.name,
+            recording(&mut recorder),
+        )
+        .expect("a clock-driven run is never refused");
     assert!(clocked.aggregate.served_requests > 0);
     let trace = recorder.into_trace(TraceMeta::new("SARD", &workload.name, config));
     assert!(!trace.batches.is_empty());
@@ -264,4 +277,103 @@ fn panicked_producer_surfaces_as_a_structured_error() {
         .expect_err("producer panic must surface as an error");
     let IngestError::ProducerPanicked(msg) = err;
     assert!(msg.contains("corrupt arrival record"), "{msg}");
+}
+
+/// The `(now, requests)` boundaries a trace recorded.
+fn boundaries_of(trace: &Trace) -> Vec<(f64, Vec<structride_model::Request>)> {
+    trace
+        .batches
+        .iter()
+        .map(|b| (b.now, b.requests.clone()))
+        .collect()
+}
+
+#[test]
+fn fed_clock_boundaries_rerecord_byte_identically_on_both_pipelines() {
+    // A clock-driven recording, re-run from its own boundaries through
+    // `BatchSource::Fed`, must write the very same trace text — on the
+    // monolithic pipeline and on two shards.
+    let config = StructRideConfig::default();
+    let w = small_workload();
+    let meta = TraceMeta::new("SARD", &w.name, config);
+    let mono = Simulator::new(config);
+    let mut recorder = TraceRecorder::new();
+    mono.run_recorded(
+        &w.engine,
+        &w.requests,
+        w.fresh_vehicles(),
+        &mut SardDispatcher::new(config),
+        &w.name,
+        &mut recorder,
+    );
+    let clocked = recorder.into_trace(meta.clone());
+    assert!(!clocked.batches.is_empty());
+    let boundaries = boundaries_of(&clocked);
+    let mut recorder = TraceRecorder::new();
+    mono.execute(
+        &w.engine,
+        BatchSource::Fed(&boundaries),
+        w.fresh_vehicles(),
+        &mut SardDispatcher::new(config),
+        &w.name,
+        recording(&mut recorder),
+    )
+    .expect("a fed run is never refused");
+    assert_eq!(recorder.into_trace(meta).to_text(), clocked.to_text());
+
+    let workload = two_city_workload();
+    let meta = TraceMeta::new("SARD", &workload.name, config);
+    let regions = region_strips_for(workload.network(), 2);
+    let sharded = ShardedSimulator::new(config);
+    let record = |source: BatchSource<'_>| {
+        let mut recorder = TraceRecorder::new();
+        sharded
+            .execute(
+                workload.network(),
+                &regions,
+                source,
+                workload.fresh_vehicles(),
+                |_| Box::new(SardDispatcher::new(config)),
+                &workload.name,
+                recording(&mut recorder),
+            )
+            .expect("clock-driven and fed runs are never refused");
+        recorder.into_trace(meta.clone())
+    };
+    let clocked = record(BatchSource::Clock(&workload.requests));
+    assert!(!clocked.batches.is_empty());
+    let boundaries = boundaries_of(&clocked);
+    assert_eq!(
+        record(BatchSource::Fed(&boundaries)).to_text(),
+        clocked.to_text()
+    );
+}
+
+#[test]
+fn observed_ingested_run_reports_every_batch_and_replays_clean() {
+    let w = small_workload();
+    let config = StructRideConfig::default().with_ingest(ingest_config());
+    let mut recorder = TraceRecorder::new();
+    let mut table = StageTable::new();
+    let report = Simulator::new(config)
+        .execute(
+            &w.engine,
+            BatchSource::Ingest(Box::new(w.requests.iter().cloned())),
+            w.fresh_vehicles(),
+            &mut SardDispatcher::new(config),
+            &w.name,
+            RunHooks {
+                recorder: Some(&mut recorder),
+                observer: Some(&mut table),
+                ..RunHooks::default()
+            },
+        )
+        .expect(HEALTHY);
+    assert!(report.ingest.is_some(), "an ingested run reports its queue");
+    assert!(report.metrics.batches > 0);
+    assert_eq!(table.rows.len(), report.metrics.batches);
+    let trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
+    let drift = replay_trace(&w.engine, &mut SardDispatcher::new(config), &trace);
+    assert!(drift.is_clean(), "observed ingested run drifted:\n{drift}");
+    assert_eq!(drift.batches_compared, report.metrics.batches);
 }

@@ -15,7 +15,8 @@
 
 use structride_core::shard::{region_grid_for, ShardedSimulator};
 use structride_core::{
-    Checkpoint, FaultConfig, RunHooks, SardDispatcher, StructRideConfig, Trace, TraceParseError,
+    BatchSource, Checkpoint, FaultConfig, RunHooks, SardDispatcher, StructRideConfig, Trace,
+    TraceParseError,
 };
 use structride_datagen::{CityProfile, MultiRegionParams, MultiRegionWorkload};
 
@@ -164,18 +165,20 @@ fn recorded_checkpoint() -> String {
         ..MultiRegionParams::small(vec![CityProfile::ChengduLike, CityProfile::NycLike])
     });
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    ShardedSimulator::new(config).run_with(
-        w.network(),
-        &region_grid_for(w.network(), 1, 2),
-        &w.requests,
-        w.fresh_vehicles(),
-        move |_| Box::new(SardDispatcher::new(config)),
-        &w.name,
-        RunHooks {
-            checkpoints: Some(&mut |c| checkpoints.push(c)),
-            ..RunHooks::default()
-        },
-    );
+    ShardedSimulator::new(config)
+        .execute(
+            w.network(),
+            &region_grid_for(w.network(), 1, 2),
+            BatchSource::Clock(&w.requests),
+            w.fresh_vehicles(),
+            move |_| Box::new(SardDispatcher::new(config)),
+            &w.name,
+            RunHooks {
+                checkpoints: Some(&mut |c| checkpoints.push(c)),
+                ..RunHooks::default()
+            },
+        )
+        .expect("a clock-driven run is never refused");
     let text = checkpoints.first().expect("the cadence fires").to_text();
     for tag in ["routed ", "request ", "edges "] {
         assert!(

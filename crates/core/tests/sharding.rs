@@ -13,8 +13,8 @@ use structride_core::shard::{
     ShardingConfig,
 };
 use structride_core::{
-    DispatchContext, Dispatcher, FaultConfig, FleetIndex, RunMetrics, SardDispatcher, Simulator,
-    StructRideConfig,
+    BatchSource, DispatchContext, Dispatcher, FaultConfig, FleetIndex, RunHooks, RunMetrics,
+    SardDispatcher, Simulator, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
@@ -24,6 +24,16 @@ use structride_roadnet::{HubLabels, SpEngineBuilder, TrafficConfig, TrafficProfi
 
 fn sard_factory(config: StructRideConfig) -> impl Fn(usize) -> ShardDispatcher {
     move |_| Box::new(SardDispatcher::new(config))
+}
+
+const CLOCK: &str = "a clock-driven run is never refused";
+
+/// Hooks that only record the run's trace.
+fn recording(recorder: &mut TraceRecorder) -> RunHooks<'_> {
+    RunHooks {
+        recorder: Some(recorder),
+        ..RunHooks::default()
+    }
 }
 
 fn single_city_workload() -> Workload {
@@ -133,15 +143,17 @@ fn sharded_run_is_deterministic_across_worker_counts() {
             .expect("pool");
         pool.install(|| {
             let mut recorder = TraceRecorder::new();
-            let report = sim.run_recorded(
-                w.network(),
-                &w.regions,
-                &w.requests,
-                w.fresh_vehicles(),
-                sard_factory(config),
-                &w.name,
-                &mut recorder,
-            );
+            let report = sim
+                .execute(
+                    w.network(),
+                    &w.regions,
+                    BatchSource::Clock(&w.requests),
+                    w.fresh_vehicles(),
+                    sard_factory(config),
+                    &w.name,
+                    recording(&mut recorder),
+                )
+                .expect(CLOCK);
             let trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
             (report, trace)
         })
@@ -541,15 +553,17 @@ fn top_m_shortlist_caps_bids_deterministically() {
             .expect("pool");
         pool.install(|| {
             let mut recorder = TraceRecorder::new();
-            let report = ShardedSimulator::with_sharding(config, sharding).run_recorded(
-                w.network(),
-                &w.regions,
-                &w.requests,
-                west_fleet.clone(),
-                sard_factory(config),
-                &w.name,
-                &mut recorder,
-            );
+            let report = ShardedSimulator::with_sharding(config, sharding)
+                .execute(
+                    w.network(),
+                    &w.regions,
+                    BatchSource::Clock(&w.requests),
+                    west_fleet.clone(),
+                    sard_factory(config),
+                    &w.name,
+                    recording(&mut recorder),
+                )
+                .expect(CLOCK);
             (
                 report,
                 recorder.into_trace(TraceMeta::new("SARD", &w.name, config)),
@@ -629,15 +643,17 @@ fn rush_hour_sharded_run_rolls_epochs_and_is_worker_count_independent() {
             .expect("pool");
         pool.install(|| {
             let mut recorder = TraceRecorder::new();
-            let report = sim.run_recorded(
-                w.network(),
-                &w.regions,
-                &w.requests,
-                w.fresh_vehicles(),
-                sard_factory(config),
-                &w.name,
-                &mut recorder,
-            );
+            let report = sim
+                .execute(
+                    w.network(),
+                    &w.regions,
+                    BatchSource::Clock(&w.requests),
+                    w.fresh_vehicles(),
+                    sard_factory(config),
+                    &w.name,
+                    recording(&mut recorder),
+                )
+                .expect(CLOCK);
             let trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
             (report, trace)
         })
@@ -674,15 +690,17 @@ fn rush_hour_sharded_run_rolls_epochs_and_is_worker_count_independent() {
     // a static model produces a different recording.
     let static_sim = ShardedSimulator::new(StructRideConfig::default());
     let mut recorder = TraceRecorder::new();
-    static_sim.run_recorded(
-        w.network(),
-        &w.regions,
-        &w.requests,
-        w.fresh_vehicles(),
-        sard_factory(StructRideConfig::default()),
-        &w.name,
-        &mut recorder,
-    );
+    static_sim
+        .execute(
+            w.network(),
+            &w.regions,
+            BatchSource::Clock(&w.requests),
+            w.fresh_vehicles(),
+            sard_factory(StructRideConfig::default()),
+            &w.name,
+            recording(&mut recorder),
+        )
+        .expect(CLOCK);
     let static_trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
     assert!(
         !diff_traces(&trace1, &static_trace).is_clean(),
@@ -714,15 +732,17 @@ fn shard_outage_fails_over_requests_and_keeps_exact_accounting() {
             .expect("pool");
         pool.install(|| {
             let mut recorder = TraceRecorder::new();
-            let report = ShardedSimulator::new(config).run_recorded(
-                w.network(),
-                &w.regions,
-                &w.requests,
-                w.fresh_vehicles(),
-                sard_factory(config),
-                &w.name,
-                &mut recorder,
-            );
+            let report = ShardedSimulator::new(config)
+                .execute(
+                    w.network(),
+                    &w.regions,
+                    BatchSource::Clock(&w.requests),
+                    w.fresh_vehicles(),
+                    sard_factory(config),
+                    &w.name,
+                    recording(&mut recorder),
+                )
+                .expect(CLOCK);
             let trace = recorder.into_trace(TraceMeta::new("SARD", &w.name, config));
             (report, trace)
         })
@@ -814,15 +834,17 @@ fn sharded_recording_flags_a_different_pipeline() {
     };
     let record = |sharding: ShardingConfig| {
         let mut recorder = TraceRecorder::new();
-        let report = ShardedSimulator::with_sharding(config, sharding).run_recorded(
-            w.network(),
-            &w.regions,
-            &w.requests,
-            west_fleet.clone(),
-            sard_factory(config),
-            &w.name,
-            &mut recorder,
-        );
+        let report = ShardedSimulator::with_sharding(config, sharding)
+            .execute(
+                w.network(),
+                &w.regions,
+                BatchSource::Clock(&w.requests),
+                west_fleet.clone(),
+                sard_factory(config),
+                &w.name,
+                recording(&mut recorder),
+            )
+            .expect(CLOCK);
         (
             report,
             recorder.into_trace(TraceMeta::new("SARD", &w.name, config)),

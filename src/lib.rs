@@ -52,8 +52,8 @@
 //! ([`core::replay`]): the simulator can record
 //! `(batch, fleet-state, outcome)` traces
 //! ([`Simulator::run_recorded`](prelude::Simulator::run_recorded), or
-//! [`run_with`](prelude::Simulator::run_with) and a
-//! [`RunHooks`] for a checkpoint sink as well) and
+//! [`execute`](prelude::Simulator::execute) with any [`BatchSource`] and a
+//! [`RunHooks`] for a checkpoint sink or stage observer as well) and
 //! [`replay_trace`] diffs any
 //! dispatcher against a recording batch-by-batch — CI replays a quickstart
 //! trace under 1 and N worker threads and fails on any drift (see the
@@ -106,9 +106,9 @@ pub mod prelude {
     //! The names most programs need, in one import.
     pub use structride_baselines::{DemandRepositioning, Gas, PruneGdp, Rtv, TicketAssignPlus};
     pub use structride_core::{
-        diff_traces, region_strips_for, replay_trace, BatchOutcome, DispatchContext, Dispatcher,
-        DriftReport, IngestConfig, IngestReport, IngestStats, ResumeError, RunHooks, RunMetrics,
-        RunObserver, SardDispatcher, ShardDispatcher, ShardedIngestReport, ShardedReport,
+        diff_traces, region_strips_for, replay_trace, BatchOutcome, BatchSource, DispatchContext,
+        Dispatcher, DriftReport, IngestConfig, IngestReport, IngestStats, ResumeError, RunError,
+        RunHooks, RunMetrics, RunObserver, SardDispatcher, ShardDispatcher, ShardedReport,
         ShardedSimulator, ShardingConfig, SimulationReport, Simulator, Stage, StageTable,
         StructRideConfig, Trace, TraceMeta, TraceRecorder,
     };

@@ -260,17 +260,19 @@ fn stage_spans_cover_the_batch_wall_and_change_no_decision() {
         let plain = run(&workload, make(config).as_mut(), config);
         workload.engine.clear_cache();
         let mut table = StageTable::new();
-        let observed = Simulator::new(config).run_with(
-            &workload.engine,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            make(config).as_mut(),
-            &workload.name,
-            RunHooks {
-                observer: Some(&mut table),
-                ..RunHooks::default()
-            },
-        );
+        let observed = Simulator::new(config)
+            .execute(
+                &workload.engine,
+                BatchSource::Clock(&workload.requests),
+                workload.fresh_vehicles(),
+                make(config).as_mut(),
+                &workload.name,
+                RunHooks {
+                    observer: Some(&mut table),
+                    ..RunHooks::default()
+                },
+            )
+            .expect("a clock-driven run is never refused");
         // Spans only read the clock.
         assert_eq!(observed.served, plain.served);
         assert_eq!(
