@@ -133,11 +133,9 @@ impl Lane {
     pub(crate) fn new(engine: &SpEngine, config: StructRideConfig, vehicles: Vec<Vehicle>) -> Lane {
         // The index reads neither a bounding box nor a cell count.
         let mut fleet_index = FleetIndex::build(Default::default(), 0, engine.network(), &vehicles);
-        if engine.traffic_active() {
-            // The build cached the free-flow base rate; pin the engine's
-            // current (epoch-certified) rate instead.
-            fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
-        }
+        // The build cached the base network's rate; pin the engine's current
+        // (epoch-certified) one, the same bits on a static engine.
+        fleet_index.set_min_time_per_meter(engine.min_time_per_meter());
         Lane {
             config,
             vehicles,

@@ -38,7 +38,7 @@
 //! return **bit-identical** floats to a whole-network engine (the slice
 //! vectors are verbatim copies), which is what keeps sharded runs
 //! replay-exact across this refactor; see
-//! [`SpEngineBuilder::build_clipped`](structride_roadnet::SpEngineBuilder).
+//! [`SpEngineBuilder::build_clipped`](structride_roadnet::SpEngineBuilder::build_clipped).
 //!
 //! # Cross-shard handoff
 //!
@@ -613,14 +613,14 @@ impl<'a> ShardedRun<'a> {
             store = None;
         } else {
             let full_t0 = Instant::now();
-            let epoch_store = EpochStore::new(shared_net.clone(), traffic, true);
+            let epoch_store = EpochStore::new(shared_net.clone(), traffic);
             full_build_seconds = full_t0.elapsed().as_secs_f64();
             engines = halos
                 .par_iter()
                 .map(|halo| SpEngineBuilder::new().build_traffic_clipped(epoch_store.clone(), halo))
                 .collect::<Vec<SpEngine>>();
             let initial = epoch_store.initial_artifacts();
-            full_label_bytes = initial.labels().map(|l| l.approx_bytes()).unwrap_or(0);
+            full_label_bytes = initial.labels().approx_bytes();
             store = Some(epoch_store);
         }
         let label_bytes = full_label_bytes

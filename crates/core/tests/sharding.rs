@@ -20,7 +20,7 @@ use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
 use structride_model::insertion;
-use structride_roadnet::{HubLabels, SpEngineBuilder, TrafficConfig, TrafficProfile};
+use structride_roadnet::{HubLabels, SpEngineBuilder, SubNetwork, TrafficConfig, TrafficProfile};
 
 fn sard_factory(config: StructRideConfig) -> impl Fn(usize) -> ShardDispatcher {
     move |_| Box::new(SardDispatcher::new(config))
@@ -343,7 +343,9 @@ fn halo_clipped_engines_answer_bit_identically_to_the_full_engine() {
     let network = w.network();
     let shared = Arc::new(network.clone());
     let labels = Arc::new(HubLabels::build(&shared));
-    let full = SpEngineBuilder::new().build_with_index(shared.clone(), labels.clone());
+    let all: Vec<u32> = network.nodes().collect();
+    let full = SpEngineBuilder::new().build_clipped(shared.clone(), labels.clone(), &all);
+    assert!(!full.is_clipped());
     let band = ShardingConfig::default().handoff_band;
     let halos = halo_vertices(network, &w.regions, band);
     assert_eq!(halos.len(), 3);
@@ -353,7 +355,7 @@ fn halo_clipped_engines_answer_bit_identically_to_the_full_engine() {
         assert!(!halo.is_empty(), "strip regions always hold vertices");
         let clipped = SpEngineBuilder::new().build_clipped(shared.clone(), labels.clone(), halo);
         assert!(clipped.is_clipped(), "3-strip halos never cover everything");
-        let clip = clipped.clip().expect("clipped engine exposes its halo");
+        let clip = SubNetwork::extract(network, halo).expect("halo vertices are in range");
         assert_eq!(clip.len(), halo.len());
         // Every vertex of the shard's own region is inside its halo.
         for v in network.nodes() {

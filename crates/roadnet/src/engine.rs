@@ -1,10 +1,15 @@
 //! The shortest-path query engine used by every dispatcher.
 //!
-//! [`SpEngine`] bundles the road network, an optional hub-label index and a
+//! [`SpEngine`] bundles the road network, a hub-label index and a
 //! shortest-path cache behind a single `cost(u, v)` entry point.  It also
-//! counts the number of *index* queries (cache misses that hit the labels /
-//! Dijkstra), which is the "#Shortest Path Queries" column of the paper's
+//! counts the number of *index* queries (cache misses answered by the
+//! labels), which is the "#Shortest Path Queries" column of the paper's
 //! Table V and Table VI angle-pruning ablation.
+//!
+//! Every engine reads its current epoch — index, certified rates, epoch
+//! number — from one slot.  A static engine's slot is fixed at build and
+//! read without a lock; a traffic engine's slot sits behind the lock that
+//! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.
 //!
 //! The cache stands where the paper puts its LRU cache (after Huang et al.),
 //! with a different replacement policy.  It is a fixed table of 4-way sets
@@ -34,7 +39,6 @@
 //! bit-deterministic.
 
 use crate::cache::SpCache;
-use crate::dijkstra;
 use crate::graph::{NodeId, Point, RoadNetwork, LOWER_BOUND_GRACE};
 use crate::hub_labels::{BuildPlan, HubLabels};
 use crate::landmarks::Landmarks;
@@ -51,7 +55,7 @@ pub struct SpStats {
     pub total_queries: u64,
     /// Queries answered by the cache.
     pub cache_hits: u64,
-    /// Queries that had to consult the hub labels / run Dijkstra.
+    /// Queries that had to consult the hub labels.
     pub index_queries: u64,
 }
 
@@ -59,7 +63,6 @@ pub struct SpStats {
 #[derive(Debug, Clone)]
 pub struct SpEngineBuilder {
     cache_capacity: usize,
-    use_hub_labels: bool,
     traffic: TrafficConfig,
 }
 
@@ -67,14 +70,13 @@ impl Default for SpEngineBuilder {
     fn default() -> Self {
         SpEngineBuilder {
             cache_capacity: 1 << 18,
-            use_hub_labels: true,
             traffic: TrafficConfig::default(),
         }
     }
 }
 
 impl SpEngineBuilder {
-    /// Starts from the default configuration (hub labels on, 256K-entry
+    /// Starts from the default configuration (static weights, 256K-entry
     /// cache).
     pub fn new() -> Self {
         Self::default()
@@ -87,13 +89,6 @@ impl SpEngineBuilder {
         self
     }
 
-    /// Enables or disables the hub-label index.  Without labels, queries fall
-    /// back to point-to-point Dijkstra (slower, still exact).
-    pub fn use_hub_labels(mut self, yes: bool) -> Self {
-        self.use_hub_labels = yes;
-        self
-    }
-
     /// Attaches a time-dependent traffic model.  A non-static config makes
     /// [`SpEngineBuilder::build`] / [`build_shared`](Self::build_shared)
     /// produce a **self-rolling** engine: the caller drives
@@ -103,10 +98,9 @@ impl SpEngineBuilder {
     /// at every epoch boundary.  A static config (the default) leaves the
     /// pre-traffic fast path completely untouched.
     ///
-    /// `build_with_index` / `build_clipped` ignore this knob (their prebuilt
-    /// shared labels are static by construction); self-rolling *clipped*
-    /// engines are built with
-    /// [`build_traffic_clipped`](Self::build_traffic_clipped) over an
+    /// `build_clipped` ignores this knob (its prebuilt shared labels are
+    /// static by construction); self-rolling *clipped* engines are built
+    /// with [`build_traffic_clipped`](Self::build_traffic_clipped) over an
     /// explicit store instead.
     pub fn traffic(mut self, config: TrafficConfig) -> Self {
         self.traffic = config;
@@ -122,32 +116,15 @@ impl SpEngineBuilder {
     /// the per-shard engines of the sharded pipeline all point at one global
     /// network this way.  With a non-static [`SpEngineBuilder::traffic`]
     /// config, `net` is the free-flow base network and the engine starts in
-    /// the epoch covering `now = 0`.
+    /// the epoch covering `now = 0`, rolling through its own private
+    /// [`EpochStore`].
     pub fn build_shared(self, net: Arc<RoadNetwork>) -> SpEngine {
         if !self.traffic.is_static() {
-            return self.build_traffic(net);
+            let store = EpochStore::new(net, self.traffic);
+            return self.assemble_traffic(store, None);
         }
-        let labels = self
-            .use_hub_labels
-            .then(|| Arc::new(HubLabels::build(&net)));
-        let index = full_index(labels.as_ref(), self.use_hub_labels);
-        self.assemble_static(net, index)
-    }
-
-    /// Builds a self-rolling traffic engine over the free-flow base `net`,
-    /// with its own private [`EpochStore`].
-    fn build_traffic(self, base: Arc<RoadNetwork>) -> SpEngine {
-        let store = EpochStore::new(base, self.traffic, self.use_hub_labels);
-        self.build_traffic_full(store)
-    }
-
-    /// Builds a self-rolling **full-index** engine over a shared
-    /// [`EpochStore`] — the monolithic form of
-    /// [`build_traffic_clipped`](Self::build_traffic_clipped).  The
-    /// builder's own [`SpEngineBuilder::traffic`] config is ignored; the
-    /// store's config drives the rolls.
-    pub fn build_traffic_full(self, store: Arc<EpochStore>) -> SpEngine {
-        self.assemble_traffic(store, None)
+        let labels = Arc::new(HubLabels::build(&net));
+        self.assemble_static(net, SpIndex::Full(labels))
     }
 
     /// Builds a self-rolling **halo-clipped** engine over a shared
@@ -166,43 +143,22 @@ impl SpEngineBuilder {
     }
 
     fn assemble_traffic(self, store: Arc<EpochStore>, halo: Option<Vec<NodeId>>) -> SpEngine {
-        let use_hub_labels = self.use_hub_labels;
-        let epoch = store.initial_epoch();
         let artifact = store.initial_artifacts();
-        let index = match &halo {
-            Some(h) => clipped_index(artifact.net(), artifact.labels(), h, use_hub_labels),
-            None => full_index(artifact.labels(), use_hub_labels),
+        let current = EpochSlot {
+            epoch: store.initial_epoch().index,
+            index: epoch_index(&artifact, halo.as_deref()),
+            min_tpm: artifact.min_tpm(),
+            min_ratio: artifact.min_ratio(),
         };
-        let base = store.base().clone();
+        let (base, landmarks) = (store.base().clone(), store.landmarks.clone());
         let runtime = TrafficRuntime {
-            config: store.config(),
             store,
-            use_hub_labels,
             halo,
-            slot: RwLock::new(EpochSlot {
-                epoch: epoch.index,
-                artifact,
-                index,
-            }),
-            refresh_seconds: Mutex::new(0.0),
-            rolls: AtomicU64::new(0),
-            rescaled: AtomicU64::new(0),
-            rebuilt: AtomicU64::new(0),
+            slot: RwLock::new(RollingSlot { current, artifact }),
             slice_refreshes: AtomicU64::new(0),
             fallback_mark: AtomicU64::new(0),
         };
-        let landmarks = runtime.store.landmarks.clone();
-        let mut engine = self.assemble(base, SpIndex::Dijkstra, landmarks);
-        engine.traffic = Some(Box::new(runtime));
-        engine
-    }
-
-    /// Builds the engine around a prebuilt (shared) hub-label index instead
-    /// of constructing labels from scratch.  `labels` must have been built
-    /// over `net`.
-    pub fn build_with_index(self, net: Arc<RoadNetwork>, labels: Arc<HubLabels>) -> SpEngine {
-        let index = full_index(Some(&labels), self.use_hub_labels);
-        self.assemble_static(net, index)
+        self.assemble(base, landmarks, Epochs::Rolling(Box::new(runtime)))
     }
 
     /// Builds a **halo-clipped** engine: the sub-network induced by `halo`
@@ -227,28 +183,34 @@ impl SpEngineBuilder {
         labels: Arc<HubLabels>,
         halo: &[NodeId],
     ) -> SpEngine {
-        let index = clipped_index(&net, Some(&labels), halo, self.use_hub_labels);
+        let index = clipped_index(&net, &labels, halo);
         self.assemble_static(net, index)
     }
 
-    /// A static engine: its landmark table is built on `net` here.
+    /// A static engine: its landmark table is built on `net` here, and its
+    /// fixed slot carries `net`'s certified rate, scanned once, and the
+    /// weight ratio 1.
     fn assemble_static(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
         let landmarks = Arc::new(Landmarks::build(&net));
-        self.assemble(net, index, landmarks)
+        let fixed = EpochSlot {
+            epoch: 0,
+            index,
+            min_tpm: net.min_time_per_meter(),
+            min_ratio: 1.0,
+        };
+        self.assemble(net, landmarks, Epochs::Fixed(fixed))
     }
 
     fn assemble(
         self,
         net: Arc<RoadNetwork>,
-        index: SpIndex,
         landmarks: Arc<Landmarks>,
+        epochs: Epochs,
     ) -> SpEngine {
         SpEngine {
-            static_min_tpm: net.min_time_per_meter(),
             net,
-            index,
             landmarks,
-            traffic: None,
+            epochs,
             cache: SpCache::new(self.cache_capacity),
             same_node_queries: AtomicU64::new(0),
             index_queries: AtomicU64::new(0),
@@ -257,34 +219,29 @@ impl SpEngineBuilder {
     }
 }
 
-/// The interior state of a self-rolling traffic engine: the immutable model
-/// plus the current epoch's artifacts behind a read-write lock.  The lock is
-/// only ever written by [`SpEngine::roll_epoch_to`], which the pipelines call
-/// at quiescent batch boundaries (no concurrent queries in flight); during a
+/// Where an engine's current epoch lives.  [`SpEngine::current`] is the one
+/// query-path reader that tells the two shapes apart.
+#[derive(Debug)]
+enum Epochs {
+    /// A static engine: one slot, fixed at build, read without a lock.
+    Fixed(EpochSlot),
+    /// A self-rolling traffic engine.
+    Rolling(Box<TrafficRuntime>),
+}
+
+/// The interior state of a self-rolling traffic engine: the shared store
+/// plus the current epoch behind a read-write lock.  The lock is only ever
+/// written by [`SpEngine::roll_epoch_to`], which the pipelines call at
+/// quiescent batch boundaries (no concurrent queries in flight); during a
 /// batch every worker thread takes cheap uncontended read locks.
 #[derive(Debug)]
 struct TrafficRuntime {
-    config: TrafficConfig,
     store: Arc<EpochStore>,
-    use_hub_labels: bool,
     /// `Some(halo)` for clipped engines: the engine re-derives its clip and
     /// label slice from each epoch's artifacts (or keeps them across a roll
     /// that provably left every halo vertex untouched).
     halo: Option<Vec<NodeId>>,
-    slot: RwLock<EpochSlot>,
-    /// Cumulative wall-clock seconds spent *on the roll path* swapping in
-    /// epoch artifacts (memo lookups, waits on background prebuilds, scoped
-    /// repairs, slice re-cuts) — the hot path of a rush-hour run.
-    /// Background prebuild time overlaps dispatch and is not booked here.
-    refresh_seconds: Mutex<f64>,
-    rolls: AtomicU64,
-    /// Tier-1 rolls: served by a uniform (zone-free) epoch artifact — same
-    /// signature, memo hit, or a joined background prebuild; no pruned
-    /// search ran against this roll's weights on demand.
-    rescaled: AtomicU64,
-    /// Tier-2 rolls: the epoch's zone activity required a scoped
-    /// (worst-case full) label rebuild against a uniform reference.
-    rebuilt: AtomicU64,
+    slot: RwLock<RollingSlot>,
     /// Clipped-engine rolls that re-cut the halo sub-network and label
     /// slice (the complement of the Tier-3 "shard untouched, keep it" skip).
     slice_refreshes: AtomicU64,
@@ -295,38 +252,34 @@ struct TrafficRuntime {
     fallback_mark: AtomicU64,
 }
 
-/// The engine's view of one traffic epoch: the shared artifacts plus the
-/// engine-local index (full, or clipped to this engine's halo).
+/// A rolling engine's slot: the current epoch plus the shared artifacts it
+/// was cut from, which the next roll compares against.
 #[derive(Debug)]
-struct EpochSlot {
-    epoch: u64,
+struct RollingSlot {
+    current: EpochSlot,
     artifact: Arc<EpochArtifacts>,
-    index: SpIndex,
 }
 
-/// The index a full-network engine queries: `labels` when it uses them,
-/// else point-to-point Dijkstra.
-fn full_index(labels: Option<&Arc<HubLabels>>, use_hub_labels: bool) -> SpIndex {
-    match labels {
-        Some(labels) if use_hub_labels => SpIndex::Full(labels.clone()),
-        _ => SpIndex::Dijkstra,
-    }
+/// What every query reads about the current epoch.
+#[derive(Debug)]
+struct EpochSlot {
+    /// The traffic epoch index (0 on a static engine).
+    epoch: u64,
+    /// The engine-local index: full, or clipped to this engine's halo.
+    index: SpIndex,
+    /// The certified `min_time_per_meter` of the epoch's weights.
+    min_tpm: f64,
+    /// The epoch's smallest weight ratio over the landmark table's network
+    /// (exactly 1 on a static engine).
+    min_ratio: f64,
 }
 
 /// The index a halo-clipped engine queries — statically built, or for one
 /// traffic epoch: the sub-network of `net` induced by `halo` plus the label
-/// slice restricted to it.  Without labels it is Dijkstra; an empty halo
-/// answers everything through the full labels, and a halo covering `net`
-/// is a plain full engine sharing them.
-fn clipped_index(
-    net: &RoadNetwork,
-    labels: Option<&Arc<HubLabels>>,
-    halo: &[NodeId],
-    use_hub_labels: bool,
-) -> SpIndex {
-    let Some(labels) = labels.filter(|_| use_hub_labels) else {
-        return SpIndex::Dijkstra;
-    };
+/// slice restricted to it.  An empty halo answers everything through the
+/// full labels, and a halo covering `net` is a plain full engine sharing
+/// them.
+fn clipped_index(net: &RoadNetwork, labels: &Arc<HubLabels>, halo: &[NodeId]) -> SpIndex {
     if halo.is_empty() {
         return SpIndex::FallbackOnly {
             full: labels.clone(),
@@ -344,11 +297,18 @@ fn clipped_index(
     }
 }
 
+/// The index a rolling engine queries in `artifact`'s epoch: clipped to
+/// `halo`, or the epoch's full labels.
+fn epoch_index(artifact: &EpochArtifacts, halo: Option<&[NodeId]>) -> SpIndex {
+    match halo {
+        Some(halo) => clipped_index(artifact.net(), artifact.labels(), halo),
+        None => SpIndex::Full(artifact.labels().clone()),
+    }
+}
+
 /// How an [`SpEngine`] resolves index queries (cache misses).
 #[derive(Debug)]
 enum SpIndex {
-    /// No labels: exact point-to-point Dijkstra on the full network.
-    Dijkstra,
     /// A hub-label index over the whole network (possibly shared).
     Full(Arc<HubLabels>),
     /// A halo-clipped engine: a compact label slice over the clip answers
@@ -377,7 +337,7 @@ enum SpIndex {
 pub struct EpochArtifacts {
     signature: EpochSignature,
     net: Arc<RoadNetwork>,
-    labels: Option<Arc<HubLabels>>,
+    labels: Arc<HubLabels>,
     /// Recorded construction, kept for **uniform** artifacts when the config
     /// carries zones: the reference a zoned epoch's scoped repair starts
     /// from.
@@ -391,11 +351,6 @@ pub struct EpochArtifacts {
     /// incident edge weight differ from the same-profile uniform reference.
     /// `None` for uniform artifacts (the empty set).
     changed: Option<Vec<bool>>,
-    /// Roots the scoped repair kept / re-searched (`0 / 0` for uniform
-    /// artifacts).
-    pub roots_kept: usize,
-    /// See [`EpochArtifacts::roots_kept`].
-    pub roots_rebuilt: usize,
 }
 
 impl EpochArtifacts {
@@ -410,10 +365,9 @@ impl EpochArtifacts {
         &self.net
     }
 
-    /// The epoch's hub-label index (`None` when the store was built without
-    /// labels).
-    pub fn labels(&self) -> Option<&Arc<HubLabels>> {
-        self.labels.as_ref()
+    /// The epoch's hub-label index.
+    pub fn labels(&self) -> &Arc<HubLabels> {
+        &self.labels
     }
 
     /// The epoch's certified `min_time_per_meter` prescreen rate.
@@ -453,7 +407,6 @@ impl EpochArtifacts {
 fn build_uniform_artifacts(
     base: &Arc<RoadNetwork>,
     signature: EpochSignature,
-    use_hub_labels: bool,
     record_plan: bool,
 ) -> EpochArtifacts {
     let factor = signature.uniform_factor();
@@ -462,24 +415,20 @@ fn build_uniform_artifacts(
     } else {
         Arc::new(base.reweighted(|_, _| factor))
     };
-    let (labels, plan) = match (use_hub_labels, record_plan) {
-        (true, true) => {
-            let (labels, plan) = HubLabels::build_with_plan(&net);
-            (Some(Arc::new(labels)), Some(Arc::new(plan)))
-        }
-        (true, false) => (Some(Arc::new(HubLabels::build(&net))), None),
-        (false, _) => (None, None),
+    let (labels, plan) = if record_plan {
+        let (labels, plan) = HubLabels::build_with_plan(&net);
+        (labels, Some(Arc::new(plan)))
+    } else {
+        (HubLabels::build(&net), None)
     };
     EpochArtifacts {
         signature,
         min_tpm: net.min_time_per_meter(),
         min_ratio: net.min_weight_ratio(base),
         net,
-        labels,
+        labels: Arc::new(labels),
         plan,
         changed: None,
-        roots_kept: 0,
-        roots_rebuilt: 0,
     }
 }
 
@@ -492,7 +441,6 @@ fn build_zoned_artifacts(
     base: &Arc<RoadNetwork>,
     epoch: &TrafficEpoch,
     reference: &EpochArtifacts,
-    use_hub_labels: bool,
 ) -> EpochArtifacts {
     let signature = epoch.signature();
     let (net, seeds) = base.reweighted_with_flags(
@@ -500,31 +448,19 @@ fn build_zoned_artifacts(
         signature.uniform_factor(),
     );
     let net = Arc::new(net);
-    let (labels, changed, roots_kept, roots_rebuilt) = if use_hub_labels {
-        let plan = reference
-            .plan
-            .as_ref()
-            .expect("uniform reference artifacts record a build plan when zones are configured");
-        let repair = plan.repair(&net, &seeds);
-        (
-            Some(Arc::new(repair.labels)),
-            repair.changed,
-            repair.roots_kept,
-            repair.roots_rebuilt,
-        )
-    } else {
-        (None, seeds, 0, 0)
-    };
+    let plan = reference
+        .plan
+        .as_ref()
+        .expect("uniform reference artifacts record a build plan when zones are configured");
+    let repair = plan.repair(&net, &seeds);
     EpochArtifacts {
         signature,
         min_tpm: net.min_time_per_meter(),
         min_ratio: net.min_weight_ratio(base),
         net,
-        labels,
+        labels: Arc::new(repair.labels),
         plan: None,
-        changed: Some(changed),
-        roots_kept,
-        roots_rebuilt,
+        changed: Some(repair.changed),
     }
 }
 
@@ -576,7 +512,6 @@ enum SignatureSlot {
 pub struct EpochStore {
     base: Arc<RoadNetwork>,
     config: TrafficConfig,
-    use_hub_labels: bool,
     /// Plans are recorded on uniform artifacts only when the config carries
     /// zones that could later demand a scoped repair against them.
     record_plans: bool,
@@ -595,31 +530,20 @@ impl EpochStore {
     /// first [`SpEngine::roll_epoch_to`] call (see
     /// [`EpochStore::ensure_prebuild`]) so it never contends with the rest
     /// of setup.
-    pub fn new(base: Arc<RoadNetwork>, config: TrafficConfig, use_hub_labels: bool) -> Arc<Self> {
+    pub fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Arc<Self> {
         let record_plans = config.zones.iter().any(Option::is_some);
         let initial_epoch = config.epoch_at(0.0);
         let signature = initial_epoch.signature();
         let mut memo = HashMap::new();
         let initial = if signature.is_uniform() {
-            Arc::new(build_uniform_artifacts(
-                &base,
-                signature,
-                use_hub_labels,
-                record_plans,
-            ))
+            Arc::new(build_uniform_artifacts(&base, signature, record_plans))
         } else {
             let reference = Arc::new(build_uniform_artifacts(
                 &base,
                 signature.profile_only(),
-                use_hub_labels,
                 record_plans,
             ));
-            let artifact = Arc::new(build_zoned_artifacts(
-                &base,
-                &initial_epoch,
-                &reference,
-                use_hub_labels,
-            ));
+            let artifact = Arc::new(build_zoned_artifacts(&base, &initial_epoch, &reference));
             memo.insert(signature.profile_only(), SignatureSlot::Ready(reference));
             artifact
         };
@@ -628,7 +552,6 @@ impl EpochStore {
             landmarks: Arc::new(Landmarks::build(&base)),
             base,
             config,
-            use_hub_labels,
             record_plans,
             initial_epoch,
             initial,
@@ -671,7 +594,7 @@ impl EpochStore {
     /// panics costs nothing but time: the roll that needs its signature
     /// builds it on demand instead.
     pub fn ensure_prebuild(&self) {
-        if !self.use_hub_labels || self.prebuild_started.swap(true, Ordering::Relaxed) {
+        if self.prebuild_started.swap(true, Ordering::Relaxed) {
             return;
         }
         let width = if self.config.epoch_seconds.is_finite() && self.config.epoch_seconds > 0.0 {
@@ -701,7 +624,7 @@ impl EpochStore {
                 Ok(rayon::ThreadPoolBuilder::new()
                     .num_threads(1)
                     .build()?
-                    .install(|| build_uniform_artifacts(&base, signature, true, record_plans)))
+                    .install(|| build_uniform_artifacts(&base, signature, record_plans)))
             });
             memo.insert(signature, SignatureSlot::Pending(handle));
         }
@@ -728,17 +651,11 @@ impl EpochStore {
                     Arc::new(build_uniform_artifacts(
                         &self.base,
                         signature,
-                        self.use_hub_labels,
                         self.record_plans,
                     ))
                 } else {
                     let reference = self.uniform_reference(&mut memo, signature.profile_only());
-                    Arc::new(build_zoned_artifacts(
-                        &self.base,
-                        epoch,
-                        &reference,
-                        self.use_hub_labels,
-                    ))
+                    Arc::new(build_zoned_artifacts(&self.base, epoch, &reference))
                 };
                 memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
                 artifact
@@ -759,7 +676,6 @@ impl EpochStore {
             None => Arc::new(build_uniform_artifacts(
                 &self.base,
                 signature,
-                self.use_hub_labels,
                 self.record_plans,
             )),
         };
@@ -773,12 +689,7 @@ impl EpochStore {
     fn join_prebuild(&self, handle: Prebuild, signature: EpochSignature) -> EpochArtifacts {
         match handle.join() {
             Ok(Ok(artifact)) => artifact,
-            _ => build_uniform_artifacts(
-                &self.base,
-                signature,
-                self.use_hub_labels,
-                self.record_plans,
-            ),
+            _ => build_uniform_artifacts(&self.base, signature, self.record_plans),
         }
     }
 }
@@ -793,16 +704,13 @@ impl EpochStore {
 #[derive(Debug)]
 pub struct SpEngine {
     net: Arc<RoadNetwork>,
-    /// `net.min_time_per_meter()`, scanned once at assembly: the certified
-    /// rate of a static engine.
-    static_min_tpm: f64,
-    index: SpIndex,
     /// The landmark table of `net` (the free-flow base, for traffic
     /// engines; shared with every engine of the same [`EpochStore`]).
     landmarks: Arc<Landmarks>,
-    /// `Some` for self-rolling traffic engines; `None` keeps the static
-    /// fast path (no lock anywhere on the query path).
-    traffic: Option<Box<TrafficRuntime>>,
+    /// The current epoch: fixed for a static engine (no lock anywhere on
+    /// the query path), rolled by [`SpEngine::roll_epoch_to`] for a traffic
+    /// engine.
+    epochs: Epochs,
     cache: SpCache,
     /// `cost(v, v)` calls, which never reach the cache; the cache counts
     /// every other `cost()` call as one hit or one miss.
@@ -815,6 +723,15 @@ impl SpEngine {
     /// Builds an engine with default settings (hub labels + cache).
     pub fn new(net: RoadNetwork) -> Self {
         SpEngineBuilder::default().build(net)
+    }
+
+    /// Runs `read` on the current epoch's slot: a static engine's fixed
+    /// slot as a plain reference, a traffic engine's through its read guard.
+    fn current<R>(&self, read: impl FnOnce(&EpochSlot) -> R) -> R {
+        match &self.epochs {
+            Epochs::Fixed(slot) => read(slot),
+            Epochs::Rolling(rt) => read(&rt.slot.read().unwrap().current),
+        }
     }
 
     /// The underlying road network.  For self-rolling traffic engines this
@@ -856,26 +773,7 @@ impl SpEngine {
     /// Travel time bypassing the cache (still counted as an index query).
     pub fn cost_uncached(&self, source: NodeId, target: NodeId) -> f64 {
         self.index_queries.fetch_add(1, Ordering::Relaxed);
-        match &self.traffic {
-            Some(rt) => {
-                let slot = rt.slot.read().unwrap();
-                self.resolve_cost(slot.artifact.net(), &slot.index, source, target)
-            }
-            None => self.resolve_cost(&self.net, &self.index, source, target),
-        }
-    }
-
-    /// Resolves one uncached query against a specific network + index pair
-    /// (the static fields, or a traffic engine's current epoch slot).
-    fn resolve_cost(
-        &self,
-        net: &RoadNetwork,
-        index: &SpIndex,
-        source: NodeId,
-        target: NodeId,
-    ) -> f64 {
-        match index {
-            SpIndex::Dijkstra => dijkstra::p2p(net, source, target),
+        self.current(|slot| match &slot.index {
             SpIndex::Full(labels) => labels.query(source, target),
             SpIndex::Clipped { sub, slice, full } => match (sub.local(source), sub.local(target)) {
                 (Some(ls), Some(lt)) => slice.query(ls, lt),
@@ -888,19 +786,19 @@ impl SpEngine {
                 self.fallback_queries.fetch_add(1, Ordering::Relaxed);
                 full.query(source, target)
             }
-        }
+        })
     }
 
     /// Batched exact |S|×|T| travel-time matrix (row-major: entry
     /// `i * targets.len() + j` is the cost from `sources[i]` to
     /// `targets[j]`), bypassing the per-pair cache.
     ///
-    /// With hub labels this is [`HubLabels::many_to_many`]: the smaller side's
-    /// labels are scattered into a per-thread hub bucket, once each, and the
-    /// larger side's labels are scanned against it — for dispatch's
-    /// ≈ 30 vehicles → 1 pickup, one scatter of the pickup's in-label and one
-    /// read of each vehicle's out-label, instead of |S|·|T| two-pointer
-    /// merges.  Every entry is **bit-identical** to the corresponding
+    /// This is [`HubLabels::many_to_many`]: the smaller side's labels are
+    /// scattered into a per-thread hub bucket, once each, and the larger
+    /// side's labels are scanned against it — for dispatch's ≈ 30 vehicles
+    /// → 1 pickup, one scatter of the pickup's in-label and one read of each
+    /// vehicle's out-label, instead of |S|·|T| two-pointer merges.  Every
+    /// entry is **bit-identical** to the corresponding
     /// [`SpEngine::cost_uncached`] call: the kernel takes the minimum over
     /// the same `out + in` sums as the merge, and the minimum of
     /// non-negative, NaN-free floats does not depend on the order they are
@@ -914,38 +812,7 @@ impl SpEngine {
     pub fn many_to_many(&self, sources: &[NodeId], targets: &[NodeId]) -> Vec<f64> {
         let pairs = (sources.len() * targets.len()) as u64;
         self.index_queries.fetch_add(pairs, Ordering::Relaxed);
-        match &self.traffic {
-            Some(rt) => {
-                let slot = rt.slot.read().unwrap();
-                self.resolve_matrix(slot.artifact.net(), &slot.index, sources, targets, pairs)
-            }
-            None => self.resolve_matrix(&self.net, &self.index, sources, targets, pairs),
-        }
-    }
-
-    /// Resolves one batched matrix against a specific network + index pair.
-    fn resolve_matrix(
-        &self,
-        net: &RoadNetwork,
-        index: &SpIndex,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        pairs: u64,
-    ) -> Vec<f64> {
-        match index {
-            SpIndex::Dijkstra => {
-                let mut out = Vec::with_capacity(sources.len() * targets.len());
-                for &s in sources {
-                    for &t in targets {
-                        out.push(if s == t {
-                            0.0
-                        } else {
-                            dijkstra::p2p(net, s, t)
-                        });
-                    }
-                }
-                out
-            }
+        self.current(|slot| match &slot.index {
             SpIndex::Full(labels) => labels.many_to_many(sources, targets),
             SpIndex::Clipped { sub, slice, full } => {
                 // One id map for both sides; the first endpoint outside the
@@ -970,31 +837,19 @@ impl SpEngine {
                 self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
                 full.many_to_many(sources, targets)
             }
-        }
-    }
-
-    /// The halo clip this engine answers locally, if it is a clipped engine.
-    pub fn clip(&self) -> Option<&SubNetwork> {
-        match &self.index {
-            SpIndex::Clipped { sub, .. } => Some(sub.as_ref()),
-            _ => None,
-        }
+        })
     }
 
     /// True for engines built by [`SpEngineBuilder::build_clipped`] or
     /// [`SpEngineBuilder::build_traffic_clipped`] with a proper
     /// (non-covering) halo, including the empty-halo degenerate case.
     pub fn is_clipped(&self) -> bool {
-        let clipped = |index: &SpIndex| {
+        self.current(|slot| {
             matches!(
-                index,
+                slot.index,
                 SpIndex::Clipped { .. } | SpIndex::FallbackOnly { .. }
             )
-        };
-        match &self.traffic {
-            Some(rt) => clipped(&rt.slot.read().unwrap().index),
-            None => clipped(&self.index),
-        }
+        })
     }
 
     /// Index queries that left the halo and were answered by the shared full
@@ -1006,20 +861,15 @@ impl SpEngine {
     }
 
     /// Bytes of the hub-label index this engine queries locally: the halo
-    /// slice for clipped engines, the full label index otherwise (0 without
-    /// labels or with an empty halo).  Shared full indexes reached only via
-    /// fallback are *not* counted — sum them once per pipeline, not per
-    /// shard.
+    /// slice for clipped engines, the full label index otherwise (0 with an
+    /// empty halo).  Shared full indexes reached only via fallback are *not*
+    /// counted — sum them once per pipeline, not per shard.
     pub fn index_bytes(&self) -> usize {
-        let bytes = |index: &SpIndex| match index {
-            SpIndex::Dijkstra | SpIndex::FallbackOnly { .. } => 0,
+        self.current(|slot| match &slot.index {
+            SpIndex::FallbackOnly { .. } => 0,
             SpIndex::Full(labels) => labels.approx_bytes(),
             SpIndex::Clipped { slice, .. } => slice.approx_bytes(),
-        };
-        match &self.traffic {
-            Some(rt) => bytes(&rt.slot.read().unwrap().index),
-            None => bytes(&self.index),
-        }
+        })
     }
 
     /// Straight-line (Euclidean) distance between the coordinates of two
@@ -1051,15 +901,12 @@ impl SpEngine {
     // Time-dependent traffic
     // -----------------------------------------------------------------------
 
-    /// True for self-rolling traffic engines (built with a non-static
-    /// [`SpEngineBuilder::traffic`] config).
-    pub fn traffic_active(&self) -> bool {
-        self.traffic.is_some()
-    }
-
     /// The traffic model of a self-rolling engine, if any.
     pub fn traffic_config(&self) -> Option<TrafficConfig> {
-        self.traffic.as_ref().map(|rt| rt.config)
+        match &self.epochs {
+            Epochs::Fixed(_) => None,
+            Epochs::Rolling(rt) => Some(rt.store.config()),
+        }
     }
 
     /// The current traffic epoch index for self-rolling engines, 0 for
@@ -1067,10 +914,7 @@ impl SpEngine {
     /// a roll actually changes edge weights (or the cache is cleared), so
     /// entries survive rolls between bit-identical epochs.
     pub fn current_epoch(&self) -> u64 {
-        match &self.traffic {
-            Some(rt) => rt.slot.read().unwrap().epoch,
-            None => 0,
-        }
+        self.current(|slot| slot.epoch)
     }
 
     /// Advances a self-rolling traffic engine to the epoch covering `now`,
@@ -1098,63 +942,53 @@ impl SpEngine {
     /// control thread at a quiescent point — concurrent `cost()` callers in
     /// the same instant could cache a fresh-epoch value under the old tag.
     pub fn roll_epoch_to(&self, now: f64) -> bool {
-        let Some(rt) = &self.traffic else {
+        let Epochs::Rolling(rt) = &self.epochs else {
             return false;
         };
         rt.store.ensure_prebuild();
-        let epoch = rt.config.epoch_at(now);
-        if rt.slot.read().unwrap().epoch == epoch.index {
+        let epoch = rt.store.config().epoch_at(now);
+        if rt.slot.read().unwrap().current.epoch == epoch.index {
             return false;
         }
-        let t0 = std::time::Instant::now();
         let mut slot = rt.slot.write().unwrap();
-        if slot.epoch == epoch.index {
+        let RollingSlot {
+            current,
+            artifact: old,
+        } = &mut *slot;
+        if current.epoch == epoch.index {
             return false;
         }
         let signature = epoch.signature();
-        if *slot.artifact.signature() == signature {
+        if *old.signature() == signature {
             // Tier 1, degenerate: identical weights — everything stays live.
-            slot.epoch = epoch.index;
-            drop(slot);
-            rt.rescaled.fetch_add(1, Ordering::Relaxed);
-            rt.rolls.fetch_add(1, Ordering::Relaxed);
-            *rt.refresh_seconds.lock().unwrap() += t0.elapsed().as_secs_f64();
+            current.epoch = epoch.index;
             return true;
         }
         let artifact = rt.store.artifacts_for(&epoch);
-        if artifact.is_uniform() {
-            rt.rescaled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            rt.rebuilt.fetch_add(1, Ordering::Relaxed);
-        }
-        let old_artifact = std::mem::replace(&mut slot.artifact, artifact.clone());
-        let old_index = std::mem::replace(&mut slot.index, SpIndex::Dijkstra);
-        let mut kept_clip = false;
-        slot.index = match (&rt.halo, old_index) {
-            (Some(halo), SpIndex::Clipped { sub, slice, .. })
-                if old_artifact.signature().same_profile(&signature)
-                    && !old_artifact.changed_intersects(halo)
+        let kept_clip = match (&rt.halo, &mut current.index) {
+            (Some(halo), SpIndex::Clipped { full, .. })
+                if old.signature().same_profile(&signature)
+                    && !old.changed_intersects(halo)
                     && !artifact.changed_intersects(halo) =>
             {
                 // Tier 3: no reweighted edge touches the halo, so the
-                // sub-network and label slice are bit-equal to fresh cuts.
-                kept_clip = true;
-                SpIndex::Clipped {
-                    sub,
-                    slice,
-                    full: artifact
-                        .labels()
-                        .expect("clipped traffic engines are built with labels")
-                        .clone(),
-                }
+                // sub-network and label slice are bit-equal to fresh cuts;
+                // only the fallback index moves to the new epoch.
+                *full = artifact.labels().clone();
+                true
             }
-            (Some(halo), _) => {
-                rt.slice_refreshes.fetch_add(1, Ordering::Relaxed);
-                clipped_index(artifact.net(), artifact.labels(), halo, rt.use_hub_labels)
-            }
-            (None, _) => full_index(artifact.labels(), rt.use_hub_labels),
+            _ => false,
         };
-        slot.epoch = epoch.index;
+        if !kept_clip {
+            if rt.halo.is_some() {
+                rt.slice_refreshes.fetch_add(1, Ordering::Relaxed);
+            }
+            current.index = epoch_index(&artifact, rt.halo.as_deref());
+        }
+        current.epoch = epoch.index;
+        current.min_tpm = artifact.min_tpm();
+        current.min_ratio = artifact.min_ratio();
+        *old = artifact;
         drop(slot);
         // Cache tag: entries answered through a retained clip stayed inside
         // the halo, where no weight changed — keep them.  Any fallback since
@@ -1165,8 +999,6 @@ impl SpEngine {
             self.cache.retire();
             rt.fallback_mark.store(fallbacks, Ordering::Relaxed);
         }
-        rt.rolls.fetch_add(1, Ordering::Relaxed);
-        *rt.refresh_seconds.lock().unwrap() += t0.elapsed().as_secs_f64();
         true
     }
 
@@ -1178,10 +1010,7 @@ impl SpEngine {
     /// what keeps SARD/pruneGDP/GAS candidate retrieval, top-m handoff
     /// bidding and the shareability screen *sound* under congestion.
     pub fn min_time_per_meter(&self) -> f64 {
-        match &self.traffic {
-            Some(rt) => rt.slot.read().unwrap().artifact.min_tpm(),
-            None => self.static_min_tpm,
-        }
+        self.current(|slot| slot.min_tpm)
     }
 
     /// The certified travel-time lower bound for the **current** epoch,
@@ -1189,13 +1018,7 @@ impl SpEngine {
     /// table.  Read it once per batch, after the roll, and never carry it
     /// across a roll.  See [`LegBound`].
     pub fn leg_bound(&self) -> LegBound<'_> {
-        let (rate, ratio) = match &self.traffic {
-            Some(rt) => {
-                let slot = rt.slot.read().unwrap();
-                (slot.artifact.min_tpm(), slot.artifact.min_ratio())
-            }
-            None => (self.static_min_tpm, 1.0),
-        };
+        let (rate, ratio) = self.current(|slot| (slot.min_tpm, slot.min_ratio));
         LegBound {
             net: &self.net,
             landmarks: &self.landmarks,
@@ -1204,69 +1027,24 @@ impl SpEngine {
         }
     }
 
-    /// Cumulative wall-clock seconds spent *on the roll path* in
-    /// [`SpEngine::roll_epoch_to`]: memo lookups, joins on background
-    /// prebuilds, on-demand scoped repairs, and clip re-cuts.  Label builds
-    /// that finish on a background thread before their epoch arrives are
-    /// *not* booked here — they overlap dispatch.  0.0 for static engines;
-    /// the initial epoch's build counts as setup, not refresh.
-    pub fn label_refresh_seconds(&self) -> f64 {
-        self.traffic
-            .as_ref()
-            .map(|rt| *rt.refresh_seconds.lock().unwrap())
-            .unwrap_or(0.0)
-    }
-
-    /// Number of completed epoch rolls (0 for static engines).
-    pub fn epoch_rolls(&self) -> u64 {
-        self.traffic
-            .as_ref()
-            .map(|rt| rt.rolls.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Rolls that took Tier 1 — the new epoch's weights were uniform (or
-    /// bit-identical to the current ones), so the labels came from the
-    /// signature memo, a background prebuild, or were kept outright.  0 for
-    /// static engines.
-    pub fn labels_rescaled(&self) -> u64 {
-        self.traffic
-            .as_ref()
-            .map(|rt| rt.rescaled.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Rolls that took Tier 2 — zone activity made the weights spatially
-    /// non-uniform and the labels were produced by a scoped repair against
-    /// the same-profile uniform reference.  0 for static engines.
-    pub fn labels_rebuilt(&self) -> u64 {
-        self.traffic
-            .as_ref()
-            .map(|rt| rt.rebuilt.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Weight-changing rolls on which this clipped engine actually re-cut
     /// its sub-network and label slice — the complement of the Tier-3 skip.
     /// 0 for static and non-clipped engines.
     pub fn slice_refreshes(&self) -> u64 {
-        self.traffic
-            .as_ref()
-            .map(|rt| rt.slice_refreshes.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        match &self.epochs {
+            Epochs::Fixed(_) => 0,
+            Epochs::Rolling(rt) => rt.slice_refreshes.load(Ordering::Relaxed),
+        }
     }
 
     /// Approximate heap footprint (graph + locally queried labels + clip
     /// maps + cache) in bytes.  The network and any shared full index may be
     /// `Arc`-shared with other engines; they are counted here as if owned.
     pub fn approx_bytes(&self) -> usize {
-        let clip_bytes = match &self.traffic {
-            Some(rt) => match &rt.slot.read().unwrap().index {
-                SpIndex::Clipped { sub, .. } => sub.approx_bytes(),
-                _ => 0,
-            },
-            None => self.clip().map(SubNetwork::approx_bytes).unwrap_or(0),
-        };
+        let clip_bytes = self.current(|slot| match &slot.index {
+            SpIndex::Clipped { sub, .. } => sub.approx_bytes(),
+            _ => 0,
+        });
         self.net.approx_bytes()
             + self.index_bytes()
             + clip_bytes
@@ -1350,18 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_with_and_without_labels_agree() {
-        let net = line_graph(20);
-        let with = SpEngineBuilder::new().build(net.clone());
-        let without = SpEngineBuilder::new().use_hub_labels(false).build(net);
-        for s in 0..20u32 {
-            for t in (0..20u32).step_by(3) {
-                assert!((with.cost(s, t) - without.cost(s, t)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn cache_reduces_index_queries() {
         let net = line_graph(10);
         let eng = SpEngine::new(net);
@@ -1412,20 +1178,40 @@ mod tests {
         assert!((eng.euclidean(0, 2) - 20.0).abs() < 1e-9);
     }
 
+    /// A static engine's bound is the base network's: ratio exactly 1 and
+    /// the rate `RoadNetwork::min_time_per_meter` returns, bit for bit —
+    /// also on an edgeless network, where `min_weight_ratio` would say 0.
+    #[test]
+    fn static_leg_bound_is_the_base_rate_at_ratio_one() {
+        let mut one_node = RoadNetworkBuilder::new();
+        one_node.add_node(Point::new(3.0, 4.0));
+        for net in [line_graph(7), one_node.build().unwrap()] {
+            let eng = SpEngine::new(net);
+            let bound = eng.leg_bound();
+            assert_eq!(bound.ratio(), 1.0);
+            assert_eq!(
+                bound.rate().to_bits(),
+                eng.network().min_time_per_meter().to_bits()
+            );
+        }
+    }
+
     #[test]
     fn clipped_engine_is_bit_identical_to_the_full_engine_everywhere() {
         let net = Arc::new(line_graph(24));
         let full = SpEngineBuilder::new().build_shared(net.clone());
-        let labels = match &full.index {
-            SpIndex::Full(l) => l.clone(),
-            _ => unreachable!("default build uses labels"),
-        };
+        let labels = Arc::new(HubLabels::build(&net));
         // Halo = nodes 4..=11; queries inside hit the slice, any endpoint
         // outside falls back to the shared full index.
         let halo: Vec<u32> = (4..12).collect();
         let clipped = SpEngineBuilder::new().build_clipped(net.clone(), labels.clone(), &halo);
         assert!(clipped.is_clipped());
-        assert_eq!(clipped.clip().unwrap().len(), 8);
+        let sub = SubNetwork::extract(&net, &halo).unwrap();
+        assert_eq!(sub.len(), 8);
+        assert_eq!(
+            clipped.index_bytes(),
+            labels.restrict_to(sub.to_global()).approx_bytes()
+        );
         for s in 0..24u32 {
             for t in 0..24u32 {
                 assert_eq!(
@@ -1460,7 +1246,9 @@ mod tests {
     /// The batched matrix must agree bit for bit with per-pair
     /// `cost_uncached` for every engine variant: full labels, a clipped
     /// engine answering in-halo (slice) and mixed (whole-matrix fallback to
-    /// the full index) batches, and the label-free Dijkstra engine — at the
+    /// the full index) batches, and both again rolled to a rush-hour peak
+    /// (a traffic engine and a traffic-clipped one over a shared store,
+    /// checked against a wholesale engine rolled the same way) — at the
     /// |S|×1 shape dispatch sends as well as 1×|T| and square, and with the
     /// calls fanned out over 1, 4 and 8 workers so every worker thread
     /// brings its own kernel scratch and alternates slice and full index.
@@ -1469,15 +1257,22 @@ mod tests {
         use rayon::prelude::*;
         let net = Arc::new(line_graph(24));
         let full = SpEngineBuilder::new().build_shared(net.clone());
-        let labels = match &full.index {
-            SpIndex::Full(l) => l.clone(),
-            _ => unreachable!("default build uses labels"),
-        };
+        let labels = Arc::new(HubLabels::build(&net));
         let halo: Vec<u32> = (4..12).collect();
         let clipped = SpEngineBuilder::new().build_clipped(net.clone(), labels, &halo);
-        let dijkstra = SpEngineBuilder::new()
-            .use_hub_labels(false)
-            .build(line_graph(24));
+        let rush = SpEngineBuilder::new()
+            .traffic(rush_config())
+            .build_shared(net.clone());
+        let store = EpochStore::new(net.clone(), rush_config());
+        let rush_clipped = SpEngineBuilder::new().build_traffic_clipped(store, &halo);
+        let wholesale = SpEngineBuilder::new()
+            .traffic(rush_config())
+            .build_shared(net);
+        for eng in [&rush, &rush_clipped, &wholesale] {
+            assert!(eng.roll_epoch_to(820.0)); // hour 8: uniform ×1.75
+        }
+        assert!(rush_clipped.is_clipped());
+        assert_eq!(rush_clipped.slice_refreshes(), 1);
 
         let in_halo: Vec<u32> = (4..12).collect();
         let mixed: Vec<u32> = vec![0, 5, 8, 20, 23];
@@ -1502,7 +1297,12 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            for eng in [&full, &clipped, &dijkstra] {
+            for (eng, reference) in [
+                (&full, &full),
+                (&clipped, &full),
+                (&rush, &wholesale),
+                (&rush_clipped, &wholesale),
+            ] {
                 let before = eng.fallback_queries();
                 let matrices: Vec<Vec<f64>> = pool.install(|| {
                     shapes
@@ -1516,7 +1316,7 @@ mod tests {
                         for (j, &t) in targets.iter().enumerate() {
                             assert_eq!(
                                 matrix[i * targets.len() + j].to_bits(),
-                                full.cost_uncached(s, t).to_bits(),
+                                reference.cost_uncached(s, t).to_bits(),
                                 "({s},{t}) under {threads} workers"
                             );
                         }
@@ -1547,29 +1347,25 @@ mod tests {
     #[test]
     fn static_engines_never_roll_and_traffic_engines_report_state() {
         let eng = SpEngine::new(line_graph(10));
-        assert!(!eng.traffic_active());
+        assert_eq!(eng.traffic_config(), None);
         assert!(!eng.roll_epoch_to(1e9));
         assert_eq!(eng.current_epoch(), 0);
-        assert_eq!(eng.epoch_rolls(), 0);
-        assert_eq!(eng.label_refresh_seconds(), 0.0);
 
         let traffic = SpEngineBuilder::new()
             .traffic(rush_config())
             .build(line_graph(10));
-        assert!(traffic.traffic_active());
         assert_eq!(traffic.traffic_config(), Some(rush_config()));
         // Rolling within epoch 0 is a no-op; crossing a boundary rolls.
         assert!(!traffic.roll_epoch_to(50.0));
         assert!(traffic.roll_epoch_to(650.0));
         assert_eq!(traffic.current_epoch(), 6);
-        assert_eq!(traffic.epoch_rolls(), 1);
         assert!(!traffic.roll_epoch_to(699.0));
     }
 
     #[test]
     fn a_panicked_prebuild_falls_back_to_the_on_demand_build() {
         let base = Arc::new(line_graph(12));
-        let store = EpochStore::new(base.clone(), rush_config(), true);
+        let store = EpochStore::new(base.clone(), rush_config());
         let epoch = rush_config().epoch_at(820.0); // hour 8: uniform ×1.75
         let signature = epoch.signature();
         assert!(signature.is_uniform());
@@ -1580,7 +1376,7 @@ mod tests {
             .unwrap()
             .insert(signature, SignatureSlot::Pending(failed));
         let artifact = store.artifacts_for(&epoch);
-        let fresh = build_uniform_artifacts(&base, signature, true, false);
+        let fresh = build_uniform_artifacts(&base, signature, false);
         assert_eq!(artifact.labels(), fresh.labels());
         assert_eq!(artifact.min_tpm().to_bits(), fresh.min_tpm().to_bits());
         // The fallback is memoized like a joined prebuild.
@@ -1722,7 +1518,7 @@ mod tests {
         .with_zone(zone(100.0, 200.0))
         .with_zone(zone(300.0, 400.0));
         let net = Arc::new(line_graph(24));
-        let store = EpochStore::new(net.clone(), cfg, true);
+        let store = EpochStore::new(net.clone(), cfg);
         let west = SpEngineBuilder::new()
             .build_traffic_clipped(store.clone(), &(0..9).collect::<Vec<_>>());
         let east =
@@ -1815,13 +1611,5 @@ mod tests {
         );
         // In-halo west answers are untouched by the far-away zone.
         assert_eq!(west.cost(1, 7).to_bits(), west_free.to_bits());
-
-        // Tier accounting over the three weight-changing rolls: zoned,
-        // memoized-uniform, zoned.
-        for eng in [&west, &east, &wholesale] {
-            assert_eq!(eng.epoch_rolls(), 3);
-            assert_eq!(eng.labels_rebuilt(), 2);
-            assert_eq!(eng.labels_rescaled(), 1);
-        }
     }
 }

@@ -70,15 +70,17 @@ fn random_network(seed: u64) -> RoadNetwork {
     b.build().unwrap()
 }
 
-/// The engine shapes the builder meets: static, a rush-hour traffic
-/// engine rolled into its congested epoch, a free-flow epoch whose zone
-/// halves edge weights (`min_ratio` 0.5), a halo-clipped engine
-/// answering half its queries through the fallback, and a halo-clipped
-/// rush engine (the store's free-flow landmark table behind a clip).
+/// The engine shapes the builder meets: static (a covering halo, so a
+/// full engine sharing the labels), a rush-hour traffic engine rolled into
+/// its congested epoch, a free-flow epoch whose zone halves edge weights
+/// (`min_ratio` 0.5), a halo-clipped engine answering half its queries
+/// through the fallback, and a halo-clipped rush engine (the store's
+/// free-flow landmark table behind a clip).
 pub fn engines(seed: u64) -> Vec<SpEngine> {
     let net = random_network(seed);
     let labels = Arc::new(HubLabels::build(&net));
     let halo: Vec<u32> = (0..SIDE * SIDE / 2).collect();
+    let all: Vec<u32> = net.nodes().collect();
     let zoned = |factor: f64| {
         TrafficConfig {
             profile: TrafficProfile::Rush,
@@ -105,11 +107,11 @@ pub fn engines(seed: u64) -> Vec<SpEngine> {
         .build(net.clone());
     assert!(fast_lane.roll_epoch_to(2.0 * 20.0));
     let net = Arc::new(net);
-    let store = EpochStore::new(net.clone(), zoned(2.5), true);
+    let store = EpochStore::new(net.clone(), zoned(2.5));
     let clipped_rush = SpEngineBuilder::new().build_traffic_clipped(store, &halo);
     assert!(clipped_rush.roll_epoch_to(8.0 * 20.0));
     vec![
-        SpEngineBuilder::new().build_with_index(net.clone(), labels.clone()),
+        SpEngineBuilder::new().build_clipped(net.clone(), labels.clone(), &all),
         rush,
         fast_lane,
         SpEngineBuilder::new().build_clipped(net, labels, &halo),
