@@ -788,9 +788,12 @@ mod tests {
         let rush = chaos.with_traffic(structride_datagen::rush_hour(30.0, 15.0));
         // `assign` on the monolithic pipeline, so the chaos solver node
         // budget actually gates the exact solver on the resumed half too.
+        // The static sharded run resumes on fixed-slot clipped engines, the
+        // rush one on rolling engines.
         let three = sharded(3, ShardingConfig::default());
         for scenario in [
             quick(Pipeline::Mono, Source::Clock, "assign", chaos),
+            quick(three, Source::Clock, "sard", chaos),
             quick(three, Source::Clock, "sard", rush),
         ] {
             let (trace, checkpoints) = scenario.record();

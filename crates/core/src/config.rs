@@ -17,8 +17,9 @@ pub struct StructRideConfig {
     pub shareability_capacity: u32,
     /// The angle-pruning configuration (δ, on/off).
     pub angle: AnglePruning,
-    /// No longer read (the fleet index keeps no grid); the trace codec and
-    /// the repo benchmark still carry it.
+    /// Grid cells per side of the shareability builder's source index,
+    /// passed on by [`StructRideConfig::builder_config`] as
+    /// [`BuilderConfig::grid_cells`].  The fleet index keeps no grid.
     pub grid_cells: u32,
     /// Maximum number of candidate vehicles kept per request in SARD's
     /// proposal queues.  The paper retrieves candidates with a radius-bounded

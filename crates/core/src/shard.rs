@@ -19,10 +19,12 @@
 //! # Per-shard sub-network engines
 //!
 //! Every shard owns a **halo-clipped** [`SpEngine`] instead of a clone of
-//! the whole network: the global road network and one canonical hub-label
-//! index are built **once** per run (the label construction itself is
-//! parallel, see [`HubLabels::build`]) and shared across shards via `Arc`;
-//! each shard additionally carries the
+//! the whole network: one [`EpochStore`] per run builds the global road
+//! network's canonical hub-label index **once** (the label construction
+//! itself is parallel, see
+//! [`HubLabels::build`](structride_roadnet::HubLabels::build)) and one
+//! landmark table, and every shard's engine is built from it, sharing both
+//! via `Arc`; each shard additionally carries the
 //! [`SubNetwork`](structride_roadnet::SubNetwork) induced by its *halo* —
 //! its region plus every vertex within
 //! [`ShardingConfig::handoff_band`] of it ([`halo_vertices`]) — and a
@@ -37,8 +39,7 @@
 //! across a border — fall back to the `Arc`-shared global index.  Both paths
 //! return **bit-identical** floats to a whole-network engine (the slice
 //! vectors are verbatim copies), which is what keeps sharded runs
-//! replay-exact across this refactor; see
-//! [`SpEngineBuilder::build_clipped`](structride_roadnet::SpEngineBuilder::build_clipped).
+//! replay-exact; see [`SpEngineBuilder::build_clipped`].
 //!
 //! # Cross-shard handoff
 //!
@@ -109,7 +110,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use structride_model::{insertion, Request, RequestId, Vehicle};
-use structride_roadnet::{EpochStore, HubLabels, NodeId, RoadNetwork, SpEngine, SpEngineBuilder};
+use structride_roadnet::{EpochStore, NodeId, RoadNetwork, SpEngine, SpEngineBuilder};
 use structride_spatial::{RegionGrid, RegionId};
 
 /// A dispatcher owned by one shard (must be `Send`: shards dispatch on
@@ -181,18 +182,22 @@ pub struct ShardedReport {
     pub handoff_bids: u64,
     /// Idle vehicles that changed shard ownership for load balancing.
     pub migrations: u64,
-    /// Wall-clock of the whole setup — the single shared hub-label build
-    /// plus the halo extraction and label slicing of every shard — in
-    /// seconds.  One-off cost, amortised over a long run; benchmarks report
-    /// it separately from the steady-state batch loop.
+    /// Wall-clock of the whole setup — the run's one [`EpochStore`] (its
+    /// shared hub-label build and landmark table) plus the halo extraction
+    /// and label slicing of every shard — in seconds.  One-off cost,
+    /// amortised over a long run; benchmarks report it separately from the
+    /// steady-state batch loop.
     pub setup_seconds: f64,
-    /// Wall-clock of the one shared hub-label build alone, seconds.  The
-    /// pre-sub-network design paid roughly `shards ×` this (one build per
-    /// shard); `setup_seconds` stays near one.
+    /// Wall-clock of building the run's one [`EpochStore`] alone, seconds:
+    /// the shared hub-label build of the initial epoch plus the one
+    /// landmark table every shard engine shares.  The pre-sub-network
+    /// design paid roughly `shards ×` the label build (one per shard);
+    /// `setup_seconds` stays near one.
     pub full_build_seconds: f64,
     /// Actual label-index bytes resident for the run: the shared global
     /// index plus every shard's halo slice (summed
-    /// [`HubLabels::approx_bytes`], not container capacities).
+    /// [`HubLabels::approx_bytes`](structride_roadnet::HubLabels::approx_bytes),
+    /// not container capacities).
     pub label_bytes: usize,
     /// Index queries that left a shard's halo and were answered by the
     /// shared global index.  Diagnostic only — like the shortest-path query
@@ -568,12 +573,12 @@ impl<'a> ShardedRun<'a> {
     /// Builds the shards and homes each vehicle to the shard of its starting
     /// node, preserving input order within each shard.
     ///
-    /// Setup builds the global hub-label index **once** (in parallel) and
-    /// shares it — together with a single `Arc`'d copy of the network —
-    /// across all shards; each shard then extracts its halo sub-network and
-    /// slices the shared labels down to it.  This replaces the pre-PR-5
-    /// per-shard whole-network clone + from-scratch label build, whose cost
-    /// scaled as `k×|V|`.
+    /// Setup builds one [`EpochStore`] — the global hub-label index (in
+    /// parallel) and one landmark table, **once** — and shares it, together
+    /// with a single `Arc`'d copy of the network, across all shards; each
+    /// shard then extracts its halo sub-network and slices the shared labels
+    /// down to it.  This replaces the pre-PR-5 per-shard whole-network
+    /// clone + from-scratch label build, whose cost scaled as `k×|V|`.
     pub(crate) fn new(
         sim: &ShardedSimulator,
         network: &'a RoadNetwork,
@@ -585,44 +590,20 @@ impl<'a> ShardedRun<'a> {
         let shared_net = Arc::new(network.clone());
         let traffic = sim.config().traffic;
         let halos = halo_vertices(network, regions, sim.sharding().handoff_band);
-        // Static configs keep the pre-traffic fast path: one shared label
-        // build, static clipped engines, no epoch store.  Traffic configs
-        // build the shared EpochStore (its initial-epoch label build is the
-        // timed full build — bit-identical to the static path when epoch 0
-        // is free flow) and per-shard *self-rolling* clipped engines over
-        // it, so every later epoch boundary is handled inside
-        // `SpEngine::roll_epoch_to` instead of by an external rebuild.
-        let (store, full_build_seconds, engines, full_label_bytes);
-        if traffic.is_static() {
-            let full_t0 = Instant::now();
-            let full_labels = Arc::new(HubLabels::build(&shared_net));
-            full_build_seconds = full_t0.elapsed().as_secs_f64();
-            // Clipped engines are independent per shard: extract + slice in
-            // parallel, collected in shard order (deterministic).
-            engines = halos
-                .par_iter()
-                .map(|halo| {
-                    SpEngineBuilder::new().build_clipped(
-                        shared_net.clone(),
-                        full_labels.clone(),
-                        halo,
-                    )
-                })
-                .collect::<Vec<SpEngine>>();
-            full_label_bytes = full_labels.approx_bytes();
-            store = None;
-        } else {
-            let full_t0 = Instant::now();
-            let epoch_store = EpochStore::new(shared_net.clone(), traffic);
-            full_build_seconds = full_t0.elapsed().as_secs_f64();
-            engines = halos
-                .par_iter()
-                .map(|halo| SpEngineBuilder::new().build_traffic_clipped(epoch_store.clone(), halo))
-                .collect::<Vec<SpEngine>>();
-            let initial = epoch_store.initial_artifacts();
-            full_label_bytes = initial.labels().approx_bytes();
-            store = Some(epoch_store);
-        }
+        // One store serves every shard: its initial-epoch label build and
+        // landmark table are the timed full build.  Each shard's clipped
+        // engine is cut from it in parallel, collected in shard order
+        // (deterministic): fixed for a static config, self-rolling through
+        // the store for a traffic one, so every later epoch boundary is
+        // handled inside `SpEngine::roll_epoch_to`.
+        let full_t0 = Instant::now();
+        let store = EpochStore::new(shared_net, traffic);
+        let full_build_seconds = full_t0.elapsed().as_secs_f64();
+        let engines = halos
+            .par_iter()
+            .map(|halo| SpEngineBuilder::new().build_clipped(store.clone(), halo))
+            .collect::<Vec<SpEngine>>();
+        let full_label_bytes = store.initial_artifacts().labels().approx_bytes();
         let label_bytes = full_label_bytes
             + engines
                 .iter()
@@ -653,10 +634,9 @@ impl<'a> ShardedRun<'a> {
         }
         // Kick the background label prebuild only now — after setup_seconds
         // is measured — so the builder threads overlap the batch loop
-        // instead of contending with the halo extraction above.
-        if let Some(store) = &store {
-            store.ensure_prebuild();
-        }
+        // instead of contending with the halo extraction above.  A static
+        // store has nothing to prebuild.
+        store.ensure_prebuild();
         ShardedRun {
             config: *sim.config(),
             sharding: *sim.sharding(),

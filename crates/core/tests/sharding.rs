@@ -20,7 +20,7 @@ use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
 use structride_model::insertion;
-use structride_roadnet::{HubLabels, SpEngineBuilder, SubNetwork, TrafficConfig, TrafficProfile};
+use structride_roadnet::{EpochStore, SpEngineBuilder, SubNetwork, TrafficConfig, TrafficProfile};
 
 fn sard_factory(config: StructRideConfig) -> impl Fn(usize) -> ShardDispatcher {
     move |_| Box::new(SardDispatcher::new(config))
@@ -341,10 +341,9 @@ fn handoff_lets_a_vehicleless_shard_borrow_neighbours() {
 fn halo_clipped_engines_answer_bit_identically_to_the_full_engine() {
     let w = multi_workload(3);
     let network = w.network();
-    let shared = Arc::new(network.clone());
-    let labels = Arc::new(HubLabels::build(&shared));
+    let store = EpochStore::new(Arc::new(network.clone()), TrafficConfig::none());
     let all: Vec<u32> = network.nodes().collect();
-    let full = SpEngineBuilder::new().build_clipped(shared.clone(), labels.clone(), &all);
+    let full = SpEngineBuilder::new().build_clipped(store.clone(), &all);
     assert!(!full.is_clipped());
     let band = ShardingConfig::default().handoff_band;
     let halos = halo_vertices(network, &w.regions, band);
@@ -353,7 +352,7 @@ fn halo_clipped_engines_answer_bit_identically_to_the_full_engine() {
     let n = network.node_count() as u32;
     for (shard, halo) in halos.iter().enumerate() {
         assert!(!halo.is_empty(), "strip regions always hold vertices");
-        let clipped = SpEngineBuilder::new().build_clipped(shared.clone(), labels.clone(), halo);
+        let clipped = SpEngineBuilder::new().build_clipped(store.clone(), halo);
         assert!(clipped.is_clipped(), "3-strip halos never cover everything");
         let clip = SubNetwork::extract(network, halo).expect("halo vertices are in range");
         assert_eq!(clip.len(), halo.len());
@@ -464,11 +463,10 @@ fn many_to_many_matches_pairwise_queries_bit_for_bit() {
     };
     check(&w.engine, "full index");
 
-    let shared = Arc::new(network.clone());
-    let labels = Arc::new(HubLabels::build(&shared));
+    let store = EpochStore::new(Arc::new(network.clone()), TrafficConfig::none());
     let band = ShardingConfig::default().handoff_band;
     let halo = &halo_vertices(network, &w.regions, band)[1];
-    let clipped = SpEngineBuilder::new().build_clipped(shared.clone(), labels, halo);
+    let clipped = SpEngineBuilder::new().build_clipped(store, halo);
     assert!(clipped.is_clipped());
     check(&clipped, "halo-clipped slice");
 }

@@ -6,10 +6,11 @@
 //! labels), which is the "#Shortest Path Queries" column of the paper's
 //! Table V and Table VI angle-pruning ablation.
 //!
-//! Every engine reads its current epoch — index, certified rates, epoch
-//! number — from one slot.  A static engine's slot is fixed at build and
-//! read without a lock; a traffic engine's slot sits behind the lock that
-//! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.
+//! Every engine is assembled from an [`EpochStore`] and reads its current
+//! epoch — index, certified rates, epoch number — from one slot.  A static
+//! engine's slot is fixed at build and read without a lock; a traffic
+//! engine's slot sits behind the lock that [`SpEngine::roll_epoch_to`]
+//! swaps at epoch boundaries.
 //!
 //! The cache stands where the paper puts its LRU cache (after Huang et al.),
 //! with a different replacement policy.  It is a fixed table of 4-way sets
@@ -90,79 +91,33 @@ impl SpEngineBuilder {
     }
 
     /// Attaches a time-dependent traffic model.  A non-static config makes
-    /// [`SpEngineBuilder::build`] / [`build_shared`](Self::build_shared)
-    /// produce a **self-rolling** engine: the caller drives
-    /// [`SpEngine::roll_epoch_to`] from the batch clock and the engine
-    /// swaps in the covering epoch's artifacts — reweighted network, label
-    /// index, certified `min_time_per_meter` — from a shared [`EpochStore`]
-    /// at every epoch boundary.  A static config (the default) leaves the
-    /// pre-traffic fast path completely untouched.
+    /// [`SpEngineBuilder::build`] produce a **self-rolling** engine: the
+    /// caller drives [`SpEngine::roll_epoch_to`] from the batch clock and
+    /// the engine swaps in the covering epoch's artifacts — reweighted
+    /// network, label index, certified `min_time_per_meter` — from its
+    /// [`EpochStore`] at every epoch boundary.  A static config (the
+    /// default) gives an engine whose one epoch slot is fixed at build and
+    /// read without a lock.
     ///
-    /// `build_clipped` ignores this knob (its prebuilt shared labels are
-    /// static by construction); self-rolling *clipped* engines are built
-    /// with [`build_traffic_clipped`](Self::build_traffic_clipped) over an
-    /// explicit store instead.
+    /// [`build_clipped`](Self::build_clipped) ignores this knob: its store
+    /// carries the traffic model.
     pub fn traffic(mut self, config: TrafficConfig) -> Self {
         self.traffic = config;
         self
     }
 
-    /// Builds the engine for the given road network.
+    /// Builds the engine for the given road network.  With a non-static
+    /// [`SpEngineBuilder::traffic`] config, `net` is the free-flow base
+    /// network and the engine starts in the epoch covering `now = 0`,
+    /// rolling through its own private [`EpochStore`].
     pub fn build(self, net: RoadNetwork) -> SpEngine {
-        self.build_shared(Arc::new(net))
+        let store = EpochStore::new(Arc::new(net), self.traffic);
+        self.assemble(store, None)
     }
 
-    /// Builds the engine over an [`Arc`]-shared road network (no clone) —
-    /// the per-shard engines of the sharded pipeline all point at one global
-    /// network this way.  With a non-static [`SpEngineBuilder::traffic`]
-    /// config, `net` is the free-flow base network and the engine starts in
-    /// the epoch covering `now = 0`, rolling through its own private
-    /// [`EpochStore`].
-    pub fn build_shared(self, net: Arc<RoadNetwork>) -> SpEngine {
-        if !self.traffic.is_static() {
-            let store = EpochStore::new(net, self.traffic);
-            return self.assemble_traffic(store, None);
-        }
-        let labels = Arc::new(HubLabels::build(&net));
-        self.assemble_static(net, SpIndex::Full(labels))
-    }
-
-    /// Builds a self-rolling **halo-clipped** engine over a shared
-    /// [`EpochStore`]: the engine starts from the store's initial epoch
-    /// artifacts (sub-network induced by `halo`, label slice restricted to
-    /// it) and re-derives its clip from each subsequent epoch's artifacts
-    /// inside [`SpEngine::roll_epoch_to`] — including the shard-selective
-    /// skip that keeps the clip, slice and cache alive when no halo vertex
-    /// was touched by the transition.  Degenerate halos behave exactly as in
-    /// [`build_clipped`](Self::build_clipped).
-    ///
-    /// # Panics
-    /// Panics if `halo` names a vertex outside the store's network.
-    pub fn build_traffic_clipped(self, store: Arc<EpochStore>, halo: &[NodeId]) -> SpEngine {
-        self.assemble_traffic(store, Some(halo.to_vec()))
-    }
-
-    fn assemble_traffic(self, store: Arc<EpochStore>, halo: Option<Vec<NodeId>>) -> SpEngine {
-        let artifact = store.initial_artifacts();
-        let current = EpochSlot {
-            epoch: store.initial_epoch().index,
-            index: epoch_index(&artifact, halo.as_deref()),
-            min_tpm: artifact.min_tpm(),
-            min_ratio: artifact.min_ratio(),
-        };
-        let (base, landmarks) = (store.base().clone(), store.landmarks.clone());
-        let runtime = TrafficRuntime {
-            store,
-            halo,
-            slot: RwLock::new(RollingSlot { current, artifact }),
-            slice_refreshes: AtomicU64::new(0),
-            fallback_mark: AtomicU64::new(0),
-        };
-        self.assemble(base, landmarks, Epochs::Rolling(Box::new(runtime)))
-    }
-
-    /// Builds a **halo-clipped** engine: the sub-network induced by `halo`
-    /// is extracted from `net` and the shared `labels` are restricted to it
+    /// Builds a **halo-clipped** engine over a shared [`EpochStore`]: the
+    /// sub-network of the store's network induced by `halo` is extracted
+    /// and the initial epoch's labels are restricted to it
     /// ([`HubLabels::restrict_to`]), giving the engine a compact local index
     /// over just the clip.  Queries translate global vertex ids at the
     /// boundary, so callers are unchanged; queries with an endpoint outside
@@ -173,40 +128,47 @@ impl SpEngineBuilder {
     ///
     /// An empty `halo` yields an engine that answers everything through the
     /// fallback; a `halo` covering the whole network yields a plain full
-    /// engine sharing `labels` (no duplication).
+    /// engine sharing the store's labels (no duplication).
+    ///
+    /// Over a static store the clip is fixed.  Over a traffic store the
+    /// engine re-derives its clip from each subsequent epoch's artifacts
+    /// inside [`SpEngine::roll_epoch_to`] — including the shard-selective
+    /// skip that keeps the clip, slice and cache alive when no halo vertex
+    /// was touched by the transition.
     ///
     /// # Panics
-    /// Panics if `halo` names a vertex outside `net`.
-    pub fn build_clipped(
-        self,
-        net: Arc<RoadNetwork>,
-        labels: Arc<HubLabels>,
-        halo: &[NodeId],
-    ) -> SpEngine {
-        let index = clipped_index(&net, &labels, halo);
-        self.assemble_static(net, index)
+    /// Panics if `halo` names a vertex outside the store's network.
+    pub fn build_clipped(self, store: Arc<EpochStore>, halo: &[NodeId]) -> SpEngine {
+        self.assemble(store, Some(halo))
     }
 
-    /// A static engine: its landmark table is built on `net` here, and its
-    /// fixed slot carries `net`'s certified rate, scanned once, and the
-    /// weight ratio 1.
-    fn assemble_static(self, net: Arc<RoadNetwork>, index: SpIndex) -> SpEngine {
-        let landmarks = Arc::new(Landmarks::build(&net));
-        let fixed = EpochSlot {
-            epoch: 0,
-            index,
-            min_tpm: net.min_time_per_meter(),
-            min_ratio: 1.0,
+    /// Assembles an engine from `store`'s initial epoch, clipped to `halo`
+    /// if given, sharing the store's network and landmark table.  A static
+    /// store gives a fixed slot whose weight ratio is exactly 1 (its
+    /// network *is* the landmark table's); any other store a rolling one.
+    fn assemble(self, store: Arc<EpochStore>, halo: Option<&[NodeId]>) -> SpEngine {
+        let artifact = store.initial_artifacts();
+        let mut current = EpochSlot {
+            epoch: store.initial_epoch().index,
+            index: epoch_index(&artifact, halo),
+            min_tpm: artifact.min_tpm(),
+            min_ratio: artifact.min_ratio(),
         };
-        self.assemble(net, landmarks, Epochs::Fixed(fixed))
-    }
-
-    fn assemble(
-        self,
-        net: Arc<RoadNetwork>,
-        landmarks: Arc<Landmarks>,
-        epochs: Epochs,
-    ) -> SpEngine {
+        let (net, landmarks) = (store.base().clone(), store.landmarks.clone());
+        let epochs = if store.config().is_static() {
+            // The landmark table's own network: exactly 1, also where
+            // `min_weight_ratio` says 0 (an edgeless network).
+            current.min_ratio = 1.0;
+            Epochs::Fixed(current)
+        } else {
+            Epochs::Rolling(Box::new(TrafficRuntime {
+                store,
+                halo: halo.map(<[NodeId]>::to_vec),
+                slot: RwLock::new(RollingSlot { current, artifact }),
+                slice_refreshes: AtomicU64::new(0),
+                fallback_mark: AtomicU64::new(0),
+            }))
+        };
         SpEngine {
             net,
             landmarks,
@@ -274,18 +236,22 @@ struct EpochSlot {
     min_ratio: f64,
 }
 
-/// The index a halo-clipped engine queries — statically built, or for one
-/// traffic epoch: the sub-network of `net` induced by `halo` plus the label
-/// slice restricted to it.  An empty halo answers everything through the
-/// full labels, and a halo covering `net` is a plain full engine sharing
-/// them.
-fn clipped_index(net: &RoadNetwork, labels: &Arc<HubLabels>, halo: &[NodeId]) -> SpIndex {
+/// The index an engine queries in `artifact`'s epoch: the epoch's full
+/// labels, or for a clipped engine the sub-network of the epoch's network
+/// induced by `halo` plus the label slice restricted to it.  An empty halo
+/// answers everything through the full labels, and a halo covering the
+/// network is a plain full engine sharing them.
+fn epoch_index(artifact: &EpochArtifacts, halo: Option<&[NodeId]>) -> SpIndex {
+    let labels = artifact.labels();
+    let Some(halo) = halo else {
+        return SpIndex::Full(labels.clone());
+    };
     if halo.is_empty() {
         return SpIndex::FallbackOnly {
             full: labels.clone(),
         };
     }
-    let sub = SubNetwork::extract(net, halo).expect("halo vertices must be in range");
+    let sub = SubNetwork::extract(artifact.net(), halo).expect("halo vertices must be in range");
     if sub.covers_parent() {
         return SpIndex::Full(labels.clone());
     }
@@ -294,15 +260,6 @@ fn clipped_index(net: &RoadNetwork, labels: &Arc<HubLabels>, halo: &[NodeId]) ->
         sub: Box::new(sub),
         slice,
         full: labels.clone(),
-    }
-}
-
-/// The index a rolling engine queries in `artifact`'s epoch: clipped to
-/// `halo`, or the epoch's full labels.
-fn epoch_index(artifact: &EpochArtifacts, halo: Option<&[NodeId]>) -> SpIndex {
-    match halo {
-        Some(halo) => clipped_index(artifact.net(), artifact.labels(), halo),
-        None => SpIndex::Full(artifact.labels().clone()),
     }
 }
 
@@ -476,7 +433,12 @@ enum SignatureSlot {
 
 /// Memoized, background-prefetched per-epoch artifacts, shared by every
 /// engine rolling through the same traffic model — the tiered epoch-roll
-/// repair engine.
+/// repair engine — and the one landmark table those engines share.
+///
+/// Every [`SpEngine`] is built from a store, static ones included.  A
+/// static config's store holds one artifact (the base network and its
+/// labels) and never starts a thread: every epoch has the initial
+/// signature, so [`EpochStore::ensure_prebuild`] finds nothing to build.
 ///
 /// Artifacts are keyed by [`TrafficEpoch::signature`], a bit-exact
 /// fingerprint of everything that can affect an edge weight, so two epochs
@@ -519,8 +481,8 @@ pub struct EpochStore {
     initial: Arc<EpochArtifacts>,
     memo: Mutex<HashMap<EpochSignature, SignatureSlot>>,
     prebuild_started: AtomicBool,
-    /// The free-flow base's landmark table, shared by every engine rolling
-    /// through this store: each epoch scales it by its `min_ratio`.
+    /// The free-flow base's landmark table, shared by every engine built
+    /// from this store: each epoch scales it by its `min_ratio`.
     landmarks: Arc<Landmarks>,
 }
 
@@ -705,7 +667,7 @@ impl EpochStore {
 pub struct SpEngine {
     net: Arc<RoadNetwork>,
     /// The landmark table of `net` (the free-flow base, for traffic
-    /// engines; shared with every engine of the same [`EpochStore`]).
+    /// engines), shared with every engine of the same [`EpochStore`].
     landmarks: Arc<Landmarks>,
     /// The current epoch: fixed for a static engine (no lock anywhere on
     /// the query path), rolled by [`SpEngine::roll_epoch_to`] for a traffic
@@ -840,9 +802,9 @@ impl SpEngine {
         })
     }
 
-    /// True for engines built by [`SpEngineBuilder::build_clipped`] or
-    /// [`SpEngineBuilder::build_traffic_clipped`] with a proper
-    /// (non-covering) halo, including the empty-halo degenerate case.
+    /// True for engines built by [`SpEngineBuilder::build_clipped`] with a
+    /// proper (non-covering) halo, including the empty-halo degenerate
+    /// case.
     pub fn is_clipped(&self) -> bool {
         self.current(|slot| {
             matches!(
@@ -1199,12 +1161,13 @@ mod tests {
     #[test]
     fn clipped_engine_is_bit_identical_to_the_full_engine_everywhere() {
         let net = Arc::new(line_graph(24));
-        let full = SpEngineBuilder::new().build_shared(net.clone());
-        let labels = Arc::new(HubLabels::build(&net));
+        let full = SpEngineBuilder::new().build(line_graph(24));
+        let store = EpochStore::new(net.clone(), TrafficConfig::none());
+        let labels = store.initial_artifacts().labels().clone();
         // Halo = nodes 4..=11; queries inside hit the slice, any endpoint
         // outside falls back to the shared full index.
         let halo: Vec<u32> = (4..12).collect();
-        let clipped = SpEngineBuilder::new().build_clipped(net.clone(), labels.clone(), &halo);
+        let clipped = SpEngineBuilder::new().build_clipped(store.clone(), &halo);
         assert!(clipped.is_clipped());
         let sub = SubNetwork::extract(&net, &halo).unwrap();
         assert_eq!(sub.len(), 8);
@@ -1230,10 +1193,10 @@ mod tests {
         // A halo covering everything degenerates to a full engine sharing
         // the index; an empty halo to a fallback-only engine.
         let all: Vec<u32> = (0..24).collect();
-        let covering = SpEngineBuilder::new().build_clipped(net.clone(), labels.clone(), &all);
+        let covering = SpEngineBuilder::new().build_clipped(store.clone(), &all);
         assert!(!covering.is_clipped());
         assert_eq!(covering.index_bytes(), full.index_bytes());
-        let empty = SpEngineBuilder::new().build_clipped(net.clone(), labels, &[]);
+        let empty = SpEngineBuilder::new().build_clipped(store, &[]);
         assert!(empty.is_clipped());
         assert_eq!(empty.index_bytes(), 0);
         assert_eq!(
@@ -1256,18 +1219,18 @@ mod tests {
     fn many_to_many_matches_cost_uncached_for_every_engine_variant() {
         use rayon::prelude::*;
         let net = Arc::new(line_graph(24));
-        let full = SpEngineBuilder::new().build_shared(net.clone());
-        let labels = Arc::new(HubLabels::build(&net));
+        let full = SpEngineBuilder::new().build(line_graph(24));
         let halo: Vec<u32> = (4..12).collect();
-        let clipped = SpEngineBuilder::new().build_clipped(net.clone(), labels, &halo);
+        let store = EpochStore::new(net.clone(), TrafficConfig::none());
+        let clipped = SpEngineBuilder::new().build_clipped(store, &halo);
         let rush = SpEngineBuilder::new()
             .traffic(rush_config())
-            .build_shared(net.clone());
-        let store = EpochStore::new(net.clone(), rush_config());
-        let rush_clipped = SpEngineBuilder::new().build_traffic_clipped(store, &halo);
+            .build(line_graph(24));
+        let store = EpochStore::new(net, rush_config());
+        let rush_clipped = SpEngineBuilder::new().build_clipped(store, &halo);
         let wholesale = SpEngineBuilder::new()
             .traffic(rush_config())
-            .build_shared(net);
+            .build(line_graph(24));
         for eng in [&rush, &rush_clipped, &wholesale] {
             assert!(eng.roll_epoch_to(820.0)); // hour 8: uniform ×1.75
         }
@@ -1341,6 +1304,29 @@ mod tests {
             epoch_seconds: 100.0,
             hour_scale: 100.0, // one profile hour per epoch
             ..crate::traffic::TrafficConfig::default()
+        }
+    }
+
+    /// Every engine built from one store — full or clipped, static or
+    /// rush — queries the store's one landmark table.
+    #[test]
+    fn engines_of_one_store_share_one_landmark_table() {
+        let net = Arc::new(line_graph(24));
+        for config in [TrafficConfig::none(), rush_config()] {
+            let store = EpochStore::new(net.clone(), config);
+            let engines = [
+                SpEngineBuilder::new().assemble(store.clone(), None),
+                SpEngineBuilder::new().build_clipped(store.clone(), &(0..9).collect::<Vec<_>>()),
+                SpEngineBuilder::new().build_clipped(store.clone(), &(10..21).collect::<Vec<_>>()),
+            ];
+            assert_eq!(engines[0].traffic_config().is_none(), config.is_static());
+            assert!(!engines[0].is_clipped() && engines[1].is_clipped());
+            for pair in engines.windows(2) {
+                assert!(std::ptr::eq(
+                    pair[0].leg_bound().landmarks(),
+                    pair[1].leg_bound().landmarks()
+                ));
+            }
         }
     }
 
@@ -1518,12 +1504,10 @@ mod tests {
         .with_zone(zone(100.0, 200.0))
         .with_zone(zone(300.0, 400.0));
         let net = Arc::new(line_graph(24));
-        let store = EpochStore::new(net.clone(), cfg);
-        let west = SpEngineBuilder::new()
-            .build_traffic_clipped(store.clone(), &(0..9).collect::<Vec<_>>());
-        let east =
-            SpEngineBuilder::new().build_traffic_clipped(store, &(10..21).collect::<Vec<_>>());
-        let wholesale = SpEngineBuilder::new().traffic(cfg).build_shared(net);
+        let store = EpochStore::new(net, cfg);
+        let west = SpEngineBuilder::new().build_clipped(store.clone(), &(0..9).collect::<Vec<_>>());
+        let east = SpEngineBuilder::new().build_clipped(store, &(10..21).collect::<Vec<_>>());
+        let wholesale = SpEngineBuilder::new().traffic(cfg).build(line_graph(24));
 
         // Warm both shard caches with in-halo queries (slice-answered).
         let west_free = west.cost(1, 7);

@@ -19,11 +19,11 @@
 //!   engines.
 //! * [`SpEngine`] — the query façade combining labels + cache + query
 //!   counters (the counters feed the Table V / Table VI angle-pruning
-//!   ablation).  Every engine answers through hub labels, read from one
-//!   epoch slot: fixed for a static engine, rolled through an
-//!   [`EpochStore`] for a traffic one.  Safe to share (`&SpEngine`) across
-//!   worker threads; the road network and the hub-label index can be
-//!   `Arc`-shared between engines (see [`SpEngineBuilder::build_shared`] /
+//!   ablation).  Every engine is built from an [`EpochStore`] and answers
+//!   through hub labels, read from one epoch slot: fixed for a static
+//!   engine, rolled through the store for a traffic one.  Safe to share
+//!   (`&SpEngine`) across worker threads; engines built from one store
+//!   `Arc`-share its road network, hub-label index and landmark table (see
 //!   [`SpEngineBuilder::build_clipped`]).  Its [`LegBound`] bundles the
 //!   certified lower bounds the dispatch screens use: `min_time_per_meter ×
 //!   euclid` and the landmark bound, scaled to the current traffic epoch.

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use structride_roadnet::{
-    CongestionZone, EpochStore, HubLabels, Point, RoadNetwork, RoadNetworkBuilder, SpEngine,
-    SpEngineBuilder, TrafficConfig, TrafficProfile,
+    CongestionZone, EpochStore, Point, RoadNetwork, RoadNetworkBuilder, SpEngine, SpEngineBuilder,
+    TrafficConfig, TrafficProfile,
 };
 
 /// Nodes per side of the main grid; the island is a second, smaller grid
@@ -78,7 +78,6 @@ fn random_network(seed: u64) -> RoadNetwork {
 /// free-flow landmark table behind a clip).
 pub fn engines(seed: u64) -> Vec<SpEngine> {
     let net = random_network(seed);
-    let labels = Arc::new(HubLabels::build(&net));
     let halo: Vec<u32> = (0..SIDE * SIDE / 2).collect();
     let all: Vec<u32> = net.nodes().collect();
     let zoned = |factor: f64| {
@@ -108,13 +107,14 @@ pub fn engines(seed: u64) -> Vec<SpEngine> {
     assert!(fast_lane.roll_epoch_to(2.0 * 20.0));
     let net = Arc::new(net);
     let store = EpochStore::new(net.clone(), zoned(2.5));
-    let clipped_rush = SpEngineBuilder::new().build_traffic_clipped(store, &halo);
+    let clipped_rush = SpEngineBuilder::new().build_clipped(store, &halo);
     assert!(clipped_rush.roll_epoch_to(8.0 * 20.0));
+    let store = EpochStore::new(net, TrafficConfig::none());
     vec![
-        SpEngineBuilder::new().build_clipped(net.clone(), labels.clone(), &all),
+        SpEngineBuilder::new().build_clipped(store.clone(), &all),
         rush,
         fast_lane,
-        SpEngineBuilder::new().build_clipped(net, labels, &halo),
+        SpEngineBuilder::new().build_clipped(store, &halo),
         clipped_rush,
     ]
 }
