@@ -77,8 +77,10 @@ impl PendingSnapshot {
     }
 }
 
-/// A vehicle-request dispatcher (SARD or one of the baselines).
-pub trait Dispatcher {
+/// A vehicle-request dispatcher (SARD or one of the baselines).  `Send`,
+/// because every run steps its dispatchers as shards, which dispatch on
+/// worker threads.
+pub trait Dispatcher: Send {
     /// Human-readable algorithm name, as used in the paper's plots.
     fn name(&self) -> &'static str;
 

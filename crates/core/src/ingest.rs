@@ -22,9 +22,9 @@
 //!   therefore tracks *dispatcher latency*: a slow dispatch means a fuller
 //!   queue means a bigger next batch, with the cap bounding the worst case;
 //! * `drive_ingest`, the driver behind [`crate::BatchSource::Ingest`] on
-//!   both pipelines: it steps the very run the Δ-clock steps (same
-//!   `BatchRun`, same per-batch observer bracket, same `Lane` batch step
-//!   underneath) from realized batches instead of Δ-windows and reports
+//!   both pipelines: it steps the very run the Δ-clock steps (the one
+//!   crate-private `ShardedRun`, through the same per-batch observer
+//!   bracket) from realized batches instead of Δ-windows and reports
 //!   [`IngestStats`] (sustained throughput, p50/p99 batch latency, queue
 //!   depth, drop/timeout counts) next to the usual [`RunMetrics`].
 //!
@@ -45,8 +45,9 @@
 //! latest release in the batch.
 
 use crate::config::StructRideConfig;
-use crate::lane::{BatchRun, Offered, MAX_BATCHES};
+use crate::lane::{Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
+use crate::shard::ShardedRun;
 use crate::simulator::Stepper;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -449,11 +450,12 @@ fn drop_expired(batch: Vec<Request>, now: f64) -> (Vec<Request>, usize) {
 /// The ingest front end: replays `arrivals` on a producer thread, closes
 /// realized batches with the [`AdaptiveBatcher`], steps `run` once per
 /// batch, and — once the stream ends — keeps stepping empty batches at the
-/// Δ cadence while the run still holds carried-over requests.  Generic over
-/// [`BatchRun`], so the monolithic and the sharded pipeline share it; every
-/// batch goes through `stepper`, the observer bracket all sources share.
-pub(crate) fn drive_ingest<R: BatchRun, I>(
-    run: &mut R,
+/// Δ cadence while the run still holds carried-over requests.  The
+/// monolithic pipeline's run is a one-shard `ShardedRun`, so both pipelines
+/// share it; every batch goes through `stepper`, the observer bracket all
+/// sources share.
+pub(crate) fn drive_ingest<I>(
+    run: &mut ShardedRun<'_>,
     config: &StructRideConfig,
     arrivals: I,
     stepper: &mut Stepper<'_>,

@@ -9,25 +9,19 @@
 //! (build the [`DispatchContext`], time `dispatch_batch`, snapshot the
 //! scratch counters, re-sync the index, accumulate):
 //!
-//! * the monolithic [`Simulator`](crate::Simulator) — one lane over the
-//!   caller's borrowed engine and `&mut dyn Dispatcher`, clock-driven or
-//!   behind the ingest front end;
-//! * every shard of a [`ShardedSimulator`](crate::ShardedSimulator) — one
-//!   lane per shard over the shard's own clipped engine and boxed
-//!   dispatcher, with routing, faults and rebalancing layered around it;
+//! * every shard of a run — one lane per shard, stepped by the crate-private
+//!   `ShardedRun`, whether a [`ShardedSimulator`](crate::ShardedSimulator)
+//!   built it over clipped engines and boxed dispatchers or the
+//!   [`Simulator`](crate::Simulator) built it as one shard over the caller's
+//!   engine and dispatcher;
 //! * [`replay_trace`](crate::replay::replay_trace) — a fresh lane per
 //!   recorded pre-dispatch fleet, each lent the replay's one score memo.
 //!
 //! The lane borrows the engine and the dispatcher per call instead of owning
-//! them, which is what lets an owning shard and a borrowing monolithic run
-//! share it.  It also assembles the run's [`RunMetrics`] and captures /
-//! restores its slice of a [`Checkpoint`](crate::replay::Checkpoint).
-//!
-//! [`BatchRun`] is the shape a batch *source* drives: the Δ-clock
-//! (`simulator::drive_clock`), the wall-clock ingest front end
-//! (`ingest::drive_ingest`) and the fed-boundaries loop
-//! (`simulator::drive_fed`) are each written once, generic over it, and
-//! share one per-batch observer bracket (`simulator::Stepper`).
+//! them: a shard borrows both from whoever built the run, and a replay
+//! re-lends one dispatcher to every lane.  The lane also assembles its
+//! [`RunMetrics`] and captures / restores its slice of a
+//! [`Checkpoint`](crate::replay::Checkpoint).
 
 use crate::config::StructRideConfig;
 use crate::context::{DispatchContext, ScratchStats};
@@ -35,15 +29,14 @@ use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
 use crate::ingest::IngestStats;
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, ShardCheckpoint, TraceRecorder, VehicleState};
+use crate::replay::{ShardCheckpoint, VehicleState};
 use crate::score_memo::ScoreMemo;
-use crate::simulator::ResumeError;
 use crate::stages::StageClock;
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
 use structride_model::{unified_cost, Request, RequestId, Vehicle};
-use structride_roadnet::SpEngine;
+use structride_roadnet::{NodeId, SpEngine};
 
 /// Safety valve shared by every batch source: no run issues more batches
 /// than this (Δ is positive, so runs terminate anyway; this guards against
@@ -54,10 +47,11 @@ pub(crate) const MAX_BATCHES: usize = 10_000_000;
 /// and, behind the ingest front end, how its queue behaved.
 #[derive(Debug, Default)]
 pub(crate) struct Offered {
-    /// `(id, direct cost)` of every request the source emitted, in emission
-    /// order (release order for the Δ-clock) — including requests that never
-    /// reached a dispatcher (ingest drops and timeouts).
-    pub(crate) ledger: Vec<(RequestId, f64)>,
+    /// `(id, direct cost, pickup node)` of every request the source
+    /// emitted, in emission order (release order for the Δ-clock) —
+    /// including requests that never reached a dispatcher (ingest drops and
+    /// timeouts).
+    pub(crate) ledger: Vec<(RequestId, f64, NodeId)>,
     /// The latest pickup deadline: past it nothing can be assigned.
     pub(crate) horizon_end: f64,
     /// The ingest front end's statistics (`None` for every other source).
@@ -67,41 +61,10 @@ pub(crate) struct Offered {
 impl Offered {
     /// Books one emitted request.
     pub(crate) fn push(&mut self, request: &Request) {
-        self.ledger.push((request.id, request.direct_cost()));
+        self.ledger
+            .push((request.id, request.direct_cost(), request.source));
         self.horizon_end = self.horizon_end.max(request.pickup_deadline);
     }
-}
-
-/// One run a batch source can drive: the monolithic `MonoRun` (one lane) or
-/// the sharded `ShardedRun` (k lanes plus routing, faults and rebalancing).
-pub(crate) trait BatchRun {
-    /// Executes one batch at simulated time `now` and returns the request
-    /// ids it committed.
-    fn step(
-        &mut self,
-        now: f64,
-        batch: &[Request],
-        recorder: &mut Option<&mut TraceRecorder>,
-        stages: Option<&StageClock>,
-    ) -> Vec<RequestId>;
-
-    /// Requests currently held by the run's dispatcher(s).
-    fn pending(&self) -> usize;
-
-    /// Number of batches stepped so far.
-    fn batches(&self) -> usize;
-
-    /// The [`Dispatcher::name`] of the run's dispatcher(s) — what a
-    /// checkpoint it captures records as its algorithm.
-    fn algorithm(&self) -> &'static str;
-
-    /// Snapshots the full mutable run state at a batch boundary — a pure
-    /// read, so a checkpointing run steps bit-identically to a plain one.
-    fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint;
-
-    /// Reinstates a captured state into a freshly built run, rejecting a
-    /// checkpoint of the wrong pipeline or shard count.
-    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ResumeError>;
 }
 
 /// The fleet-side state of one dispatch pipeline: the fleet, its persistent

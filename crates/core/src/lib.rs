@@ -33,9 +33,10 @@
 //!   pipeline's fleet, fleet index, served set and work counters and is the
 //!   only code that advances the fleet, builds the
 //!   [`DispatchContext`] and calls
-//!   `dispatch_batch`; the monolithic simulator, every shard and
-//!   [`replay_trace`] all step through it, and every [`BatchSource`] drives
-//!   it through one loop per source, written once for both pipelines;
+//!   `dispatch_batch`; every shard (the monolithic simulator's run is one
+//!   shard) and [`replay_trace`] step through it, and every [`BatchSource`]
+//!   drives it through one loop per source, written once for both
+//!   pipelines;
 //! * [`lap`] — the in-workspace exact solvers: a deterministic Kuhn–Munkres
 //!   LAP kernel over rectangular, partially-forbidden cost matrices and a
 //!   branch-and-bound over its relaxation for the trip-group choice step;

@@ -82,12 +82,15 @@
 //!   rayon worker counts (enforced by `replay verify --shards` in CI and by
 //!   the `sharding` integration tests).
 //! * **Single-shard reduction.** With one region the router degenerates to
-//!   the identity, no bids or migrations happen, and what remains is the
-//!   monolithic [`Simulator`](crate::Simulator) run by construction: the
-//!   same Δ-clock (`simulator::drive_clock`) stepping the same
-//!   `Lane::advance` / `Lane::dispatch` — the aggregate report matches
-//!   field for field (wall-clock `running_time` and the racy shortest-path
-//!   query counters excepted, as documented on [`RunMetrics`]).
+//!   the identity and no bids, migrations or outages happen.  The
+//!   monolithic [`Simulator`](crate::Simulator) *is* that run: it steps the
+//!   one `ShardedRun` over a 1×1 grid with [`ShardingConfig::isolated`],
+//!   its own engine and its own dispatcher, so a one-shard
+//!   [`ShardedSimulator`] run decides exactly as it does; only the engine
+//!   (clipped from a fresh [`EpochStore`] here) and the checkpoint mode
+//!   differ.  The aggregate report matches field for field (wall-clock
+//!   `running_time` and the racy shortest-path query counters excepted, as
+//!   documented on [`RunMetrics`]).
 //! * **Recording.** A [`RunHooks::recorder`] captures a *global*
 //!   trace (released requests in release order, the union fleet sorted by
 //!   vehicle id, merged outcomes in shard order).  A sharded run cannot be
@@ -100,12 +103,13 @@ use crate::context::ScratchStats;
 use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
 use crate::ingest::IngestStats;
-use crate::lane::{BatchRun, Lane, Offered};
+use crate::lane::{Lane, Offered};
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
+use crate::replay::{Checkpoint, CheckpointCounters, ShardCheckpoint, TraceRecorder};
 use crate::simulator::{drive, BatchSource, ResumeError, RunError, RunHooks, CLOCK_RUNS};
 use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -172,7 +176,8 @@ pub struct ShardedReport {
     pub aggregate: RunMetrics,
     /// Per-shard metrics, indexed by shard id.
     pub per_shard: Vec<RunMetrics>,
-    /// The whole fleet after all schedules executed, sorted by vehicle id.
+    /// The whole fleet after all schedules executed, sorted by vehicle id
+    /// (a one-shard run keeps its one lane's slot order).
     pub vehicles: Vec<Vehicle>,
     /// Requests assigned to some vehicle, across all shards.
     pub served: HashSet<RequestId>,
@@ -256,16 +261,18 @@ impl ShardedReport {
     }
 }
 
-/// One shard: engine + dispatcher + the lane holding the fleet slice it
-/// currently owns.
-struct Shard {
-    engine: SpEngine,
-    dispatcher: ShardDispatcher,
+/// One shard: the engine and dispatcher it borrows from whoever built the
+/// run, plus the lane holding the fleet slice it currently owns.
+struct Shard<'a> {
+    engine: &'a SpEngine,
+    dispatcher: &'a mut dyn Dispatcher,
     /// The shard's fleet slice, its persistent index (which feeds both the
     /// handoff shortlist and the dispatcher's certified candidate
-    /// prescreen), served set and work counters — stepped through the same
-    /// [`Lane::advance`] / [`Lane::dispatch`] as the monolithic simulator.
+    /// prescreen), served set and work counters.
     lane: Lane,
+    /// The engine's index-query count when the run started: a shard reports
+    /// the queries of this run, not of the engine's lifetime.
+    sp_before: u64,
     /// Requests routed to this shard for the current batch (release order).
     inbox: Vec<Request>,
     /// Every request ever routed here, with its direct cost (for the
@@ -300,9 +307,9 @@ struct ShardView<'a> {
 }
 
 impl<'a> ShardView<'a> {
-    fn new(shard: &'a Shard) -> Self {
+    fn new(shard: &'a Shard<'_>) -> Self {
         ShardView {
-            engine: &shard.engine,
+            engine: shard.engine,
             vehicles: &shard.lane.vehicles,
             index: &shard.lane.fleet_index,
         }
@@ -358,7 +365,7 @@ pub fn halo_vertices(network: &RoadNetwork, regions: &RegionGrid, band: f64) -> 
 /// Applies `f` to every shard, fanning out even for small shard counts
 /// (recursive split via [`rayon::join`]; the slice-level `par_iter_mut`
 /// falls back to sequential below its chunking threshold).
-fn for_each_shard<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], f: &F) {
+fn for_each_shard<F: Fn(&mut Shard<'_>) + Sync>(shards: &mut [Shard<'_>], f: &F) {
     match shards.len() {
         0 => {}
         1 => f(&mut shards[0]),
@@ -471,7 +478,7 @@ fn route_request(
 /// deterministic.  A `down` shard neither donates nor receives: its fleet is
 /// frozen for the outage.
 fn rebalance(
-    shards: &mut [Shard],
+    shards: &mut [Shard<'_>],
     regions: &RegionGrid,
     max_moves: usize,
     down: Option<usize>,
@@ -513,15 +520,19 @@ fn rebalance(
     moved_total
 }
 
-/// The union fleet, cloned and sorted by vehicle id — the canonical global
-/// view recorded into sharded traces.
-fn fleet_snapshot(shards: &[Shard]) -> Vec<Vehicle> {
+/// The union fleet sorted by vehicle id — the canonical global view recorded
+/// into sharded traces.  One lane is already canonical: it is lent as is,
+/// in slot order.
+fn fleet_snapshot<'s>(shards: &'s [Shard<'_>]) -> Cow<'s, [Vehicle]> {
+    if let [shard] = shards {
+        return Cow::Borrowed(&shard.lane.vehicles);
+    }
     let mut all: Vec<Vehicle> = shards
         .iter()
         .flat_map(|s| s.lane.vehicles.iter().cloned())
         .collect();
     all.sort_by_key(|v| v.id);
-    all
+    Cow::Owned(all)
 }
 
 /// A vertical-strip region layout covering `network`'s bounding box with
@@ -540,29 +551,29 @@ pub fn region_grid_for(network: &RoadNetwork, rows: u32, cols: u32) -> RegionGri
     RegionGrid::covering(network.bounding_box(), rows, cols)
 }
 
-/// The in-flight state of one sharded run: the shards (one [`Lane`] each)
-/// plus every cross-batch counter, with the per-batch routing / dispatch /
-/// merge / rebalance sequence in its [`BatchRun::step`] so every
-/// [`BatchSource`] — clock-driven, resumed, fed from recorded boundaries and
-/// ingested — executes the *identical* step.  That sharing is what makes a
-/// recorded ingested run re-runnable: determinism holds per step, whatever
-/// produced the batch boundaries.
+/// The in-flight state of one run: the shards (one [`Lane`] each) plus every
+/// cross-batch counter, with the per-batch roll / advance / route / dispatch
+/// / merge / rebalance sequence in its [`ShardedRun::step`].  It is the only
+/// run type: the [`Simulator`](crate::Simulator) steps it as one shard over
+/// the whole network, and every [`BatchSource`] — clock-driven, resumed, fed
+/// from recorded boundaries and ingested — executes the *identical* step.
+/// That sharing is what makes a recorded ingested run re-runnable:
+/// determinism holds per step, whatever produced the batch boundaries.
 pub(crate) struct ShardedRun<'a> {
     config: StructRideConfig,
     sharding: ShardingConfig,
     network: &'a RoadNetwork,
-    regions: &'a RegionGrid,
-    shards: Vec<Shard>,
+    regions: RegionGrid,
+    shards: Vec<Shard<'a>>,
+    /// The checkpoint mode: `false` for the [`Simulator`](crate::Simulator)'s
+    /// run, whose checkpoints keep the monolithic file layout.
+    sharded: bool,
     served: HashSet<RequestId>,
     batches: usize,
     now: f64,
     /// The run-level counters a checkpoint carries (handoffs, migrations,
     /// epoch/label rolls, fault telemetry).
     counters: CheckpointCounters,
-    setup_seconds: f64,
-    full_build_seconds: f64,
-    /// Shared global index + per-shard halo slices, bytes.
-    label_bytes: usize,
     /// Traffic epoch currently loaded into the shard engines.
     current_epoch: u64,
     label_refresh_seconds: f64,
@@ -570,102 +581,76 @@ pub(crate) struct ShardedRun<'a> {
 }
 
 impl<'a> ShardedRun<'a> {
-    /// Builds the shards and homes each vehicle to the shard of its starting
-    /// node, preserving input order within each shard.
+    /// Builds a run over one shard per region of `regions`, each stepping
+    /// its `(engine, dispatcher)` pair of `lanes`, and homes each vehicle to
+    /// the shard of its starting node, preserving input order within each
+    /// shard.  `sharded` picks the checkpoint mode.
     ///
-    /// Setup builds one [`EpochStore`] — the global hub-label index (in
-    /// parallel) and one landmark table, **once** — and shares it, together
-    /// with a single `Arc`'d copy of the network, across all shards; each
-    /// shard then extracts its halo sub-network and slices the shared labels
-    /// down to it.  This replaces the pre-PR-5 per-shard whole-network
-    /// clone + from-scratch label build, whose cost scaled as `k×|V|`.
+    /// Every engine is rolled to the epoch of time zero first: a reused
+    /// engine that an earlier run left at a later epoch starts this run
+    /// where a fresh one would (and a traffic store starts its background
+    /// label prebuild).
     pub(crate) fn new(
-        sim: &ShardedSimulator,
+        config: StructRideConfig,
+        sharding: ShardingConfig,
         network: &'a RoadNetwork,
-        regions: &'a RegionGrid,
+        regions: RegionGrid,
+        lanes: Vec<(&'a SpEngine, &'a mut dyn Dispatcher)>,
         vehicles: Vec<Vehicle>,
-        make_dispatcher: &dyn Fn(usize) -> ShardDispatcher,
+        sharded: bool,
     ) -> Self {
-        let setup_t0 = Instant::now();
-        let shared_net = Arc::new(network.clone());
-        let traffic = sim.config().traffic;
-        let halos = halo_vertices(network, regions, sim.sharding().handoff_band);
-        // One store serves every shard: its initial-epoch label build and
-        // landmark table are the timed full build.  Each shard's clipped
-        // engine is cut from it in parallel, collected in shard order
-        // (deterministic): fixed for a static config, self-rolling through
-        // the store for a traffic one, so every later epoch boundary is
-        // handled inside `SpEngine::roll_epoch_to`.
-        let full_t0 = Instant::now();
-        let store = EpochStore::new(shared_net, traffic);
-        let full_build_seconds = full_t0.elapsed().as_secs_f64();
-        let engines = halos
-            .par_iter()
-            .map(|halo| SpEngineBuilder::new().build_clipped(store.clone(), halo))
-            .collect::<Vec<SpEngine>>();
-        let full_label_bytes = store.initial_artifacts().labels().approx_bytes();
-        let label_bytes = full_label_bytes
-            + engines
-                .iter()
-                .map(|e| if e.is_clipped() { e.index_bytes() } else { 0 })
-                .sum::<usize>();
-        let mut shards: Vec<Shard> = engines
+        debug_assert_eq!(lanes.len(), regions.len(), "one lane per region");
+        let mut shards: Vec<Shard<'a>> = lanes
             .into_iter()
-            .enumerate()
-            .map(|(i, engine)| Shard {
-                lane: Lane::new(&engine, *sim.config(), Vec::new()),
-                engine,
-                dispatcher: make_dispatcher(i),
-                inbox: Vec::new(),
-                routed: Vec::new(),
-                last_assigned: Vec::new(),
-                last_scratch: ScratchStats::default(),
-                down: false,
+            .map(|(engine, dispatcher)| {
+                engine.roll_epoch_to(0.0);
+                Shard {
+                    lane: Lane::new(engine, config, Vec::new()),
+                    sp_before: engine.stats().index_queries,
+                    engine,
+                    dispatcher,
+                    inbox: Vec::new(),
+                    routed: Vec::new(),
+                    last_assigned: Vec::new(),
+                    last_scratch: ScratchStats::default(),
+                    down: false,
+                }
             })
             .collect();
-        let setup_seconds = setup_t0.elapsed().as_secs_f64();
         for vehicle in vehicles {
             let p = network.coord(vehicle.node);
             let home = regions.region_of(p.x, p.y) as usize;
             shards[home].lane.vehicles.push(vehicle);
         }
         for shard in &mut shards {
-            shard.lane.reindex(&shard.engine);
+            shard.lane.reindex(shard.engine);
         }
-        // Kick the background label prebuild only now — after setup_seconds
-        // is measured — so the builder threads overlap the batch loop
-        // instead of contending with the halo extraction above.  A static
-        // store has nothing to prebuild.
-        store.ensure_prebuild();
         ShardedRun {
-            config: *sim.config(),
-            sharding: *sim.sharding(),
+            config,
+            sharding,
             network,
             regions,
             shards,
+            sharded,
             served: HashSet::new(),
             batches: 0,
             now: 0.0,
             counters: CheckpointCounters::default(),
-            setup_seconds,
-            full_build_seconds,
-            label_bytes,
-            current_epoch: traffic.epoch_at(0.0).index,
+            current_epoch: config.traffic.epoch_at(0.0).index,
             label_refresh_seconds: 0.0,
             run_t0: Instant::now(),
         }
     }
 
-    /// Rolls every shard engine to the traffic epoch containing `now`
-    /// through the shared [`EpochStore`]: the first engine to ask for the
-    /// new signature fetches it (memo hit, background-prebuild join, or
-    /// on-demand scoped repair), every other shard gets the memoized
-    /// artifacts for free, and clipped engines whose halo the transition
-    /// provably did not touch skip their re-cut entirely (Tier 3) — their
-    /// slices and caches stay live across the roll.  Every shard's
-    /// fleet-index prescreen rate is re-pinned from the epoch artifacts so
-    /// prescreens stay sound under congestion.  No-op for static configs
-    /// and within an epoch.
+    /// Rolls every shard engine to the traffic epoch containing `now`: the
+    /// first clipped engine to ask its [`EpochStore`] for the new signature
+    /// fetches it (memo hit, background-prebuild join, or on-demand scoped
+    /// repair), every other shard gets the memoized artifacts for free, and
+    /// clipped engines whose halo the transition provably did not touch skip
+    /// their re-cut entirely (Tier 3) — their slices and caches stay live
+    /// across the roll.  Every shard's fleet-index prescreen rate is
+    /// re-pinned from the epoch artifacts so prescreens stay sound under
+    /// congestion.  No-op for static configs and within an epoch.
     ///
     /// Engines persist across rolls, so their diagnostic query counters
     /// simply keep accumulating (they are excluded from replay comparisons
@@ -679,7 +664,7 @@ impl<'a> ShardedRun<'a> {
             return;
         }
         let t0 = Instant::now();
-        for_each_shard(&mut self.shards, &|s| s.lane.roll(&s.engine, now));
+        for_each_shard(&mut self.shards, &|s| s.lane.roll(s.engine, now));
         if epoch.uniform_multiplier().is_some() {
             self.counters.labels_rescaled += 1;
         } else {
@@ -690,31 +675,46 @@ impl<'a> ShardedRun<'a> {
         self.label_refresh_seconds += t0.elapsed().as_secs_f64();
     }
 
-    /// Drains every committed schedule and assembles the report.
+    /// Drains every committed schedule and assembles the report.  The
+    /// set-up figures (`setup_seconds`, `full_build_seconds`, `label_bytes`)
+    /// belong to whoever built the engines and read zero here.
+    ///
+    /// Every request `offered` is charged exactly once: to the shard that
+    /// last routed it, or — when no batch ever took it — to its home shard,
+    /// as unserved.  Never-routed requests are the ingest front end's
+    /// load-shed and timed-out arrivals, and a resumed monolithic run's
+    /// requests released before its checkpoint (the monolithic checkpoint
+    /// layout carries no routed ledger).  They go first in their shard's
+    /// ledger, so the resumed run sums its penalty in release order, as the
+    /// uninterrupted run does.
     pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
         let (now, horizon_end) = (self.now, offered.horizon_end);
         for_each_shard(&mut self.shards, &|s| {
-            s.lane.drain(&s.engine, now, horizon_end)
+            s.lane.drain(s.engine, now, horizon_end)
         });
 
+        let routed: HashSet<RequestId> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.routed.iter().map(|&(id, _)| id))
+            .collect();
+        let mut ledgers: Vec<Vec<(RequestId, f64)>> = vec![Vec::new(); self.shards.len()];
+        for &(id, cost, source) in &offered.ledger {
+            if !routed.contains(&id) {
+                let p = self.network.coord(source);
+                ledgers[self.regions.region_of(p.x, p.y) as usize].push((id, cost));
+            }
+        }
         let batches = self.batches;
         let per_shard: Vec<RunMetrics> = self
             .shards
             .iter()
-            .map(|s| {
-                let sp_queries = s.engine.stats().index_queries;
-                let mut metrics = s.lane.metrics(
-                    s.dispatcher.as_ref(),
-                    workload_name,
-                    &s.routed,
-                    batches,
-                    sp_queries,
-                );
-                // Actual label bytes of the shard's own index (the halo
-                // slice; the whole index for a single covering shard) — not
-                // the dispatcher's container-capacity estimate.
-                metrics.memory_bytes = s.engine.index_bytes();
-                metrics
+            .zip(&mut ledgers)
+            .map(|(s, ledger)| {
+                ledger.extend_from_slice(&s.routed);
+                let sp_queries = s.engine.stats().index_queries.saturating_sub(s.sp_before);
+                s.lane
+                    .metrics(s.dispatcher, workload_name, ledger, batches, sp_queries)
             })
             .collect();
         let aggregate =
@@ -724,7 +724,7 @@ impl<'a> ShardedRun<'a> {
             .iter()
             .map(|s| s.engine.fallback_queries())
             .sum();
-        let vehicles = fleet_snapshot(&self.shards);
+        let vehicles = fleet_snapshot(&self.shards).into_owned();
         let served = std::mem::take(&mut self.served);
         ShardedReport {
             aggregate,
@@ -734,9 +734,9 @@ impl<'a> ShardedRun<'a> {
             handoffs: self.counters.handoffs,
             handoff_bids: self.counters.handoff_bids,
             migrations: self.counters.migrations,
-            setup_seconds: self.setup_seconds,
-            full_build_seconds: self.full_build_seconds,
-            label_bytes: self.label_bytes,
+            setup_seconds: 0.0,
+            full_build_seconds: 0.0,
+            label_bytes: 0,
             sp_fallback_queries,
             run_seconds: self.run_t0.elapsed().as_secs_f64(),
             label_refresh_seconds: self.label_refresh_seconds,
@@ -751,19 +751,20 @@ impl<'a> ShardedRun<'a> {
             ingest: offered.ingest,
         }
     }
-}
 
-impl BatchRun for ShardedRun<'_> {
-    fn batches(&self) -> usize {
+    /// Number of batches stepped so far.
+    pub(crate) fn batches(&self) -> usize {
         self.batches
     }
 
-    fn algorithm(&self) -> &'static str {
+    /// The [`Dispatcher::name`] of the run's dispatchers — what a checkpoint
+    /// it captures records as its algorithm.
+    pub(crate) fn algorithm(&self) -> &'static str {
         self.shards[0].dispatcher.name()
     }
 
     /// Requests currently held across all shard dispatchers.
-    fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.dispatcher.pending_requests())
@@ -775,7 +776,7 @@ impl BatchRun for ShardedRun<'_> {
     /// handoff), dispatch every shard's sub-batch in parallel, merge the
     /// outcomes in ascending shard order, and rebalance idle vehicles.
     /// Returns the request ids committed this batch, in shard-merge order.
-    fn step(
+    pub(crate) fn step(
         &mut self,
         now: f64,
         batch: &[Request],
@@ -783,9 +784,9 @@ impl BatchRun for ShardedRun<'_> {
         stages: Option<&StageClock>,
     ) -> Vec<RequestId> {
         // Roll the traffic epoch *before* the advance sweep so the whole
-        // batch — vehicle movement, routing bids, dispatch — sees one epoch
-        // (mirrors the monolithic simulator's ordering).  Down shards roll
-        // too: an outage kills the dispatcher, not the map.
+        // batch — vehicle movement, routing bids, dispatch — sees one
+        // epoch.  Down shards roll too: an outage kills the dispatcher, not
+        // the map.
         let span = Span::open(stages, Stage::Roll);
         self.roll_epoch_to(now);
         span.close();
@@ -808,7 +809,7 @@ impl BatchRun for ShardedRun<'_> {
             // fast-forward of committed schedules, so the recovery batch
             // catches it up deterministically.
             if !s.down {
-                s.lane.advance(&s.engine, now);
+                s.lane.advance(s.engine, now);
             }
         });
         // Recovery boundary: the shard that was down last batch just
@@ -818,7 +819,7 @@ impl BatchRun for ShardedRun<'_> {
         if let Some(r) = prev_down {
             if down != Some(r) {
                 let s = &mut self.shards[r];
-                s.lane.reindex(&s.engine);
+                s.lane.reindex(s.engine);
             }
         }
         span.close();
@@ -865,7 +866,7 @@ impl BatchRun for ShardedRun<'_> {
         let mut orphan_decisions: Vec<RouteDecision> = Vec::new();
         let decisions: Vec<RouteDecision> = if has_boundary_request || down.is_some() {
             let views: Vec<ShardView<'_>> = self.shards.iter().map(ShardView::new).collect();
-            let (network, regions) = (self.network, self.regions);
+            let (network, regions) = (self.network, &self.regions);
             let top_m = self.sharding.top_m;
             let route = |r: &Request| route_request(r, network, regions, &views, band, top_m, down);
             // The dead shard's drained pool fails over through the same
@@ -876,7 +877,7 @@ impl BatchRun for ShardedRun<'_> {
         } else {
             batch
                 .iter()
-                .map(|r| home_decision(r, self.network, self.regions))
+                .map(|r| home_decision(r, self.network, &self.regions))
                 .collect()
         };
         let routed = orphaned
@@ -909,10 +910,9 @@ impl BatchRun for ShardedRun<'_> {
                 return;
             }
             let inbox = std::mem::take(&mut s.inbox);
-            let dispatcher = s.dispatcher.as_mut();
             let (outcome, scratch) =
                 s.lane
-                    .dispatch(&s.engine, dispatcher, now, batch_index, &inbox, stages);
+                    .dispatch(s.engine, s.dispatcher, now, batch_index, &inbox, stages);
             s.last_scratch = scratch;
             s.last_assigned = outcome.assigned;
         });
@@ -941,7 +941,7 @@ impl BatchRun for ShardedRun<'_> {
             let _span = Span::open(stages, Stage::Rebalance);
             let moved = rebalance(
                 &mut self.shards,
-                self.regions,
+                &self.regions,
                 self.sharding.max_migrations_per_batch,
                 down,
             );
@@ -949,7 +949,7 @@ impl BatchRun for ShardedRun<'_> {
                 // Migration removes/appends across fleet slices, shifting
                 // the slot indexes the grids are keyed by: rebuild.
                 for s in self.shards.iter_mut() {
-                    s.lane.reindex(&s.engine);
+                    s.lane.reindex(s.engine);
                 }
             }
             self.counters.migrations += moved;
@@ -964,36 +964,55 @@ impl BatchRun for ShardedRun<'_> {
     /// shortest-path query counters) are deliberately not captured; resumed
     /// runs re-accumulate them from zero, exactly as replay comparisons
     /// exclude them.
-    fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
+    ///
+    /// In the monolithic mode the one shard section carries no routed
+    /// ledger, its served set moves to the run level and the run counters
+    /// are left at their defaults — the layout the monolithic simulator has
+    /// always written.
+    pub(crate) fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
         let mut served: Vec<RequestId> = self.served.iter().copied().collect();
         served.sort_unstable();
+        let mut shards: Vec<ShardCheckpoint> = self
+            .shards
+            .iter()
+            .map(|s| {
+                let routed = if self.sharded {
+                    s.routed.clone()
+                } else {
+                    Vec::new()
+                };
+                s.lane.capture(s.dispatcher, routed)
+            })
+            .collect();
+        let mut counters = self.counters;
+        if !self.sharded {
+            served = std::mem::take(&mut shards[0].served);
+            counters = CheckpointCounters::default();
+        }
         Checkpoint {
             algorithm: self.algorithm().to_string(),
             workload: workload_name.to_string(),
             config: self.config,
-            sharded: true,
+            sharded: self.sharded,
             now: self.now,
             batches: self.batches,
             next_request,
             served,
-            counters: self.counters,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| s.lane.capture(s.dispatcher.as_ref(), s.routed.clone()))
-                .collect(),
+            counters,
+            shards,
         }
     }
 
     /// Reinstates a captured state into a freshly built run (same network,
-    /// regions and shard count).  Fleets are restored in slot order (slot
-    /// order is load-bearing after migrations), dispatcher pools and edges
+    /// regions and shard count), refusing a checkpoint of the other mode or
+    /// another shard count.  Fleets are restored in slot order (slot order
+    /// is load-bearing after migrations), dispatcher pools and edges
     /// verbatim, and every shard engine is rolled to the checkpoint's
     /// traffic epoch — a pure function of (config, batch clock), so one
     /// direct roll lands exactly where the original run's incremental rolls
     /// did.
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), ResumeError> {
-        if !ckpt.sharded {
+    pub(crate) fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), ResumeError> {
+        if ckpt.sharded != self.sharded {
             return Err(ResumeError::WrongPipeline);
         }
         if ckpt.shards.len() != self.shards.len() {
@@ -1006,10 +1025,12 @@ impl BatchRun for ShardedRun<'_> {
         self.batches = ckpt.batches;
         self.now = ckpt.now;
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {
-            shard
-                .lane
-                .restore(&shard.engine, shard.dispatcher.as_mut(), s);
+            shard.lane.restore(shard.engine, shard.dispatcher, s);
             shard.routed = s.routed.clone();
+        }
+        if !self.sharded {
+            // The monolithic layout keeps the served set at the run level.
+            self.shards[0].lane.served = self.served.clone();
         }
         // Prime the traffic epoch (each lane re-pins its certified prescreen
         // rate as its engine rolls), then set the counters to the
@@ -1119,9 +1140,52 @@ impl ShardedSimulator {
             !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
             "a resumed run restores its fleet from the checkpoint"
         );
-        let mut run = ShardedRun::new(self, network, regions, vehicles, &make_dispatcher);
+        // Setup builds one `EpochStore` — the global hub-label index (in
+        // parallel) and one landmark table, once — over a single `Arc`'d
+        // copy of the network, and cuts every shard's clipped engine from
+        // it in parallel, collected in shard order (deterministic): fixed
+        // for a static config, self-rolling through the store for a traffic
+        // one.  Each shard slices the shared labels down to its halo, so
+        // neither setup nor label memory scales as `k×|V|`.
+        let setup_t0 = Instant::now();
+        let shared_net = Arc::new(network.clone());
+        let halos = halo_vertices(network, regions, self.sharding.handoff_band);
+        let full_t0 = Instant::now();
+        let store = EpochStore::new(shared_net, self.config.traffic);
+        let full_build_seconds = full_t0.elapsed().as_secs_f64();
+        let engines = halos
+            .par_iter()
+            .map(|halo| SpEngineBuilder::new().build_clipped(store.clone(), halo))
+            .collect::<Vec<SpEngine>>();
+        let label_bytes = store.initial_artifacts().labels().approx_bytes()
+            + engines
+                .iter()
+                .map(|e| if e.is_clipped() { e.index_bytes() } else { 0 })
+                .sum::<usize>();
+        let mut dispatchers: Vec<ShardDispatcher> =
+            (0..engines.len()).map(make_dispatcher).collect();
+        let setup_seconds = setup_t0.elapsed().as_secs_f64();
+        let lanes = engines
+            .iter()
+            .zip(&mut dispatchers)
+            .map(|(engine, dispatcher)| (engine, dispatcher.as_mut() as &mut dyn Dispatcher))
+            .collect();
+        let mut run = ShardedRun::new(
+            self.config,
+            self.sharding,
+            network,
+            regions.clone(),
+            lanes,
+            vehicles,
+            true,
+        );
         let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
-        Ok(run.finish(workload_name, offered))
+        Ok(ShardedReport {
+            setup_seconds,
+            full_build_seconds,
+            label_bytes,
+            ..run.finish(workload_name, offered)
+        })
     }
 }
 

@@ -4,9 +4,9 @@
 //! A run is one loop: each batch, released requests go to a dispatcher.
 //! [`Simulator::execute`] and its sharded twin take where the batches come
 //! from as a value, [`BatchSource`], and what watches the run as another,
-//! [`RunHooks`].  One crate-private `drive` dispatches on the source,
-//! generic over the crate-private `BatchRun` and through one per-batch
-//! observer bracket, so both pipelines run the *same* loops.
+//! [`RunHooks`].  One crate-private `drive` dispatches on the source and
+//! steps the one run type, the crate-private `ShardedRun`, through one
+//! per-batch observer bracket, so both pipelines run the *same* loops.
 //!
 //! `drive_clock` owns the simulated clock: it sorts the request stream by
 //! release time, slices it into batches of Δ seconds, steps the run once per
@@ -16,30 +16,29 @@
 //! caller's sink at the fault plan's cadence.  On a resume `drive` first
 //! checks that the checkpoint fits the run and restores it.
 //!
-//! The monolithic run itself is a `MonoRun`: one `Lane` (the crate-private
-//! `lane` module — the batch step lives there, once) over the caller's
-//! prebuilt engine and borrowed dispatcher.  After the last batch every
-//! remaining schedule is executed and the lane produces the [`RunMetrics`]
-//! the paper reports (unified cost, service rate, running time,
-//! #shortest-path queries, memory).
-//!
-//! `Simulator` is deliberately *not* a one-shard `ShardedRun`: it borrows
-//! the caller's engine and a non-`Send` dispatcher, where a sharded run
-//! clones the network, builds its own labels and boxes `Send` dispatchers.
-//! Both reach the same `Lane::dispatch`.
+//! The monolithic run is a one-shard run: the [`Simulator`] steps a
+//! `ShardedRun` over a 1×1 region grid with
+//! [`ShardingConfig::isolated`](crate::shard::ShardingConfig::isolated),
+//! the caller's prebuilt engine and borrowed dispatcher.  After the last
+//! batch every remaining schedule is executed and the run produces the
+//! [`RunMetrics`] the paper reports (unified cost, service rate, running
+//! time, #shortest-path queries, memory).  Only its checkpoints keep a
+//! layout of their own (`mode mono`).
 
 use crate::config::StructRideConfig;
 use crate::dispatcher::Dispatcher;
 use crate::ingest::{drive_ingest, IngestError, IngestReport, IngestStats};
-use crate::lane::{BatchRun, Lane, Offered, MAX_BATCHES};
+use crate::lane::{Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
-use crate::stages::{RunObserver, Span, Stage, StageClock};
+use crate::replay::{Checkpoint, TraceRecorder};
+use crate::shard::{ShardedReport, ShardedRun, ShardingConfig};
+use crate::stages::{RunObserver, StageClock};
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::SpEngine;
+use structride_spatial::RegionGrid;
 
 /// The output of one simulated run.
 #[derive(Debug, Clone)]
@@ -230,9 +229,9 @@ pub(crate) struct Stepper<'a> {
 impl Stepper<'_> {
     /// Steps `run` once at simulated time `now` over `batch`, recording and
     /// observing it through the hooks; returns the committed request ids.
-    pub(crate) fn step<R: BatchRun>(
+    pub(crate) fn step(
         &mut self,
-        run: &mut R,
+        run: &mut ShardedRun<'_>,
         now: f64,
         batch: &[Request],
     ) -> Vec<RequestId> {
@@ -255,8 +254,8 @@ impl Stepper<'_> {
 /// run — workload, configuration, dispatcher, stream length, then (in
 /// `restore`) pipeline and shard count — before any state is restored.
 /// Returns what was offered, for the run's final accounting.
-pub(crate) fn drive<R: BatchRun>(
-    run: &mut R,
+pub(crate) fn drive(
+    run: &mut ShardedRun<'_>,
     config: &StructRideConfig,
     workload_name: &str,
     source: BatchSource<'_>,
@@ -329,8 +328,8 @@ fn check_fit(
 /// stream at time zero, or from the position `resume_from` carries (the
 /// checkpoint is already restored into `run`).  Returns what was offered,
 /// for the run's final accounting.
-fn drive_clock<R: BatchRun>(
-    run: &mut R,
+fn drive_clock(
+    run: &mut ShardedRun<'_>,
     config: &StructRideConfig,
     requests: &[Request],
     workload_name: &str,
@@ -387,8 +386,8 @@ fn drive_clock<R: BatchRun>(
 
 /// Steps `run` over explicit `(now, released requests)` boundaries, exactly
 /// once each: no early exit and no carried-over tail.
-fn drive_fed<R: BatchRun>(
-    run: &mut R,
+fn drive_fed(
+    run: &mut ShardedRun<'_>,
     batches: &[(f64, Vec<Request>)],
     stepper: &mut Stepper<'_>,
 ) -> Offered {
@@ -398,152 +397,6 @@ fn drive_fed<R: BatchRun>(
         stepper.step(run, *now, batch);
     }
     offered
-}
-
-/// The in-flight state of one monolithic run: one [`Lane`] over the caller's
-/// engine and dispatcher, driven by the Δ-clock or the ingest front end.
-pub(crate) struct MonoRun<'a> {
-    engine: &'a SpEngine,
-    dispatcher: &'a mut dyn Dispatcher,
-    lane: Lane,
-    batches: usize,
-    now: f64,
-    sp_before: u64,
-}
-
-impl<'a> MonoRun<'a> {
-    pub(crate) fn new(
-        engine: &'a SpEngine,
-        config: StructRideConfig,
-        vehicles: Vec<Vehicle>,
-        dispatcher: &'a mut dyn Dispatcher,
-    ) -> Self {
-        // A traffic-enabled run needs an engine that actually carries the
-        // model (the caller builds it with `SpEngineBuilder::traffic`);
-        // mismatches would silently drop congestion, so fail loudly in
-        // debug builds.
-        debug_assert!(
-            engine.traffic_config() == Some(config.traffic)
-                || (engine.traffic_config().is_none() && config.traffic.is_static()),
-            "engine traffic model must match config.traffic"
-        );
-        MonoRun {
-            engine,
-            dispatcher,
-            lane: Lane::new(engine, config, vehicles),
-            batches: 0,
-            now: 0.0,
-            sp_before: engine.stats().index_queries,
-        }
-    }
-
-    /// Drains every committed schedule and assembles the report.
-    pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> SimulationReport {
-        self.lane.drain(self.engine, self.now, offered.horizon_end);
-        let sp_queries = self.engine.stats().index_queries;
-        let metrics = self.lane.metrics(
-            self.dispatcher,
-            workload_name,
-            &offered.ledger,
-            self.batches,
-            sp_queries.saturating_sub(self.sp_before),
-        );
-        SimulationReport {
-            metrics,
-            vehicles: self.lane.vehicles,
-            served: self.lane.served,
-            ingest: offered.ingest,
-        }
-    }
-}
-
-impl BatchRun for MonoRun<'_> {
-    fn step(
-        &mut self,
-        now: f64,
-        batch: &[Request],
-        recorder: &mut Option<&mut TraceRecorder>,
-        stages: Option<&StageClock>,
-    ) -> Vec<RequestId> {
-        self.now = now;
-        let span = Span::open(stages, Stage::Roll);
-        self.lane.roll(self.engine, now);
-        span.close();
-        let span = Span::open(stages, Stage::Advance);
-        self.lane.advance(self.engine, now);
-        span.close();
-        if let Some(rec) = recorder.as_deref_mut() {
-            let _span = Span::open(stages, Stage::Record);
-            rec.batch_started(self.batches, now, batch, &self.lane.vehicles);
-        }
-        let span = Span::open(stages, Stage::Dispatch);
-        let (outcome, scratch) = self.lane.dispatch(
-            self.engine,
-            self.dispatcher,
-            now,
-            self.batches,
-            batch,
-            stages,
-        );
-        span.close();
-        if let Some(rec) = recorder.as_deref_mut() {
-            let _span = Span::open(stages, Stage::Record);
-            rec.batch_finished(&outcome, &self.lane.vehicles, scratch);
-        }
-        self.batches += 1;
-        outcome.assigned
-    }
-
-    fn pending(&self) -> usize {
-        self.dispatcher.pending_requests()
-    }
-
-    fn batches(&self) -> usize {
-        self.batches
-    }
-
-    fn algorithm(&self) -> &'static str {
-        self.dispatcher.name()
-    }
-
-    fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
-        // A monolithic run accounts globally: its one shard section carries
-        // no routed ledger, and the served set moves to the run level.
-        let mut shard = self.lane.capture(self.dispatcher, Vec::new());
-        Checkpoint {
-            algorithm: self.algorithm().to_string(),
-            workload: workload_name.to_string(),
-            config: self.lane.config,
-            sharded: false,
-            now: self.now,
-            batches: self.batches,
-            next_request,
-            served: std::mem::take(&mut shard.served),
-            counters: CheckpointCounters::default(),
-            shards: vec![shard],
-        }
-    }
-
-    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ResumeError> {
-        if checkpoint.sharded {
-            return Err(ResumeError::WrongPipeline);
-        }
-        let [shard] = checkpoint.shards.as_slice() else {
-            return Err(ResumeError::ShardCount {
-                expected: 1,
-                found: checkpoint.shards.len(),
-            });
-        };
-        self.lane.restore(self.engine, self.dispatcher, shard);
-        self.lane.served = checkpoint.served.iter().copied().collect();
-        self.batches = checkpoint.batches;
-        self.now = checkpoint.now;
-        // Prime the engine to the checkpoint's epoch: the epoch is a pure
-        // function of (traffic config, batch clock), so one roll lands
-        // exactly where the uninterrupted run's incremental rolls did.
-        self.lane.roll(self.engine, self.now);
-        Ok(())
-    }
 }
 
 /// The batched simulation driver.
@@ -625,10 +478,10 @@ impl Simulator {
         I: IntoIterator<Item = Request>,
         I::IntoIter: Send,
     {
-        let mut run = MonoRun::new(engine, self.config, vehicles, dispatcher);
+        let mut run = self.one_shard(engine, vehicles, dispatcher);
         let mut stepper = Stepper::default();
         let (offered, ingest) = drive_ingest(&mut run, &self.config, arrivals, &mut stepper)?;
-        let report = run.finish(workload_name, offered);
+        let report = monolithic(run.finish(workload_name, offered));
         Ok(IngestReport {
             metrics: report.metrics,
             vehicles: report.vehicles,
@@ -660,9 +513,49 @@ impl Simulator {
             !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
             "a resumed run restores its fleet from the checkpoint"
         );
-        let mut run = MonoRun::new(engine, self.config, vehicles, dispatcher);
+        let mut run = self.one_shard(engine, vehicles, dispatcher);
         let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
-        Ok(run.finish(workload_name, offered))
+        Ok(monolithic(run.finish(workload_name, offered)))
+    }
+
+    /// The run every monolithic entry point steps: one isolated shard over
+    /// the whole network, on the caller's engine and dispatcher, writing
+    /// monolithic checkpoints.
+    fn one_shard<'a>(
+        &self,
+        engine: &'a SpEngine,
+        vehicles: Vec<Vehicle>,
+        dispatcher: &'a mut dyn Dispatcher,
+    ) -> ShardedRun<'a> {
+        // A traffic-enabled run needs an engine that actually carries the
+        // model (the caller builds it with `SpEngineBuilder::traffic`);
+        // mismatches would silently drop congestion, so fail loudly in
+        // debug builds.
+        debug_assert!(
+            engine.traffic_config() == Some(self.config.traffic)
+                || (engine.traffic_config().is_none() && self.config.traffic.is_static()),
+            "engine traffic model must match config.traffic"
+        );
+        let network = engine.network();
+        ShardedRun::new(
+            self.config,
+            ShardingConfig::isolated(),
+            network,
+            RegionGrid::covering(network.bounding_box(), 1, 1),
+            vec![(engine, dispatcher)],
+            vehicles,
+            false,
+        )
+    }
+}
+
+/// A one-shard run's report in the monolithic shape.
+fn monolithic(report: ShardedReport) -> SimulationReport {
+    SimulationReport {
+        metrics: report.aggregate,
+        vehicles: report.vehicles,
+        served: report.served,
+        ingest: report.ingest,
     }
 }
 
@@ -862,6 +755,23 @@ mod tests {
             second.metrics.unified_cost.to_bits()
         );
         assert_eq!(first.served, second.served);
+        // Re-running on the first engine, which the first run left at a
+        // later epoch, reproduces it too: the run starts from time zero's
+        // epoch whatever an earlier run left behind.
+        assert!(engine.current_epoch() > 0);
+        let third = run(&engine);
+        assert_eq!(
+            third.metrics.unified_cost.to_bits(),
+            first.metrics.unified_cost.to_bits()
+        );
+        assert_eq!(third.served, first.served);
+        let travel = |r: &SimulationReport| -> Vec<u64> {
+            r.vehicles
+                .iter()
+                .map(|v| v.executed_travel.to_bits())
+                .collect()
+        };
+        assert_eq!(travel(&third), travel(&first));
     }
 
     #[test]

@@ -103,6 +103,33 @@ fn ingested_run_accounts_for_every_arrival() {
         "the flood load-sheds"
     );
 
+    // The same flood through two shards: the arrivals the front end shed or
+    // timed out never reach a shard's routed ledger, yet each is charged
+    // once, as unserved.
+    let workload = two_city_workload();
+    let config = StructRideConfig::default().with_ingest(flood);
+    let sharded = ShardedSimulator::new(config)
+        .execute(
+            workload.network(),
+            &region_strips_for(workload.network(), 2),
+            BatchSource::Ingest(Box::new(workload.requests.iter().cloned())),
+            workload.fresh_vehicles(),
+            |_| Box::new(SardDispatcher::new(config)),
+            &workload.name,
+            RunHooks::default(),
+        )
+        .expect(HEALTHY);
+    let stats = sharded
+        .ingest
+        .expect("an ingested run reports ingest stats");
+    assert_eq!(stats.arrivals, workload.requests.len());
+    assert!(
+        stats.dropped_queue_full + stats.timed_out > 0,
+        "the flood sheds"
+    );
+    assert_eq!(sharded.aggregate.total_requests, stats.arrivals);
+    assert!(sharded.aggregate.served_requests <= stats.dispatched);
+
     let stats = &paced.ingest;
     assert!(paced.metrics.served_requests > 0, "some requests served");
     assert!(stats.batches > 0);

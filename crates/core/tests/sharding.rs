@@ -64,9 +64,9 @@ fn multi_workload(regions: usize) -> MultiRegionWorkload {
 /// The fields of [`RunMetrics`] that must match bit for bit between a
 /// 1-shard sharded run and the monolithic simulator.  Excluded diagnostics:
 /// `running_time` is wall-clock, `sp_queries` is the one documented
-/// worker-count-dependent counter (cache-miss races), and `memory_bytes`
-/// deliberately measures different things (dispatcher working set in the
-/// monolithic run, per-shard label-index bytes in the sharded one).
+/// worker-count-dependent counter (cache-miss races), and `memory_bytes` is
+/// the dispatcher's working set, whose container capacities vary with the
+/// process hash seed.
 fn deterministic_fields(
     m: &RunMetrics,
 ) -> (String, String, usize, usize, u64, u64, u64, usize, u64, u64) {
