@@ -134,13 +134,11 @@ impl FleetIndex {
     }
 
     /// Replaces the cached travel-time-per-meter floor — called at a traffic
-    /// epoch boundary with the rate recomputed over the **reweighted**
-    /// network, so the reachability certificate keeps holding exactly under
-    /// the epoch's weights.  Passing a rate that is not a true per-meter
-    /// lower bound of the current weights would break prescreen soundness;
-    /// the simulators only ever pass
-    /// `SpEngine::min_time_per_meter()`, which is recomputed from the
-    /// epoch's own network.
+    /// epoch boundary with the epoch's certified rate, so the reachability
+    /// certificate keeps holding under the epoch's travel times.  Passing a
+    /// rate that is not a true per-meter lower bound of the current travel
+    /// times would break prescreen soundness; the simulators only ever pass
+    /// `SpEngine::min_time_per_meter()`, the epoch's own certified rate.
     pub fn set_min_time_per_meter(&mut self, rate: f64) {
         self.min_tpm = rate;
     }

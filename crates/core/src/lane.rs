@@ -112,9 +112,9 @@ impl Lane {
     }
 
     /// Rolls `engine` to the traffic epoch containing `now` (no-op for
-    /// static engines and within an epoch) and, when the weights changed,
+    /// static engines and within an epoch) and, when the epoch changed,
     /// re-pins the prescreen rate so the reachability certificate follows
-    /// the reweighted network.  Callers roll *before* [`Lane::advance`], so
+    /// the epoch's travel times.  Callers roll *before* [`Lane::advance`], so
     /// the whole batch — movement included — sees one consistent epoch.
     pub(crate) fn roll(&mut self, engine: &SpEngine, now: f64) {
         if engine.roll_epoch_to(now) {

@@ -211,21 +211,19 @@ pub struct ShardedReport {
     /// Wall-clock of the batch loop and final drain, seconds.
     pub run_seconds: f64,
     /// Wall-clock spent on the epoch-roll path at traffic epoch boundaries:
-    /// memo lookups and prebuild joins for uniform epochs, scoped label
-    /// repairs for zoned epochs, and any halo re-cuts — in seconds.  Label
-    /// builds finished on the [`EpochStore`]'s background threads before
-    /// their epoch arrives are not booked here (they overlap dispatch).
-    /// `0.0` for static (free-flow) runs.
+    /// memo lookups and rescales for uniform epochs, scoped label repairs
+    /// against the free-flow base for zoned epochs, and any halo re-cuts —
+    /// in seconds.  `0.0` for static (free-flow) runs.
     pub label_refresh_seconds: f64,
     /// Number of traffic epoch boundaries crossed during the run (0 for
     /// static runs).
     pub epoch_rolls: u64,
-    /// Epoch rolls whose new weights were spatially uniform (Tier 1: the
-    /// labels came from the epoch store's signature memo or a background
-    /// prebuild — never a roll-path wholesale rebuild).
+    /// Epoch rolls into a zone-free epoch: the engines keep the free-flow
+    /// labels and rescale every answer by the epoch's profile factor.
     pub labels_rescaled: u64,
-    /// Epoch rolls whose new weights were zoned (Tier 2: labels produced by
-    /// a scoped repair against the same-profile uniform reference).
+    /// Epoch rolls into a zoned epoch: labels from a scoped repair against
+    /// the free-flow base (or the epoch store's memo of one), answers
+    /// rescaled by the profile factor.
     pub labels_rebuilt: u64,
     /// Outage windows opened by the deterministic fault injector (see
     /// [`crate::faults`]) — 0 under the inert default config.
@@ -588,8 +586,7 @@ impl<'a> ShardedRun<'a> {
     ///
     /// Every engine is rolled to the epoch of time zero first: a reused
     /// engine that an earlier run left at a later epoch starts this run
-    /// where a fresh one would (and a traffic store starts its background
-    /// label prebuild).
+    /// where a fresh one would.
     pub(crate) fn new(
         config: StructRideConfig,
         sharding: ShardingConfig,
@@ -642,14 +639,15 @@ impl<'a> ShardedRun<'a> {
         }
     }
 
-    /// Rolls every shard engine to the traffic epoch containing `now`: the
-    /// first clipped engine to ask its [`EpochStore`] for the new signature
-    /// fetches it (memo hit, background-prebuild join, or on-demand scoped
-    /// repair), every other shard gets the memoized artifacts for free, and
-    /// clipped engines whose halo the transition provably did not touch skip
-    /// their re-cut entirely (Tier 3) — their slices and caches stay live
-    /// across the roll.  Every shard's fleet-index prescreen rate is
-    /// re-pinned from the epoch artifacts so prescreens stay sound under
+    /// Rolls every shard engine to the traffic epoch containing `now`.  A
+    /// profile-only change rescales every engine's answers and keeps every
+    /// label set and clip.  A zone flip makes the first clipped engine to
+    /// ask its [`EpochStore`] fetch the new zone activity's artifacts (memo
+    /// hit or scoped repair against the free-flow base), every other shard
+    /// gets them for free, and clipped engines whose halo the zones provably
+    /// did not touch keep their clip (Tier 3) — and their cache, when the
+    /// scale did not change.  Every shard's fleet-index prescreen rate is
+    /// re-pinned from the new epoch so prescreens stay sound under
     /// congestion.  No-op for static configs and within an epoch.
     ///
     /// Engines persist across rolls, so their diagnostic query counters
@@ -665,7 +663,7 @@ impl<'a> ShardedRun<'a> {
         }
         let t0 = Instant::now();
         for_each_shard(&mut self.shards, &|s| s.lane.roll(s.engine, now));
-        if epoch.uniform_multiplier().is_some() {
+        if epoch.signature().is_uniform() {
             self.counters.labels_rescaled += 1;
         } else {
             self.counters.labels_rebuilt += 1;

@@ -16,7 +16,7 @@ use structride_roadnet::{CongestionZone, TrafficConfig, TrafficProfile};
 /// `hour_scale` sets how many simulated seconds one "profile hour" lasts.
 /// With e.g. `epoch_seconds = 40` and `hour_scale = 20`, a 200-second
 /// horizon sweeps profile hours 0..=10 and crosses the morning peak (×1.75
-/// at hour 8) — every epoch boundary forcing a hub-label rebuild.
+/// at hour 8) — every epoch boundary rescaling the engines' answers.
 pub fn rush_hour(epoch_seconds: f64, hour_scale: f64) -> TrafficConfig {
     TrafficConfig {
         profile: TrafficProfile::Rush,
@@ -84,17 +84,17 @@ mod tests {
         let outside = (Point::new(500.0, 500.0), Point::new(600.0, 600.0));
         // Before the incident and after it clears: free flow everywhere.
         assert_eq!(
-            traffic.epoch_at(60.0).edge_multiplier(inside.0, inside.1),
+            traffic.epoch_at(60.0).zone_multiplier(inside.0, inside.1),
             1.0
         );
         assert_eq!(
-            traffic.epoch_at(320.0).edge_multiplier(inside.0, inside.1),
+            traffic.epoch_at(320.0).zone_multiplier(inside.0, inside.1),
             1.0
         );
         // During: only edges whose midpoint is inside the box slow down.
         let during = traffic.epoch_at(120.0);
         assert!(!during.is_free_flow());
-        assert_eq!(during.edge_multiplier(inside.0, inside.1), 3.0);
-        assert_eq!(during.edge_multiplier(outside.0, outside.1), 1.0);
+        assert_eq!(during.zone_multiplier(inside.0, inside.1), 3.0);
+        assert_eq!(during.zone_multiplier(outside.0, outside.1), 1.0);
     }
 }

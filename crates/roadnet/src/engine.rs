@@ -7,10 +7,10 @@
 //! Table V and Table VI angle-pruning ablation.
 //!
 //! Every engine is assembled from an [`EpochStore`] and reads its current
-//! epoch — index, certified rates, epoch number — from one slot.  A static
-//! engine's slot is fixed at build and read without a lock; a traffic
-//! engine's slot sits behind the lock that [`SpEngine::roll_epoch_to`]
-//! swaps at epoch boundaries.
+//! epoch — index, profile scale, certified rates, epoch number — from one
+//! slot.  A static engine's slot is fixed at build and read without a lock;
+//! a traffic engine's slot sits behind the lock that
+//! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.
 //!
 //! The cache stands where the paper puts its LRU cache (after Huang et al.),
 //! with a different replacement policy.  It is a fixed table of 4-way sets
@@ -46,7 +46,7 @@ use crate::landmarks::Landmarks;
 use crate::subnet::SubNetwork;
 use crate::traffic::{EpochSignature, TrafficConfig, TrafficEpoch};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Counters describing the query workload seen by an [`SpEngine`].
@@ -93,11 +93,11 @@ impl SpEngineBuilder {
     /// Attaches a time-dependent traffic model.  A non-static config makes
     /// [`SpEngineBuilder::build`] produce a **self-rolling** engine: the
     /// caller drives [`SpEngine::roll_epoch_to`] from the batch clock and
-    /// the engine swaps in the covering epoch's artifacts — reweighted
-    /// network, label index, certified `min_time_per_meter` — from its
-    /// [`EpochStore`] at every epoch boundary.  A static config (the
-    /// default) gives an engine whose one epoch slot is fixed at build and
-    /// read without a lock.
+    /// the engine takes on the covering epoch's profile scale and, when the
+    /// zone activity changes, its artifacts — zone-reweighted network,
+    /// label index, certified rates — from its [`EpochStore`] at every
+    /// epoch boundary.  A static config (the default) gives an engine whose
+    /// one epoch slot is fixed at build and read without a lock.
     ///
     /// [`build_clipped`](Self::build_clipped) ignores this knob: its store
     /// carries the traffic model.
@@ -148,12 +148,15 @@ impl SpEngineBuilder {
     /// network *is* the landmark table's); any other store a rolling one.
     fn assemble(self, store: Arc<EpochStore>, halo: Option<&[NodeId]>) -> SpEngine {
         let artifact = store.initial_artifacts();
+        let epoch = store.initial_epoch();
         let mut current = EpochSlot {
-            epoch: store.initial_epoch().index,
+            epoch: epoch.index,
             index: epoch_index(&artifact, halo),
-            min_tpm: artifact.min_tpm(),
-            min_ratio: artifact.min_ratio(),
+            scale: 1.0,
+            min_tpm: 0.0,
+            min_ratio: 0.0,
         };
+        current.rescale(epoch.scale(), &artifact);
         let (net, landmarks) = (store.base().clone(), store.landmarks.clone());
         let epochs = if store.config().is_static() {
             // The landmark table's own network: exactly 1, also where
@@ -229,11 +232,27 @@ struct EpochSlot {
     epoch: u64,
     /// The engine-local index: full, or clipped to this engine's halo.
     index: SpIndex,
-    /// The certified `min_time_per_meter` of the epoch's weights.
+    /// The epoch's profile factor ([`TrafficEpoch::scale`]): every answer
+    /// of `index` is multiplied by it.  Exactly 1 on a static engine and in
+    /// free-flow hours, where `1.0 × x == x` bit for bit.
+    scale: f64,
+    /// The certified `min_time_per_meter` of the epoch's travel times.
     min_tpm: f64,
     /// The epoch's smallest weight ratio over the landmark table's network
     /// (exactly 1 on a static engine).
     min_ratio: f64,
+}
+
+impl EpochSlot {
+    /// Sets the epoch's profile `scale` and the certified rates of
+    /// `artifact`'s zone activity under it.  Rounding is monotone, so `f ⊗
+    /// d_z ≥ f ⊗ (rate × euclid)` and `f ⊗ d_z ≥ f ⊗ (ratio × lb)` hold
+    /// within the bounds' grace whenever the unscaled ones do.
+    fn rescale(&mut self, scale: f64, artifact: &EpochArtifacts) {
+        self.scale = scale;
+        self.min_tpm = scale * artifact.min_tpm();
+        self.min_ratio = scale * artifact.min_ratio();
+    }
 }
 
 /// The index an engine queries in `artifact`'s epoch: the epoch's full
@@ -280,75 +299,61 @@ enum SpIndex {
     FallbackOnly { full: Arc<HubLabels> },
 }
 
-/// The shared artifacts of one traffic epoch *signature*: reweighted
-/// network, label index, build plan (for uniform reference epochs), the
-/// certified prescreen rate, and — for zoned epochs — the set of vertices
-/// the zone activity actually touched.
+/// The shared artifacts of one zone activity ([`TrafficEpoch::signature`]):
+/// the network reweighted by the active zones' factors alone, its label
+/// index, its certified rates, and — for zoned artifacts — the set of
+/// vertices the zones actually touched.  The profile factor is not in
+/// here: an epoch's travel time is these labels' answer times the epoch's
+/// [`TrafficEpoch::scale`], so one artifact serves every profile hour with
+/// the same zone activity.
 ///
 /// Artifacts are a pure function of `(base network, signature)`: the
-/// parallel [`HubLabels::build`] and the scoped [`BuildPlan::repair`] are
-/// bit-identical under any worker count and to each other, so it never
-/// matters *when* or *on which thread* an artifact was produced — which is
-/// what makes both the signature memo and the background prebuild sound.
+/// scoped [`BuildPlan::repair`] is bit-identical under any worker count and
+/// to a wholesale [`HubLabels::build`], so it never matters *when* an
+/// artifact was produced — which is what makes the memo sound.
 #[derive(Debug)]
 pub struct EpochArtifacts {
-    signature: EpochSignature,
     net: Arc<RoadNetwork>,
     labels: Arc<HubLabels>,
-    /// Recorded construction, kept for **uniform** artifacts when the config
-    /// carries zones: the reference a zoned epoch's scoped repair starts
-    /// from.
-    plan: Option<Arc<BuildPlan>>,
     min_tpm: f64,
-    /// The smallest epoch weight ÷ base weight over all edges (see
-    /// [`RoadNetwork::min_weight_ratio`]): scales the base network's
-    /// landmark bound to this epoch.
+    /// The smallest zone-reweighted weight ÷ base weight over all edges
+    /// (see [`RoadNetwork::min_weight_ratio`]): scales the base network's
+    /// landmark bound to this zone activity.
     min_ratio: f64,
     /// For zoned artifacts: `changed[v]` iff `v`'s label vectors or an
-    /// incident edge weight differ from the same-profile uniform reference.
-    /// `None` for uniform artifacts (the empty set).
+    /// incident edge weight differ from the free-flow base.  `None` for the
+    /// zone-free artifact (the empty set).
     changed: Option<Vec<bool>>,
 }
 
 impl EpochArtifacts {
-    /// The weight fingerprint these artifacts were built for.
-    pub fn signature(&self) -> &EpochSignature {
-        &self.signature
-    }
-
-    /// The epoch's reweighted road network (the shared free-flow base when
-    /// the epoch is free flow).
+    /// The zone-reweighted road network (the shared free-flow base when no
+    /// zone is active).
     pub fn net(&self) -> &Arc<RoadNetwork> {
         &self.net
     }
 
-    /// The epoch's hub-label index.
+    /// The hub-label index of [`EpochArtifacts::net`].
     pub fn labels(&self) -> &Arc<HubLabels> {
         &self.labels
     }
 
-    /// The epoch's certified `min_time_per_meter` prescreen rate.
+    /// The certified `min_time_per_meter` of the zone-reweighted network,
+    /// before the epoch's profile scale.
     pub fn min_tpm(&self) -> f64 {
         self.min_tpm
     }
 
-    /// The epoch's smallest weight ratio over the free-flow base: every
-    /// travel time of the epoch is at least this factor times the base one.
+    /// The smallest zone weight ratio over the free-flow base, before the
+    /// epoch's profile scale: every travel time of the zone-reweighted
+    /// network is at least this factor times the base one.
     pub fn min_ratio(&self) -> f64 {
         self.min_ratio
     }
 
-    /// True when every edge scales by one profile factor (Tier-1 artifact);
-    /// false when zone activity made the reweighting spatially non-uniform
-    /// (Tier-2 artifact, produced by a scoped repair).
-    pub fn is_uniform(&self) -> bool {
-        self.changed.is_none()
-    }
-
     /// True when some vertex of `halo` was touched by this artifact's zone
     /// activity — its label vectors or an incident edge weight differ from
-    /// the same-profile uniform reference.  Always false for uniform
-    /// artifacts.
+    /// the free-flow base.  Always false for the zone-free artifact.
     pub fn changed_intersects(&self, halo: &[NodeId]) -> bool {
         match &self.changed {
             None => false,
@@ -357,169 +362,74 @@ impl EpochArtifacts {
     }
 }
 
-/// Builds the artifacts of a uniform (zone-free) signature: every edge
-/// scales by `signature.uniform_factor()`, bit-identically to reweighting by
-/// [`TrafficEpoch::edge_multiplier`] for an epoch with that profile factor
-/// and no effective zones.
-fn build_uniform_artifacts(
-    base: &Arc<RoadNetwork>,
-    signature: EpochSignature,
-    record_plan: bool,
-) -> EpochArtifacts {
-    let factor = signature.uniform_factor();
-    let net = if factor == 1.0 {
-        base.clone()
-    } else {
-        Arc::new(base.reweighted(|_, _| factor))
-    };
-    let (labels, plan) = if record_plan {
-        let (labels, plan) = HubLabels::build_with_plan(&net);
-        (labels, Some(Arc::new(plan)))
-    } else {
-        (HubLabels::build(&net), None)
-    };
-    EpochArtifacts {
-        signature,
-        min_tpm: net.min_time_per_meter(),
-        min_ratio: net.min_weight_ratio(base),
-        net,
-        labels: Arc::new(labels),
-        plan,
-        changed: None,
-    }
-}
-
-/// Builds the artifacts of a zoned epoch by scoped repair against the
-/// same-profile uniform `reference`: reweight with per-edge flags, re-search
-/// only the roots whose recorded searches touched a flagged vertex, splice
-/// everything else in verbatim ([`BuildPlan::repair`] — bit-identical to a
-/// wholesale `HubLabels::build` over the reweighted network).
-fn build_zoned_artifacts(
-    base: &Arc<RoadNetwork>,
-    epoch: &TrafficEpoch,
-    reference: &EpochArtifacts,
-) -> EpochArtifacts {
-    let signature = epoch.signature();
-    let (net, seeds) = base.reweighted_with_flags(
-        |from, to| epoch.edge_multiplier(from, to),
-        signature.uniform_factor(),
-    );
-    let net = Arc::new(net);
-    let plan = reference
-        .plan
-        .as_ref()
-        .expect("uniform reference artifacts record a build plan when zones are configured");
-    let repair = plan.repair(&net, &seeds);
-    EpochArtifacts {
-        signature,
-        min_tpm: net.min_time_per_meter(),
-        min_ratio: net.min_weight_ratio(base),
-        net,
-        labels: Arc::new(repair.labels),
-        plan: None,
-        changed: Some(repair.changed),
-    }
-}
-
-/// A background prebuild in flight (see [`EpochStore::ensure_prebuild`]).
-type Prebuild = std::thread::JoinHandle<Result<EpochArtifacts, rayon::ThreadPoolBuildError>>;
-
-/// A memoized artifact, or the handle of a background prebuild in flight.
-#[derive(Debug)]
-enum SignatureSlot {
-    Pending(Prebuild),
-    Ready(Arc<EpochArtifacts>),
-}
-
-/// Memoized, background-prefetched per-epoch artifacts, shared by every
-/// engine rolling through the same traffic model — the tiered epoch-roll
-/// repair engine — and the one landmark table those engines share.
+/// Memoized per-zone-activity artifacts, shared by every engine rolling
+/// through the same traffic model, and the one landmark table those
+/// engines share.
 ///
-/// Every [`SpEngine`] is built from a store, static ones included.  A
-/// static config's store holds one artifact (the base network and its
-/// labels) and never starts a thread: every epoch has the initial
-/// signature, so [`EpochStore::ensure_prebuild`] finds nothing to build.
+/// Every [`SpEngine`] is built from a store, static ones included.  The
+/// store builds the free-flow base's labels once, at creation; a store
+/// whose config carries no zone never builds another label set.
 ///
-/// Artifacts are keyed by [`TrafficEpoch::signature`], a bit-exact
-/// fingerprint of everything that can affect an edge weight, so two epochs
-/// with equal signatures (e.g. the free-flow hours on both sides of a rush
-/// peak, or any revisit of an hourly factor) share one artifact and one
-/// build.  Per signature, the cheapest sound producer is chosen:
-///
-/// * **Uniform signatures** (no effective zones — every roll of a zone-free
-///   `Rush`/`Custom` profile) are built by the wholesale builder, but *off
-///   the roll path*: [`EpochStore::ensure_prebuild`] enumerates the
-///   distinct uniform signatures of the profile's first day and builds each
-///   one on a single-worker background thread while dispatch proceeds
-///   under the current epoch.  A roll that arrives before its prebuild
-///   finishes joins it (the wait is booked as refresh time); every later
-///   roll to that signature is a memo hit.  A from-scratch *rescale* of the stored label distances
-///   would be cheaper still but is **not sound**: the prune check compares
-///   two floating-point sums of the same path length accumulated in
-///   different association orders, and a uniform factor re-rounds both
-///   sides independently, flipping knife-edge settle/prune decisions — see
-///   [`BuildPlan`].
-/// * **Zoned signatures** are built by scoped repair
-///   ([`BuildPlan::repair`]) against the same-profile uniform reference:
-///   only roots whose recorded searches touched a reweighted vertex
-///   re-search; everything else is spliced in verbatim.  The artifact also
-///   records *which* vertices changed, which is what lets clipped engines
-///   skip their refresh entirely when their halo was not touched (Tier 3).
-///
-/// Every producer is bit-identical to `HubLabels::build` over the epoch's
-/// reweighted network (property-tested across zone-flip sequences and
-/// worker counts), so engines sharing a store answer exactly as if each
-/// roll rebuilt wholesale — only faster.
+/// * **Uniform epochs** (no effective zone — every roll of a zone-free
+///   `Rush`/`Custom` profile) share the base artifact.  A uniform scale
+///   changes no shortest path, so the epoch's travel time is `f ⊗ d₀(u,
+///   v)`: the free-flow labels' answer times the profile factor `f`,
+///   rounded once.  This is the epoch's metric by definition; it is not
+///   meant to equal, bit for bit, a label build over edges each scaled by
+///   `f` (the builder's sums would round differently, see [`BuildPlan`]).
+/// * **Zoned epochs** are `f ⊗ d_z`, where `d_z` is the base network
+///   reweighted by the zone factors alone.  Its labels come from a scoped
+///   repair ([`BuildPlan::repair`]) against the base build plan: only
+///   roots whose recorded searches touched a reweighted vertex re-search;
+///   everything else is spliced in verbatim.  The artifact also records
+///   *which* vertices changed, which is what lets clipped engines keep their
+///   clip when their halo was not touched (Tier 3).  Artifacts are keyed by
+///   zone activity alone ([`TrafficEpoch::signature`]), so every profile
+///   hour with the same active zones shares one repair.
 #[derive(Debug)]
 pub struct EpochStore {
     base: Arc<RoadNetwork>,
     config: TrafficConfig,
-    /// Plans are recorded on uniform artifacts only when the config carries
-    /// zones that could later demand a scoped repair against them.
-    record_plans: bool,
     initial_epoch: TrafficEpoch,
-    initial: Arc<EpochArtifacts>,
-    memo: Mutex<HashMap<EpochSignature, SignatureSlot>>,
-    prebuild_started: AtomicBool,
+    /// The base labels' recorded construction, kept only when the config
+    /// carries zones that could demand a scoped repair against it.
+    plan: Option<BuildPlan>,
+    memo: Mutex<HashMap<EpochSignature, Arc<EpochArtifacts>>>,
     /// The free-flow base's landmark table, shared by every engine built
     /// from this store: each epoch scales it by its `min_ratio`.
     landmarks: Arc<Landmarks>,
 }
 
 impl EpochStore {
-    /// Builds the store and the artifacts of the epoch covering `now = 0` —
-    /// the setup-time cost.  Background prebuilding starts lazily at the
-    /// first [`SpEngine::roll_epoch_to`] call (see
-    /// [`EpochStore::ensure_prebuild`]) so it never contends with the rest
-    /// of setup.
+    /// Builds the store: the free-flow base's labels and landmark table,
+    /// and the artifacts of the epoch covering `now = 0` if it is zoned —
+    /// the setup-time cost.
     pub fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Arc<Self> {
-        let record_plans = config.zones.iter().any(Option::is_some);
-        let initial_epoch = config.epoch_at(0.0);
-        let signature = initial_epoch.signature();
-        let mut memo = HashMap::new();
-        let initial = if signature.is_uniform() {
-            Arc::new(build_uniform_artifacts(&base, signature, record_plans))
+        let (labels, plan) = if config.zones().next().is_some() {
+            let (labels, plan) = HubLabels::build_with_plan(&base);
+            (labels, Some(plan))
         } else {
-            let reference = Arc::new(build_uniform_artifacts(
-                &base,
-                signature.profile_only(),
-                record_plans,
-            ));
-            let artifact = Arc::new(build_zoned_artifacts(&base, &initial_epoch, &reference));
-            memo.insert(signature.profile_only(), SignatureSlot::Ready(reference));
-            artifact
+            (HubLabels::build(&base), None)
         };
-        memo.insert(signature, SignatureSlot::Ready(initial.clone()));
-        Arc::new(EpochStore {
+        let free_flow = EpochArtifacts {
+            min_tpm: base.min_time_per_meter(),
+            min_ratio: base.min_weight_ratio(&base),
+            net: base.clone(),
+            labels: Arc::new(labels),
+            changed: None,
+        };
+        let memo = HashMap::from([(EpochSignature::default(), Arc::new(free_flow))]);
+        let store = EpochStore {
             landmarks: Arc::new(Landmarks::build(&base)),
             base,
             config,
-            record_plans,
-            initial_epoch,
-            initial,
+            initial_epoch: config.epoch_at(0.0),
+            plan,
             memo: Mutex::new(memo),
-            prebuild_started: AtomicBool::new(false),
-        })
+        };
+        // The initial epoch's artifacts are part of setup.
+        store.initial_artifacts();
+        Arc::new(store)
     }
 
     /// The traffic model every sharing engine rolls by.
@@ -537,121 +447,45 @@ impl EpochStore {
         self.initial_epoch
     }
 
-    /// The artifacts built at store creation (for the initial epoch).
+    /// The artifacts of the epoch covering `now = 0` (built at store
+    /// creation).
     pub fn initial_artifacts(&self) -> Arc<EpochArtifacts> {
-        self.initial.clone()
+        self.artifacts_for(&self.initial_epoch)
     }
 
-    /// Starts the background prebuild: one builder thread per distinct
-    /// uniform signature among the epochs of the profile's first day (capped
-    /// at 64 epochs examined), so the label builds overlap dispatch instead
-    /// of stalling epoch rolls.  Idempotent and cheap after the first call;
-    /// called by every [`SpEngine::roll_epoch_to`], so stores driven by any
-    /// pipeline start prefetching at the first batch.
-    ///
-    /// Each builder is single-worker: it runs [`HubLabels::build`] under a
-    /// one-thread `rayon` pool, so the builders' per-landmark `join`s never
-    /// queue on the shared worker pool ahead of dispatch's parallel calls.
-    /// The labels are the same bits under any worker count.  A builder that
-    /// panics costs nothing but time: the roll that needs its signature
-    /// builds it on demand instead.
-    pub fn ensure_prebuild(&self) {
-        if self.prebuild_started.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let width = if self.config.epoch_seconds.is_finite() && self.config.epoch_seconds > 0.0 {
-            self.config.epoch_seconds
-        } else {
-            3600.0
-        };
-        if !(self.config.hour_scale.is_finite() && self.config.hour_scale > 0.0) {
-            // The profile hour never advances: only the initial signature's
-            // profile factor can ever occur, and it is already built.
-            return;
-        }
-        let day_epochs = ((24.0 * self.config.hour_scale / width).ceil() as usize).clamp(1, 64);
-        let mut memo = self.memo.lock().unwrap();
-        for e in 1..=day_epochs {
-            let epoch = self.config.epoch_at(e as f64 * width);
-            if epoch.uniform_multiplier().is_none() {
-                continue;
-            }
-            let signature = epoch.signature();
-            if memo.contains_key(&signature) {
-                continue;
-            }
-            let base = self.base.clone();
-            let record_plans = self.record_plans;
-            let handle = std::thread::spawn(move || {
-                Ok(rayon::ThreadPoolBuilder::new()
-                    .num_threads(1)
-                    .build()?
-                    .install(|| build_uniform_artifacts(&base, signature, record_plans)))
-            });
-            memo.insert(signature, SignatureSlot::Pending(handle));
-        }
-    }
-
-    /// The artifacts for `epoch`: a memo hit, a join on the signature's
-    /// background prebuild, or an on-demand build (scoped repair for zoned
-    /// signatures).  Identical bits regardless of which path ran.
+    /// The artifacts for `epoch`'s zone activity: a memo hit, or a scoped
+    /// repair of the base labels for a zone activity not seen before.
     pub fn artifacts_for(&self, epoch: &TrafficEpoch) -> Arc<EpochArtifacts> {
-        let signature = epoch.signature();
-        let mut memo = self.memo.lock().unwrap();
-        match memo.remove(&signature) {
-            Some(SignatureSlot::Ready(artifact)) => {
-                memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
-                artifact
-            }
-            Some(SignatureSlot::Pending(handle)) => {
-                let artifact = Arc::new(self.join_prebuild(handle, signature));
-                memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
-                artifact
-            }
-            None => {
-                let artifact = if signature.is_uniform() {
-                    Arc::new(build_uniform_artifacts(
-                        &self.base,
-                        signature,
-                        self.record_plans,
-                    ))
-                } else {
-                    let reference = self.uniform_reference(&mut memo, signature.profile_only());
-                    Arc::new(build_zoned_artifacts(&self.base, epoch, &reference))
-                };
-                memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
-                artifact
-            }
-        }
+        let mut memo = self
+            .memo
+            .lock()
+            .expect("no epoch-store build panics holding the memo");
+        memo.entry(epoch.signature())
+            .or_insert_with(|| Arc::new(self.build_zoned_artifacts(epoch)))
+            .clone()
     }
 
-    /// The uniform reference artifacts for a zoned signature's profile
-    /// factor, materializing them (join or build) under the held memo lock.
-    fn uniform_reference(
-        &self,
-        memo: &mut HashMap<EpochSignature, SignatureSlot>,
-        signature: EpochSignature,
-    ) -> Arc<EpochArtifacts> {
-        let artifact = match memo.remove(&signature) {
-            Some(SignatureSlot::Ready(artifact)) => artifact,
-            Some(SignatureSlot::Pending(handle)) => Arc::new(self.join_prebuild(handle, signature)),
-            None => Arc::new(build_uniform_artifacts(
-                &self.base,
-                signature,
-                self.record_plans,
-            )),
-        };
-        memo.insert(signature, SignatureSlot::Ready(artifact.clone()));
-        artifact
-    }
-
-    /// The artifacts a background prebuild of the uniform `signature`
-    /// produced — or, when its thread panicked or could not set up its
-    /// worker, the same bits built here on demand.
-    fn join_prebuild(&self, handle: Prebuild, signature: EpochSignature) -> EpochArtifacts {
-        match handle.join() {
-            Ok(Ok(artifact)) => artifact,
-            _ => build_uniform_artifacts(&self.base, signature, self.record_plans),
+    /// Builds the artifacts of a zoned epoch by scoped repair against the
+    /// base: reweight by the zone factors with per-edge flags, re-search
+    /// only the roots whose recorded searches touched a flagged vertex,
+    /// splice everything else in verbatim ([`BuildPlan::repair`] —
+    /// bit-identical to a wholesale `HubLabels::build` over the reweighted
+    /// network).
+    fn build_zoned_artifacts(&self, epoch: &TrafficEpoch) -> EpochArtifacts {
+        let (net, seeds) = self
+            .base
+            .reweighted_with_flags(|from, to| epoch.zone_multiplier(from, to));
+        let plan = self
+            .plan
+            .as_ref()
+            .expect("a store whose config carries zones records the base build plan");
+        let repair = plan.repair(&net, &seeds);
+        EpochArtifacts {
+            min_tpm: net.min_time_per_meter(),
+            min_ratio: net.min_weight_ratio(&self.base),
+            net: Arc::new(net),
+            labels: Arc::new(repair.labels),
+            changed: Some(repair.changed),
         }
     }
 }
@@ -698,7 +532,7 @@ impl SpEngine {
 
     /// The underlying road network.  For self-rolling traffic engines this
     /// is the **free-flow base** (topology and coordinates are shared with
-    /// every epoch's reweighted copy); use [`SpEngine::min_time_per_meter`]
+    /// every zone-reweighted copy); use [`SpEngine::min_time_per_meter`]
     /// and the query methods for epoch-correct travel quantities.
     pub fn network(&self) -> &RoadNetwork {
         &self.net
@@ -735,19 +569,24 @@ impl SpEngine {
     /// Travel time bypassing the cache (still counted as an index query).
     pub fn cost_uncached(&self, source: NodeId, target: NodeId) -> f64 {
         self.index_queries.fetch_add(1, Ordering::Relaxed);
-        self.current(|slot| match &slot.index {
-            SpIndex::Full(labels) => labels.query(source, target),
-            SpIndex::Clipped { sub, slice, full } => match (sub.local(source), sub.local(target)) {
-                (Some(ls), Some(lt)) => slice.query(ls, lt),
-                _ => {
+        self.current(|slot| {
+            let d = match &slot.index {
+                SpIndex::Full(labels) => labels.query(source, target),
+                SpIndex::Clipped { sub, slice, full } => {
+                    match (sub.local(source), sub.local(target)) {
+                        (Some(ls), Some(lt)) => slice.query(ls, lt),
+                        _ => {
+                            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
+                            full.query(source, target)
+                        }
+                    }
+                }
+                SpIndex::FallbackOnly { full } => {
                     self.fallback_queries.fetch_add(1, Ordering::Relaxed);
                     full.query(source, target)
                 }
-            },
-            SpIndex::FallbackOnly { full } => {
-                self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                full.query(source, target)
-            }
+            };
+            slot.scale * d
         })
     }
 
@@ -774,31 +613,37 @@ impl SpEngine {
     pub fn many_to_many(&self, sources: &[NodeId], targets: &[NodeId]) -> Vec<f64> {
         let pairs = (sources.len() * targets.len()) as u64;
         self.index_queries.fetch_add(pairs, Ordering::Relaxed);
-        self.current(|slot| match &slot.index {
-            SpIndex::Full(labels) => labels.many_to_many(sources, targets),
-            SpIndex::Clipped { sub, slice, full } => {
-                // One id map for both sides; the first endpoint outside the
-                // halo sends the whole matrix to the full index.
-                let local: Option<Vec<NodeId>> = sources
-                    .iter()
-                    .chain(targets)
-                    .map(|&v| sub.local(v))
-                    .collect();
-                match local {
-                    Some(ids) => {
-                        let (ls, lt) = ids.split_at(sources.len());
-                        slice.many_to_many(ls, lt)
-                    }
-                    None => {
-                        self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
-                        full.many_to_many(sources, targets)
+        self.current(|slot| {
+            let mut matrix = match &slot.index {
+                SpIndex::Full(labels) => labels.many_to_many(sources, targets),
+                SpIndex::Clipped { sub, slice, full } => {
+                    // One id map for both sides; the first endpoint outside
+                    // the halo sends the whole matrix to the full index.
+                    let local: Option<Vec<NodeId>> = sources
+                        .iter()
+                        .chain(targets)
+                        .map(|&v| sub.local(v))
+                        .collect();
+                    match local {
+                        Some(ids) => {
+                            let (ls, lt) = ids.split_at(sources.len());
+                            slice.many_to_many(ls, lt)
+                        }
+                        None => {
+                            self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
+                            full.many_to_many(sources, targets)
+                        }
                     }
                 }
+                SpIndex::FallbackOnly { full } => {
+                    self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
+                    full.many_to_many(sources, targets)
+                }
+            };
+            for d in &mut matrix {
+                *d *= slot.scale;
             }
-            SpIndex::FallbackOnly { full } => {
-                self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
-                full.many_to_many(sources, targets)
-            }
+            matrix
         })
     }
 
@@ -883,21 +728,23 @@ impl SpEngine {
     /// taking the cheapest sound repair for the transition.  Returns `true`
     /// when the epoch actually changed.
     ///
-    /// The tiers, cheapest first — every one answers queries bit-identically
-    /// to a wholesale reweight-and-rebuild at the new epoch:
+    /// The tiers, cheapest first:
     ///
-    /// 1. **Same signature**: the new epoch's weights are bit-equal to the
-    ///    current ones ([`TrafficEpoch::signature`]), so the artifacts,
-    ///    clip, *and cache* all stay live; only the epoch index advances.
-    /// 2. **Artifact swap**: fetch the new signature's artifacts from the
-    ///    shared [`EpochStore`] (memo hit, prebuild join, or on-demand
-    ///    uniform build / zoned scoped repair).
+    /// 1. **Same travel times**: the new epoch has the current zone
+    ///    activity ([`TrafficEpoch::signature`]) and profile factor, so the
+    ///    artifacts, clip *and cache* all stay live; only the epoch index
+    ///    advances.
+    /// 2. **Rescale or artifact swap**: a profile-only change keeps the
+    ///    labels and multiplies every answer by the new
+    ///    [`TrafficEpoch::scale`]; a zone flip fetches the new zone
+    ///    activity's artifacts from the shared [`EpochStore`] (memo hit or
+    ///    scoped repair against the base).
     /// 3. **Shard-selective clip retention**: a clipped engine re-cuts its
-    ///    sub-network and label slice only when the transition could touch
-    ///    its halo — a profile-factor change, or zone activity intersecting
-    ///    the halo on either side of the roll.  Otherwise the clip is
-    ///    retained against the new full index, and the cache too if no
-    ///    fallback query escaped the halo since it was last cleared.
+    ///    sub-network and label slice only when zone activity intersects
+    ///    its halo on either side of the roll.  Otherwise the clip is
+    ///    retained against the new full index.  The cache survives too if
+    ///    the scale did not change and no fallback query escaped the halo
+    ///    since it was last cleared.
     ///
     /// Static engines return `false` unconditionally, so pipelines can call
     /// this every batch without guarding.  Must be called from the batch
@@ -907,7 +754,6 @@ impl SpEngine {
         let Epochs::Rolling(rt) = &self.epochs else {
             return false;
         };
-        rt.store.ensure_prebuild();
         let epoch = rt.store.config().epoch_at(now);
         if rt.slot.read().unwrap().current.epoch == epoch.index {
             return false;
@@ -920,57 +766,57 @@ impl SpEngine {
         if current.epoch == epoch.index {
             return false;
         }
-        let signature = epoch.signature();
-        if *old.signature() == signature {
-            // Tier 1, degenerate: identical weights — everything stays live.
-            current.epoch = epoch.index;
+        current.epoch = epoch.index;
+        let artifact = rt.store.artifacts_for(&epoch);
+        let relabeled = !Arc::ptr_eq(&artifact, old);
+        let rescaled = current.scale.to_bits() != epoch.scale().to_bits();
+        if !relabeled && !rescaled {
+            // Tier 1: identical travel times — everything stays live.
             return true;
         }
-        let artifact = rt.store.artifacts_for(&epoch);
-        let kept_clip = match (&rt.halo, &mut current.index) {
+        let kept_index = match (&rt.halo, &mut current.index) {
             (Some(halo), SpIndex::Clipped { full, .. })
-                if old.signature().same_profile(&signature)
-                    && !old.changed_intersects(halo)
-                    && !artifact.changed_intersects(halo) =>
+                if !old.changed_intersects(halo) && !artifact.changed_intersects(halo) =>
             {
-                // Tier 3: no reweighted edge touches the halo, so the
+                // Tier 3: no zone touches the halo on either side, so the
                 // sub-network and label slice are bit-equal to fresh cuts;
-                // only the fallback index moves to the new epoch.
+                // only the fallback index moves to the new artifact.
                 *full = artifact.labels().clone();
                 true
             }
-            _ => false,
+            // A profile-only roll: the same labels, nothing to re-cut.
+            _ => !relabeled,
         };
-        if !kept_clip {
+        if !kept_index {
             if rt.halo.is_some() {
                 rt.slice_refreshes.fetch_add(1, Ordering::Relaxed);
             }
             current.index = epoch_index(&artifact, rt.halo.as_deref());
         }
-        current.epoch = epoch.index;
-        current.min_tpm = artifact.min_tpm();
-        current.min_ratio = artifact.min_ratio();
+        current.rescale(epoch.scale(), &artifact);
         *old = artifact;
         drop(slot);
-        // Cache tag: entries answered through a retained clip stayed inside
-        // the halo, where no weight changed — keep them.  Any fallback since
-        // the last clear may have crossed reweighted edges, so the tag must
-        // advance, which retires every old entry.
+        // Cache tag: under the same scale, entries answered through a
+        // retained index stayed inside the halo, where no weight changed —
+        // keep them.  A new scale changes every answer, and any fallback
+        // since the last clear may have crossed reweighted edges; either
+        // way the tag must advance, which retires every old entry.
         let fallbacks = self.fallback_queries.load(Ordering::Relaxed);
-        if !(kept_clip && fallbacks == rt.fallback_mark.load(Ordering::Relaxed)) {
+        if rescaled || !(kept_index && fallbacks == rt.fallback_mark.load(Ordering::Relaxed)) {
             self.cache.retire();
             rt.fallback_mark.store(fallbacks, Ordering::Relaxed);
         }
         true
     }
 
-    /// The certified prescreen rate for the **current** epoch's weights:
-    /// `travel_time(u, v) >= min_time_per_meter() * euclidean(u, v)` holds
-    /// for the network as currently weighted.  Static engines return the
-    /// base network's rate, scanned once when the engine was built; traffic
-    /// engines return the rate precomputed at the last epoch roll, which is
-    /// what keeps SARD/pruneGDP/GAS candidate retrieval, top-m handoff
-    /// bidding and the shareability screen *sound* under congestion.
+    /// The certified prescreen rate for the **current** epoch's travel
+    /// times: `travel_time(u, v) >= min_time_per_meter() * euclidean(u, v)`
+    /// holds up to [`LOWER_BOUND_GRACE`].  Static engines return the base
+    /// network's rate, scanned once when the store was built; traffic
+    /// engines return the zone artifact's rate times the epoch's profile
+    /// scale, set at the last epoch roll, which is what keeps
+    /// SARD/pruneGDP/GAS candidate retrieval, top-m handoff bidding and the
+    /// shareability screen *sound* under congestion.
     pub fn min_time_per_meter(&self) -> f64 {
         self.current(|slot| slot.min_tpm)
     }
@@ -1021,16 +867,17 @@ impl SpEngine {
 ///
 /// * `rate × euclid` is the [`RoadNetwork::min_time_per_meter`] bound.
 /// * `lb` is the landmark bound ([`Landmarks::lower_bound`]) on the base
-///   network the table was built on, and `ratio` is the epoch's smallest
-///   weight ratio over that base ([`RoadNetwork::min_weight_ratio`]; 1 on a
-///   static engine).  Every epoch path costs at least `ratio` times its
-///   base cost, edge by edge, so `d'(u, v) ≥ ratio · d(u, v) ≥ ratio ·
-///   lb(u, v)`.  That holds for ratios below 1 too, so zones that speed
+///   network the table was built on, and `ratio` is the epoch's profile
+///   scale times its zones' smallest weight ratio over that base
+///   ([`RoadNetwork::min_weight_ratio`]; 1 on a static engine).  Every
+///   zone-weighted path costs at least the zone ratio times its base cost,
+///   edge by edge, and the scale multiplies both sides, so `d'(u, v) ≥
+///   ratio · d(u, v) ≥ ratio · lb(u, v)`.  That holds for ratios below 1 too, so zones that speed
 ///   edges up stay sound.  Halo-clipped engines answer exactly what the full
 ///   index answers, so the full network's table serves them as well.
-/// * Both hold in exact arithmetic.  The computed costs and bounds are sums
-///   and differences of rounded distances, each within a few ulps of
-///   10⁴-second values, far inside the one-second grace.
+/// * Both hold in exact arithmetic.  The computed costs and bounds are sums,
+///   differences and products of rounded distances, each within a few ulps
+///   of 10⁴-second values, far inside the one-second grace.
 /// * `f64::max` drops the `NaN` of `0 × ∞` (a zero ratio on an
 ///   unreachable pair), falling back to the euclid bound.
 #[derive(Debug, Clone, Copy)]
@@ -1211,7 +1058,7 @@ mod tests {
     /// engine answering in-halo (slice) and mixed (whole-matrix fallback to
     /// the full index) batches, and both again rolled to a rush-hour peak
     /// (a traffic engine and a traffic-clipped one over a shared store,
-    /// checked against a wholesale engine rolled the same way) — at the
+    /// checked against a private-store engine rolled the same way) — at the
     /// |S|×1 shape dispatch sends as well as 1×|T| and square, and with the
     /// calls fanned out over 1, 4 and 8 workers so every worker thread
     /// brings its own kernel scratch and alternates slice and full index.
@@ -1234,8 +1081,9 @@ mod tests {
         for eng in [&rush, &rush_clipped, &wholesale] {
             assert!(eng.roll_epoch_to(820.0)); // hour 8: uniform ×1.75
         }
+        // A uniform roll rescales answers and keeps the clip.
         assert!(rush_clipped.is_clipped());
-        assert_eq!(rush_clipped.slice_refreshes(), 1);
+        assert_eq!(rush_clipped.slice_refreshes(), 0);
 
         let in_halo: Vec<u32> = (4..12).collect();
         let mixed: Vec<u32> = vec![0, 5, 8, 20, 23];
@@ -1348,25 +1196,80 @@ mod tests {
         assert!(!traffic.roll_epoch_to(699.0));
     }
 
+    /// A 5 × 5 grid whose per-direction weights are awkward decimals, so
+    /// scaled sums round differently from sums of scaled edges.
+    fn odd_weight_grid() -> RoadNetwork {
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..25u32 {
+            b.add_node(Point::new((i % 5) as f64 * 100.0, (i / 5) as f64 * 100.0));
+        }
+        let mut weight = 0.37f64;
+        let mut next = move || {
+            weight = (weight * 7.919 + 0.113) % 1.0;
+            9.0 + 11.0 * weight
+        };
+        for i in 0..25u32 {
+            for j in [i + 1, i + 5] {
+                if j < 25 && (j == i + 5 || j % 5 != 0) {
+                    b.add_edge(i, j, next()).unwrap();
+                    b.add_edge(j, i, next()).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// A zone-free rush store never builds a second label set: every epoch
+    /// of the profile day shares the free-flow labels, and its travel times
+    /// are the free-flow answer times the profile factor, rounded once —
+    /// through the cache, past it and in the batched matrix, on full and
+    /// clipped engines.  A free-flow hour answers with the static bits.
     #[test]
-    fn a_panicked_prebuild_falls_back_to_the_on_demand_build() {
-        let base = Arc::new(line_graph(12));
-        let store = EpochStore::new(base.clone(), rush_config());
-        let epoch = rush_config().epoch_at(820.0); // hour 8: uniform ×1.75
-        let signature = epoch.signature();
-        assert!(signature.is_uniform());
-        let failed: Prebuild = std::thread::spawn(|| panic!("prebuild failed"));
-        store
-            .memo
-            .lock()
-            .unwrap()
-            .insert(signature, SignatureSlot::Pending(failed));
-        let artifact = store.artifacts_for(&epoch);
-        let fresh = build_uniform_artifacts(&base, signature, false);
-        assert_eq!(artifact.labels(), fresh.labels());
-        assert_eq!(artifact.min_tpm().to_bits(), fresh.min_tpm().to_bits());
-        // The fallback is memoized like a joined prebuild.
-        assert!(Arc::ptr_eq(&artifact, &store.artifacts_for(&epoch)));
+    fn uniform_epochs_scale_the_free_flow_answer() {
+        let base = Arc::new(odd_weight_grid());
+        let fixed = SpEngine::new(odd_weight_grid());
+        let store = EpochStore::new(base, rush_config());
+        let labels = store.initial_artifacts().labels().clone();
+        let full =
+            SpEngineBuilder::new().build_clipped(store.clone(), &(0..25).collect::<Vec<_>>());
+        let clipped =
+            SpEngineBuilder::new().build_clipped(store.clone(), &(0..12).collect::<Vec<_>>());
+        assert!(!full.is_clipped() && clipped.is_clipped());
+        let nodes: Vec<u32> = (0..25).collect();
+        let mut scales = Vec::new();
+        for hour in 0..24 {
+            let now = hour as f64 * 100.0 + 50.0;
+            let epoch = rush_config().epoch_at(now);
+            assert!(Arc::ptr_eq(store.artifacts_for(&epoch).labels(), &labels));
+            let f = epoch.scale();
+            scales.push(f);
+            for eng in [&full, &clipped] {
+                eng.roll_epoch_to(now);
+                let matrix = eng.many_to_many(&nodes, &nodes);
+                for (i, &s) in nodes.iter().enumerate() {
+                    for &t in &nodes {
+                        let expected = (f * fixed.cost_uncached(s, t)).to_bits();
+                        assert_eq!(eng.cost(s, t).to_bits(), expected, "hour {hour} ({s},{t})");
+                        assert_eq!(eng.cost_uncached(s, t).to_bits(), expected);
+                        assert_eq!(matrix[i * 25 + t as usize].to_bits(), expected);
+                    }
+                }
+            }
+        }
+        assert!(scales.iter().any(|&f| f != 1.0), "the day has a peak");
+        assert_eq!(clipped.slice_refreshes(), 0, "uniform rolls keep the clip");
+        // Back past the evening tail-off into free flow: the static bits.
+        for eng in [&full, &clipped] {
+            assert!(eng.roll_epoch_to(2_450.0));
+            for s in 0..25u32 {
+                for t in 0..25u32 {
+                    assert_eq!(
+                        eng.cost(s, t).to_bits(),
+                        fixed.cost_uncached(s, t).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1476,13 +1379,16 @@ mod tests {
         );
     }
 
-    /// Satellite: across a shard-selective roll, an untouched shard's SP
-    /// cache survives (its warm entries keep answering as cache hits) while
-    /// a refreshed shard serves no stale value — every post-roll answer is
-    /// bit-identical to a wholesale traffic engine rolled to the same
-    /// instant.  Two clipped engines over one [`EpochStore`] model the
-    /// sharded topology: a western shard whose halo the congestion zone
-    /// never touches, and an eastern shard inside the zone.
+    /// Across a shard-selective roll, an untouched shard's SP cache
+    /// survives (its warm entries keep answering as cache hits) while a
+    /// refreshed shard serves no stale value — every post-roll answer is
+    /// bit-identical to a whole-network traffic engine rolled to the same
+    /// instant, and every engine's leg bound stays below its costs.  Two
+    /// clipped engines over one [`EpochStore`] model the sharded topology:
+    /// a western shard whose halo the congestion zone never touches, and an
+    /// eastern shard inside the zone.  The second input adds a `Custom`
+    /// profile whose factor changes inside and between the zone windows:
+    /// both clips survive its profile-only roll, and both caches retire.
     #[test]
     fn shard_selective_roll_keeps_untouched_shard_caches_live_without_stale_hits() {
         // Nodes sit at x = 0, 10, …, 230; the zone covers edge midpoints
@@ -1497,103 +1403,164 @@ mod tests {
             active_from: from,
             active_until: until,
         };
-        let cfg = crate::traffic::TrafficConfig {
+        let free_flow = crate::traffic::TrafficConfig {
             epoch_seconds: 100.0,
+            hour_scale: 100.0,
             ..crate::traffic::TrafficConfig::default()
         }
-        .with_zone(zone(100.0, 200.0))
-        .with_zone(zone(300.0, 400.0));
-        let net = Arc::new(line_graph(24));
-        let store = EpochStore::new(net, cfg);
-        let west = SpEngineBuilder::new().build_clipped(store.clone(), &(0..9).collect::<Vec<_>>());
-        let east = SpEngineBuilder::new().build_clipped(store, &(10..21).collect::<Vec<_>>());
-        let wholesale = SpEngineBuilder::new().traffic(cfg).build(line_graph(24));
+        .with_zone(zone(100.0, 300.0))
+        .with_zone(zone(400.0, 500.0));
+        // Hour 1 free flow, 1.4 later in the first window, 1.2 between the
+        // windows and 1.7 in the second.
+        let mut hours = [1.0; 24];
+        hours[2..5].copy_from_slice(&[1.4, 1.2, 1.7]);
+        let custom = crate::traffic::TrafficConfig {
+            profile: crate::traffic::TrafficProfile::Custom(hours),
+            ..free_flow
+        };
+        let west_halo: Vec<u32> = (0..9).collect();
+        let east_halo: Vec<u32> = (10..21).collect();
+        // A cost through the cache, and whether it was a hit.
+        let cached = |eng: &SpEngine, s: u32, t: u32| {
+            let hits = eng.stats().cache_hits;
+            let d = eng.cost(s, t);
+            (d, eng.stats().cache_hits > hits)
+        };
+        // The leg bound under every cost over `nodes`.  The clipped engines
+        // sweep their halos only, so the sweep adds no fallback query (which
+        // would retire their caches); their out-of-halo answers are the
+        // full index's, swept on the whole-network engine.
+        let bounded = |eng: &SpEngine, nodes: &[u32]| {
+            let bound = eng.leg_bound();
+            for &s in nodes {
+                for &t in nodes {
+                    assert!(bound.lower_bound(s, t) <= eng.cost(s, t), "({s},{t})");
+                }
+            }
+        };
+        for cfg in [free_flow, custom] {
+            let scale = |now: f64| cfg.epoch_at(now).scale();
+            let net = Arc::new(line_graph(24));
+            let store = EpochStore::new(net, cfg);
+            let west = SpEngineBuilder::new().build_clipped(store.clone(), &west_halo);
+            let east = SpEngineBuilder::new().build_clipped(store, &east_halo);
+            let wholesale = SpEngineBuilder::new().traffic(cfg).build(line_graph(24));
+            let all: Vec<u32> = (0..24).collect();
+            let roll = |now: f64| {
+                for eng in [&west, &east, &wholesale] {
+                    assert!(eng.roll_epoch_to(now));
+                }
+            };
+            let sweep = || {
+                bounded(&west, &west_halo);
+                bounded(&east, &east_halo);
+                bounded(&wholesale, &all);
+            };
 
-        // Warm both shard caches with in-halo queries (slice-answered).
-        let west_free = west.cost(1, 7);
-        assert_eq!(west.cost(1, 7).to_bits(), west_free.to_bits());
-        assert_eq!(west.stats().cache_hits, 1);
-        let east_free = east.cost(10, 20);
-        assert_eq!(east.cost(10, 20).to_bits(), east_free.to_bits());
-        assert_eq!(east.stats().cache_hits, 1);
+            // Warm both shard caches with in-halo queries (slice-answered).
+            let west_free = west.cost(1, 7);
+            assert_eq!(cached(&west, 1, 7), (west_free, true));
+            let east_free = east.cost(10, 20);
+            assert_eq!(cached(&east, 10, 20), (east_free, true));
 
-        // Roll into the zoned epoch.  The zone misses the western halo on
-        // both sides of the boundary, so the west shard's clip AND cache
-        // survive; the east shard re-cuts its slice and drops its cache.
-        for eng in [&west, &east, &wholesale] {
-            assert!(eng.roll_epoch_to(150.0));
+            // Roll into the zoned epoch.  The zone misses the western halo
+            // on both sides of the boundary, so the west shard's clip AND
+            // cache survive; the east shard re-cuts its slice and drops its
+            // cache.
+            roll(150.0);
+            assert_eq!(
+                west.slice_refreshes(),
+                0,
+                "untouched shard must keep its clip"
+            );
+            assert_eq!(
+                east.slice_refreshes(),
+                1,
+                "zone-hit shard must re-cut its slice"
+            );
+            assert_eq!(
+                cached(&west, 1, 7),
+                (west_free, true),
+                "untouched shard's warm entry must survive the roll as a live hit"
+            );
+            assert_eq!(
+                west_free.to_bits(),
+                wholesale.cost_uncached(1, 7).to_bits(),
+                "surviving cache entry must still be the wholesale answer"
+            );
+            let (east_peak, hit) = cached(&east, 10, 20);
+            assert!(
+                !hit,
+                "refreshed shard must re-miss: its pre-roll cache is gone"
+            );
+            assert_ne!(
+                east_peak.to_bits(),
+                east_free.to_bits(),
+                "zone must slow the east"
+            );
+            assert_eq!(
+                east_peak.to_bits(),
+                wholesale.cost_uncached(10, 20).to_bits()
+            );
+            sweep();
+
+            // Later in the same window: the same zone activity, and under
+            // the custom profile a new factor.  Neither clip is re-cut and
+            // no query has left a halo, so only a new scale retires the
+            // caches — and then no entry answers stale.
+            let rescaled = scale(250.0) != scale(150.0);
+            assert_eq!(rescaled, cfg == custom);
+            roll(250.0);
+            assert_eq!((west.slice_refreshes(), east.slice_refreshes()), (0, 1));
+            let f = scale(250.0);
+            let (west_now, hit) = cached(&west, 1, 7);
+            assert_eq!(hit, !rescaled, "a new scale must retire the west cache");
+            assert_eq!(west_now.to_bits(), (f * west_free).to_bits());
+            assert_eq!(west_now.to_bits(), wholesale.cost_uncached(1, 7).to_bits());
+            let (east_now, hit) = cached(&east, 10, 20);
+            assert_eq!(hit, !rescaled, "a new scale must retire the east cache");
+            assert_eq!(east_now.to_bits(), (f * east_peak).to_bits());
+            assert_eq!(
+                east_now.to_bits(),
+                wholesale.cost_uncached(10, 20).to_bits()
+            );
+            sweep();
+
+            // Roll back to the zone-free artifact: the west shard skips
+            // again and both shards answer the pre-zone answers times the
+            // hour's scale.
+            roll(350.0);
+            assert_eq!(west.slice_refreshes(), 0);
+            let f = scale(350.0);
+            assert_eq!(east.cost(10, 20).to_bits(), (f * east_free).to_bits());
+            assert_eq!(west.cost(1, 7).to_bits(), (f * west_free).to_bits());
+            sweep();
+
+            // A fallback answer (out-of-halo target) is cached under the
+            // *full* labels, which the next zoned epoch replaces — so even
+            // though the west clip survives that roll, its cache must not.
+            let west_cross_free = west.cost(2, 20);
+            assert!(west.fallback_queries() > 0);
+            roll(450.0);
+            assert_eq!(
+                west.slice_refreshes(),
+                0,
+                "clip retention is independent of cache fate"
+            );
+            let west_cross_peak = west.cost(2, 20);
+            assert_ne!(
+                west_cross_peak.to_bits(),
+                west_cross_free.to_bits(),
+                "a stale fallback entry must not survive into the zoned epoch"
+            );
+            assert_eq!(
+                west_cross_peak.to_bits(),
+                wholesale.cost_uncached(2, 20).to_bits()
+            );
+            // In-halo west answers are untouched by the far-away zone.
+            let f = scale(450.0);
+            assert_eq!(west.cost(1, 7).to_bits(), (f * west_free).to_bits());
+            sweep();
         }
-        assert_eq!(
-            west.slice_refreshes(),
-            0,
-            "untouched shard must keep its clip"
-        );
-        assert_eq!(
-            east.slice_refreshes(),
-            1,
-            "zone-hit shard must re-cut its slice"
-        );
-        assert_eq!(west.cost(1, 7).to_bits(), west_free.to_bits());
-        assert_eq!(
-            west.stats().cache_hits,
-            2,
-            "untouched shard's warm entry must survive the roll as a live hit"
-        );
-        assert_eq!(
-            west.cost(1, 7).to_bits(),
-            wholesale.cost_uncached(1, 7).to_bits(),
-            "surviving cache entry must still be the wholesale answer"
-        );
-        let east_peak = east.cost(10, 20);
-        assert_eq!(
-            east.stats().cache_hits,
-            1,
-            "refreshed shard must re-miss: its pre-roll cache is gone"
-        );
-        assert_ne!(
-            east_peak.to_bits(),
-            east_free.to_bits(),
-            "zone must slow the east"
-        );
-        assert_eq!(
-            east_peak.to_bits(),
-            wholesale.cost_uncached(10, 20).to_bits()
-        );
-
-        // Roll back to free flow (a memoized uniform epoch): the west shard
-        // skips again and the whole system returns bit-identically to the
-        // pre-zone answers.
-        for eng in [&west, &east, &wholesale] {
-            assert!(eng.roll_epoch_to(250.0));
-        }
-        assert_eq!(west.slice_refreshes(), 0);
-        assert_eq!(east.cost(10, 20).to_bits(), east_free.to_bits());
-        assert_eq!(west.cost(1, 7).to_bits(), west_free.to_bits());
-
-        // A fallback answer (out-of-halo target) is cached under the *full*
-        // labels, which the next zoned epoch replaces — so even though the
-        // west clip survives that roll, its cache must not.
-        let west_cross_free = west.cost(2, 20);
-        assert!(west.fallback_queries() > 0);
-        for eng in [&west, &east, &wholesale] {
-            assert!(eng.roll_epoch_to(350.0));
-        }
-        assert_eq!(
-            west.slice_refreshes(),
-            0,
-            "clip retention is independent of cache fate"
-        );
-        let west_cross_peak = west.cost(2, 20);
-        assert_ne!(
-            west_cross_peak.to_bits(),
-            west_cross_free.to_bits(),
-            "a stale fallback entry must not survive into the zoned epoch"
-        );
-        assert_eq!(
-            west_cross_peak.to_bits(),
-            wholesale.cost_uncached(2, 20).to_bits()
-        );
-        // In-halo west answers are untouched by the far-away zone.
-        assert_eq!(west.cost(1, 7).to_bits(), west_free.to_bits());
     }
 }

@@ -213,7 +213,7 @@ impl RoadNetwork {
 
     /// Returns a copy of the network with every edge weight multiplied by
     /// `multiplier(from_coord, to_coord)` — the substrate of per-epoch
-    /// traffic reweighting ([`crate::traffic::TrafficEpoch::edge_multiplier`]).
+    /// zone reweighting ([`crate::traffic::TrafficEpoch::zone_multiplier`]).
     ///
     /// Topology, coordinates, and edge order are untouched; only the weight
     /// arrays change.  The forward and reverse copy of each edge are scaled
@@ -254,19 +254,17 @@ impl RoadNetwork {
     }
 
     /// [`RoadNetwork::reweighted`], additionally reporting which vertices are
-    /// touched by a *non-uniformly* scaled edge: `flags[v]` is set iff some
-    /// edge incident to `v` has `multiplier(from, to)` whose bits differ from
-    /// `uniform`.  The weights are produced by the exact same `w *
-    /// multiplier(from, to)` products as `reweighted`, so the two methods are
-    /// bit-interchangeable; the flags are what seeds the dirty set of the
-    /// scoped hub-label rebuild (every edge outside the flagged set scales by
-    /// precisely `uniform`).
+    /// touched by a reweighted edge: `flags[v]` is set iff some edge
+    /// incident to `v` has a `multiplier(from, to)` other than exactly 1.0.
+    /// The weights are produced by the exact same `w * multiplier(from, to)`
+    /// products as `reweighted`, so the two methods are bit-interchangeable;
+    /// the flags are what seeds the dirty set of the scoped hub-label
+    /// rebuild (every edge outside the flagged set keeps its weight bit for
+    /// bit).
     pub fn reweighted_with_flags(
         &self,
         multiplier: impl Fn(Point, Point) -> f64,
-        uniform: f64,
     ) -> (RoadNetwork, Vec<bool>) {
-        let uniform_bits = uniform.to_bits();
         let clamp = |scaled: f64| {
             if scaled.is_finite() && scaled >= 0.0 {
                 scaled
@@ -283,7 +281,7 @@ impl RoadNetwork {
             for i in lo..hi {
                 let target = self.fwd_targets[i];
                 let m = multiplier(from, self.coord(target));
-                if m.to_bits() != uniform_bits {
+                if m != 1.0 {
                     flags[node as usize] = true;
                     flags[target as usize] = true;
                 }

@@ -683,9 +683,10 @@ impl HubLabels {
 /// same exact path length accumulated in different association orders, and
 /// multiplying every weight by a factor re-rounds both sides independently —
 /// the knife-edge settle/prune decisions flip, so a rescaled replay is *not*
-/// bit-identical to a wholesale rebuild.  Uniform factor changes are instead
-/// served by caching whole artifacts per epoch signature (see
-/// `roadnet::engine::EpochStore`).
+/// bit-identical to a wholesale rebuild.  Uniform factors never reach the
+/// labels at all: a traffic epoch's profile factor multiplies the answer
+/// (see `roadnet::engine::EpochStore`), and plans repair zone reweightings
+/// of the free-flow base only.
 #[derive(Debug, Clone)]
 pub struct BuildPlan {
     /// Degree-descending root order (root `i` has hub rank `i`);
@@ -757,8 +758,8 @@ impl BuildPlan {
     ///
     /// `seeds[v]` must be set for both endpoints of every edge whose weight
     /// differs bitwise from the reference network's
-    /// ([`RoadNetwork::reweighted_with_flags`] against the reference's
-    /// uniform factor produces exactly this).
+    /// ([`RoadNetwork::reweighted_with_flags`] of the reference produces
+    /// exactly this).
     pub fn repair(&self, net: &RoadNetwork, seeds: &[bool]) -> LabelRepair {
         assert_eq!(net.node_count(), self.node_count, "plan/network mismatch");
         assert_eq!(seeds.len(), self.node_count, "seed flags sized by nodes");
@@ -1143,24 +1144,20 @@ mod tests {
     fn scoped_repair_matches_wholesale_rebuild_across_worker_counts() {
         for seed in 0..6u64 {
             let g = random_grid_graph(10, 7, seed);
-            // The reference epoch: the whole network at one uniform factor.
-            let factor = 1.15;
-            let reference = g.reweighted(|_, _| factor);
-            let (ref_labels, plan) = HubLabels::build_with_plan(&reference);
-            // A congestion zone over the far corner of the grid, on top of
-            // the uniform factor.
+            // The reference: the free-flow network.
+            let (ref_labels, plan) = HubLabels::build_with_plan(&g);
+            // A congestion zone over the far corner of the grid.
             let (zx, zy) = (7.5 - (seed as f64) * 0.5, 4.5);
-            let zone_factor = factor * 2.5;
             let mult = |from: Point, to: Point| {
                 let mx = 0.5 * (from.x + to.x);
                 let my = 0.5 * (from.y + to.y);
                 if mx >= zx && my >= zy {
-                    zone_factor
+                    2.5
                 } else {
-                    factor
+                    1.0
                 }
             };
-            let (net, seeds) = g.reweighted_with_flags(mult, factor);
+            let (net, seeds) = g.reweighted_with_flags(mult);
             assert_eq!(net, g.reweighted(mult), "flag variant changed weights");
             let wholesale = HubLabels::build(&net);
             let repair = plan.repair(&net, &seeds);
@@ -1202,23 +1199,21 @@ mod tests {
         }
     }
 
-    /// Random sequences of zone flips: each epoch picks its own zone window
-    /// (or none) on top of a per-sequence uniform factor, and the repair
-    /// against that factor's reference plan must match a wholesale rebuild
+    /// Random sequences of zone flips over random free-flow networks: each
+    /// epoch picks its own zone window and factor (or no zone), and the
+    /// repair against the network's plan must match a wholesale rebuild
     /// every time — including the no-zone epochs, which repair to the
     /// reference itself.
     #[test]
     fn repair_matches_rebuild_across_random_flip_sequences() {
         let mut rng = StdRng::seed_from_u64(99);
-        let g = random_grid_graph(8, 8, 11);
-        for _ in 0..4 {
-            let factor: f64 = rng.gen_range(0.5..2.0);
-            let reference = g.reweighted(|_, _| factor);
-            let (ref_labels, plan) = HubLabels::build_with_plan(&reference);
+        for seed in 11..15u64 {
+            let g = random_grid_graph(8, 8, seed);
+            let (ref_labels, plan) = HubLabels::build_with_plan(&g);
             for _ in 0..4 {
                 let zoned = rng.gen_range(0u32..3) > 0;
                 if !zoned {
-                    let repair = plan.repair(&reference, &[false; 64]);
+                    let repair = plan.repair(&g, &[false; 64]);
                     assert_eq!(repair.labels, ref_labels);
                     continue;
                 }
@@ -1226,17 +1221,17 @@ mod tests {
                 let hi_x = lo_x + rng.gen_range(1.0..4.0);
                 let lo_y: f64 = rng.gen_range(0.0..6.0);
                 let hi_y = lo_y + rng.gen_range(1.0..4.0);
-                let zone_factor = factor * rng.gen_range(1.2..3.0);
+                let zone_factor: f64 = rng.gen_range(0.5..3.0);
                 let mult = |from: Point, to: Point| {
                     let mx = 0.5 * (from.x + to.x);
                     let my = 0.5 * (from.y + to.y);
                     if mx >= lo_x && mx <= hi_x && my >= lo_y && my <= hi_y {
                         zone_factor
                     } else {
-                        factor
+                        1.0
                     }
                 };
-                let (net, seeds) = g.reweighted_with_flags(mult, factor);
+                let (net, seeds) = g.reweighted_with_flags(mult);
                 let repair = plan.repair(&net, &seeds);
                 assert_eq!(
                     repair.labels,

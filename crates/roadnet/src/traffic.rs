@@ -7,23 +7,27 @@
 //! `(TrafficConfig, batch clock)`.  Time is divided into fixed windows of
 //! `epoch_seconds`; all traffic quantities for a window are derived from the
 //! window's *start* instant, so any two processes (or worker-thread counts)
-//! that agree on the batch clock agree bit-for-bit on every edge multiplier,
-//! every reweighted edge, and every rebuilt hub label.
+//! that agree on the batch clock agree bit-for-bit on every profile factor,
+//! every reweighted edge, and every repaired hub label.
 //!
-//! Two multiplicative components make up an edge's travel-time multiplier:
+//! Two multiplicative components make up an epoch's travel times:
 //!
 //! * a **profile** factor — `None` (free flow), `Rush` (a built-in double-peak
 //!   weekday curve) or `Custom` (24 hourly factors), sampled at the epoch
-//!   start mapped through `hour_scale` (simulated seconds per profile hour);
+//!   start mapped through `hour_scale` (simulated seconds per profile hour).
+//!   It scales every road alike, so it changes no shortest path: the epoch's
+//!   travel time is the zone-weighted answer times this factor
+//!   ([`TrafficEpoch::scale`]), rounded once;
 //! * **congestion zones** — up to [`MAX_TRAFFIC_ZONES`] axis-aligned boxes,
 //!   each with its own factor and active window `[active_from, active_until)`
 //!   in simulation seconds.  A zone applies to an edge when the edge's
-//!   midpoint lies inside the box and the epoch start is inside the window.
+//!   midpoint lies inside the box and the epoch start is inside the window,
+//!   and reweights that edge ([`TrafficEpoch::zone_multiplier`]).
 //!
 //! Factors multiply *travel times*, so `> 1.0` means congestion (slower) and
-//! `< 1.0` free-flowing overnight roads.  The product is clamped to at least
-//! [`MIN_MULTIPLIER`] so a zero/negative factor can never produce a
-//! zero-weight or negative-weight network.
+//! `< 1.0` free-flowing overnight roads.  Each component is clamped to at
+//! least [`MIN_MULTIPLIER`] so a zero/negative factor can never produce a
+//! zero or negative travel time.
 //!
 //! [`TrafficConfig`] is `Copy` (zones live in a fixed-size array) so it can
 //! ride inside the simulation config and the trace metadata by value, exactly
@@ -229,58 +233,48 @@ impl TrafficEpoch {
         self.active_zones.iter().flatten()
     }
 
-    /// The travel-time multiplier for an edge running `from -> to`.
-    ///
-    /// Profile factor × the factor of every active zone containing the edge
-    /// midpoint, clamped to at least [`MIN_MULTIPLIER`].  Using the midpoint
-    /// makes the multiplier symmetric in `(from, to)`, so a bidirectional
-    /// road pair stays symmetric under congestion.
-    pub fn edge_multiplier(&self, from: Point, to: Point) -> f64 {
+    /// The factor every travel time of this epoch scales by: the profile
+    /// factor, clamped to at least [`MIN_MULTIPLIER`].  Exactly 1.0 in a
+    /// free-flow hour.
+    pub fn scale(&self) -> f64 {
+        self.profile_multiplier.max(MIN_MULTIPLIER)
+    }
+
+    /// The zone multiplier for an edge running `from -> to`: the factor of
+    /// every active zone containing the edge midpoint, multiplied up from
+    /// exactly 1.0 and clamped to at least [`MIN_MULTIPLIER`].  An edge no
+    /// zone covers gets exactly 1.0.  Using the midpoint makes the
+    /// multiplier symmetric in `(from, to)`, so a bidirectional road pair
+    /// stays symmetric under congestion.
+    pub fn zone_multiplier(&self, from: Point, to: Point) -> f64 {
         let mid = Point::new((from.x + to.x) * 0.5, (from.y + to.y) * 0.5);
-        let mut m = self.profile_multiplier;
-        for zone in self.active_zones() {
+        let mut m = 1.0;
+        for zone in self.effective_zones() {
             if zone.contains(mid) {
-                let f = zone.factor;
-                if f.is_finite() && f > 0.0 {
-                    m *= f;
-                }
+                m *= zone.factor;
             }
         }
         m.max(MIN_MULTIPLIER)
     }
 
-    /// True when every edge multiplier is exactly 1.0 (free flow, no active
-    /// zones): the refresh path can skip reweighting entirely.
+    /// True when every travel time is the free-flow one: profile factor 1.0
+    /// and no active zone.
     pub fn is_free_flow(&self) -> bool {
         self.profile_multiplier == 1.0 && self.active_zones().next().is_none()
     }
 
     /// The zones of this epoch that can actually change an edge weight:
-    /// active, with a finite positive factor (the same filter
-    /// [`TrafficEpoch::edge_multiplier`] applies before multiplying).
+    /// active, with a finite positive factor.
     fn effective_zones(&self) -> impl Iterator<Item = &CongestionZone> {
         self.active_zones()
             .filter(|z| z.factor.is_finite() && z.factor > 0.0)
     }
 
-    /// The single multiplier every edge scales by this epoch, when one
-    /// exists: `Some(f)` iff no effective zone is active, in which case
-    /// [`TrafficEpoch::edge_multiplier`] returns `f` bit-for-bit for every
-    /// edge.  `None` when zone factors make the scaling spatially non-uniform
-    /// (the epoch-roll repair engine then takes the scoped-rebuild path).
-    pub fn uniform_multiplier(&self) -> Option<f64> {
-        if self.effective_zones().next().is_none() {
-            Some(self.profile_multiplier.max(MIN_MULTIPLIER))
-        } else {
-            None
-        }
-    }
-
-    /// A bit-exact fingerprint of everything in this epoch that can affect
-    /// an edge weight: the profile factor plus the geometry and factor of
-    /// every effective zone.  Two epochs with equal signatures produce
-    /// bit-identical reweighted networks regardless of their indices or
-    /// start instants — the key the epoch-artifact memo is indexed by.
+    /// A bit-exact fingerprint of the epoch's zone activity: the geometry
+    /// and factor of every effective zone.  Two epochs with equal
+    /// signatures produce bit-identical zone-reweighted networks regardless
+    /// of their indices, start instants or profile factors — the key the
+    /// epoch-artifact memo is indexed by.
     pub fn signature(&self) -> EpochSignature {
         let mut zones = [None; MAX_TRAFFIC_ZONES];
         for (slot, zone) in zones.iter_mut().zip(self.effective_zones()) {
@@ -292,51 +286,24 @@ impl TrafficEpoch {
                 zone.factor.to_bits(),
             ]);
         }
-        EpochSignature {
-            profile: self.profile_multiplier.to_bits(),
-            zones,
-        }
+        EpochSignature { zones }
     }
 }
 
 /// See [`TrafficEpoch::signature`].  `Eq`/`Hash` over raw float bits, so the
-/// fingerprint distinguishes exactly what the reweighting distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// fingerprint distinguishes exactly what the zone reweighting
+/// distinguishes.  The default is the zone-free signature.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EpochSignature {
-    profile: u64,
     zones: [Option<[u64; 5]>; MAX_TRAFFIC_ZONES],
 }
 
 impl EpochSignature {
-    /// True when the two signatures apply the same global profile factor and
-    /// differ only in zone activity — the case where an epoch transition
-    /// leaves every edge outside the flipped zones bit-identical.
-    pub fn same_profile(&self, other: &EpochSignature) -> bool {
-        self.profile == other.profile
-    }
-
-    /// True when no effective zone participates: every edge scales by the
-    /// profile factor alone (see [`TrafficEpoch::uniform_multiplier`]).
+    /// True when no effective zone participates: every edge keeps its
+    /// free-flow weight, and travel times are the free-flow ones times the
+    /// epoch's [`TrafficEpoch::scale`].
     pub fn is_uniform(&self) -> bool {
         self.zones.iter().all(Option::is_none)
-    }
-
-    /// The signature of the *zone-free reference* epoch with this profile
-    /// factor — the key under which the epoch-artifact store files the
-    /// uniform labeling that scoped repairs start from.
-    pub fn profile_only(&self) -> EpochSignature {
-        EpochSignature {
-            profile: self.profile,
-            zones: [None; MAX_TRAFFIC_ZONES],
-        }
-    }
-
-    /// The single edge multiplier of the zone-free reference epoch:
-    /// bit-identical to what [`TrafficEpoch::edge_multiplier`] returns for
-    /// every edge of an epoch with this profile factor and no effective
-    /// zones.
-    pub fn uniform_factor(&self) -> f64 {
-        f64::from_bits(self.profile).max(MIN_MULTIPLIER)
     }
 }
 
@@ -363,7 +330,7 @@ mod tests {
         let epoch = config.epoch_at(12345.0);
         assert!(epoch.is_free_flow());
         assert_eq!(
-            epoch.edge_multiplier(Point::new(0.0, 0.0), Point::new(50.0, 50.0)),
+            epoch.zone_multiplier(Point::new(0.0, 0.0), Point::new(50.0, 50.0)),
             1.0
         );
     }
@@ -422,10 +389,10 @@ mod tests {
         assert!(config.epoch_at(2000.0).is_free_flow());
         // Inside: edges whose midpoint is in the box are doubled.
         let epoch = config.epoch_at(1500.0);
-        let inside = epoch.edge_multiplier(Point::new(10.0, 10.0), Point::new(30.0, 30.0));
+        let inside = epoch.zone_multiplier(Point::new(10.0, 10.0), Point::new(30.0, 30.0));
         assert_eq!(inside, 2.0);
         // Midpoint outside the box (edge straddles far past it): unaffected.
-        let outside = epoch.edge_multiplier(Point::new(90.0, 90.0), Point::new(300.0, 300.0));
+        let outside = epoch.zone_multiplier(Point::new(90.0, 90.0), Point::new(300.0, 300.0));
         assert_eq!(outside, 1.0);
     }
 
@@ -435,18 +402,18 @@ mod tests {
             .with_zone(zone(2.0, 0.0, 1e9))
             .with_zone(zone(1.5, 0.0, 1e9));
         let epoch = config.epoch_at(100.0);
-        let m = epoch.edge_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0));
+        let m = epoch.zone_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0));
         assert!((m - 3.0).abs() < 1e-12);
         // A pathological tiny factor clamps at MIN_MULTIPLIER.
         let crushed = TrafficConfig::default().with_zone(zone(1e-9, 0.0, 1e9));
         let m = crushed
             .epoch_at(0.0)
-            .edge_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0));
+            .zone_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0));
         assert_eq!(m, MIN_MULTIPLIER);
     }
 
     #[test]
-    fn uniform_multiplier_and_signature_track_zone_activity() {
+    fn scale_and_signature_split_profile_from_zone_activity() {
         let config = TrafficConfig {
             profile: TrafficProfile::Rush,
             epoch_seconds: 100.0,
@@ -454,40 +421,46 @@ mod tests {
             ..TrafficConfig::default()
         }
         .with_zone(zone(2.0, 1000.0, 2000.0));
-        // Zone inactive: the epoch scales uniformly by its profile factor,
-        // which is exactly what edge_multiplier reports everywhere.
+        // Zone inactive: the epoch scales every travel time by its profile
+        // factor, and no edge is reweighted.
         let uniform = config.epoch_at(850.0);
-        let f = uniform.uniform_multiplier().expect("no active zone");
-        assert_eq!(f.to_bits(), RUSH_PROFILE[8].to_bits());
+        assert_eq!(uniform.scale().to_bits(), RUSH_PROFILE[8].to_bits());
+        assert!(uniform.signature().is_uniform());
+        assert_eq!(uniform.signature(), EpochSignature::default());
         assert_eq!(
             uniform
-                .edge_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0))
+                .zone_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0))
                 .to_bits(),
-            f.to_bits()
+            1.0f64.to_bits()
         );
-        // Zone active: no single factor covers edges in and out of the box.
+        // Zone active: edges in the box are reweighted, the profile factor
+        // still scales the answer.
         let mixed = config.epoch_at(1500.0);
-        assert_eq!(mixed.uniform_multiplier(), None);
+        assert!(!mixed.signature().is_uniform());
         assert_ne!(mixed.signature(), uniform.signature());
+        assert_eq!(
+            mixed.zone_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0)),
+            2.0
+        );
+        assert_eq!(mixed.scale(), RUSH_PROFILE[15]);
         // Same hour re-derived later (rush hour 8 == hour 32 mod 24): the
         // signatures match even though index/start differ.
         let again = config.epoch_at(850.0 + 2400.0);
         assert_ne!(again.index, uniform.index);
         assert_eq!(again.signature(), uniform.signature());
-        assert!(again.signature().same_profile(&uniform.signature()));
-        // Profile change flips the signature and same_profile.
+        // A profile change moves the scale but not the signature.
         let other_hour = config.epoch_at(650.0);
-        assert_ne!(other_hour.signature(), uniform.signature());
-        assert!(!other_hour.signature().same_profile(&uniform.signature()));
+        assert_eq!(other_hour.signature(), uniform.signature());
+        assert_ne!(other_hour.scale(), uniform.scale());
         // A weight-inert zone (non-finite / non-positive factor) does not
-        // break uniformity: edge_multiplier skips it, so must the signature.
+        // break uniformity: zone_multiplier skips it, so must the signature.
         let inert = TrafficConfig::default().with_zone(zone(-3.0, 0.0, 1e9));
         let epoch = inert.epoch_at(10.0);
         assert!(!epoch.is_free_flow(), "zone is active, just inert");
-        assert_eq!(epoch.uniform_multiplier(), Some(1.0));
+        assert!(epoch.signature().is_uniform());
         assert_eq!(
-            epoch.signature(),
-            TrafficConfig::default().epoch_at(10.0).signature()
+            epoch.zone_multiplier(Point::new(10.0, 10.0), Point::new(20.0, 20.0)),
+            1.0
         );
     }
 
@@ -531,8 +504,8 @@ mod tests {
             // Multipliers derived from the epoch are pure too.
             let a = Point::new(next() * 200.0, next() * 200.0);
             let b = Point::new(next() * 200.0, next() * 200.0);
-            let m = first.edge_multiplier(a, b);
-            assert_eq!(m.to_bits(), first.edge_multiplier(a, b).to_bits());
+            let m = first.zone_multiplier(a, b);
+            assert_eq!(m.to_bits(), first.zone_multiplier(a, b).to_bits());
             assert!(m >= MIN_MULTIPLIER);
         }
     }

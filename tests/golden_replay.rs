@@ -12,10 +12,10 @@
 //!   replay carries one score memo across batches, and the SARD and
 //!   exact-assignment replays must hit it, so their zero drift covers the
 //!   memo's hits;
-//! * the rush-hour SARD trace (`loop_sard_rush.trace`, recorded by the build
-//!   before the batch step moved into `core::lane`) is *re-recorded* end to
-//!   end and diffed, inputs included — advance sweep, batch slicing, early
-//!   exit and tail of the monolithic loop all have to land bit for bit;
+//! * the rush-hour SARD trace (`loop_sard_rush.trace`) is *re-recorded* end
+//!   to end and diffed, inputs included — advance sweep, batch slicing,
+//!   early exit and tail of the monolithic loop all have to land bit for
+//!   bit;
 //! * the 3-shard rush-hour trace is re-run end to end the same way, for the
 //!   sharded loop.
 //!
@@ -23,11 +23,23 @@
 //! lines, which must write those lines back byte for byte.
 //!
 //! All five files are format v4.  The four `pre_faults_*` files were
-//! recorded just before fault injection existed and later converted, not
-//! re-recorded: their header became v4 and their config line gained the
-//! inert fault tokens, while every `batch`, `request`, `vehicle`, `outcome`
-//! and `end` line kept its recorded bytes, so they still pin the decisions
-//! of the pre-fault builds.  Each is replayed here and nowhere else.
+//! recorded just before fault injection existed and later converted: their
+//! header became v4 and their config line gained the inert fault tokens.
+//! The SARD, exact-assignment and rush-hour RTV files kept every `batch`,
+//! `request`, `vehicle`, `outcome` and `end` line's recorded bytes, so they
+//! still pin the decisions of the pre-fault builds.
+//!
+//! The two rush-hour files that run the whole loop, `loop_sard_rush.trace`
+//! and `pre_faults_sharded_rush.trace`, were re-recorded through
+//! `Scenario::record` when a uniform traffic epoch's travel time became the
+//! free-flow answer times the profile factor, rounded once, instead of a
+//! label build over edges each scaled by that factor.  The two differ from
+//! their previous recordings only in the last ulp of some vehicles'
+//! `executed_travel`, from batch 26 and batch 30 on, after the first roll
+//! to a congested hour (batch 11); no request, outcome or schedule moved.
+//! The rush-hour RTV file replays clean under either metric, because a
+//! replay restores the recorded fleet every batch.  Each file is checked
+//! here and nowhere else.
 
 use structride_bench::replay_cli::Scenario;
 use structride_core::replay::{diff_traces, DriftReport, Trace};
