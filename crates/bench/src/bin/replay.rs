@@ -76,6 +76,7 @@
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use structride_bench::outln;
 use structride_bench::replay_cli::{
     deterministic_keys, dispatcher_by_name, dispatcher_keys, traffic_by_name, Pipeline, Scenario,
     ScenarioWorkload, Source, TRAFFIC_KEYS,
@@ -307,7 +308,7 @@ fn cmd_replay(args: &Args) -> ExitCode {
     };
     let algo = args.algo.as_deref().unwrap_or(&scenario.dispatcher);
     let report = in_pool(args.threads, || scenario.check(&trace, algo));
-    println!("{report}");
+    outln!("{report}");
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
@@ -348,7 +349,7 @@ fn cmd_resume(args: &Args) -> ExitCode {
     );
     let mismatches = in_pool(args.threads, || scenario.resume_and_verify(&checkpoint));
     if mismatches.is_empty() {
-        println!(
+        outln!(
             "resume OK: run resumed from batch {} finished bit-identically to the uninterrupted reference",
             checkpoint.batches
         );
@@ -379,7 +380,7 @@ fn cmd_diff(args: &Args) -> ExitCode {
         (Err(code), _) | (_, Err(code)) => return code,
     };
     let report = diff_traces(&recorded, &against);
-    println!("{report}");
+    outln!("{report}");
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
@@ -427,7 +428,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
         .max(2);
     for threads in [1, many] {
         let report = in_pool(Some(threads), || scenario.check(&trace, &algo));
-        println!("threads={threads}: {report}");
+        outln!("threads={threads}: {report}");
         if !report.is_clean() {
             eprintln!("verify FAILED: drift under {threads} worker thread(s)");
             return ExitCode::FAILURE;
@@ -450,8 +451,8 @@ fn cmd_verify(args: &Args) -> ExitCode {
         .first_divergence()
         .map(|d| d.batch_index)
         .expect("non-clean report has a divergence");
-    println!("self-test: {other} drift detected at batch {first}, as expected");
-    println!("verify OK: zero drift across 1 and {many} worker threads");
+    outln!("self-test: {other} drift detected at batch {first}, as expected");
+    outln!("verify OK: zero drift across 1 and {many} worker threads");
     ExitCode::SUCCESS
 }
 

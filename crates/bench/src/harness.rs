@@ -117,13 +117,13 @@ pub fn run_suite(
 
 fn print_rows(experiment: &str, sweep: &str, value: String, rows: &[RunMetrics]) {
     for m in rows {
-        println!("{experiment}\t{sweep}={value}\t{}", m.tsv_row());
+        crate::outln!("{experiment}\t{sweep}={value}\t{}", m.tsv_row());
     }
 }
 
 /// Prints the TSV header for all experiment output.
 pub fn print_header() {
-    println!("experiment\tsweep\t{}", RunMetrics::tsv_header());
+    crate::outln!("experiment\tsweep\t{}", RunMetrics::tsv_header());
 }
 
 fn base_params(city: CityProfile, scale: &ExperimentScale) -> WorkloadParams {
@@ -342,7 +342,7 @@ pub fn table_angle_pruning(scale: &ExperimentScale) {
             );
             let m = &report.metrics;
             let stats = sard.build_stats().unwrap_or_default();
-            println!(
+            crate::outln!(
                 "table_pruning\tvariant={label}\t{}\tangle_pruned={}\tchecks={}",
                 m.tsv_row(),
                 stats.angle_pruned,
@@ -375,7 +375,7 @@ pub fn ablation_candidate_cap(scale: &ExperimentScale) {
                 &mut sard,
                 &workload.name,
             );
-            println!("ablation_candidates\tk={cap}\t{}", report.metrics.tsv_row());
+            crate::outln!("ablation_candidates\tk={cap}\t{}", report.metrics.tsv_row());
         }
     }
 }
@@ -390,7 +390,7 @@ pub fn insertion_order_study(scale: &ExperimentScale) {
     use structride_model::{Request, RequestId, Vehicle};
     use structride_sharegraph::{BuilderConfig, ShareabilityGraphBuilder};
 
-    println!("experiment\tcity\tordering\tgroups\toptimality_rate");
+    crate::outln!("experiment\tcity\tordering\tgroups\toptimality_rate");
     for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
         let workload = Workload::generate(base_params(city, scale));
         // Shareability graph over an early slice of the request stream.
@@ -424,7 +424,7 @@ pub fn insertion_order_study(scale: &ExperimentScale) {
                 builder.graph(),
                 ordering,
             );
-            println!(
+            crate::outln!(
                 "insertion_order\t{}\t{}\t{}\t{:.3}",
                 city.name(),
                 label,
@@ -443,12 +443,12 @@ pub fn angle_probability_model() {
         mu: 6.9,
         sigma: 0.55,
     };
-    println!("experiment\tgamma\ttheta_deg\tsharing_probability");
+    crate::outln!("experiment\tgamma\ttheta_deg\tsharing_probability");
     for gamma in [1.2, 1.5, 2.0] {
         for deg in (0..=180).step_by(15) {
             let theta = (deg as f64).to_radians();
             let p = sharing_probability(theta.max(1e-3), gamma, dist);
-            println!("angle_model\t{gamma}\t{deg}\t{p:.4}");
+            crate::outln!("angle_model\t{gamma}\t{deg}\t{p:.4}");
         }
     }
 }

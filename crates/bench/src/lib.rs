@@ -18,3 +18,27 @@ pub mod harness;
 pub mod replay_cli;
 
 pub use harness::{ExperimentScale, SuiteKind};
+
+/// `println!` for the binaries' stdout that survives a reader going away:
+/// when stdout is a closed pipe (`replay diff … | head`), the process exits
+/// quietly with status 141, the status a shell reports for a process that
+/// `SIGPIPE` ended, instead of panicking.  Any other write error still
+/// panics, as `println!` would.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout_line(::std::format_args!($($arg)*))
+    };
+}
+
+/// The function behind [`outln!`].
+#[doc(hidden)]
+pub fn write_stdout_line(line: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}

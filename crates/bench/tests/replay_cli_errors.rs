@@ -2,7 +2,7 @@
 //! arguments, missing/malformed traces and exempt dispatchers must exit
 //! non-zero with a diagnostic, never panic or succeed silently.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use structride_core::{StructRideConfig, Trace, TraceMeta};
 
 fn replay(args: &[&str]) -> Output {
@@ -155,4 +155,23 @@ fn experiments_rejects_unknown_names_and_flags_before_running_anything() {
         assert!(stderr(&out).contains("table_pruning"), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed rows");
     }
+}
+
+#[test]
+fn diff_into_a_closed_pipe_exits_quietly() {
+    // `replay diff A B | head` closes the pipe early.  The reader here is
+    // gone before the two traces have loaded, so the report's first write
+    // meets a closed pipe.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args(["diff", "--trace", &format!("{data}/pre_faults_sard.trace")])
+        .args(["--against", &format!("{data}/pre_faults_assign.trace")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn replay binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for replay binary");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_eq!(exit_code(&out), 141, "{}", stderr(&out));
 }

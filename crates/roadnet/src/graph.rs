@@ -79,6 +79,21 @@ pub struct RoadNetwork {
 }
 
 impl RoadNetwork {
+    /// A network without nodes, which the builder refuses to produce: for
+    /// tests of code that must not assume a node exists.
+    #[cfg(test)]
+    pub(crate) fn empty() -> RoadNetwork {
+        RoadNetwork {
+            coords: Vec::new(),
+            fwd_offsets: vec![0],
+            fwd_targets: Vec::new(),
+            fwd_weights: Vec::new(),
+            rev_offsets: vec![0],
+            rev_targets: Vec::new(),
+            rev_weights: Vec::new(),
+        }
+    }
+
     /// Number of nodes (intersections).
     pub fn node_count(&self) -> usize {
         self.coords.len()
