@@ -167,7 +167,6 @@ fn bench_graph_build_and_grouping(c: &mut Criterion) {
                         BuilderConfig {
                             vehicle_capacity: 4,
                             angle,
-                            grid_cells: 32,
                         },
                     )
                 },
@@ -187,7 +186,6 @@ fn bench_graph_build_and_grouping(c: &mut Criterion) {
         BuilderConfig {
             vehicle_capacity: 4,
             angle: AnglePruning::default(),
-            grid_cells: 32,
         },
     );
     builder.add_batch(&w.engine, &batch);

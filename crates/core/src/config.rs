@@ -17,9 +17,10 @@ pub struct StructRideConfig {
     pub shareability_capacity: u32,
     /// The angle-pruning configuration (δ, on/off).
     pub angle: AnglePruning,
-    /// Grid cells per side of the shareability builder's source index,
-    /// passed on by [`StructRideConfig::builder_config`] as
-    /// [`BuilderConfig::grid_cells`].  The fleet index keeps no grid.
+    /// Grid cells per side.  No library code reads it: the shareability
+    /// builder and the fleet index keep no grid.  It stays a key of the
+    /// trace `param` codec and an input of the repo benchmark's kernels, so
+    /// removing it waits for a change to the benchmark.
     pub grid_cells: u32,
     /// Maximum number of candidate vehicles kept per request in SARD's
     /// proposal queues.  The paper retrieves candidates with a radius-bounded
@@ -65,7 +66,6 @@ impl StructRideConfig {
         BuilderConfig {
             vehicle_capacity: self.shareability_capacity,
             angle: self.angle,
-            grid_cells: self.grid_cells,
         }
     }
 
@@ -124,12 +124,10 @@ mod tests {
     fn builder_config_propagates_fields() {
         let c = StructRideConfig {
             shareability_capacity: 6,
-            grid_cells: 32,
             ..Default::default()
         };
         let b = c.builder_config();
         assert_eq!(b.vehicle_capacity, 6);
-        assert_eq!(b.grid_cells, 32);
         assert_eq!(b.angle, c.angle);
     }
 

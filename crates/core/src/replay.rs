@@ -434,6 +434,26 @@ fn diff_fleet(
     }
 }
 
+/// Names each differing field of a batch's released requests, or, when the
+/// two batches released different requests, the two id lists.
+fn diff_requests(deltas: &mut Vec<FieldDelta>, recorded: &[Request], replayed: &[Request]) {
+    let ids = |requests: &[Request]| requests.iter().map(|r| r.id).collect::<Vec<_>>();
+    let (recorded_ids, replayed_ids) = (ids(recorded), ids(replayed));
+    if recorded_ids != replayed_ids {
+        deltas.push(FieldDelta {
+            field: "batch.requests".to_string(),
+            recorded: rendered(&recorded_ids),
+            replayed: rendered(&replayed_ids),
+        });
+        return;
+    }
+    for (rec, rep) in recorded.iter().zip(replayed) {
+        if rec != rep {
+            RequestFields::diff(rec, rep, &format!("request[{}].", rec.id), deltas);
+        }
+    }
+}
+
 /// Diffs two traces of the *same pipeline* batch by batch into a
 /// [`DriftReport`].
 ///
@@ -462,15 +482,7 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
         report.batches_compared += 1;
         let mut deltas = Vec::new();
         BatchLine::diff(rec, rep, "batch.", &mut deltas);
-        if rec.requests != rep.requests {
-            let ids =
-                |b: &BatchRecord| rendered(&b.requests.iter().map(|r| r.id).collect::<Vec<_>>());
-            deltas.push(FieldDelta {
-                field: "batch.requests".to_string(),
-                recorded: ids(rec),
-                replayed: ids(rep),
-            });
-        }
+        diff_requests(&mut deltas, &rec.requests, &rep.requests);
         diff_fleet(
             &mut deltas,
             "fleet_before",
@@ -1672,6 +1684,31 @@ mod tests {
             .deltas
             .iter()
             .any(|d| d.field.contains("free_at")));
+
+        // A released request whose field moved is named with both values…
+        let mut moved = trace.clone();
+        let request = &mut moved.batches[1].requests[0];
+        request.deadline = f64::from_bits(request.deadline.to_bits() + 1);
+        let expected = FieldDelta {
+            field: format!("request[{}].deadline", request.id),
+            recorded: trace.batches[1].requests[0].deadline.to_string(),
+            replayed: request.deadline.to_string(),
+        };
+        let report = diff_traces(&trace, &moved);
+        let first = report.first_divergence().expect("a divergence");
+        assert_eq!(first.batch_index, 1);
+        assert_eq!(first.deltas, vec![expected], "{report}");
+
+        // …and different released requests by the two id lists.
+        let mut dropped = trace.clone();
+        dropped.batches[1].requests.clear();
+        let report = diff_traces(&trace, &dropped);
+        let delta = &report.first_divergence().expect("a divergence").deltas[0];
+        assert_eq!(delta.field, "batch.requests");
+        assert_eq!(
+            (delta.recorded.as_str(), delta.replayed.as_str()),
+            ("3", "")
+        );
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! and unexpired) across batches.  When a batch of new requests arrives it
 //! only looks for edges incident to the new requests:
 //!
-//! 1. a **grid-index prefilter** retrieves candidate requests whose sources are
-//!    close enough (in Euclidean distance, converted with the network's
-//!    maximum speed) to possibly satisfy both pickup deadlines;
+//! 1. a **distance prefilter** scans the live requests for those whose
+//!    sources are close enough (in Euclidean distance, converted with the
+//!    network's maximum speed) to possibly satisfy both pickup deadlines.
+//!    The paper retrieves them from the grid index of §II-B; here the
+//!    radius covers most of a city, so one scan over the live set does less
+//!    work than a cell walk and keeps exactly the same pairs;
 //! 2. a **deadline / detour prefilter** discards candidates whose time windows
 //!    cannot overlap at all;
 //! 3. the **angle pruning** rule of §III-B discards candidates whose travel
@@ -27,15 +30,15 @@
 //! engine), so a pair whose orderings all fail on lower-bound legs costs no
 //! shortest-path query, and every other leg is queried at most once per
 //! pair.  A sequential prefilter pass registers
-//! the batch's requests and collects the surviving candidate pairs *in the
-//! exact order the sequential algorithm would visit them*, the checks are
-//! par-mapped over that list, the batch's [`BuildStats`] delta is folded into
-//! the running totals, and edges are inserted afterwards in the recorded
-//! order.  Because the
+//! the batch's requests and collects the surviving candidate pairs (in the
+//! live table's iteration order, which reaches no decision: edges go into
+//! sets and the counters are counts), the checks are par-mapped over that
+//! list, the batch's [`BuildStats`] delta is folded into the running totals,
+//! and edges are inserted afterwards.  Because the
 //! prefilters never consult the edge set, deferring the insertions does not
-//! change any decision, so the resulting graph and counters are bit-identical
-//! to a one-request-at-a-time build that checks each pair unscreened on the
-//! calling thread, regardless of the worker count.  That sequential build
+//! change any decision, so the resulting graph and counters are the same as
+//! those of a one-request-at-a-time build that checks each pair unscreened
+//! on the calling thread, regardless of the worker count.  That sequential build
 //! lives in this module's tests, which hold the parallel one to it batch by
 //! batch.
 
@@ -47,7 +50,6 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId};
 use structride_roadnet::SpEngine;
-use structride_spatial::GridIndex;
 
 /// Configuration of the dynamic builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,8 +59,6 @@ pub struct BuilderConfig {
     pub vehicle_capacity: u32,
     /// The angle-pruning rule (enabled with δ = π/2 by default).
     pub angle: AnglePruning,
-    /// Number of grid cells per side for the source index.
-    pub grid_cells: u32,
 }
 
 impl Default for BuilderConfig {
@@ -66,7 +66,6 @@ impl Default for BuilderConfig {
         BuilderConfig {
             vehicle_capacity: 4,
             angle: AnglePruning::default(),
-            grid_cells: 64,
         }
     }
 }
@@ -115,7 +114,6 @@ pub struct ShareabilityGraphBuilder {
     config: BuilderConfig,
     graph: ShareabilityGraph,
     requests: HashMap<RequestId, Request>,
-    source_index: GridIndex,
     /// Maximum straight-line speed observed on any edge (m/s); 0 disables the
     /// Euclidean prefilter.
     max_speed: f64,
@@ -126,21 +124,6 @@ impl ShareabilityGraphBuilder {
     /// Creates a builder for the given road network.
     pub fn new(engine: &SpEngine, config: BuilderConfig) -> Self {
         let net = engine.network();
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for v in net.nodes() {
-            let p = net.coord(v);
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        if !(max_x > min_x && max_y > min_y) {
-            // Degenerate coordinates (all nodes colocated): give the grid a
-            // non-empty dummy extent; the Euclidean prefilter is disabled below.
-            max_x = min_x + 1.0;
-            max_y = min_y + 1.0;
-        }
         let mut max_speed: f64 = 0.0;
         for u in net.nodes() {
             let pu = net.coord(u);
@@ -155,7 +138,6 @@ impl ShareabilityGraphBuilder {
             config,
             graph: ShareabilityGraph::new(),
             requests: HashMap::new(),
-            source_index: GridIndex::new(min_x, min_y, max_x, max_y, config.grid_cells.max(1)),
             max_speed,
             stats: BuildStats::default(),
         }
@@ -209,8 +191,7 @@ impl ShareabilityGraphBuilder {
         let mut times = BuildTimes::default();
         let clock = || timed.then(Instant::now);
         let elapsed = |t0: Option<Instant>| t0.map_or(Duration::ZERO, |t0| t0.elapsed());
-        // --- phase 1 (sequential): register requests and prefilter, keeping
-        //     the surviving pairs in sequential visit order. -----------------
+        // --- phase 1 (sequential): register requests and prefilter. --------
         let t0 = clock();
         let mut jobs: Vec<(RequestId, RequestId)> = Vec::new();
         for r in batch {
@@ -222,8 +203,6 @@ impl ShareabilityGraphBuilder {
             for cand_id in self.prefilter_candidates(engine, r) {
                 jobs.push((id, cand_id));
             }
-            let src = engine.coord(r.source);
-            self.source_index.insert(id as u64, src.x, src.y);
             self.requests.insert(id, r.clone());
         }
         times.prefilter = elapsed(t0);
@@ -249,8 +228,7 @@ impl ShareabilityGraphBuilder {
             ..BuildStats::default()
         });
 
-        // --- phase 3 (sequential): insert edges in the recorded order, which
-        //     is exactly the order the sequential build would use. -----------
+        // --- phase 3 (sequential): insert the edges. ------------------------
         let t0 = clock();
         for (&(a, b), shareable) in jobs.iter().zip(verdicts) {
             if shareable {
@@ -262,35 +240,30 @@ impl ShareabilityGraphBuilder {
     }
 
     /// Candidate generation and cheap pruning for one incoming request
-    /// (Algorithm 1, lines 4–6): grid range query, deadline/detour window
-    /// checks and the angle rule.  Returns, in deterministic visit order, the
+    /// (Algorithm 1, lines 4–6): one scan over the live requests with the
+    /// source-distance, deadline/detour window and angle tests.  Returns the
     /// live request ids that must undergo the exact shareability check, and
     /// accounts the `candidate_pairs` / `angle_pruned` counters.
     fn prefilter_candidates(&mut self, engine: &SpEngine, request: &Request) -> Vec<RequestId> {
         let src = engine.coord(request.source);
-
-        // --- candidate generation (line 4): spatial + deadline prefilter ----
-        let mut candidates: Vec<RequestId> = Vec::new();
-        if self.max_speed > 0.0 {
-            // A shared trip must visit both sources within their pickup
-            // deadlines, so the sources cannot be further apart than the
-            // widest pickup window times the maximum speed.
-            let window = (request.deadline - request.release).max(0.0)
-                + structride_model::request::DEFAULT_MAX_WAIT;
-            let radius = self.max_speed * window;
-            self.source_index
-                .for_each_in_range(src.x, src.y, radius, |item| {
-                    candidates.push(item as RequestId);
-                });
-        } else {
-            candidates.extend(self.requests.keys().copied());
-        }
+        // A shared trip must visit both sources within their pickup
+        // deadlines, so the sources cannot be further apart than the widest
+        // pickup window times the maximum speed.
+        let window = (request.deadline - request.release).max(0.0)
+            + structride_model::request::DEFAULT_MAX_WAIT;
+        let radius = (self.max_speed * window).max(0.0);
 
         let mut survivors: Vec<RequestId> = Vec::new();
-        for cand_id in candidates {
-            let Some(other) = self.requests.get(&cand_id) else {
-                continue;
-            };
+        for (&cand_id, other) in &self.requests {
+            let other_src = engine.coord(other.source);
+            // --- candidate generation (line 4): the source disc -----------
+            if self.max_speed > 0.0 {
+                let (dx, dy) = (other_src.x - src.x, other_src.y - src.y);
+                let in_disc = dx * dx + dy * dy <= radius * radius;
+                if !in_disc {
+                    continue;
+                }
+            }
             // Deadline / detour-tolerance prefilter: the later release must
             // precede the earlier delivery deadline, otherwise no joint
             // schedule can exist.
@@ -299,7 +272,7 @@ impl ShareabilityGraphBuilder {
             }
             // A tighter necessary condition on the two pickups.
             if self.max_speed > 0.0 {
-                let d = src.distance(&engine.coord(other.source));
+                let d = src.distance(&other_src);
                 let window = (other.pickup_deadline - request.release)
                     .max(request.pickup_deadline - other.release)
                     .max(0.0);
@@ -330,9 +303,12 @@ impl ShareabilityGraphBuilder {
     /// one.  Restoring the recorded set keeps the graph bit-identical.  The
     /// build counters deliberately stay untouched: the run that originally
     /// evaluated the pairs booked that work.
+    ///
+    /// The engine is not read (the builder keeps no spatial index); the
+    /// parameter stays because the repo benchmark's kernels pass it.
     pub fn restore(
         &mut self,
-        engine: &SpEngine,
+        _engine: &SpEngine,
         requests: Vec<Request>,
         edges: &[(RequestId, RequestId)],
     ) {
@@ -341,8 +317,6 @@ impl ShareabilityGraphBuilder {
                 continue;
             }
             self.graph.add_node(r.id);
-            let src = engine.coord(r.source);
-            self.source_index.insert(r.id as u64, src.x, src.y);
             self.requests.insert(r.id, r);
         }
         for &(a, b) in edges {
@@ -354,12 +328,11 @@ impl ShareabilityGraphBuilder {
         }
     }
 
-    /// Removes a request (assigned or expired) from the graph and indexes.
+    /// Removes a request (assigned or expired) from the graph.
     pub fn remove_request(&mut self, id: RequestId) -> bool {
         let existed = self.requests.remove(&id).is_some();
         if existed {
             self.graph.remove_node(id);
-            self.source_index.remove(id as u64);
         }
         existed
     }
@@ -379,11 +352,9 @@ impl ShareabilityGraphBuilder {
         expired
     }
 
-    /// Approximate heap footprint (graph + request table + grid index).
+    /// Approximate heap footprint (graph + request table).
     pub fn approx_bytes(&self) -> usize {
-        self.graph.approx_bytes()
-            + self.requests.capacity() * (std::mem::size_of::<Request>() + 16)
-            + self.source_index.approx_bytes()
+        self.graph.approx_bytes() + self.requests.capacity() * (std::mem::size_of::<Request>() + 16)
     }
 }
 
@@ -553,8 +524,6 @@ mod tests {
                         self.stats.edges_added += 1;
                     }
                 }
-                let src = engine.coord(request.source);
-                self.source_index.insert(id as u64, src.x, src.y);
                 self.requests.insert(id, request.clone());
             }
         }
@@ -598,7 +567,6 @@ mod tests {
             let config = BuilderConfig {
                 vehicle_capacity: 4,
                 angle,
-                grid_cells: 32,
             };
 
             let mut parallel = ShareabilityGraphBuilder::new(&w.engine, config);

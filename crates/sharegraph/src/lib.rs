@@ -11,7 +11,8 @@
 //! * [`angle`] — the angle-pruning strategy of §III-B (Theorem III.1),
 //!   including the log-normal sharing-probability model;
 //! * [`builder`] — the dynamic shareability-graph builder of Algorithm 1,
-//!   combining the grid index, deadline/detour prefilters and angle pruning;
+//!   one scan over the live requests with the source-distance and
+//!   deadline/detour prefilters and angle pruning;
 //! * [`loss`] — the shareability loss of Definition 6 (Theorems IV.1/IV.2);
 //! * [`clique`] — the clique predicate of Observation 2, which prunes
 //!   Algorithm 2's groups.

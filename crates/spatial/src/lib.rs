@@ -1,12 +1,14 @@
 //! Spatial substrate for the StructRide reproduction.
 //!
-//! Two pieces of the paper live here:
+//! Three pieces live here:
 //!
 //! * the **grid index** of §II-B ("Index Structure") — the road network's
-//!   bounding box is partitioned into `n × n` square cells so that moving
-//!   vehicles can be re-indexed in O(1) and candidate vehicles/requests around
-//!   a location can be retrieved with a constant-time range query
-//!   ([`GridIndex`]);
+//!   bounding box is partitioned into `n × n` square cells so that items can
+//!   be re-indexed in O(1) and the items around a location retrieved with a
+//!   constant-time range query ([`GridIndex`]).  It serves DARM's demand map
+//!   and the workload generator's nearest-node lookup; the dispatch path
+//!   finds candidates by dense scans instead, because its query radii cover
+//!   most of a city;
 //! * the **geometry helpers** of §III-B — 2-D vectors and the angle
 //!   `θ = ∠(−→s_b e_a, −→s_b e_b)` used by the angle-pruning strategy
 //!   ([`geo`]);

@@ -79,7 +79,6 @@ fn main() {
         BuilderConfig {
             vehicle_capacity: 3,
             angle: AnglePruning::disabled(),
-            grid_cells: 8,
         },
     );
     builder.add_batch(&engine, &requests);

@@ -5,7 +5,9 @@
 //! `criterion_group!`/`criterion_main!` macros) with a simple
 //! warmup-then-measure timing loop that reports the mean wall-clock time per
 //! iteration.  No statistics, plots or baselines — just honest numbers, so
-//! `cargo bench` works offline.  Swap the path dependency for upstream
+//! `cargo bench` works offline.  `cargo bench -- <filter>` runs only the
+//! benchmarks whose id (`group/name`) contains the filter, as upstream does
+//! for a plain string.  Swap the path dependency for upstream
 //! criterion to get the full harness back.
 
 use std::time::{Duration, Instant};
@@ -45,9 +47,16 @@ impl Default for Settings {
 #[derive(Debug, Default)]
 pub struct Criterion {
     settings: Settings,
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// Runs only the benchmarks whose id contains `filter`; `None` runs all.
+    pub fn with_filter(mut self, filter: Option<&str>) -> Self {
+        self.filter = filter.map(str::to_string);
+        self
+    }
+
     /// Sets the target number of timed samples.
     pub fn sample_size(mut self, n: usize) -> Self {
         self.settings.sample_size = n.max(1);
@@ -71,7 +80,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(&name.into(), self.settings, &mut f);
+        self.run(&name.into(), self.settings, &mut f);
         self
     }
 
@@ -80,16 +89,36 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             settings: self.settings,
-            _criterion: self,
+            criterion: self,
         }
     }
+
+    /// Runs the benchmark `id` unless the filter excludes it.
+    fn run<F>(&self, id: &str, settings: Settings, f: &mut F)
+    where
+        F: FnMut(&mut Bencher),
+    {
+        if self
+            .filter
+            .as_deref()
+            .is_none_or(|filter| id.contains(filter))
+        {
+            run_benchmark(id, settings, f);
+        }
+    }
+}
+
+/// The benchmark filter of a bench binary's arguments (program name
+/// skipped): the first one that does not start with `-`.
+pub fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
 }
 
 /// A named group of benchmarks with its own settings.
 pub struct BenchmarkGroup<'a> {
     name: String,
     settings: Settings,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -116,7 +145,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(
+        self.criterion.run(
             &format!("{}/{}", self.name, name.into()),
             self.settings,
             &mut f,
@@ -220,29 +249,31 @@ where
     );
 }
 
-/// Defines a benchmark group function, in both upstream forms.
+/// Defines a benchmark group function, in both upstream forms.  The
+/// function takes the benchmark filter that [`criterion_main!`] read.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $config;
+        pub fn $name(filter: Option<&str>) {
+            let mut criterion = ($config).with_filter(filter);
             $($target(&mut criterion);)+
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
+        $crate::criterion_group!(
+            name = $name; config = $crate::Criterion::default(); targets = $($target),+
+        );
     };
 }
 
-/// Defines the benchmark binary entry point.
+/// Defines the benchmark binary entry point, which reads the benchmark
+/// filter from the command line ([`filter_from_args`]).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $($group();)+
+            let filter = $crate::filter_from_args(std::env::args().skip(1));
+            $($group(filter.as_deref());)+
         }
     };
 }
@@ -274,5 +305,41 @@ mod tests {
             b.iter_batched(|| vec![1, 2, 3], |v| v.len(), BatchSize::SmallInput)
         });
         g.finish();
+    }
+
+    fn quick() -> Criterion {
+        Criterion::default()
+            .sample_size(1)
+            .warm_up_time(Duration::ZERO)
+            .measurement_time(Duration::ZERO)
+    }
+
+    #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from_args(args(&["--bench"])), None);
+        assert_eq!(
+            filter_from_args(args(&["--bench", "graph/build", "other"])).as_deref(),
+            Some("graph/build")
+        );
+    }
+
+    #[test]
+    fn a_filter_skips_every_id_that_does_not_contain_it() {
+        let mut ran = Vec::new();
+        let mut c = quick().with_filter(Some("graph/build"));
+        let mut g = c.benchmark_group("graph");
+        g.bench_function("build_a", |b| b.iter(|| ran.push("graph/build_a")));
+        g.bench_function("check", |b| b.iter(|| ran.push("graph/check")));
+        g.finish();
+        c.bench_function("build", |b| b.iter(|| ran.push("build")));
+        ran.dedup();
+        assert_eq!(ran, ["graph/build_a"]);
+
+        let mut count = 0;
+        quick()
+            .with_filter(None)
+            .bench_function("any", |b| b.iter(|| count += 1));
+        assert!(count > 0);
     }
 }

@@ -62,7 +62,6 @@ fn figure1_shareability_graph_contains_the_papers_edges() {
         BuilderConfig {
             vehicle_capacity: 3,
             angle: AnglePruning::disabled(),
-            grid_cells: 8,
         },
     );
     builder.add_batch(&engine, &requests);
@@ -115,7 +114,6 @@ fn example2_grouping_tree_prunes_infeasible_combinations() {
         BuilderConfig {
             vehicle_capacity: 3,
             angle: AnglePruning::disabled(),
-            grid_cells: 8,
         },
     );
     builder.add_batch(&engine, &requests);

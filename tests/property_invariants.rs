@@ -16,6 +16,26 @@ fn grid_engine() -> SpEngine {
     }))
 }
 
+/// A 6×6 grid street network whose nodes all sit on one coordinate: the
+/// shareability builder's maximum straight-line speed is 0 there, which
+/// turns its source-distance prefilter off.
+fn colocated_engine() -> SpEngine {
+    let mut b = RoadNetworkBuilder::new();
+    for _ in 0..36 {
+        b.add_node(Point::new(0.0, 0.0));
+    }
+    let weight = |k: u32| 20.0 + (k * 7 % 11) as f64;
+    for v in 0..36u32 {
+        if v % 6 < 5 {
+            b.add_bidirectional(v, v + 1, weight(v)).unwrap();
+        }
+        if v < 30 {
+            b.add_bidirectional(v, v + 6, weight(v + 3)).unwrap();
+        }
+    }
+    SpEngine::new(b.build().unwrap())
+}
+
 /// Builds a request from raw proptest inputs, clamping everything to the
 /// engine's node range and sane deadline parameters.
 fn build_request(engine: &SpEngine, id: u32, raw: (u32, u32, f64, f64)) -> Option<Request> {
@@ -102,44 +122,59 @@ proptest! {
         prop_assert!((m.unified_cost - expected).abs() < 1e-6);
     }
 
-    /// The dynamic shareability-graph builder only ever adds edges between
-    /// genuinely shareable pairs, regardless of arrival order, and degrees are
-    /// consistent with the edge set.
+    /// The dynamic shareability-graph builder — fed two batches with a
+    /// removal between them — only ever adds edges between live, genuinely
+    /// shareable pairs, and degrees are consistent with the edge set.  It
+    /// runs on the grid city and on a network whose nodes share one
+    /// coordinate, where the builder's source-distance prefilter is off.
+    /// The edge set is a subset of the shareable live pairs, not equal to
+    /// it: the builder's deadline prefilter drops pairs whose windows do not
+    /// overlap, which the exact check accepts as back-to-back trips.
     #[test]
     fn shareability_graph_edges_are_sound(
         raw_requests in proptest::collection::vec(
             (0u32..1000, 0u32..1000, 0.0f64..60.0, 0.1f64..1.0),
             2..16
         ),
+        victim in 0usize..16,
     ) {
-        let engine = grid_engine();
-        let requests: Vec<Request> = raw_requests
-            .iter()
-            .enumerate()
-            .filter_map(|(i, raw)| build_request(&engine, i as u32, *raw))
-            .collect();
-        prop_assume!(requests.len() >= 2);
-        let mut builder = ShareabilityGraphBuilder::new(
-            &engine,
-            BuilderConfig { vehicle_capacity: 4, angle: AnglePruning::disabled(), grid_cells: 16 },
-        );
-        builder.add_batch(&engine, &requests);
-        let graph = builder.graph();
-        // Every edge corresponds to a shareable pair under Definition 5.
-        let by_id: std::collections::HashMap<RequestId, &Request> =
-            requests.iter().map(|r| (r.id, r)).collect();
-        let mut degree_sum = 0usize;
-        for r in &requests {
-            for other in graph.neighbors(r.id) {
-                degree_sum += 1;
+        for engine in [grid_engine(), colocated_engine()] {
+            let requests: Vec<Request> = raw_requests
+                .iter()
+                .enumerate()
+                .filter_map(|(i, raw)| build_request(&engine, i as u32, *raw))
+                .collect();
+            prop_assume!(requests.len() >= 2);
+            let (first, second) = requests.split_at(requests.len() / 2);
+            let mut builder = ShareabilityGraphBuilder::new(
+                &engine,
+                BuilderConfig { vehicle_capacity: 4, angle: AnglePruning::disabled() },
+            );
+            builder.add_batch(&engine, first);
+            let removed = first[victim % first.len()].id;
+            prop_assert!(builder.remove_request(removed));
+            builder.add_batch(&engine, second);
+
+            let live: std::collections::HashMap<RequestId, &Request> = requests
+                .iter()
+                .filter(|r| r.id != removed)
+                .map(|r| (r.id, r))
+                .collect();
+            let graph = builder.graph();
+            // Every edge joins two live requests that are shareable under
+            // Definition 5, checked as the builder does: the later arrival
+            // (the higher id) against the earlier one.
+            for (earlier, later) in graph.edges_sorted() {
+                prop_assert!(live.contains_key(&earlier) && live.contains_key(&later));
                 prop_assert!(structride::sharegraph::pairwise_shareable(
                     &engine,
-                    by_id[&r.id],
-                    by_id[&other],
+                    live[&later],
+                    live[&earlier],
                     4
                 ));
             }
+            let degree_sum: usize = live.keys().map(|&id| graph.degree(id)).sum();
+            prop_assert_eq!(degree_sum, 2 * graph.edge_count());
         }
-        prop_assert_eq!(degree_sum, 2 * graph.edge_count());
     }
 }
