@@ -788,8 +788,8 @@ mod tests {
         let rush = chaos.with_traffic(structride_datagen::rush_hour(30.0, 15.0));
         // `assign` on the monolithic pipeline, so the chaos solver node
         // budget actually gates the exact solver on the resumed half too.
-        // The static sharded run resumes on fixed-slot clipped engines, the
-        // rush one on rolling engines.
+        // The static sharded run resumes on a fixed-slot engine, the rush
+        // one on a rolling engine.
         let three = sharded(3, ShardingConfig::default());
         for scenario in [
             quick(Pipeline::Mono, Source::Clock, "assign", chaos),

@@ -1,5 +1,5 @@
 //! End-to-end scenario invariants, asserted on the run reports themselves:
-//! which epoch-roll repair tier each traffic model takes on a real sharded
+//! which kind of epoch roll each traffic model takes on a real sharded
 //! run, how the certified prescreen scales with the fleet, what the chaos
 //! fault preset does (and that nothing else reports fault telemetry), and
 //! the lazy arrival stream through the ingest front end under both arrival
@@ -53,43 +53,45 @@ fn assert_no_fault_telemetry(what: &str, report: &ShardedReport) {
 }
 
 #[test]
-fn repair_tiers_follow_the_traffic_model() {
+fn epoch_rolls_follow_the_traffic_model() {
     let workload = three_cities(6);
     let config = StructRideConfig::default();
     let run = |config| run_1x3(&workload, config, DispatcherKind::Sard);
 
-    // Free flow never rolls an epoch, so no tier is ever taken.
+    // Free flow never rolls an epoch.
     let free_flow = run(config);
     assert_eq!(free_flow.epoch_rolls, 0);
     assert_eq!(free_flow.labels_rescaled + free_flow.labels_rebuilt, 0);
     assert_eq!(free_flow.shards_refreshed, 0);
+    assert_eq!(free_flow.sp_fallback_queries, 0);
     assert_eq!(free_flow.label_refresh_seconds, 0.0);
     assert_no_fault_telemetry("free flow", &free_flow);
 
-    // Rush hour is zone-free: every boundary is a Tier-1 (uniform) roll.
+    // Rush hour is zone-free: every boundary is a uniform rescale.
     let rush = run(config.with_traffic(rush_hour(HORIZON / 6.0, HORIZON / 12.0)));
     assert!(rush.epoch_rolls > 0, "rush hour must cross epochs");
     assert_eq!(rush.labels_rescaled, rush.epoch_rolls);
     assert_eq!(rush.labels_rebuilt, 0);
+    assert_eq!(rush.shards_refreshed, 0);
+    assert_eq!(rush.sp_fallback_queries, 0);
     assert_no_fault_telemetry("rush hour", &rush);
 
     // An incident over the western third, active for the middle half of the
-    // horizon: rolling into and out of it takes the Tier-2 scoped repair,
-    // and the untouched eastern shard keeps its halo (the Tier-3 skip).
+    // horizon: rolling into it takes the zone artifact's labels.
     let (min_x, min_y, max_x, max_y) = workload.network().bounding_box();
     let west_third = (min_x, min_y, min_x + (max_x - min_x) / 3.0, max_y);
     let (from, until, epoch) = (HORIZON / 4.0, HORIZON / 2.0, HORIZON / 6.0);
     let spike = run(config.with_traffic(incident_spike(west_third, 2.5, from, until, epoch)));
-    assert!(spike.labels_rebuilt > 0, "incident must hit Tier 2");
+    assert!(
+        spike.labels_rebuilt > 0,
+        "incident must roll into a zoned epoch"
+    );
     assert_eq!(
         spike.labels_rescaled + spike.labels_rebuilt,
         spike.epoch_rolls
     );
-    let (refreshed, rolls) = (spike.shards_refreshed, spike.epoch_rolls);
-    assert!(
-        refreshed < rolls * 3,
-        "no Tier-3 skip: {refreshed}, {rolls} × 3"
-    );
+    assert_eq!(spike.shards_refreshed, 0);
+    assert_eq!(spike.sp_fallback_queries, 0);
     assert_no_fault_telemetry("incident", &spike);
 }
 

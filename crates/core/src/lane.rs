@@ -11,15 +11,15 @@
 //!
 //! * every shard of a run — one lane per shard, stepped by the crate-private
 //!   `ShardedRun`, whether a [`ShardedSimulator`](crate::ShardedSimulator)
-//!   built it over clipped engines and boxed dispatchers or the
+//!   built it over its one engine and boxed dispatchers or the
 //!   [`Simulator`](crate::Simulator) built it as one shard over the caller's
 //!   engine and dispatcher;
 //! * [`replay_trace`](crate::replay::replay_trace) — a fresh lane per
 //!   recorded pre-dispatch fleet, each lent the replay's one score memo.
 //!
 //! The lane borrows the engine and the dispatcher per call instead of owning
-//! them: a shard borrows both from whoever built the run, and a replay
-//! re-lends one dispatcher to every lane.  The lane also assembles its
+//! them: a shard borrows both from whoever built the run — every shard the
+//! same engine — and a replay re-lends one dispatcher to every lane.  The lane also assembles its
 //! [`RunMetrics`] and captures / restores its slice of a
 //! [`Checkpoint`](crate::replay::Checkpoint).
 
@@ -108,18 +108,6 @@ impl Lane {
             dispatch_time: 0.0,
             scratch: ScratchStats::default(),
             solver_fallbacks: 0,
-        }
-    }
-
-    /// Rolls `engine` to the traffic epoch containing `now` (no-op for
-    /// static engines and within an epoch) and, when the epoch changed,
-    /// re-pins the prescreen rate so the reachability certificate follows
-    /// the epoch's travel times.  Callers roll *before* [`Lane::advance`], so
-    /// the whole batch — movement included — sees one consistent epoch.
-    pub(crate) fn roll(&mut self, engine: &SpEngine, now: f64) {
-        if engine.roll_epoch_to(now) {
-            self.fleet_index
-                .set_min_time_per_meter(engine.min_time_per_meter());
         }
     }
 

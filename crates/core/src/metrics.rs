@@ -25,7 +25,9 @@ pub struct RunMetrics {
     /// worker thread this can differ by a handful between otherwise identical
     /// runs: two workers racing on the same missing cache key both consult
     /// the index (see the `structride_roadnet::engine` docs).  Dispatch
-    /// decisions are unaffected.
+    /// decisions are unaffected.  The shards of a multi-shard run share one
+    /// engine, so their run books the count once, on the aggregate, and
+    /// every per-shard report reads 0 here.
     pub sp_queries: u64,
     /// Approximate dispatcher memory footprint in bytes (Fig. 14).
     pub memory_bytes: usize,

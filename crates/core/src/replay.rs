@@ -520,7 +520,7 @@ pub struct CheckpointCounters {
     pub epoch_rolls: u64,
     /// Epoch rolls served by the uniform-rescale tier.
     pub labels_rescaled: u64,
-    /// Epoch rolls that rebuilt or repaired label state.
+    /// Epoch rolls into a zoned epoch (labels of the zone-reweighted base).
     pub labels_rebuilt: u64,
     /// Shard outages injected by the fault plan.
     pub faults_injected: u64,

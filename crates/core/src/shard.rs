@@ -6,8 +6,8 @@
 //! module partitions both by *region*: a
 //! [`RegionGrid`] divides the road network's
 //! bounding box into `k` regions, each region maps 1:1 to a **shard** owning
-//! its own [`SpEngine`] (independent shortest-path cache), its own
-//! [`Dispatcher`] instance and the slice of the fleet currently homed there.
+//! its own [`Dispatcher`] instance and the slice of the fleet currently
+//! homed there.
 //! [`ShardedSimulator`] advances all shards **batch-synchronously**: every
 //! batch, all shards move their vehicles to the shared clock, the released
 //! requests are routed to shards, every shard dispatches its sub-batch in
@@ -16,30 +16,19 @@
 //! merged in shard order.  Per-shard [`RunMetrics`] are aggregated with
 //! [`RunMetrics::merge`] into one report.
 //!
-//! # Per-shard sub-network engines
+//! # One engine per run
 //!
-//! Every shard owns a **halo-clipped** [`SpEngine`] instead of a clone of
-//! the whole network: one [`EpochStore`] per run builds the global road
-//! network's canonical hub-label index **once** (the label construction
-//! itself is parallel, see
-//! [`HubLabels::build`](structride_roadnet::HubLabels::build)) and one
-//! landmark table, and every shard's engine is built from it, sharing both
-//! via `Arc`; each shard additionally carries the
-//! [`SubNetwork`](structride_roadnet::SubNetwork) induced by its *halo* —
-//! its region plus every vertex within
-//! [`ShardingConfig::handoff_band`] of it ([`halo_vertices`]) — and a
-//! compact restriction of the label index to those vertices.  Setup cost and
-//! label memory therefore no longer scale as `k×|V|`.
-//!
-//! The **halo-correctness invariant**: any query a shard issues against its
-//! *local* traffic (its own region's requests plus boundary requests offered
-//! through the handoff band) has both endpoints inside the halo and is
-//! answered by the per-shard slice.  Queries that legally leave the halo —
-//! trip destinations in another region, vehicles that drove or migrated
-//! across a border — fall back to the `Arc`-shared global index.  Both paths
-//! return **bit-identical** floats to a whole-network engine (the slice
-//! vectors are verbatim copies), which is what keeps sharded runs
-//! replay-exact; see [`SpEngineBuilder::build_clipped`].
+//! Every shard answers through one [`SpEngine`] that the run builds once —
+//! one hub-label index behind one cache, as the paper's §V-A puts them —
+//! and lends to every shard, as the [`Simulator`](crate::Simulator) lends
+//! the caller's engine to its one shard.  The engine takes `&self`
+//! everywhere, so shards query it concurrently; two shards racing on one
+//! missing cache key both consult the index and obtain the same exact
+//! distance.  The run rolls the engine once per traffic epoch change, on
+//! the control thread, and then re-pins **every** lane's fleet-index rate
+//! from it: on a shared engine only the first caller of
+//! [`SpEngine::roll_epoch_to`] sees `true`, so no lane may wait for its own
+//! `true` before re-pinning.
 //!
 //! # Cross-shard handoff
 //!
@@ -86,9 +75,8 @@
 //!   monolithic [`Simulator`](crate::Simulator) *is* that run: it steps the
 //!   one `ShardedRun` over a 1×1 grid with [`ShardingConfig::isolated`],
 //!   its own engine and its own dispatcher, so a one-shard
-//!   [`ShardedSimulator`] run decides exactly as it does; only the engine
-//!   (clipped from a fresh [`EpochStore`] here) and the checkpoint mode
-//!   differ.  The aggregate report matches field for field (wall-clock
+//!   [`ShardedSimulator`] run decides exactly as it does; only who built
+//!   the engine and the checkpoint mode differ.  The aggregate report matches field for field (wall-clock
 //!   `running_time` and the racy shortest-path query counters excepted, as
 //!   documented on [`RunMetrics`]).
 //! * **Recording.** A [`RunHooks::recorder`] captures a *global*
@@ -111,10 +99,9 @@ use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 use structride_model::{insertion, Request, RequestId, Vehicle};
-use structride_roadnet::{EpochStore, NodeId, RoadNetwork, SpEngine, SpEngineBuilder};
+use structride_roadnet::{RoadNetwork, SpEngine, SpEngineBuilder};
 use structride_spatial::{RegionGrid, RegionId};
 
 /// A dispatcher owned by one shard (must be `Send`: shards dispatch on
@@ -126,8 +113,7 @@ pub type ShardDispatcher = Box<dyn Dispatcher + Send>;
 pub struct ShardingConfig {
     /// Width of the boundary band, in coordinate units (meters).  A request
     /// whose origin lies within this distance of another region is offered
-    /// to that region's shard too; `0.0` disables cross-shard handoff.  The
-    /// band also sets the halo width of the per-shard sub-network engines.
+    /// to that region's shard too; `0.0` disables cross-shard handoff.
     pub handoff_band: f64,
     /// Enables idle-vehicle migration between adjacent shards.
     pub rebalance: bool,
@@ -187,32 +173,25 @@ pub struct ShardedReport {
     pub handoff_bids: u64,
     /// Idle vehicles that changed shard ownership for load balancing.
     pub migrations: u64,
-    /// Wall-clock of the whole setup — the run's one [`EpochStore`] (its
-    /// shared hub-label build and landmark table) plus the halo extraction
-    /// and label slicing of every shard — in seconds.  One-off cost,
-    /// amortised over a long run; benchmarks report it separately from the
-    /// steady-state batch loop.
+    /// Wall-clock of the whole setup — the run's one engine plus every
+    /// shard's dispatcher — in seconds.  One-off cost, amortised over a long
+    /// run; benchmarks report it separately from the steady-state batch
+    /// loop.
     pub setup_seconds: f64,
-    /// Wall-clock of building the run's one [`EpochStore`] alone, seconds:
-    /// the shared hub-label build of the initial epoch plus the one
-    /// landmark table every shard engine shares.  The pre-sub-network
-    /// design paid roughly `shards ×` the label build (one per shard);
-    /// `setup_seconds` stays near one.
+    /// Wall-clock of building the run's one engine alone, seconds: the
+    /// hub-label build of the initial epoch plus the landmark table.
     pub full_build_seconds: f64,
-    /// Actual label-index bytes resident for the run: the shared global
-    /// index plus every shard's halo slice (summed
-    /// [`HubLabels::approx_bytes`](structride_roadnet::HubLabels::approx_bytes),
+    /// Label-index bytes of the run's one engine at its initial epoch
+    /// ([`HubLabels::approx_bytes`](structride_roadnet::HubLabels::approx_bytes),
     /// not container capacities).
     pub label_bytes: usize,
-    /// Index queries that left a shard's halo and were answered by the
-    /// shared global index.  Diagnostic only — like the shortest-path query
-    /// counter it is subject to cache-miss races under concurrency.
+    /// Always 0; removed with ROADMAP 4(d).
     pub sp_fallback_queries: u64,
     /// Wall-clock of the batch loop and final drain, seconds.
     pub run_seconds: f64,
     /// Wall-clock spent on the epoch-roll path at traffic epoch boundaries:
-    /// memo lookups and rescales for uniform epochs, scoped label repairs
-    /// against the free-flow base for zoned epochs, and any halo re-cuts —
+    /// rescales for uniform epochs, memo lookups and label builds of the
+    /// zone-reweighted base for zoned epochs, and the lanes' rate re-pins —
     /// in seconds.  `0.0` for static (free-flow) runs.
     pub label_refresh_seconds: f64,
     /// Number of traffic epoch boundaries crossed during the run (0 for
@@ -221,9 +200,9 @@ pub struct ShardedReport {
     /// Epoch rolls into a zone-free epoch: the engines keep the free-flow
     /// labels and rescale every answer by the epoch's profile factor.
     pub labels_rescaled: u64,
-    /// Epoch rolls into a zoned epoch: labels from a scoped repair against
-    /// the free-flow base (or the epoch store's memo of one), answers
-    /// rescaled by the profile factor.
+    /// Epoch rolls into a zoned epoch: labels built over the zone-reweighted
+    /// base (or the engine's memo of that build), answers rescaled by the
+    /// profile factor.
     pub labels_rebuilt: u64,
     /// Outage windows opened by the deterministic fault injector (see
     /// [`crate::faults`]) — 0 under the inert default config.
@@ -236,10 +215,7 @@ pub struct ShardedReport {
     pub degraded_offered: u64,
     /// Requests assigned during degraded batches.
     pub degraded_served: u64,
-    /// Total per-shard halo re-cuts across all weight-changing rolls — the
-    /// complement of the Tier-3 skip.  `rolls × shards` would mean no shard
-    /// ever skipped; lower numbers mean zone activity left some halos
-    /// untouched and their clips (and caches) stayed live.
+    /// Always 0; removed with ROADMAP 4(d).
     pub shards_refreshed: u64,
     /// Ingest-level statistics: `Some` exactly for a
     /// [`BatchSource::Ingest`] run.
@@ -259,18 +235,14 @@ impl ShardedReport {
     }
 }
 
-/// One shard: the engine and dispatcher it borrows from whoever built the
-/// run, plus the lane holding the fleet slice it currently owns.
+/// One shard: the dispatcher it borrows from whoever built the run, plus
+/// the lane holding the fleet slice it currently owns.
 struct Shard<'a> {
-    engine: &'a SpEngine,
     dispatcher: &'a mut dyn Dispatcher,
     /// The shard's fleet slice, its persistent index (which feeds both the
     /// handoff shortlist and the dispatcher's certified candidate
     /// prescreen), served set and work counters.
     lane: Lane,
-    /// The engine's index-query count when the run started: a shard reports
-    /// the queries of this run, not of the engine's lifetime.
-    sp_before: u64,
     /// Requests routed to this shard for the current batch (release order).
     inbox: Vec<Request>,
     /// Every request ever routed here, with its direct cost (for the
@@ -305,9 +277,9 @@ struct ShardView<'a> {
 }
 
 impl<'a> ShardView<'a> {
-    fn new(shard: &'a Shard<'_>) -> Self {
+    fn new(engine: &'a SpEngine, shard: &'a Shard<'_>) -> Self {
         ShardView {
-            engine: shard.engine,
+            engine,
             vehicles: &shard.lane.vehicles,
             index: &shard.lane.fleet_index,
         }
@@ -340,24 +312,6 @@ impl<'a> ShardView<'a> {
         }
         ranked.into_iter().map(|(_, idx)| idx).collect()
     }
-}
-
-/// The halo vertex sets of every region: vertex `v` belongs to region `r`'s
-/// halo when `v` lies in `r` or within `band` of `r`'s rectangle (the same
-/// [`RegionGrid::regions_within`] classification that makes a request a
-/// boundary request).  Each set is ascending; the union covers every vertex
-/// at least once, so the per-shard sub-networks tile the network with
-/// band-wide overlaps.
-pub fn halo_vertices(network: &RoadNetwork, regions: &RegionGrid, band: f64) -> Vec<Vec<NodeId>> {
-    let mut halos: Vec<Vec<NodeId>> = vec![Vec::new(); regions.len()];
-    let band = band.max(0.0);
-    for v in network.nodes() {
-        let p = network.coord(v);
-        for r in regions.regions_within(p.x, p.y, band) {
-            halos[r as usize].push(v);
-        }
-    }
-    halos
 }
 
 /// Applies `f` to every shard, fanning out even for small shard counts
@@ -562,6 +516,11 @@ pub(crate) struct ShardedRun<'a> {
     sharding: ShardingConfig,
     network: &'a RoadNetwork,
     regions: RegionGrid,
+    /// The run's one engine, lent to every shard.
+    engine: &'a SpEngine,
+    /// The engine's index-query count when the run started: the run reports
+    /// the queries of this run, not of the engine's lifetime.
+    sp_before: u64,
     shards: Vec<Shard<'a>>,
     /// The checkpoint mode: `false` for the [`Simulator`](crate::Simulator)'s
     /// run, whose checkpoints keep the monolithic file layout.
@@ -572,7 +531,7 @@ pub(crate) struct ShardedRun<'a> {
     /// The run-level counters a checkpoint carries (handoffs, migrations,
     /// epoch/label rolls, fault telemetry).
     counters: CheckpointCounters,
-    /// Traffic epoch currently loaded into the shard engines.
+    /// Traffic epoch the engine was last rolled to.
     current_epoch: u64,
     label_refresh_seconds: f64,
     run_t0: Instant,
@@ -580,38 +539,40 @@ pub(crate) struct ShardedRun<'a> {
 
 impl<'a> ShardedRun<'a> {
     /// Builds a run over one shard per region of `regions`, each stepping
-    /// its `(engine, dispatcher)` pair of `lanes`, and homes each vehicle to
-    /// the shard of its starting node, preserving input order within each
-    /// shard.  `sharded` picks the checkpoint mode.
+    /// its dispatcher of `dispatchers` on the one `engine` (whose network
+    /// is the whole map), and homes each
+    /// vehicle to the shard of its starting node, preserving input order
+    /// within each shard.  `sharded` picks the checkpoint mode.
     ///
-    /// Every engine is rolled to the epoch of time zero first: a reused
-    /// engine that an earlier run left at a later epoch starts this run
-    /// where a fresh one would.
+    /// The engine is rolled to the epoch of time zero first: a reused engine
+    /// that an earlier run left at a later epoch starts this run where a
+    /// fresh one would.
     pub(crate) fn new(
         config: StructRideConfig,
         sharding: ShardingConfig,
-        network: &'a RoadNetwork,
         regions: RegionGrid,
-        lanes: Vec<(&'a SpEngine, &'a mut dyn Dispatcher)>,
+        engine: &'a SpEngine,
+        dispatchers: Vec<&'a mut dyn Dispatcher>,
         vehicles: Vec<Vehicle>,
         sharded: bool,
     ) -> Self {
-        debug_assert_eq!(lanes.len(), regions.len(), "one lane per region");
-        let mut shards: Vec<Shard<'a>> = lanes
+        debug_assert_eq!(
+            dispatchers.len(),
+            regions.len(),
+            "one dispatcher per region"
+        );
+        engine.roll_epoch_to(0.0);
+        let network = engine.network();
+        let mut shards: Vec<Shard<'a>> = dispatchers
             .into_iter()
-            .map(|(engine, dispatcher)| {
-                engine.roll_epoch_to(0.0);
-                Shard {
-                    lane: Lane::new(engine, config, Vec::new()),
-                    sp_before: engine.stats().index_queries,
-                    engine,
-                    dispatcher,
-                    inbox: Vec::new(),
-                    routed: Vec::new(),
-                    last_assigned: Vec::new(),
-                    last_scratch: ScratchStats::default(),
-                    down: false,
-                }
+            .map(|dispatcher| Shard {
+                lane: Lane::new(engine, config, Vec::new()),
+                dispatcher,
+                inbox: Vec::new(),
+                routed: Vec::new(),
+                last_assigned: Vec::new(),
+                last_scratch: ScratchStats::default(),
+                down: false,
             })
             .collect();
         for vehicle in vehicles {
@@ -620,13 +581,15 @@ impl<'a> ShardedRun<'a> {
             shards[home].lane.vehicles.push(vehicle);
         }
         for shard in &mut shards {
-            shard.lane.reindex(shard.engine);
+            shard.lane.reindex(engine);
         }
         ShardedRun {
             config,
             sharding,
             network,
             regions,
+            engine,
+            sp_before: engine.stats().index_queries,
             shards,
             sharded,
             served: HashSet::new(),
@@ -639,18 +602,17 @@ impl<'a> ShardedRun<'a> {
         }
     }
 
-    /// Rolls every shard engine to the traffic epoch containing `now`.  A
-    /// profile-only change rescales every engine's answers and keeps every
-    /// label set and clip.  A zone flip makes the first clipped engine to
-    /// ask its [`EpochStore`] fetch the new zone activity's artifacts (memo
-    /// hit or scoped repair against the free-flow base), every other shard
-    /// gets them for free, and clipped engines whose halo the zones provably
-    /// did not touch keep their clip (Tier 3) — and their cache, when the
-    /// scale did not change.  Every shard's fleet-index prescreen rate is
-    /// re-pinned from the new epoch so prescreens stay sound under
-    /// congestion.  No-op for static configs and within an epoch.
+    /// Rolls the engine to the traffic epoch containing `now`, once, on the
+    /// control thread.  A profile-only change rescales the engine's answers
+    /// and keeps its labels; a zone flip fetches the new zone activity's
+    /// labels from the engine's memo, or builds them the first time.  Then
+    /// every lane's fleet-index prescreen rate is re-pinned from the new
+    /// epoch, so prescreens stay sound under congestion.  Every lane, not
+    /// only one that saw the engine's roll return `true`: the engine is
+    /// shared, so only its first caller ever would.  No-op for static
+    /// configs and within an epoch.
     ///
-    /// Engines persist across rolls, so their diagnostic query counters
+    /// The engine persists across rolls, so its diagnostic query counters
     /// simply keep accumulating (they are excluded from replay comparisons
     /// but still reported).
     fn roll_epoch_to(&mut self, now: f64) {
@@ -662,7 +624,11 @@ impl<'a> ShardedRun<'a> {
             return;
         }
         let t0 = Instant::now();
-        for_each_shard(&mut self.shards, &|s| s.lane.roll(s.engine, now));
+        self.engine.roll_epoch_to(now);
+        let rate = self.engine.min_time_per_meter();
+        for s in &mut self.shards {
+            s.lane.fleet_index.set_min_time_per_meter(rate);
+        }
         if epoch.signature().is_uniform() {
             self.counters.labels_rescaled += 1;
         } else {
@@ -675,7 +641,11 @@ impl<'a> ShardedRun<'a> {
 
     /// Drains every committed schedule and assembles the report.  The
     /// set-up figures (`setup_seconds`, `full_build_seconds`, `label_bytes`)
-    /// belong to whoever built the engines and read zero here.
+    /// belong to whoever built the engine and read zero here.
+    ///
+    /// The run's index queries are read once from the one engine and booked
+    /// on the aggregate.  With more than one shard every per-shard
+    /// `sp_queries` reads 0: the shards share the engine's counter.
     ///
     /// Every request `offered` is charged exactly once: to the shard that
     /// last routed it, or — when no batch ever took it — to its home shard,
@@ -686,9 +656,9 @@ impl<'a> ShardedRun<'a> {
     /// ledger, so the resumed run sums its penalty in release order, as the
     /// uninterrupted run does.
     pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
-        let (now, horizon_end) = (self.now, offered.horizon_end);
+        let (engine, now, horizon_end) = (self.engine, self.now, offered.horizon_end);
         for_each_shard(&mut self.shards, &|s| {
-            s.lane.drain(s.engine, now, horizon_end)
+            s.lane.drain(engine, now, horizon_end)
         });
 
         let routed: HashSet<RequestId> = self
@@ -704,24 +674,31 @@ impl<'a> ShardedRun<'a> {
             }
         }
         let batches = self.batches;
+        let sp_queries = engine.stats().index_queries.saturating_sub(self.sp_before);
+        let lane_sp_queries = if self.shards.len() == 1 {
+            sp_queries
+        } else {
+            0
+        };
         let per_shard: Vec<RunMetrics> = self
             .shards
             .iter()
             .zip(&mut ledgers)
             .map(|(s, ledger)| {
                 ledger.extend_from_slice(&s.routed);
-                let sp_queries = s.engine.stats().index_queries.saturating_sub(s.sp_before);
-                s.lane
-                    .metrics(s.dispatcher, workload_name, ledger, batches, sp_queries)
+                s.lane.metrics(
+                    s.dispatcher,
+                    workload_name,
+                    ledger,
+                    batches,
+                    lane_sp_queries,
+                )
             })
             .collect();
-        let aggregate =
-            RunMetrics::merge_all(&per_shard, &self.config.cost).expect("at least one shard");
-        let sp_fallback_queries = self
-            .shards
-            .iter()
-            .map(|s| s.engine.fallback_queries())
-            .sum();
+        let aggregate = RunMetrics {
+            sp_queries,
+            ..RunMetrics::merge_all(&per_shard, &self.config.cost).expect("at least one shard")
+        };
         let vehicles = fleet_snapshot(&self.shards).into_owned();
         let served = std::mem::take(&mut self.served);
         ShardedReport {
@@ -735,7 +712,7 @@ impl<'a> ShardedRun<'a> {
             setup_seconds: 0.0,
             full_build_seconds: 0.0,
             label_bytes: 0,
-            sp_fallback_queries,
+            sp_fallback_queries: 0,
             run_seconds: self.run_t0.elapsed().as_secs_f64(),
             label_refresh_seconds: self.label_refresh_seconds,
             epoch_rolls: self.counters.epoch_rolls,
@@ -745,7 +722,7 @@ impl<'a> ShardedRun<'a> {
             batches_degraded: self.counters.batches_degraded,
             degraded_offered: self.counters.degraded_offered,
             degraded_served: self.counters.degraded_served,
-            shards_refreshed: self.shards.iter().map(|s| s.engine.slice_refreshes()).sum(),
+            shards_refreshed: 0,
             ingest: offered.ingest,
         }
     }
@@ -802,12 +779,13 @@ impl<'a> ShardedRun<'a> {
             s.down = down == Some(i);
         }
         let span = Span::open(stages, Stage::Advance);
+        let engine = self.engine;
         for_each_shard(&mut self.shards, &|s| {
             // A down shard's fleet is frozen — `advance_to` is a pure
             // fast-forward of committed schedules, so the recovery batch
             // catches it up deterministically.
             if !s.down {
-                s.lane.advance(s.engine, now);
+                s.lane.advance(engine, now);
             }
         });
         // Recovery boundary: the shard that was down last batch just
@@ -816,8 +794,7 @@ impl<'a> ShardedRun<'a> {
         // routing below includes it again).
         if let Some(r) = prev_down {
             if down != Some(r) {
-                let s = &mut self.shards[r];
-                s.lane.reindex(s.engine);
+                self.shards[r].lane.reindex(engine);
             }
         }
         span.close();
@@ -863,7 +840,11 @@ impl<'a> ShardedRun<'a> {
             });
         let mut orphan_decisions: Vec<RouteDecision> = Vec::new();
         let decisions: Vec<RouteDecision> = if has_boundary_request || down.is_some() {
-            let views: Vec<ShardView<'_>> = self.shards.iter().map(ShardView::new).collect();
+            let views: Vec<ShardView<'_>> = self
+                .shards
+                .iter()
+                .map(|s| ShardView::new(engine, s))
+                .collect();
             let (network, regions) = (self.network, &self.regions);
             let top_m = self.sharding.top_m;
             let route = |r: &Request| route_request(r, network, regions, &views, band, top_m, down);
@@ -910,7 +891,7 @@ impl<'a> ShardedRun<'a> {
             let inbox = std::mem::take(&mut s.inbox);
             let (outcome, scratch) =
                 s.lane
-                    .dispatch(s.engine, s.dispatcher, now, batch_index, &inbox, stages);
+                    .dispatch(engine, s.dispatcher, now, batch_index, &inbox, stages);
             s.last_scratch = scratch;
             s.last_assigned = outcome.assigned;
         });
@@ -947,7 +928,7 @@ impl<'a> ShardedRun<'a> {
                 // Migration removes/appends across fleet slices, shifting
                 // the slot indexes the grids are keyed by: rebuild.
                 for s in self.shards.iter_mut() {
-                    s.lane.reindex(s.engine);
+                    s.lane.reindex(engine);
                 }
             }
             self.counters.migrations += moved;
@@ -1005,7 +986,7 @@ impl<'a> ShardedRun<'a> {
     /// regions and shard count), refusing a checkpoint of the other mode or
     /// another shard count.  Fleets are restored in slot order (slot order
     /// is load-bearing after migrations), dispatcher pools and edges
-    /// verbatim, and every shard engine is rolled to the checkpoint's
+    /// verbatim, and the engine is rolled to the checkpoint's
     /// traffic epoch — a pure function of (config, batch clock), so one
     /// direct roll lands exactly where the original run's incremental rolls
     /// did.
@@ -1023,15 +1004,15 @@ impl<'a> ShardedRun<'a> {
         self.batches = ckpt.batches;
         self.now = ckpt.now;
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {
-            shard.lane.restore(shard.engine, shard.dispatcher, s);
+            shard.lane.restore(self.engine, shard.dispatcher, s);
             shard.routed = s.routed.clone();
         }
         if !self.sharded {
             // The monolithic layout keeps the served set at the run level.
             self.shards[0].lane.served = self.served.clone();
         }
-        // Prime the traffic epoch (each lane re-pins its certified prescreen
-        // rate as its engine rolls), then set the counters to the
+        // Prime the traffic epoch (every lane re-pins its certified
+        // prescreen rate after the engine rolls), then set the counters to the
         // checkpointed totals — the one direct roll would otherwise count as
         // a single transition.
         self.roll_epoch_to(ckpt.now);
@@ -1072,11 +1053,10 @@ impl ShardedSimulator {
     /// fleet and request stream.
     ///
     /// `make_dispatcher(shard_id)` constructs each shard's dispatcher —
-    /// typically `|_| Box::new(SardDispatcher::new(config))`.  Every shard
-    /// gets its own halo-clipped [`SpEngine`] (independent shortest-path
-    /// cache, compact label slice) over the `Arc`-shared global network and
-    /// index, so `network` is the *whole* road network: shards partition the
-    /// fleet and the demand, not the map.
+    /// typically `|_| Box::new(SardDispatcher::new(config))`.  The run
+    /// builds one [`SpEngine`] over `network` under the config's traffic
+    /// model and lends it to every shard, so `network` is the *whole* road
+    /// network: shards partition the fleet and the demand, not the map.
     pub fn run<F>(
         &self,
         network: &RoadNetwork,
@@ -1138,42 +1118,27 @@ impl ShardedSimulator {
             !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
             "a resumed run restores its fleet from the checkpoint"
         );
-        // Setup builds one `EpochStore` — the global hub-label index (in
-        // parallel) and one landmark table, once — over a single `Arc`'d
-        // copy of the network, and cuts every shard's clipped engine from
-        // it in parallel, collected in shard order (deterministic): fixed
-        // for a static config, self-rolling through the store for a traffic
-        // one.  Each shard slices the shared labels down to its halo, so
-        // neither setup nor label memory scales as `k×|V|`.
+        // Setup builds the run's one engine — the hub-label index (in
+        // parallel), the landmark table and one cache — as every
+        // `Simulator` caller does, then one dispatcher per shard.
         let setup_t0 = Instant::now();
-        let shared_net = Arc::new(network.clone());
-        let halos = halo_vertices(network, regions, self.sharding.handoff_band);
-        let full_t0 = Instant::now();
-        let store = EpochStore::new(shared_net, self.config.traffic);
-        let full_build_seconds = full_t0.elapsed().as_secs_f64();
-        let engines = halos
-            .par_iter()
-            .map(|halo| SpEngineBuilder::new().build_clipped(store.clone(), halo))
-            .collect::<Vec<SpEngine>>();
-        let label_bytes = store.initial_artifacts().labels().approx_bytes()
-            + engines
-                .iter()
-                .map(|e| if e.is_clipped() { e.index_bytes() } else { 0 })
-                .sum::<usize>();
-        let mut dispatchers: Vec<ShardDispatcher> =
-            (0..engines.len()).map(make_dispatcher).collect();
+        let engine = SpEngineBuilder::new()
+            .traffic(self.config.traffic)
+            .build(network.clone());
+        let full_build_seconds = setup_t0.elapsed().as_secs_f64();
+        let label_bytes = engine.index_bytes();
+        let mut boxed: Vec<ShardDispatcher> = (0..regions.len()).map(make_dispatcher).collect();
         let setup_seconds = setup_t0.elapsed().as_secs_f64();
-        let lanes = engines
-            .iter()
-            .zip(&mut dispatchers)
-            .map(|(engine, dispatcher)| (engine, dispatcher.as_mut() as &mut dyn Dispatcher))
+        let dispatchers = boxed
+            .iter_mut()
+            .map(|dispatcher| dispatcher.as_mut() as &mut dyn Dispatcher)
             .collect();
         let mut run = ShardedRun::new(
             self.config,
             self.sharding,
-            network,
             regions.clone(),
-            lanes,
+            &engine,
+            dispatchers,
             vehicles,
             true,
         );
@@ -1190,7 +1155,8 @@ impl ShardedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use structride_roadnet::{Point, RoadNetworkBuilder};
+    use crate::dispatcher::testing::Greedy;
+    use structride_roadnet::{Point, RoadNetworkBuilder, TrafficConfig, TrafficProfile};
 
     fn two_cluster_network() -> RoadNetwork {
         // Two 3-node clusters 1000 m apart, bridged by one slow edge.
@@ -1233,5 +1199,61 @@ mod tests {
         let d = ShardingConfig::default();
         assert!(d.handoff_band > 0.0);
         assert!(d.rebalance);
+    }
+
+    /// The shared engine rolls once per epoch change, and every lane's
+    /// fleet-index rate follows it: after every roll of a 3-shard rush run,
+    /// each lane's certified rate is the engine's, bit for bit — also on the
+    /// lanes whose turn would never see the shared roll return `true`.
+    #[test]
+    fn every_lane_re_pins_its_rate_after_each_shared_roll() {
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..9 {
+            b.add_node(Point::new(i as f64 * 100.0, 0.0));
+        }
+        for i in 1..9u32 {
+            b.add_bidirectional(i - 1, i, 10.0).unwrap();
+        }
+        let net = b.build().unwrap();
+        let traffic = TrafficConfig {
+            profile: TrafficProfile::Rush,
+            epoch_seconds: 40.0,
+            hour_scale: 20.0,
+            ..TrafficConfig::default()
+        };
+        let config = StructRideConfig::default().with_traffic(traffic);
+        let engine = SpEngineBuilder::new().traffic(traffic).build(net.clone());
+        let mut greedy: Vec<Greedy> = (0..3).map(|_| Greedy { invert: false }).collect();
+        let dispatchers = greedy
+            .iter_mut()
+            .map(|g| g as &mut dyn Dispatcher)
+            .collect();
+        let vehicles = (0..9).map(|i| Vehicle::new(i, i, 4)).collect();
+        let regions = region_strips_for(&net, 3);
+        let mut run = ShardedRun::new(
+            config,
+            ShardingConfig::default(),
+            regions,
+            &engine,
+            dispatchers,
+            vehicles,
+            true,
+        );
+        let free_flow = engine.min_time_per_meter();
+        let mut rates = HashSet::new();
+        for batch in 0..12 {
+            run.step(batch as f64 * 40.0, &[], &mut None, None);
+            let rate = engine.min_time_per_meter();
+            rates.insert(rate.to_bits());
+            for (i, shard) in run.shards.iter().enumerate() {
+                assert_eq!(
+                    shard.lane.fleet_index.min_time_per_meter().to_bits(),
+                    rate.to_bits(),
+                    "shard {i} after the roll of batch {batch}"
+                );
+            }
+        }
+        assert!(run.counters.epoch_rolls >= 11);
+        assert!(rates.len() > 1 && rates.contains(&free_flow.to_bits()));
     }
 }

@@ -540,9 +540,9 @@ impl Simulator {
         ShardedRun::new(
             self.config,
             ShardingConfig::isolated(),
-            network,
             RegionGrid::covering(network.bounding_box(), 1, 1),
-            vec![(engine, dispatcher)],
+            engine,
+            vec![dispatcher],
             vehicles,
             false,
         )

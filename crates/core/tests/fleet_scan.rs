@@ -4,8 +4,8 @@
 //! euclid survivors of the dense scan, reusing the scan's distance.  It must
 //! keep exactly the vehicles that the euclid certificate followed by
 //! `LegBound::lower_bound` keeps, on every engine shape the shareability
-//! screen is tested on: static, rush-rolled, fast-lane zoned (`min_ratio`
-//! 0.5), clipped and clipped-rush.
+//! screen is tested on: static, rush-rolled and fast-lane zoned
+//! (`min_ratio` 0.5).
 
 #[path = "../../sharegraph/tests/support/engines.rs"]
 mod engines;

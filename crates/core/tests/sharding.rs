@@ -1,15 +1,13 @@
 //! Integration tests for the multi-region sharded dispatch pipeline:
 //! single-shard reduction to the monolithic simulator, worker-count
 //! determinism of sharded runs, shard-merge accounting, the partitioner
-//! boundary cases (empty shard, all vehicles in one shard), the
-//! halo-clipped sub-network engine equivalence and the top-m handoff
-//! shortlist.
+//! boundary cases (empty shard, all vehicles in one shard) and the top-m
+//! handoff shortlist.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use structride_core::replay::{diff_traces, TraceMeta, TraceRecorder};
 use structride_core::shard::{
-    halo_vertices, region_grid_for, region_strips_for, ShardDispatcher, ShardedSimulator,
+    region_grid_for, region_strips_for, ShardDispatcher, ShardedReport, ShardedSimulator,
     ShardingConfig,
 };
 use structride_core::{
@@ -20,7 +18,7 @@ use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
 use structride_model::insertion;
-use structride_roadnet::{EpochStore, SpEngineBuilder, SubNetwork, TrafficConfig, TrafficProfile};
+use structride_roadnet::{TrafficConfig, TrafficProfile};
 
 fn sard_factory(config: StructRideConfig) -> impl Fn(usize) -> ShardDispatcher {
     move |_| Box::new(SardDispatcher::new(config))
@@ -82,6 +80,26 @@ fn deterministic_fields(
         m.insertion_evaluations,
         m.groups_enumerated,
     )
+}
+
+/// The aggregate of a multi-shard run is the merge of its per-shard parts.
+/// The shards share one engine, so its query count is booked once, on the
+/// aggregate: every per-shard count reads 0, and the merge equals the
+/// aggregate in every other field.
+fn assert_aggregate_merges_the_parts(report: &ShardedReport, config: &StructRideConfig) {
+    assert!(report.per_shard.iter().all(|m| m.sp_queries == 0));
+    assert!(
+        report.aggregate.sp_queries > 0,
+        "the run's engine answered queries"
+    );
+    let merged = RunMetrics::merge_all(&report.per_shard, &config.cost).expect("parts");
+    assert_eq!(
+        RunMetrics {
+            sp_queries: report.aggregate.sp_queries,
+            ..merged
+        },
+        report.aggregate
+    );
 }
 
 #[test]
@@ -193,8 +211,7 @@ fn aggregate_is_the_merge_of_the_per_shard_parts() {
         &w.name,
     );
     assert_eq!(report.per_shard.len(), 3);
-    let merged = RunMetrics::merge_all(&report.per_shard, &config.cost).expect("parts");
-    assert_eq!(merged, report.aggregate);
+    assert_aggregate_merges_the_parts(&report, &config);
     // Every request was routed to exactly one shard, and the global served
     // set is the disjoint union of the per-shard ones.
     let routed: usize = report.per_shard.iter().map(|m| m.total_requests).sum();
@@ -332,58 +349,6 @@ fn handoff_lets_a_vehicleless_shard_borrow_neighbours() {
     );
 }
 
-/// The halo-correctness property behind the sub-network engines: for every
-/// shard of a real multi-region workload, the halo-clipped engine answers
-/// **every** origin–destination pair — both endpoints in the halo (served by
-/// the per-shard label slice) or not (served by the shared-index fallback) —
-/// bit-identically to a whole-network engine.
-#[test]
-fn halo_clipped_engines_answer_bit_identically_to_the_full_engine() {
-    let w = multi_workload(3);
-    let network = w.network();
-    let store = EpochStore::new(Arc::new(network.clone()), TrafficConfig::none());
-    let all: Vec<u32> = network.nodes().collect();
-    let full = SpEngineBuilder::new().build_clipped(store.clone(), &all);
-    assert!(!full.is_clipped());
-    let band = ShardingConfig::default().handoff_band;
-    let halos = halo_vertices(network, &w.regions, band);
-    assert_eq!(halos.len(), 3);
-
-    let n = network.node_count() as u32;
-    for (shard, halo) in halos.iter().enumerate() {
-        assert!(!halo.is_empty(), "strip regions always hold vertices");
-        let clipped = SpEngineBuilder::new().build_clipped(store.clone(), halo);
-        assert!(clipped.is_clipped(), "3-strip halos never cover everything");
-        let clip = SubNetwork::extract(network, halo).expect("halo vertices are in range");
-        assert_eq!(clip.len(), halo.len());
-        // Every vertex of the shard's own region is inside its halo.
-        for v in network.nodes() {
-            let p = network.coord(v);
-            if w.regions.region_of(p.x, p.y) as usize == shard {
-                assert!(clip.contains(v), "region vertex {v} missing from halo");
-            }
-        }
-        // All pairs over a deterministic sample of sources (halo + outside),
-        // all destinations: bit-identical to the full engine.
-        let sources: Vec<u32> = (0..n).step_by(7).collect();
-        for &s in &sources {
-            for t in (0..n).step_by(5) {
-                let c = clipped.cost_uncached(s, t);
-                let f = full.cost_uncached(s, t);
-                assert_eq!(
-                    c.to_bits(),
-                    f.to_bits(),
-                    "shard {shard}: ({s},{t}) clipped={c} full={f}"
-                );
-            }
-        }
-        assert!(
-            clipped.index_bytes() < full.index_bytes(),
-            "a 3-strip halo slice must be smaller than the full index"
-        );
-    }
-}
-
 /// The exactness of the handoff-shortlist prescreen: whenever an exact
 /// insertion is feasible, the vehicle's certified reachability lower bound
 /// (`free_at + min_time_per_meter × euclidean(vehicle, pickup)`) meets the
@@ -434,9 +399,7 @@ fn reachability_prescreen_never_drops_a_feasible_bidder() {
 /// The batched many-to-many kernel behind the prescreened candidate scoring:
 /// on a real multi-region network, `SpEngine::many_to_many` answers every
 /// (source, target) pair bit-identically to the pairwise `cost_uncached`
-/// queries it replaces — through the full hub-label index and through a
-/// halo-clipped per-shard slice (which may route whole matrices to the
-/// shared-index fallback).
+/// queries it replaces.
 #[test]
 fn many_to_many_matches_pairwise_queries_bit_for_bit() {
     let w = multi_workload(3);
@@ -462,13 +425,6 @@ fn many_to_many_matches_pairwise_queries_bit_for_bit() {
         }
     };
     check(&w.engine, "full index");
-
-    let store = EpochStore::new(Arc::new(network.clone()), TrafficConfig::none());
-    let band = ShardingConfig::default().handoff_band;
-    let halo = &halo_vertices(network, &w.regions, band)[1];
-    let clipped = SpEngineBuilder::new().build_clipped(store, halo);
-    assert!(clipped.is_clipped());
-    check(&clipped, "halo-clipped slice");
 }
 
 /// The certified prescreen end to end: driving the SARD dispatcher over the
@@ -614,8 +570,7 @@ fn two_by_three_grid_sharding_runs_and_merges() {
     let routed: usize = report.per_shard.iter().map(|m| m.total_requests).sum();
     assert_eq!(routed, w.requests.len());
     assert!(report.aggregate.served_requests > 0);
-    let merged = RunMetrics::merge_all(&report.per_shard, &config.cost).expect("parts");
-    assert_eq!(merged, report.aggregate);
+    assert_aggregate_merges_the_parts(&report, &config);
     assert!(report.label_bytes > 0);
     assert!(report.full_build_seconds > 0.0);
     assert!(report.setup_seconds >= report.full_build_seconds);
@@ -774,8 +729,7 @@ fn shard_outage_fails_over_requests_and_keeps_exact_accounting() {
     for id in &report1.served {
         assert!(delivered.contains(id), "served request {id} was delivered");
     }
-    let merged = RunMetrics::merge_all(&report1.per_shard, &config.cost).expect("parts");
-    assert_eq!(merged, report1.aggregate);
+    assert_aggregate_merges_the_parts(&report1, &config);
 
     // The degraded pipeline keeps the standing determinism invariant.
     let drift = diff_traces(&trace1, &trace8);

@@ -6,11 +6,14 @@
 //! labels), which is the "#Shortest Path Queries" column of the paper's
 //! Table V and Table VI angle-pruning ablation.
 //!
-//! Every engine is assembled from an [`EpochStore`] and reads its current
-//! epoch — index, profile scale, certified rates, epoch number — from one
+//! Every engine is assembled from an `EpochStore` — the free-flow labels,
+//! the landmark table and a memo of zone artifacts — and reads its current
+//! epoch — labels, profile scale, certified rates, epoch number — from one
 //! slot.  A static engine's slot is fixed at build and read without a lock;
 //! a traffic engine's slot sits behind the lock that
-//! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.
+//! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.  A run builds one
+//! engine and lends it to every shard, as the paper puts one hub-label
+//! index behind one cache (§V-A).
 //!
 //! The cache stands where the paper puts its LRU cache (after Huang et al.),
 //! with a different replacement policy.  It is a fixed table of 4-way sets
@@ -41,9 +44,8 @@
 
 use crate::cache::SpCache;
 use crate::graph::{NodeId, Point, RoadNetwork, LOWER_BOUND_GRACE};
-use crate::hub_labels::{BuildPlan, HubLabels};
+use crate::hub_labels::HubLabels;
 use crate::landmarks::Landmarks;
-use crate::subnet::SubNetwork;
 use crate::traffic::{EpochSignature, TrafficConfig, TrafficEpoch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,13 +96,9 @@ impl SpEngineBuilder {
     /// [`SpEngineBuilder::build`] produce a **self-rolling** engine: the
     /// caller drives [`SpEngine::roll_epoch_to`] from the batch clock and
     /// the engine takes on the covering epoch's profile scale and, when the
-    /// zone activity changes, its artifacts — zone-reweighted network,
-    /// label index, certified rates — from its [`EpochStore`] at every
+    /// zone activity changes, its label index and certified rates at every
     /// epoch boundary.  A static config (the default) gives an engine whose
     /// one epoch slot is fixed at build and read without a lock.
-    ///
-    /// [`build_clipped`](Self::build_clipped) ignores this knob: its store
-    /// carries the traffic model.
     pub fn traffic(mut self, config: TrafficConfig) -> Self {
         self.traffic = config;
         self
@@ -108,55 +106,26 @@ impl SpEngineBuilder {
 
     /// Builds the engine for the given road network.  With a non-static
     /// [`SpEngineBuilder::traffic`] config, `net` is the free-flow base
-    /// network and the engine starts in the epoch covering `now = 0`,
-    /// rolling through its own private [`EpochStore`].
+    /// network and the engine starts in the epoch covering `now = 0`.
     pub fn build(self, net: RoadNetwork) -> SpEngine {
         let store = EpochStore::new(Arc::new(net), self.traffic);
-        self.assemble(store, None)
+        self.assemble(store)
     }
 
-    /// Builds a **halo-clipped** engine over a shared [`EpochStore`]: the
-    /// sub-network of the store's network induced by `halo` is extracted
-    /// and the initial epoch's labels are restricted to it
-    /// ([`HubLabels::restrict_to`]), giving the engine a compact local index
-    /// over just the clip.  Queries translate global vertex ids at the
-    /// boundary, so callers are unchanged; queries with an endpoint outside
-    /// the halo fall back to the shared full index (counted by
-    /// [`SpEngine::fallback_queries`]).  Every answer — local or fallback —
-    /// is bit-identical to what a whole-network engine returns, because the
-    /// restricted label vectors are verbatim copies of the full ones.
-    ///
-    /// An empty `halo` yields an engine that answers everything through the
-    /// fallback; a `halo` covering the whole network yields a plain full
-    /// engine sharing the store's labels (no duplication).
-    ///
-    /// Over a static store the clip is fixed.  Over a traffic store the
-    /// engine re-derives its clip from each subsequent epoch's artifacts
-    /// inside [`SpEngine::roll_epoch_to`] — including the shard-selective
-    /// skip that keeps the clip, slice and cache alive when no halo vertex
-    /// was touched by the transition.
-    ///
-    /// # Panics
-    /// Panics if `halo` names a vertex outside the store's network.
-    pub fn build_clipped(self, store: Arc<EpochStore>, halo: &[NodeId]) -> SpEngine {
-        self.assemble(store, Some(halo))
-    }
-
-    /// Assembles an engine from `store`'s initial epoch, clipped to `halo`
-    /// if given, sharing the store's network and landmark table.  A static
-    /// store gives a fixed slot whose weight ratio is exactly 1 (its
-    /// network *is* the landmark table's); any other store a rolling one.
-    fn assemble(self, store: Arc<EpochStore>, halo: Option<&[NodeId]>) -> SpEngine {
-        let artifact = store.initial_artifacts();
+    /// Assembles an engine from `store`'s initial epoch, sharing the
+    /// store's network and landmark table.  A static store gives a fixed
+    /// slot whose weight ratio is exactly 1 (its network *is* the landmark
+    /// table's); any other store a rolling one.
+    fn assemble(self, store: Arc<EpochStore>) -> SpEngine {
         let epoch = store.initial_epoch();
         let mut current = EpochSlot {
             epoch: epoch.index,
-            index: epoch_index(&artifact, halo),
+            artifact: store.initial_artifacts(),
             scale: 1.0,
             min_tpm: 0.0,
             min_ratio: 0.0,
         };
-        current.rescale(epoch.scale(), &artifact);
+        current.rescale(epoch.scale());
         let (net, landmarks) = (store.base().clone(), store.landmarks.clone());
         let epochs = if store.config().is_static() {
             // The landmark table's own network: exactly 1, also where
@@ -166,10 +135,7 @@ impl SpEngineBuilder {
         } else {
             Epochs::Rolling(Box::new(TrafficRuntime {
                 store,
-                halo: halo.map(<[NodeId]>::to_vec),
-                slot: RwLock::new(RollingSlot { current, artifact }),
-                slice_refreshes: AtomicU64::new(0),
-                fallback_mark: AtomicU64::new(0),
+                slot: RwLock::new(current),
             }))
         };
         SpEngine {
@@ -179,7 +145,6 @@ impl SpEngineBuilder {
             cache: SpCache::new(self.cache_capacity),
             same_node_queries: AtomicU64::new(0),
             index_queries: AtomicU64::new(0),
-            fallback_queries: AtomicU64::new(0),
         }
     }
 }
@@ -194,35 +159,15 @@ enum Epochs {
     Rolling(Box<TrafficRuntime>),
 }
 
-/// The interior state of a self-rolling traffic engine: the shared store
-/// plus the current epoch behind a read-write lock.  The lock is only ever
-/// written by [`SpEngine::roll_epoch_to`], which the pipelines call at
-/// quiescent batch boundaries (no concurrent queries in flight); during a
-/// batch every worker thread takes cheap uncontended read locks.
+/// The interior state of a self-rolling traffic engine: its store plus the
+/// current epoch behind a read-write lock.  The lock is only ever written
+/// by [`SpEngine::roll_epoch_to`], which the pipelines call at quiescent
+/// batch boundaries (no concurrent queries in flight); during a batch every
+/// worker thread takes cheap uncontended read locks.
 #[derive(Debug)]
 struct TrafficRuntime {
     store: Arc<EpochStore>,
-    /// `Some(halo)` for clipped engines: the engine re-derives its clip and
-    /// label slice from each epoch's artifacts (or keeps them across a roll
-    /// that provably left every halo vertex untouched).
-    halo: Option<Vec<NodeId>>,
-    slot: RwLock<RollingSlot>,
-    /// Clipped-engine rolls that re-cut the halo sub-network and label
-    /// slice (the complement of the Tier-3 "shard untouched, keep it" skip).
-    slice_refreshes: AtomicU64,
-    /// `fallback_queries` at the instant the cache was last cleared.  A
-    /// Tier-3 skip may keep the cache only when this still matches: cached
-    /// fallback answers involve out-of-halo vertices whose costs the roll
-    /// may have changed.
-    fallback_mark: AtomicU64,
-}
-
-/// A rolling engine's slot: the current epoch plus the shared artifacts it
-/// was cut from, which the next roll compares against.
-#[derive(Debug)]
-struct RollingSlot {
-    current: EpochSlot,
-    artifact: Arc<EpochArtifacts>,
+    slot: RwLock<EpochSlot>,
 }
 
 /// What every query reads about the current epoch.
@@ -230,10 +175,11 @@ struct RollingSlot {
 struct EpochSlot {
     /// The traffic epoch index (0 on a static engine).
     epoch: u64,
-    /// The engine-local index: full, or clipped to this engine's halo.
-    index: SpIndex,
-    /// The epoch's profile factor ([`TrafficEpoch::scale`]): every answer
-    /// of `index` is multiplied by it.  Exactly 1 on a static engine and in
+    /// The artifacts of the epoch's zone activity: the labels every index
+    /// query reads, and the unscaled certified rates.
+    artifact: Arc<EpochArtifacts>,
+    /// The epoch's profile factor ([`TrafficEpoch::scale`]): every label
+    /// answer is multiplied by it.  Exactly 1 on a static engine and in
     /// free-flow hours, where `1.0 × x == x` bit for bit.
     scale: f64,
     /// The certified `min_time_per_meter` of the epoch's travel times.
@@ -244,127 +190,55 @@ struct EpochSlot {
 }
 
 impl EpochSlot {
-    /// Sets the epoch's profile `scale` and the certified rates of
-    /// `artifact`'s zone activity under it.  Rounding is monotone, so `f ⊗
-    /// d_z ≥ f ⊗ (rate × euclid)` and `f ⊗ d_z ≥ f ⊗ (ratio × lb)` hold
-    /// within the bounds' grace whenever the unscaled ones do.
-    fn rescale(&mut self, scale: f64, artifact: &EpochArtifacts) {
+    /// Sets the epoch's profile `scale` and the certified rates of the
+    /// slot's zone activity under it.  Rounding is monotone, so `f ⊗ d_z ≥
+    /// f ⊗ (rate × euclid)` and `f ⊗ d_z ≥ f ⊗ (ratio × lb)` hold within the
+    /// bounds' grace whenever the unscaled ones do.
+    fn rescale(&mut self, scale: f64) {
         self.scale = scale;
-        self.min_tpm = scale * artifact.min_tpm();
-        self.min_ratio = scale * artifact.min_ratio();
+        self.min_tpm = scale * self.artifact.min_tpm;
+        self.min_ratio = scale * self.artifact.min_ratio;
     }
-}
-
-/// The index an engine queries in `artifact`'s epoch: the epoch's full
-/// labels, or for a clipped engine the sub-network of the epoch's network
-/// induced by `halo` plus the label slice restricted to it.  An empty halo
-/// answers everything through the full labels, and a halo covering the
-/// network is a plain full engine sharing them.
-fn epoch_index(artifact: &EpochArtifacts, halo: Option<&[NodeId]>) -> SpIndex {
-    let labels = artifact.labels();
-    let Some(halo) = halo else {
-        return SpIndex::Full(labels.clone());
-    };
-    if halo.is_empty() {
-        return SpIndex::FallbackOnly {
-            full: labels.clone(),
-        };
-    }
-    let sub = SubNetwork::extract(artifact.net(), halo).expect("halo vertices must be in range");
-    if sub.covers_parent() {
-        return SpIndex::Full(labels.clone());
-    }
-    let slice = labels.restrict_to(sub.to_global());
-    SpIndex::Clipped {
-        sub: Box::new(sub),
-        slice,
-        full: labels.clone(),
-    }
-}
-
-/// How an [`SpEngine`] resolves index queries (cache misses).
-#[derive(Debug)]
-enum SpIndex {
-    /// A hub-label index over the whole network (possibly shared).
-    Full(Arc<HubLabels>),
-    /// A halo-clipped engine: a compact label slice over the clip answers
-    /// in-halo pairs; everything else goes to the shared full index.
-    Clipped {
-        sub: Box<SubNetwork>,
-        slice: HubLabels,
-        full: Arc<HubLabels>,
-    },
-    /// A clipped engine whose halo is empty (e.g. a shard whose region holds
-    /// no road-network vertex): every query uses the shared full index.
-    FallbackOnly { full: Arc<HubLabels> },
 }
 
 /// The shared artifacts of one zone activity ([`TrafficEpoch::signature`]):
-/// the network reweighted by the active zones' factors alone, its label
-/// index, its certified rates, and — for zoned artifacts — the set of
-/// vertices the zones actually touched.  The profile factor is not in
+/// the label index of the base network reweighted by the active zones'
+/// factors alone, and its certified rates.  The profile factor is not in
 /// here: an epoch's travel time is these labels' answer times the epoch's
 /// [`TrafficEpoch::scale`], so one artifact serves every profile hour with
 /// the same zone activity.
 ///
-/// Artifacts are a pure function of `(base network, signature)`: the
-/// scoped [`BuildPlan::repair`] is bit-identical under any worker count and
-/// to a wholesale [`HubLabels::build`], so it never matters *when* an
-/// artifact was produced — which is what makes the memo sound.
+/// Artifacts are a pure function of `(base network, signature)`:
+/// [`HubLabels::build`] is bit-identical under any worker count, so it
+/// never matters *when* an artifact was produced — which is what makes the
+/// memo sound.
 #[derive(Debug)]
-pub struct EpochArtifacts {
-    net: Arc<RoadNetwork>,
-    labels: Arc<HubLabels>,
+pub(crate) struct EpochArtifacts {
+    labels: HubLabels,
+    /// The certified `min_time_per_meter` of the zone-reweighted network,
+    /// before the epoch's profile scale.
     min_tpm: f64,
     /// The smallest zone-reweighted weight ÷ base weight over all edges
-    /// (see [`RoadNetwork::min_weight_ratio`]): scales the base network's
-    /// landmark bound to this zone activity.
+    /// (see [`RoadNetwork::min_weight_ratio`]), before the epoch's profile
+    /// scale: scales the base network's landmark bound to this zone
+    /// activity.
     min_ratio: f64,
-    /// For zoned artifacts: `changed[v]` iff `v`'s label vectors or an
-    /// incident edge weight differ from the free-flow base.  `None` for the
-    /// zone-free artifact (the empty set).
-    changed: Option<Vec<bool>>,
 }
 
 impl EpochArtifacts {
-    /// The zone-reweighted road network (the shared free-flow base when no
-    /// zone is active).
-    pub fn net(&self) -> &Arc<RoadNetwork> {
-        &self.net
-    }
-
-    /// The hub-label index of [`EpochArtifacts::net`].
-    pub fn labels(&self) -> &Arc<HubLabels> {
-        &self.labels
-    }
-
-    /// The certified `min_time_per_meter` of the zone-reweighted network,
-    /// before the epoch's profile scale.
-    pub fn min_tpm(&self) -> f64 {
-        self.min_tpm
-    }
-
-    /// The smallest zone weight ratio over the free-flow base, before the
-    /// epoch's profile scale: every travel time of the zone-reweighted
-    /// network is at least this factor times the base one.
-    pub fn min_ratio(&self) -> f64 {
-        self.min_ratio
-    }
-
-    /// True when some vertex of `halo` was touched by this artifact's zone
-    /// activity — its label vectors or an incident edge weight differ from
-    /// the free-flow base.  Always false for the zone-free artifact.
-    pub fn changed_intersects(&self, halo: &[NodeId]) -> bool {
-        match &self.changed {
-            None => false,
-            Some(changed) => halo.iter().any(|&v| changed[v as usize]),
+    /// The artifacts of `net`, the base network reweighted by one zone
+    /// activity (the base itself when no zone is active).
+    fn build(net: &RoadNetwork, base: &RoadNetwork) -> Self {
+        EpochArtifacts {
+            labels: HubLabels::build(net),
+            min_tpm: net.min_time_per_meter(),
+            min_ratio: net.min_weight_ratio(base),
         }
     }
 }
 
-/// Memoized per-zone-activity artifacts, shared by every engine rolling
-/// through the same traffic model, and the one landmark table those
-/// engines share.
+/// Memoized per-zone-activity artifacts, shared by every epoch of one
+/// engine's traffic model, and the engine's landmark table.
 ///
 /// Every [`SpEngine`] is built from a store, static ones included.  The
 /// store builds the free-flow base's labels once, at creation; a store
@@ -376,27 +250,24 @@ impl EpochArtifacts {
 ///   v)`: the free-flow labels' answer times the profile factor `f`,
 ///   rounded once.  This is the epoch's metric by definition; it is not
 ///   meant to equal, bit for bit, a label build over edges each scaled by
-///   `f` (the builder's sums would round differently, see [`BuildPlan`]).
+///   `f`.  Stored label floats are never rescaled either: the builder's
+///   prune check compares two sums of one path length accumulated in
+///   different orders, and scaling every weight re-rounds both sides
+///   independently, so knife-edge settle / prune decisions would flip.
+///   The scale is applied to answers, never to labels.
 /// * **Zoned epochs** are `f ⊗ d_z`, where `d_z` is the base network
-///   reweighted by the zone factors alone.  Its labels come from a scoped
-///   repair ([`BuildPlan::repair`]) against the base build plan: only
-///   roots whose recorded searches touched a reweighted vertex re-search;
-///   everything else is spliced in verbatim.  The artifact also records
-///   *which* vertices changed, which is what lets clipped engines keep their
-///   clip when their halo was not touched (Tier 3).  Artifacts are keyed by
-///   zone activity alone ([`TrafficEpoch::signature`]), so every profile
-///   hour with the same active zones shares one repair.
+///   reweighted by the zone factors alone.  Its labels are one wholesale
+///   [`HubLabels::build`] of that network.  Artifacts are keyed by zone
+///   activity alone ([`TrafficEpoch::signature`]), so every profile hour
+///   with the same active zones shares one build.
 #[derive(Debug)]
-pub struct EpochStore {
+pub(crate) struct EpochStore {
     base: Arc<RoadNetwork>,
     config: TrafficConfig,
     initial_epoch: TrafficEpoch,
-    /// The base labels' recorded construction, kept only when the config
-    /// carries zones that could demand a scoped repair against it.
-    plan: Option<BuildPlan>,
     memo: Mutex<HashMap<EpochSignature, Arc<EpochArtifacts>>>,
-    /// The free-flow base's landmark table, shared by every engine built
-    /// from this store: each epoch scales it by its `min_ratio`.
+    /// The free-flow base's landmark table, shared by the engine and every
+    /// epoch: each epoch scales it by its `min_ratio`.
     landmarks: Arc<Landmarks>,
 }
 
@@ -404,27 +275,14 @@ impl EpochStore {
     /// Builds the store: the free-flow base's labels and landmark table,
     /// and the artifacts of the epoch covering `now = 0` if it is zoned —
     /// the setup-time cost.
-    pub fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Arc<Self> {
-        let (labels, plan) = if config.zones().next().is_some() {
-            let (labels, plan) = HubLabels::build_with_plan(&base);
-            (labels, Some(plan))
-        } else {
-            (HubLabels::build(&base), None)
-        };
-        let free_flow = EpochArtifacts {
-            min_tpm: base.min_time_per_meter(),
-            min_ratio: base.min_weight_ratio(&base),
-            net: base.clone(),
-            labels: Arc::new(labels),
-            changed: None,
-        };
+    pub(crate) fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Arc<Self> {
+        let free_flow = EpochArtifacts::build(&base, &base);
         let memo = HashMap::from([(EpochSignature::default(), Arc::new(free_flow))]);
         let store = EpochStore {
             landmarks: Arc::new(Landmarks::build(&base)),
             base,
             config,
             initial_epoch: config.epoch_at(0.0),
-            plan,
             memo: Mutex::new(memo),
         };
         // The initial epoch's artifacts are part of setup.
@@ -432,61 +290,43 @@ impl EpochStore {
         Arc::new(store)
     }
 
-    /// The traffic model every sharing engine rolls by.
-    pub fn config(&self) -> TrafficConfig {
+    /// The traffic model the engine rolls by.
+    pub(crate) fn config(&self) -> TrafficConfig {
         self.config
     }
 
     /// The free-flow base network all artifacts reweight.
-    pub fn base(&self) -> &Arc<RoadNetwork> {
+    pub(crate) fn base(&self) -> &Arc<RoadNetwork> {
         &self.base
     }
 
     /// The epoch covering `now = 0`.
-    pub fn initial_epoch(&self) -> TrafficEpoch {
+    pub(crate) fn initial_epoch(&self) -> TrafficEpoch {
         self.initial_epoch
     }
 
     /// The artifacts of the epoch covering `now = 0` (built at store
     /// creation).
-    pub fn initial_artifacts(&self) -> Arc<EpochArtifacts> {
+    pub(crate) fn initial_artifacts(&self) -> Arc<EpochArtifacts> {
         self.artifacts_for(&self.initial_epoch)
     }
 
-    /// The artifacts for `epoch`'s zone activity: a memo hit, or a scoped
-    /// repair of the base labels for a zone activity not seen before.
-    pub fn artifacts_for(&self, epoch: &TrafficEpoch) -> Arc<EpochArtifacts> {
+    /// The artifacts for `epoch`'s zone activity: a memo hit, or a label
+    /// build of the zone-reweighted base for a zone activity not seen
+    /// before.
+    pub(crate) fn artifacts_for(&self, epoch: &TrafficEpoch) -> Arc<EpochArtifacts> {
         let mut memo = self
             .memo
             .lock()
             .expect("no epoch-store build panics holding the memo");
         memo.entry(epoch.signature())
-            .or_insert_with(|| Arc::new(self.build_zoned_artifacts(epoch)))
+            .or_insert_with(|| {
+                let net = self
+                    .base
+                    .reweighted(|from, to| epoch.zone_multiplier(from, to));
+                Arc::new(EpochArtifacts::build(&net, &self.base))
+            })
             .clone()
-    }
-
-    /// Builds the artifacts of a zoned epoch by scoped repair against the
-    /// base: reweight by the zone factors with per-edge flags, re-search
-    /// only the roots whose recorded searches touched a flagged vertex,
-    /// splice everything else in verbatim ([`BuildPlan::repair`] —
-    /// bit-identical to a wholesale `HubLabels::build` over the reweighted
-    /// network).
-    fn build_zoned_artifacts(&self, epoch: &TrafficEpoch) -> EpochArtifacts {
-        let (net, seeds) = self
-            .base
-            .reweighted_with_flags(|from, to| epoch.zone_multiplier(from, to));
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("a store whose config carries zones records the base build plan");
-        let repair = plan.repair(&net, &seeds);
-        EpochArtifacts {
-            min_tpm: net.min_time_per_meter(),
-            min_ratio: net.min_weight_ratio(&self.base),
-            net: Arc::new(net),
-            labels: Arc::new(repair.labels),
-            changed: Some(repair.changed),
-        }
     }
 }
 
@@ -512,7 +352,6 @@ pub struct SpEngine {
     /// every other `cost()` call as one hit or one miss.
     same_node_queries: AtomicU64,
     index_queries: AtomicU64,
-    fallback_queries: AtomicU64,
 }
 
 impl SpEngine {
@@ -526,7 +365,7 @@ impl SpEngine {
     fn current<R>(&self, read: impl FnOnce(&EpochSlot) -> R) -> R {
         match &self.epochs {
             Epochs::Fixed(slot) => read(slot),
-            Epochs::Rolling(rt) => read(&rt.slot.read().unwrap().current),
+            Epochs::Rolling(rt) => read(&rt.slot.read().unwrap()),
         }
     }
 
@@ -569,25 +408,7 @@ impl SpEngine {
     /// Travel time bypassing the cache (still counted as an index query).
     pub fn cost_uncached(&self, source: NodeId, target: NodeId) -> f64 {
         self.index_queries.fetch_add(1, Ordering::Relaxed);
-        self.current(|slot| {
-            let d = match &slot.index {
-                SpIndex::Full(labels) => labels.query(source, target),
-                SpIndex::Clipped { sub, slice, full } => {
-                    match (sub.local(source), sub.local(target)) {
-                        (Some(ls), Some(lt)) => slice.query(ls, lt),
-                        _ => {
-                            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                            full.query(source, target)
-                        }
-                    }
-                }
-                SpIndex::FallbackOnly { full } => {
-                    self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                    full.query(source, target)
-                }
-            };
-            slot.scale * d
-        })
+        self.current(|slot| slot.scale * slot.artifact.labels.query(source, target))
     }
 
     /// Batched exact |S|×|T| travel-time matrix (row-major: entry
@@ -603,43 +424,13 @@ impl SpEngine {
     /// [`SpEngine::cost_uncached`] call: the kernel takes the minimum over
     /// the same `out + in` sums as the merge, and the minimum of
     /// non-negative, NaN-free floats does not depend on the order they are
-    /// compared in.  Clipped engines answer through their compact label
-    /// slice when every endpoint is inside the halo and through the shared
-    /// full index otherwise (the whole matrix, counted as fallback
-    /// queries); both give the same bits, because restricted label vectors
-    /// are verbatim copies of the full ones.  All |S|·|T| pairs are counted
-    /// as index queries — like every SP counter, subject to no replay
-    /// comparison.
+    /// compared in.  All |S|·|T| pairs are counted as index queries — like
+    /// every SP counter, subject to no replay comparison.
     pub fn many_to_many(&self, sources: &[NodeId], targets: &[NodeId]) -> Vec<f64> {
         let pairs = (sources.len() * targets.len()) as u64;
         self.index_queries.fetch_add(pairs, Ordering::Relaxed);
         self.current(|slot| {
-            let mut matrix = match &slot.index {
-                SpIndex::Full(labels) => labels.many_to_many(sources, targets),
-                SpIndex::Clipped { sub, slice, full } => {
-                    // One id map for both sides; the first endpoint outside
-                    // the halo sends the whole matrix to the full index.
-                    let local: Option<Vec<NodeId>> = sources
-                        .iter()
-                        .chain(targets)
-                        .map(|&v| sub.local(v))
-                        .collect();
-                    match local {
-                        Some(ids) => {
-                            let (ls, lt) = ids.split_at(sources.len());
-                            slice.many_to_many(ls, lt)
-                        }
-                        None => {
-                            self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
-                            full.many_to_many(sources, targets)
-                        }
-                    }
-                }
-                SpIndex::FallbackOnly { full } => {
-                    self.fallback_queries.fetch_add(pairs, Ordering::Relaxed);
-                    full.many_to_many(sources, targets)
-                }
-            };
+            let mut matrix = slot.artifact.labels.many_to_many(sources, targets);
             for d in &mut matrix {
                 *d *= slot.scale;
             }
@@ -647,36 +438,9 @@ impl SpEngine {
         })
     }
 
-    /// True for engines built by [`SpEngineBuilder::build_clipped`] with a
-    /// proper (non-covering) halo, including the empty-halo degenerate
-    /// case.
-    pub fn is_clipped(&self) -> bool {
-        self.current(|slot| {
-            matches!(
-                slot.index,
-                SpIndex::Clipped { .. } | SpIndex::FallbackOnly { .. }
-            )
-        })
-    }
-
-    /// Index queries that left the halo and were answered by the shared full
-    /// index (always 0 for non-clipped engines).  Like
-    /// [`SpStats::index_queries`], this counter is subject to cache-miss
-    /// races under concurrency and is excluded from replay comparisons.
-    pub fn fallback_queries(&self) -> u64 {
-        self.fallback_queries.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of the hub-label index this engine queries locally: the halo
-    /// slice for clipped engines, the full label index otherwise (0 with an
-    /// empty halo).  Shared full indexes reached only via fallback are *not*
-    /// counted — sum them once per pipeline, not per shard.
+    /// Bytes of the hub-label index of the current epoch.
     pub fn index_bytes(&self) -> usize {
-        self.current(|slot| match &slot.index {
-            SpIndex::FallbackOnly { .. } => 0,
-            SpIndex::Full(labels) => labels.approx_bytes(),
-            SpIndex::Clipped { slice, .. } => slice.approx_bytes(),
-        })
+        self.current(|slot| slot.artifact.labels.approx_bytes())
     }
 
     /// Straight-line (Euclidean) distance between the coordinates of two
@@ -724,87 +488,48 @@ impl SpEngine {
         self.current(|slot| slot.epoch)
     }
 
-    /// Advances a self-rolling traffic engine to the epoch covering `now`,
-    /// taking the cheapest sound repair for the transition.  Returns `true`
-    /// when the epoch actually changed.
+    /// Advances a self-rolling traffic engine to the epoch covering `now`.
+    /// Returns `true` when the epoch actually changed.
     ///
-    /// The tiers, cheapest first:
+    /// The steps, cheapest first:
     ///
     /// 1. **Same travel times**: the new epoch has the current zone
     ///    activity ([`TrafficEpoch::signature`]) and profile factor, so the
-    ///    artifacts, clip *and cache* all stay live; only the epoch index
-    ///    advances.
-    /// 2. **Rescale or artifact swap**: a profile-only change keeps the
-    ///    labels and multiplies every answer by the new
-    ///    [`TrafficEpoch::scale`]; a zone flip fetches the new zone
-    ///    activity's artifacts from the shared [`EpochStore`] (memo hit or
-    ///    scoped repair against the base).
-    /// 3. **Shard-selective clip retention**: a clipped engine re-cuts its
-    ///    sub-network and label slice only when zone activity intersects
-    ///    its halo on either side of the roll.  Otherwise the clip is
-    ///    retained against the new full index.  The cache survives too if
-    ///    the scale did not change and no fallback query escaped the halo
-    ///    since it was last cleared.
+    ///    labels *and cache* stay live; only the epoch index advances.
+    /// 2. **Rescale**: a profile-only change keeps the labels and multiplies
+    ///    every answer by the new [`TrafficEpoch::scale`].
+    /// 3. **Fetch or build the zone artifact**: a zone flip takes the new
+    ///    zone activity's labels from the engine's memo, or builds them
+    ///    wholesale over the zone-reweighted base the first time.
     ///
-    /// Static engines return `false` unconditionally, so pipelines can call
-    /// this every batch without guarding.  Must be called from the batch
-    /// control thread at a quiescent point — concurrent `cost()` callers in
-    /// the same instant could cache a fresh-epoch value under the old tag.
+    /// Steps 2 and 3 retire every cache entry.  Static engines return
+    /// `false` unconditionally, so pipelines can call this every batch
+    /// without guarding.  Must be called from the batch control thread at
+    /// a quiescent point — concurrent `cost()` callers in the same instant
+    /// could cache a fresh-epoch value under the old tag.
     pub fn roll_epoch_to(&self, now: f64) -> bool {
         let Epochs::Rolling(rt) = &self.epochs else {
             return false;
         };
         let epoch = rt.store.config().epoch_at(now);
-        if rt.slot.read().unwrap().current.epoch == epoch.index {
+        if rt.slot.read().unwrap().epoch == epoch.index {
             return false;
         }
         let mut slot = rt.slot.write().unwrap();
-        let RollingSlot {
-            current,
-            artifact: old,
-        } = &mut *slot;
-        if current.epoch == epoch.index {
+        if slot.epoch == epoch.index {
             return false;
         }
-        current.epoch = epoch.index;
+        slot.epoch = epoch.index;
         let artifact = rt.store.artifacts_for(&epoch);
-        let relabeled = !Arc::ptr_eq(&artifact, old);
-        let rescaled = current.scale.to_bits() != epoch.scale().to_bits();
-        if !relabeled && !rescaled {
-            // Tier 1: identical travel times — everything stays live.
-            return true;
-        }
-        let kept_index = match (&rt.halo, &mut current.index) {
-            (Some(halo), SpIndex::Clipped { full, .. })
-                if !old.changed_intersects(halo) && !artifact.changed_intersects(halo) =>
-            {
-                // Tier 3: no zone touches the halo on either side, so the
-                // sub-network and label slice are bit-equal to fresh cuts;
-                // only the fallback index moves to the new artifact.
-                *full = artifact.labels().clone();
-                true
-            }
-            // A profile-only roll: the same labels, nothing to re-cut.
-            _ => !relabeled,
-        };
-        if !kept_index {
-            if rt.halo.is_some() {
-                rt.slice_refreshes.fetch_add(1, Ordering::Relaxed);
-            }
-            current.index = epoch_index(&artifact, rt.halo.as_deref());
-        }
-        current.rescale(epoch.scale(), &artifact);
-        *old = artifact;
-        drop(slot);
-        // Cache tag: under the same scale, entries answered through a
-        // retained index stayed inside the halo, where no weight changed —
-        // keep them.  A new scale changes every answer, and any fallback
-        // since the last clear may have crossed reweighted edges; either
-        // way the tag must advance, which retires every old entry.
-        let fallbacks = self.fallback_queries.load(Ordering::Relaxed);
-        if rescaled || !(kept_index && fallbacks == rt.fallback_mark.load(Ordering::Relaxed)) {
+        let relabeled = !Arc::ptr_eq(&artifact, &slot.artifact);
+        let rescaled = slot.scale.to_bits() != epoch.scale().to_bits();
+        if relabeled || rescaled {
+            slot.artifact = artifact;
+            slot.rescale(epoch.scale());
+            drop(slot);
+            // Every answer may have changed: advance the key tag, which
+            // retires every old entry.
             self.cache.retire();
-            rt.fallback_mark.store(fallbacks, Ordering::Relaxed);
         }
         true
     }
@@ -835,27 +560,11 @@ impl SpEngine {
         }
     }
 
-    /// Weight-changing rolls on which this clipped engine actually re-cut
-    /// its sub-network and label slice — the complement of the Tier-3 skip.
-    /// 0 for static and non-clipped engines.
-    pub fn slice_refreshes(&self) -> u64 {
-        match &self.epochs {
-            Epochs::Fixed(_) => 0,
-            Epochs::Rolling(rt) => rt.slice_refreshes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Approximate heap footprint (graph + locally queried labels + clip
-    /// maps + cache) in bytes.  The network and any shared full index may be
-    /// `Arc`-shared with other engines; they are counted here as if owned.
+    /// Approximate heap footprint (graph + current labels + cache +
+    /// landmark table) in bytes.
     pub fn approx_bytes(&self) -> usize {
-        let clip_bytes = self.current(|slot| match &slot.index {
-            SpIndex::Clipped { sub, .. } => sub.approx_bytes(),
-            _ => 0,
-        });
         self.net.approx_bytes()
             + self.index_bytes()
-            + clip_bytes
             + self.cache.approx_bytes()
             + self.landmarks.approx_bytes()
     }
@@ -873,8 +582,7 @@ impl SpEngine {
 ///   zone-weighted path costs at least the zone ratio times its base cost,
 ///   edge by edge, and the scale multiplies both sides, so `d'(u, v) ≥
 ///   ratio · d(u, v) ≥ ratio · lb(u, v)`.  That holds for ratios below 1 too, so zones that speed
-///   edges up stay sound.  Halo-clipped engines answer exactly what the full
-///   index answers, so the full network's table serves them as well.
+///   edges up stay sound.
 /// * Both hold in exact arithmetic.  The computed costs and bounds are sums,
 ///   differences and products of rounded distances, each within a few ulps
 ///   of 10⁴-second values, far inside the one-second grace.
@@ -1005,101 +713,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn clipped_engine_is_bit_identical_to_the_full_engine_everywhere() {
-        let net = Arc::new(line_graph(24));
-        let full = SpEngineBuilder::new().build(line_graph(24));
-        let store = EpochStore::new(net.clone(), TrafficConfig::none());
-        let labels = store.initial_artifacts().labels().clone();
-        // Halo = nodes 4..=11; queries inside hit the slice, any endpoint
-        // outside falls back to the shared full index.
-        let halo: Vec<u32> = (4..12).collect();
-        let clipped = SpEngineBuilder::new().build_clipped(store.clone(), &halo);
-        assert!(clipped.is_clipped());
-        let sub = SubNetwork::extract(&net, &halo).unwrap();
-        assert_eq!(sub.len(), 8);
-        assert_eq!(
-            clipped.index_bytes(),
-            labels.restrict_to(sub.to_global()).approx_bytes()
-        );
-        for s in 0..24u32 {
-            for t in 0..24u32 {
-                assert_eq!(
-                    clipped.cost_uncached(s, t).to_bits(),
-                    full.cost_uncached(s, t).to_bits(),
-                    "({s},{t}) must be bit-identical, in or out of the halo"
-                );
-            }
-        }
-        assert!(clipped.fallback_queries() > 0);
-        assert_eq!(full.fallback_queries(), 0);
-        assert!(clipped.index_bytes() < full.index_bytes());
-        // Cached path agrees too.
-        assert_eq!(clipped.cost(2, 20).to_bits(), full.cost(2, 20).to_bits());
-
-        // A halo covering everything degenerates to a full engine sharing
-        // the index; an empty halo to a fallback-only engine.
-        let all: Vec<u32> = (0..24).collect();
-        let covering = SpEngineBuilder::new().build_clipped(store.clone(), &all);
-        assert!(!covering.is_clipped());
-        assert_eq!(covering.index_bytes(), full.index_bytes());
-        let empty = SpEngineBuilder::new().build_clipped(store, &[]);
-        assert!(empty.is_clipped());
-        assert_eq!(empty.index_bytes(), 0);
-        assert_eq!(
-            empty.cost_uncached(0, 23).to_bits(),
-            full.cost_uncached(0, 23).to_bits()
-        );
-        assert_eq!(empty.fallback_queries(), 1);
-    }
-
     /// The batched matrix must agree bit for bit with per-pair
-    /// `cost_uncached` for every engine variant: full labels, a clipped
-    /// engine answering in-halo (slice) and mixed (whole-matrix fallback to
-    /// the full index) batches, and both again rolled to a rush-hour peak
-    /// (a traffic engine and a traffic-clipped one over a shared store,
-    /// checked against a private-store engine rolled the same way) — at the
-    /// |S|×1 shape dispatch sends as well as 1×|T| and square, and with the
-    /// calls fanned out over 1, 4 and 8 workers so every worker thread
-    /// brings its own kernel scratch and alternates slice and full index.
+    /// `cost_uncached` for every engine variant: static labels, and a
+    /// traffic engine rolled to a rush-hour peak (checked against a second
+    /// engine rolled the same way) — at the |S|×1 shape dispatch sends as
+    /// well as 1×|T| and square, and with the calls fanned out over 1, 4
+    /// and 8 workers so every worker thread brings its own kernel scratch.
     #[test]
     fn many_to_many_matches_cost_uncached_for_every_engine_variant() {
         use rayon::prelude::*;
-        let net = Arc::new(line_graph(24));
         let full = SpEngineBuilder::new().build(line_graph(24));
-        let halo: Vec<u32> = (4..12).collect();
-        let store = EpochStore::new(net.clone(), TrafficConfig::none());
-        let clipped = SpEngineBuilder::new().build_clipped(store, &halo);
         let rush = SpEngineBuilder::new()
             .traffic(rush_config())
             .build(line_graph(24));
-        let store = EpochStore::new(net, rush_config());
-        let rush_clipped = SpEngineBuilder::new().build_clipped(store, &halo);
         let wholesale = SpEngineBuilder::new()
             .traffic(rush_config())
             .build(line_graph(24));
-        for eng in [&rush, &rush_clipped, &wholesale] {
+        for eng in [&rush, &wholesale] {
             assert!(eng.roll_epoch_to(820.0)); // hour 8: uniform ×1.75
         }
-        // A uniform roll rescales answers and keeps the clip.
-        assert!(rush_clipped.is_clipped());
-        assert_eq!(rush_clipped.slice_refreshes(), 0);
 
-        let in_halo: Vec<u32> = (4..12).collect();
-        let mixed: Vec<u32> = vec![0, 5, 8, 20, 23];
-        // Interleaved so a worker's consecutive calls switch between the
-        // slice (in-halo) and the full index (an endpoint outside).
+        let inner: Vec<u32> = (4..12).collect();
+        let spread: Vec<u32> = vec![0, 5, 8, 20, 23];
         let shapes: Vec<(&[u32], &[u32])> = (0..24usize)
             .flat_map(|k| {
-                let one_inside = &in_halo[k % 8..][..1];
-                let one_mixed = &mixed[k % 5..][..1];
+                let one_inner = &inner[k % 8..][..1];
+                let one_spread = &spread[k % 5..][..1];
                 [
-                    (&in_halo[..], one_inside),
-                    (&mixed[..], one_inside),
-                    (&in_halo[..], one_mixed),
-                    (one_inside, &in_halo[..]),
-                    (&in_halo[..], &in_halo[..]),
-                    (&mixed[..], &mixed[..]),
+                    (&inner[..], one_inner),
+                    (&spread[..], one_inner),
+                    (&inner[..], one_spread),
+                    (one_inner, &inner[..]),
+                    (&inner[..], &inner[..]),
+                    (&spread[..], &spread[..]),
                 ]
             })
             .collect();
@@ -1108,13 +754,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            for (eng, reference) in [
-                (&full, &full),
-                (&clipped, &full),
-                (&rush, &wholesale),
-                (&rush_clipped, &wholesale),
-            ] {
-                let before = eng.fallback_queries();
+            for (eng, reference) in [(&full, &full), (&rush, &wholesale)] {
                 let matrices: Vec<Vec<f64>> = pool.install(|| {
                     shapes
                         .par_iter()
@@ -1133,15 +773,6 @@ mod tests {
                         }
                     }
                 }
-                // Fallbacks are counted per pair of every batch with an
-                // endpoint outside the halo, and only by the clipped engine.
-                let outside_pairs: u64 = shapes
-                    .iter()
-                    .filter(|(s, t)| s.iter().chain(*t).any(|v| !halo.contains(v)))
-                    .map(|(s, t)| (s.len() * t.len()) as u64)
-                    .sum();
-                let expected = if eng.is_clipped() { outside_pairs } else { 0 };
-                assert_eq!(eng.fallback_queries() - before, expected);
             }
         }
     }
@@ -1152,29 +783,6 @@ mod tests {
             epoch_seconds: 100.0,
             hour_scale: 100.0, // one profile hour per epoch
             ..crate::traffic::TrafficConfig::default()
-        }
-    }
-
-    /// Every engine built from one store — full or clipped, static or
-    /// rush — queries the store's one landmark table.
-    #[test]
-    fn engines_of_one_store_share_one_landmark_table() {
-        let net = Arc::new(line_graph(24));
-        for config in [TrafficConfig::none(), rush_config()] {
-            let store = EpochStore::new(net.clone(), config);
-            let engines = [
-                SpEngineBuilder::new().assemble(store.clone(), None),
-                SpEngineBuilder::new().build_clipped(store.clone(), &(0..9).collect::<Vec<_>>()),
-                SpEngineBuilder::new().build_clipped(store.clone(), &(10..21).collect::<Vec<_>>()),
-            ];
-            assert_eq!(engines[0].traffic_config().is_none(), config.is_static());
-            assert!(!engines[0].is_clipped() && engines[1].is_clipped());
-            for pair in engines.windows(2) {
-                assert!(std::ptr::eq(
-                    pair[0].leg_bound().landmarks(),
-                    pair[1].leg_bound().landmarks()
-                ));
-            }
         }
     }
 
@@ -1222,52 +830,43 @@ mod tests {
     /// A zone-free rush store never builds a second label set: every epoch
     /// of the profile day shares the free-flow labels, and its travel times
     /// are the free-flow answer times the profile factor, rounded once —
-    /// through the cache, past it and in the batched matrix, on full and
-    /// clipped engines.  A free-flow hour answers with the static bits.
+    /// through the cache, past it and in the batched matrix.  A free-flow
+    /// hour answers with the static bits.
     #[test]
     fn uniform_epochs_scale_the_free_flow_answer() {
         let base = Arc::new(odd_weight_grid());
         let fixed = SpEngine::new(odd_weight_grid());
         let store = EpochStore::new(base, rush_config());
-        let labels = store.initial_artifacts().labels().clone();
-        let full =
-            SpEngineBuilder::new().build_clipped(store.clone(), &(0..25).collect::<Vec<_>>());
-        let clipped =
-            SpEngineBuilder::new().build_clipped(store.clone(), &(0..12).collect::<Vec<_>>());
-        assert!(!full.is_clipped() && clipped.is_clipped());
+        let free_flow = store.initial_artifacts();
+        let eng = SpEngineBuilder::new().assemble(store.clone());
         let nodes: Vec<u32> = (0..25).collect();
         let mut scales = Vec::new();
         for hour in 0..24 {
             let now = hour as f64 * 100.0 + 50.0;
             let epoch = rush_config().epoch_at(now);
-            assert!(Arc::ptr_eq(store.artifacts_for(&epoch).labels(), &labels));
+            assert!(Arc::ptr_eq(&store.artifacts_for(&epoch), &free_flow));
             let f = epoch.scale();
             scales.push(f);
-            for eng in [&full, &clipped] {
-                eng.roll_epoch_to(now);
-                let matrix = eng.many_to_many(&nodes, &nodes);
-                for (i, &s) in nodes.iter().enumerate() {
-                    for &t in &nodes {
-                        let expected = (f * fixed.cost_uncached(s, t)).to_bits();
-                        assert_eq!(eng.cost(s, t).to_bits(), expected, "hour {hour} ({s},{t})");
-                        assert_eq!(eng.cost_uncached(s, t).to_bits(), expected);
-                        assert_eq!(matrix[i * 25 + t as usize].to_bits(), expected);
-                    }
+            eng.roll_epoch_to(now);
+            let matrix = eng.many_to_many(&nodes, &nodes);
+            for (i, &s) in nodes.iter().enumerate() {
+                for &t in &nodes {
+                    let expected = (f * fixed.cost_uncached(s, t)).to_bits();
+                    assert_eq!(eng.cost(s, t).to_bits(), expected, "hour {hour} ({s},{t})");
+                    assert_eq!(eng.cost_uncached(s, t).to_bits(), expected);
+                    assert_eq!(matrix[i * 25 + t as usize].to_bits(), expected);
                 }
             }
         }
         assert!(scales.iter().any(|&f| f != 1.0), "the day has a peak");
-        assert_eq!(clipped.slice_refreshes(), 0, "uniform rolls keep the clip");
         // Back past the evening tail-off into free flow: the static bits.
-        for eng in [&full, &clipped] {
-            assert!(eng.roll_epoch_to(2_450.0));
-            for s in 0..25u32 {
-                for t in 0..25u32 {
-                    assert_eq!(
-                        eng.cost(s, t).to_bits(),
-                        fixed.cost_uncached(s, t).to_bits()
-                    );
-                }
+        assert!(eng.roll_epoch_to(2_450.0));
+        for s in 0..25u32 {
+            for t in 0..25u32 {
+                assert_eq!(
+                    eng.cost(s, t).to_bits(),
+                    fixed.cost_uncached(s, t).to_bits()
+                );
             }
         }
     }
@@ -1379,21 +978,17 @@ mod tests {
         );
     }
 
-    /// Across a shard-selective roll, an untouched shard's SP cache
-    /// survives (its warm entries keep answering as cache hits) while a
-    /// refreshed shard serves no stale value — every post-roll answer is
-    /// bit-identical to a whole-network traffic engine rolled to the same
-    /// instant, and every engine's leg bound stays below its costs.  Two
-    /// clipped engines over one [`EpochStore`] model the sharded topology:
-    /// a western shard whose halo the congestion zone never touches, and an
-    /// eastern shard inside the zone.  The second input adds a `Custom`
-    /// profile whose factor changes inside and between the zone windows:
-    /// both clips survive its profile-only roll, and both caches retire.
+    /// Across zone flips and profile-only rolls, every answer — cached,
+    /// uncached and batched — is the epoch's scale times a wholesale label
+    /// build of the zone-reweighted network, bit for bit, and the leg bound
+    /// stays below it.  A warm cache entry survives only a roll that keeps
+    /// both the zone activity and the scale; every other roll retires it,
+    /// so no entry answers stale.  The second input adds a `Custom` profile
+    /// whose factor changes inside and between the zone windows.
     #[test]
-    fn shard_selective_roll_keeps_untouched_shard_caches_live_without_stale_hits() {
+    fn zoned_rolls_answer_the_wholesale_build_and_never_serve_stale_hits() {
         // Nodes sit at x = 0, 10, …, 230; the zone covers edge midpoints
-        // from edge 15–16 (x = 155) eastwards, so its changed-node set is
-        // {15, …, 23} — disjoint from the western halo, inside the eastern.
+        // from edge 15–16 (x = 155) eastwards.
         let zone = |from: f64, until: f64| crate::traffic::CongestionZone {
             min_x: 152.0,
             min_y: -5.0,
@@ -1418,149 +1013,37 @@ mod tests {
             profile: crate::traffic::TrafficProfile::Custom(hours),
             ..free_flow
         };
-        let west_halo: Vec<u32> = (0..9).collect();
-        let east_halo: Vec<u32> = (10..21).collect();
-        // A cost through the cache, and whether it was a hit.
-        let cached = |eng: &SpEngine, s: u32, t: u32| {
-            let hits = eng.stats().cache_hits;
-            let d = eng.cost(s, t);
-            (d, eng.stats().cache_hits > hits)
-        };
-        // The leg bound under every cost over `nodes`.  The clipped engines
-        // sweep their halos only, so the sweep adds no fallback query (which
-        // would retire their caches); their out-of-halo answers are the
-        // full index's, swept on the whole-network engine.
-        let bounded = |eng: &SpEngine, nodes: &[u32]| {
-            let bound = eng.leg_bound();
-            for &s in nodes {
-                for &t in nodes {
-                    assert!(bound.lower_bound(s, t) <= eng.cost(s, t), "({s},{t})");
-                }
-            }
-        };
+        let all: Vec<u32> = (0..24).collect();
         for cfg in [free_flow, custom] {
-            let scale = |now: f64| cfg.epoch_at(now).scale();
-            let net = Arc::new(line_graph(24));
-            let store = EpochStore::new(net, cfg);
-            let west = SpEngineBuilder::new().build_clipped(store.clone(), &west_halo);
-            let east = SpEngineBuilder::new().build_clipped(store, &east_halo);
-            let wholesale = SpEngineBuilder::new().traffic(cfg).build(line_graph(24));
-            let all: Vec<u32> = (0..24).collect();
-            let roll = |now: f64| {
-                for eng in [&west, &east, &wholesale] {
-                    assert!(eng.roll_epoch_to(now));
+            let eng = SpEngineBuilder::new().traffic(cfg).build(line_graph(24));
+            let mut previous = cfg.epoch_at(0.0);
+            for now in [150.0, 250.0, 350.0, 450.0] {
+                let warm = eng.cost(10, 20);
+                let epoch = cfg.epoch_at(now);
+                assert!(eng.roll_epoch_to(now));
+                let kept =
+                    epoch.signature() == previous.signature() && epoch.scale() == previous.scale();
+                let hits = eng.stats().cache_hits;
+                let after = eng.cost(10, 20);
+                assert_eq!(eng.stats().cache_hits > hits, kept, "t = {now}");
+                if kept {
+                    assert_eq!(after.to_bits(), warm.to_bits());
                 }
-            };
-            let sweep = || {
-                bounded(&west, &west_halo);
-                bounded(&east, &east_halo);
-                bounded(&wholesale, &all);
-            };
-
-            // Warm both shard caches with in-halo queries (slice-answered).
-            let west_free = west.cost(1, 7);
-            assert_eq!(cached(&west, 1, 7), (west_free, true));
-            let east_free = east.cost(10, 20);
-            assert_eq!(cached(&east, 10, 20), (east_free, true));
-
-            // Roll into the zoned epoch.  The zone misses the western halo
-            // on both sides of the boundary, so the west shard's clip AND
-            // cache survive; the east shard re-cuts its slice and drops its
-            // cache.
-            roll(150.0);
-            assert_eq!(
-                west.slice_refreshes(),
-                0,
-                "untouched shard must keep its clip"
-            );
-            assert_eq!(
-                east.slice_refreshes(),
-                1,
-                "zone-hit shard must re-cut its slice"
-            );
-            assert_eq!(
-                cached(&west, 1, 7),
-                (west_free, true),
-                "untouched shard's warm entry must survive the roll as a live hit"
-            );
-            assert_eq!(
-                west_free.to_bits(),
-                wholesale.cost_uncached(1, 7).to_bits(),
-                "surviving cache entry must still be the wholesale answer"
-            );
-            let (east_peak, hit) = cached(&east, 10, 20);
-            assert!(
-                !hit,
-                "refreshed shard must re-miss: its pre-roll cache is gone"
-            );
-            assert_ne!(
-                east_peak.to_bits(),
-                east_free.to_bits(),
-                "zone must slow the east"
-            );
-            assert_eq!(
-                east_peak.to_bits(),
-                wholesale.cost_uncached(10, 20).to_bits()
-            );
-            sweep();
-
-            // Later in the same window: the same zone activity, and under
-            // the custom profile a new factor.  Neither clip is re-cut and
-            // no query has left a halo, so only a new scale retires the
-            // caches — and then no entry answers stale.
-            let rescaled = scale(250.0) != scale(150.0);
-            assert_eq!(rescaled, cfg == custom);
-            roll(250.0);
-            assert_eq!((west.slice_refreshes(), east.slice_refreshes()), (0, 1));
-            let f = scale(250.0);
-            let (west_now, hit) = cached(&west, 1, 7);
-            assert_eq!(hit, !rescaled, "a new scale must retire the west cache");
-            assert_eq!(west_now.to_bits(), (f * west_free).to_bits());
-            assert_eq!(west_now.to_bits(), wholesale.cost_uncached(1, 7).to_bits());
-            let (east_now, hit) = cached(&east, 10, 20);
-            assert_eq!(hit, !rescaled, "a new scale must retire the east cache");
-            assert_eq!(east_now.to_bits(), (f * east_peak).to_bits());
-            assert_eq!(
-                east_now.to_bits(),
-                wholesale.cost_uncached(10, 20).to_bits()
-            );
-            sweep();
-
-            // Roll back to the zone-free artifact: the west shard skips
-            // again and both shards answer the pre-zone answers times the
-            // hour's scale.
-            roll(350.0);
-            assert_eq!(west.slice_refreshes(), 0);
-            let f = scale(350.0);
-            assert_eq!(east.cost(10, 20).to_bits(), (f * east_free).to_bits());
-            assert_eq!(west.cost(1, 7).to_bits(), (f * west_free).to_bits());
-            sweep();
-
-            // A fallback answer (out-of-halo target) is cached under the
-            // *full* labels, which the next zoned epoch replaces — so even
-            // though the west clip survives that roll, its cache must not.
-            let west_cross_free = west.cost(2, 20);
-            assert!(west.fallback_queries() > 0);
-            roll(450.0);
-            assert_eq!(
-                west.slice_refreshes(),
-                0,
-                "clip retention is independent of cache fate"
-            );
-            let west_cross_peak = west.cost(2, 20);
-            assert_ne!(
-                west_cross_peak.to_bits(),
-                west_cross_free.to_bits(),
-                "a stale fallback entry must not survive into the zoned epoch"
-            );
-            assert_eq!(
-                west_cross_peak.to_bits(),
-                wholesale.cost_uncached(2, 20).to_bits()
-            );
-            // In-halo west answers are untouched by the far-away zone.
-            let f = scale(450.0);
-            assert_eq!(west.cost(1, 7).to_bits(), (f * west_free).to_bits());
-            sweep();
+                let zoned = line_graph(24).reweighted(|a, b| epoch.zone_multiplier(a, b));
+                let labels = HubLabels::build(&zoned);
+                let matrix = eng.many_to_many(&all, &all);
+                let bound = eng.leg_bound();
+                for &s in &all {
+                    for &t in &all {
+                        let expected = (epoch.scale() * labels.query(s, t)).to_bits();
+                        assert_eq!(eng.cost(s, t).to_bits(), expected, "t = {now} ({s},{t})");
+                        assert_eq!(eng.cost_uncached(s, t).to_bits(), expected);
+                        assert_eq!(matrix[(s * 24 + t) as usize].to_bits(), expected);
+                        assert!(bound.lower_bound(s, t) <= eng.cost(s, t), "({s},{t})");
+                    }
+                }
+                previous = epoch;
+            }
         }
     }
 }

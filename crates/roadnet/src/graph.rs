@@ -268,53 +268,6 @@ impl RoadNetwork {
         out
     }
 
-    /// [`RoadNetwork::reweighted`], additionally reporting which vertices are
-    /// touched by a reweighted edge: `flags[v]` is set iff some edge
-    /// incident to `v` has a `multiplier(from, to)` other than exactly 1.0.
-    /// The weights are produced by the exact same `w * multiplier(from, to)`
-    /// products as `reweighted`, so the two methods are bit-interchangeable;
-    /// the flags are what seeds the dirty set of the scoped hub-label
-    /// rebuild (every edge outside the flagged set keeps its weight bit for
-    /// bit).
-    pub fn reweighted_with_flags(
-        &self,
-        multiplier: impl Fn(Point, Point) -> f64,
-    ) -> (RoadNetwork, Vec<bool>) {
-        let clamp = |scaled: f64| {
-            if scaled.is_finite() && scaled >= 0.0 {
-                scaled
-            } else {
-                0.0
-            }
-        };
-        let mut flags = vec![false; self.coords.len()];
-        let mut out = self.clone();
-        for node in self.nodes() {
-            let from = self.coord(node);
-            let lo = self.fwd_offsets[node as usize] as usize;
-            let hi = self.fwd_offsets[node as usize + 1] as usize;
-            for i in lo..hi {
-                let target = self.fwd_targets[i];
-                let m = multiplier(from, self.coord(target));
-                if m != 1.0 {
-                    flags[node as usize] = true;
-                    flags[target as usize] = true;
-                }
-                out.fwd_weights[i] = clamp(self.fwd_weights[i] * m);
-            }
-        }
-        for node in self.nodes() {
-            let to = self.coord(node);
-            let lo = self.rev_offsets[node as usize] as usize;
-            let hi = self.rev_offsets[node as usize + 1] as usize;
-            for i in lo..hi {
-                let from = self.coord(self.rev_targets[i]);
-                out.rev_weights[i] = clamp(self.rev_weights[i] * multiplier(from, to));
-            }
-        }
-        (out, flags)
-    }
-
     /// Approximate heap footprint of the graph in bytes (used by the memory
     /// accounting of Fig. 14).
     pub fn approx_bytes(&self) -> usize {

@@ -14,19 +14,15 @@
 //! * [`Landmarks`] — eight landmarks' distances to and from every node,
 //!   giving the ALT triangle-inequality lower bound on any pair's travel
 //!   time in a few array reads.
-//! * [`SubNetwork`] — induced subgraph extraction with an old↔new vertex-id
-//!   mapping, the substrate of the sharded pipeline's halo-clipped per-shard
-//!   engines.
 //! * [`SpEngine`] — the query façade combining labels + cache + query
 //!   counters (the counters feed the Table V / Table VI angle-pruning
-//!   ablation).  Every engine is built from an [`EpochStore`] and answers
-//!   through hub labels, read from one epoch slot: fixed for a static
-//!   engine, rolled through the store for a traffic one.  Safe to share
-//!   (`&SpEngine`) across worker threads; engines built from one store
-//!   `Arc`-share its road network, hub-label index and landmark table (see
-//!   [`SpEngineBuilder::build_clipped`]).  Its [`LegBound`] bundles the
-//!   certified lower bounds the dispatch screens use: `min_time_per_meter ×
-//!   euclid` and the landmark bound, scaled to the current traffic epoch.
+//!   ablation).  Every engine answers through hub labels, read from one
+//!   epoch slot: fixed for a static engine, rolled from a memo of
+//!   per-zone-activity label sets for a traffic one.  Safe to share
+//!   (`&SpEngine`) across worker threads: a sharded run builds one engine
+//!   and lends it to every shard.  Its [`LegBound`] bundles the certified
+//!   lower bounds the dispatch screens use: `min_time_per_meter × euclid`
+//!   and the landmark bound, scaled to the current traffic epoch.
 //!
 //! The engine's cache plays the role of the paper's LRU cache (after Huang
 //! et al.) but is not an LRU: it is a fixed table of 4-way sets split over
@@ -47,16 +43,14 @@ pub mod graph;
 pub mod hub_labels;
 pub mod landmarks;
 pub mod path;
-pub mod subnet;
 pub mod traffic;
 
-pub use engine::{EpochArtifacts, EpochStore, LegBound, SpEngine, SpEngineBuilder, SpStats};
+pub use engine::{LegBound, SpEngine, SpEngineBuilder, SpStats};
 pub use error::RoadNetError;
 pub use graph::{EdgeId, NodeId, Point, RoadNetwork, RoadNetworkBuilder, LOWER_BOUND_GRACE};
 pub use hub_labels::HubLabels;
 pub use landmarks::{Landmarks, LANDMARKS};
 pub use path::{expand_route, shortest_path, Path};
-pub use subnet::SubNetwork;
 pub use traffic::{CongestionZone, TrafficConfig, TrafficEpoch, TrafficProfile, MAX_TRAFFIC_ZONES};
 
 /// Convenience result alias used throughout the crate.

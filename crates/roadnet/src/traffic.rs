@@ -8,7 +8,7 @@
 //! `epoch_seconds`; all traffic quantities for a window are derived from the
 //! window's *start* instant, so any two processes (or worker-thread counts)
 //! that agree on the batch clock agree bit-for-bit on every profile factor,
-//! every reweighted edge, and every repaired hub label.
+//! every reweighted edge, and every zone artifact's hub labels.
 //!
 //! Two multiplicative components make up an epoch's travel times:
 //!

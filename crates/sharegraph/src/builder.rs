@@ -4,17 +4,17 @@
 //! and unexpired) across batches.  When a batch of new requests arrives it
 //! only looks for edges incident to the new requests:
 //!
-//! 1. a **distance prefilter** scans the live requests for those whose
+//! 1. a **pickup-window prefilter** scans the live requests for those whose
 //!    sources are close enough (in Euclidean distance, converted with the
 //!    network's maximum speed) to possibly satisfy both pickup deadlines.
 //!    The paper retrieves them from the grid index of §II-B; here the
-//!    radius covers most of a city, so one scan over the live set does less
-//!    work than a cell walk and keeps exactly the same pairs;
-//! 2. a **deadline / detour prefilter** discards candidates whose time windows
-//!    cannot overlap at all;
-//! 3. the **angle pruning** rule of §III-B discards candidates whose travel
+//!    reach covers most of a city, so one scan over the live set, with a
+//!    cheap disc test first, does less work than a cell walk.  The rule is
+//!    a necessary condition of the exact check (see
+//!    `prefilter_candidates`), so it drops no edge;
+//! 2. the **angle pruning** rule of §III-B discards candidates whose travel
 //!    direction diverges too much from the new request;
-//! 4. the surviving pairs are tested with the exact shareability check
+//! 3. the surviving pairs are tested with the exact shareability check
 //!    (the six-ordering schedule enumeration of
 //!    [`crate::shareable::ShareabilityCheck`]) and edges are added.
 //!
@@ -49,7 +49,7 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use structride_model::{Request, RequestId};
-use structride_roadnet::SpEngine;
+use structride_roadnet::{SpEngine, LOWER_BOUND_GRACE};
 
 /// Configuration of the dynamic builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ impl Default for BuilderConfig {
 /// Counters describing the work done by the builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Candidate pairs returned by the spatial/deadline prefilter.
+    /// Candidate pairs kept by the pickup-window prefilter.
     pub candidate_pairs: u64,
     /// Pairs discarded by the angle rule.
     pub angle_pruned: u64,
@@ -106,6 +106,17 @@ pub struct BuildTimes {
     pub checks: Duration,
     /// Phase 3: inserting the edges.
     pub insert: Duration,
+}
+
+/// The earliest release and the latest pickup deadline over `requests`.
+/// With them, `max(latest − r_a, pd_a − earliest)` bounds the pickup window
+/// of request `a` with any of `requests` (see
+/// `ShareabilityGraphBuilder::prefilter_candidates`).
+fn pickup_span<'a>(requests: impl Iterator<Item = &'a Request>) -> (f64, f64) {
+    requests.fold(
+        (f64::INFINITY, f64::NEG_INFINITY),
+        |(release, pickup), r| (release.min(r.release), pickup.max(r.pickup_deadline)),
+    )
 }
 
 /// Dynamic shareability-graph builder (Algorithm 1).
@@ -193,6 +204,7 @@ impl ShareabilityGraphBuilder {
         let elapsed = |t0: Option<Instant>| t0.map_or(Duration::ZERO, |t0| t0.elapsed());
         // --- phase 1 (sequential): register requests and prefilter. --------
         let t0 = clock();
+        let span = pickup_span(self.requests.values().chain(batch));
         let mut jobs: Vec<(RequestId, RequestId)> = Vec::new();
         for r in batch {
             let id = r.id;
@@ -200,7 +212,7 @@ impl ShareabilityGraphBuilder {
                 continue;
             }
             self.graph.add_node(id);
-            for cand_id in self.prefilter_candidates(engine, r) {
+            for cand_id in self.prefilter_candidates(engine, r, span) {
                 jobs.push((id, cand_id));
             }
             self.requests.insert(id, r.clone());
@@ -241,37 +253,60 @@ impl ShareabilityGraphBuilder {
 
     /// Candidate generation and cheap pruning for one incoming request
     /// (Algorithm 1, lines 4–6): one scan over the live requests with the
-    /// source-distance, deadline/detour window and angle tests.  Returns the
-    /// live request ids that must undergo the exact shareability check, and
-    /// accounts the `candidate_pairs` / `angle_pruned` counters.
-    fn prefilter_candidates(&mut self, engine: &SpEngine, request: &Request) -> Vec<RequestId> {
+    /// pickup-window and angle tests.  Returns the live request ids that
+    /// must undergo the exact shareability check, and accounts the
+    /// `candidate_pairs` / `angle_pruned` counters.
+    ///
+    /// The pickup-window rule drops a pair `(a, b)` only when
+    /// `euclid(s_a, s_b) > max_speed × max(pd_b − r_a, pd_a − r_b, 0)`,
+    /// with `r` the release and `pd` the pickup deadline.  That is a
+    /// necessary condition of Definition 5's check in all six orderings,
+    /// back-to-back ones included.  Each ordering starts on one pickup, say
+    /// `s_a`, at `r_a`, and must serve the other pickup `s_b` by `pd_b`.  The
+    /// way from `s_a` to `s_b` may pass `e_a` (the back-to-back trip `s_a
+    /// e_a s_b e_b`), but by the triangle inequality no way is shorter
+    /// than the shortest path, which takes at least `euclid / max_speed`:
+    /// `max_speed` is the fastest straight-line speed of any edge.  So a
+    /// feasible ordering starting at `s_a` needs `euclid ≤ max_speed × (pd_b
+    /// − r_a)`, one starting at `s_b` needs `euclid ≤ max_speed × (pd_a −
+    /// r_b)`, and a feasible pair satisfies the larger of the two.  The rule
+    /// reads no delivery deadline and assumes no release order, so
+    /// batches may arrive out of order.  Two caveats: it holds in exact
+    /// arithmetic, with the check's `TIME_EPS` tolerance as the only gap,
+    /// and `max_speed` is the free-flow network's, so an epoch whose factor
+    /// is below 1 voids it.
+    ///
+    /// A disc around the incoming request skips the rule's work for far
+    /// sources.  `span` is [`pickup_span`] over a superset of the live
+    /// requests, so its reach bounds the window of every live pair, and a
+    /// source outside the disc fails the window rule too.  The grace keeps
+    /// float rounding from ever reversing that, so the disc drops no pair
+    /// the rule keeps.  The incoming request's own window cannot set the
+    /// reach: a live request may have been released up to its own maximum
+    /// wait earlier (600 s in the Cainiao profile), and a back-to-back trip
+    /// serves a pair whose later release comes after the earlier delivery
+    /// deadline.
+    fn prefilter_candidates(
+        &mut self,
+        engine: &SpEngine,
+        request: &Request,
+        span: (f64, f64),
+    ) -> Vec<RequestId> {
         let src = engine.coord(request.source);
-        // A shared trip must visit both sources within their pickup
-        // deadlines, so the sources cannot be further apart than the widest
-        // pickup window times the maximum speed.
-        let window = (request.deadline - request.release).max(0.0)
-            + structride_model::request::DEFAULT_MAX_WAIT;
-        let radius = (self.max_speed * window).max(0.0);
-
+        let (earliest_release, latest_pickup) = span;
+        let reach = (latest_pickup - request.release)
+            .max(request.pickup_deadline - earliest_release)
+            + LOWER_BOUND_GRACE;
+        let radius = (self.max_speed * reach).max(0.0);
         let mut survivors: Vec<RequestId> = Vec::new();
         for (&cand_id, other) in &self.requests {
-            let other_src = engine.coord(other.source);
-            // --- candidate generation (line 4): the source disc -----------
+            // --- candidate generation (line 4): the pickup windows --------
             if self.max_speed > 0.0 {
+                let other_src = engine.coord(other.source);
                 let (dx, dy) = (other_src.x - src.x, other_src.y - src.y);
-                let in_disc = dx * dx + dy * dy <= radius * radius;
-                if !in_disc {
+                if dx * dx + dy * dy > radius * radius {
                     continue;
                 }
-            }
-            // Deadline / detour-tolerance prefilter: the later release must
-            // precede the earlier delivery deadline, otherwise no joint
-            // schedule can exist.
-            if request.release.max(other.release) > request.deadline.min(other.deadline) {
-                continue;
-            }
-            // A tighter necessary condition on the two pickups.
-            if self.max_speed > 0.0 {
                 let d = src.distance(&other_src);
                 let window = (other.pickup_deadline - request.release)
                     .max(request.pickup_deadline - other.release)
@@ -510,13 +545,14 @@ mod tests {
         /// time on the calling thread, each surviving pair checked unscreened
         /// and its edge inserted as soon as it is found.
         fn add_batch_sequential(&mut self, engine: &SpEngine, batch: &[Request]) {
+            let span = pickup_span(self.requests.values().chain(batch));
             for request in batch {
                 let id = request.id;
                 if self.requests.contains_key(&id) {
                     continue;
                 }
                 self.graph.add_node(id);
-                for cand_id in self.prefilter_candidates(engine, request) {
+                for cand_id in self.prefilter_candidates(engine, request, span) {
                     self.stats.shareability_checks += 1;
                     let other = &self.requests[&cand_id];
                     if pairwise_shareable(engine, request, other, self.config.vehicle_capacity) {

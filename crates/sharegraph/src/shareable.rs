@@ -424,7 +424,7 @@ mod tests {
 
         /// The landmark part alone, `max(0, min_ratio × lb − grace)`, is at
         /// most the exact cost over every ordered node pair: on the static,
-        /// rush-rolled, fast-lane (`min_ratio < 1`) and clipped engines,
+        /// rush-rolled and fast-lane (`min_ratio < 1`) engines,
         /// with the island's infinite bounds and the twin's zero-length edge.
         #[test]
         fn the_landmark_bound_never_exceeds_the_exact_cost(seed in 0u64..1_000_000) {

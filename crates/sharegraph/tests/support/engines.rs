@@ -2,9 +2,8 @@
 //! screen's property tests and the fleet index's fused-screen tests.
 //! Include it with `#[path]`; it is not a test target of its own.
 
-use std::sync::Arc;
 use structride_roadnet::{
-    CongestionZone, EpochStore, Point, RoadNetwork, RoadNetworkBuilder, SpEngine, SpEngineBuilder,
+    CongestionZone, Point, RoadNetwork, RoadNetworkBuilder, SpEngine, SpEngineBuilder,
     TrafficConfig, TrafficProfile,
 };
 
@@ -70,16 +69,11 @@ fn random_network(seed: u64) -> RoadNetwork {
     b.build().unwrap()
 }
 
-/// The engine shapes the builder meets: static (a covering halo, so a
-/// full engine sharing the labels), a rush-hour traffic engine rolled into
-/// its congested epoch, a free-flow epoch whose zone halves edge weights
-/// (`min_ratio` 0.5), a halo-clipped engine answering half its queries
-/// through the fallback, and a halo-clipped rush engine (the store's
-/// free-flow landmark table behind a clip).
+/// The engine shapes the builder meets: static, a rush-hour traffic
+/// engine rolled into its congested epoch, and a free-flow epoch whose zone
+/// halves edge weights (`min_ratio` 0.5).
 pub fn engines(seed: u64) -> Vec<SpEngine> {
     let net = random_network(seed);
-    let halo: Vec<u32> = (0..SIDE * SIDE / 2).collect();
-    let all: Vec<u32> = net.nodes().collect();
     let zoned = |factor: f64| {
         TrafficConfig {
             profile: TrafficProfile::Rush,
@@ -105,16 +99,5 @@ pub fn engines(seed: u64) -> Vec<SpEngine> {
         .traffic(zoned(0.5))
         .build(net.clone());
     assert!(fast_lane.roll_epoch_to(2.0 * 20.0));
-    let net = Arc::new(net);
-    let store = EpochStore::new(net.clone(), zoned(2.5));
-    let clipped_rush = SpEngineBuilder::new().build_clipped(store, &halo);
-    assert!(clipped_rush.roll_epoch_to(8.0 * 20.0));
-    let store = EpochStore::new(net, TrafficConfig::none());
-    vec![
-        SpEngineBuilder::new().build_clipped(store.clone(), &all),
-        rush,
-        fast_lane,
-        SpEngineBuilder::new().build_clipped(store, &halo),
-        clipped_rush,
-    ]
+    vec![SpEngine::new(net), rush, fast_lane]
 }

@@ -123,13 +123,13 @@ proptest! {
     }
 
     /// The dynamic shareability-graph builder — fed two batches with a
-    /// removal between them — only ever adds edges between live, genuinely
-    /// shareable pairs, and degrees are consistent with the edge set.  It
-    /// runs on the grid city and on a network whose nodes share one
-    /// coordinate, where the builder's source-distance prefilter is off.
-    /// The edge set is a subset of the shareable live pairs, not equal to
-    /// it: the builder's deadline prefilter drops pairs whose windows do not
-    /// overlap, which the exact check accepts as back-to-back trips.
+    /// removal between them, released in no particular order — keeps
+    /// exactly the live pairs that Definition 5's exact check accepts, and
+    /// degrees are consistent with the edge set.  With angle pruning off
+    /// its prefilter may only drop pairs the check rejects, back-to-back
+    /// trips included.  It runs on the grid city and on a network whose
+    /// nodes share one coordinate, where the builder's distance prefilter
+    /// is off.
     #[test]
     fn shareability_graph_edges_are_sound(
         raw_requests in proptest::collection::vec(
@@ -161,18 +161,21 @@ proptest! {
                 .map(|r| (r.id, r))
                 .collect();
             let graph = builder.graph();
-            // Every edge joins two live requests that are shareable under
-            // Definition 5, checked as the builder does: the later arrival
-            // (the higher id) against the earlier one.
-            for (earlier, later) in graph.edges_sorted() {
-                prop_assert!(live.contains_key(&earlier) && live.contains_key(&later));
-                prop_assert!(structride::sharegraph::pairwise_shareable(
-                    &engine,
-                    live[&later],
-                    live[&earlier],
-                    4
-                ));
+            // The edge set is the brute-force set of live pairs shareable
+            // under Definition 5, checked as the builder does: the later
+            // arrival (the higher id) against the earlier one.
+            let mut shareable = Vec::new();
+            for (i, earlier) in requests.iter().enumerate() {
+                for later in &requests[i + 1..] {
+                    let pair_live = live.contains_key(&earlier.id) && live.contains_key(&later.id);
+                    if pair_live
+                        && structride::sharegraph::pairwise_shareable(&engine, later, earlier, 4)
+                    {
+                        shareable.push((earlier.id, later.id));
+                    }
+                }
             }
+            prop_assert_eq!(graph.edges_sorted(), shareable);
             let degree_sum: usize = live.keys().map(|&id| graph.degree(id)).sum();
             prop_assert_eq!(degree_sum, 2 * graph.edge_count());
         }
