@@ -1,39 +1,45 @@
-//! TicketAssign+ — parallel online insertion with per-vehicle ticket locks
+//! TicketAssign+ — parallel online insertion with per-vehicle tickets
 //! (Pan & Li \[54\]).
 //!
-//! Several worker threads process the batch's requests concurrently.  Each
-//! thread computes the cheapest feasible insertion across the fleet and then
-//! "takes a ticket" on the chosen vehicle (a per-vehicle mutex): if the
-//! vehicle's schedule changed since the evaluation, the thread re-evaluates
-//! against the fresh state and either commits or falls back to the next-best
-//! vehicle.  This reproduces the paper's observation that TicketAssign+
-//! improves on pruneGDP's service rate through simultaneous decision making,
-//! at the price of contention overhead on the runtime side.
+//! Several logical workers process the batch's requests concurrently, worker
+//! `t` owning the `t`-th contiguous chunk.  The batch runs in rounds: round
+//! `k` takes each worker's `k`-th request and ranks its feasible insertions
+//! across the fleet in parallel, every evaluation reading the fleet as the
+//! round found it.  The requests then commit in worker order: each walks its
+//! ranked vehicles, "takes the ticket" of one by re-evaluating against the
+//! vehicle's current schedule, and commits to the first feasible one.  A
+//! vehicle that already took a commit this round is a ticket conflict.  This
+//! reproduces the paper's observation that TicketAssign+ improves on
+//! pruneGDP's service rate through simultaneous decision making.  Where Pan &
+//! Li's threads race on per-vehicle locks, the commit order here is fixed, so
+//! decisions are a pure function of the fleet and the batch.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use rayon::prelude::*;
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
-use structride_model::{insertion, Request, RequestId, Vehicle};
+use structride_model::{insertion, Request, Vehicle};
+use structride_roadnet::SpEngine;
 
 /// The TicketAssign+ parallel online dispatcher.
 #[derive(Debug)]
 pub struct TicketAssignPlus {
     threads: usize,
-    /// Number of ticket conflicts observed (re-evaluations after a lock).
-    conflicts: std::sync::atomic::AtomicUsize,
+    /// Number of ticket conflicts observed (re-evaluations of a vehicle that
+    /// already took a commit in the same round).
+    conflicts: usize,
 }
 
 impl TicketAssignPlus {
-    /// Creates the dispatcher with the given worker-thread count (at least 1).
+    /// Creates the dispatcher with the given logical worker count (at least 1).
     pub fn new(threads: usize) -> Self {
         TicketAssignPlus {
             threads: threads.max(1),
-            conflicts: std::sync::atomic::AtomicUsize::new(0),
+            conflicts: 0,
         }
     }
 
     /// Number of ticket conflicts (commit-time re-evaluations) so far.
     pub fn conflicts(&self) -> usize {
-        self.conflicts.load(std::sync::atomic::Ordering::Relaxed)
+        self.conflicts
     }
 }
 
@@ -43,17 +49,18 @@ impl Default for TicketAssignPlus {
     }
 }
 
-/// Generation-stamped vehicle slot: the generation counter tells a committing
-/// thread whether its evaluation is stale.
-struct Slot<'a> {
-    vehicle: &'a mut Vehicle,
-    generation: u64,
-}
-
-/// Locks `mutex`, ignoring poison: a panicking worker re-raises out of the
-/// thread scope anyway, so a poisoned lock carries no extra information.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// The vehicles that can absorb `request`, cheapest insertion first (ties in
+/// fleet order).
+fn ranked_vehicles(engine: &SpEngine, fleet: &[Vehicle], request: &Request) -> Vec<usize> {
+    let mut ranked: Vec<(f64, usize)> = fleet
+        .iter()
+        .enumerate()
+        .filter_map(|(vi, v)| {
+            insertion::insert_request(engine, v, request).map(|out| (out.added_cost, vi))
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
+    ranked.into_iter().map(|(_, vi)| vi).collect()
 }
 
 impl Dispatcher for TicketAssignPlus {
@@ -71,72 +78,44 @@ impl Dispatcher for TicketAssignPlus {
         if new_requests.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
         }
-        let slots: Vec<Mutex<Slot<'_>>> = vehicles
-            .iter_mut()
-            .map(|v| {
-                Mutex::new(Slot {
-                    vehicle: v,
-                    generation: 0,
-                })
-            })
-            .collect();
-        let assigned: Mutex<Vec<RequestId>> = Mutex::new(Vec::new());
-        let conflicts = &self.conflicts;
-
         let chunk = new_requests.len().div_ceil(self.threads);
-        std::thread::scope(|scope| {
-            for chunk_requests in new_requests.chunks(chunk.max(1)) {
-                let slots = &slots;
-                let assigned = &assigned;
-                scope.spawn(move || {
-                    for request in chunk_requests {
-                        // Evaluate every vehicle under its ticket lock, keep a
-                        // ranked list of feasible insertions.
-                        let mut ranked: Vec<(f64, usize, u64)> = Vec::new();
-                        for (vi, slot) in slots.iter().enumerate() {
-                            let guard = lock(slot);
-                            if let Some(out) =
-                                insertion::insert_request(engine, guard.vehicle, request)
-                            {
-                                ranked.push((out.added_cost, vi, guard.generation));
-                            }
-                        }
-                        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
-                        // Try to commit to the cheapest vehicle; on a stale
-                        // generation re-evaluate under the lock before falling
-                        // through to the next candidate.
-                        for (_, vi, seen_gen) in ranked {
-                            let mut guard = lock(&slots[vi]);
-                            if guard.generation != seen_gen {
-                                conflicts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            if let Some(out) =
-                                insertion::insert_request(engine, guard.vehicle, request)
-                            {
-                                guard.vehicle.commit_schedule(out.schedule);
-                                guard.generation += 1;
-                                lock(assigned).push(request.id);
-                                break;
-                            }
-                        }
+        // Round (1-based) of each vehicle's latest commit, 0 before any.
+        let mut committed_in = vec![0u64; vehicles.len()];
+        let mut assigned = Vec::new();
+        for round in 0..chunk {
+            let requests: Vec<&Request> = new_requests
+                .chunks(chunk)
+                .filter_map(|worker| worker.get(round))
+                .collect();
+            let fleet: &[Vehicle] = vehicles;
+            let ranked: Vec<Vec<usize>> = requests
+                .par_iter()
+                .map(|request| ranked_vehicles(engine, fleet, request))
+                .collect();
+            let stamp = round as u64 + 1;
+            for (request, ranked) in requests.into_iter().zip(ranked) {
+                for vi in ranked {
+                    if committed_in[vi] == stamp {
+                        self.conflicts += 1;
                     }
-                });
+                    if let Some(out) = insertion::insert_request(engine, &vehicles[vi], request) {
+                        vehicles[vi].commit_schedule(out.schedule);
+                        committed_in[vi] = stamp;
+                        assigned.push(request.id);
+                        break;
+                    }
+                }
             }
-        });
-
-        let mut ids = assigned
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        ids.sort_unstable();
+        }
+        assigned.sort_unstable();
         BatchOutcome {
-            assigned: ids,
+            assigned,
             solver: None,
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        // Per-vehicle ticket locks are the only extra state.
-        std::mem::size_of::<Self>() + self.threads * std::mem::size_of::<Mutex<u64>>()
+        std::mem::size_of::<Self>()
     }
 }
 
@@ -185,6 +164,35 @@ mod tests {
         let out = ticket.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
         assert_eq!(out.assigned, vec![1, 2]);
         assert!((vehicles[0].planned_cost(&engine) - 40.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn second_worker_on_a_taken_vehicle_conflicts_and_falls_through() {
+        // Two workers, one request each, both 1 -> 2: the single-seat vehicle
+        // at node 0 is both requests' cheapest, the one at node 3 their next.
+        // After worker 0 commits, carrying request 2 as well would drop it at
+        // t = 40, past its deadline of 35, so worker 1 falls through.
+        let engine = line_engine(8);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let mut vehicles = vec![Vehicle::new(0, 0, 1), Vehicle::new(1, 3, 1)];
+                let requests = vec![req(1, 1, 2, 10.0, 3.5), req(2, 1, 2, 10.0, 3.5)];
+                let mut ticket = TicketAssignPlus::new(2);
+                let out = ticket.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
+                let schedules: Vec<_> = vehicles.into_iter().map(|v| v.schedule).collect();
+                (out.assigned, schedules, ticket.conflicts())
+            })
+        };
+        let (assigned, schedules, conflicts) = run(1);
+        assert_eq!(assigned, vec![1, 2]);
+        assert_eq!(conflicts, 1);
+        assert!(schedules[0].contains_request(1));
+        assert!(schedules[1].contains_request(2));
+        assert_eq!(run(4), (assigned, schedules, conflicts));
     }
 
     #[test]

@@ -70,16 +70,14 @@
 //! `KEY` is any registered dispatcher key — `sard`, `assign` (the exact
 //! global-assignment dispatcher), `rtv`, `prunegdp` (alias `gdp`), `gas`,
 //! `darm`, `ticket` — as reported by the dispatcher registry
-//! (`structride_baselines::standard_registry`); `ticket` records fine but is
-//! exempt from `verify` — its commit-order races are the algorithm being
-//! reproduced.
+//! (`structride_baselines::standard_registry`).
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use structride_bench::outln;
 use structride_bench::replay_cli::{
-    deterministic_keys, dispatcher_by_name, dispatcher_keys, traffic_by_name, Pipeline, Scenario,
-    ScenarioWorkload, Source, TRAFFIC_KEYS,
+    dispatcher_by_name, dispatcher_keys, traffic_by_name, Pipeline, Scenario, ScenarioWorkload,
+    Source, TRAFFIC_KEYS,
 };
 use structride_core::replay::{diff_traces, Checkpoint, Trace};
 use structride_core::shard::ShardingConfig;
@@ -394,13 +392,6 @@ fn cmd_diff(args: &Args) -> ExitCode {
 /// flagged (self-test).
 fn cmd_verify(args: &Args) -> ExitCode {
     let algo = args.algo.as_deref().unwrap_or("sard").to_ascii_lowercase();
-    if !deterministic_keys().contains(&algo.as_str()) {
-        eprintln!(
-            "{algo:?} is exempt from the replay invariant; verify accepts {}",
-            deterministic_keys().join(", ")
-        );
-        return ExitCode::from(2);
-    }
     let scenario = match flag_scenario(args, &algo) {
         Ok(scenario) => scenario,
         Err(code) => return code,

@@ -37,14 +37,6 @@ pub fn dispatcher_keys() -> Vec<&'static str> {
     standard_registry().keys()
 }
 
-/// Deterministic dispatchers — the ones the replay invariant applies to.
-/// `ticket` is deliberately absent: TicketAssign+'s commit-order races are
-/// the algorithm under study, so it is exempt (see the
-/// `structride_core::replay` module docs).
-pub fn deterministic_keys() -> Vec<&'static str> {
-    standard_registry().deterministic_keys()
-}
-
 /// The traffic scenario keys `--traffic` accepts.
 pub const TRAFFIC_KEYS: &[&str] = &["rush", "incident"];
 
@@ -649,11 +641,6 @@ mod tests {
             assert!(!traffic.is_static(), "{key}");
         }
         assert!(traffic_by_name("gridlock", 120.0).is_none());
-        // Deterministic keys are a strict subset excluding ticket.
-        let deterministic = deterministic_keys();
-        assert!(deterministic.iter().all(|k| keys.contains(k)));
-        assert!(!deterministic.contains(&"ticket"));
-        assert!(deterministic.contains(&"assign"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The replay invariant across the whole deterministic dispatcher suite:
-//! every bundled dispatcher except TicketAssign+ must reproduce its own
-//! recorded trace bit-identically, from the in-memory trace and from the
-//! text form, under 1 and N worker threads.
+//! The replay invariant across the whole dispatcher suite: every bundled
+//! dispatcher must reproduce its own recorded trace bit-identically, from
+//! the in-memory trace and from the text form, under 1 and N worker threads.
 
 use std::num::NonZeroUsize;
-use structride_bench::replay_cli::{deterministic_keys, Pipeline, Scenario, Source};
+use structride_bench::replay_cli::{dispatcher_keys, Pipeline, Scenario, Source};
 use structride_core::replay::Trace;
 use structride_core::shard::ShardingConfig;
 use structride_core::{FaultConfig, StructRideConfig};
@@ -22,18 +21,29 @@ fn two_shards(key: &str) -> Scenario {
     Scenario::quickstart(true, key, pipeline, Source::Clock, config)
 }
 
+/// Runs `op` on a rayon pool of `threads` workers.
+fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool")
+        .install(op)
+}
+
 #[test]
-fn every_deterministic_dispatcher_replays_its_own_trace_clean() {
-    for key in deterministic_keys() {
+fn every_dispatcher_replays_its_own_trace_clean_under_1_and_n_threads() {
+    for key in dispatcher_keys() {
         let scenario = mono(key, StructRideConfig::default());
         let (trace, _) = scenario.record();
         assert!(!trace.batches.is_empty(), "{key}: nothing recorded");
         assert_eq!(Scenario::from_meta(&trace.meta).as_ref(), Ok(&scenario));
-        let report = scenario.check(&trace, key);
-        assert!(
-            report.is_clean(),
-            "{key} drifted from its own recording:\n{report}"
-        );
+        for threads in [1usize, 4] {
+            let report = in_pool(threads, || scenario.check(&trace, key));
+            assert!(
+                report.is_clean(),
+                "{key} drifted from its own recording with {threads} worker thread(s):\n{report}"
+            );
+        }
     }
 }
 
@@ -47,11 +57,7 @@ fn checks_clean_from_text(recorded: &Scenario) {
     assert_eq!(parsed, trace);
     let scenario = Scenario::from_meta(&parsed.meta).expect("scenario recorded");
     for threads in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        let report = pool.install(|| scenario.check(&parsed, "sard"));
+        let report = in_pool(threads, || scenario.check(&parsed, "sard"));
         assert!(
             report.is_clean(),
             "drift with {threads} worker thread(s):\n{report}"

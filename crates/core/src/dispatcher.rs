@@ -21,10 +21,10 @@
 //! inputs, `dispatch_batch` must produce the same assignments and schedules
 //! regardless of the worker count — SARD's parallel stages therefore reduce
 //! into canonically ordered results (stable tie-breaks on
-//! `(cost, vehicle_id)` / request id) before any decision is taken.  The one
-//! deliberate exception is TicketAssign+, whose commit-order races *are* the
-//! algorithm being reproduced (its `conflicts` counter measures them); don't
-//! use it where run-for-run reproducibility matters.
+//! `(cost, vehicle_id)` / request id) before any decision is taken, and
+//! TicketAssign+ ranks its workers' insertions in parallel but commits them
+//! round by round in worker order (its `conflicts` counter measures the
+//! ticket collisions of that fixed schedule).
 
 use crate::context::DispatchContext;
 use crate::lap::SolverStats;

@@ -2,12 +2,12 @@
 //! constructors.
 //!
 //! Before this module, dispatcher construction was scattered: the replay CLI
-//! kept hand-maintained `DISPATCHER_KEYS`/`DETERMINISTIC_KEYS` consts next
-//! to a string match, and the bench drivers copy-pasted
+//! kept a hand-maintained `DISPATCHER_KEYS` const next to a string match,
+//! and the bench drivers copy-pasted
 //! `|_| Box::new(SardDispatcher::new(config))` closures.  Now
-//! [`DispatcherKind`] is the closed set of known keys (with determinism
-//! metadata) and [`DispatcherBuilder`] maps the kinds a crate can actually
-//! construct to their constructors.
+//! [`DispatcherKind`] is the closed set of known keys and
+//! [`DispatcherBuilder`] maps the kinds a crate can actually construct to
+//! their constructors.
 //!
 //! The crate layering makes registration two-step: `core` only knows its own
 //! dispatchers (SARD, the exact-assignment dispatcher), while the baselines
@@ -36,7 +36,7 @@ pub enum DispatcherKind {
     Gas,
     /// DARM demand-aware repositioning.
     Darm,
-    /// TicketAssign+ (deliberately racy; see `is_deterministic`).
+    /// TicketAssign+, the ticket-based parallel online baseline.
     Ticket,
 }
 
@@ -79,13 +79,6 @@ impl DispatcherKind {
             "ticket" => Some(DispatcherKind::Ticket),
             _ => None,
         }
-    }
-
-    /// Whether the dispatcher honors the replay invariant (bit-identical
-    /// decisions under any worker count).  TicketAssign+ is the documented
-    /// exemption: its commit-order races are the algorithm under study.
-    pub const fn is_deterministic(self) -> bool {
-        !matches!(self, DispatcherKind::Ticket)
     }
 
     /// Position in [`DispatcherKind::all`], used as the registry slot.
@@ -169,16 +162,6 @@ impl DispatcherBuilder {
     pub fn keys(&self) -> Vec<&'static str> {
         self.all().into_iter().map(DispatcherKind::key).collect()
     }
-
-    /// The registered CLI keys whose dispatchers honor the replay
-    /// invariant, in canonical order.
-    pub fn deterministic_keys(&self) -> Vec<&'static str> {
-        self.all()
-            .into_iter()
-            .filter(|k| k.is_deterministic())
-            .map(DispatcherKind::key)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -199,13 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn only_ticket_is_nondeterministic() {
-        for &kind in DispatcherKind::all() {
-            assert_eq!(kind.is_deterministic(), kind != DispatcherKind::Ticket);
-        }
-    }
-
-    #[test]
     fn core_registry_builds_core_dispatchers_only() {
         let registry = DispatcherBuilder::core();
         let config = StructRideConfig::default();
@@ -218,7 +194,6 @@ mod tests {
         assert_eq!(assign.name(), "ASSIGN");
         assert!(registry.build_by_key("rtv", &config).is_none());
         assert_eq!(registry.from_key("rtv"), None, "known but unregistered");
-        assert_eq!(registry.deterministic_keys(), vec!["sard", "assign"]);
     }
 
     #[test]

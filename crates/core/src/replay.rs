@@ -22,8 +22,8 @@
 //! are not recorded at all — under concurrency two workers may race on the
 //! same missing cache key and both consult the index (see
 //! `structride_roadnet::engine`), which perturbs the counters but never the
-//! decisions.  The one bundled dispatcher exempt from the invariant is
-//! TicketAssign+, whose commit-order races are the algorithm under study.
+//! decisions.  Every bundled dispatcher honours the invariant, TicketAssign+
+//! included: its ticket commits follow a fixed round-by-round worker order.
 //!
 //! # The text format
 //!

@@ -6,11 +6,11 @@
 //! labels), which is the "#Shortest Path Queries" column of the paper's
 //! Table V and Table VI angle-pruning ablation.
 //!
-//! Every engine is assembled from an `EpochStore` — the free-flow labels,
-//! the landmark table and a memo of zone artifacts — and reads its current
-//! epoch — labels, profile scale, certified rates, epoch number — from one
-//! slot.  A static engine's slot is fixed at build and read without a lock;
-//! a traffic engine's slot sits behind the lock that
+//! Every engine is assembled from an `EpochStore` of its own — the
+//! free-flow labels, the landmark table and a memo of zone artifacts — and
+//! reads its current epoch — labels, profile scale, certified rates, epoch
+//! number — from one slot.  A static engine's slot is fixed at build and
+//! read without a lock; a traffic engine's slot sits behind the lock that
 //! [`SpEngine::roll_epoch_to`] swaps at epoch boundaries.  A run builds one
 //! engine and lends it to every shard, as the paper puts one hub-label
 //! index behind one cache (§V-A).
@@ -112,15 +112,16 @@ impl SpEngineBuilder {
         self.assemble(store)
     }
 
-    /// Assembles an engine from `store`'s initial epoch, sharing the
-    /// store's network and landmark table.  A static store gives a fixed
-    /// slot whose weight ratio is exactly 1 (its network *is* the landmark
-    /// table's); any other store a rolling one.
-    fn assemble(self, store: Arc<EpochStore>) -> SpEngine {
-        let epoch = store.initial_epoch();
+    /// Assembles an engine from `store`'s epoch covering `now = 0`,
+    /// sharing the store's network and landmark table.  A static store
+    /// gives a fixed slot whose weight ratio is exactly 1 (its network *is*
+    /// the landmark table's); any other store a rolling one, which owns the
+    /// store.
+    fn assemble(self, store: EpochStore) -> SpEngine {
+        let epoch = store.config().epoch_at(0.0);
         let mut current = EpochSlot {
             epoch: epoch.index,
-            artifact: store.initial_artifacts(),
+            artifact: store.artifacts_for(&epoch),
             scale: 1.0,
             min_tpm: 0.0,
             min_ratio: 0.0,
@@ -166,7 +167,7 @@ enum Epochs {
 /// worker thread takes cheap uncontended read locks.
 #[derive(Debug)]
 struct TrafficRuntime {
-    store: Arc<EpochStore>,
+    store: EpochStore,
     slot: RwLock<EpochSlot>,
 }
 
@@ -240,9 +241,10 @@ impl EpochArtifacts {
 /// Memoized per-zone-activity artifacts, shared by every epoch of one
 /// engine's traffic model, and the engine's landmark table.
 ///
-/// Every [`SpEngine`] is built from a store, static ones included.  The
-/// store builds the free-flow base's labels once, at creation; a store
-/// whose config carries no zone never builds another label set.
+/// Every [`SpEngine`] is built from a store of its own, static ones
+/// included.  The store builds the free-flow base's labels once, at
+/// creation; a store whose config carries no zone never builds another
+/// label set.
 ///
 /// * **Uniform epochs** (no effective zone — every roll of a zone-free
 ///   `Rush`/`Custom` profile) share the base artifact.  A uniform scale
@@ -264,7 +266,6 @@ impl EpochArtifacts {
 pub(crate) struct EpochStore {
     base: Arc<RoadNetwork>,
     config: TrafficConfig,
-    initial_epoch: TrafficEpoch,
     memo: Mutex<HashMap<EpochSignature, Arc<EpochArtifacts>>>,
     /// The free-flow base's landmark table, shared by the engine and every
     /// epoch: each epoch scales it by its `min_ratio`.
@@ -272,22 +273,18 @@ pub(crate) struct EpochStore {
 }
 
 impl EpochStore {
-    /// Builds the store: the free-flow base's labels and landmark table,
-    /// and the artifacts of the epoch covering `now = 0` if it is zoned —
-    /// the setup-time cost.
-    pub(crate) fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Arc<Self> {
+    /// Builds the store: the free-flow base's labels and landmark table —
+    /// the setup-time cost, with the zoned artifacts of the epoch covering
+    /// `now = 0`, if any, that `SpEngineBuilder::assemble` fetches.
+    pub(crate) fn new(base: Arc<RoadNetwork>, config: TrafficConfig) -> Self {
         let free_flow = EpochArtifacts::build(&base, &base);
         let memo = HashMap::from([(EpochSignature::default(), Arc::new(free_flow))]);
-        let store = EpochStore {
+        EpochStore {
             landmarks: Arc::new(Landmarks::build(&base)),
             base,
             config,
-            initial_epoch: config.epoch_at(0.0),
             memo: Mutex::new(memo),
-        };
-        // The initial epoch's artifacts are part of setup.
-        store.initial_artifacts();
-        Arc::new(store)
+        }
     }
 
     /// The traffic model the engine rolls by.
@@ -298,17 +295,6 @@ impl EpochStore {
     /// The free-flow base network all artifacts reweight.
     pub(crate) fn base(&self) -> &Arc<RoadNetwork> {
         &self.base
-    }
-
-    /// The epoch covering `now = 0`.
-    pub(crate) fn initial_epoch(&self) -> TrafficEpoch {
-        self.initial_epoch
-    }
-
-    /// The artifacts of the epoch covering `now = 0` (built at store
-    /// creation).
-    pub(crate) fn initial_artifacts(&self) -> Arc<EpochArtifacts> {
-        self.artifacts_for(&self.initial_epoch)
     }
 
     /// The artifacts for `epoch`'s zone activity: a memo hit, or a label
@@ -341,7 +327,7 @@ impl EpochStore {
 pub struct SpEngine {
     net: Arc<RoadNetwork>,
     /// The landmark table of `net` (the free-flow base, for traffic
-    /// engines), shared with every engine of the same [`EpochStore`].
+    /// engines), shared with the engine's own [`EpochStore`].
     landmarks: Arc<Landmarks>,
     /// The current epoch: fixed for a static engine (no lock anywhere on
     /// the query path), rolled by [`SpEngine::roll_epoch_to`] for a traffic
@@ -834,11 +820,15 @@ mod tests {
     /// hour answers with the static bits.
     #[test]
     fn uniform_epochs_scale_the_free_flow_answer() {
-        let base = Arc::new(odd_weight_grid());
         let fixed = SpEngine::new(odd_weight_grid());
-        let store = EpochStore::new(base, rush_config());
-        let free_flow = store.initial_artifacts();
-        let eng = SpEngineBuilder::new().assemble(store.clone());
+        let eng = SpEngineBuilder::new()
+            .traffic(rush_config())
+            .build(odd_weight_grid());
+        let Epochs::Rolling(rt) = &eng.epochs else {
+            panic!("a rush engine rolls");
+        };
+        let store = &rt.store;
+        let free_flow = store.artifacts_for(&rush_config().epoch_at(0.0));
         let nodes: Vec<u32> = (0..25).collect();
         let mut scales = Vec::new();
         for hour in 0..24 {

@@ -125,8 +125,8 @@ pub struct ShareabilityGraphBuilder {
     config: BuilderConfig,
     graph: ShareabilityGraph,
     requests: HashMap<RequestId, Request>,
-    /// Maximum straight-line speed observed on any edge (m/s); 0 disables the
-    /// Euclidean prefilter.
+    /// Maximum straight-line speed observed on any free-flow edge (m/s); 0
+    /// disables the Euclidean prefilter.
     max_speed: f64,
     stats: BuildStats,
 }
@@ -205,6 +205,7 @@ impl ShareabilityGraphBuilder {
         // --- phase 1 (sequential): register requests and prefilter. --------
         let t0 = clock();
         let span = pickup_span(self.requests.values().chain(batch));
+        let max_speed = self.epoch_max_speed(engine);
         let mut jobs: Vec<(RequestId, RequestId)> = Vec::new();
         for r in batch {
             let id = r.id;
@@ -212,7 +213,7 @@ impl ShareabilityGraphBuilder {
                 continue;
             }
             self.graph.add_node(id);
-            for cand_id in self.prefilter_candidates(engine, r, span) {
+            for cand_id in self.prefilter_candidates(engine, r, span, max_speed) {
                 jobs.push((id, cand_id));
             }
             self.requests.insert(id, r.clone());
@@ -251,6 +252,14 @@ impl ShareabilityGraphBuilder {
         times
     }
 
+    /// The fastest straight-line speed of any path in the engine's current
+    /// epoch.  Every zone-weighted path costs at least the epoch's weight
+    /// ratio times its free-flow cost, so an epoch whose ratio is below 1
+    /// outruns the free-flow network's fastest edge by at most `1 / ratio`.
+    fn epoch_max_speed(&self, engine: &SpEngine) -> f64 {
+        self.max_speed / engine.leg_bound().ratio().min(1.0)
+    }
+
     /// Candidate generation and cheap pruning for one incoming request
     /// (Algorithm 1, lines 4–6): one scan over the live requests with the
     /// pickup-window and angle tests.  Returns the live request ids that
@@ -266,15 +275,14 @@ impl ShareabilityGraphBuilder {
     /// way from `s_a` to `s_b` may pass `e_a` (the back-to-back trip `s_a
     /// e_a s_b e_b`), but by the triangle inequality no way is shorter
     /// than the shortest path, which takes at least `euclid / max_speed`:
-    /// `max_speed` is the fastest straight-line speed of any edge.  So a
+    /// `max_speed` is the fastest straight-line speed of any edge in the
+    /// current epoch (`epoch_max_speed`).  So a
     /// feasible ordering starting at `s_a` needs `euclid ≤ max_speed × (pd_b
     /// − r_a)`, one starting at `s_b` needs `euclid ≤ max_speed × (pd_a −
     /// r_b)`, and a feasible pair satisfies the larger of the two.  The rule
     /// reads no delivery deadline and assumes no release order, so
-    /// batches may arrive out of order.  Two caveats: it holds in exact
-    /// arithmetic, with the check's `TIME_EPS` tolerance as the only gap,
-    /// and `max_speed` is the free-flow network's, so an epoch whose factor
-    /// is below 1 voids it.
+    /// batches may arrive out of order.  It holds in exact arithmetic, with
+    /// the check's `TIME_EPS` tolerance as the only gap.
     ///
     /// A disc around the incoming request skips the rule's work for far
     /// sources.  `span` is [`pickup_span`] over a superset of the live
@@ -291,17 +299,18 @@ impl ShareabilityGraphBuilder {
         engine: &SpEngine,
         request: &Request,
         span: (f64, f64),
+        max_speed: f64,
     ) -> Vec<RequestId> {
         let src = engine.coord(request.source);
         let (earliest_release, latest_pickup) = span;
         let reach = (latest_pickup - request.release)
             .max(request.pickup_deadline - earliest_release)
             + LOWER_BOUND_GRACE;
-        let radius = (self.max_speed * reach).max(0.0);
+        let radius = (max_speed * reach).max(0.0);
         let mut survivors: Vec<RequestId> = Vec::new();
         for (&cand_id, other) in &self.requests {
             // --- candidate generation (line 4): the pickup windows --------
-            if self.max_speed > 0.0 {
+            if max_speed > 0.0 {
                 let other_src = engine.coord(other.source);
                 let (dx, dy) = (other_src.x - src.x, other_src.y - src.y);
                 if dx * dx + dy * dy > radius * radius {
@@ -311,7 +320,7 @@ impl ShareabilityGraphBuilder {
                 let window = (other.pickup_deadline - request.release)
                     .max(request.pickup_deadline - other.release)
                     .max(0.0);
-                if d > self.max_speed * window {
+                if d > max_speed * window {
                     continue;
                 }
             }
@@ -397,6 +406,8 @@ impl ShareabilityGraphBuilder {
 mod tests {
     use super::*;
     use crate::shareable::pairwise_shareable;
+    use crate::shareable::tests::random_request;
+    use crate::test_engines::engines;
     use structride_datagen::{CityProfile, Workload, WorkloadParams};
     use structride_roadnet::{Point, RoadNetworkBuilder};
 
@@ -546,13 +557,14 @@ mod tests {
         /// and its edge inserted as soon as it is found.
         fn add_batch_sequential(&mut self, engine: &SpEngine, batch: &[Request]) {
             let span = pickup_span(self.requests.values().chain(batch));
+            let max_speed = self.epoch_max_speed(engine);
             for request in batch {
                 let id = request.id;
                 if self.requests.contains_key(&id) {
                     continue;
                 }
                 self.graph.add_node(id);
-                for cand_id in self.prefilter_candidates(engine, request, span) {
+                for cand_id in self.prefilter_candidates(engine, request, span, max_speed) {
                     self.stats.shareability_checks += 1;
                     let other = &self.requests[&cand_id];
                     if pairwise_shareable(engine, request, other, self.config.vehicle_capacity) {
@@ -578,6 +590,38 @@ mod tests {
         }
         edges.sort_unstable();
         edges
+    }
+
+    /// The prefilter is a necessary condition of the exact check on every
+    /// engine shape, the fast-lane one (weight ratio 0.5) included: with
+    /// angle pruning off, the built edge set is the brute-force one.
+    #[test]
+    fn the_prefilter_drops_no_shareable_pair_on_any_engine() {
+        let config = BuilderConfig {
+            vehicle_capacity: 4,
+            angle: AnglePruning::disabled(),
+        };
+        // The range holds five fast-lane edges that the free-flow speed alone
+        // would drop, the first at seed 158.
+        for seed in 0..400 {
+            for (shape, engine) in ["static", "rush", "fast-lane"].iter().zip(engines(seed)) {
+                let mut gen = proptest::Gen::new(seed ^ 0xA5A5);
+                let requests: Vec<Request> = (0..14)
+                    .map(|id| random_request(&engine, &mut gen, id))
+                    .collect();
+                let mut builder = ShareabilityGraphBuilder::new(&engine, config);
+                builder.add_batch(&engine, &requests);
+                let mut expected: Vec<(RequestId, RequestId)> = Vec::new();
+                for (i, a) in requests.iter().enumerate() {
+                    for b in &requests[i + 1..] {
+                        if pairwise_shareable(&engine, a, b, config.vehicle_capacity) {
+                            expected.push((a.id, b.id));
+                        }
+                    }
+                }
+                assert_eq!(edge_set(&builder), expected, "seed {seed}, {shape} engine");
+            }
+        }
     }
 
     fn seeded_workload(seed: u64) -> Workload {

@@ -23,6 +23,9 @@ pub mod clique;
 pub mod graph;
 pub mod loss;
 pub mod shareable;
+#[cfg(test)]
+#[path = "../tests/support/engines.rs"]
+mod test_engines;
 
 pub use angle::AnglePruning;
 pub use builder::{BuildTimes, BuilderConfig, ShareabilityGraphBuilder};

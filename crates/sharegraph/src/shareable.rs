@@ -170,13 +170,9 @@ pub fn pairwise_shareable(engine: &SpEngine, a: &Request, b: &Request, capacity:
 }
 
 #[cfg(test)]
-#[path = "../tests/support/engines.rs"]
-mod test_engines;
-
-#[cfg(test)]
-mod tests {
-    use super::test_engines::engines;
+pub(crate) mod tests {
     use super::*;
+    use crate::test_engines::engines;
     use proptest::prelude::*;
     use structride_model::Schedule;
     use structride_roadnet::{Point, RoadNetworkBuilder, LOWER_BOUND_GRACE};
@@ -336,7 +332,7 @@ mod tests {
     /// with no detour slack, and pickup windows on the knife edge
     /// (`pickup_deadline == release`, or `release − TIME_EPS`, which only the
     /// tolerance admits).
-    fn random_request(engine: &SpEngine, gen: &mut proptest::Gen, id: u32) -> Request {
+    pub(crate) fn random_request(engine: &SpEngine, gen: &mut proptest::Gen, id: u32) -> Request {
         let nodes = engine.node_count();
         // Draw from a few hot nodes half the time, so pairs share stops.
         let node = |gen: &mut proptest::Gen| {

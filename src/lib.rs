@@ -127,6 +127,16 @@ pub mod prelude {
 }
 
 use prelude::*;
+use structride_core::DispatcherKind;
+
+/// Builds `kinds` through [`baselines::standard_registry`], in order.
+fn from_registry(kinds: &[DispatcherKind], config: StructRideConfig) -> Vec<Box<dyn Dispatcher>> {
+    let registry = baselines::standard_registry();
+    kinds
+        .iter()
+        .map(|&k| -> Box<dyn Dispatcher> { registry.build(k, &config).expect("registered kind") })
+        .collect()
+}
 
 /// The set of dispatchers compared throughout the paper's evaluation, freshly
 /// constructed with the given configuration.
@@ -134,24 +144,15 @@ use prelude::*;
 /// The returned order matches the legend order of the figures: RTV, pruneGDP,
 /// DARM+DPRS, GAS, TicketAssign+, SARD.
 pub fn standard_dispatcher_suite(config: StructRideConfig) -> Vec<Box<dyn Dispatcher>> {
-    vec![
-        Box::new(Rtv::new(config.cost.penalty_coefficient)),
-        Box::new(PruneGdp::new()),
-        Box::new(DemandRepositioning::new()),
-        Box::new(Gas::default()),
-        Box::new(TicketAssignPlus::default()),
-        Box::new(SardDispatcher::new(config)),
-    ]
+    use DispatcherKind::{Darm, Gas, PruneGdp, Rtv, Sard, Ticket};
+    from_registry(&[Rtv, PruneGdp, Darm, Gas, Ticket, Sard], config)
 }
 
 /// Only the batch-based dispatchers (RTV, GAS, SARD) — the subset compared in
 /// the batching-period experiment (Fig. 13).
 pub fn batch_dispatcher_suite(config: StructRideConfig) -> Vec<Box<dyn Dispatcher>> {
-    vec![
-        Box::new(Rtv::new(config.cost.penalty_coefficient)),
-        Box::new(Gas::default()),
-        Box::new(SardDispatcher::new(config)),
-    ]
+    use DispatcherKind::{Gas, Rtv, Sard};
+    from_registry(&[Rtv, Gas, Sard], config)
 }
 
 #[cfg(test)]
