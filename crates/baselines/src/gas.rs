@@ -25,6 +25,8 @@ pub struct Gas {
     seed: u64,
     /// Peak number of enumerated groups (memory accounting for Fig. 14).
     peak_groups: usize,
+    /// Peak pool size (memory accounting).
+    peak_pending: usize,
 }
 
 impl Gas {
@@ -34,6 +36,7 @@ impl Gas {
             pending: HashMap::new(),
             seed,
             peak_groups: 0,
+            peak_pending: 0,
         }
     }
 
@@ -77,6 +80,7 @@ impl Dispatcher for Gas {
         for r in new_requests {
             self.pending.insert(r.id, r.clone());
         }
+        self.peak_pending = self.peak_pending.max(self.pending.len());
         self.pending.retain(|_, r| !r.is_expired(now));
         if self.pending.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
@@ -157,7 +161,7 @@ impl Dispatcher for Gas {
     fn memory_bytes(&self) -> usize {
         // The pool plus the peak additive-tree size (groups hold a schedule of
         // a handful of way-points each).
-        self.pending.capacity() * (std::mem::size_of::<Request>() + 16) + self.peak_groups * 256
+        self.peak_pending * (std::mem::size_of::<Request>() + 16) + self.peak_groups * 256
     }
 
     fn take_pending(&mut self) -> Vec<Request> {

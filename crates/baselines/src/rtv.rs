@@ -46,6 +46,8 @@ pub struct Rtv {
     /// Peak number of trip candidates (memory accounting, Fig. 14 — the RTV
     /// graph is by far the largest structure among the tested methods).
     peak_candidates: usize,
+    /// Peak pool size (memory accounting).
+    peak_pending: usize,
 }
 
 impl Rtv {
@@ -61,6 +63,7 @@ impl Rtv {
             penalty_coefficient,
             pending: HashMap::new(),
             peak_candidates: 0,
+            peak_pending: 0,
         }
     }
 
@@ -160,6 +163,7 @@ impl Dispatcher for Rtv {
         for r in new_requests {
             self.pending.insert(r.id, r.clone());
         }
+        self.peak_pending = self.peak_pending.max(self.pending.len());
         self.pending.retain(|_, r| !r.is_expired(now));
         if self.pending.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
@@ -262,7 +266,7 @@ impl Dispatcher for Rtv {
     fn memory_bytes(&self) -> usize {
         // The RTV graph (trip candidates, each holding a schedule) dominates —
         // the paper reports RTV using a multiple of the other methods' memory.
-        self.pending.capacity() * (std::mem::size_of::<Request>() + 16) + self.peak_candidates * 512
+        self.peak_pending * (std::mem::size_of::<Request>() + 16) + self.peak_candidates * 512
     }
 
     fn take_pending(&mut self) -> Vec<Request> {

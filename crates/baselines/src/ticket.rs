@@ -6,9 +6,10 @@
 //! `k` takes each worker's `k`-th request and ranks its feasible insertions
 //! across the fleet in parallel, every evaluation reading the fleet as the
 //! round found it.  The requests then commit in worker order: each walks its
-//! ranked vehicles, "takes the ticket" of one by re-evaluating against the
-//! vehicle's current schedule, and commits to the first feasible one.  A
-//! vehicle that already took a commit this round is a ticket conflict.  This
+//! ranked vehicles and "takes the ticket" of the first that can still absorb
+//! it.  A vehicle that took no commit this round still has the schedule its
+//! ranking read, so the ranked insertion commits as it is; one that already
+//! took a commit is a ticket conflict and is re-evaluated.  This
 //! reproduces the paper's observation that TicketAssign+ improves on
 //! pruneGDP's service rate through simultaneous decision making.  Where Pan &
 //! Li's threads race on per-vehicle locks, the commit order here is fixed, so
@@ -16,7 +17,8 @@
 
 use rayon::prelude::*;
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
-use structride_model::{insertion, Request, Vehicle};
+use structride_model::insertion::{self, InsertionOutcome};
+use structride_model::{Request, Vehicle};
 use structride_roadnet::SpEngine;
 
 /// The TicketAssign+ parallel online dispatcher.
@@ -49,18 +51,23 @@ impl Default for TicketAssignPlus {
     }
 }
 
-/// The vehicles that can absorb `request`, cheapest insertion first (ties in
-/// fleet order).
-fn ranked_vehicles(engine: &SpEngine, fleet: &[Vehicle], request: &Request) -> Vec<usize> {
-    let mut ranked: Vec<(f64, usize)> = fleet
+/// Vehicle indices with their insertions of one request.
+type Ranked = Vec<(usize, InsertionOutcome)>;
+
+/// The vehicles that can absorb `request` with their insertions, cheapest
+/// first (ties in fleet order).
+fn ranked_vehicles(engine: &SpEngine, fleet: &[Vehicle], request: &Request) -> Ranked {
+    let mut ranked: Ranked = fleet
         .iter()
         .enumerate()
-        .filter_map(|(vi, v)| {
-            insertion::insert_request(engine, v, request).map(|out| (out.added_cost, vi))
-        })
+        .filter_map(|(vi, v)| insertion::insert_request(engine, v, request).map(|out| (vi, out)))
         .collect();
-    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
-    ranked.into_iter().map(|(_, vi)| vi).collect()
+    ranked.sort_by(|a, b| {
+        a.1.added_cost
+            .partial_cmp(&b.1.added_cost)
+            .expect("finite costs")
+    });
+    ranked
 }
 
 impl Dispatcher for TicketAssignPlus {
@@ -88,17 +95,20 @@ impl Dispatcher for TicketAssignPlus {
                 .filter_map(|worker| worker.get(round))
                 .collect();
             let fleet: &[Vehicle] = vehicles;
-            let ranked: Vec<Vec<usize>> = requests
+            let ranked: Vec<Ranked> = requests
                 .par_iter()
                 .map(|request| ranked_vehicles(engine, fleet, request))
                 .collect();
             let stamp = round as u64 + 1;
             for (request, ranked) in requests.into_iter().zip(ranked) {
-                for vi in ranked {
-                    if committed_in[vi] == stamp {
+                for (vi, ranked) in ranked {
+                    let out = if committed_in[vi] == stamp {
                         self.conflicts += 1;
-                    }
-                    if let Some(out) = insertion::insert_request(engine, &vehicles[vi], request) {
+                        insertion::insert_request(engine, &vehicles[vi], request)
+                    } else {
+                        Some(ranked)
+                    };
+                    if let Some(out) = out {
                         vehicles[vi].commit_schedule(out.schedule);
                         committed_in[vi] = stamp;
                         assigned.push(request.id);

@@ -14,32 +14,49 @@
 //! fast smoke run; no experiment name means `all`.  An unknown name or flag
 //! prints the usage on stderr and exits 2 before anything runs.
 
-use structride_bench::harness;
-use structride_bench::ExperimentScale;
+use structride_bench::harness::{self, Row, SWEEPS};
+use structride_bench::{outln, ExperimentScale};
+use structride_core::RunMetrics;
 
-/// The names that select an experiment, and the function that runs it.
-type Experiment = (&'static [&'static str], fn(&ExperimentScale));
+/// The names that select an experiment, and the study it runs — `None` for
+/// the harness sweeps whose experiment label is one of the names.
+type Experiment = (&'static [&'static str], Option<fn(&ExperimentScale)>);
 
 /// Every experiment in output order: the one list arguments are validated
 /// against, the usage text is printed from and the run walks.
 const EXPERIMENTS: &[Experiment] = &[
-    (&["fig8"], harness::fig8_vary_vehicles),
-    (&["fig9"], harness::fig9_vary_requests),
-    (&["fig10"], harness::fig10_vary_gamma),
-    (&["fig11"], harness::fig11_vary_capacity),
-    (&["fig12"], harness::fig12_vary_penalty),
-    (&["fig13"], harness::fig13_vary_batch),
-    (&["fig14"], harness::fig14_memory),
-    (&["fig15"], harness::fig15_cainiao),
+    (&["fig8"], None),
+    (&["fig9"], None),
+    (&["fig10"], None),
+    (&["fig11"], None),
+    (&["fig12"], None),
+    (&["fig13"], None),
+    (&["fig14"], None),
+    (&["fig15"], None),
+    (&["fig16", "fig17"], None),
+    (&["table_pruning"], None),
+    (&["insertion_order"], Some(harness::insertion_order_study)),
+    (&["ablation_candidates"], None),
     (
-        &["fig16", "fig17"],
-        harness::fig16_fig17_capacity_distribution,
+        &["angle_model"],
+        Some(|_| harness::angle_probability_model()),
     ),
-    (&["table_pruning"], harness::table_angle_pruning),
-    (&["insertion_order"], harness::insertion_order_study),
-    (&["ablation_candidates"], harness::ablation_candidate_cap),
-    (&["angle_model"], |_| harness::angle_probability_model()),
 ];
+
+/// The one TSV rendering of a sweep row: experiment, `key=value` and the
+/// metrics columns; the angle-pruning table adds SARD's build counters.
+fn print_row(row: &Row) {
+    let (experiment, sweep, value) = (row.experiment, row.sweep, &row.value);
+    let line = format!("{experiment}\t{sweep}={value}\t{}", row.metrics.tsv_row());
+    match row.build_stats.filter(|_| experiment == "table_pruning") {
+        Some(s) => outln!(
+            "{line}\tangle_pruned={}\tchecks={}",
+            s.angle_pruned,
+            s.shareability_checks
+        ),
+        None => outln!("{line}"),
+    }
+}
 
 fn selects(arg: &str, names: &[&str]) -> bool {
     arg == "all" || names.contains(&arg)
@@ -84,10 +101,18 @@ fn main() {
         "# running {:?} at scale: {} requests / {} vehicles / horizon {}s",
         selected, scale.requests, scale.vehicles, scale.horizon
     );
-    harness::print_header();
-    for (names, run) in EXPERIMENTS {
-        if selected.iter().any(|arg| selects(arg, names)) {
-            run(&scale);
+    outln!("experiment\tsweep\t{}", RunMetrics::tsv_header());
+    for (names, study) in EXPERIMENTS {
+        if !selected.iter().any(|arg| selects(arg, names)) {
+            continue;
+        }
+        match study {
+            Some(run) => run(&scale),
+            None => {
+                for sweep in SWEEPS.iter().filter(|s| names.contains(&s.experiment)) {
+                    harness::run_sweep(sweep, &scale).iter().for_each(print_row);
+                }
+            }
         }
     }
 }

@@ -75,9 +75,9 @@
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use structride_bench::outln;
-use structride_bench::replay_cli::{
-    dispatcher_by_name, dispatcher_keys, traffic_by_name, Pipeline, Scenario, ScenarioWorkload,
-    Source, TRAFFIC_KEYS,
+use structride_bench::replay_cli::{traffic_by_name, TRAFFIC_KEYS};
+use structride_bench::scenario::{
+    dispatcher_by_name, dispatcher_keys, Pipeline, Scenario, ScenarioWorkload, Source,
 };
 use structride_core::replay::{diff_traces, Checkpoint, Trace};
 use structride_core::shard::ShardingConfig;

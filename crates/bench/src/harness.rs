@@ -1,12 +1,13 @@
-//! The experiment implementations — one function per paper figure/table.
+//! The paper's evaluation (§V) as data: [`SWEEPS`], one entry per figure or
+//! table sweep, each a grid of [`Scenario`]s that [`run_sweep`] runs through
+//! [`Scenario::execute`] and returns as [`Row`]s; plus the two studies that
+//! are not suite sweeps.
 
-use structride_baselines::standard_registry;
-use structride_core::{
-    DispatchContext, Dispatcher, DispatcherKind, RunMetrics, SardDispatcher, Simulator,
-    StructRideConfig,
-};
+use crate::scenario::{Pipeline, Scenario, ScenarioWorkload, Source};
+use structride_core::{BatchSource, DispatchContext, RunHooks, RunMetrics, StructRideConfig};
 use structride_datagen::{CityProfile, Workload, WorkloadParams};
 use structride_sharegraph::angle::{sharing_probability, LogNormal};
+use structride_sharegraph::builder::BuildStats;
 
 /// How large the generated workloads are.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,83 +49,165 @@ impl ExperimentScale {
     }
 }
 
-/// Which dispatcher suite an experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuiteKind {
-    /// All six algorithms of the main figures.
-    Full,
-    /// Only the batch-based methods (RTV, GAS, SARD) — Fig. 13.
-    BatchOnly,
-    /// Only the traditional (non-learning) algorithms — the Cainiao appendix.
-    Traditional,
+/// All six algorithms of the main figures — a suite is registry keys in
+/// output order, SARD last.
+pub const FULL: &[&str] = &["rtv", "prunegdp", "darm", "gas", "ticket", "sard"];
+/// The batch-based methods (RTV, GAS, SARD) — Fig. 13.
+pub const BATCH_ONLY: &[&str] = &["rtv", "gas", "sard"];
+/// The traditional (non-learning) algorithms — the Cainiao appendix.
+pub const TRADITIONAL: &[&str] = &["rtv", "prunegdp", "gas", "ticket", "sard"];
+/// SARD alone — the angle-pruning table and the candidate-cap ablation.
+pub const SARD: &[&str] = &["sard"];
+
+/// One sweep of the paper's evaluation: for every city and value, one
+/// workload, and every suite dispatcher run on it.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep {
+    /// The experiment label (`fig8`, …, `table_pruning`,
+    /// `ablation_candidates`).
+    pub experiment: &'static str,
+    /// The swept key (`|W|`, `gamma`, …).
+    pub key: &'static str,
+    /// The cities swept, in order.
+    pub cities: &'static [CityProfile],
+    /// The values swept, in order.
+    pub values: &'static [f64],
+    /// Sets one value in the point's workload parameters and configuration
+    /// (both start at the defaults) and returns the value's label.
+    pub set: fn(f64, &mut WorkloadParams, &mut StructRideConfig) -> String,
+    /// The registry keys of the dispatchers each point runs, in order.
+    pub suite: &'static [&'static str],
 }
 
-fn suite(kind: SuiteKind, config: StructRideConfig) -> Vec<Box<dyn Dispatcher>> {
-    // Suite membership is a list of registry kinds; construction goes
-    // through `standard_registry`, the same constructors the replay CLI and
-    // the bench drivers resolve (experiment order is preserved: SARD last).
-    let kinds: &[DispatcherKind] = match kind {
-        SuiteKind::Full => &[
-            DispatcherKind::Rtv,
-            DispatcherKind::PruneGdp,
-            DispatcherKind::Darm,
-            DispatcherKind::Gas,
-            DispatcherKind::Ticket,
-            DispatcherKind::Sard,
-        ],
-        SuiteKind::BatchOnly => &[
-            DispatcherKind::Rtv,
-            DispatcherKind::Gas,
-            DispatcherKind::Sard,
-        ],
-        SuiteKind::Traditional => &[
-            DispatcherKind::Rtv,
-            DispatcherKind::PruneGdp,
-            DispatcherKind::Gas,
-            DispatcherKind::Ticket,
-            DispatcherKind::Sard,
-        ],
-    };
-    let registry = standard_registry();
-    kinds
-        .iter()
-        .map(|&k| -> Box<dyn Dispatcher> { registry.build(k, &config).expect("registered kind") })
-        .collect()
+/// One dispatcher's run at one sweep point.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// [`Sweep::experiment`].
+    pub experiment: &'static str,
+    /// [`Sweep::key`].
+    pub sweep: &'static str,
+    /// The swept value's label.
+    pub value: String,
+    /// The run's metrics.
+    pub metrics: RunMetrics,
+    /// SARD's shareability-graph build counters (`None` for the others).
+    pub build_stats: Option<BuildStats>,
 }
 
-/// Runs every dispatcher of `kind` on `workload` and returns their metrics.
-pub fn run_suite(
-    workload: &Workload,
-    config: StructRideConfig,
-    kind: SuiteKind,
-) -> Vec<RunMetrics> {
-    let simulator = Simulator::new(config);
-    let mut out = Vec::new();
-    for mut dispatcher in suite(kind, config) {
-        // Every algorithm starts from a cold shortest-path cache for fairness.
-        workload.engine.clear_cache();
-        let report = simulator.run(
-            &workload.engine,
-            &workload.requests,
-            workload.fresh_vehicles(),
-            dispatcher.as_mut(),
-            &workload.name,
-        );
-        out.push(report.metrics);
+const TAXI: &[CityProfile] = &[CityProfile::ChengduLike, CityProfile::NycLike];
+const CAINIAO: &[CityProfile] = &[CityProfile::CainiaoLike];
+const ALL: &[CityProfile] = &[
+    CityProfile::ChengduLike,
+    CityProfile::NycLike,
+    CityProfile::CainiaoLike,
+];
+
+// What a sweep value sets, each returning the value's label; `vehicles` and
+// `requests` scale the experiment scale's baseline by a factor.
+fn vehicles(factor: f64, p: &mut WorkloadParams, _: &mut StructRideConfig) -> String {
+    p.num_vehicles = (p.num_vehicles as f64 * factor).round() as usize;
+    p.num_vehicles.to_string()
+}
+
+fn requests(factor: f64, p: &mut WorkloadParams, _: &mut StructRideConfig) -> String {
+    p.num_requests = (p.num_requests as f64 * factor).round() as usize;
+    p.num_requests.to_string()
+}
+
+fn gamma(gamma: f64, p: &mut WorkloadParams, _: &mut StructRideConfig) -> String {
+    p.gamma = gamma;
+    format!("{gamma}")
+}
+
+fn capacity(c: f64, p: &mut WorkloadParams, config: &mut StructRideConfig) -> String {
+    p.capacity = c as u32;
+    config.shareability_capacity = c as u32;
+    format!("{c}")
+}
+
+fn penalty(pr: f64, _: &mut WorkloadParams, config: &mut StructRideConfig) -> String {
+    *config = config.with_penalty(pr);
+    format!("{pr}")
+}
+
+fn batch_period(delta: f64, _: &mut WorkloadParams, config: &mut StructRideConfig) -> String {
+    *config = config.with_batch_period(delta);
+    format!("{delta}")
+}
+
+fn capacity_sigma(sigma: f64, p: &mut WorkloadParams, _: &mut StructRideConfig) -> String {
+    p.capacity_sigma = sigma;
+    format!("{sigma}")
+}
+
+fn defaults(_: f64, _: &mut WorkloadParams, _: &mut StructRideConfig) -> String {
+    "default".to_string()
+}
+
+/// 0 is SARD without angle pruning, 1 is SARD-O (with it).
+fn angle_pruning(on: f64, _: &mut WorkloadParams, config: &mut StructRideConfig) -> String {
+    if on == 0.0 {
+        *config = config.without_angle_pruning();
+        "SARD".to_string()
+    } else {
+        "SARD-O".to_string()
     }
-    out
 }
 
-fn print_rows(experiment: &str, sweep: &str, value: String, rows: &[RunMetrics]) {
-    for m in rows {
-        crate::outln!("{experiment}\t{sweep}={value}\t{}", m.tsv_row());
+fn candidate_cap(k: f64, _: &mut WorkloadParams, config: &mut StructRideConfig) -> String {
+    config.max_candidate_vehicles = k as usize;
+    format!("{k}")
+}
+
+const fn sweep(
+    experiment: &'static str,
+    key: &'static str,
+    cities: &'static [CityProfile],
+    values: &'static [f64],
+    set: fn(f64, &mut WorkloadParams, &mut StructRideConfig) -> String,
+    suite: &'static [&'static str],
+) -> Sweep {
+    Sweep {
+        experiment,
+        key,
+        cities,
+        values,
+        set,
+        suite,
     }
 }
 
-/// Prints the TSV header for all experiment output.
-pub fn print_header() {
-    crate::outln!("experiment\tsweep\t{}", RunMetrics::tsv_header());
-}
+/// Every sweep of the paper's evaluation, in output order.
+///
+/// - Figs. 8–12: |W|, |R|, γ, capacity c and penalty p_r on the taxi cities.
+/// - Fig. 13: the batch methods under the batching period Δ.
+/// - Fig. 14: memory under default parameters.
+/// - Fig. 15: the Cainiao delivery workload's sweeps.
+/// - Figs. 16 / 17: capacity and its spread σ, Cainiao then the taxi cities.
+/// - Tables V / VI: SARD without (SARD) and with (SARD-O) angle pruning.
+/// - The candidate-queue cap (`max_candidate_vehicles`), the one knob this
+///   reproduction adds on top of Alg. 3 (it stands in for the
+///   radius-bounded grid range query).
+#[rustfmt::skip]
+pub const SWEEPS: &[Sweep] = &[
+    sweep("fig8", "|W|", TAXI, &[0.4, 0.7, 1.0, 1.3, 1.6], vehicles, FULL),
+    sweep("fig9", "|R|", TAXI, &[0.25, 0.5, 1.0, 1.5, 2.0], requests, FULL),
+    sweep("fig10", "gamma", TAXI, &[1.2, 1.3, 1.5, 1.8, 2.0], gamma, FULL),
+    sweep("fig11", "c", TAXI, &[2.0, 3.0, 4.0, 5.0, 6.0], capacity, FULL),
+    sweep("fig12", "pr", TAXI, &[2.0, 5.0, 10.0, 20.0, 30.0], penalty, FULL),
+    sweep("fig13", "delta", TAXI, &[1.0, 3.0, 5.0, 7.0, 9.0], batch_period, BATCH_ONLY),
+    sweep("fig14", "memory", TAXI, &[0.0], defaults, TRADITIONAL),
+    sweep("fig15", "|W|", CAINIAO, &[0.75, 1.0, 1.25], vehicles, TRADITIONAL),
+    sweep("fig15", "|R|", CAINIAO, &[0.5, 1.0, 1.5], requests, TRADITIONAL),
+    sweep("fig15", "gamma", CAINIAO, &[1.8, 2.0, 2.2], gamma, TRADITIONAL),
+    sweep("fig15", "pr", CAINIAO, &[2.0, 10.0, 30.0], penalty, TRADITIONAL),
+    sweep("fig15", "delta", CAINIAO, &[3.0, 5.0, 7.0], batch_period, BATCH_ONLY),
+    sweep("fig16", "c", CAINIAO, &[2.0, 4.0, 6.0], capacity, TRADITIONAL),
+    sweep("fig16", "sigma", CAINIAO, &[0.0, 0.5, 1.0, 1.5, 2.0], capacity_sigma, TRADITIONAL),
+    sweep("fig17", "sigma", TAXI, &[0.0, 0.5, 1.0, 1.5, 2.0], capacity_sigma, TRADITIONAL),
+    sweep("table_pruning", "variant", ALL, &[0.0, 1.0], angle_pruning, SARD),
+    sweep("ablation_candidates", "k", TAXI, &[1.0, 2.0, 4.0, 8.0, 16.0], candidate_cap, SARD),
+];
 
 fn base_params(city: CityProfile, scale: &ExperimentScale) -> WorkloadParams {
     WorkloadParams {
@@ -140,244 +223,43 @@ fn base_params(city: CityProfile, scale: &ExperimentScale) -> WorkloadParams {
     }
 }
 
-/// Fig. 8 — performance when varying the number of vehicles |W|.
-pub fn fig8_vary_vehicles(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for factor in [0.4, 0.7, 1.0, 1.3, 1.6] {
+/// Runs `sweep` at `scale`: every (city, value) point's workload is
+/// generated once, and each suite dispatcher runs on it through
+/// [`Scenario::execute`] on the monolithic, clock-driven pipeline.  Returns
+/// one row per (point, dispatcher), in order; prints nothing.
+pub fn run_sweep(sweep: &Sweep, scale: &ExperimentScale) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &city in sweep.cities {
+        for &value in sweep.values {
             let mut params = base_params(city, scale);
-            params.num_vehicles = ((scale.vehicles as f64) * factor).round() as usize;
-            let workload = Workload::generate(params);
-            let rows = run_suite(&workload, StructRideConfig::default(), SuiteKind::Full);
-            print_rows("fig8", "|W|", params.num_vehicles.to_string(), &rows);
+            let mut config = StructRideConfig::default();
+            let label = (sweep.set)(value, &mut params, &mut config);
+            let workload = ScenarioWorkload::Single(params);
+            let generated = workload.generate();
+            for &key in sweep.suite {
+                let scenario = Scenario {
+                    workload: workload.clone(),
+                    dispatcher: key.to_string(),
+                    pipeline: Pipeline::Mono,
+                    source: Source::Clock,
+                    config,
+                };
+                let source = BatchSource::Clock(&generated.requests);
+                let vehicles = generated.vehicles.clone();
+                let mut finished = scenario
+                    .execute(&generated, key, source, vehicles, RunHooks::default())
+                    .expect("a clock-driven run is never refused");
+                rows.push(Row {
+                    experiment: sweep.experiment,
+                    sweep: sweep.key,
+                    value: label.clone(),
+                    metrics: finished.lanes.swap_remove(0).1,
+                    build_stats: finished.build_stats,
+                });
+            }
         }
     }
-}
-
-/// Fig. 9 — performance when varying the number of requests |R|.
-pub fn fig9_vary_requests(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for factor in [0.25, 0.5, 1.0, 1.5, 2.0] {
-            let mut params = base_params(city, scale);
-            params.num_requests = ((scale.requests as f64) * factor).round() as usize;
-            let workload = Workload::generate(params);
-            let rows = run_suite(&workload, StructRideConfig::default(), SuiteKind::Full);
-            print_rows("fig9", "|R|", params.num_requests.to_string(), &rows);
-        }
-    }
-}
-
-/// Fig. 10 — performance when varying the deadline parameter γ.
-pub fn fig10_vary_gamma(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for gamma in [1.2, 1.3, 1.5, 1.8, 2.0] {
-            let mut params = base_params(city, scale);
-            params.gamma = gamma;
-            let workload = Workload::generate(params);
-            let rows = run_suite(&workload, StructRideConfig::default(), SuiteKind::Full);
-            print_rows("fig10", "gamma", format!("{gamma}"), &rows);
-        }
-    }
-}
-
-/// Fig. 11 — performance when varying the vehicle capacity c.
-pub fn fig11_vary_capacity(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for capacity in [2u32, 3, 4, 5, 6] {
-            let mut params = base_params(city, scale);
-            params.capacity = capacity;
-            let workload = Workload::generate(params);
-            let config = StructRideConfig {
-                shareability_capacity: capacity,
-                ..Default::default()
-            };
-            let rows = run_suite(&workload, config, SuiteKind::Full);
-            print_rows("fig11", "c", capacity.to_string(), &rows);
-        }
-    }
-}
-
-/// Fig. 12 — performance when varying the penalty coefficient p_r.
-pub fn fig12_vary_penalty(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for pr in [2.0, 5.0, 10.0, 20.0, 30.0] {
-            let workload = Workload::generate(base_params(city, scale));
-            let config = StructRideConfig::default().with_penalty(pr);
-            let rows = run_suite(&workload, config, SuiteKind::Full);
-            print_rows("fig12", "pr", format!("{pr}"), &rows);
-        }
-    }
-}
-
-/// Fig. 13 — batch-based methods when varying the batching period Δ.
-pub fn fig13_vary_batch(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        for delta in [1.0, 3.0, 5.0, 7.0, 9.0] {
-            let workload = Workload::generate(base_params(city, scale));
-            let config = StructRideConfig::default().with_batch_period(delta);
-            let rows = run_suite(&workload, config, SuiteKind::BatchOnly);
-            print_rows("fig13", "delta", format!("{delta}"), &rows);
-        }
-    }
-}
-
-/// Fig. 14 — memory consumption under default parameters.
-pub fn fig14_memory(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        let workload = Workload::generate(base_params(city, scale));
-        let rows = run_suite(
-            &workload,
-            StructRideConfig::default(),
-            SuiteKind::Traditional,
-        );
-        print_rows("fig14", "memory", "default".into(), &rows);
-    }
-}
-
-/// Fig. 15 — the Cainiao delivery workload sweeps (|W|, |R|, γ, p_r, Δ).
-pub fn fig15_cainiao(scale: &ExperimentScale) {
-    let city = CityProfile::CainiaoLike;
-    for factor in [0.75, 1.0, 1.25] {
-        let mut params = base_params(city, scale);
-        params.num_vehicles = ((scale.vehicles as f64) * factor).round() as usize;
-        let workload = Workload::generate(params);
-        let rows = run_suite(
-            &workload,
-            StructRideConfig::default(),
-            SuiteKind::Traditional,
-        );
-        print_rows("fig15", "|W|", params.num_vehicles.to_string(), &rows);
-    }
-    for factor in [0.5, 1.0, 1.5] {
-        let mut params = base_params(city, scale);
-        params.num_requests = ((scale.requests as f64) * factor).round() as usize;
-        let workload = Workload::generate(params);
-        let rows = run_suite(
-            &workload,
-            StructRideConfig::default(),
-            SuiteKind::Traditional,
-        );
-        print_rows("fig15", "|R|", params.num_requests.to_string(), &rows);
-    }
-    for gamma in [1.8, 2.0, 2.2] {
-        let mut params = base_params(city, scale);
-        params.gamma = gamma;
-        let workload = Workload::generate(params);
-        let rows = run_suite(
-            &workload,
-            StructRideConfig::default(),
-            SuiteKind::Traditional,
-        );
-        print_rows("fig15", "gamma", format!("{gamma}"), &rows);
-    }
-    for pr in [2.0, 10.0, 30.0] {
-        let workload = Workload::generate(base_params(city, scale));
-        let config = StructRideConfig::default().with_penalty(pr);
-        let rows = run_suite(&workload, config, SuiteKind::Traditional);
-        print_rows("fig15", "pr", format!("{pr}"), &rows);
-    }
-    for delta in [3.0, 5.0, 7.0] {
-        let workload = Workload::generate(base_params(city, scale));
-        let config = StructRideConfig::default().with_batch_period(delta);
-        let rows = run_suite(&workload, config, SuiteKind::BatchOnly);
-        print_rows("fig15", "delta", format!("{delta}"), &rows);
-    }
-}
-
-/// Fig. 16 / Fig. 17 — vehicle-capacity distribution (variance σ) and the
-/// Cainiao capacity sweep.
-pub fn fig16_fig17_capacity_distribution(scale: &ExperimentScale) {
-    for capacity in [2u32, 4, 6] {
-        let mut params = base_params(CityProfile::CainiaoLike, scale);
-        params.capacity = capacity;
-        let workload = Workload::generate(params);
-        let config = StructRideConfig {
-            shareability_capacity: capacity,
-            ..Default::default()
-        };
-        let rows = run_suite(&workload, config, SuiteKind::Traditional);
-        print_rows("fig16", "c", capacity.to_string(), &rows);
-    }
-    for city in [
-        CityProfile::CainiaoLike,
-        CityProfile::ChengduLike,
-        CityProfile::NycLike,
-    ] {
-        for sigma in [0.0, 0.5, 1.0, 1.5, 2.0] {
-            let mut params = base_params(city, scale);
-            params.capacity_sigma = sigma;
-            let workload = Workload::generate(params);
-            let rows = run_suite(
-                &workload,
-                StructRideConfig::default(),
-                SuiteKind::Traditional,
-            );
-            let fig = if city == CityProfile::CainiaoLike {
-                "fig16"
-            } else {
-                "fig17"
-            };
-            print_rows(fig, "sigma", format!("{sigma}"), &rows);
-        }
-    }
-}
-
-/// Tables V / VI — the angle-pruning ablation: SARD (no pruning) vs SARD-O
-/// (with pruning), reporting unified cost, service rate, #SP queries and time.
-pub fn table_angle_pruning(scale: &ExperimentScale) {
-    for city in CityProfile::all() {
-        let workload = Workload::generate(base_params(city, scale));
-        for (label, config) in [
-            ("SARD", StructRideConfig::default().without_angle_pruning()),
-            ("SARD-O", StructRideConfig::default()),
-        ] {
-            workload.engine.clear_cache();
-            let simulator = Simulator::new(config);
-            let mut sard = SardDispatcher::new(config);
-            let report = simulator.run(
-                &workload.engine,
-                &workload.requests,
-                workload.fresh_vehicles(),
-                &mut sard,
-                &workload.name,
-            );
-            let m = &report.metrics;
-            let stats = sard.build_stats().unwrap_or_default();
-            crate::outln!(
-                "table_pruning\tvariant={label}\t{}\tangle_pruned={}\tchecks={}",
-                m.tsv_row(),
-                stats.angle_pruned,
-                stats.shareability_checks
-            );
-        }
-    }
-}
-
-/// Ablation of the candidate-queue cap (`max_candidate_vehicles`) — the one
-/// knob this reproduction adds on top of the paper's Algorithm 3 (it stands in
-/// for the radius-bounded grid range query, see `DESIGN.md`).  Sweeping it
-/// shows how sensitive SARD is to the size of the per-request candidate
-/// neighbourhood.
-pub fn ablation_candidate_cap(scale: &ExperimentScale) {
-    for city in [CityProfile::ChengduLike, CityProfile::NycLike] {
-        let workload = Workload::generate(base_params(city, scale));
-        for cap in [1usize, 2, 4, 8, 16] {
-            let config = StructRideConfig {
-                max_candidate_vehicles: cap,
-                ..Default::default()
-            };
-            workload.engine.clear_cache();
-            let simulator = Simulator::new(config);
-            let mut sard = SardDispatcher::new(config);
-            let report = simulator.run(
-                &workload.engine,
-                &workload.requests,
-                workload.fresh_vehicles(),
-                &mut sard,
-                &workload.name,
-            );
-            crate::outln!("ablation_candidates\tk={cap}\t{}", report.metrics.tsv_row());
-        }
-    }
+    rows
 }
 
 /// The §IV-A schedule-maintenance study: how often does linear insertion reach
@@ -458,19 +340,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_suite_produces_one_row_per_algorithm() {
-        let scale = ExperimentScale::quick();
-        let workload = Workload::generate(base_params(CityProfile::NycLike, &scale));
-        let rows = run_suite(&workload, StructRideConfig::default(), SuiteKind::BatchOnly);
-        let names: Vec<&str> = rows.iter().map(|m| m.algorithm.as_str()).collect();
-        assert_eq!(names, vec!["RTV", "GAS", "SARD"]);
-        for m in &rows {
-            assert_eq!(m.total_requests, workload.requests.len());
-            assert!(m.service_rate() <= 1.0);
-        }
-    }
-
-    #[test]
     fn scales_are_ordered() {
         let q = ExperimentScale::quick();
         let s = ExperimentScale::standard();
@@ -479,10 +348,14 @@ mod tests {
     }
 
     #[test]
-    fn suite_kinds_have_expected_sizes() {
-        let config = StructRideConfig::default();
-        assert_eq!(suite(SuiteKind::Full, config).len(), 6);
-        assert_eq!(suite(SuiteKind::BatchOnly, config).len(), 3);
-        assert_eq!(suite(SuiteKind::Traditional, config).len(), 5);
+    fn every_suite_key_is_registered() {
+        let registered = crate::scenario::dispatcher_keys();
+        for sweep in SWEEPS {
+            assert!(
+                sweep.suite.iter().all(|key| registered.contains(key)),
+                "{}",
+                sweep.experiment
+            );
+        }
     }
 }

@@ -1,13 +1,16 @@
 //! Experiment harness for regenerating the paper's evaluation (§V).
 //!
-//! Every figure and table of the paper maps to one function in [`harness`]
-//! that builds the corresponding workload sweep, runs the relevant dispatcher
-//! suite through the batched simulator and prints one TSV row per
-//! (workload-point, algorithm) pair — the same series the paper plots.  The
-//! `experiments` binary exposes them on the command line; the Criterion
+//! [`scenario`] holds the typed [`scenario::Scenario`] — workload,
+//! dispatcher, pipeline, batch source, configuration — and
+//! [`scenario::Scenario::execute`], the one place this crate runs a
+//! simulator.  [`harness`] holds the paper's figures and tables as data: each
+//! sweep is one entry of [`harness::SWEEPS`], and [`harness::run_sweep`] runs
+//! its grid of scenarios and returns [`harness::Row`]s, printing nothing.  The
+//! `experiments` binary renders the rows as TSV — the same series the paper
+//! plots — and `tests/data/experiments_quick.tsv` is its `--quick` output,
+//! committed as a decision golden.  [`replay_cli`] is the library half of the
+//! `replay` binary (record, replay, resume, diff, verify); the Criterion
 //! benches in `benches/` cover the running-time comparisons at a micro level.
-//! [`replay_cli`] is the library half of the `replay` binary (record, replay,
-//! resume, diff, verify).
 //!
 //! Scale note: the workloads are laptop-sized (hundreds to a few thousand
 //! requests instead of 250 K), so absolute numbers differ from the paper; the
@@ -16,8 +19,9 @@
 
 pub mod harness;
 pub mod replay_cli;
+pub mod scenario;
 
-pub use harness::{ExperimentScale, SuiteKind};
+pub use harness::ExperimentScale;
 
 /// `println!` for the binaries' stdout that survives a reader going away:
 /// when stdout is a closed pipe (`replay diff … | head`), the process exits

@@ -1,41 +1,16 @@
-//! Plumbing behind the `replay` binary: dispatcher lookup by name, the typed
-//! [`Scenario`] a trace was recorded from, and the record / check / resume
-//! flows over it.
-//!
-//! A trace does not ship its road network — it stores the scenario that
-//! generated it (all generation is seeded and deterministic) as `param`
-//! lines, so `replay` regenerates an identical engine from the metadata.
-//! [`Scenario::from_meta`] is strict: a missing, unknown or duplicate key, or
-//! a value that does not parse, is a [`ScenarioError`] naming the key.
-//! Floats round-trip exactly through the text format, making cross-process
-//! replays bit-identical.
+//! The record / check / resume flows behind the `replay` binary, over the
+//! typed [`Scenario`] a trace was recorded from (see [`crate::scenario`]),
+//! and the `--traffic` scenario keys.
 
-use std::collections::HashSet;
-use std::fmt;
-use std::num::NonZeroUsize;
-use std::str::FromStr;
-use structride_baselines::standard_registry;
 use structride_core::replay::{
     diff_traces, replay_trace, Checkpoint, DriftReport, Trace, TraceMeta, TraceRecorder,
     VehicleState,
 };
-use structride_core::shard::{region_strips_for, ShardedReport, ShardedSimulator, ShardingConfig};
-use structride_core::{
-    BatchSource, Dispatcher, IngestConfig, RunHooks, RunMetrics, RunObserver, SardDispatcher,
-    SimulationReport, Simulator, StructRideConfig,
-};
-use structride_datagen::{
-    CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
-};
-use structride_model::{Request, RequestId, Vehicle};
-use structride_roadnet::{SpEngine, SpEngineBuilder, TrafficConfig};
+use structride_core::{BatchSource, RunHooks, RunMetrics, RunObserver};
+use structride_model::{Request, RequestId};
+use structride_roadnet::TrafficConfig;
 
-/// The dispatcher keys `--algo` accepts, straight from the registry
-/// ([`standard_registry`]) — the hand-maintained key lists this module used
-/// to carry are gone.
-pub fn dispatcher_keys() -> Vec<&'static str> {
-    standard_registry().keys()
-}
+use crate::scenario::{registered, traffic_engine, Finished, Pipeline, Scenario, Source};
 
 /// The traffic scenario keys `--traffic` accepts.
 pub const TRAFFIC_KEYS: &[&str] = &["rush", "incident"];
@@ -67,319 +42,7 @@ pub fn traffic_by_name(key: &str, horizon: f64) -> Option<TrafficConfig> {
     }
 }
 
-/// Constructs a fresh dispatcher from its CLI key via the registry.  The
-/// box is `Send` so the sharded pipeline can hand one dispatcher to each
-/// shard's worker.
-pub fn dispatcher_by_name(
-    key: &str,
-    config: StructRideConfig,
-) -> Option<Box<dyn Dispatcher + Send>> {
-    standard_registry().build_by_key(&key.to_ascii_lowercase(), &config)
-}
-
-/// [`dispatcher_by_name`] for a key already checked against the registry.
-fn registered(key: &str, config: StructRideConfig) -> Box<dyn Dispatcher + Send> {
-    dispatcher_by_name(key, config).expect("dispatcher keys are validated before a scenario runs")
-}
-
-fn city_from_name(name: &str) -> Option<CityProfile> {
-    [
-        CityProfile::ChengduLike,
-        CityProfile::NycLike,
-        CityProfile::CainiaoLike,
-    ]
-    .into_iter()
-    .find(|c| c.name() == name)
-}
-
-/// The generated workload a scenario runs on.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScenarioWorkload {
-    /// One city ([`Workload`]).
-    Single(WorkloadParams),
-    /// Several cities side by side ([`MultiRegionWorkload`]).
-    Regions(MultiRegionParams),
-}
-
-/// One simulator over the whole network, or one per vertical strip.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pipeline {
-    /// [`Simulator`].
-    Mono,
-    /// [`ShardedSimulator`], one dispatcher per shard.  The knobs are
-    /// recorded so a check rebuilds the *recorded* pipeline, not whatever
-    /// the defaults are at replay time.
-    Sharded {
-        /// Number of vertical strips.
-        shards: NonZeroUsize,
-        /// Handoff band, rebalancing and top-m shortlist.
-        sharding: ShardingConfig,
-    },
-}
-
-/// Where batch boundaries come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// The simulated Δ clock.
-    Clock,
-    /// The wall-clock ingest front end (`core::ingest`); the realized
-    /// boundaries land in the trace.
-    Ingest,
-}
-
-/// Everything that makes a recorded run reproducible.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// What is generated.
-    pub workload: ScenarioWorkload,
-    /// Registry key of the dispatcher (one instance per shard when sharded).
-    pub dispatcher: String,
-    /// Monolithic or sharded.
-    pub pipeline: Pipeline,
-    /// Clock-driven or ingested.
-    pub source: Source,
-    /// The framework configuration (the trace's `config` line).
-    pub config: StructRideConfig,
-}
-
-/// Why a trace's `param` lines do not describe a [`Scenario`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioError {
-    /// A key the scenario's shape needs is absent.
-    Missing(&'static str),
-    /// A key no scenario of this shape has.
-    Unknown(String),
-    /// A key given twice.
-    Duplicate(String),
-    /// A key and its value that does not parse — an unknown `mode`, city or
-    /// dispatcher, a zero shard count, a number that is not one.
-    BadValue(String, String),
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScenarioError::Missing(key) => write!(f, "missing param `{key}`"),
-            ScenarioError::Unknown(key) => write!(f, "unknown param `{key}`"),
-            ScenarioError::Duplicate(key) => write!(f, "duplicate param `{key}`"),
-            ScenarioError::BadValue(key, value) => {
-                write!(f, "param `{key}` has bad value {value:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {}
-
-/// Generates `workload`: its name, engine, requests and initial fleet.
-fn generate(workload: &ScenarioWorkload) -> (String, SpEngine, Vec<Request>, Vec<Vehicle>) {
-    match workload {
-        ScenarioWorkload::Single(params) => {
-            let w = Workload::generate(*params);
-            (w.name, w.engine, w.requests, w.vehicles)
-        }
-        ScenarioWorkload::Regions(params) => {
-            let w = MultiRegionWorkload::generate(params.clone());
-            (w.name, w.engine, w.requests, w.vehicles)
-        }
-    }
-}
-
-/// The engine a monolithic run needs under `config`: `None` (use the
-/// workload's own free-flow engine) when traffic is static, otherwise a fresh
-/// engine over the same network carrying the traffic model, so the simulator
-/// can roll its epoch from the batch clock — one per run, since epoch state
-/// lives inside it.  The sharded pipelines build their per-shard engines
-/// from `config.traffic` themselves.
-fn traffic_engine(engine: &SpEngine, config: &StructRideConfig) -> Option<SpEngine> {
-    (!config.traffic.is_static()).then(|| {
-        SpEngineBuilder::new()
-            .traffic(config.traffic)
-            .build(engine.network().clone())
-    })
-}
-
 impl Scenario {
-    /// The quickstart-style scenario the `record` / `verify` flows run: an
-    /// NYC-like city on the monolithic pipeline; a Chengdu-like and an
-    /// NYC-like region side by side when sharded.  An ingested one replaces
-    /// `config.ingest` with knobs that compress the stream into well under a
-    /// second of wall clock, so CI record steps stay fast.
-    pub fn quickstart(
-        quick: bool,
-        dispatcher: &str,
-        pipeline: Pipeline,
-        source: Source,
-        config: StructRideConfig,
-    ) -> Scenario {
-        let workload = match pipeline {
-            Pipeline::Mono => ScenarioWorkload::Single(WorkloadParams {
-                num_requests: if quick { 80 } else { 240 },
-                num_vehicles: if quick { 12 } else { 40 },
-                horizon: if quick { 120.0 } else { 300.0 },
-                scale: 0.3,
-                ..WorkloadParams::small(CityProfile::NycLike)
-            }),
-            Pipeline::Sharded { .. } => ScenarioWorkload::Regions(MultiRegionParams {
-                cities: vec![CityProfile::ChengduLike, CityProfile::NycLike],
-                requests_per_region: if quick { 50 } else { 110 },
-                vehicles_per_region: if quick { 8 } else { 18 },
-                capacity: 4,
-                horizon: if quick { 120.0 } else { 280.0 },
-                scale: 0.3,
-                seed: 42,
-            }),
-        };
-        let config = match source {
-            Source::Clock => config,
-            Source::Ingest => config.with_ingest(IngestConfig {
-                max_batch_size: 32,
-                batch_deadline: 0.01,
-                queue_capacity: 4096,
-                time_scale: if quick { 240.0 } else { 120.0 },
-            }),
-        };
-        Scenario {
-            workload,
-            dispatcher: dispatcher.to_string(),
-            pipeline,
-            source,
-            config,
-        }
-    }
-
-    /// The trace `param` pairs, in the order every trace has carried them: a
-    /// sharded scenario opens with `mode`, the shard count and the sharding
-    /// knobs; the workload's generation parameters follow; a monolithic
-    /// ingested one then says `mode ingested`; `dispatcher` comes last.
-    pub fn to_params(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut put = |key: &str, value: String| out.push((key.to_string(), value));
-        if let Pipeline::Sharded { shards, sharding } = &self.pipeline {
-            let mode = match self.source {
-                Source::Clock => "sharded",
-                Source::Ingest => "sharded-ingested",
-            };
-            put("mode", mode.to_string());
-            put("shards", shards.to_string());
-            put("handoff_band", sharding.handoff_band.to_string());
-            put("rebalance", sharding.rebalance.to_string());
-            let migrations = sharding.max_migrations_per_batch;
-            put("max_migrations_per_batch", migrations.to_string());
-            put("top_m", sharding.top_m.to_string());
-        }
-        match &self.workload {
-            ScenarioWorkload::Single(p) => {
-                put("city", p.city.name().to_string());
-                put("num_requests", p.num_requests.to_string());
-                put("num_vehicles", p.num_vehicles.to_string());
-                put("capacity", p.capacity.to_string());
-                put("capacity_sigma", p.capacity_sigma.to_string());
-                put("gamma", p.gamma.to_string());
-                put("horizon", p.horizon.to_string());
-                put("scale", p.scale.to_string());
-                put("seed", p.seed.to_string());
-            }
-            ScenarioWorkload::Regions(p) => {
-                let cities: Vec<&str> = p.cities.iter().map(|c| c.name()).collect();
-                put("cities", cities.join(","));
-                put("requests_per_region", p.requests_per_region.to_string());
-                put("vehicles_per_region", p.vehicles_per_region.to_string());
-                put("capacity", p.capacity.to_string());
-                put("horizon", p.horizon.to_string());
-                put("scale", p.scale.to_string());
-                put("seed", p.seed.to_string());
-            }
-        }
-        if self.pipeline == Pipeline::Mono && self.source == Source::Ingest {
-            put("mode", "ingested".to_string());
-        }
-        put("dispatcher", self.dispatcher.clone());
-        out
-    }
-
-    /// Reads the scenario a trace was recorded from — the inverse of
-    /// [`Scenario::to_params`] over `meta.params`, plus `meta.config`.  The
-    /// `mode` key picks the pipeline and source, a `cities` key the
-    /// multi-region workload; the dispatcher must be a registered key.
-    pub fn from_meta(meta: &TraceMeta) -> Result<Scenario, ScenarioError> {
-        fn param<T: FromStr>(meta: &TraceMeta, key: &'static str) -> Result<T, ScenarioError> {
-            let value = meta.param(key).ok_or(ScenarioError::Missing(key))?;
-            value.parse().map_err(|_| bad_value(key, value))
-        }
-        fn bad_value(key: &str, value: &str) -> ScenarioError {
-            ScenarioError::BadValue(key.to_string(), value.to_string())
-        }
-        let mode = meta.param("mode");
-        let pipeline = match mode {
-            None | Some("ingested") => Pipeline::Mono,
-            Some("sharded" | "sharded-ingested") => Pipeline::Sharded {
-                shards: param(meta, "shards")?,
-                sharding: ShardingConfig {
-                    handoff_band: param(meta, "handoff_band")?,
-                    rebalance: param(meta, "rebalance")?,
-                    max_migrations_per_batch: param(meta, "max_migrations_per_batch")?,
-                    top_m: param(meta, "top_m")?,
-                },
-            },
-            Some(other) => return Err(bad_value("mode", other)),
-        };
-        let source = match mode {
-            Some("ingested" | "sharded-ingested") => Source::Ingest,
-            _ => Source::Clock,
-        };
-        let workload = if let Some(cities) = meta.param("cities") {
-            ScenarioWorkload::Regions(MultiRegionParams {
-                cities: cities
-                    .split(',')
-                    .map(city_from_name)
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| bad_value("cities", cities))?,
-                requests_per_region: param(meta, "requests_per_region")?,
-                vehicles_per_region: param(meta, "vehicles_per_region")?,
-                capacity: param(meta, "capacity")?,
-                horizon: param(meta, "horizon")?,
-                scale: param(meta, "scale")?,
-                seed: param(meta, "seed")?,
-            })
-        } else {
-            let city: String = param(meta, "city")?;
-            ScenarioWorkload::Single(WorkloadParams {
-                city: city_from_name(&city).ok_or_else(|| bad_value("city", &city))?,
-                num_requests: param(meta, "num_requests")?,
-                num_vehicles: param(meta, "num_vehicles")?,
-                capacity: param(meta, "capacity")?,
-                capacity_sigma: param(meta, "capacity_sigma")?,
-                gamma: param(meta, "gamma")?,
-                horizon: param(meta, "horizon")?,
-                scale: param(meta, "scale")?,
-                seed: param(meta, "seed")?,
-            })
-        };
-        let dispatcher: String = param(meta, "dispatcher")?;
-        if dispatcher_by_name(&dispatcher, meta.config).is_none() {
-            return Err(bad_value("dispatcher", &dispatcher));
-        }
-        let scenario = Scenario {
-            workload,
-            dispatcher,
-            pipeline,
-            source,
-            config: meta.config,
-        };
-        // The keys this shape writes are the only ones it may read.
-        let known = scenario.to_params();
-        for (i, (key, _)) in meta.params.iter().enumerate() {
-            if meta.params[..i].iter().any(|(k, _)| k == key) {
-                return Err(ScenarioError::Duplicate(key.clone()));
-            }
-            if !known.iter().any(|(k, _)| k == key) {
-                return Err(ScenarioError::Unknown(key.clone()));
-            }
-        }
-        Ok(scenario)
-    }
-
     /// Runs the scenario and returns its trace — metadata from
     /// [`Scenario::to_params`], plus SARD's shareability-graph build counters
     /// on the monolithic pipeline — and the [`Checkpoint`]s the run's
@@ -419,7 +82,7 @@ impl Scenario {
     /// Panics if `dispatcher` is not a registered key.
     pub fn check(&self, trace: &Trace, dispatcher: &str) -> DriftReport {
         if self.pipeline == Pipeline::Mono {
-            let (_, engine, _, _) = generate(&self.workload);
+            let engine = self.workload.generate().engine;
             let traffic = traffic_engine(&engine, &self.config);
             let engine = traffic.as_ref().unwrap_or(&engine);
             return replay_trace(engine, registered(dispatcher, self.config).as_mut(), trace);
@@ -444,9 +107,7 @@ impl Scenario {
         boundaries: Option<&[(f64, Vec<Request>)]>,
         observer: Option<&mut dyn RunObserver>,
     ) -> (Trace, Vec<Checkpoint>) {
-        const FRESH: &str = "a fresh run of a generated stream is never refused";
-        let (name, engine, requests, vehicles) = generate(&self.workload);
-        let config = self.config;
+        let generated = self.workload.generate();
         let mut recorder = TraceRecorder::new();
         let mut checkpoints = Vec::new();
         let mut push = |c| checkpoints.push(c);
@@ -455,46 +116,20 @@ impl Scenario {
             checkpoints: Some(&mut push),
             observer: observer.map(|o| -> &mut dyn RunObserver { o }),
         };
+        let requests = &generated.requests;
         let source = match (self.source, boundaries) {
-            (Source::Clock, _) => BatchSource::Clock(&requests),
+            (Source::Clock, _) => BatchSource::Clock(requests),
             (Source::Ingest, None) => BatchSource::Ingest(Box::new(requests.iter().cloned())),
             (Source::Ingest, Some(fed)) => BatchSource::Fed(fed),
         };
-        let (algorithm, build_stats) = match self.pipeline {
-            Pipeline::Mono => {
-                let traffic = traffic_engine(&engine, &config);
-                let engine = traffic.as_ref().unwrap_or(&engine);
-                // SARD is built concretely so its build stats can be
-                // captured; every other dispatcher goes through the registry.
-                let is_sard = dispatcher.eq_ignore_ascii_case("sard");
-                let mut sard = is_sard.then(|| SardDispatcher::new(config));
-                let mut other;
-                let dispatcher: &mut dyn Dispatcher = match sard.as_mut() {
-                    Some(sard) => sard,
-                    None => {
-                        other = registered(dispatcher, config);
-                        other.as_mut()
-                    }
-                };
-                let sim = Simulator::new(config);
-                sim.execute(engine, source, vehicles, dispatcher, &name, hooks)
-                    .expect(FRESH);
-                let algorithm = dispatcher.name().to_string();
-                (algorithm, sard.and_then(|s| s.build_stats()))
-            }
-            Pipeline::Sharded { shards, sharding } => {
-                let net = engine.network();
-                let regions = region_strips_for(net, shards.get() as u32);
-                let sim = ShardedSimulator::with_sharding(config, sharding);
-                let make = |_| registered(dispatcher, config);
-                sim.execute(net, &regions, source, vehicles, make, &name, hooks)
-                    .expect(FRESH);
-                (make(0).name().to_string(), None)
-            }
-        };
-        let mut meta = TraceMeta::new(algorithm, &name, config);
+        let vehicles = generated.vehicles.clone();
+        let finished = self
+            .execute(&generated, dispatcher, source, vehicles, hooks)
+            .expect("a fresh run of a generated stream is never refused");
+        let algorithm = &finished.lanes[0].1.algorithm;
+        let mut meta = TraceMeta::new(algorithm, &generated.name, self.config);
         meta.params = self.to_params();
-        meta.build_stats = build_stats;
+        meta.build_stats = finished.build_stats;
         (recorder.into_trace(meta), checkpoints)
     }
 
@@ -509,85 +144,34 @@ impl Scenario {
     /// # Panics
     /// Panics if `dispatcher` is not a registered key.
     pub fn resume_and_verify(&self, checkpoint: &Checkpoint) -> Vec<String> {
-        let (name, engine, requests, vehicles) = generate(&self.workload);
-        let config = self.config;
-        let source = BatchSource::Resume(&requests, checkpoint);
-        let make = |_| registered(&self.dispatcher, config);
-        let sharded_finish = |r: &ShardedReport| {
-            let mut lanes = vec![("aggregate".to_string(), &r.aggregate)];
-            let shards = r.per_shard.iter().enumerate();
-            lanes.extend(shards.map(|(i, m)| (format!("shard {i}"), m)));
-            let counters = [
-                r.handoffs,
-                r.handoff_bids,
-                r.migrations,
-                r.epoch_rolls,
-                r.faults_injected,
-                r.batches_degraded,
-                r.degraded_offered,
-                r.degraded_served,
-            ];
-            finish(&lanes, &counters, &r.served, &r.vehicles)
+        let generated = self.workload.generate();
+        let (key, requests) = (&self.dispatcher, &generated.requests);
+        let source = BatchSource::Resume(requests, checkpoint);
+        let hooks = RunHooks::default();
+        let resumed = match self.execute(&generated, key, source, Vec::new(), hooks) {
+            Ok(resumed) => resumed,
+            Err(e) => return vec![format!("cannot resume: {e}")],
         };
-        let mono_finish = |r: &SimulationReport| {
-            finish(&[("run".into(), &r.metrics)], &[], &r.served, &r.vehicles)
-        };
-        let finished = match self.pipeline {
-            Pipeline::Sharded { shards, sharding } => {
-                let net = engine.network();
-                let regions = region_strips_for(net, shards.get() as u32);
-                let sim = ShardedSimulator::with_sharding(config, sharding);
-                let hooks = RunHooks::default();
-                sim.execute(net, &regions, source, Vec::new(), make, &name, hooks)
-                    .map(|resumed| {
-                        let reference = sim.run(net, &regions, &requests, vehicles, make, &name);
-                        (sharded_finish(&resumed), sharded_finish(&reference))
-                    })
-            }
-            Pipeline::Mono => {
-                let sim = Simulator::new(config);
-                let traffic = traffic_engine(&engine, &config);
-                let resume_engine = traffic.as_ref().unwrap_or(&engine);
-                let hooks = RunHooks::default();
-                sim.execute(
-                    resume_engine,
-                    source,
-                    Vec::new(),
-                    make(0).as_mut(),
-                    &name,
-                    hooks,
-                )
-                .map(|resumed| {
-                    let traffic = traffic_engine(&engine, &config);
-                    let engine = traffic.as_ref().unwrap_or(&engine);
-                    let reference = sim.run(engine, &requests, vehicles, make(0).as_mut(), &name);
-                    (mono_finish(&resumed), mono_finish(&reference))
-                })
-            }
-        };
-        match finished {
-            Ok((resumed, reference)) => resumed
-                .iter()
-                .zip(&reference)
-                .filter(|(a, b)| a.1 != b.1)
-                .map(|((what, _), _)| format!("{what} diverged"))
-                .collect(),
-            Err(e) => vec![format!("cannot resume: {e}")],
-        }
+        let (source, vehicles) = (BatchSource::Clock(requests), generated.vehicles.clone());
+        let reference = self
+            .execute(&generated, key, source, vehicles, RunHooks::default())
+            .expect("a clock-driven run is never refused");
+        finish(&resumed)
+            .iter()
+            .zip(&finish(&reference))
+            .filter(|(a, b)| a.1 != b.1)
+            .map(|((what, _), _)| format!("{what} diverged"))
+            .collect()
     }
 }
 
 /// What a resumed run must reproduce bit for bit, as labelled renderings:
-/// each lane's metrics with the wall-clock diagnostics `running_time`,
-/// `sp_queries` and `memory_bytes` and the score-memo counters zeroed
-/// (`Debug` is exact for floats; a resumed run starts with a cold memo), the
-/// sharded run counters, the served set and the final fleet.
-fn finish(
-    lanes: &[(String, &RunMetrics)],
-    counters: &[u64],
-    served: &HashSet<RequestId>,
-    fleet: &[Vehicle],
-) -> Vec<(String, String)> {
+/// each lane's metrics with the wall-clock diagnostics `running_time` and
+/// `sp_queries`, `memory_bytes` (a resumed run's peak covers only the
+/// resumed batches) and the score-memo counters zeroed (`Debug` is exact for
+/// floats; a resumed run starts with a cold memo), the sharded run counters,
+/// the served set and the final fleet.
+fn finish(run: &Finished) -> Vec<(String, String)> {
     let zeroed = |m: &RunMetrics| RunMetrics {
         running_time: 0.0,
         sp_queries: 0,
@@ -596,14 +180,15 @@ fn finish(
         memo_hits: 0,
         ..m.clone()
     };
-    let mut parts: Vec<(String, String)> = lanes
+    let mut parts: Vec<(String, String)> = run
+        .lanes
         .iter()
         .map(|(lane, m)| (format!("{lane} metrics"), format!("{:?}", zeroed(m))))
         .collect();
-    let mut served: Vec<&RequestId> = served.iter().collect();
+    let mut served: Vec<&RequestId> = run.served.iter().collect();
     served.sort_unstable();
-    let fleet: Vec<VehicleState> = fleet.iter().map(VehicleState::capture).collect();
-    parts.push(("run counters".to_string(), format!("{counters:?}")));
+    let fleet: Vec<VehicleState> = run.fleet.iter().map(VehicleState::capture).collect();
+    parts.push(("run counters".to_string(), format!("{:?}", run.counters)));
     parts.push(("served request set".to_string(), format!("{served:?}")));
     parts.push(("final fleet state".to_string(), format!("{fleet:?}")));
     parts
@@ -612,7 +197,11 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use structride_core::FaultConfig;
+    use crate::scenario::{dispatcher_by_name, dispatcher_keys, ScenarioError};
+    use std::num::NonZeroUsize;
+    use structride_core::shard::ShardingConfig;
+    use structride_core::{FaultConfig, StructRideConfig};
+    use structride_model::Vehicle;
 
     fn quick(pipeline: Pipeline, source: Source, key: &str, config: StructRideConfig) -> Scenario {
         Scenario::quickstart(true, key, pipeline, source, config)
@@ -675,10 +264,10 @@ mod tests {
             );
             let parsed = Scenario::from_meta(&meta).expect("round trip");
             assert_eq!(parsed, scenario);
-            let (name, _, requests, vehicles) = generate(&scenario.workload);
-            let (name2, _, requests2, vehicles2) = generate(&parsed.workload);
-            assert_eq!((name, requests), (name2, requests2));
-            assert_eq!(capture(&vehicles), capture(&vehicles2));
+            let a = scenario.workload.generate();
+            let b = parsed.workload.generate();
+            assert_eq!((a.name, a.requests), (b.name, b.requests));
+            assert_eq!(capture(&a.vehicles), capture(&b.vehicles));
         }
     }
 

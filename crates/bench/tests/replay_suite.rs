@@ -3,7 +3,7 @@
 //! the in-memory trace and from the text form, under 1 and N worker threads.
 
 use std::num::NonZeroUsize;
-use structride_bench::replay_cli::{dispatcher_keys, Pipeline, Scenario, Source};
+use structride_bench::scenario::{dispatcher_keys, Pipeline, Scenario, Source};
 use structride_core::replay::Trace;
 use structride_core::shard::ShardingConfig;
 use structride_core::{FaultConfig, StructRideConfig};

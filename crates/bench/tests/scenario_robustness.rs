@@ -10,7 +10,7 @@
 //! `structride-core`'s `parser_robustness` test.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use structride_bench::replay_cli::{Scenario, ScenarioError};
+use structride_bench::scenario::{Scenario, ScenarioError};
 use structride_core::{Trace, TraceMeta};
 
 const GOLDENS: [&str; 5] = [

@@ -60,6 +60,8 @@ pub struct AssignDispatcher {
     pending: HashMap<RequestId, Request>,
     /// Peak cost-matrix cell count (memory accounting).
     peak_cells: usize,
+    /// Peak pool size (memory accounting).
+    peak_pending: usize,
 }
 
 impl AssignDispatcher {
@@ -69,6 +71,7 @@ impl AssignDispatcher {
             config,
             pending: HashMap::new(),
             peak_cells: 0,
+            peak_pending: 0,
         }
     }
 }
@@ -120,6 +123,7 @@ impl Dispatcher for AssignDispatcher {
         for r in new_requests {
             self.pending.insert(r.id, r.clone());
         }
+        self.peak_pending = self.peak_pending.max(self.pending.len());
         self.pending.retain(|_, r| !r.is_expired(now));
         let mut outcome = BatchOutcome::empty();
         let mut stats = SolverStats {
@@ -258,7 +262,7 @@ impl Dispatcher for AssignDispatcher {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.pending.capacity() * (std::mem::size_of::<Request>() + 16)
+        self.peak_pending * (std::mem::size_of::<Request>() + 16)
             + self.peak_cells * std::mem::size_of::<f64>()
     }
 

@@ -112,7 +112,8 @@ pub trait Dispatcher: Send {
 
     /// Approximate extra memory held by the dispatcher's own structures in
     /// bytes (RTV graph, additive index, shareability graph, …) — the
-    /// quantity compared in Fig. 14.
+    /// quantity compared in Fig. 14.  Count entries (peak pool size, set
+    /// lengths), never container capacities, which vary with the hasher seed.
     fn memory_bytes(&self) -> usize {
         0
     }

@@ -29,7 +29,9 @@ pub struct RunMetrics {
     /// engine, so their run books the count once, on the aggregate, and
     /// every per-shard report reads 0 here.
     pub sp_queries: u64,
-    /// Approximate dispatcher memory footprint in bytes (Fig. 14).
+    /// Approximate dispatcher memory footprint in bytes (Fig. 14): the end of
+    /// run's [`Dispatcher::memory_bytes`](crate::Dispatcher::memory_bytes),
+    /// summed over shards; a function of the run, like the fields above.
     pub memory_bytes: usize,
     /// Number of batches processed.
     pub batches: usize,

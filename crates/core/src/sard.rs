@@ -174,6 +174,8 @@ impl Dispatcher for SardDispatcher {
         // Line 3: extend the shareability graph with the batch's requests
         // (edge discovery fans out internally; see the sharegraph builder).
         add_to_graph(builder, ctx, new_requests);
+        // The pool and the graph are at their batch peak here (Fig. 14).
+        self.peak_memory = self.peak_memory.max(builder.approx_bytes());
 
         // From here until the commit phase the builder and the fleet are only
         // read, so parallel workers may share them.
@@ -327,8 +329,6 @@ impl Dispatcher for SardDispatcher {
 
         // Line 17: expired requests leave the working pool and the graph.
         builder.remove_expired(now);
-
-        self.peak_memory = self.peak_memory.max(builder.approx_bytes());
         outcome
     }
 

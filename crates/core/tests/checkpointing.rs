@@ -52,8 +52,10 @@ fn multi_workload(regions: usize) -> MultiRegionWorkload {
     })
 }
 
-/// The deterministic [`RunMetrics`] fields (wall-clock diagnostics —
-/// `running_time`, `sp_queries`, `memory_bytes` — excluded, as everywhere).
+/// The [`RunMetrics`] fields a resumed run must reproduce: the wall-clock
+/// diagnostics `running_time` and `sp_queries` are excluded, and so is
+/// `memory_bytes`, because a resumed run's peak covers only the resumed
+/// batches.
 fn deterministic_fields(
     m: &RunMetrics,
 ) -> (String, String, usize, usize, u64, u64, u64, usize, u64, u64) {

@@ -61,13 +61,24 @@ fn multi_workload(regions: usize) -> MultiRegionWorkload {
 
 /// The fields of [`RunMetrics`] that must match bit for bit between a
 /// 1-shard sharded run and the monolithic simulator.  Excluded diagnostics:
-/// `running_time` is wall-clock, `sp_queries` is the one documented
-/// worker-count-dependent counter (cache-miss races), and `memory_bytes` is
-/// the dispatcher's working set, whose container capacities vary with the
-/// process hash seed.
+/// `running_time` is wall-clock and `sp_queries` is the one documented
+/// worker-count-dependent counter (cache-miss races).  `memory_bytes` counts
+/// the dispatcher's entries, so it is included.
 fn deterministic_fields(
     m: &RunMetrics,
-) -> (String, String, usize, usize, u64, u64, u64, usize, u64, u64) {
+) -> (
+    String,
+    String,
+    usize,
+    usize,
+    u64,
+    u64,
+    u64,
+    usize,
+    u64,
+    u64,
+    usize,
+) {
     (
         m.algorithm.clone(),
         m.workload.clone(),
@@ -79,6 +90,7 @@ fn deterministic_fields(
         m.batches,
         m.insertion_evaluations,
         m.groups_enumerated,
+        m.memory_bytes,
     )
 }
 

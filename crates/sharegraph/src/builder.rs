@@ -396,9 +396,11 @@ impl ShareabilityGraphBuilder {
         expired
     }
 
-    /// Approximate heap footprint (graph + request table).
+    /// Approximate heap footprint (graph + request table), counted from
+    /// entries rather than container capacities, so equal contents give
+    /// equal bytes whatever the hasher seed.
     pub fn approx_bytes(&self) -> usize {
-        self.graph.approx_bytes() + self.requests.capacity() * (std::mem::size_of::<Request>() + 16)
+        self.graph.approx_bytes() + self.requests.len() * (std::mem::size_of::<Request>() + 16)
     }
 }
 

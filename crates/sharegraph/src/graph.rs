@@ -179,14 +179,11 @@ impl ShareabilityGraph {
         edges
     }
 
-    /// Approximate heap footprint in bytes (Fig. 14 accounting).
+    /// Approximate heap footprint in bytes (Fig. 14 accounting), counted
+    /// from the adjacency sets' lengths, not their capacities.
     pub fn approx_bytes(&self) -> usize {
         let per_entry = std::mem::size_of::<RequestId>() + 8;
-        let adjacency: usize = self
-            .adjacency
-            .values()
-            .map(|s| s.capacity().max(s.len()) * per_entry)
-            .sum();
+        let adjacency: usize = self.adjacency.values().map(|s| s.len() * per_entry).sum();
         adjacency + self.adjacency.len() * (std::mem::size_of::<HashSet<RequestId>>() + 16)
     }
 }

@@ -237,6 +237,31 @@ fn rtv_memory_footprint_exceeds_the_online_methods() {
 }
 
 #[test]
+fn the_same_run_reports_the_same_memory_every_time() {
+    // Fig. 14's estimate counts entries (peak pool size, set lengths), so it
+    // is a function of the run.  A `HashMap` / `HashSet` capacity is not: it
+    // depends on each map's hasher seed, which differs between two runs in
+    // one process.
+    let workload = small_workload(CityProfile::NycLike, 7);
+    let config = StructRideConfig::default();
+    let registry = structride::baselines::standard_registry();
+    for kind in registry.all() {
+        let memory: Vec<usize> = (0..4)
+            .map(|_| {
+                let mut dispatcher = registry.build(kind, &config).expect("registered");
+                run(&workload, dispatcher.as_mut(), config)
+                    .metrics
+                    .memory_bytes
+            })
+            .collect();
+        assert!(
+            memory.iter().all(|&m| m == memory[0]),
+            "{kind:?}: {memory:?}"
+        );
+    }
+}
+
+#[test]
 fn stage_spans_cover_the_batch_wall_and_change_no_decision() {
     let workload = small_workload(CityProfile::NycLike, 5);
     let config = StructRideConfig::default();

@@ -50,7 +50,7 @@
 //! stop order changed.  The other three files replay clean under the new
 //! order.  Each file is checked here and nowhere else.
 
-use structride_bench::replay_cli::Scenario;
+use structride_bench::scenario::Scenario;
 use structride_core::replay::{diff_traces, DriftReport, Trace};
 
 /// Loads a golden trace and the scenario its metadata describes.  Both
