@@ -10,33 +10,29 @@
 //! (slower) and achieves slightly lower service rates in the paper.
 
 use crate::complete_graph;
-use std::collections::HashMap;
 use structride_core::{
-    enumerate_groups, BatchOutcome, DispatchContext, Dispatcher, PendingSnapshot,
+    enumerate_groups, BatchOutcome, DispatchContext, Dispatcher, PendingPool, PendingSnapshot,
 };
-use structride_model::{Request, RequestId, Vehicle};
+use structride_model::{Request, Vehicle};
 
 /// The GAS batch dispatcher.
 #[derive(Debug)]
 pub struct Gas {
     /// Requests waiting to be assigned (the pool carried across batches).
-    pending: HashMap<RequestId, Request>,
+    pending: PendingPool,
     /// Seed for the random vehicle visiting order.
     seed: u64,
     /// Peak number of enumerated groups (memory accounting for Fig. 14).
     peak_groups: usize,
-    /// Peak pool size (memory accounting).
-    peak_pending: usize,
 }
 
 impl Gas {
     /// Creates the dispatcher with the given ordering seed.
     pub fn new(seed: u64) -> Self {
         Gas {
-            pending: HashMap::new(),
+            pending: PendingPool::default(),
             seed,
             peak_groups: 0,
-            peak_pending: 0,
         }
     }
 
@@ -75,13 +71,8 @@ impl Dispatcher for Gas {
         vehicles: &mut [Vehicle],
         new_requests: &[Request],
     ) -> BatchOutcome {
-        let now = ctx.now;
         // Pool maintenance: add the batch, drop expired requests.
-        for r in new_requests {
-            self.pending.insert(r.id, r.clone());
-        }
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        self.pending.retain(|_, r| !r.is_expired(now));
+        self.pending.admit(new_requests, ctx.now);
         if self.pending.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
         }
@@ -92,11 +83,7 @@ impl Dispatcher for Gas {
             if self.pending.is_empty() {
                 break;
             }
-            let mut pool_ids: Vec<RequestId> = {
-                let mut ids: Vec<RequestId> = self.pending.keys().copied().collect();
-                ids.sort_unstable();
-                ids
-            };
+            let mut pool_ids = self.pending.ids();
             let vehicle = &vehicles[vi];
             if let Some(index) = ctx.fleet_index {
                 // Certified prescreen: a request whose pickup deadline cannot
@@ -110,7 +97,7 @@ impl Dispatcher for Gas {
                     let vp = network.coord(vehicle.node);
                     let before = pool_ids.len();
                     pool_ids.retain(|rid| {
-                        let r = &self.pending[rid];
+                        let r = &self.pending.requests()[rid];
                         let dist = network.coord(r.source).distance(&vp);
                         vehicle.free_at + min_tpm * dist
                             <= r.pickup_deadline + structride_core::REACH_GRACE
@@ -125,7 +112,7 @@ impl Dispatcher for Gas {
             let groups = enumerate_groups(
                 ctx,
                 &graph,
-                &self.pending,
+                self.pending.requests(),
                 &pool_ids,
                 vehicle,
                 vehicle.capacity as usize,
@@ -144,9 +131,9 @@ impl Dispatcher for Gas {
             });
             if let Some(best) = best {
                 vehicles[vi].commit_schedule(best.schedule.clone());
-                for rid in &best.members {
+                for &rid in &best.members {
                     self.pending.remove(rid);
-                    outcome.assigned.push(*rid);
+                    outcome.assigned.push(rid);
                 }
             }
         }
@@ -161,34 +148,19 @@ impl Dispatcher for Gas {
     fn memory_bytes(&self) -> usize {
         // The pool plus the peak additive-tree size (groups hold a schedule of
         // a handful of way-points each).
-        self.peak_pending * (std::mem::size_of::<Request>() + 16) + self.peak_groups * 256
+        self.pending.peak_bytes() + self.peak_groups * 256
     }
 
     fn take_pending(&mut self) -> Vec<Request> {
-        let mut pool: Vec<Request> = self.pending.drain().map(|(_, r)| r).collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        pool
-    }
-
-    fn restore_pending(&mut self, pool: Vec<Request>) {
-        for r in pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.take()
     }
 
     fn checkpoint_pending(&self) -> PendingSnapshot {
-        let mut pool: Vec<Request> = self.pending.values().cloned().collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        PendingSnapshot {
-            pool,
-            edges: Vec::new(),
-        }
+        self.pending.snapshot()
     }
 
     fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {
-        for r in snapshot.pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.restore(snapshot);
     }
 }
 

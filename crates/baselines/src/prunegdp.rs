@@ -95,8 +95,9 @@ impl Dispatcher for PruneGdp {
     }
 
     fn memory_bytes(&self) -> usize {
-        // Online first-come-first-serve: no batch structures beyond the
-        // vehicles' own schedules.
+        // A constant on purpose: online first-come-first-serve holds one
+        // candidate insertion at a time and no batch structure beyond the
+        // vehicles' own schedules, so nothing grows with the run.
         std::mem::size_of::<Self>()
     }
 }

@@ -17,10 +17,11 @@
 //! budget holds — restoring the original method's optimality while staying
 //! in-workspace — and `BatchOutcome::solver` reports the proof state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use structride_core::lap::{self, SolverStats};
 use structride_core::{
-    enumerate_groups, BatchOutcome, CandidateGroup, DispatchContext, Dispatcher, PendingSnapshot,
+    enumerate_groups, BatchOutcome, CandidateGroup, DispatchContext, Dispatcher, PendingPool,
+    PendingSnapshot,
 };
 use structride_model::{Request, RequestId, Vehicle};
 use structride_sharegraph::{ShareabilityCheck, ShareabilityGraph};
@@ -42,12 +43,10 @@ pub struct Rtv {
     /// the unified cost uses).
     penalty_coefficient: f64,
     /// Pool of requests carried across batches.
-    pending: HashMap<RequestId, Request>,
+    pending: PendingPool,
     /// Peak number of trip candidates (memory accounting, Fig. 14 — the RTV
     /// graph is by far the largest structure among the tested methods).
     peak_candidates: usize,
-    /// Peak pool size (memory accounting).
-    peak_pending: usize,
 }
 
 impl Rtv {
@@ -61,9 +60,8 @@ impl Rtv {
     pub fn new(penalty_coefficient: f64) -> Self {
         Rtv {
             penalty_coefficient,
-            pending: HashMap::new(),
+            pending: PendingPool::default(),
             peak_candidates: 0,
-            peak_pending: 0,
         }
     }
 
@@ -159,21 +157,12 @@ impl Dispatcher for Rtv {
         new_requests: &[Request],
     ) -> BatchOutcome {
         let engine = ctx.engine;
-        let now = ctx.now;
-        for r in new_requests {
-            self.pending.insert(r.id, r.clone());
-        }
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        self.pending.retain(|_, r| !r.is_expired(now));
+        self.pending.admit(new_requests, ctx.now);
         if self.pending.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
         }
-
-        let pool_ids: Vec<RequestId> = {
-            let mut ids: Vec<RequestId> = self.pending.keys().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
+        let pool_ids = self.pending.ids();
+        let pool = self.pending.requests();
 
         // --- RV graph: pairwise-shareable requests (no angle pruning), one
         //     screened check for the whole batch. ---------------------------
@@ -185,8 +174,8 @@ impl Dispatcher for Rtv {
         }
         for i in 0..pool_ids.len() {
             for j in (i + 1)..pool_ids.len() {
-                let a = &self.pending[&pool_ids[i]];
-                let b = &self.pending[&pool_ids[j]];
+                let a = &pool[&pool_ids[i]];
+                let b = &pool[&pool_ids[j]];
                 if check.shareable(a, b) {
                     rv.add_edge(a.id, b.id);
                 }
@@ -199,7 +188,7 @@ impl Dispatcher for Rtv {
             let groups = enumerate_groups(
                 ctx,
                 &rv,
-                &self.pending,
+                pool,
                 &pool_ids,
                 vehicle,
                 vehicle.capacity as usize,
@@ -242,9 +231,9 @@ impl Dispatcher for Rtv {
         for &idx in &choice.chosen {
             let c = &candidates[idx];
             vehicles[c.vehicle].commit_schedule(c.group.schedule.clone());
-            for rid in &c.group.members {
+            for &rid in &c.group.members {
                 self.pending.remove(rid);
-                outcome.assigned.push(*rid);
+                outcome.assigned.push(rid);
             }
         }
         outcome.assigned.sort_unstable();
@@ -266,34 +255,19 @@ impl Dispatcher for Rtv {
     fn memory_bytes(&self) -> usize {
         // The RTV graph (trip candidates, each holding a schedule) dominates —
         // the paper reports RTV using a multiple of the other methods' memory.
-        self.peak_pending * (std::mem::size_of::<Request>() + 16) + self.peak_candidates * 512
+        self.pending.peak_bytes() + self.peak_candidates * 512
     }
 
     fn take_pending(&mut self) -> Vec<Request> {
-        let mut pool: Vec<Request> = self.pending.drain().map(|(_, r)| r).collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        pool
-    }
-
-    fn restore_pending(&mut self, pool: Vec<Request>) {
-        for r in pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.take()
     }
 
     fn checkpoint_pending(&self) -> PendingSnapshot {
-        let mut pool: Vec<Request> = self.pending.values().cloned().collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        PendingSnapshot {
-            pool,
-            edges: Vec::new(),
-        }
+        self.pending.snapshot()
     }
 
     fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {
-        for r in snapshot.pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.restore(snapshot);
     }
 }
 

@@ -18,7 +18,7 @@
 use rayon::prelude::*;
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
 use structride_model::insertion::{self, InsertionOutcome};
-use structride_model::{Request, Vehicle};
+use structride_model::{Request, Vehicle, Waypoint};
 use structride_roadnet::SpEngine;
 
 /// The TicketAssign+ parallel online dispatcher.
@@ -28,6 +28,8 @@ pub struct TicketAssignPlus {
     /// Number of ticket conflicts observed (re-evaluations of a vehicle that
     /// already took a commit in the same round).
     conflicts: usize,
+    /// Peak bytes of the ranked insertions one round holds (Fig. 14).
+    peak_ranked_bytes: usize,
 }
 
 impl TicketAssignPlus {
@@ -36,6 +38,7 @@ impl TicketAssignPlus {
         TicketAssignPlus {
             threads: threads.max(1),
             conflicts: 0,
+            peak_ranked_bytes: 0,
         }
     }
 
@@ -99,6 +102,15 @@ impl Dispatcher for TicketAssignPlus {
                 .par_iter()
                 .map(|request| ranked_vehicles(engine, fleet, request))
                 .collect();
+            // Fig. 14: one entry per ranked vehicle plus the way-points of
+            // its candidate schedule (lengths, not capacities).
+            let entry = size_of::<(usize, InsertionOutcome)>();
+            let held: usize = ranked
+                .iter()
+                .flatten()
+                .map(|(_, out)| entry + out.schedule.len() * size_of::<Waypoint>())
+                .sum();
+            self.peak_ranked_bytes = self.peak_ranked_bytes.max(held);
             let stamp = round as u64 + 1;
             for (request, ranked) in requests.into_iter().zip(ranked) {
                 for (vi, ranked) in ranked {
@@ -125,7 +137,7 @@ impl Dispatcher for TicketAssignPlus {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        self.peak_ranked_bytes
     }
 }
 
@@ -203,6 +215,23 @@ mod tests {
         assert!(schedules[0].contains_request(1));
         assert!(schedules[1].contains_request(2));
         assert_eq!(run(4), (assigned, schedules, conflicts));
+    }
+
+    #[test]
+    fn memory_grows_with_the_fleet() {
+        // Every vehicle can absorb every request, so a round ranks the whole
+        // fleet per request: four times the fleet, four times the entries.
+        let engine = line_engine(8);
+        let requests: Vec<Request> = (0..4).map(|i| req(i, 1, 3, 20.0, 3.0)).collect();
+        let memory = |fleet: u32| {
+            let mut vehicles: Vec<Vehicle> = (0..fleet).map(|i| Vehicle::new(i, 1, 4)).collect();
+            let mut ticket = TicketAssignPlus::new(4);
+            ticket.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
+            ticket.memory_bytes()
+        };
+        let (small, large) = (memory(2), memory(8));
+        assert!(small > 0);
+        assert_eq!(large, 4 * small);
     }
 
     #[test]

@@ -64,8 +64,8 @@
 //! finishes bit-identically to the uninterrupted reference (re-run
 //! in-process from the trace's scenario) — the kill-at-checkpoint/restore
 //! smoke, exercised under 1 and N worker threads in CI.  A checkpoint that
-//! does not fit the scenario (another workload, configuration, dispatcher,
-//! pipeline or shard count) is refused with `cannot resume: …`, exit 1.
+//! does not fit the scenario (another workload, configuration, dispatcher
+//! or shard count) is refused with `cannot resume: …`, exit 1.
 //!
 //! `KEY` is any registered dispatcher key — `sard`, `assign` (the exact
 //! global-assignment dispatcher), `rtv`, `prunegdp` (alias `gdp`), `gas`,
@@ -335,15 +335,10 @@ fn cmd_resume(args: &Args) -> ExitCode {
         }
     };
     eprintln!(
-        "# checkpoint: batch {} now {} shards {} ({})",
+        "# checkpoint: batch {} now {} shards {}",
         checkpoint.batches,
         checkpoint.now,
-        checkpoint.shards.len(),
-        if checkpoint.sharded {
-            "sharded"
-        } else {
-            "monolithic"
-        }
+        checkpoint.shards.len()
     );
     let mismatches = in_pool(args.threads, || scenario.resume_and_verify(&checkpoint));
     if mismatches.is_empty() {

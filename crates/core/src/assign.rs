@@ -43,36 +43,28 @@
 //! realize the documented `(cost, vehicle_id, request_id)` tie-break — so
 //! decisions are bit-identical under any `RAYON_NUM_THREADS`.
 
-use crate::config::StructRideConfig;
 use crate::context::DispatchContext;
 use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::lap::{self, SolverStats};
+use crate::pool::PendingPool;
 use crate::stages::{Span, Stage};
 use rayon::prelude::*;
-use std::collections::HashMap;
 use structride_model::{insertion, Request, RequestId, Vehicle};
 
 /// The exact global-assignment batch dispatcher (registry key `assign`).
+/// It reads its configuration from each batch's [`DispatchContext`].
 #[derive(Debug, Default)]
 pub struct AssignDispatcher {
-    config: StructRideConfig,
     /// Pool of requests carried across batches.
-    pending: HashMap<RequestId, Request>,
+    pending: PendingPool,
     /// Peak cost-matrix cell count (memory accounting).
     peak_cells: usize,
-    /// Peak pool size (memory accounting).
-    peak_pending: usize,
 }
 
 impl AssignDispatcher {
-    /// Creates the dispatcher with the given framework configuration.
-    pub fn new(config: StructRideConfig) -> Self {
-        AssignDispatcher {
-            config,
-            pending: HashMap::new(),
-            peak_cells: 0,
-            peak_pending: 0,
-        }
+    /// Creates the dispatcher with an empty pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -118,13 +110,7 @@ impl Dispatcher for AssignDispatcher {
         vehicles: &mut [Vehicle],
         new_requests: &[Request],
     ) -> BatchOutcome {
-        let _ = &self.config; // replay constructs from the trace config; ctx carries it per batch
-        let now = ctx.now;
-        for r in new_requests {
-            self.pending.insert(r.id, r.clone());
-        }
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        self.pending.retain(|_, r| !r.is_expired(now));
+        self.pending.admit(new_requests, ctx.now);
         let mut outcome = BatchOutcome::empty();
         let mut stats = SolverStats {
             optimal: true,
@@ -145,12 +131,8 @@ impl Dispatcher for AssignDispatcher {
         loop {
             // Sequential order-recording prefilter: the pool in ascending
             // request-id order fixes both the row order and the merge order.
-            let pool: Vec<RequestId> = {
-                let mut ids: Vec<RequestId> = self.pending.keys().copied().collect();
-                ids.sort_unstable();
-                ids
-            };
-            let pending_view: &HashMap<RequestId, Request> = &self.pending;
+            let pool = self.pending.ids();
+            let pending_view = self.pending.requests();
             let vehicles_view: &[Vehicle] = vehicles;
             // Par-map the expensive exact work (prescreen + insertion
             // evaluations); `collect` merges rows back in pool order.
@@ -232,7 +214,7 @@ impl Dispatcher for AssignDispatcher {
                     continue; // left unassigned this round
                 }
                 let vi = col_vehicles[j];
-                let request = &self.pending[rid];
+                let request = &pending_view[rid];
                 // The LAP hands every vehicle at most one row, and commits
                 // happen after the solve, so the insertion evaluated during
                 // matrix construction is still exact here.
@@ -244,7 +226,7 @@ impl Dispatcher for AssignDispatcher {
                     debug_assert!(false, "matrix cell was feasible at construction");
                 }
             }
-            for rid in &outcome.assigned {
+            for &rid in &outcome.assigned {
                 self.pending.remove(rid);
             }
             if committed == 0 || self.pending.is_empty() {
@@ -262,41 +244,26 @@ impl Dispatcher for AssignDispatcher {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.peak_pending * (std::mem::size_of::<Request>() + 16)
-            + self.peak_cells * std::mem::size_of::<f64>()
+        self.pending.peak_bytes() + self.peak_cells * std::mem::size_of::<f64>()
     }
 
     fn take_pending(&mut self) -> Vec<Request> {
-        let mut pool: Vec<Request> = self.pending.drain().map(|(_, r)| r).collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        pool
-    }
-
-    fn restore_pending(&mut self, pool: Vec<Request>) {
-        for r in pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.take()
     }
 
     fn checkpoint_pending(&self) -> PendingSnapshot {
-        let mut pool: Vec<Request> = self.pending.values().cloned().collect();
-        pool.sort_unstable_by_key(|r| r.id);
-        PendingSnapshot {
-            pool,
-            edges: Vec::new(),
-        }
+        self.pending.snapshot()
     }
 
     fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {
-        for r in snapshot.pool {
-            self.pending.insert(r.id, r);
-        }
+        self.pending.restore(snapshot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StructRideConfig;
     use crate::sard::SardDispatcher;
     use crate::simulator::Simulator;
     use structride_datagen::{CityProfile, Workload, WorkloadParams};
@@ -330,7 +297,7 @@ mod tests {
         let engine = line_engine(8);
         let mut vehicles = vec![Vehicle::new(0, 1, 1), Vehicle::new(1, 2, 1)];
         let requests = vec![req(1, 1, 3, 200.0, 20.0), req(2, 1, 4, 200.0, 30.0)];
-        let mut assign = AssignDispatcher::new(StructRideConfig::default());
+        let mut assign = AssignDispatcher::new();
         let out = assign.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
         assert_eq!(out.assigned, vec![1, 2]);
         let solver = out.solver.expect("exact dispatcher reports telemetry");
@@ -353,7 +320,7 @@ mod tests {
         let engine = line_engine(8);
         let mut vehicles = vec![Vehicle::new(0, 1, 1), Vehicle::new(1, 6, 1)];
         let requests = vec![req(1, 1, 3, 200.0, 20.0), req(2, 1, 4, 200.0, 30.0)];
-        let mut assign = AssignDispatcher::new(StructRideConfig::default());
+        let mut assign = AssignDispatcher::new();
         let out = assign.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
         // Serving 2 (penalty 300) and stranding 1 (penalty 200) costs
         // 30 + 200 = 230; the other way round costs 20 + 300 = 320.
@@ -364,7 +331,7 @@ mod tests {
     #[test]
     fn leaves_unreachable_requests_pending_and_expires_them() {
         let engine = line_engine(4);
-        let mut assign = AssignDispatcher::new(StructRideConfig::default());
+        let mut assign = AssignDispatcher::new();
         // No vehicles at all: the request waits in the pool.
         let r = req(1, 0, 2, 20.0, 2.0);
         let out = assign.dispatch_batch(&ctx(&engine, 0.0), &mut [], &[r]);
@@ -384,7 +351,7 @@ mod tests {
         let engine = line_engine(6);
         let mut vehicles = vec![Vehicle::new(0, 0, 4)];
         let requests = vec![req(1, 0, 4, 400.0, 40.0), req(2, 1, 3, 400.0, 20.0)];
-        let mut assign = AssignDispatcher::new(StructRideConfig::default());
+        let mut assign = AssignDispatcher::new();
         let out = assign.dispatch_batch(&ctx(&engine, 0.0), &mut vehicles, &requests);
         assert_eq!(out.assigned, vec![1, 2]);
         let solver = out.solver.expect("telemetry");
@@ -403,7 +370,7 @@ mod tests {
             solver_node_budget: 1,
             ..FaultConfig::default()
         });
-        let mut degraded = AssignDispatcher::new(degraded_config);
+        let mut degraded = AssignDispatcher::new();
         let mut fleet = vec![Vehicle::new(0, 1, 1), Vehicle::new(1, 2, 1)];
         let ctx_degraded = DispatchContext::new(&engine, degraded_config, 0.0);
         let out = degraded.dispatch_batch(&ctx_degraded, &mut fleet, &requests);
@@ -416,7 +383,7 @@ mod tests {
         assert_eq!(out.assigned, vec![1, 2]);
         // Without a budget the same batch reports zero fallbacks and stays
         // exact — the inert default changes nothing.
-        let mut exact = AssignDispatcher::new(StructRideConfig::default());
+        let mut exact = AssignDispatcher::new();
         let mut fleet = vec![Vehicle::new(0, 1, 1), Vehicle::new(1, 2, 1)];
         let out = exact.dispatch_batch(&ctx(&engine, 0.0), &mut fleet, &requests);
         let solver = out.solver.expect("telemetry");
@@ -440,7 +407,7 @@ mod tests {
         });
         let sim = Simulator::new(config);
         let run = || {
-            let mut d = AssignDispatcher::new(config);
+            let mut d = AssignDispatcher::new();
             sim.run(&w.engine, &w.requests, w.fresh_vehicles(), &mut d, &w.name)
         };
         let first = run();
@@ -465,7 +432,7 @@ mod tests {
         let config = StructRideConfig::default();
         let sim = Simulator::new(config);
         let run = || {
-            let mut d = AssignDispatcher::new(config);
+            let mut d = AssignDispatcher::new();
             sim.run(&w.engine, &w.requests, w.fresh_vehicles(), &mut d, &w.name)
         };
         let first = run();

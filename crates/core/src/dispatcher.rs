@@ -119,23 +119,20 @@ pub trait Dispatcher: Send {
     }
 
     /// Drains and returns the carried-over pending pool, sorted by request
-    /// id — the canonical pool snapshot used by shard-outage failover (the
-    /// dead shard's waiting requests are rerouted to live shards, see
-    /// [`crate::faults`]) and by the batch-boundary checkpoint codec
-    /// ([`crate::replay`]).  After this call [`Dispatcher::pending_requests`]
-    /// must report 0.  Dispatchers without a pool keep the default empty
-    /// drain; a dispatcher that *does* carry requests **must** override this
-    /// together with [`Dispatcher::restore_pending`], or failover and
-    /// checkpointing silently lose its held requests.
+    /// id: a shard outage reroutes it through the handoff auction to live
+    /// shards as fresh arrivals (see [`crate::faults`]).  After this call
+    /// [`Dispatcher::pending_requests`] must report 0.  Dispatchers without
+    /// a pool keep the default empty drain; one that *does* carry requests
+    /// **must** override this, or failover silently loses them.  A
+    /// [`PendingPool`](crate::PendingPool)'s `len`, `take`, `snapshot` and
+    /// `restore` answer the four pool methods.
     fn take_pending(&mut self) -> Vec<Request> {
         Vec::new()
     }
 
-    /// Re-seeds the pending pool from a drained/checkpointed snapshot.  The
-    /// requests must be treated exactly like requests carried over from an
-    /// earlier batch: retried on the next `dispatch_batch`, expired on their
-    /// deadlines.  The default rejects non-empty pools — a pool-less
-    /// dispatcher can never be asked to hold one.
+    /// Retired: no run calls it and no bundled dispatcher overrides it.  It
+    /// stays, with its default (which rejects a non-empty pool), only while
+    /// the benchmark package's probing wrapper forwards it.
     fn restore_pending(&mut self, pool: Vec<Request>) {
         assert!(
             pool.is_empty(),

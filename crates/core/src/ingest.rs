@@ -454,16 +454,12 @@ fn drop_expired(batch: Vec<Request>, now: f64) -> (Vec<Request>, usize) {
 /// monolithic pipeline's run is a one-shard `ShardedRun`, so both pipelines
 /// share it; every batch goes through `stepper`, the observer bracket all
 /// sources share.
-pub(crate) fn drive_ingest<I>(
+pub(crate) fn drive_ingest(
     run: &mut ShardedRun<'_>,
     config: &StructRideConfig,
-    arrivals: I,
+    arrivals: Box<dyn Iterator<Item = Request> + Send + '_>,
     stepper: &mut Stepper<'_>,
-) -> Result<(Offered, IngestStats), IngestError>
-where
-    I: IntoIterator<Item = Request>,
-    I::IntoIter: Send,
-{
+) -> Result<Offered, IngestError> {
     let icfg = config.ingest;
     let (tx, rx) = sync_channel::<Request>(icfg.queue_capacity.max(1));
     let sent = AtomicUsize::new(0);
@@ -474,8 +470,7 @@ where
     let mut clock = IngestClock::new(start, icfg.time_scale);
     let mut collector = IngestCollector::default();
 
-    let arrivals = arrivals.into_iter();
-    let (offered, dropped_queue_full) = std::thread::scope(|scope| {
+    let (mut offered, dropped_queue_full) = std::thread::scope(|scope| {
         let sent = &sent;
         let producer = scope.spawn(move || produce(arrivals, tx, sent, start, icfg.time_scale));
         let mut batcher = AdaptiveBatcher::new(&rx, &icfg);
@@ -514,8 +509,8 @@ where
         let assigned = stepper.step(run, now, &[]);
         collector.observe_assigned(now, assigned.iter(), icfg.time_scale);
     }
-    let ingest = collector.finish(&offered, dropped_queue_full, wall_seconds);
-    Ok((offered, ingest))
+    offered.ingest = Some(collector.finish(&offered, dropped_queue_full, wall_seconds));
+    Ok(offered)
 }
 
 #[cfg(test)]

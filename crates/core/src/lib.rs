@@ -40,6 +40,8 @@
 //! * [`lap`] — the in-workspace exact solvers: a deterministic Kuhn–Munkres
 //!   LAP kernel over rectangular, partially-forbidden cost matrices and a
 //!   branch-and-bound over its relaxation for the trip-group choice step;
+//! * [`pool`] — the [`PendingPool`] of unassigned requests that Assign, GAS
+//!   and RTV carry across batches;
 //! * [`registry`] — the dispatcher registry: [`DispatcherKind`] keys plus a
 //!   [`DispatcherBuilder`] mapping keys to constructors, the single place
 //!   the replay CLI and every bench driver build dispatchers from;
@@ -80,6 +82,7 @@ mod lane;
 pub mod lap;
 pub mod metrics;
 pub mod ordering;
+pub mod pool;
 pub mod registry;
 pub mod replay;
 pub mod sard;
@@ -99,6 +102,7 @@ pub use ingest::{AdaptiveBatcher, IngestConfig, IngestError, IngestReport, Inges
 pub use lap::{GroupCandidate, GroupChoice, LapSolution, SolverStats, FORBIDDEN};
 pub use metrics::RunMetrics;
 pub use ordering::{InsertionOrdering, OrderingStudy};
+pub use pool::PendingPool;
 pub use registry::{DispatcherBuilder, DispatcherKind};
 pub use replay::{
     diff_traces, replay_trace, BatchDivergence, BatchRecord, Checkpoint, CheckpointCounters,

@@ -115,9 +115,10 @@ impl DispatcherBuilder {
             .register(DispatcherKind::Sard, |config| {
                 Box::new(SardDispatcher::new(*config))
             })
-            .register(DispatcherKind::Assign, |config| {
-                Box::new(AssignDispatcher::new(*config))
-            })
+            .register(
+                DispatcherKind::Assign,
+                |_| Box::new(AssignDispatcher::new()),
+            )
     }
 
     /// Registers (or replaces) the constructor for `kind`.

@@ -28,8 +28,11 @@
 //! # The text format
 //!
 //! There is one trace format, `structride-trace v4`, beside the checkpoint
-//! format `structride-checkpoint v1`; any other header is an error.  Both
-//! are line-oriented, and one codec serves both.  Every line kind is a
+//! format `structride-checkpoint v2`, one layout for any shard count.  A
+//! `structride-checkpoint v1` file still parses: its `mode` line is dropped,
+//! and a `mode mono` file's run-level served set is copied into its one
+//! shard section.  Any other header is an error.  Both formats are
+//! line-oriented, and one codec serves both.  Every line kind is a
 //! record that declares its fields once, in a single table giving each
 //! field's key (or position), its order and its token form; the writer and
 //! the reader are both expanded from that table, so a new field is one line.
@@ -54,7 +57,10 @@ use structride_sharegraph::builder::BuildStats;
 const TRACE_HEADER: &str = "structride-trace v4";
 
 /// Magic first line of a checkpoint (see [`Checkpoint`]).
-const CHECKPOINT_HEADER: &str = "structride-checkpoint v1";
+const CHECKPOINT_HEADER: &str = "structride-checkpoint v2";
+
+/// Magic first line of the retired layout, which has a `mode` line.
+const CHECKPOINT_V1: &str = "structride-checkpoint v1";
 
 /// A plain-data snapshot of one [`Vehicle`], captured before and after each
 /// dispatch call.
@@ -505,9 +511,8 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> DriftReport {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// Run-level counters carried across a checkpoint boundary.  Monolithic runs
-/// leave the sharded-only fields (handoffs, migrations, epoch/label rolls,
-/// fault telemetry) at zero.
+/// Run-level counters carried across a checkpoint boundary.  A one-shard run
+/// never hands off or migrates, so it leaves those two fields at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointCounters {
     /// Requests routed to a non-home shard by the handoff auction.
@@ -532,9 +537,7 @@ pub struct CheckpointCounters {
     pub degraded_served: u64,
 }
 
-/// One shard's slice of a [`Checkpoint`] — or the entire state of a
-/// monolithic run (which checkpoints as a single shard with empty `routed`
-/// and `served` ledgers, since the monolithic simulator accounts globally).
+/// One shard's slice of a [`Checkpoint`]; a monolithic run has exactly one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardCheckpoint {
     /// Accumulated scratch counters.
@@ -578,6 +581,9 @@ pub struct ShardCheckpoint {
 /// caller to supply the same request slice as the original run (workloads
 /// are deterministic generators), and `next_request` indexes into its
 /// release-sorted order.
+///
+/// Every shard count writes the same layout (a monolithic run is a
+/// one-shard run); a resume refuses a checkpoint of another shard count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Dispatcher name (`RunMetrics::algorithm`).
@@ -587,8 +593,6 @@ pub struct Checkpoint {
     /// The framework configuration (includes the fault plan, so the resumed
     /// run re-derives the identical outage/budget/checkpoint schedule).
     pub config: StructRideConfig,
-    /// Whether this snapshot came from the sharded driver.
-    pub sharded: bool,
     /// Simulation clock at capture (the end of the last stepped batch).
     pub now: f64,
     /// Batches stepped so far == the index of the next batch to dispatch.
@@ -599,7 +603,7 @@ pub struct Checkpoint {
     pub served: Vec<RequestId>,
     /// Run-level counters.
     pub counters: CheckpointCounters,
-    /// Per-shard state (exactly one entry for monolithic runs).
+    /// Per-shard state, one entry per shard.
     pub shards: Vec<ShardCheckpoint>,
 }
 
@@ -1198,11 +1202,6 @@ impl Checkpoint {
         put_line(&mut out, "algorithm", &self.algorithm);
         put_line(&mut out, "workload", &self.workload);
         put_line(&mut out, "config", &self.config);
-        out.push_str(if self.sharded {
-            "mode sharded\n"
-        } else {
-            "mode mono\n"
-        });
         put_record::<ClockLine>(&mut out, "clock", self);
         put_line(&mut out, "served", &self.served);
         put_line(&mut out, "counters", &self.counters);
@@ -1221,21 +1220,24 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a checkpoint from its text form.
+    /// Parses a checkpoint from its text form, v2 or the retired v1 (see
+    /// the module docs).
     pub fn parse(text: &str) -> Result<Checkpoint, TraceParseError> {
         let mut r = Reader::new(text);
-        r.marker(CHECKPOINT_HEADER)?;
+        let v1 = text.lines().next() == Some(CHECKPOINT_V1);
+        r.marker(if v1 { CHECKPOINT_V1 } else { CHECKPOINT_HEADER })?;
         let mut checkpoint = Checkpoint {
             algorithm: r.value("algorithm")?,
             workload: r.value("workload")?,
             config: r.value("config")?,
-            sharded: match r.body("mode")? {
-                "sharded" => true,
-                "mono" => false,
-                other => return Err(r.err(format!("unknown checkpoint mode {other:?}"))),
-            },
             ..Checkpoint::default()
         };
+        let mono = v1
+            && match r.body("mode")? {
+                "sharded" => false,
+                "mono" => true,
+                other => return Err(r.err(format!("unknown checkpoint mode {other:?}"))),
+            };
         r.record::<ClockLine>("clock", &mut checkpoint)?;
         checkpoint.served = r.value("served")?;
         checkpoint.counters = r.value("counters")?;
@@ -1261,6 +1263,10 @@ impl Checkpoint {
         }
         if checkpoint.shards.is_empty() {
             return Err(r.err("checkpoint needs at least one shard section"));
+        }
+        if mono {
+            // A v1 monolithic run kept its served set at the run level only.
+            checkpoint.shards[0].served = checkpoint.served.clone();
         }
         Ok(checkpoint)
     }
@@ -1353,8 +1359,8 @@ mod tests {
         assert_eq!(parsed.to_text(), text);
     }
 
-    #[test]
-    fn checkpoint_text_roundtrips_exactly() {
+    /// A two-shard checkpoint with every field set (the second shard idle).
+    fn sample_checkpoint() -> Checkpoint {
         let mut vehicle = Vehicle::new(3, 1, 4);
         vehicle.free_at = 12.25;
         vehicle.executed_travel = 0.1 + 0.2; // a float that doesn't print short
@@ -1367,11 +1373,10 @@ mod tests {
             solver_node_budget: 500,
             checkpoint_every: 8,
         };
-        let ckpt = Checkpoint {
+        Checkpoint {
             algorithm: "SARD".into(),
             workload: "rush".into(),
             config: StructRideConfig::default().with_faults(faults),
-            sharded: true,
             now: 25.0,
             batches: 5,
             next_request: 42,
@@ -1407,20 +1412,53 @@ mod tests {
                 // An idle shard: every section empty.
                 ShardCheckpoint::default(),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_text_roundtrips_exactly() {
+        let ckpt = sample_checkpoint();
         let text = ckpt.to_text();
         let parsed = Checkpoint::parse(&text).expect("parse checkpoint");
         assert_eq!(parsed, ckpt);
         // Serialization is stable: text -> checkpoint -> text is the identity.
         assert_eq!(parsed.to_text(), text);
         // The shared config tokens carry the fault plan through.
-        assert_eq!(parsed.config.faults, faults);
+        assert_eq!(parsed.config.faults.checkpoint_every, 8);
 
         assert!(Checkpoint::parse("garbage").is_err());
         assert!(
             Checkpoint::parse(CHECKPOINT_HEADER).is_err(),
             "a header alone is not a checkpoint"
         );
+    }
+
+    #[test]
+    fn v1_checkpoints_parse_to_the_v2_layout() {
+        let ckpt = sample_checkpoint();
+        let text = ckpt.to_text();
+        // The retired v1 layout still parses (and only it has a mode line):
+        // a `mode sharded` text reads as the v2 checkpoint it came from.
+        let with_mode = |mode: &str, text: &str| {
+            let config = text.lines().nth(3).expect("config line");
+            text.replacen(config, &format!("{config}\nmode {mode}"), 1)
+        };
+        let v1 = |mode: &str, text: &str| {
+            with_mode(mode, text).replacen(CHECKPOINT_HEADER, CHECKPOINT_V1, 1)
+        };
+        assert_eq!(Checkpoint::parse(&v1("sharded", &text)), Ok(ckpt.clone()));
+        let err = Checkpoint::parse(&v1("both", &text)).expect_err("unknown mode");
+        assert_eq!(err.line, 5);
+        assert!(Checkpoint::parse(&with_mode("sharded", &text)).is_err());
+        // A v1 `mode mono` text kept its served set at the run level only
+        // (and no routed ledger): the set lands in its one shard section.
+        let mut mono = ckpt;
+        mono.shards.truncate(1);
+        mono.shards[0].routed.clear();
+        mono.shards[0].served = mono.served.clone();
+        let mut written = mono.clone();
+        written.shards[0].served.clear();
+        assert_eq!(Checkpoint::parse(&v1("mono", &written.to_text())), Ok(mono));
     }
 
     #[test]

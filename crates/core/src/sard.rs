@@ -65,11 +65,6 @@ pub struct SardDispatcher {
     /// The dynamic shareability-graph builder; it owns the working set `R_p`
     /// of unassigned, unexpired requests carried across batches.
     builder: Option<ShareabilityGraphBuilder>,
-    /// Pool handed back through [`Dispatcher::restore_pending`] (shard-outage
-    /// failover), waiting for the next batch to *re-evaluate* shareability
-    /// over it — correct there, because the requests land on a different
-    /// shard whose graph never contained them.
-    restored: Vec<Request>,
     /// Snapshot handed back through [`Dispatcher::restore_snapshot`]
     /// (checkpoint resume), waiting for the next batch to reinstate pool and
     /// edges *verbatim* via [`ShareabilityGraphBuilder::restore`].  Edges are
@@ -87,7 +82,6 @@ impl SardDispatcher {
         SardDispatcher {
             config,
             builder: None,
-            restored: Vec::new(),
             snapshot: None,
             peak_memory: 0,
         }
@@ -158,13 +152,6 @@ impl Dispatcher for SardDispatcher {
         // no re-evaluation, so the resumed graph is the checkpointed graph.
         if let Some(snapshot) = self.snapshot.take() {
             builder.restore(engine, snapshot.pool, &snapshot.edges);
-        }
-
-        // A failover pool re-enters the graph as fresh arrivals: this shard
-        // never saw these requests, so their edges are evaluated now.
-        if !self.restored.is_empty() {
-            let restored = std::mem::take(&mut self.restored);
-            add_to_graph(builder, ctx, &restored);
         }
 
         // Requests whose pickup deadline already passed can no longer be
@@ -333,8 +320,7 @@ impl Dispatcher for SardDispatcher {
     }
 
     fn pending_requests(&self) -> usize {
-        self.restored.len()
-            + self.snapshot.as_ref().map(|s| s.pool.len()).unwrap_or(0)
+        self.snapshot.as_ref().map(|s| s.pool.len()).unwrap_or(0)
             + self.builder.as_ref().map(|b| b.len()).unwrap_or(0)
     }
 
@@ -345,12 +331,9 @@ impl Dispatcher for SardDispatcher {
 
     fn take_pending(&mut self) -> Vec<Request> {
         // The working set lives inside the shareability graph: drop the
-        // graph with it (it is derived state — pure pairwise shareability of
-        // the pooled requests — and is rebuilt on restore).
-        let mut pool = std::mem::take(&mut self.restored);
-        if let Some(snapshot) = self.snapshot.take() {
-            pool.extend(snapshot.pool);
-        }
+        // graph with it (the shard that wins a drained request evaluates its
+        // edges afresh when it arrives there).
+        let mut pool = self.snapshot.take().map(|s| s.pool).unwrap_or_default();
         if let Some(builder) = self.builder.take() {
             pool.extend(builder.requests().values().cloned());
         }
@@ -358,12 +341,8 @@ impl Dispatcher for SardDispatcher {
         pool
     }
 
-    fn restore_pending(&mut self, pool: Vec<Request>) {
-        self.restored.extend(pool);
-    }
-
     fn checkpoint_pending(&self) -> PendingSnapshot {
-        let mut pool: Vec<Request> = self.restored.clone();
+        let mut pool: Vec<Request> = Vec::new();
         let mut edges: Vec<(RequestId, RequestId)> = Vec::new();
         if let Some(snapshot) = &self.snapshot {
             pool.extend(snapshot.pool.iter().cloned());
@@ -379,15 +358,8 @@ impl Dispatcher for SardDispatcher {
     }
 
     fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {
-        match &mut self.snapshot {
-            Some(held) => {
-                held.pool.extend(snapshot.pool);
-                held.pool.sort_unstable_by_key(|r| r.id);
-                held.edges.extend(snapshot.edges);
-                held.edges.sort_unstable();
-            }
-            None => self.snapshot = Some(snapshot),
-        }
+        debug_assert!(self.snapshot.is_none(), "a resume restores each lane once");
+        self.snapshot = Some(snapshot);
     }
 }
 

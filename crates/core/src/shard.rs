@@ -93,7 +93,7 @@ use crate::fleet_index::FleetIndex;
 use crate::ingest::IngestStats;
 use crate::lane::{Lane, Offered};
 use crate::metrics::RunMetrics;
-use crate::replay::{Checkpoint, CheckpointCounters, ShardCheckpoint, TraceRecorder};
+use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
 use crate::simulator::{drive, BatchSource, ResumeError, RunError, RunHooks, CLOCK_RUNS};
 use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
@@ -522,9 +522,6 @@ pub(crate) struct ShardedRun<'a> {
     /// the queries of this run, not of the engine's lifetime.
     sp_before: u64,
     shards: Vec<Shard<'a>>,
-    /// The checkpoint mode: `false` for the [`Simulator`](crate::Simulator)'s
-    /// run, whose checkpoints keep the monolithic file layout.
-    sharded: bool,
     served: HashSet<RequestId>,
     batches: usize,
     now: f64,
@@ -542,7 +539,7 @@ impl<'a> ShardedRun<'a> {
     /// its dispatcher of `dispatchers` on the one `engine` (whose network
     /// is the whole map), and homes each
     /// vehicle to the shard of its starting node, preserving input order
-    /// within each shard.  `sharded` picks the checkpoint mode.
+    /// within each shard.
     ///
     /// The engine is rolled to the epoch of time zero first: a reused engine
     /// that an earlier run left at a later epoch starts this run where a
@@ -554,7 +551,6 @@ impl<'a> ShardedRun<'a> {
         engine: &'a SpEngine,
         dispatchers: Vec<&'a mut dyn Dispatcher>,
         vehicles: Vec<Vehicle>,
-        sharded: bool,
     ) -> Self {
         debug_assert_eq!(
             dispatchers.len(),
@@ -591,7 +587,6 @@ impl<'a> ShardedRun<'a> {
             engine,
             sp_before: engine.stats().index_queries,
             shards,
-            sharded,
             served: HashSet::new(),
             batches: 0,
             now: 0.0,
@@ -650,11 +645,11 @@ impl<'a> ShardedRun<'a> {
     /// Every request `offered` is charged exactly once: to the shard that
     /// last routed it, or — when no batch ever took it — to its home shard,
     /// as unserved.  Never-routed requests are the ingest front end's
-    /// load-shed and timed-out arrivals, and a resumed monolithic run's
-    /// requests released before its checkpoint (the monolithic checkpoint
-    /// layout carries no routed ledger).  They go first in their shard's
-    /// ledger, so the resumed run sums its penalty in release order, as the
-    /// uninterrupted run does.
+    /// load-shed and timed-out arrivals, and, in a run resumed from a
+    /// retired v1 monolithic checkpoint (which carried no routed ledger),
+    /// the requests released before the checkpoint.  They go first in their
+    /// shard's ledger, so such a resumed run sums its penalty in release
+    /// order, as the uninterrupted one-shard run does.
     pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
         let (engine, now, horizon_end) = (self.engine, self.now, offered.horizon_end);
         for_each_shard(&mut self.shards, &|s| {
@@ -942,58 +937,35 @@ impl<'a> ShardedRun<'a> {
     /// Wall-clock diagnostics (dispatch/setup/label-refresh seconds,
     /// shortest-path query counters) are deliberately not captured; resumed
     /// runs re-accumulate them from zero, exactly as replay comparisons
-    /// exclude them.
-    ///
-    /// In the monolithic mode the one shard section carries no routed
-    /// ledger, its served set moves to the run level and the run counters
-    /// are left at their defaults — the layout the monolithic simulator has
-    /// always written.
+    /// exclude them.  One layout serves every shard count.
     pub(crate) fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
         let mut served: Vec<RequestId> = self.served.iter().copied().collect();
         served.sort_unstable();
-        let mut shards: Vec<ShardCheckpoint> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let routed = if self.sharded {
-                    s.routed.clone()
-                } else {
-                    Vec::new()
-                };
-                s.lane.capture(s.dispatcher, routed)
-            })
-            .collect();
-        let mut counters = self.counters;
-        if !self.sharded {
-            served = std::mem::take(&mut shards[0].served);
-            counters = CheckpointCounters::default();
-        }
         Checkpoint {
             algorithm: self.algorithm().to_string(),
             workload: workload_name.to_string(),
             config: self.config,
-            sharded: self.sharded,
             now: self.now,
             batches: self.batches,
             next_request,
             served,
-            counters,
-            shards,
+            counters: self.counters,
+            shards: self
+                .shards
+                .iter()
+                .map(|s| s.lane.capture(s.dispatcher, s.routed.clone()))
+                .collect(),
         }
     }
 
     /// Reinstates a captured state into a freshly built run (same network,
-    /// regions and shard count), refusing a checkpoint of the other mode or
-    /// another shard count.  Fleets are restored in slot order (slot order
-    /// is load-bearing after migrations), dispatcher pools and edges
-    /// verbatim, and the engine is rolled to the checkpoint's
-    /// traffic epoch — a pure function of (config, batch clock), so one
-    /// direct roll lands exactly where the original run's incremental rolls
-    /// did.
+    /// regions and shard count), refusing a checkpoint of another shard
+    /// count.  Fleets are restored in slot order (slot order is
+    /// load-bearing after migrations), dispatcher pools and edges verbatim,
+    /// and the engine is rolled to the checkpoint's traffic epoch — a pure
+    /// function of (config, batch clock), so one direct roll lands exactly
+    /// where the original run's incremental rolls did.
     pub(crate) fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), ResumeError> {
-        if ckpt.sharded != self.sharded {
-            return Err(ResumeError::WrongPipeline);
-        }
         if ckpt.shards.len() != self.shards.len() {
             return Err(ResumeError::ShardCount {
                 expected: self.shards.len(),
@@ -1006,10 +978,6 @@ impl<'a> ShardedRun<'a> {
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {
             shard.lane.restore(self.engine, shard.dispatcher, s);
             shard.routed = s.routed.clone();
-        }
-        if !self.sharded {
-            // The monolithic layout keeps the served set at the run level.
-            self.shards[0].lane.served = self.served.clone();
         }
         // Prime the traffic epoch (every lane re-pins its certified
         // prescreen rate after the engine rolls), then set the counters to the
@@ -1140,7 +1108,6 @@ impl ShardedSimulator {
             &engine,
             dispatchers,
             vehicles,
-            true,
         );
         let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
         Ok(ShardedReport {
@@ -1237,7 +1204,6 @@ mod tests {
             &engine,
             dispatchers,
             vehicles,
-            true,
         );
         let free_flow = engine.min_time_per_meter();
         let mut rates = HashSet::new();

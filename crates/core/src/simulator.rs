@@ -22,8 +22,9 @@
 //! the caller's prebuilt engine and borrowed dispatcher.  After the last
 //! batch every remaining schedule is executed and the run produces the
 //! [`RunMetrics`] the paper reports (unified cost, service rate, running
-//! time, #shortest-path queries, memory).  Only its checkpoints keep a
-//! layout of their own (`mode mono`).
+//! time, #shortest-path queries, memory).  Its checkpoints have every run's
+//! layout, with one shard section, so they also resume on a one-shard
+//! [`ShardedSimulator`](crate::ShardedSimulator) with isolated sharding.
 
 use crate::config::StructRideConfig;
 use crate::dispatcher::Dispatcher;
@@ -31,7 +32,7 @@ use crate::ingest::{drive_ingest, IngestError, IngestReport, IngestStats};
 use crate::lane::{Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, TraceRecorder};
-use crate::shard::{ShardedReport, ShardedRun, ShardingConfig};
+use crate::shard::{ShardedRun, ShardingConfig};
 use crate::stages::{RunObserver, StageClock};
 use std::collections::HashSet;
 use std::fmt;
@@ -136,9 +137,6 @@ pub enum ResumeError {
         /// [`Checkpoint::algorithm`].
         found: String,
     },
-    /// A sharded checkpoint resumed on the monolithic [`Simulator`], or a
-    /// monolithic one on the [`ShardedSimulator`](crate::ShardedSimulator).
-    WrongPipeline,
     /// The checkpoint's shard sections do not match the run's shard count
     /// (exactly one for the monolithic simulator).
     ShardCount {
@@ -171,10 +169,6 @@ impl fmt::Display for ResumeError {
             ResumeError::Algorithm { expected, found } => write!(
                 f,
                 "checkpoint holds {found} state but the run dispatches with {expected}"
-            ),
-            ResumeError::WrongPipeline => write!(
-                f,
-                "checkpoint was written by the other pipeline (monolithic vs sharded)"
             ),
             ResumeError::ShardCount { expected, found } => write!(
                 f,
@@ -252,7 +246,7 @@ impl Stepper<'_> {
 /// Runs `run` over `source` through `hooks`: the one dispatch on the batch
 /// source behind both pipelines' `execute`.  A resume is checked against the
 /// run — workload, configuration, dispatcher, stream length, then (in
-/// `restore`) pipeline and shard count — before any state is restored.
+/// `restore`) shard count — before any state is restored.
 /// Returns what was offered, for the run's final accounting.
 pub(crate) fn drive(
     run: &mut ShardedRun<'_>,
@@ -277,10 +271,7 @@ pub(crate) fn drive(
             drive_clock(run, config, requests, workload_name, &mut stepper, from)
         }
         BatchSource::Ingest(arrivals) => {
-            let (mut offered, stats) =
-                drive_ingest(run, config, arrivals, &mut stepper).map_err(RunError::Ingest)?;
-            offered.ingest = Some(stats);
-            offered
+            drive_ingest(run, config, arrivals, &mut stepper).map_err(RunError::Ingest)?
         }
         BatchSource::Fed(batches) => drive_fed(run, batches, &mut stepper),
     };
@@ -478,16 +469,18 @@ impl Simulator {
         I: IntoIterator<Item = Request>,
         I::IntoIter: Send,
     {
-        let mut run = self.one_shard(engine, vehicles, dispatcher);
-        let mut stepper = Stepper::default();
-        let (offered, ingest) = drive_ingest(&mut run, &self.config, arrivals, &mut stepper)?;
-        let report = monolithic(run.finish(workload_name, offered));
-        Ok(IngestReport {
-            metrics: report.metrics,
-            vehicles: report.vehicles,
-            served: report.served,
-            ingest,
-        })
+        let source = BatchSource::Ingest(Box::new(arrivals.into_iter()));
+        let hooks = RunHooks::default();
+        match self.execute(engine, source, vehicles, dispatcher, workload_name, hooks) {
+            Ok(report) => Ok(IngestReport {
+                ingest: report.ingest.expect("an ingested run reports its stats"),
+                metrics: report.metrics,
+                vehicles: report.vehicles,
+                served: report.served,
+            }),
+            Err(RunError::Ingest(e)) => Err(e),
+            Err(RunError::Resume(_)) => unreachable!("an ingested run resumes nothing"),
+        }
     }
 
     /// Runs `dispatcher` over the batches `source` produces, observed
@@ -513,20 +506,6 @@ impl Simulator {
             !matches!(source, BatchSource::Resume(..)) || vehicles.is_empty(),
             "a resumed run restores its fleet from the checkpoint"
         );
-        let mut run = self.one_shard(engine, vehicles, dispatcher);
-        let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
-        Ok(monolithic(run.finish(workload_name, offered)))
-    }
-
-    /// The run every monolithic entry point steps: one isolated shard over
-    /// the whole network, on the caller's engine and dispatcher, writing
-    /// monolithic checkpoints.
-    fn one_shard<'a>(
-        &self,
-        engine: &'a SpEngine,
-        vehicles: Vec<Vehicle>,
-        dispatcher: &'a mut dyn Dispatcher,
-    ) -> ShardedRun<'a> {
         // A traffic-enabled run needs an engine that actually carries the
         // model (the caller builds it with `SpEngineBuilder::traffic`);
         // mismatches would silently drop congestion, so fail loudly in
@@ -536,26 +515,23 @@ impl Simulator {
                 || (engine.traffic_config().is_none() && self.config.traffic.is_static()),
             "engine traffic model must match config.traffic"
         );
-        let network = engine.network();
-        ShardedRun::new(
+        // The monolithic run: one isolated shard over the whole network.
+        let mut run = ShardedRun::new(
             self.config,
             ShardingConfig::isolated(),
-            RegionGrid::covering(network.bounding_box(), 1, 1),
+            RegionGrid::covering(engine.network().bounding_box(), 1, 1),
             engine,
             vec![dispatcher],
             vehicles,
-            false,
-        )
-    }
-}
-
-/// A one-shard run's report in the monolithic shape.
-fn monolithic(report: ShardedReport) -> SimulationReport {
-    SimulationReport {
-        metrics: report.aggregate,
-        vehicles: report.vehicles,
-        served: report.served,
-        ingest: report.ingest,
+        );
+        let offered = drive(&mut run, &self.config, workload_name, source, hooks)?;
+        let report = run.finish(workload_name, offered);
+        Ok(SimulationReport {
+            metrics: report.aggregate,
+            vehicles: report.vehicles,
+            served: report.served,
+            ingest: report.ingest,
+        })
     }
 }
 

@@ -5,14 +5,16 @@
 //! not, and a run resumed from any checkpoint — after a text-codec
 //! round-trip, under any worker-thread count — finishes bit-identically to
 //! the uninterrupted run: same deterministic metrics, same served set, same
-//! final fleet.  Exercised monolithically and on a faulted 3-shard rush-hour
-//! run (traffic epochs, shard outages and failover all crossing the
-//! checkpoint boundary).  A checkpoint is a parsed file, so one that does
-//! not fit the run being resumed must come back as a `ResumeError`, never a
-//! panic or a silently truncated run.
+//! final fleet.  Exercised monolithically with every registered dispatcher
+//! and on a faulted 3-shard rush-hour run (traffic epochs, shard outages
+//! and failover all crossing the checkpoint boundary); one layout serves
+//! both, so a monolithic checkpoint also resumes on a one-shard sharded run.
+//! A checkpoint is a parsed file, so one that does not fit the run being
+//! resumed must come back as a `ResumeError`, never a panic or a silently
+//! truncated run.
 
-use structride_baselines::PruneGdp;
-use structride_core::shard::{region_grid_for, ShardDispatcher, ShardedSimulator};
+use structride_baselines::{standard_registry, PruneGdp};
+use structride_core::shard::{region_grid_for, ShardDispatcher, ShardedSimulator, ShardingConfig};
 use structride_core::{
     BatchSource, Checkpoint, Dispatcher, FaultConfig, ResumeError, RunError, RunHooks, RunMetrics,
     SardDispatcher, Simulator, StructRideConfig, VehicleState,
@@ -99,6 +101,10 @@ where
         .install(f)
 }
 
+/// Every registered dispatcher, on a rush-hour run: a checkpointing run
+/// finishes like a plain one, and a resume from a mid-run checkpoint lands
+/// on the uninterrupted run.  The pool-carrying dispatchers must each
+/// checkpoint a non-empty pool at some boundary.
 #[test]
 fn monolithic_checkpoint_resume_is_bit_identical() {
     let w = single_city_workload();
@@ -122,77 +128,92 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
             .traffic(traffic)
             .build(w.engine.network().clone())
     };
-
-    let baseline = in_pool(1, || {
-        let engine = fresh_engine();
-        let mut sard = SardDispatcher::new(config);
-        sim.run(&engine, &w.requests, w.fresh_vehicles(), &mut sard, &w.name)
-    });
-    assert!(baseline.metrics.served_requests > 0);
-
-    // A checkpointing run is bit-identical to a plain run (capture is a
-    // pure read) — even under a different worker count.
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    let with_ckpts = in_pool(4, || {
-        let engine = fresh_engine();
-        let mut sard = SardDispatcher::new(config);
-        sim.execute(
-            &engine,
-            BatchSource::Clock(&w.requests),
-            w.fresh_vehicles(),
-            &mut sard,
-            &w.name,
-            checkpoints_into(&mut |c| checkpoints.push(c)),
-        )
-        .expect(CLOCK)
-    });
-    assert_eq!(
-        deterministic_fields(&with_ckpts.metrics),
-        deterministic_fields(&baseline.metrics),
-        "writing checkpoints must not perturb the run"
-    );
-    assert_eq!(with_ckpts.served, baseline.served);
-    assert!(
-        checkpoints.len() >= 2,
-        "the cadence must fire at least twice over {} batches",
-        baseline.metrics.batches
-    );
-    for (i, c) in checkpoints.iter().enumerate() {
-        assert!(!c.sharded);
-        assert_eq!(c.batches, (i + 1) * faults.checkpoint_every as usize);
-        assert_eq!(c.config.faults, faults);
-    }
-
-    // Resume from a mid-run checkpoint — after a text-codec round-trip, at
-    // 1 and 4 worker threads — and land exactly on the uninterrupted run.
-    let picked = &checkpoints[checkpoints.len() / 2];
-    let reparsed = Checkpoint::parse(&picked.to_text()).expect("checkpoint codec");
-    assert_eq!(&reparsed, picked);
-    for threads in [1usize, 4] {
-        let resumed = in_pool(threads, || {
+    let registry = standard_registry();
+    for key in registry.keys() {
+        let make = || registry.build_by_key(key, &config).expect("registered key");
+        let baseline = in_pool(1, || {
             let engine = fresh_engine();
-            let mut sard = SardDispatcher::new(config);
+            sim.run(
+                &engine,
+                &w.requests,
+                w.fresh_vehicles(),
+                make().as_mut(),
+                &w.name,
+            )
+        });
+        assert!(baseline.metrics.served_requests > 0, "{key}");
+
+        // A checkpointing run is bit-identical to a plain run (capture is a
+        // pure read) — even under a different worker count.
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
+        let with_ckpts = in_pool(4, || {
+            let engine = fresh_engine();
             sim.execute(
                 &engine,
-                BatchSource::Resume(&w.requests, &reparsed),
-                Vec::new(),
-                &mut sard,
+                BatchSource::Clock(&w.requests),
+                w.fresh_vehicles(),
+                make().as_mut(),
                 &w.name,
-                RunHooks::default(),
+                checkpoints_into(&mut |c| checkpoints.push(c)),
             )
-            .expect("resumable")
+            .expect(CLOCK)
         });
         assert_eq!(
-            deterministic_fields(&resumed.metrics),
+            deterministic_fields(&with_ckpts.metrics),
             deterministic_fields(&baseline.metrics),
-            "resume at {threads} threads must finish bit-identically"
+            "{key}: writing checkpoints must not perturb the run"
         );
-        assert_eq!(resumed.served, baseline.served);
-        assert_eq!(
-            fleet_states(&resumed.vehicles),
-            fleet_states(&baseline.vehicles),
-            "final fleet state must match bit for bit"
+        assert_eq!(with_ckpts.served, baseline.served, "{key}");
+        assert!(
+            checkpoints.len() >= 2,
+            "{key}: the cadence must fire at least twice over {} batches",
+            baseline.metrics.batches
         );
+        for (i, c) in checkpoints.iter().enumerate() {
+            assert_eq!(c.shards.len(), 1);
+            assert_eq!(c.batches, (i + 1) * faults.checkpoint_every as usize);
+            assert_eq!(c.config.faults, faults);
+        }
+        if ["sard", "assign", "gas", "rtv"].contains(&key) {
+            assert!(
+                checkpoints
+                    .iter()
+                    .any(|c| !c.shards[0].pending.pool.is_empty()),
+                "{key} must checkpoint a non-empty pool"
+            );
+        }
+
+        // Resume from a mid-run checkpoint — after a text-codec round-trip,
+        // at 1 and 4 worker threads — and land exactly on the uninterrupted
+        // run.
+        let picked = &checkpoints[checkpoints.len() / 2];
+        let reparsed = Checkpoint::parse(&picked.to_text()).expect("checkpoint codec");
+        assert_eq!(&reparsed, picked);
+        for threads in [1usize, 4] {
+            let resumed = in_pool(threads, || {
+                let engine = fresh_engine();
+                sim.execute(
+                    &engine,
+                    BatchSource::Resume(&w.requests, &reparsed),
+                    Vec::new(),
+                    make().as_mut(),
+                    &w.name,
+                    RunHooks::default(),
+                )
+                .expect("resumable")
+            });
+            assert_eq!(
+                deterministic_fields(&resumed.metrics),
+                deterministic_fields(&baseline.metrics),
+                "{key}: resume at {threads} threads must finish bit-identically"
+            );
+            assert_eq!(resumed.served, baseline.served, "{key}");
+            assert_eq!(
+                fleet_states(&resumed.vehicles),
+                fleet_states(&baseline.vehicles),
+                "{key}: final fleet state must match bit for bit"
+            );
+        }
     }
 }
 
@@ -260,7 +281,6 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
     // Pick the checkpoint closest to mid-run and push it through the file
     // codec, exactly as the CI kill/resume smoke does.
     let picked = &checkpoints[checkpoints.len() / 2];
-    assert!(picked.sharded);
     assert_eq!(picked.shards.len(), 3);
     assert_eq!(picked.config.faults, faults);
     let path = std::env::temp_dir().join(format!("structride_ckpt_{}.txt", std::process::id()));
@@ -348,38 +368,43 @@ fn sharded_checkpoint(w: &MultiRegionWorkload, config: StructRideConfig) -> Chec
     checkpoints.swap_remove(0)
 }
 
+/// One checkpoint layout serves every shard count: a monolithic run's
+/// checkpoint resumes on a one-shard [`ShardedSimulator`] (the same run) and
+/// finishes like the uninterrupted monolithic run.
 #[test]
-fn resume_rejects_a_checkpoint_of_the_other_pipeline() {
+fn a_monolithic_checkpoint_resumes_on_a_one_shard_sharded_run() {
     let config = cadence_config();
-    let (w, multi) = (single_city_workload(), multi_workload(3));
-    let sharded = sharded_checkpoint(&multi, config);
+    let w = single_city_workload();
     let mut sard = SardDispatcher::new(config);
-    let resumed = Simulator::new(config).execute(
+    let uninterrupted = Simulator::new(config).run(
         &w.engine,
-        BatchSource::Resume(&w.requests, &sharded),
-        Vec::new(),
+        &w.requests,
+        w.fresh_vehicles(),
         &mut sard,
-        &sharded.workload,
-        RunHooks::default(),
+        &w.name,
     );
+    w.engine.clear_cache();
+    let checkpoint = monolithic_checkpoint(&w, config);
+    assert!(!checkpoint.shards[0].pending.is_empty(), "a pool crosses");
+    let resumed = ShardedSimulator::with_sharding(config, ShardingConfig::isolated())
+        .execute(
+            w.engine.network(),
+            &region_grid_for(w.engine.network(), 1, 1),
+            BatchSource::Resume(&w.requests, &checkpoint),
+            Vec::new(),
+            sard_factory(config),
+            &w.name,
+            RunHooks::default(),
+        )
+        .expect("a monolithic checkpoint fits a one-shard run");
     assert_eq!(
-        resumed.err(),
-        Some(RunError::Resume(ResumeError::WrongPipeline))
+        deterministic_fields(&resumed.aggregate),
+        deterministic_fields(&uninterrupted.metrics)
     );
-
-    let monolithic = monolithic_checkpoint(&w, config);
-    let resumed = ShardedSimulator::new(config).execute(
-        multi.network(),
-        &region_grid_for(multi.network(), 1, 3),
-        BatchSource::Resume(&multi.requests, &monolithic),
-        Vec::new(),
-        sard_factory(config),
-        &monolithic.workload,
-        RunHooks::default(),
-    );
+    assert_eq!(resumed.served, uninterrupted.served);
     assert_eq!(
-        resumed.err(),
-        Some(RunError::Resume(ResumeError::WrongPipeline))
+        fleet_states(&resumed.vehicles),
+        fleet_states(&uninterrupted.vehicles)
     );
 }
 

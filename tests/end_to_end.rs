@@ -90,7 +90,7 @@ fn sard_and_assign_runs_hit_the_score_memo() {
             .expect("thread pool")
             .install(|| {
                 let sard = run(&workload, &mut SardDispatcher::new(config), config).metrics;
-                let mut assign = structride::core::AssignDispatcher::new(config);
+                let mut assign = structride::core::AssignDispatcher::new();
                 [sard, run(&workload, &mut assign, config).metrics]
             })
     };
@@ -277,7 +277,7 @@ fn stage_spans_cover_the_batch_wall_and_change_no_decision() {
             ],
         ),
         (
-            |c| Box::new(structride::core::AssignDispatcher::new(c)),
+            |_| Box::new(structride::core::AssignDispatcher::new()),
             &[Stage::Prescreen, Stage::InsertLoop, Stage::Lap],
         ),
     ];
