@@ -28,10 +28,8 @@
 //! # The text format
 //!
 //! There is one trace format, `structride-trace v4`, beside the checkpoint
-//! format `structride-checkpoint v2`, one layout for any shard count.  A
-//! `structride-checkpoint v1` file still parses: its `mode` line is dropped,
-//! and a `mode mono` file's run-level served set is copied into its one
-//! shard section.  Any other header is an error.  Both formats are
+//! format `structride-checkpoint v2`, one layout for any shard count.  Any
+//! other header is an error.  Both formats are
 //! line-oriented, and one codec serves both.  Every line kind is a
 //! record that declares its fields once, in a single table giving each
 //! field's key (or position), its order and its token form; the writer and
@@ -58,9 +56,6 @@ const TRACE_HEADER: &str = "structride-trace v4";
 
 /// Magic first line of a checkpoint (see [`Checkpoint`]).
 const CHECKPOINT_HEADER: &str = "structride-checkpoint v2";
-
-/// Magic first line of the retired layout, which has a `mode` line.
-const CHECKPOINT_V1: &str = "structride-checkpoint v1";
 
 /// A plain-data snapshot of one [`Vehicle`], captured before and after each
 /// dispatch call.
@@ -599,8 +594,6 @@ pub struct Checkpoint {
     pub batches: usize,
     /// Requests of the release-sorted stream already offered.
     pub next_request: usize,
-    /// Globally served request ids, sorted.
-    pub served: Vec<RequestId>,
     /// Run-level counters.
     pub counters: CheckpointCounters,
     /// Per-shard state, one entry per shard.
@@ -1203,7 +1196,6 @@ impl Checkpoint {
         put_line(&mut out, "workload", &self.workload);
         put_line(&mut out, "config", &self.config);
         put_record::<ClockLine>(&mut out, "clock", self);
-        put_line(&mut out, "served", &self.served);
         put_line(&mut out, "counters", &self.counters);
         for (i, s) in self.shards.iter().enumerate() {
             put_line(&mut out, "shard", &i);
@@ -1220,26 +1212,17 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a checkpoint from its text form, v2 or the retired v1 (see
-    /// the module docs).
+    /// Parses a checkpoint from its text form.
     pub fn parse(text: &str) -> Result<Checkpoint, TraceParseError> {
         let mut r = Reader::new(text);
-        let v1 = text.lines().next() == Some(CHECKPOINT_V1);
-        r.marker(if v1 { CHECKPOINT_V1 } else { CHECKPOINT_HEADER })?;
+        r.marker(CHECKPOINT_HEADER)?;
         let mut checkpoint = Checkpoint {
             algorithm: r.value("algorithm")?,
             workload: r.value("workload")?,
             config: r.value("config")?,
             ..Checkpoint::default()
         };
-        let mono = v1
-            && match r.body("mode")? {
-                "sharded" => false,
-                "mono" => true,
-                other => return Err(r.err(format!("unknown checkpoint mode {other:?}"))),
-            };
         r.record::<ClockLine>("clock", &mut checkpoint)?;
-        checkpoint.served = r.value("served")?;
         checkpoint.counters = r.value("counters")?;
         while !r.is_done() {
             let index: usize = r.value("shard")?;
@@ -1263,10 +1246,6 @@ impl Checkpoint {
         }
         if checkpoint.shards.is_empty() {
             return Err(r.err("checkpoint needs at least one shard section"));
-        }
-        if mono {
-            // A v1 monolithic run kept its served set at the run level only.
-            checkpoint.shards[0].served = checkpoint.served.clone();
         }
         Ok(checkpoint)
     }
@@ -1380,7 +1359,6 @@ mod tests {
             now: 25.0,
             batches: 5,
             next_request: 42,
-            served: vec![1, 2, 7],
             counters: CheckpointCounters {
                 handoffs: 3,
                 handoff_bids: 17,
@@ -1431,34 +1409,6 @@ mod tests {
             Checkpoint::parse(CHECKPOINT_HEADER).is_err(),
             "a header alone is not a checkpoint"
         );
-    }
-
-    #[test]
-    fn v1_checkpoints_parse_to_the_v2_layout() {
-        let ckpt = sample_checkpoint();
-        let text = ckpt.to_text();
-        // The retired v1 layout still parses (and only it has a mode line):
-        // a `mode sharded` text reads as the v2 checkpoint it came from.
-        let with_mode = |mode: &str, text: &str| {
-            let config = text.lines().nth(3).expect("config line");
-            text.replacen(config, &format!("{config}\nmode {mode}"), 1)
-        };
-        let v1 = |mode: &str, text: &str| {
-            with_mode(mode, text).replacen(CHECKPOINT_HEADER, CHECKPOINT_V1, 1)
-        };
-        assert_eq!(Checkpoint::parse(&v1("sharded", &text)), Ok(ckpt.clone()));
-        let err = Checkpoint::parse(&v1("both", &text)).expect_err("unknown mode");
-        assert_eq!(err.line, 5);
-        assert!(Checkpoint::parse(&with_mode("sharded", &text)).is_err());
-        // A v1 `mode mono` text kept its served set at the run level only
-        // (and no routed ledger): the set lands in its one shard section.
-        let mut mono = ckpt;
-        mono.shards.truncate(1);
-        mono.shards[0].routed.clear();
-        mono.shards[0].served = mono.served.clone();
-        let mut written = mono.clone();
-        written.shards[0].served.clear();
-        assert_eq!(Checkpoint::parse(&v1("mono", &written.to_text())), Ok(mono));
     }
 
     #[test]

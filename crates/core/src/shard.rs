@@ -645,11 +645,8 @@ impl<'a> ShardedRun<'a> {
     /// Every request `offered` is charged exactly once: to the shard that
     /// last routed it, or — when no batch ever took it — to its home shard,
     /// as unserved.  Never-routed requests are the ingest front end's
-    /// load-shed and timed-out arrivals, and, in a run resumed from a
-    /// retired v1 monolithic checkpoint (which carried no routed ledger),
-    /// the requests released before the checkpoint.  They go first in their
-    /// shard's ledger, so such a resumed run sums its penalty in release
-    /// order, as the uninterrupted one-shard run does.
+    /// load-shed and timed-out arrivals; they go first in their shard's
+    /// ledger.
     pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
         let (engine, now, horizon_end) = (self.engine, self.now, offered.horizon_end);
         for_each_shard(&mut self.shards, &|s| {
@@ -939,8 +936,6 @@ impl<'a> ShardedRun<'a> {
     /// runs re-accumulate them from zero, exactly as replay comparisons
     /// exclude them.  One layout serves every shard count.
     pub(crate) fn capture(&self, workload_name: &str, next_request: usize) -> Checkpoint {
-        let mut served: Vec<RequestId> = self.served.iter().copied().collect();
-        served.sort_unstable();
         Checkpoint {
             algorithm: self.algorithm().to_string(),
             workload: workload_name.to_string(),
@@ -948,7 +943,6 @@ impl<'a> ShardedRun<'a> {
             now: self.now,
             batches: self.batches,
             next_request,
-            served,
             counters: self.counters,
             shards: self
                 .shards
@@ -972,7 +966,12 @@ impl<'a> ShardedRun<'a> {
                 found: ckpt.shards.len(),
             });
         }
-        self.served = ckpt.served.iter().copied().collect();
+        // The run's served set is the union of its shards' served sets.
+        self.served = ckpt
+            .shards
+            .iter()
+            .flat_map(|s| s.served.iter().copied())
+            .collect();
         self.batches = ckpt.batches;
         self.now = ckpt.now;
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {
