@@ -77,16 +77,7 @@ impl DemandRepositioning {
     }
 
     fn coordinate_grid(&self, engine: &SpEngine) -> GridIndex {
-        let net = engine.network();
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for v in net.nodes() {
-            let p = net.coord(v);
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
+        let (min_x, min_y, max_x, max_y) = engine.network().bounding_box();
         GridIndex::new(
             min_x,
             min_y,

@@ -4,7 +4,6 @@
 
 use structride_core::replay::{
     diff_traces, replay_trace, Checkpoint, DriftReport, Trace, TraceMeta, TraceRecorder,
-    VehicleState,
 };
 use structride_core::{BatchSource, RunHooks, RunMetrics, RunObserver};
 use structride_model::{Request, RequestId};
@@ -187,10 +186,9 @@ fn finish(run: &Finished) -> Vec<(String, String)> {
         .collect();
     let mut served: Vec<&RequestId> = run.served.iter().collect();
     served.sort_unstable();
-    let fleet: Vec<VehicleState> = run.fleet.iter().map(VehicleState::capture).collect();
     parts.push(("run counters".to_string(), format!("{:?}", run.counters)));
     parts.push(("served request set".to_string(), format!("{served:?}")));
-    parts.push(("final fleet state".to_string(), format!("{fleet:?}")));
+    parts.push(("final fleet state".to_string(), format!("{:?}", run.fleet)));
     parts
 }
 
@@ -201,7 +199,6 @@ mod tests {
     use std::num::NonZeroUsize;
     use structride_core::shard::ShardingConfig;
     use structride_core::{FaultConfig, StructRideConfig};
-    use structride_model::Vehicle;
 
     fn quick(pipeline: Pipeline, source: Source, key: &str, config: StructRideConfig) -> Scenario {
         Scenario::quickstart(true, key, pipeline, source, config)
@@ -251,7 +248,6 @@ mod tests {
                 Some((0, "sharded-ingested")),
             ),
         ];
-        let capture = |f: &[Vehicle]| f.iter().map(VehicleState::capture).collect::<Vec<_>>();
         for (pipeline, source, mode) in shapes {
             let scenario = quick(pipeline, source, "gas", StructRideConfig::default());
             let mut meta = TraceMeta::new("GAS", "w", scenario.config);
@@ -267,7 +263,7 @@ mod tests {
             let a = scenario.workload.generate();
             let b = parsed.workload.generate();
             assert_eq!((a.name, a.requests), (b.name, b.requests));
-            assert_eq!(capture(&a.vehicles), capture(&b.vehicles));
+            assert_eq!(a.vehicles, b.vehicles);
         }
     }
 

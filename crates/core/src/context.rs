@@ -79,6 +79,14 @@ pub struct ScratchStats {
     pub prescreen_pruned: u64,
 }
 
+impl std::ops::AddAssign for ScratchStats {
+    fn add_assign(&mut self, other: ScratchStats) {
+        self.insertion_evaluations += other.insertion_evaluations;
+        self.groups_enumerated += other.groups_enumerated;
+        self.prescreen_pruned += other.prescreen_pruned;
+    }
+}
+
 impl BatchScratch {
     /// Records `n` insertion evaluations.
     pub fn count_insertion_evaluations(&self, n: u64) {

@@ -19,9 +19,15 @@
 //!
 //! The lane borrows the engine and the dispatcher per call instead of owning
 //! them: a shard borrows both from whoever built the run — every shard the
-//! same engine — and a replay re-lends one dispatcher to every lane.  The lane also assembles its
-//! [`RunMetrics`] and captures / restores its slice of a
-//! [`Checkpoint`](crate::replay::Checkpoint).
+//! same engine — and a replay re-lends one dispatcher to every lane.
+//!
+//! The lane is the one home of its pipeline's run state: the fleet, the
+//! served set (a run's served set is the union of its lanes'), the work
+//! counters.  It assembles its [`RunMetrics`] from them and captures /
+//! restores its slice of a [`Checkpoint`](crate::replay::Checkpoint), the
+//! fleet as cloned [`Vehicle`]s.  [`Lane::dispatch`] books a batch's assigned
+//! ids into the served set and returns the outcome to its caller, which
+//! merges the lanes' outcomes.
 
 use crate::config::StructRideConfig;
 use crate::context::{DispatchContext, ScratchStats};
@@ -29,7 +35,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher};
 use crate::fleet_index::FleetIndex;
 use crate::ingest::IngestStats;
 use crate::metrics::RunMetrics;
-use crate::replay::{ShardCheckpoint, VehicleState};
+use crate::replay::ShardCheckpoint;
 use crate::score_memo::ScoreMemo;
 use crate::stages::StageClock;
 use rayon::prelude::*;
@@ -163,9 +169,7 @@ impl Lane {
         #[cfg(debug_assertions)]
         self.fleet_index
             .check_consistency(engine.network(), &self.vehicles);
-        self.scratch.insertion_evaluations += scratch.insertion_evaluations;
-        self.scratch.groups_enumerated += scratch.groups_enumerated;
-        self.scratch.prescreen_pruned += scratch.prescreen_pruned;
+        self.scratch += scratch;
         self.solver_fallbacks += outcome.solver.map_or(0, |st| st.fallbacks);
         self.served.extend(outcome.assigned.iter().copied());
         (outcome, scratch)
@@ -229,7 +233,7 @@ impl Lane {
             solver_fallbacks: self.solver_fallbacks,
             routed,
             served,
-            fleet: self.vehicles.iter().map(VehicleState::capture).collect(),
+            fleet: self.vehicles.clone(),
             pending: dispatcher.checkpoint_pending(),
         }
     }
@@ -243,7 +247,7 @@ impl Lane {
         dispatcher: &mut dyn Dispatcher,
         checkpoint: &ShardCheckpoint,
     ) {
-        self.vehicles = checkpoint.fleet.iter().map(VehicleState::restore).collect();
+        self.vehicles = checkpoint.fleet.clone();
         self.reindex(engine);
         self.served = checkpoint.served.iter().copied().collect();
         self.scratch = checkpoint.scratch;

@@ -107,7 +107,6 @@ pub use registry::{DispatcherBuilder, DispatcherKind};
 pub use replay::{
     diff_traces, replay_trace, BatchDivergence, BatchRecord, Checkpoint, CheckpointCounters,
     DriftReport, FieldDelta, ShardCheckpoint, Trace, TraceMeta, TraceParseError, TraceRecorder,
-    VehicleState,
 };
 pub use sard::SardDispatcher;
 pub use score_memo::ScoreMemo;

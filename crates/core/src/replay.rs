@@ -2,13 +2,13 @@
 //!
 //! A [`TraceRecorder`] hooks into the simulator (see
 //! [`Simulator::run_recorded`](crate::Simulator::run_recorded)) and captures,
-//! per batch, the released requests, the full pre-dispatch fleet state and
-//! the dispatch outcome (assignments, post-dispatch fleet state,
-//! scratch-counter deltas).  [`replay_trace`] re-feeds the recorded batches
-//! to any [`Dispatcher`] through a fresh
-//! [`DispatchContext`](crate::DispatchContext) and diffs the outcomes batch
-//! by batch into a structured [`DriftReport`] (first divergent batch,
-//! per-field deltas).
+//! per batch, the released requests, the pre-dispatch fleet and the dispatch
+//! outcome (assignments, post-dispatch fleet, scratch-counter deltas).
+//! Traces and [`Checkpoint`]s alike hold a fleet as cloned [`Vehicle`]s.
+//! [`replay_trace`] re-feeds the recorded batches to any [`Dispatcher`]
+//! through a fresh [`DispatchContext`](crate::DispatchContext) and diffs the
+//! outcomes batch by batch into a structured [`DriftReport`] (first
+//! divergent batch, per-field deltas).
 //!
 //! # The replay invariant
 //!
@@ -36,8 +36,9 @@
 //! the reader are both expanded from that table, so a new field is one line.
 //! Field values are scalars through `Display` / `FromStr` — floats in Rust's
 //! shortest round-trip form, so a trace recorded on one machine replays
-//! bit-identically on another — separator-joined lists, way-points, the
-//! traffic profile and zones, the routed ledger and the shareability edges.
+//! bit-identically on another — separator-joined lists, way-points (a
+//! vehicle's schedule is written as its way-point list), the traffic profile
+//! and zones, the routed ledger and the shareability edges.
 //! A parse error names its line and the field it could not read.
 
 use crate::config::StructRideConfig;
@@ -57,59 +58,6 @@ const TRACE_HEADER: &str = "structride-trace v4";
 /// Magic first line of a checkpoint (see [`Checkpoint`]).
 const CHECKPOINT_HEADER: &str = "structride-checkpoint v2";
 
-/// A plain-data snapshot of one [`Vehicle`], captured before and after each
-/// dispatch call.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VehicleState {
-    /// Vehicle identifier.
-    pub id: u32,
-    /// Seat capacity.
-    pub capacity: u32,
-    /// Node the vehicle plans from.
-    pub node: u32,
-    /// Time the vehicle is free at `node`.
-    pub free_at: f64,
-    /// Riders currently on board.
-    pub onboard: u32,
-    /// Travel time accumulated by executed way-points.
-    pub executed_travel: f64,
-    /// Requests assigned so far.
-    pub assigned: Vec<RequestId>,
-    /// Requests fully served so far.
-    pub completed: Vec<RequestId>,
-    /// The planned, not-yet-executed schedule.
-    pub schedule: Vec<Waypoint>,
-}
-
-impl VehicleState {
-    /// Captures the state of `vehicle`.
-    pub fn capture(vehicle: &Vehicle) -> Self {
-        VehicleState {
-            id: vehicle.id,
-            capacity: vehicle.capacity,
-            node: vehicle.node,
-            free_at: vehicle.free_at,
-            onboard: vehicle.onboard,
-            executed_travel: vehicle.executed_travel,
-            assigned: vehicle.assigned.clone(),
-            completed: vehicle.completed.clone(),
-            schedule: vehicle.schedule.waypoints().to_vec(),
-        }
-    }
-
-    /// Reconstructs a [`Vehicle`] in exactly this state.
-    pub fn restore(&self) -> Vehicle {
-        let mut v = Vehicle::new(self.id, self.node, self.capacity);
-        v.free_at = self.free_at;
-        v.onboard = self.onboard;
-        v.executed_travel = self.executed_travel;
-        v.assigned = self.assigned.clone();
-        v.completed = self.completed.clone();
-        v.schedule = Schedule::from_waypoints(self.schedule.clone());
-        v
-    }
-}
-
 /// Everything recorded about one batch: the inputs the dispatcher saw and
 /// the outcome it produced.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -120,12 +68,12 @@ pub struct BatchRecord {
     pub now: f64,
     /// Requests released during this batch window, in dispatch order.
     pub requests: Vec<Request>,
-    /// Fleet state after movement, immediately before the dispatch call.
-    pub fleet_before: Vec<VehicleState>,
+    /// The fleet after movement, immediately before the dispatch call.
+    pub fleet_before: Vec<Vehicle>,
     /// Request ids the dispatcher assigned in this batch.
     pub assigned: Vec<RequestId>,
-    /// Fleet state immediately after the dispatch call.
-    pub fleet_after: Vec<VehicleState>,
+    /// The fleet immediately after the dispatch call.
+    pub fleet_after: Vec<Vehicle>,
     /// Scratch-counter snapshot after the dispatch call.
     pub scratch: ScratchStats,
 }
@@ -221,7 +169,7 @@ impl TraceRecorder {
             index,
             now,
             requests: requests.to_vec(),
-            fleet_before: fleet.iter().map(VehicleState::capture).collect(),
+            fleet_before: fleet.to_vec(),
             ..BatchRecord::default()
         });
     }
@@ -239,7 +187,7 @@ impl TraceRecorder {
             .take()
             .expect("batch_finished without batch_started");
         record.assigned = outcome.assigned.clone();
-        record.fleet_after = fleet.iter().map(VehicleState::capture).collect();
+        record.fleet_after = fleet.to_vec();
         record.scratch = scratch;
         self.batches.push(record);
     }
@@ -363,13 +311,8 @@ pub fn replay_trace(
         // rebuilt per batch: the certified survivor set depends only on
         // vehicle positions and free times, so it reproduces the recorded
         // counters.
-        let fleet = batch
-            .fleet_before
-            .iter()
-            .map(VehicleState::restore)
-            .collect();
         let config = trace.meta.config;
-        let mut lane = Lane::new(engine, config, fleet);
+        let mut lane = Lane::new(engine, config, batch.fleet_before.clone());
         lane.score_memo = score_memo;
         let (outcome, scratch) = lane.dispatch(
             engine,
@@ -382,7 +325,7 @@ pub fn replay_trace(
         let replayed = BatchRecord {
             assigned: outcome.assigned,
             scratch,
-            fleet_after: lane.vehicles.iter().map(VehicleState::capture).collect(),
+            fleet_after: lane.vehicles,
             ..BatchRecord::default()
         };
         score_memo = lane.score_memo;
@@ -417,8 +360,8 @@ fn diff_outcome(deltas: &mut Vec<FieldDelta>, recorded: &BatchRecord, replayed: 
 fn diff_fleet(
     deltas: &mut Vec<FieldDelta>,
     label: &str,
-    recorded: &[VehicleState],
-    replayed: &[VehicleState],
+    recorded: &[Vehicle],
+    replayed: &[Vehicle],
 ) {
     if recorded.len() != replayed.len() {
         deltas.push(FieldDelta {
@@ -547,7 +490,7 @@ pub struct ShardCheckpoint {
     pub served: Vec<RequestId>,
     /// The shard's fleet in slot order (slot order is load-bearing: the
     /// fleet index is keyed by slot, and migrations reorder slots).
-    pub fleet: Vec<VehicleState>,
+    pub fleet: Vec<Vehicle>,
     /// The shard dispatcher's carried pool and derived edges.
     pub pending: PendingSnapshot,
 }
@@ -699,20 +642,35 @@ impl Item for (RequestId, RequestId) {
     const SEP: char = ';';
 }
 
+/// Writes `items` joined by their separator.
+fn put_items<T: Item>(items: &[T], out: &mut String) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(T::SEP);
+        }
+        item.put(out);
+    }
+}
+
 impl<T: Item> Token for Vec<T> {
     fn put(&self, out: &mut String) {
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(T::SEP);
-            }
-            item.put(out);
-        }
+        put_items(self, out)
     }
     fn take(text: &str) -> Result<Self, String> {
         if text.is_empty() {
             return Ok(Vec::new());
         }
         text.split(T::SEP).map(T::take).collect()
+    }
+}
+
+/// A schedule is its way-point list.
+impl Token for Schedule {
+    fn put(&self, out: &mut String) {
+        put_items(self.waypoints(), out)
+    }
+    fn take(text: &str) -> Result<Self, String> {
+        Vec::take(text).map(Schedule::from_waypoints)
     }
 }
 
@@ -936,7 +894,7 @@ record!(token WaypointFields(':'): Waypoint {
     "" kind, "" request, "" node, "" deadline, "" earliest, "" riders,
 });
 
-record!(token VehicleFields(' '): VehicleState {
+record!(token VehicleFields(' '): Vehicle {
     "" id, "" capacity, "" node, "" free_at, "" onboard, "" executed_travel,
     "a" assigned, "c" completed, "s" schedule,
 });
@@ -1313,19 +1271,21 @@ mod tests {
     }
 
     #[test]
-    fn vehicle_state_roundtrips_through_capture_restore() {
+    fn a_mid_schedule_vehicle_line_roundtrips_exactly() {
         let engine = line_engine();
         let mut v = Vehicle::new(7, 0, 4);
         let r = req(1, 1, 3, 0.0, 20.0);
         let out = insertion::insert_request(&engine, &v, &r).unwrap();
         v.commit_schedule(out.schedule);
         v.advance_to(&engine, 15.0);
-        let state = VehicleState::capture(&v);
-        let restored = state.restore();
-        assert_eq!(VehicleState::capture(&restored), state);
-        assert_eq!(restored.schedule, v.schedule);
-        assert_eq!(restored.free_at, v.free_at);
-        assert_eq!(restored.onboard, v.onboard);
+        // Picked up, not yet dropped off: the line carries a rider on board
+        // and a one-way-point schedule.
+        assert_eq!((v.onboard, v.schedule.len()), (1, 1));
+        let text = rendered(&v);
+        assert!(text.contains(" a=1 c= s=D:1:3:"), "{text}");
+        let parsed = Vehicle::take(&text).expect("parse vehicle line");
+        assert_eq!(parsed, v);
+        assert_eq!(rendered(&parsed), text);
     }
 
     #[test]
@@ -1381,7 +1341,7 @@ mod tests {
                     solver_fallbacks: 1,
                     routed: vec![(1, 1.5), (7, 0.30000000000000004)],
                     served: vec![1, 7],
-                    fleet: vec![VehicleState::capture(&vehicle)],
+                    fleet: vec![vehicle],
                     pending: PendingSnapshot {
                         pool: vec![pool_req],
                         edges: vec![(11, 13)],
@@ -1597,18 +1557,8 @@ mod tests {
         // A replay that reorders the fleet can differ *only* in id/capacity
         // (two otherwise-identical vehicles swapped); the diff must surface
         // that rather than silently producing zero deltas.
-        let a = VehicleState {
-            id: 1,
-            capacity: 4,
-            node: 0,
-            free_at: 0.0,
-            onboard: 0,
-            executed_travel: 0.0,
-            assigned: Vec::new(),
-            completed: Vec::new(),
-            schedule: Vec::new(),
-        };
-        let b = VehicleState {
+        let a = Vehicle::new(1, 0, 4);
+        let b = Vehicle {
             id: 2,
             capacity: 3,
             ..a.clone()

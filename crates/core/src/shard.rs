@@ -248,9 +248,6 @@ struct Shard<'a> {
     /// Every request ever routed here, with its direct cost (for the
     /// per-shard unserved penalty), in routing order.
     routed: Vec<(RequestId, f64)>,
-    /// Outcome of the current batch (drained during merging).
-    last_assigned: Vec<RequestId>,
-    last_scratch: ScratchStats,
     /// `true` while the fault plan marks this shard down (see
     /// [`crate::faults`]): its fleet is frozen and it neither bids, receives
     /// requests, nor dispatches until recovery.
@@ -314,16 +311,24 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// Applies `f` to every shard, fanning out even for small shard counts
-/// (recursive split via [`rayon::join`]; the slice-level `par_iter_mut`
-/// falls back to sequential below its chunking threshold).
-fn for_each_shard<F: Fn(&mut Shard<'_>) + Sync>(shards: &mut [Shard<'_>], f: &F) {
+/// Applies `f` to every shard and returns its results in shard order, so a
+/// caller merges them canonically whatever the worker count.  Fans out even
+/// for small shard counts (recursive split via [`rayon::join`]; the
+/// slice-level `par_iter_mut` falls back to sequential below its chunking
+/// threshold).
+fn map_shards<T, F>(shards: &mut [Shard<'_>], f: &F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut Shard<'_>) -> T + Sync,
+{
     match shards.len() {
-        0 => {}
-        1 => f(&mut shards[0]),
+        0 => Vec::new(),
+        1 => vec![f(&mut shards[0])],
         n => {
             let (a, b) = shards.split_at_mut(n / 2);
-            rayon::join(|| for_each_shard(a, f), || for_each_shard(b, f));
+            let (mut left, right) = rayon::join(|| map_shards(a, f), || map_shards(b, f));
+            left.extend(right);
+            left
         }
     }
 }
@@ -522,7 +527,6 @@ pub(crate) struct ShardedRun<'a> {
     /// the queries of this run, not of the engine's lifetime.
     sp_before: u64,
     shards: Vec<Shard<'a>>,
-    served: HashSet<RequestId>,
     batches: usize,
     now: f64,
     /// The run-level counters a checkpoint carries (handoffs, migrations,
@@ -566,8 +570,6 @@ impl<'a> ShardedRun<'a> {
                 dispatcher,
                 inbox: Vec::new(),
                 routed: Vec::new(),
-                last_assigned: Vec::new(),
-                last_scratch: ScratchStats::default(),
                 down: false,
             })
             .collect();
@@ -587,7 +589,6 @@ impl<'a> ShardedRun<'a> {
             engine,
             sp_before: engine.stats().index_queries,
             shards,
-            served: HashSet::new(),
             batches: 0,
             now: 0.0,
             counters: CheckpointCounters::default(),
@@ -649,7 +650,7 @@ impl<'a> ShardedRun<'a> {
     /// ledger.
     pub(crate) fn finish(mut self, workload_name: &str, offered: Offered) -> ShardedReport {
         let (engine, now, horizon_end) = (self.engine, self.now, offered.horizon_end);
-        for_each_shard(&mut self.shards, &|s| {
+        map_shards(&mut self.shards, &|s| {
             s.lane.drain(engine, now, horizon_end)
         });
 
@@ -692,7 +693,11 @@ impl<'a> ShardedRun<'a> {
             ..RunMetrics::merge_all(&per_shard, &self.config.cost).expect("at least one shard")
         };
         let vehicles = fleet_snapshot(&self.shards).into_owned();
-        let served = std::mem::take(&mut self.served);
+        let served = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lane.served.iter().copied())
+            .collect();
         ShardedReport {
             aggregate,
             per_shard,
@@ -757,6 +762,7 @@ impl<'a> ShardedRun<'a> {
         let span = Span::open(stages, Stage::Roll);
         self.roll_epoch_to(now);
         span.close();
+        let span = Span::open(stages, Stage::Advance);
         self.now = now;
         // The batch's fault plan: pure in (config, batch index, shard
         // count), so a replay or a resumed checkpoint derives the identical
@@ -770,9 +776,8 @@ impl<'a> ShardedRun<'a> {
         for (i, s) in self.shards.iter_mut().enumerate() {
             s.down = down == Some(i);
         }
-        let span = Span::open(stages, Stage::Advance);
         let engine = self.engine;
-        for_each_shard(&mut self.shards, &|s| {
+        map_shards(&mut self.shards, &|s| {
             // A down shard's fleet is frozen — `advance_to` is a pure
             // fast-forward of committed schedules, so the recovery batch
             // catches it up deterministically.
@@ -867,42 +872,31 @@ impl<'a> ShardedRun<'a> {
 
         span.close();
 
-        // Dispatch every shard's sub-batch in parallel.
-        let batch_index = self.batches;
+        // Dispatch every shard's sub-batch in parallel, then merge the
+        // outcomes in ascending shard order (canonical).
         let span = Span::open(stages, Stage::Dispatch);
-        for_each_shard(&mut self.shards, &|s| {
+        let batch_index = self.batches;
+        let outcomes = map_shards(&mut self.shards, &|s| {
             if s.down {
-                // The dead shard neither received requests nor dispatches;
-                // its previous batch's outcome must not leak into this
-                // batch's merge.
+                // The dead shard neither received requests nor dispatches.
                 debug_assert!(s.inbox.is_empty(), "no requests route to a down shard");
-                s.last_assigned = Vec::new();
-                s.last_scratch = ScratchStats::default();
-                return;
+                return (BatchOutcome::empty(), ScratchStats::default());
             }
             let inbox = std::mem::take(&mut s.inbox);
-            let (outcome, scratch) =
-                s.lane
-                    .dispatch(engine, s.dispatcher, now, batch_index, &inbox, stages);
-            s.last_scratch = scratch;
-            s.last_assigned = outcome.assigned;
+            s.lane
+                .dispatch(engine, s.dispatcher, now, batch_index, &inbox, stages)
         });
-        span.close();
-
-        // Merge per-shard outcomes in ascending shard order (canonical).
         let mut merged = BatchOutcome::empty();
         let mut merged_scratch = ScratchStats::default();
-        for s in self.shards.iter_mut() {
-            self.served.extend(s.last_assigned.iter().copied());
-            merged_scratch.insertion_evaluations += s.last_scratch.insertion_evaluations;
-            merged_scratch.groups_enumerated += s.last_scratch.groups_enumerated;
-            merged_scratch.prescreen_pruned += s.last_scratch.prescreen_pruned;
-            merged.assigned.append(&mut s.last_assigned);
+        for (mut outcome, scratch) in outcomes {
+            merged.assigned.append(&mut outcome.assigned);
+            merged_scratch += scratch;
         }
         if down.is_some() {
             self.counters.degraded_served += merged.assigned.len() as u64;
         }
         self.batches += 1;
+        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
             let _span = Span::open(stages, Stage::Record);
             rec.batch_finished(&merged, &fleet_snapshot(&self.shards), merged_scratch);
@@ -966,12 +960,6 @@ impl<'a> ShardedRun<'a> {
                 found: ckpt.shards.len(),
             });
         }
-        // The run's served set is the union of its shards' served sets.
-        self.served = ckpt
-            .shards
-            .iter()
-            .flat_map(|s| s.served.iter().copied())
-            .collect();
         self.batches = ckpt.batches;
         self.now = ckpt.now;
         for (shard, s) in self.shards.iter_mut().zip(&ckpt.shards) {

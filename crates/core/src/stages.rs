@@ -6,8 +6,9 @@
 //!
 //! * **Top-level stages** ([`Stage::parent`] is `None`) are wall time on the
 //!   batch's control thread: the epoch roll, the advance sweep, trace
-//!   recording, routing, dispatch and rebalancing.  They partition the step,
-//!   so they sum to the batch wall up to the few statements between spans.
+//!   recording, routing, dispatch and rebalancing.  They partition the step
+//!   (every statement of it runs inside one), so they sum to the batch wall
+//!   up to the spans' own bookkeeping.
 //! * **Nested stages** belong to [`Stage::Dispatch`] and run on the worker
 //!   pool: the four columns of
 //!   [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates),
@@ -29,13 +30,15 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// The traffic-epoch roll (label artifacts swapped in or awaited).
     Roll,
-    /// The fleet's advance sweep and fleet-index sync.
+    /// The batch's fault plan, the fleet's advance sweep and fleet-index
+    /// sync.
     Advance,
     /// Trace recording around dispatch (fleet snapshots, outcomes).
     Record,
     /// Sharded runs: outage failover and routing (home region or handoff).
     Route,
-    /// The dispatcher call, the post-dispatch index sync and memo eviction.
+    /// The dispatcher call, the post-dispatch index sync and memo eviction,
+    /// and the shard-order merge of the outcomes.
     Dispatch,
     /// Sharded runs: idle-vehicle migration between shards.
     Rebalance,
@@ -159,13 +162,15 @@ impl StageClock {
         self.nanos[stage.slot()].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Ends a batch that started at `t0`: reports and resets every stage,
-    /// then the batch wall.
+    /// Ends a batch that started at `t0`: reads the batch wall first, so the
+    /// observer's own callbacks are not part of it, then reports and resets
+    /// every stage, then the wall.
     pub(crate) fn report(&self, observer: &mut dyn RunObserver, batch: usize, t0: Instant) {
+        let wall_nanos = t0.elapsed().as_nanos() as u64;
         for (stage, nanos) in Stage::ALL.into_iter().zip(&self.nanos) {
             observer.on_stage(stage, nanos.swap(0, Ordering::Relaxed));
         }
-        observer.on_batch_end(batch, t0.elapsed().as_nanos() as u64);
+        observer.on_batch_end(batch, wall_nanos);
     }
 }
 

@@ -17,12 +17,11 @@ use structride_baselines::{standard_registry, PruneGdp};
 use structride_core::shard::{region_grid_for, ShardDispatcher, ShardedSimulator, ShardingConfig};
 use structride_core::{
     BatchSource, Checkpoint, Dispatcher, FaultConfig, ResumeError, RunError, RunHooks, RunMetrics,
-    SardDispatcher, Simulator, StructRideConfig, VehicleState,
+    SardDispatcher, Simulator, StructRideConfig,
 };
 use structride_datagen::{
     CityProfile, MultiRegionParams, MultiRegionWorkload, Workload, WorkloadParams,
 };
-use structride_model::Vehicle;
 use structride_roadnet::{SpEngine, SpEngineBuilder, TrafficConfig, TrafficProfile};
 
 fn sard_factory(config: StructRideConfig) -> impl Fn(usize) -> ShardDispatcher {
@@ -73,11 +72,6 @@ fn deterministic_fields(
         m.insertion_evaluations,
         m.groups_enumerated,
     )
-}
-
-/// Bit-comparable snapshot of a final fleet.
-fn fleet_states(vehicles: &[Vehicle]) -> Vec<VehicleState> {
-    vehicles.iter().map(VehicleState::capture).collect()
 }
 
 const CLOCK: &str = "a clock-driven run is never refused";
@@ -209,8 +203,7 @@ fn monolithic_checkpoint_resume_is_bit_identical() {
             );
             assert_eq!(resumed.served, baseline.served, "{key}");
             assert_eq!(
-                fleet_states(&resumed.vehicles),
-                fleet_states(&baseline.vehicles),
+                resumed.vehicles, baseline.vehicles,
                 "{key}: final fleet state must match bit for bit"
             );
         }
@@ -311,10 +304,7 @@ fn faulted_sharded_rush_checkpoint_resume_is_bit_identical() {
             assert_eq!(deterministic_fields(a), deterministic_fields(b));
         }
         assert_eq!(resumed.served, baseline.served);
-        assert_eq!(
-            fleet_states(&resumed.vehicles),
-            fleet_states(&baseline.vehicles)
-        );
+        assert_eq!(resumed.vehicles, baseline.vehicles);
         assert_eq!(resumed.handoffs, baseline.handoffs);
         assert_eq!(resumed.handoff_bids, baseline.handoff_bids);
         assert_eq!(resumed.migrations, baseline.migrations);
@@ -402,10 +392,7 @@ fn a_monolithic_checkpoint_resumes_on_a_one_shard_sharded_run() {
         deterministic_fields(&uninterrupted.metrics)
     );
     assert_eq!(resumed.served, uninterrupted.served);
-    assert_eq!(
-        fleet_states(&resumed.vehicles),
-        fleet_states(&uninterrupted.vehicles)
-    );
+    assert_eq!(resumed.vehicles, uninterrupted.vehicles);
 }
 
 #[test]

@@ -92,15 +92,7 @@ struct NodeLocator {
 impl NodeLocator {
     fn new(engine: &SpEngine) -> Self {
         let net = engine.network();
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for v in net.nodes() {
-            let p = net.coord(v);
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
+        let (min_x, min_y, max_x, max_y) = net.bounding_box();
         let extent = (max_x - min_x).max(max_y - min_y).max(1.0);
         let mut grid = GridIndex::new(min_x, min_y, min_x + extent, min_y + extent, 48);
         for v in net.nodes() {

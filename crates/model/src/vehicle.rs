@@ -15,7 +15,7 @@ use structride_roadnet::{NodeId, SpEngine};
 pub type VehicleId = u32;
 
 /// A vehicle (the paper's worker `w_j`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vehicle {
     /// Unique identifier.
     pub id: VehicleId,

@@ -1,19 +1,22 @@
 //! Dijkstra shortest-path searches on the road network.
 //!
-//! These routines are the exact reference for travel costs.  They are used in
-//! three places: directly by the [`SpEngine`](crate::engine::SpEngine) when no
-//! hub-label index has been built, as the search primitive during hub-label
-//! construction, and as the correctness oracle in tests.
+//! These routines are the exact reference for travel costs.  The
+//! [`SpEngine`](crate::engine::SpEngine) never calls them — it answers from
+//! hub labels, whose build runs its own pruned search.  Their users are the
+//! landmark table (one forward and one reverse [`sssp`] per landmark), route
+//! reconstruction in [`crate::path`] and the tests, which use them as the
+//! correctness oracle.
 
 use crate::graph::{NodeId, RoadNetwork};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Heap entry ordered by smallest distance first.
+/// Heap entry ordered by smallest distance first (ties to the lower node),
+/// shared by every Dijkstra of this crate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+pub(crate) struct HeapEntry {
+    pub(crate) dist: f64,
+    pub(crate) node: NodeId,
 }
 
 impl Eq for HeapEntry {}
@@ -23,8 +26,7 @@ impl Ord for HeapEntry {
         // Reverse order: BinaryHeap is a max-heap and we want the minimum.
         other
             .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.dist)
             .then_with(|| other.node.cmp(&self.node))
     }
 }
@@ -39,13 +41,13 @@ impl PartialOrd for HeapEntry {
 ///
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn sssp(net: &RoadNetwork, source: NodeId) -> Vec<f64> {
-    search(net, source, None, Direction::Forward)
+    search(net, source, None, Direction::Forward, None)
 }
 
 /// Single-source shortest path distances over the reverse graph, i.e.
 /// `result[u] = dist(u -> source)` in the original graph.
 pub fn sssp_reverse(net: &RoadNetwork, source: NodeId) -> Vec<f64> {
-    search(net, source, None, Direction::Backward)
+    search(net, source, None, Direction::Backward, None)
 }
 
 /// Point-to-point distance with early termination once the target is settled.
@@ -53,17 +55,26 @@ pub fn p2p(net: &RoadNetwork, source: NodeId, target: NodeId) -> f64 {
     if source == target {
         return 0.0;
     }
-    let dist = search(net, source, Some(target), Direction::Forward);
+    let dist = search(net, source, Some(target), Direction::Forward, None);
     dist[target as usize]
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
+pub(crate) enum Direction {
     Forward,
     Backward,
 }
 
-fn search(net: &RoadNetwork, source: NodeId, target: Option<NodeId>, dir: Direction) -> Vec<f64> {
+/// Dijkstra from `source` over `dir`'s edges, stopping once `target` (if
+/// any) is settled; returns the distances.  With `prev` it also records,
+/// for every node whose distance it improved, the node it was reached from.
+pub(crate) fn search(
+    net: &RoadNetwork,
+    source: NodeId,
+    target: Option<NodeId>,
+    dir: Direction,
+    mut prev: Option<&mut [NodeId]>,
+) -> Vec<f64> {
     let n = net.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut settled = vec![false; n];
@@ -82,24 +93,19 @@ fn search(net: &RoadNetwork, source: NodeId, target: Option<NodeId>, dir: Direct
         if Some(node) == target {
             break;
         }
-        let relax = |to: NodeId, w: f64, dist: &mut Vec<f64>, heap: &mut BinaryHeap<HeapEntry>| {
+        let mut relax = |(to, w): (NodeId, f64)| {
             let nd = d + w;
             if nd < dist[to as usize] {
                 dist[to as usize] = nd;
+                if let Some(prev) = prev.as_deref_mut() {
+                    prev[to as usize] = node;
+                }
                 heap.push(HeapEntry { dist: nd, node: to });
             }
         };
         match dir {
-            Direction::Forward => {
-                for (to, w) in net.out_edges(node) {
-                    relax(to, w, &mut dist, &mut heap);
-                }
-            }
-            Direction::Backward => {
-                for (to, w) in net.in_edges(node) {
-                    relax(to, w, &mut dist, &mut heap);
-                }
-            }
+            Direction::Forward => net.out_edges(node).for_each(&mut relax),
+            Direction::Backward => net.in_edges(node).for_each(&mut relax),
         }
     }
     dist

@@ -137,16 +137,6 @@ impl RoadNetwork {
             .zip(self.rev_weights[lo..hi].iter().copied())
     }
 
-    /// Out-degree of a node.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        (self.fwd_offsets[node as usize + 1] - self.fwd_offsets[node as usize]) as usize
-    }
-
-    /// In-degree of a node.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        (self.rev_offsets[node as usize + 1] - self.rev_offsets[node as usize]) as usize
-    }
-
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         0..self.coords.len() as NodeId
@@ -424,8 +414,8 @@ mod tests {
         assert_eq!(out0, vec![(1, 1.0)]);
         let in0: Vec<_> = g.in_edges(0).collect();
         assert_eq!(in0, vec![(2, 3.0)]);
-        assert_eq!(g.out_degree(1), 1);
-        assert_eq!(g.in_degree(1), 1);
+        assert_eq!(g.out_edges(1).count(), 1);
+        assert_eq!(g.in_edges(1).count(), 1);
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! all previous roots produces exactly the sequential result.  The
 //! equivalence is pinned by the `parallel_build_matches_sequential` test.
 
+use crate::dijkstra::HeapEntry;
 use crate::graph::{NodeId, RoadNetwork};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -67,26 +68,6 @@ pub struct HubLabels {
     out_labels: Vec<Vec<LabelEntry>>,
     /// `in_labels[v]` — hubs that can reach v, sorted by hub rank.
     in_labels: Vec<Vec<LabelEntry>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 thread_local! {

@@ -2,34 +2,12 @@
 //!
 //! The dispatchers only need travel times, but executing a schedule on a real
 //! map (and the route-level diagnostics in the examples) needs the actual node
-//! sequence a vehicle drives.  This module adds a predecessor-tracking
-//! Dijkstra and a helper that expands a sequence of way-point nodes into the
+//! sequence a vehicle drives.  This module runs the crate's Dijkstra with
+//! predecessor recording and expands a sequence of way-point nodes into the
 //! full driven route.
 
+use crate::dijkstra::{self, Direction};
 use crate::graph::{NodeId, RoadNetwork};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A reconstructed shortest path.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,54 +21,27 @@ pub struct Path {
 /// Computes the shortest path from `source` to `target` with its node
 /// sequence.  Returns `None` if the target is unreachable.
 pub fn shortest_path(net: &RoadNetwork, source: NodeId, target: NodeId) -> Option<Path> {
-    if source == target {
-        return Some(Path {
-            nodes: vec![source],
-            cost: 0.0,
-        });
-    }
-    let n = net.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![u32::MAX; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source as usize] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
-        if settled[node as usize] {
-            continue;
-        }
-        settled[node as usize] = true;
-        if node == target {
-            break;
-        }
-        for (to, w) in net.out_edges(node) {
-            let nd = d + w;
-            if nd < dist[to as usize] {
-                dist[to as usize] = nd;
-                prev[to as usize] = node;
-                heap.push(HeapEntry { dist: nd, node: to });
-            }
-        }
-    }
-    if !dist[target as usize].is_finite() {
+    let mut prev = vec![NodeId::MAX; net.node_count()];
+    let dist = dijkstra::search(
+        net,
+        source,
+        Some(target),
+        Direction::Forward,
+        Some(&mut prev),
+    );
+    let cost = dist[target as usize];
+    if !cost.is_finite() {
         return None;
     }
     let mut nodes = vec![target];
     let mut cur = target;
     while cur != source {
         cur = prev[cur as usize];
-        debug_assert_ne!(cur, u32::MAX, "reachable target must have predecessors");
+        debug_assert_ne!(cur, NodeId::MAX, "reachable target must have predecessors");
         nodes.push(cur);
     }
     nodes.reverse();
-    Some(Path {
-        nodes,
-        cost: dist[target as usize],
-    })
+    Some(Path { nodes, cost })
 }
 
 /// Expands an ordered list of way-point nodes (e.g. a vehicle schedule's
@@ -122,7 +73,6 @@ pub fn expand_route(net: &RoadNetwork, waypoints: &[NodeId]) -> Option<Path> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
     use crate::graph::{Point, RoadNetworkBuilder};
 
     fn grid3() -> RoadNetwork {

@@ -153,16 +153,6 @@ impl RegionGrid {
         cy * self.cols + cx
     }
 
-    /// Region containing `(x, y)`, or `None` when the point lies outside the
-    /// covered extent (including NaN coordinates).
-    pub fn try_region_of(&self, x: f64, y: f64) -> Option<RegionId> {
-        if self.contains(x, y) {
-            Some(self.region_of(x, y))
-        } else {
-            None
-        }
-    }
-
     /// The rectangle `[min_x, max_x] × [min_y, max_y]` of region `r`.  The
     /// last row/column extends to the grid's true stored max, so the union
     /// of all region rectangles is exactly the covered extent even when
@@ -214,15 +204,6 @@ impl RegionGrid {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Distance from `(x, y)` to the nearest boundary of its own region
-    /// (0 when the point sits exactly on an interior or exterior border).
-    pub fn distance_to_boundary(&self, x: f64, y: f64) -> f64 {
-        let (x0, y0, x1, y1) = self.bounds(self.region_of(x, y));
-        let dx = (x - x0).min(x1 - x).max(0.0);
-        let dy = (y - y0).min(y1 - y).max(0.0);
-        dx.min(dy)
     }
 
     /// True when `(x, y)` lies within `band` of another region — i.e. a
@@ -303,7 +284,6 @@ mod tests {
         // With any positive band the adjacent region is offered too.
         assert_eq!(g.regions_within(50.0, 10.0, 1.0), vec![0, 1]);
         assert!(g.is_boundary(50.0, 10.0, 1.0));
-        assert_eq!(g.distance_to_boundary(50.0, 10.0), 0.0);
     }
 
     #[test]
@@ -333,8 +313,9 @@ mod tests {
         assert_eq!(g.region_of(-10.0, -10.0), 0);
         assert_eq!(g.region_of(500.0, 500.0), 3);
         assert_eq!(g.region_of(f64::NAN, 10.0), g.region_of(0.0, 10.0));
-        assert_eq!(g.try_region_of(-10.0, 10.0), None);
-        assert_eq!(g.try_region_of(100.0, 100.0), Some(3));
+        assert!(!g.contains(-10.0, 10.0));
+        assert!(g.contains(100.0, 100.0));
+        assert_eq!(g.region_of(100.0, 100.0), 3);
         assert!(!g.contains(f64::NAN, f64::NAN));
         // Clamped points still get a single deterministic home region.
         assert_eq!(g.regions_within(-10.0, -10.0, 0.0), vec![0]);
@@ -351,7 +332,6 @@ mod tests {
         // …but a disc that only crosses one axis does not pick up the
         // diagonal region (corner distance is Euclidean, not per-axis).
         assert_eq!(g.regions_within(45.0, 40.0, 6.0), vec![0, 1]);
-        assert_eq!(g.distance_to_boundary(40.0, 10.0), 10.0);
     }
 
     #[test]
@@ -363,7 +343,7 @@ mod tests {
         let g = RegionGrid::new(min_x, 0.0, max_x, 1.0, 1, 11);
         assert!(min_x + (max_x - min_x) / 11.0 * 11.0 < max_x);
         assert!(g.contains(max_x, 0.5));
-        assert_eq!(g.try_region_of(max_x, 0.5), Some(10));
+        assert_eq!(g.region_of(max_x, 0.5), 10);
         let (_, _, x1, y1) = g.bounds(10);
         assert_eq!(x1, max_x);
         assert_eq!(y1, 1.0);
