@@ -439,10 +439,7 @@ impl IngestCollector {
 /// count of those whose pickup deadline already passed in simulated time.
 fn drop_expired(batch: Vec<Request>, now: f64) -> (Vec<Request>, usize) {
     let before = batch.len();
-    let live: Vec<Request> = batch
-        .into_iter()
-        .filter(|r| r.pickup_deadline >= now)
-        .collect();
+    let live: Vec<Request> = batch.into_iter().filter(|r| !r.is_expired(now)).collect();
     let expired = before - live.len();
     (live, expired)
 }

@@ -95,7 +95,7 @@ use crate::lane::{Lane, Offered};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, CheckpointCounters, TraceRecorder};
 use crate::simulator::{drive, BatchSource, ResumeError, RunError, RunHooks, CLOCK_RUNS};
-use crate::stages::{Span, Stage, StageClock};
+use crate::stages::{Stage, Timeline};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -753,16 +753,14 @@ impl<'a> ShardedRun<'a> {
         now: f64,
         batch: &[Request],
         recorder: &mut Option<&mut TraceRecorder>,
-        stages: Option<&StageClock>,
+        timeline: &mut Timeline<'_>,
     ) -> Vec<RequestId> {
         // Roll the traffic epoch *before* the advance sweep so the whole
         // batch — vehicle movement, routing bids, dispatch — sees one
         // epoch.  Down shards roll too: an outage kills the dispatcher, not
-        // the map.
-        let span = Span::open(stages, Stage::Roll);
+        // the map.  The timeline opened the batch in `Stage::Roll`.
         self.roll_epoch_to(now);
-        span.close();
-        let span = Span::open(stages, Stage::Advance);
+        timeline.enter(Stage::Advance);
         self.now = now;
         // The batch's fault plan: pure in (config, batch index, shard
         // count), so a replay or a resumed checkpoint derives the identical
@@ -794,12 +792,11 @@ impl<'a> ShardedRun<'a> {
                 self.shards[r].lane.reindex(engine);
             }
         }
-        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
-            let _span = Span::open(stages, Stage::Record);
+            timeline.enter(Stage::Record);
             rec.batch_started(self.batches, now, batch, &fleet_snapshot(&self.shards));
         }
-        let span = Span::open(stages, Stage::Route);
+        timeline.enter(Stage::Route);
 
         // Outage injection: the moment a shard goes down, its carried-over
         // pending pool is drained and rerouted below through the same
@@ -870,11 +867,10 @@ impl<'a> ShardedRun<'a> {
             shard.inbox.push(request.clone());
         }
 
-        span.close();
-
         // Dispatch every shard's sub-batch in parallel, then merge the
         // outcomes in ascending shard order (canonical).
-        let span = Span::open(stages, Stage::Dispatch);
+        timeline.enter(Stage::Dispatch);
+        let stages = timeline.clock();
         let batch_index = self.batches;
         let outcomes = map_shards(&mut self.shards, &|s| {
             if s.down {
@@ -896,14 +892,13 @@ impl<'a> ShardedRun<'a> {
             self.counters.degraded_served += merged.assigned.len() as u64;
         }
         self.batches += 1;
-        span.close();
         if let Some(rec) = recorder.as_deref_mut() {
-            let _span = Span::open(stages, Stage::Record);
+            timeline.enter(Stage::Record);
             rec.batch_finished(&merged, &fleet_snapshot(&self.shards), merged_scratch);
         }
 
         if self.sharding.rebalance && self.shards.len() > 1 {
-            let _span = Span::open(stages, Stage::Rebalance);
+            timeline.enter(Stage::Rebalance);
             let moved = rebalance(
                 &mut self.shards,
                 &self.regions,
@@ -1194,8 +1189,9 @@ mod tests {
         );
         let free_flow = engine.min_time_per_meter();
         let mut rates = HashSet::new();
+        let mut untimed = Timeline::start(None);
         for batch in 0..12 {
-            run.step(batch as f64 * 40.0, &[], &mut None, None);
+            run.step(batch as f64 * 40.0, &[], &mut None, &mut untimed);
             let rate = engine.min_time_per_meter();
             rates.insert(rate.to_bits());
             for (i, shard) in run.shards.iter().enumerate() {

@@ -33,10 +33,9 @@ use crate::lane::{Offered, MAX_BATCHES};
 use crate::metrics::RunMetrics;
 use crate::replay::{Checkpoint, TraceRecorder};
 use crate::shard::{ShardedRun, ShardingConfig};
-use crate::stages::{RunObserver, StageClock};
+use crate::stages::{RunObserver, StageClock, Timeline};
 use std::collections::HashSet;
 use std::fmt;
-use std::time::Instant;
 use structride_model::{Request, RequestId, Vehicle};
 use structride_roadnet::SpEngine;
 use structride_spatial::RegionGrid;
@@ -230,14 +229,15 @@ impl Stepper<'_> {
         batch: &[Request],
     ) -> Vec<RequestId> {
         let batch_index = run.batches();
-        let t0 = self.hooks.observer.as_deref_mut().map(|observer| {
+        let observer = self.hooks.observer.as_deref_mut();
+        let clock = observer.map(|observer| {
             observer.on_batch_start(batch_index, now);
-            Instant::now()
+            &self.clock
         });
-        let stages = self.hooks.observer.is_some().then_some(&self.clock);
-        let assigned = run.step(now, batch, &mut self.hooks.recorder, stages);
-        if let (Some(observer), Some(t0)) = (self.hooks.observer.as_deref_mut(), t0) {
-            self.clock.report(observer, batch_index, t0);
+        let mut timeline = Timeline::start(clock);
+        let assigned = run.step(now, batch, &mut self.hooks.recorder, &mut timeline);
+        if let Some(observer) = self.hooks.observer.as_deref_mut() {
+            timeline.report(observer, batch_index);
         }
         assigned
     }

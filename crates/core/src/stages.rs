@@ -6,9 +6,9 @@
 //!
 //! * **Top-level stages** ([`Stage::parent`] is `None`) are wall time on the
 //!   batch's control thread: the epoch roll, the advance sweep, trace
-//!   recording, routing, dispatch and rebalancing.  They partition the step
-//!   (every statement of it runs inside one), so they sum to the batch wall
-//!   up to the spans' own bookkeeping.
+//!   recording, routing, dispatch and rebalancing.  They are one timeline
+//!   (each ends at the instant the next one begins, from the batch's first
+//!   clock read to its wall read), so they sum to the batch wall exactly.
 //! * **Nested stages** belong to [`Stage::Dispatch`] and run on the worker
 //!   pool: the four columns of
 //!   [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates),
@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 /// One timed stage of a batch.  See the module docs for the two kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// The traffic-epoch roll (label artifacts swapped in or awaited).
+    /// The traffic-epoch roll: a uniform roll rescales the answers; a zoned
+    /// roll fetches its memoized labels, or builds them once.
     Roll,
     /// The batch's fault plan, the fleet's advance sweep and fleet-index
     /// sync.
@@ -161,13 +162,47 @@ impl StageClock {
     pub(crate) fn add(&self, stage: Stage, elapsed: Duration) {
         self.nanos[stage.slot()].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
+}
 
-    /// Ends a batch that started at `t0`: reads the batch wall first, so the
-    /// observer's own callbacks are not part of it, then reports and resets
-    /// every stage, then the wall.
-    pub(crate) fn report(&self, observer: &mut dyn RunObserver, batch: usize, t0: Instant) {
-        let wall_nanos = t0.elapsed().as_nanos() as u64;
-        for (stage, nanos) in Stage::ALL.into_iter().zip(&self.nanos) {
+/// A batch's top-level stages as one timeline on the control thread, so they
+/// split the batch wall by construction: each stage ends at the instant the
+/// next begins.  Inert (no clock read) without a clock.
+pub(crate) struct Timeline<'c>(Option<(&'c StageClock, Instant, Stage, Instant)>);
+
+impl<'c> Timeline<'c> {
+    /// Starts a batch on `clock`, if any, in [`Stage::Roll`].
+    pub(crate) fn start(clock: Option<&'c StageClock>) -> Self {
+        Timeline(clock.map(|clock| {
+            let t0 = Instant::now();
+            (clock, t0, Stage::Roll, t0)
+        }))
+    }
+
+    /// The clock the batch's nested spans book to.
+    pub(crate) fn clock(&self) -> Option<&'c StageClock> {
+        self.0.map(|(clock, ..)| clock)
+    }
+
+    /// Ends the open stage now and opens `stage` at the same instant.
+    pub(crate) fn enter(&mut self, stage: Stage) {
+        if let Some((clock, _, open, since)) = &mut self.0 {
+            let now = Instant::now();
+            clock.add(*open, now - *since);
+            (*open, *since) = (stage, now);
+        }
+    }
+
+    /// Ends the batch at one clock read, which closes the open stage and ends
+    /// the wall (so the observer's callbacks are not part of it), then
+    /// reports and resets every stage, then the wall.
+    pub(crate) fn report(self, observer: &mut dyn RunObserver, batch: usize) {
+        let Some((clock, t0, open, since)) = self.0 else {
+            return;
+        };
+        let end = Instant::now();
+        clock.add(open, end - since);
+        let wall_nanos = (end - t0).as_nanos() as u64;
+        for (stage, nanos) in Stage::ALL.into_iter().zip(&clock.nanos) {
             observer.on_stage(stage, nanos.swap(0, Ordering::Relaxed));
         }
         observer.on_batch_end(batch, wall_nanos);
@@ -309,7 +344,7 @@ mod tests {
         span.close();
         let mut table = StageTable::new();
         table.on_batch_start(0, 5.0);
-        clock.report(&mut table, 0, Instant::now());
+        Timeline::start(Some(&clock)).report(&mut table, 0);
         let row = &table.rows[0];
         for stage in Stage::ALL {
             let booked = row.stage_nanos[stage.slot()];
@@ -319,10 +354,12 @@ mod tests {
                 "{stage:?}"
             );
         }
-        // Reporting resets the clock for the next batch.
+        // Reporting resets the clock: the next batch books its open stage only.
         table.on_batch_start(1, 10.0);
-        clock.report(&mut table, 1, Instant::now());
-        assert!(table.rows[1].stage_nanos.iter().all(|&n| n == 0));
+        Timeline::start(Some(&clock)).report(&mut table, 1);
+        let row = &table.rows[1];
+        assert_eq!(row.stage_nanos[Stage::Roll.slot()], row.wall_nanos);
+        assert!(row.stage_nanos[1..].iter().all(|&n| n == 0));
     }
 
     #[test]

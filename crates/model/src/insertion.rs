@@ -8,14 +8,17 @@
 //! for the shareability test, inside the grouping tree (Algorithm 2), in SARD
 //! itself and in the pruneGDP / GAS / TicketAssign+ baselines.
 //!
-//! The search tries every `(pickup, dropoff)` position pair and evaluates the
-//! candidate with a full feasibility walk.  Buffer times (Definition 3) are
-//! used to skip position pairs that cannot possibly absorb the extra detour,
-//! which keeps the common case close to the linear behaviour the paper
-//! describes while remaining exact.
+//! The search tries every `(pickup, dropoff)` position pair and walks the
+//! candidate — the base schedule's slices with the two new stops spliced in
+//! (`Schedule::splice`) — through the one feasibility [`Walk`], without
+//! building it; only the winning candidate is materialised as a
+//! [`Schedule`].  Buffer times (Definition 3) are used to skip position
+//! pairs that cannot possibly absorb the extra detour, which keeps the
+//! common case close to the linear behaviour the paper describes while
+//! remaining exact.
 
 use crate::request::Request;
-use crate::schedule::{Schedule, Waypoint};
+use crate::schedule::{Schedule, Walk, Waypoint, TIME_EPS};
 use crate::vehicle::Vehicle;
 use structride_roadnet::{NodeId, SpEngine};
 
@@ -51,47 +54,29 @@ pub fn insert_into(
     if request.riders > capacity {
         return None;
     }
+    // An empty base evaluates feasible, with no travel and no buffers.
     let base_eval = base.evaluate(engine, start_node, start_time, onboard, capacity);
-    if !base.is_empty() && !base_eval.feasible {
+    if !base_eval.feasible {
         return None;
     }
-    let base_cost = if base.is_empty() {
-        0.0
-    } else {
-        base_eval.travel_cost
-    };
-    let buffers = if base.is_empty() {
-        Vec::new()
-    } else {
-        base.buffer_times(&base_eval)
-    };
-    let n = base.len();
-
+    let buffers = base.buffer_times(&base_eval);
+    let (wps, n) = (base.waypoints(), base.len());
     let pickup = Waypoint::pickup(request);
     let dropoff = Waypoint::dropoff(request);
-
-    let mut best: Option<InsertionOutcome> = None;
-
-    // An index loop is clearer here than an iterator chain: `i` addresses both
-    // the insertion position and the buffer/way-point arrays.
-    #[allow(clippy::needless_range_loop)]
+    let start = Walk::new(start_node, start_time, onboard, capacity);
+    // The cheapest feasible candidate so far: `(i, j, added, travel)`.
+    let mut best: Option<(usize, usize, f64, f64)> = None;
     for i in 0..=n {
         // Cheap pruning: the earliest the vehicle could reach the pickup when
         // it is placed at position i is the service time of way-point i-1 plus
         // the direct leg; if that already misses the pickup deadline, no j can
         // fix it for this i.
-        let prev_node = if i == 0 {
-            start_node
-        } else {
-            base.waypoints()[i - 1].node
-        };
-        let prev_time = if i == 0 {
-            start_time
-        } else {
-            base_eval.service_times[i - 1]
+        let (prev_node, prev_time) = match i {
+            0 => (start_node, start_time),
+            _ => (wps[i - 1].node, base_eval.service_times[i - 1]),
         };
         let reach = prev_time + engine.cost(prev_node, request.source);
-        if reach > request.pickup_deadline + crate::schedule::TIME_EPS {
+        if reach > request.pickup_deadline + TIME_EPS {
             continue;
         }
         // Extra delay caused just by visiting the pickup between i-1 and i:
@@ -100,45 +85,32 @@ pub fn insert_into(
         // way-point i can take (downstream waiting absorption included, see
         // `Schedule::buffer_times`), and inserting the drop-off can only add
         // further delay, so exceeding the buffer rules out every j for this i.
-        if i < n {
-            let next_node = base.waypoints()[i].node;
-            let direct = engine.cost(prev_node, next_node);
+        if let Some(next) = wps.get(i) {
+            let direct = engine.cost(prev_node, next.node);
             let via =
-                engine.cost(prev_node, request.source) + engine.cost(request.source, next_node);
+                engine.cost(prev_node, request.source) + engine.cost(request.source, next.node);
             let delay = (via - direct) + (request.release - reach).max(0.0);
-            if delay > buffers[i] + crate::schedule::TIME_EPS {
+            if delay > buffers[i] + TIME_EPS {
                 continue;
             }
         }
         for j in i..=n {
-            let mut wps = Vec::with_capacity(n + 2);
-            wps.extend_from_slice(&base.waypoints()[..i]);
-            wps.push(pickup);
-            wps.extend_from_slice(&base.waypoints()[i..j]);
-            wps.push(dropoff);
-            wps.extend_from_slice(&base.waypoints()[j..]);
-            let cand = Schedule::from_waypoints(wps);
-            let eval = cand.evaluate(engine, start_node, start_time, onboard, capacity);
-            if !eval.feasible {
+            let Ok(end) = start.on_roads(engine, base.splice(i, j, &pickup, &dropoff)) else {
                 continue;
-            }
-            let added = eval.travel_cost - base_cost;
-            let better = match &best {
-                None => true,
-                Some(b) => added < b.added_cost - 1e-12,
             };
-            if better {
-                best = Some(InsertionOutcome {
-                    pickup_pos: i,
-                    dropoff_pos: j + 1,
-                    schedule: cand,
-                    added_cost: added,
-                    new_travel_cost: eval.travel_cost,
-                });
+            let added = end.travel - base_eval.travel_cost;
+            if best.is_none_or(|(_, _, best_added, _)| added < best_added - 1e-12) {
+                best = Some((i, j, added, end.travel));
             }
         }
     }
-    best
+    best.map(|(i, j, added_cost, new_travel_cost)| InsertionOutcome {
+        pickup_pos: i,
+        dropoff_pos: j + 1,
+        schedule: Schedule::from_waypoints(base.splice(i, j, &pickup, &dropoff).copied().collect()),
+        added_cost,
+        new_travel_cost,
+    })
 }
 
 /// Inserts `request` into `vehicle`'s planned schedule (without committing).

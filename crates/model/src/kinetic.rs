@@ -10,18 +10,16 @@
 //! heuristics are measured (the 85 %–91 % optimality probabilities of §IV-A).
 
 use crate::request::Request;
-use crate::schedule::{Schedule, ScheduleEval, Waypoint};
+use crate::schedule::{Schedule, Walk, Waypoint};
 use structride_roadnet::{NodeId, SpEngine};
 
 /// All feasible schedules of one vehicle, refreshed on every insertion.
 #[derive(Debug, Clone)]
 pub struct KineticTree {
-    start_node: NodeId,
-    start_time: f64,
-    onboard: u32,
-    capacity: u32,
-    /// Every feasible ordering currently known, with its evaluation.
-    schedules: Vec<(Schedule, ScheduleEval)>,
+    /// The vehicle's state, from which every ordering is walked.
+    start: Walk<NodeId>,
+    /// Every feasible ordering currently known, with its travel cost.
+    schedules: Vec<(Schedule, f64)>,
 }
 
 impl KineticTree {
@@ -29,46 +27,9 @@ impl KineticTree {
     /// `start_time`, with `onboard` riders and `capacity` seats.
     pub fn new(start_node: NodeId, start_time: f64, onboard: u32, capacity: u32) -> Self {
         KineticTree {
-            start_node,
-            start_time,
-            onboard,
-            capacity,
-            schedules: vec![(
-                Schedule::new(),
-                ScheduleEval {
-                    feasible: true,
-                    violated_at: None,
-                    service_times: Vec::new(),
-                    waiting: Vec::new(),
-                    travel_cost: 0.0,
-                    completion_time: start_time,
-                    max_onboard: onboard,
-                },
-            )],
+            start: Walk::new(start_node, start_time, onboard, capacity),
+            schedules: vec![(Schedule::new(), 0.0)],
         }
-    }
-
-    /// Seeds the tree from an already-planned schedule (it becomes the only
-    /// ordering; subsequent insertions branch from it).
-    pub fn from_schedule(
-        engine: &SpEngine,
-        start_node: NodeId,
-        start_time: f64,
-        onboard: u32,
-        capacity: u32,
-        schedule: Schedule,
-    ) -> Option<Self> {
-        let eval = schedule.evaluate(engine, start_node, start_time, onboard, capacity);
-        if !eval.feasible {
-            return None;
-        }
-        Some(KineticTree {
-            start_node,
-            start_time,
-            onboard,
-            capacity,
-            schedules: vec![(schedule, eval)],
-        })
     }
 
     /// Number of feasible orderings currently maintained.
@@ -82,32 +43,20 @@ impl KineticTree {
     /// Returns `true` if at least one feasible ordering remains; on `false`
     /// the tree is left unchanged.
     pub fn insert(&mut self, engine: &SpEngine, request: &Request) -> bool {
-        if request.riders > self.capacity {
+        if request.riders > self.start.capacity {
             return false;
         }
         let pickup = Waypoint::pickup(request);
         let dropoff = Waypoint::dropoff(request);
-        let mut next: Vec<(Schedule, ScheduleEval)> = Vec::new();
+        let mut next: Vec<(Schedule, f64)> = Vec::new();
         for (sched, _) in &self.schedules {
             let n = sched.len();
             for i in 0..=n {
                 for j in i..=n {
-                    let mut wps = Vec::with_capacity(n + 2);
-                    wps.extend_from_slice(&sched.waypoints()[..i]);
-                    wps.push(pickup);
-                    wps.extend_from_slice(&sched.waypoints()[i..j]);
-                    wps.push(dropoff);
-                    wps.extend_from_slice(&sched.waypoints()[j..]);
-                    let cand = Schedule::from_waypoints(wps);
-                    let eval = cand.evaluate(
-                        engine,
-                        self.start_node,
-                        self.start_time,
-                        self.onboard,
-                        self.capacity,
-                    );
-                    if eval.feasible {
-                        next.push((cand, eval));
+                    let cand = sched.splice(i, j, &pickup, &dropoff);
+                    if let Ok(end) = self.start.on_roads(engine, cand) {
+                        let cand = sched.splice(i, j, &pickup, &dropoff).copied().collect();
+                        next.push((Schedule::from_waypoints(cand), end.travel));
                     }
                 }
             }
@@ -124,12 +73,8 @@ impl KineticTree {
         self.schedules
             .iter()
             .filter(|(s, _)| !s.is_empty())
-            .min_by(|a, b| {
-                a.1.travel_cost
-                    .partial_cmp(&b.1.travel_cost)
-                    .expect("finite costs")
-            })
-            .map(|(s, e)| (s, e.travel_cost))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .map(|(s, cost)| (s, *cost))
     }
 
     /// Travel cost of the best ordering (infinity if none).
@@ -231,16 +176,6 @@ mod tests {
         assert!(tree.insert(&engine, &r2));
         // At least the two classic interleavings survive.
         assert!(tree.size() >= 2);
-    }
-
-    #[test]
-    fn from_schedule_rejects_infeasible_seed() {
-        let engine = line_engine();
-        let r = req(1, 0, 2, 20.0, 1.1);
-        let sched = Schedule::direct(&r);
-        // Starting from node 5 the pickup deadline cannot be met.
-        assert!(KineticTree::from_schedule(&engine, 5, 0.0, 0, 4, sched.clone()).is_none());
-        assert!(KineticTree::from_schedule(&engine, 0, 0.0, 0, 4, sched).is_some());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A [`Schedule`] is an ordered sequence of [`Waypoint`]s — the pickup and
 //! drop-off locations of the requests assigned to one vehicle.  A schedule is
 //! feasible iff it satisfies the four constraints of Definition 2 (coverage,
-//! order, capacity, deadline); [`Schedule::evaluate`] walks the sequence,
-//! computes arrival times and total travel cost and reports the first
-//! violation, and [`Schedule::buffer_times`] computes the maximum detour slack
+//! order, capacity, deadline).  A [`Walk`] applies the capacity and deadline
+//! rules stop by stop and reports the first violation; [`Schedule::evaluate`]
+//! walks the sequence with engine legs, recording arrival times and total
+//! travel cost, and [`Schedule::buffer_times`] computes the maximum detour slack
 //! of Definition 3 that the linear-insertion operator uses for pruning.
 
 use crate::request::{Request, RequestId};
@@ -94,17 +95,83 @@ pub struct ScheduleEval {
     pub max_onboard: u32,
 }
 
-impl ScheduleEval {
-    fn infeasible_at(idx: usize) -> Self {
-        ScheduleEval {
-            feasible: false,
-            violated_at: Some(idx),
-            service_times: Vec::new(),
-            waiting: Vec::new(),
-            travel_cost: f64::INFINITY,
-            completion_time: f64::INFINITY,
-            max_onboard: 0,
+/// A vehicle part way through a sequence of way-points: the one place the
+/// capacity, deadline and wait-for-release rules of Definition 2 are written.
+/// `K` keys a stop for the caller's legs: a road node, or a stop index for
+/// the shareability check's leg memo.
+#[derive(Debug, Clone, Copy)]
+pub struct Walk<K> {
+    at: K,
+    now: f64,
+    onboard: u32,
+    pub(crate) capacity: u32,
+    pub(crate) travel: f64,
+    max_onboard: u32,
+}
+
+impl<K: Copy> Walk<K> {
+    /// A vehicle at `at`, free at `now`, with `onboard` of `capacity` seats taken.
+    pub fn new(at: K, now: f64, onboard: u32, capacity: u32) -> Self {
+        Walk {
+            at,
+            now,
+            onboard,
+            capacity,
+            travel: 0.0,
+            max_onboard: onboard,
         }
+    }
+
+    /// Serves `stops` in order with legs from `leg`: `arrive = now + leg`,
+    /// `service = arrive.max(earliest)`, the deadline test (`service >
+    /// deadline + TIME_EPS` fails), then the capacity test at a pickup.
+    /// Driving time (waiting excluded) adds up in `travel`, and
+    /// `visit(arrive, service)` sees each stop served.  Returns the end
+    /// state, or the index of the first stop that breaks a rule.
+    pub fn through<'w>(
+        mut self,
+        stops: impl IntoIterator<Item = (K, &'w Waypoint)>,
+        mut leg: impl FnMut(K, K) -> f64,
+        mut visit: impl FnMut(f64, f64),
+    ) -> Result<Self, usize> {
+        for (idx, (key, wp)) in stops.into_iter().enumerate() {
+            let leg = leg(self.at, key);
+            if !leg.is_finite() {
+                return Err(idx);
+            }
+            self.travel += leg;
+            let arrive = self.now + leg;
+            let service = arrive.max(wp.earliest);
+            if service > wp.deadline + TIME_EPS {
+                return Err(idx);
+            }
+            match wp.kind {
+                WaypointKind::Pickup => {
+                    self.onboard += wp.riders;
+                    if self.onboard > self.capacity {
+                        return Err(idx);
+                    }
+                    self.max_onboard = self.max_onboard.max(self.onboard);
+                }
+                WaypointKind::Dropoff => self.onboard = self.onboard.saturating_sub(wp.riders),
+            }
+            visit(arrive, service);
+            self.now = service;
+            self.at = key;
+        }
+        Ok(self)
+    }
+}
+
+impl Walk<NodeId> {
+    /// [`Walk::through`] `stops` at their road nodes, with engine legs.
+    pub(crate) fn on_roads<'w>(
+        self,
+        engine: &SpEngine,
+        stops: impl IntoIterator<Item = &'w Waypoint>,
+    ) -> Result<Self, usize> {
+        let stops = stops.into_iter().map(|wp| (wp.node, wp));
+        self.through(stops, |u, v| engine.cost(u, v), |_, _| {})
     }
 }
 
@@ -155,11 +222,6 @@ impl Schedule {
         self.waypoints.iter()
     }
 
-    /// Appends a way-point at the end.
-    pub fn push(&mut self, wp: Waypoint) {
-        self.waypoints.push(wp);
-    }
-
     /// Inserts a way-point at `pos`.
     pub fn insert(&mut self, pos: usize, wp: Waypoint) {
         self.waypoints.insert(pos, wp);
@@ -205,12 +267,8 @@ impl Schedule {
 
     /// Evaluates the schedule starting from a vehicle at `start_node`, free at
     /// `start_time`, with `initial_onboard` riders already in the car and a
-    /// total capacity of `capacity` seats.
-    ///
-    /// The walk accumulates travel cost edge by edge; a vehicle arriving at a
-    /// pickup before the request release waits (waiting does not count as
-    /// travel cost but does delay subsequent way-points).  The first capacity
-    /// or deadline violation makes the result infeasible.
+    /// total capacity of `capacity` seats: the [`Walk`] over its way-points
+    /// with engine legs, recording each stop's service and waiting time.
     pub fn evaluate(
         &self,
         engine: &SpEngine,
@@ -221,50 +279,53 @@ impl Schedule {
     ) -> ScheduleEval {
         let mut service_times = Vec::with_capacity(self.waypoints.len());
         let mut waiting = Vec::with_capacity(self.waypoints.len());
-        let mut travel = 0.0;
-        let mut now = start_time;
-        let mut node = start_node;
-        let mut onboard = initial_onboard;
-        let mut max_onboard = initial_onboard;
-
-        for (idx, wp) in self.waypoints.iter().enumerate() {
-            let leg = engine.cost(node, wp.node);
-            if !leg.is_finite() {
-                return ScheduleEval::infeasible_at(idx);
-            }
-            travel += leg;
-            let arrive = now + leg;
-            let service = arrive.max(wp.earliest);
-            if service > wp.deadline + TIME_EPS {
-                return ScheduleEval::infeasible_at(idx);
-            }
-            match wp.kind {
-                WaypointKind::Pickup => {
-                    onboard += wp.riders;
-                    if onboard > capacity {
-                        return ScheduleEval::infeasible_at(idx);
-                    }
-                    max_onboard = max_onboard.max(onboard);
-                }
-                WaypointKind::Dropoff => {
-                    onboard = onboard.saturating_sub(wp.riders);
-                }
-            }
-            service_times.push(service);
-            waiting.push(service - arrive);
-            now = service;
-            node = wp.node;
+        let walked = Walk::new(start_node, start_time, initial_onboard, capacity).through(
+            self.waypoints.iter().map(|wp| (wp.node, wp)),
+            |u, v| engine.cost(u, v),
+            |arrive, service| {
+                service_times.push(service);
+                waiting.push(service - arrive);
+            },
+        );
+        match walked {
+            Ok(end) => ScheduleEval {
+                feasible: true,
+                violated_at: None,
+                completion_time: end.now,
+                service_times,
+                waiting,
+                travel_cost: end.travel,
+                max_onboard: end.max_onboard,
+            },
+            Err(idx) => ScheduleEval {
+                feasible: false,
+                violated_at: Some(idx),
+                service_times: Vec::new(),
+                waiting: Vec::new(),
+                travel_cost: f64::INFINITY,
+                completion_time: f64::INFINITY,
+                max_onboard: 0,
+            },
         }
+    }
 
-        ScheduleEval {
-            feasible: true,
-            violated_at: None,
-            completion_time: now,
-            service_times,
-            waiting,
-            travel_cost: travel,
-            max_onboard,
-        }
+    /// The way-points with `pickup` inserted before index `i` and `dropoff`
+    /// before index `j` (`i ≤ j`): linear insertion's candidate at `(i, j)`,
+    /// in which the drop-off lands at index `j + 1`.
+    pub(crate) fn splice<'a>(
+        &'a self,
+        i: usize,
+        j: usize,
+        pickup: &'a Waypoint,
+        dropoff: &'a Waypoint,
+    ) -> impl Iterator<Item = &'a Waypoint> + 'a {
+        let wps = &self.waypoints;
+        wps[..i]
+            .iter()
+            .chain(std::iter::once(pickup))
+            .chain(&wps[i..j])
+            .chain(std::iter::once(dropoff))
+            .chain(&wps[j..])
     }
 
     /// Buffer times of Definition 3, extended with waiting absorption:

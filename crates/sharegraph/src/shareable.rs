@@ -8,18 +8,18 @@
 //! at the first pickup when that request is released — and the pair is
 //! shareable as soon as one is feasible.  The test is symmetric.
 //!
-//! # One stack evaluator
+//! # One walk, no allocation
 //!
-//! [`ShareabilityCheck::shareable`] walks an ordering of the pair's four
-//! stops, held as a `[Waypoint; 4]`, with `Schedule::evaluate`'s exact
-//! arithmetic: `arrive = now + leg`, `service = arrive.max(earliest)`, the
-//! `deadline + TIME_EPS` test and the capacity test on pickups.  It tries
-//! the orderings in the same sequence and stops at the same first violation,
-//! and it allocates nothing.  Legs come from a per-check 4 × 4 memo.  Its
-//! diagonal is `0.0`, which is exactly what `SpEngine::cost(s, s)` returns
-//! for every ordering's first leg, from the vehicle's start to the pickup it
-//! stands on.  Every other leg is fetched through `SpEngine::cost` at most
-//! once per check.
+//! [`ShareabilityCheck::shareable`] walks each ordering of the pair's four
+//! stops, held as a `[Waypoint; 4]`, through [`Walk`] (in
+//! `structride_model::schedule`), the one place the capacity, deadline and
+//! wait-for-release rules are written (`Schedule::evaluate` and linear
+//! insertion walk through it too).  Its keys are stop indices, so legs come
+//! from a per-check 4 × 4 memo.  It tries the orderings in a fixed sequence
+//! and allocates nothing.  The memo's diagonal is `0.0`, which is exactly
+//! what `SpEngine::cost(s, s)` returns for every ordering's first leg, from
+//! the vehicle's start to the pickup it stands on.  Every other leg is
+//! fetched through `SpEngine::cost` at most once per check.
 //!
 //! # The certified screen
 //!
@@ -39,8 +39,8 @@
 //! ([`pairwise_shareable`]) uses zero-length bounds, which still screen on
 //! release times, deadlines and capacity alone.
 
-use structride_model::schedule::TIME_EPS;
-use structride_model::{Request, Waypoint, WaypointKind};
+use structride_model::schedule::Walk;
+use structride_model::{Request, Waypoint};
 use structride_roadnet::{LegBound, SpEngine};
 
 /// The six interleavings of a pair's stops `[s_a, e_a, s_b, e_b]`, in the
@@ -54,43 +54,6 @@ const ORDERINGS: [[usize; 4]; 6] = [
     [2, 0, 3, 1],
     [2, 3, 0, 1],
 ];
-
-/// Walks `order` over `stops` from an empty vehicle standing on the first
-/// stop at its release, reading the leg between stop indices `(i, j)` from
-/// `leg`, and reports whether every stop is served feasibly.
-fn feasible(
-    stops: &[Waypoint; 4],
-    order: &[usize; 4],
-    capacity: u32,
-    mut leg: impl FnMut(usize, usize) -> f64,
-) -> bool {
-    let mut at = order[0];
-    let mut now = stops[at].earliest;
-    let mut onboard = 0u32;
-    for &next in order {
-        let wp = &stops[next];
-        let leg = leg(at, next);
-        if !leg.is_finite() {
-            return false;
-        }
-        let service = (now + leg).max(wp.earliest);
-        if service > wp.deadline + TIME_EPS {
-            return false;
-        }
-        match wp.kind {
-            WaypointKind::Pickup => {
-                onboard += wp.riders;
-                if onboard > capacity {
-                    return false;
-                }
-            }
-            WaypointKind::Dropoff => onboard = onboard.saturating_sub(wp.riders),
-        }
-        now = service;
-        at = next;
-    }
-    true
-}
 
 /// Definition 5's exact test for one batch: the engine, its certified leg
 /// bound read once (`None` for the unscreened check), and the seat capacity
@@ -137,8 +100,15 @@ impl<'e> ShareabilityCheck<'e> {
                     .map_or(0.0, |bound| bound.lower_bound(node(i), node(j)))
             })
         });
-        let open =
-            ORDERINGS.map(|order| feasible(&stops, &order, self.capacity, |i, j| bounds[i][j]));
+        // Each ordering walks from an empty vehicle standing on its first
+        // stop at that stop's release; the walk's keys are stop indices.
+        let start = |o: &[usize; 4]| Walk::new(o[0], stops[o[0]].earliest, 0, self.capacity);
+        let sequence = |order: &[usize; 4]| order.map(|k| (k, &stops[k]));
+        let open = ORDERINGS.map(|order| {
+            start(&order)
+                .through(sequence(&order), |i, j| bounds[i][j], |_, _| {})
+                .is_ok()
+        });
 
         let mut legs: [[Option<f64>; 4]; 4] =
             std::array::from_fn(|i| std::array::from_fn(|j| (i == j).then_some(0.0)));
@@ -147,9 +117,12 @@ impl<'e> ShareabilityCheck<'e> {
             .zip(open)
             .filter(|&(_, open)| open)
             .any(|(order, _)| {
-                feasible(&stops, order, self.capacity, |i, j| {
+                let leg = |i: usize, j: usize| {
                     *legs[i][j].get_or_insert_with(|| self.engine.cost(node(i), node(j)))
-                })
+                };
+                start(order)
+                    .through(sequence(order), leg, |_, _| {})
+                    .is_ok()
             })
     }
 }
@@ -174,6 +147,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::test_engines::engines;
     use proptest::prelude::*;
+    use structride_model::schedule::TIME_EPS;
     use structride_model::Schedule;
     use structride_roadnet::{Point, RoadNetworkBuilder, LOWER_BOUND_GRACE};
 
