@@ -32,6 +32,22 @@ impl KineticTree {
         }
     }
 
+    /// Seeds the tree from an already-planned schedule (it becomes the only
+    /// ordering; subsequent insertions branch from it).
+    pub fn from_schedule(
+        engine: &SpEngine,
+        start_node: NodeId,
+        start_time: f64,
+        onboard: u32,
+        capacity: u32,
+        schedule: Schedule,
+    ) -> Option<Self> {
+        let start = Walk::new(start_node, start_time, onboard, capacity);
+        let end = start.on_roads(engine, schedule.iter()).ok()?;
+        let schedules = vec![(schedule, end.travel)];
+        Some(KineticTree { start, schedules })
+    }
+
     /// Number of feasible orderings currently maintained.
     pub fn size(&self) -> usize {
         self.schedules.len()
@@ -53,9 +69,8 @@ impl KineticTree {
             let n = sched.len();
             for i in 0..=n {
                 for j in i..=n {
-                    let cand = sched.splice(i, j, &pickup, &dropoff);
-                    if let Ok(end) = self.start.on_roads(engine, cand) {
-                        let cand = sched.splice(i, j, &pickup, &dropoff).copied().collect();
+                    let cand: Vec<_> = sched.splice(i, j, &pickup, &dropoff).copied().collect();
+                    if let Ok(end) = self.start.on_roads(engine, &cand) {
                         next.push((Schedule::from_waypoints(cand), end.travel));
                     }
                 }
@@ -176,6 +191,16 @@ mod tests {
         assert!(tree.insert(&engine, &r2));
         // At least the two classic interleavings survive.
         assert!(tree.size() >= 2);
+    }
+
+    #[test]
+    fn from_schedule_rejects_infeasible_seed() {
+        let engine = line_engine();
+        let r = req(1, 0, 2, 20.0, 1.1);
+        let sched = Schedule::direct(&r);
+        // Starting from node 5 the pickup deadline cannot be met.
+        assert!(KineticTree::from_schedule(&engine, 5, 0.0, 0, 4, sched.clone()).is_none());
+        assert!(KineticTree::from_schedule(&engine, 0, 0.0, 0, 4, sched).is_some());
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub struct Walk<K> {
     onboard: u32,
     pub(crate) capacity: u32,
     pub(crate) travel: f64,
-    max_onboard: u32,
 }
 
 impl<K: Copy> Walk<K> {
@@ -118,7 +117,6 @@ impl<K: Copy> Walk<K> {
             onboard,
             capacity,
             travel: 0.0,
-            max_onboard: onboard,
         }
     }
 
@@ -126,13 +124,14 @@ impl<K: Copy> Walk<K> {
     /// `service = arrive.max(earliest)`, the deadline test (`service >
     /// deadline + TIME_EPS` fails), then the capacity test at a pickup.
     /// Driving time (waiting excluded) adds up in `travel`, and
-    /// `visit(arrive, service)` sees each stop served.  Returns the end
-    /// state, or the index of the first stop that breaks a rule.
+    /// `visit(arrive, service, onboard)` sees each stop served, with the
+    /// seats taken as the vehicle leaves it.  Returns the end state, or the
+    /// index of the first stop that breaks a rule.
     pub fn through<'w>(
         mut self,
         stops: impl IntoIterator<Item = (K, &'w Waypoint)>,
         mut leg: impl FnMut(K, K) -> f64,
-        mut visit: impl FnMut(f64, f64),
+        mut visit: impl FnMut(f64, f64, u32),
     ) -> Result<Self, usize> {
         for (idx, (key, wp)) in stops.into_iter().enumerate() {
             let leg = leg(self.at, key);
@@ -151,11 +150,10 @@ impl<K: Copy> Walk<K> {
                     if self.onboard > self.capacity {
                         return Err(idx);
                     }
-                    self.max_onboard = self.max_onboard.max(self.onboard);
                 }
                 WaypointKind::Dropoff => self.onboard = self.onboard.saturating_sub(wp.riders),
             }
-            visit(arrive, service);
+            visit(arrive, service, self.onboard);
             self.now = service;
             self.at = key;
         }
@@ -171,7 +169,7 @@ impl Walk<NodeId> {
         stops: impl IntoIterator<Item = &'w Waypoint>,
     ) -> Result<Self, usize> {
         let stops = stops.into_iter().map(|wp| (wp.node, wp));
-        self.through(stops, |u, v| engine.cost(u, v), |_, _| {})
+        self.through(stops, |u, v| engine.cost(u, v), |_, _, _| {})
     }
 }
 
@@ -220,6 +218,11 @@ impl Schedule {
     /// Iterator over the way-points.
     pub fn iter(&self) -> impl Iterator<Item = &Waypoint> {
         self.waypoints.iter()
+    }
+
+    /// Appends a way-point at the end.
+    pub fn push(&mut self, wp: Waypoint) {
+        self.waypoints.push(wp);
     }
 
     /// Inserts a way-point at `pos`.
@@ -279,12 +282,14 @@ impl Schedule {
     ) -> ScheduleEval {
         let mut service_times = Vec::with_capacity(self.waypoints.len());
         let mut waiting = Vec::with_capacity(self.waypoints.len());
+        let mut max_onboard = initial_onboard;
         let walked = Walk::new(start_node, start_time, initial_onboard, capacity).through(
             self.waypoints.iter().map(|wp| (wp.node, wp)),
             |u, v| engine.cost(u, v),
-            |arrive, service| {
+            |arrive, service, onboard| {
                 service_times.push(service);
                 waiting.push(service - arrive);
+                max_onboard = max_onboard.max(onboard);
             },
         );
         match walked {
@@ -295,7 +300,7 @@ impl Schedule {
                 service_times,
                 waiting,
                 travel_cost: end.travel,
-                max_onboard: end.max_onboard,
+                max_onboard,
             },
             Err(idx) => ScheduleEval {
                 feasible: false,
@@ -349,15 +354,11 @@ impl Schedule {
     /// a feasible evaluation of this schedule.
     pub fn buffer_times(&self, eval: &ScheduleEval) -> Vec<f64> {
         debug_assert!(eval.feasible);
-        let n = self.waypoints.len();
-        let mut buf = vec![0.0; n];
-        if n == 0 {
-            return buf;
-        }
-        let slack = |x: usize| self.waypoints[x].deadline - eval.service_times[x];
-        buf[n - 1] = slack(n - 1) + eval.waiting[n - 1];
-        for x in (0..n - 1).rev() {
-            buf[x] = slack(x).min(buf[x + 1]) + eval.waiting[x];
+        let mut buf = vec![0.0; self.waypoints.len()];
+        for x in (0..buf.len()).rev() {
+            let slack = self.waypoints[x].deadline - eval.service_times[x];
+            let downstream = buf.get(x + 1).map_or(slack, |&next| slack.min(next));
+            buf[x] = downstream + eval.waiting[x];
         }
         buf
     }

@@ -106,7 +106,7 @@ impl<'e> ShareabilityCheck<'e> {
         let sequence = |order: &[usize; 4]| order.map(|k| (k, &stops[k]));
         let open = ORDERINGS.map(|order| {
             start(&order)
-                .through(sequence(&order), |i, j| bounds[i][j], |_, _| {})
+                .through(sequence(&order), |i, j| bounds[i][j], |_, _, _| {})
                 .is_ok()
         });
 
@@ -121,7 +121,7 @@ impl<'e> ShareabilityCheck<'e> {
                     *legs[i][j].get_or_insert_with(|| self.engine.cost(node(i), node(j)))
                 };
                 start(order)
-                    .through(sequence(order), leg, |_, _| {})
+                    .through(sequence(order), leg, |_, _, _| {})
                     .is_ok()
             })
     }
