@@ -4,7 +4,7 @@
 //! idle vehicles toward anticipated high-demand areas and to match requests.
 //! A learned policy cannot be reproduced faithfully without the authors'
 //! training pipeline, so this dispatcher substitutes the interpretable core of
-//! the idea (documented in `DESIGN.md` §4):
+//! the idea:
 //!
 //! * demand per grid cell is tracked with an exponentially weighted moving
 //!   average of recent request origins (the "prediction");

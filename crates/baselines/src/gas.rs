@@ -77,6 +77,10 @@ impl Dispatcher for Gas {
             return BatchOutcome::empty();
         }
 
+        // The additive tree enumerates all combinations; the complete graph
+        // disables clique pruning.  Its members all have equal degree, so one
+        // graph over the admitted pool serves every vehicle's sub-pool.
+        let graph = complete_graph(&self.pending.ids());
         let mut outcome = BatchOutcome::empty();
         let order = self.vehicle_order(vehicles.len());
         for vi in order {
@@ -106,9 +110,6 @@ impl Dispatcher for Gas {
                         .count_prescreen_pruned((before - pool_ids.len()) as u64);
                 }
             }
-            // The additive tree enumerates all combinations; the complete graph
-            // disables clique pruning so only schedule feasibility filters.
-            let graph = complete_graph(&pool_ids);
             let groups = enumerate_groups(
                 ctx,
                 &graph,

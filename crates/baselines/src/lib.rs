@@ -15,13 +15,12 @@
 //!   most profitable one (total request length as profit);
 //! * [`Rtv`] — the trip-vehicle assignment of Alonso-Mora et al. \[27\]: per
 //!   batch, feasible trips are enumerated per vehicle and a global assignment
-//!   is solved.  The paper uses a glpk ILP; this reproduction substitutes a
-//!   greedy + swap local-search solver over the same trip candidates (see
-//!   `DESIGN.md` §4);
+//!   is solved.  The paper uses a glpk ILP; this reproduction solves the same
+//!   trip choice exactly by branch and bound, seeded by a greedy + swap
+//!   heuristic;
 //! * [`DemandRepositioning`] — the stand-in for the deep-RL DARM+DPRS \[53\]:
 //!   greedy matching plus demand-aware repositioning of idle vehicles toward
-//!   hot grid cells (a learned policy is out of scope; the substitution is
-//!   documented in `DESIGN.md` §4).
+//!   hot grid cells (a learned policy is out of scope).
 
 pub mod darm;
 pub mod gas;
@@ -66,7 +65,7 @@ pub fn standard_registry() -> DispatcherBuilder {
 
 /// Builds the complete graph over the given request ids.
 ///
-/// GAS and RTV enumerate request combinations without the shareability-graph
+/// GAS enumerates request combinations without the shareability-graph
 /// clique pruning that SARD adds; feeding the grouping routine a complete
 /// graph reproduces that behaviour (every pair is a candidate, infeasible ones
 /// are rejected by the schedule checks alone).

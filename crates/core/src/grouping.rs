@@ -188,6 +188,7 @@ pub fn enumerate_groups(
 mod tests {
     use super::*;
     use crate::config::StructRideConfig;
+    use proptest::prelude::*;
     use structride_roadnet::{Point, RoadNetworkBuilder, SpEngine};
 
     fn ctx(engine: &SpEngine) -> DispatchContext<'_> {
@@ -380,5 +381,55 @@ mod tests {
         let pair = groups.iter().find(|g| g.members.len() == 2).unwrap();
         // Serving both for ~40 s of driving vs. 60 s of direct cost.
         assert!(pair.sharing_ratio() < 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Groups only grow from feasible singletons: every member of every
+        /// enumerated group is itself an enumerated singleton.  SARD rests
+        /// on it — a vehicle offered its accepted group's members again
+        /// always finds a group.  The draws cover loose and tight deadlines,
+        /// small and large seat counts, and vehicles already serving a
+        /// request.
+        #[test]
+        fn every_group_member_is_an_enumerated_singleton(
+            seed in 0u64..1_000_000,
+            len in 1usize..9,
+        ) {
+            let engine = line_engine();
+            let mut gen = proptest::Gen::new(seed);
+            let mut draw = |id: RequestId| {
+                let s = gen.usize_in(0, 6) as u32;
+                let e = (s + gen.usize_in(1, 6) as u32) % 6;
+                req(id, s, e, engine.cost(s, e), 1.1 + gen.next_f64() * 1.4)
+            };
+            let reqs: Vec<Request> = (1..=len as RequestId).map(&mut draw).collect();
+            let carried = draw(100);
+            let capacity = gen.usize_in(1, 5) as u32;
+            let mut vehicle = Vehicle::new(0, gen.usize_in(0, 6) as u32, capacity);
+            if gen.next_f64() < 0.5 {
+                vehicle.commit_schedule(Schedule::direct(&carried));
+            }
+            let pool: Vec<RequestId> = reqs.iter().map(|r| r.id).collect();
+            let groups = enumerate_groups(
+                &ctx(&engine),
+                &build_graph(&engine, &reqs),
+                &request_map(&reqs),
+                &pool,
+                &vehicle,
+                capacity as usize,
+            );
+            let singles: Vec<RequestId> = groups
+                .iter()
+                .filter(|g| g.members.len() == 1)
+                .map(|g| g.members[0])
+                .collect();
+            for g in &groups {
+                for m in &g.members {
+                    prop_assert!(singles.contains(m), "{:?} has no singleton {m}", g.members);
+                }
+            }
+        }
     }
 }

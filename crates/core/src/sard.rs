@@ -38,7 +38,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::grouping::{enumerate_groups, CandidateGroup};
 use crate::stages::{Span, Stage};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use structride_model::{Request, RequestId, Vehicle};
 use structride_sharegraph::{shareability_loss, ShareabilityGraph, ShareabilityGraphBuilder};
 
@@ -174,13 +174,14 @@ impl Dispatcher for SardDispatcher {
         // request's queue is independent, so the fleet scan fans out across
         // requests; within a queue candidates are reduced into a canonical
         // order by the stable (added_cost, vehicle_id) tie-break, making the
-        // result identical to the sequential sweep.
+        // result identical to the sequential sweep.  `queues[p]` belongs to
+        // `pool[p]`, the pool sorted by id.
         let pool: Vec<RequestId> = {
             let mut ids: Vec<RequestId> = builder_view.requests().keys().copied().collect();
             ids.sort_unstable();
             ids
         };
-        let queue_entries: Vec<(RequestId, Vec<usize>)> = pool
+        let mut queues: Vec<Vec<usize>> = pool
             .par_iter()
             .map(|&rid| {
                 let request = builder_view.request(rid).expect("pooled request exists");
@@ -191,58 +192,53 @@ impl Dispatcher for SardDispatcher {
                 // line 9.
                 let candidates =
                     ctx.scored_candidates(vehicles_view, request, config.max_candidate_vehicles);
-                (rid, candidates.into_iter().map(|(_, vi)| vi).collect())
+                candidates.into_iter().map(|(_, vi)| vi).collect()
             })
             .collect();
-        let mut queues: HashMap<RequestId, Vec<usize>> = queue_entries.into_iter().collect();
 
-        // Proposal / acceptance rounds.
-        let mut unassigned: HashSet<RequestId> = pool.iter().copied().collect();
-        let mut accepted: HashMap<usize, CandidateGroup> = HashMap::new();
-        let mut proposals: HashMap<usize, Vec<RequestId>> = HashMap::new();
-
+        // Proposal / acceptance rounds.  The tentatively accepted groups are
+        // the only state carried from round to round: a request is
+        // unassigned exactly when no accepted group holds it.
+        let mut accepted: BTreeMap<usize, CandidateGroup> = BTreeMap::new();
         loop {
             // --- proposal phase (lines 8–10) ---
-            let mut proposed_any = false;
-            let mut proposers: Vec<RequestId> = unassigned.iter().copied().collect();
-            proposers.sort_unstable();
-            for rid in proposers {
-                if let Some(queue) = queues.get_mut(&rid) {
-                    if let Some(vi) = queue.pop() {
-                        proposals.entry(vi).or_default().push(rid);
-                        proposed_any = true;
-                    }
+            // Every unassigned request with a vehicle left in its queue
+            // proposes, in ascending id order.  When none can, the rounds
+            // are over.
+            let taken: HashSet<RequestId> = accepted
+                .values()
+                .flat_map(|g| g.members.iter().copied())
+                .collect();
+            let mut proposals: BTreeMap<usize, Vec<RequestId>> = BTreeMap::new();
+            for (&rid, queue) in pool.iter().zip(&mut queues) {
+                if taken.contains(&rid) {
+                    continue;
+                }
+                if let Some(vi) = queue.pop() {
+                    proposals.entry(vi).or_default().push(rid);
                 }
             }
-            if !proposed_any {
+            if proposals.is_empty() {
                 break;
             }
 
             // --- acceptance phase (lines 11–16) ---
-            // Within one round each proposed-to vehicle enumerates groups over
-            // its own pool only: the inputs (builder graph, fleet state, this
-            // round's proposals, the vehicle's previously accepted group) are
-            // all fixed for the round, so the per-vehicle work is embarrassingly
-            // parallel.  Decisions are applied afterwards in ascending vehicle
-            // order — exactly the order the sequential sweep used.
-            let mut jobs: Vec<(usize, Vec<RequestId>)> = Vec::new();
-            let vehicle_indices: Vec<usize> = {
-                let mut v: Vec<usize> = proposals.keys().copied().collect();
-                v.sort_unstable();
-                v
-            };
-            for vi in vehicle_indices {
-                let mut pooled: Vec<RequestId> = proposals.remove(&vi).unwrap_or_default();
-                if let Some(prev) = accepted.get(&vi) {
-                    pooled.extend(prev.members.iter().copied());
-                }
-                pooled.sort_unstable();
-                pooled.dedup();
-                if !pooled.is_empty() {
-                    jobs.push((vi, pooled));
-                }
-            }
-            let decisions: Vec<(usize, Vec<RequestId>, Option<CandidateGroup>)> = jobs
+            // Each proposed-to vehicle enumerates groups over this round's
+            // proposals plus its previously accepted group (disjoint: only
+            // unassigned requests propose).  The inputs (builder graph, fleet
+            // state, this round's proposals, the accepted groups) are fixed
+            // for the round, so the per-vehicle work is embarrassingly
+            // parallel; decisions are applied in ascending vehicle order.
+            let jobs: Vec<(usize, Vec<RequestId>)> = proposals
+                .into_iter()
+                .map(|(vi, mut pooled)| {
+                    if let Some(prev) = accepted.get(&vi) {
+                        pooled.extend(prev.members.iter().copied());
+                    }
+                    (vi, pooled)
+                })
+                .collect();
+            let decisions: Vec<(usize, Option<CandidateGroup>)> = jobs
                 .par_iter()
                 .map(|(vi, pooled)| {
                     let span = Span::open(ctx.stages, Stage::Grouping);
@@ -258,58 +254,34 @@ impl Dispatcher for SardDispatcher {
                     let best = Self::select_group(builder_view.graph(), &groups)
                         .map(|best_idx| groups[best_idx].clone());
                     span.close();
-                    (*vi, pooled.clone(), best)
+                    (*vi, best)
                 })
                 .collect();
 
-            for (vi, pooled, best) in decisions {
+            // The accepted group replaces the vehicle's previous one; every
+            // other pooled request returns to the market.  A vehicle holding
+            // a group always finds one again: each member of an enumerated
+            // group is itself a feasible singleton.
+            for (vi, best) in decisions {
                 match best {
                     Some(best) => {
-                        // Members of the accepted group are (tentatively) off
-                        // the market; everything else returns to the pool.
-                        for rid in &pooled {
-                            if best.members.contains(rid) {
-                                unassigned.remove(rid);
-                            } else {
-                                unassigned.insert(*rid);
-                            }
-                        }
-                        // Previously accepted members that fell out also return.
-                        if let Some(prev) = accepted.get(&vi) {
-                            for rid in &prev.members {
-                                if !best.members.contains(rid) {
-                                    unassigned.insert(*rid);
-                                }
-                            }
-                        }
                         accepted.insert(vi, best);
                     }
-                    None => {
-                        // Nothing feasible: every pooled request is rejected.
-                        for rid in pooled {
-                            unassigned.insert(rid);
-                        }
-                    }
+                    None => debug_assert!(
+                        !accepted.contains_key(&vi),
+                        "a vehicle holding a group finds a group again"
+                    ),
                 }
-            }
-
-            let can_still_propose = unassigned
-                .iter()
-                .any(|rid| queues.get(rid).map(|q| !q.is_empty()).unwrap_or(false));
-            if !can_still_propose {
-                break;
             }
         }
 
-        // Commit accepted groups (end of the batch).
+        // Commit accepted groups (end of the batch), in vehicle order.
         let mut outcome = BatchOutcome::empty();
-        let mut commits: Vec<(usize, CandidateGroup)> = accepted.into_iter().collect();
-        commits.sort_by_key(|(vi, _)| *vi);
-        for (vi, group) in commits {
-            vehicles[vi].commit_schedule(group.schedule.clone());
-            for rid in &group.members {
-                builder.remove_request(*rid);
-                outcome.assigned.push(*rid);
+        for (vi, group) in accepted {
+            vehicles[vi].commit_schedule(group.schedule);
+            for rid in group.members {
+                builder.remove_request(rid);
+                outcome.assigned.push(rid);
             }
         }
         outcome.assigned.sort_unstable();

@@ -333,17 +333,6 @@ where
     }
 }
 
-/// The no-auction decision: the request stays in its pickup region.
-fn home_decision(request: &Request, network: &RoadNetwork, regions: &RegionGrid) -> RouteDecision {
-    let p = network.coord(request.source);
-    let home = regions.region_of(p.x, p.y) as usize;
-    RouteDecision {
-        winner: home,
-        home,
-        bids: 0,
-    }
-}
-
 /// Routes one request: home region, plus a best-bid auction over every shard
 /// the boundary band reaches.  Each candidate shard evaluates exact
 /// insertions only over its top-m shortlist (see [`ShardView::shortlist`])
@@ -391,7 +380,12 @@ fn route_request(
         candidates.retain(|&c| c != d);
     }
     if down != Some(home) && candidates.len() <= 1 {
-        return home_decision(request, network, regions);
+        // No auction: the request stays in its pickup region.
+        return RouteDecision {
+            winner: home,
+            home,
+            bids: 0,
+        };
     }
     let mut bids = 0u64;
     // Strictly-lower cost wins; candidates ascend, so ties keep the lowest
@@ -821,43 +815,22 @@ impl<'a> ShardedRun<'a> {
         }
 
         // Route the batch: home region or best-bid handoff.  Pure reads
-        // over the pre-dispatch shard states; order-preserving collect.
-        // The per-shard position grids behind the top-m shortlist are only
-        // worth building when an auction can actually happen — i.e. the
-        // batch holds at least one boundary request (interior requests
-        // route home with zero bids either way).
-        let band = self.sharding.handoff_band;
-        let has_boundary_request = band > 0.0
-            && batch.iter().any(|r| {
-                let p = self.network.coord(r.source);
-                self.regions.is_boundary(p.x, p.y, band)
-            });
-        let mut orphan_decisions: Vec<RouteDecision> = Vec::new();
-        let decisions: Vec<RouteDecision> = if has_boundary_request || down.is_some() {
-            let views: Vec<ShardView<'_>> = self
-                .shards
-                .iter()
-                .map(|s| ShardView::new(engine, s))
-                .collect();
-            let (network, regions) = (self.network, &self.regions);
-            let top_m = self.sharding.top_m;
-            let route = |r: &Request| route_request(r, network, regions, &views, band, top_m, down);
-            // The dead shard's drained pool fails over through the same
-            // auction, ahead of the batch's own requests (they were released
-            // earlier).
-            orphan_decisions = orphaned.par_iter().map(route).collect();
-            batch.par_iter().map(route).collect()
-        } else {
-            batch
-                .iter()
-                .map(|r| home_decision(r, self.network, &self.regions))
-                .collect()
-        };
-        let routed = orphaned
+        // over the pre-dispatch shard states; order-preserving collect.  The
+        // dead shard's drained pool fails over through the same auction,
+        // ahead of the batch's own requests (they were released earlier).
+        let views: Vec<ShardView<'_>> = self
+            .shards
             .iter()
-            .zip(&orphan_decisions)
-            .chain(batch.iter().zip(&decisions));
-        for (request, decision) in routed {
+            .map(|s| ShardView::new(engine, s))
+            .collect();
+        let (network, regions) = (self.network, &self.regions);
+        let (band, top_m) = (self.sharding.handoff_band, self.sharding.top_m);
+        let requests: Vec<&Request> = orphaned.iter().chain(batch).collect();
+        let decisions: Vec<RouteDecision> = requests
+            .par_iter()
+            .map(|r| route_request(r, network, regions, &views, band, top_m, down))
+            .collect();
+        for (request, decision) in requests.into_iter().zip(decisions) {
             if decision.winner != decision.home {
                 self.counters.handoffs += 1;
             }

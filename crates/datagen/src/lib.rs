@@ -4,7 +4,7 @@
 //! trips, NYC TLC taxi trips and the Cainiao LaDe delivery set — on top of the
 //! corresponding OpenStreetMap road networks.  None of those can ship with an
 //! open-source reproduction, so this crate builds the closest synthetic
-//! equivalents (the substitution is documented in `DESIGN.md` §4):
+//! equivalents:
 //!
 //! * [`network`] — grid-with-arterials road networks whose size/compactness is
 //!   tuned per city profile;

@@ -95,7 +95,7 @@ pub fn insert_into(
             }
         }
         for j in i..=n {
-            let Ok(end) = start.on_roads(engine, base.splice(i, j, &pickup, &dropoff)) else {
+            let Some(end) = start.on_roads(engine, base.splice(i, j, &pickup, &dropoff)) else {
                 continue;
             };
             let added = end.travel - base_eval.travel_cost;

@@ -43,13 +43,14 @@ impl KineticTree {
         schedule: Schedule,
     ) -> Option<Self> {
         let start = Walk::new(start_node, start_time, onboard, capacity);
-        let end = start.on_roads(engine, schedule.iter()).ok()?;
+        let end = start.on_roads(engine, schedule.iter())?;
         let schedules = vec![(schedule, end.travel)];
         Some(KineticTree { start, schedules })
     }
 
     /// Number of feasible orderings currently maintained.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    fn size(&self) -> usize {
         self.schedules.len()
     }
 
@@ -70,7 +71,7 @@ impl KineticTree {
             for i in 0..=n {
                 for j in i..=n {
                     let cand: Vec<_> = sched.splice(i, j, &pickup, &dropoff).copied().collect();
-                    if let Ok(end) = self.start.on_roads(engine, &cand) {
+                    if let Some(end) = self.start.on_roads(engine, &cand) {
                         next.push((Schedule::from_waypoints(cand), end.travel));
                     }
                 }
@@ -93,7 +94,8 @@ impl KineticTree {
     }
 
     /// Travel cost of the best ordering (infinity if none).
-    pub fn best_cost(&self) -> f64 {
+    #[cfg(test)]
+    fn best_cost(&self) -> f64 {
         self.best().map(|(_, c)| c).unwrap_or(f64::INFINITY)
     }
 }

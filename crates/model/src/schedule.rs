@@ -4,7 +4,7 @@
 //! drop-off locations of the requests assigned to one vehicle.  A schedule is
 //! feasible iff it satisfies the four constraints of Definition 2 (coverage,
 //! order, capacity, deadline).  A [`Walk`] applies the capacity and deadline
-//! rules stop by stop and reports the first violation; [`Schedule::evaluate`]
+//! rules stop by stop, failing at the first violation; [`Schedule::evaluate`]
 //! walks the sequence with engine legs, recording arrival times and total
 //! travel cost, and [`Schedule::buffer_times`] computes the maximum detour slack
 //! of Definition 3 that the linear-insertion operator uses for pruning.
@@ -79,8 +79,6 @@ impl Waypoint {
 pub struct ScheduleEval {
     /// True if every constraint holds.
     pub feasible: bool,
-    /// Index of the first way-point where a constraint is violated, if any.
-    pub violated_at: Option<usize>,
     /// Service time at each way-point (arrival plus any waiting for release).
     pub service_times: Vec<f64>,
     /// Waiting time at each way-point (service minus arrival; positive only
@@ -88,11 +86,6 @@ pub struct ScheduleEval {
     pub waiting: Vec<f64>,
     /// Total driving time over the schedule (waiting excluded).
     pub travel_cost: f64,
-    /// Time at which the last way-point is served (equals the start time for
-    /// an empty schedule).
-    pub completion_time: f64,
-    /// Maximum onboard riders observed along the schedule.
-    pub max_onboard: u32,
 }
 
 /// A vehicle part way through a sequence of way-points: the one place the
@@ -124,40 +117,39 @@ impl<K: Copy> Walk<K> {
     /// `service = arrive.max(earliest)`, the deadline test (`service >
     /// deadline + TIME_EPS` fails), then the capacity test at a pickup.
     /// Driving time (waiting excluded) adds up in `travel`, and
-    /// `visit(arrive, service, onboard)` sees each stop served, with the
-    /// seats taken as the vehicle leaves it.  Returns the end state, or the
-    /// index of the first stop that breaks a rule.
+    /// `visit(arrive, service)` sees each stop served.  Returns the end
+    /// state, or `None` when a stop breaks a rule.
     pub fn through<'w>(
         mut self,
         stops: impl IntoIterator<Item = (K, &'w Waypoint)>,
         mut leg: impl FnMut(K, K) -> f64,
-        mut visit: impl FnMut(f64, f64, u32),
-    ) -> Result<Self, usize> {
-        for (idx, (key, wp)) in stops.into_iter().enumerate() {
+        mut visit: impl FnMut(f64, f64),
+    ) -> Option<Self> {
+        for (key, wp) in stops {
             let leg = leg(self.at, key);
             if !leg.is_finite() {
-                return Err(idx);
+                return None;
             }
             self.travel += leg;
             let arrive = self.now + leg;
             let service = arrive.max(wp.earliest);
             if service > wp.deadline + TIME_EPS {
-                return Err(idx);
+                return None;
             }
             match wp.kind {
                 WaypointKind::Pickup => {
                     self.onboard += wp.riders;
                     if self.onboard > self.capacity {
-                        return Err(idx);
+                        return None;
                     }
                 }
                 WaypointKind::Dropoff => self.onboard = self.onboard.saturating_sub(wp.riders),
             }
-            visit(arrive, service, self.onboard);
+            visit(arrive, service);
             self.now = service;
             self.at = key;
         }
-        Ok(self)
+        Some(self)
     }
 }
 
@@ -167,9 +159,9 @@ impl Walk<NodeId> {
         self,
         engine: &SpEngine,
         stops: impl IntoIterator<Item = &'w Waypoint>,
-    ) -> Result<Self, usize> {
+    ) -> Option<Self> {
         let stops = stops.into_iter().map(|wp| (wp.node, wp));
-        self.through(stops, |u, v| engine.cost(u, v), |_, _, _| {})
+        self.through(stops, |u, v| engine.cost(u, v), |_, _| {})
     }
 }
 
@@ -282,34 +274,26 @@ impl Schedule {
     ) -> ScheduleEval {
         let mut service_times = Vec::with_capacity(self.waypoints.len());
         let mut waiting = Vec::with_capacity(self.waypoints.len());
-        let mut max_onboard = initial_onboard;
         let walked = Walk::new(start_node, start_time, initial_onboard, capacity).through(
             self.waypoints.iter().map(|wp| (wp.node, wp)),
             |u, v| engine.cost(u, v),
-            |arrive, service, onboard| {
+            |arrive, service| {
                 service_times.push(service);
                 waiting.push(service - arrive);
-                max_onboard = max_onboard.max(onboard);
             },
         );
         match walked {
-            Ok(end) => ScheduleEval {
+            Some(end) => ScheduleEval {
                 feasible: true,
-                violated_at: None,
-                completion_time: end.now,
                 service_times,
                 waiting,
                 travel_cost: end.travel,
-                max_onboard,
             },
-            Err(idx) => ScheduleEval {
+            None => ScheduleEval {
                 feasible: false,
-                violated_at: Some(idx),
                 service_times: Vec::new(),
                 waiting: Vec::new(),
                 travel_cost: f64::INFINITY,
-                completion_time: f64::INFINITY,
-                max_onboard: 0,
             },
         }
     }
@@ -420,8 +404,6 @@ mod tests {
         let eval = s.evaluate(&engine, 0, 0.0, 0, 4);
         assert!(eval.feasible);
         assert_eq!(eval.travel_cost, 20.0);
-        assert_eq!(eval.completion_time, 20.0);
-        assert_eq!(eval.max_onboard, 1);
         assert_eq!(s.to_string(), "⟨s1, e1⟩");
     }
 
@@ -457,11 +439,9 @@ mod tests {
         // Capacity 4 cannot hold 3 + 2 riders.
         let eval = s.evaluate(&engine, 0, 0.0, 0, 4);
         assert!(!eval.feasible);
-        assert_eq!(eval.violated_at, Some(1));
         // Capacity 5 can.
         let eval = s.evaluate(&engine, 0, 0.0, 0, 5);
         assert!(eval.feasible);
-        assert_eq!(eval.max_onboard, 5);
     }
 
     #[test]
@@ -473,7 +453,6 @@ mod tests {
         let s = Schedule::direct(&r);
         let eval = s.evaluate(&engine, 3, 0.0, 0, 4);
         assert!(!eval.feasible);
-        assert_eq!(eval.violated_at, Some(0));
     }
 
     #[test]

@@ -242,7 +242,6 @@ mod tests {
         ]);
         let eval = v.evaluate(&engine, &sched);
         assert!(eval.feasible);
-        assert_eq!(eval.max_onboard, 2);
         v.commit_schedule(sched);
         let done = v.advance_to(&engine, 1000.0);
         assert_eq!(done, vec![2, 1]);

@@ -106,8 +106,8 @@ impl<'e> ShareabilityCheck<'e> {
         let sequence = |order: &[usize; 4]| order.map(|k| (k, &stops[k]));
         let open = ORDERINGS.map(|order| {
             start(&order)
-                .through(sequence(&order), |i, j| bounds[i][j], |_, _, _| {})
-                .is_ok()
+                .through(sequence(&order), |i, j| bounds[i][j], |_, _| {})
+                .is_some()
         });
 
         let mut legs: [[Option<f64>; 4]; 4] =
@@ -121,8 +121,8 @@ impl<'e> ShareabilityCheck<'e> {
                     *legs[i][j].get_or_insert_with(|| self.engine.cost(node(i), node(j)))
                 };
                 start(order)
-                    .through(sequence(order), leg, |_, _, _| {})
-                    .is_ok()
+                    .through(sequence(order), leg, |_, _| {})
+                    .is_some()
             })
     }
 }

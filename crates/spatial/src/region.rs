@@ -206,12 +206,6 @@ impl RegionGrid {
         out
     }
 
-    /// True when `(x, y)` lies within `band` of another region — i.e. a
-    /// request released there is a *boundary request* for handoff purposes.
-    pub fn is_boundary(&self, x: f64, y: f64, band: f64) -> bool {
-        self.regions_within(x, y, band).len() > 1
-    }
-
     /// All regions whose rectangle intersects the disc of `radius` around
     /// `(x, y)`, ascending by region id.  Always contains at least
     /// [`RegionGrid::region_of`]`(x, y)` (radius and out-of-extent points
@@ -280,10 +274,8 @@ mod tests {
         // The partition is total: with zero band, the point is *not* a
         // boundary request — it has exactly one home region.
         assert_eq!(g.regions_within(50.0, 10.0, 0.0), vec![1]);
-        assert!(!g.is_boundary(50.0, 10.0, 0.0));
         // With any positive band the adjacent region is offered too.
         assert_eq!(g.regions_within(50.0, 10.0, 1.0), vec![0, 1]);
-        assert!(g.is_boundary(50.0, 10.0, 1.0));
     }
 
     #[test]
@@ -304,7 +296,6 @@ mod tests {
         assert!(g.is_single());
         assert!(g.adjacent(0).is_empty());
         assert_eq!(g.regions_within(50.0, 50.0, 1.0e9), vec![0]);
-        assert!(!g.is_boundary(0.0, 0.0, 1.0e9));
     }
 
     #[test]
