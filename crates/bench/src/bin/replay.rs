@@ -1,13 +1,13 @@
 //! Record/replay front end for the dispatcher-determinism harness.
 //!
 //! ```text
-//! replay record  [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T]
-//!                [--chaos] [--checkpoint PATH] [--stages PATH]
+//! replay record  [--quick | --preset city] [--algo KEY] [--out PATH] [--shards N] [--ingest]
+//!                [--traffic T] [--chaos] [--checkpoint PATH] [--stages PATH]
 //! replay replay  --trace PATH [--algo KEY] [--threads N]
 //! replay resume  --trace PATH --checkpoint PATH [--threads N]
 //! replay diff    --trace PATH --against PATH
-//! replay verify  [--quick] [--algo KEY] [--threads N] [--shards N] [--ingest] [--traffic T]
-//!                [--chaos]
+//! replay verify  [--quick | --preset city] [--algo KEY] [--threads N] [--shards N] [--ingest]
+//!                [--traffic T] [--chaos]
 //! ```
 //!
 //! * `record` runs the quickstart-style workload under the chosen dispatcher
@@ -18,6 +18,12 @@
 //!   (`structride_core::StageTable`, TSV: wall time of each top-level stage,
 //!   CPU time of each dispatch stage summed over workers); the trace is the
 //!   same bytes either way.
+//! * `--quick` and `--preset city` pick the run's size: CI scale, the
+//!   benchmark's single city (NYC-like, scale 4.0, 2 400 requests, 400
+//!   vehicles, 432 s — the sizes of its `city_sard` and `city_assign`
+//!   workloads; monolithic pipeline only), or, with neither, the default in
+//!   between.  `record --preset city --stages FILE` tables where a batch's
+//!   time goes at benchmark scale.
 //! * `replay` loads a trace, reads its scenario back strictly (a missing,
 //!   unknown or duplicate `param` key, or a bad value, exits 1 with `bad
 //!   scenario in trace: …` naming the key), regenerates the workload and
@@ -77,7 +83,7 @@ use std::process::ExitCode;
 use structride_bench::outln;
 use structride_bench::replay_cli::{traffic_by_name, TRAFFIC_KEYS};
 use structride_bench::scenario::{
-    dispatcher_by_name, dispatcher_keys, Pipeline, Scenario, ScenarioWorkload, Source,
+    dispatcher_by_name, dispatcher_keys, Pipeline, Scenario, ScenarioWorkload, Size, Source,
 };
 use structride_core::replay::{diff_traces, Checkpoint, Trace};
 use structride_core::shard::ShardingConfig;
@@ -85,11 +91,11 @@ use structride_core::{FaultConfig, StageTable, StructRideConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: replay record [--quick] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T] [--chaos] [--checkpoint PATH] [--stages PATH]\n\
+        "usage: replay record [--quick | --preset city] [--algo KEY] [--out PATH] [--shards N] [--ingest] [--traffic T] [--chaos] [--checkpoint PATH] [--stages PATH]\n\
          \x20      replay replay --trace PATH [--algo KEY] [--threads N]\n\
          \x20      replay resume --trace PATH --checkpoint PATH [--threads N]\n\
          \x20      replay diff   --trace PATH --against PATH\n\
-         \x20      replay verify [--quick] [--algo KEY] [--threads N] [--shards N] [--ingest] [--traffic T] [--chaos]\n\
+         \x20      replay verify [--quick | --preset city] [--algo KEY] [--threads N] [--shards N] [--ingest] [--traffic T] [--chaos]\n\
          KEY: {}\n\
          T: {}",
         dispatcher_keys().join(", "),
@@ -100,6 +106,7 @@ fn usage() -> ExitCode {
 
 struct Args {
     quick: bool,
+    preset: Option<String>,
     algo: Option<String>,
     out: Option<String>,
     trace: Option<String>,
@@ -117,6 +124,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
     let subcommand = argv.next()?;
     let mut args = Args {
         quick: false,
+        preset: None,
         algo: None,
         out: None,
         trace: None,
@@ -132,6 +140,7 @@ fn parse_args(mut argv: std::env::Args) -> Option<(String, Args)> {
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--quick" => args.quick = true,
+            "--preset" => args.preset = Some(argv.next()?),
             "--algo" => args.algo = Some(argv.next()?),
             "--out" => args.out = Some(argv.next()?),
             "--trace" => args.trace = Some(argv.next()?),
@@ -166,9 +175,18 @@ fn flag_scenario(args: &Args, algo: &str) -> Result<Scenario, ExitCode> {
     } else {
         Source::Clock
     };
+    let size = match (args.quick, args.preset.as_deref()) {
+        (false, None) => Size::Default,
+        (true, None) => Size::Quick,
+        (false, Some("city")) if args.shards.is_none() => Size::City,
+        _ => {
+            eprintln!("the one preset is city, and it takes neither --quick nor --shards");
+            return Err(usage());
+        }
+    };
     let algo = algo.to_ascii_lowercase();
     let config = StructRideConfig::default();
-    let mut scenario = Scenario::quickstart(args.quick, &algo, pipeline, source, config);
+    let mut scenario = Scenario::quickstart(size, &algo, pipeline, source, config);
     if let Some(key) = args.traffic.as_deref() {
         let horizon = match &scenario.workload {
             ScenarioWorkload::Single(params) => params.horizon,

@@ -195,13 +195,13 @@ fn finish(run: &Finished) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{dispatcher_by_name, dispatcher_keys, ScenarioError};
+    use crate::scenario::{dispatcher_by_name, dispatcher_keys, ScenarioError, Size};
     use std::num::NonZeroUsize;
     use structride_core::shard::ShardingConfig;
     use structride_core::{FaultConfig, StructRideConfig};
 
     fn quick(pipeline: Pipeline, source: Source, key: &str, config: StructRideConfig) -> Scenario {
-        Scenario::quickstart(true, key, pipeline, source, config)
+        Scenario::quickstart(Size::Quick, key, pipeline, source, config)
     }
 
     fn sharded(shards: usize, sharding: ShardingConfig) -> Pipeline {

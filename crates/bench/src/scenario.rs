@@ -202,25 +202,46 @@ pub struct Finished {
     pub build_stats: Option<BuildStats>,
 }
 
+/// How big a [`Scenario::quickstart`] run is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// CI scale (`--quick`).
+    Quick,
+    /// The default size.
+    Default,
+    /// The benchmark's single city (`--preset city`): the NYC-like profile
+    /// at scale 4.0 (1 764 nodes), 2 400 requests and 400 vehicles over
+    /// 432 s, the sizes of the `city_sard` and `city_assign` workloads.
+    /// Monolithic pipeline only.
+    City,
+}
+
 impl Scenario {
     /// The quickstart-style scenario the `record` / `verify` flows run: an
     /// NYC-like city on the monolithic pipeline; a Chengdu-like and an
-    /// NYC-like region side by side when sharded.  An ingested one replaces
-    /// `config.ingest` with knobs that compress the stream into well under a
-    /// second of wall clock, so CI record steps stay fast.
+    /// NYC-like region side by side when sharded (of [`Size::Default`]'s
+    /// size unless `size` is [`Size::Quick`]).  An ingested one replaces
+    /// `config.ingest` with knobs that compress the stream into seconds of
+    /// wall clock, so CI record steps stay fast.
     pub fn quickstart(
-        quick: bool,
+        size: Size,
         dispatcher: &str,
         pipeline: Pipeline,
         source: Source,
         config: StructRideConfig,
     ) -> Scenario {
+        let quick = size == Size::Quick;
+        let (num_requests, num_vehicles, horizon, scale, time_scale) = match size {
+            Size::Quick => (80, 12, 120.0, 0.3, 240.0),
+            Size::Default => (240, 40, 300.0, 0.3, 120.0),
+            Size::City => (2400, 400, 432.0, 4.0, 60.0),
+        };
         let workload = match pipeline {
             Pipeline::Mono => ScenarioWorkload::Single(WorkloadParams {
-                num_requests: if quick { 80 } else { 240 },
-                num_vehicles: if quick { 12 } else { 40 },
-                horizon: if quick { 120.0 } else { 300.0 },
-                scale: 0.3,
+                num_requests,
+                num_vehicles,
+                horizon,
+                scale,
                 ..WorkloadParams::small(CityProfile::NycLike)
             }),
             Pipeline::Sharded { .. } => ScenarioWorkload::Regions(MultiRegionParams {
@@ -239,7 +260,7 @@ impl Scenario {
                 max_batch_size: 32,
                 batch_deadline: 0.01,
                 queue_capacity: 4096,
-                time_scale: if quick { 240.0 } else { 120.0 },
+                time_scale,
             }),
         };
         Scenario {

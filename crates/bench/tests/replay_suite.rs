@@ -3,13 +3,13 @@
 //! the in-memory trace and from the text form, under 1 and N worker threads.
 
 use std::num::NonZeroUsize;
-use structride_bench::scenario::{dispatcher_keys, Pipeline, Scenario, Source};
+use structride_bench::scenario::{dispatcher_keys, Pipeline, Scenario, Size, Source};
 use structride_core::replay::Trace;
 use structride_core::shard::ShardingConfig;
 use structride_core::{FaultConfig, StructRideConfig};
 
 fn mono(key: &str, config: StructRideConfig) -> Scenario {
-    Scenario::quickstart(true, key, Pipeline::Mono, Source::Clock, config)
+    Scenario::quickstart(Size::Quick, key, Pipeline::Mono, Source::Clock, config)
 }
 
 fn two_shards(key: &str) -> Scenario {
@@ -18,7 +18,7 @@ fn two_shards(key: &str) -> Scenario {
         sharding: ShardingConfig::default(),
     };
     let config = StructRideConfig::default();
-    Scenario::quickstart(true, key, pipeline, Source::Clock, config)
+    Scenario::quickstart(Size::Quick, key, pipeline, Source::Clock, config)
 }
 
 /// Runs `op` on a rayon pool of `threads` workers.

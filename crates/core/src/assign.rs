@@ -18,8 +18,8 @@
 //! construction and the solver weighs "serve at this added cost" against
 //! "keep waiting" globally rather than per request.
 //!
-//! Candidate sets come from the routine SARD uses,
-//! [`DispatchContext::scored_candidates`] (certified fleet-index prescreen,
+//! Candidate sets come from the scoring pass SARD uses,
+//! [`DispatchContext::score_pool`] (certified fleet-index prescreen,
 //! batched pickup scoring, same scratch counters), and its per-request
 //! `max_candidate_vehicles` truncation keeps the matrix at
 //! candidate-neighbourhood width instead of fleet width.
@@ -48,8 +48,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::lap::{self, SolverStats};
 use crate::pool::PendingPool;
 use crate::stages::{Span, Stage};
-use rayon::prelude::*;
-use structride_model::{insertion, Request, RequestId, Vehicle};
+use structride_model::{insertion, Request, Vehicle};
 
 /// The exact global-assignment batch dispatcher (registry key `assign`).
 /// It reads its configuration from each batch's [`DispatchContext`].
@@ -131,28 +130,18 @@ impl Dispatcher for AssignDispatcher {
         loop {
             // Sequential order-recording prefilter: the pool in ascending
             // request-id order fixes both the row order and the merge order.
-            let pool = self.pending.ids();
             let pending_view = self.pending.requests();
-            let vehicles_view: &[Vehicle] = vehicles;
-            // Par-map the expensive exact work (prescreen + insertion
-            // evaluations); `collect` merges rows back in pool order.
-            let rows: Vec<(RequestId, Vec<(f64, usize)>)> = pool
-                .par_iter()
-                .map(|&rid| {
-                    let request = pending_view.get(&rid).expect("pooled request exists");
-                    let cands = ctx.scored_candidates(
-                        vehicles_view,
-                        request,
-                        ctx.config.max_candidate_vehicles,
-                    );
-                    (rid, cands)
-                })
-                .collect();
-
-            let mut col_vehicles: Vec<usize> = rows
+            let requests: Vec<&Request> = self
+                .pending
+                .ids()
                 .iter()
-                .flat_map(|(_, cands)| cands.iter().map(|&(_, vi)| vi))
+                .map(|rid| &pending_view[rid])
                 .collect();
+            // One scoring pass par-maps the expensive exact work (prescreen
+            // + insertion evaluations) and returns the rows in pool order.
+            let rows = ctx.score_pool(vehicles, &requests, ctx.config.max_candidate_vehicles);
+
+            let mut col_vehicles: Vec<usize> = rows.iter().flatten().map(|&(_, vi)| vi).collect();
             col_vehicles.sort_unstable();
             col_vehicles.dedup();
 
@@ -171,11 +160,11 @@ impl Dispatcher for AssignDispatcher {
 
             // Rows × (real columns + one dummy per row).  The dummy carries
             // the unified-cost penalty of leaving that request unserved.
-            let costs: Vec<Vec<f64>> = rows
+            let costs: Vec<Vec<f64>> = requests
                 .iter()
+                .zip(&rows)
                 .enumerate()
-                .map(|(i, (rid, cands))| {
-                    let request = &pending_view[rid];
+                .map(|(i, (request, cands))| {
                     let mut row = vec![lap::FORBIDDEN; n_cols + n_rows];
                     for &(added_cost, vi) in cands {
                         let j = col_vehicles.binary_search(&vi).expect("column exists");
@@ -208,19 +197,17 @@ impl Dispatcher for AssignDispatcher {
             span.close();
 
             let mut committed = 0usize;
-            for (i, (rid, _)) in rows.iter().enumerate() {
-                let j = assignment[i];
+            for (request, &j) in requests.iter().zip(&assignment) {
                 if j >= n_cols {
                     continue; // left unassigned this round
                 }
                 let vi = col_vehicles[j];
-                let request = &pending_view[rid];
                 // The LAP hands every vehicle at most one row, and commits
                 // happen after the solve, so the insertion evaluated during
                 // matrix construction is still exact here.
                 if let Some(out) = insertion::insert_request(ctx.engine, &vehicles[vi], request) {
                     vehicles[vi].commit_schedule(out.schedule);
-                    outcome.assigned.push(*rid);
+                    outcome.assigned.push(request.id);
                     committed += 1;
                 } else {
                     debug_assert!(false, "matrix cell was feasible at construction");

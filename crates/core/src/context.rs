@@ -12,8 +12,9 @@
 //! # Parallel invariants
 //!
 //! The context is immutable apart from [`BatchScratch`], whose counters are
-//! atomics.  A `&DispatchContext` is therefore `Sync` and may be captured by
-//! rayon workers: SARD's candidate-queue construction and per-vehicle group
+//! atomics, and the score memo, whose one lock a scoring pass takes once.
+//! A `&DispatchContext` is therefore `Sync` and may be captured by rayon
+//! workers: a scoring pass's per-request scoring, SARD's per-vehicle group
 //! enumeration, the shareability builder's exact checks and the simulator's
 //! vehicle sweep all fan out under a shared `&DispatchContext` (or
 //! `&SpEngine`) without additional locking.  The engine's shortest-path cache
@@ -34,20 +35,24 @@
 //! # The score memo
 //!
 //! A lane attaches its [`ScoreMemo`] with
-//! [`DispatchContext::with_score_memo`].  [`DispatchContext::scored_candidates`]
-//! then answers every `(request, vehicle)` pair whose inputs are unchanged
-//! since it was last scored from the memo, and sends only the misses through
-//! the pickup-cost `many_to_many` pass and `insert_request`.  The memo keys
-//! on the vehicle's exact insertion inputs (see [`crate::score_memo`]), so a
-//! hit carries the bits the computation would have produced, and the scratch
-//! counters count hits exactly as computed pairs.  What the memo does change
-//! is the shortest-path query count: a hit issues none.  Without a memo
-//! every lookup misses — the same loop, not a second path.
+//! [`DispatchContext::with_score_memo`].  Candidate scoring runs in passes,
+//! [`DispatchContext::score_pool`], one per SARD batch and one per LAP
+//! round.  A pass first compares every vehicle's exact insertion inputs
+//! with the memo's copy, once (see [`crate::score_memo`]); then each
+//! request reads the scores of its unchanged pairs without a lock and sends
+//! only the misses through the pickup-cost `many_to_many` pass and
+//! `insert_request`; the memo takes the new scores when the pass ends, in
+//! request order.  A hit carries the bits the computation would have
+//! produced, and the scratch counters count hits exactly as computed pairs.
+//! What the memo does change is the shortest-path query count: a hit issues
+//! none.  Without a memo every lookup misses — the same loop, not a second
+//! path.
 
 use crate::config::StructRideConfig;
 use crate::fleet_index::{FleetIndex, REACH_GRACE};
-use crate::score_memo::{Score, ScoreMemo};
+use crate::score_memo::{Pass, Score, ScoreMemo};
 use crate::stages::{Span, Stage, StageClock};
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use structride_model::{insertion, Request, Vehicle};
 use structride_roadnet::{LegBound, NodeId, SpEngine};
@@ -188,7 +193,7 @@ impl<'a> DispatchContext<'a> {
         self
     }
 
-    /// Attaches a cross-batch score memo to [`DispatchContext::scored_candidates`].
+    /// Attaches a cross-batch score memo to [`DispatchContext::score_pool`].
     pub fn with_score_memo(mut self, memo: &'a ScoreMemo) -> Self {
         self.score_memo = Some(memo);
         self
@@ -196,10 +201,25 @@ impl<'a> DispatchContext<'a> {
 
     /// The candidate vehicles of `request`: every vehicle whose current
     /// schedule admits it, as `(added_cost, vehicle_index)` in ascending
-    /// order, cut to the `keep` cheapest (at least one).  SARD's candidate
-    /// queues and the exact-assignment cost matrix are both built from this.
+    /// order, cut to the `keep` cheapest (at least one).  The one-request
+    /// case of [`DispatchContext::score_pool`].
+    pub fn scored_candidates(
+        &self,
+        vehicles: &[Vehicle],
+        request: &Request,
+        keep: usize,
+    ) -> Vec<(f64, usize)> {
+        let mut rows = self.score_pool(vehicles, &[request], keep);
+        rows.pop().expect("one row per request")
+    }
+
+    /// The candidate vehicles of each of `requests`, one row per request in
+    /// order: every vehicle whose current schedule admits the request, as
+    /// `(added_cost, vehicle_index)` in ascending order, cut to the `keep`
+    /// cheapest (at least one).  SARD's candidate queues and the
+    /// exact-assignment cost matrix are both built from this.
     ///
-    /// With a fleet index attached this is certified retrieval (§II-B's
+    /// With a fleet index attached each row is certified retrieval (§II-B's
     /// grid-range retrieval, made exact), in three stages:
     ///
     /// 1. scan the index's columns for the euclid reachability certificate —
@@ -219,18 +239,49 @@ impl<'a> DispatchContext<'a> {
     /// prescreen-pruned.  Stage 2's bound is at most the exact cost, so it
     /// rejects a subset of what stage 3 would reject.
     ///
-    /// With a score memo attached, pairs whose vehicle inputs are unchanged
-    /// since they were last scored are read from it instead; only the misses
-    /// go through the `many_to_many` pass (whose per-pair bits do not depend
-    /// on the matrix shape) and the insertion.  Pairs stage 2 removes never
-    /// reach the memo: the bound is a few array reads, cheaper than a memo
-    /// lookup, and it gives the same verdict every time the inputs recur.
-    pub fn scored_candidates(
+    /// With a score memo attached the pass first validates every vehicle's
+    /// inputs against the memo, once; the requests then fan out over the
+    /// worker pool, and pairs whose vehicle inputs are unchanged since they
+    /// were last scored are read from the memo without a lock.  Only the
+    /// misses go through the `many_to_many` pass (whose per-pair bits do not
+    /// depend on the matrix shape) and the insertion, and the memo takes
+    /// their scores after the fan-out, in request order.  Pairs stage 2
+    /// removes never reach the memo: the bound is a few array reads, and it
+    /// gives the same verdict every time the inputs recur.
+    pub fn score_pool(
+        &self,
+        vehicles: &[Vehicle],
+        requests: &[&Request],
+        keep: usize,
+    ) -> Vec<Vec<(f64, usize)>> {
+        let span = Span::open(self.stages, Stage::MemoLookup);
+        let pass = self.score_memo.map(|memo| memo.pass(vehicles, self.epoch));
+        span.close();
+        let scored: Vec<Scored> = requests
+            .par_iter()
+            .map(|request| self.score_request(vehicles, request, keep, pass.as_ref()))
+            .collect();
+        if let Some(pass) = pass {
+            let span = Span::open(self.stages, Stage::MemoLookup);
+            let lookups = scored.iter().map(|row| row.lookups).sum();
+            let fresh = requests.iter().zip(&scored).flat_map(|(request, row)| {
+                row.fresh.iter().map(|&(vi, score)| (request.id, vi, score))
+            });
+            pass.merge(fresh, lookups);
+            span.close();
+        }
+        scored.into_iter().map(|row| row.candidates).collect()
+    }
+
+    /// One row of [`DispatchContext::score_pool`], looked up in the memo's
+    /// `pass` when there is one.
+    fn score_request(
         &self,
         vehicles: &[Vehicle],
         request: &Request,
         keep: usize,
-    ) -> Vec<(f64, usize)> {
+        pass: Option<&Pass<'_>>,
+    ) -> Scored {
         let engine = self.engine;
         let prescreen = self.fleet_index.is_some();
         let span = Span::open(self.stages, Stage::Prescreen);
@@ -247,8 +298,11 @@ impl<'a> DispatchContext<'a> {
         };
         span.close();
         let span = Span::open(self.stages, Stage::MemoLookup);
-        let memoized: Vec<Option<Score>> = match self.score_memo {
-            Some(memo) => memo.get_all(vehicles, &survivors, self.epoch, request.id, prescreen),
+        let memoized: Vec<Option<Score>> = match pass {
+            Some(pass) => survivors
+                .iter()
+                .map(|&vi| pass.get(vi, request.id, prescreen))
+                .collect(),
             None => vec![None; survivors.len()],
         };
         span.close();
@@ -268,7 +322,11 @@ impl<'a> DispatchContext<'a> {
         span.close();
 
         let span = Span::open(self.stages, Stage::InsertLoop);
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
+        let mut out = Scored {
+            candidates: Vec::new(),
+            fresh: Vec::new(),
+            lookups: survivors.len() as u64,
+        };
         let mut evaluated = 0u64;
         for (&vi, memoized) in survivors.iter().zip(memoized) {
             let vehicle = &vehicles[vi];
@@ -291,9 +349,7 @@ impl<'a> DispatchContext<'a> {
                     reachable,
                     added_cost,
                 };
-                if let Some(memo) = self.score_memo {
-                    memo.put(vehicle, self.epoch, request.id, score);
-                }
+                out.fresh.push((vi, score));
                 score
             });
             // Without the prescreen every vehicle counts as evaluated, even
@@ -304,7 +360,7 @@ impl<'a> DispatchContext<'a> {
             }
             evaluated += 1;
             if let Some(added_cost) = score.added_cost {
-                candidates.push((added_cost, vi));
+                out.candidates.push((added_cost, vi));
             }
         }
         span.close();
@@ -313,10 +369,22 @@ impl<'a> DispatchContext<'a> {
                 .count_prescreen_pruned(vehicles.len() as u64 - evaluated);
         }
         self.scratch.count_insertion_evaluations(evaluated);
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(keep.max(1));
-        candidates
+        out.candidates
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        out.candidates.truncate(keep.max(1));
+        out
     }
+}
+
+/// One request's share of a scoring pass.
+struct Scored {
+    /// The candidate list [`DispatchContext::score_pool`] returns.
+    candidates: Vec<(f64, usize)>,
+    /// Scores computed rather than read, as `(vehicle_index, score)`, for
+    /// the memo to take when the pass ends.
+    fresh: Vec<(usize, Score)>,
+    /// Memo lookups, when there is a memo; the ones not in `fresh` hit.
+    lookups: u64,
 }
 
 #[cfg(test)]

@@ -50,10 +50,12 @@ pub struct RunMetrics {
     /// seeded incumbent.  Always 0 under the inert default fault config.
     pub solver_fallbacks: u64,
     /// `(request, vehicle)` pairs candidate scoring looked up in the lane's
-    /// score memo (see [`crate::score_memo`]).  Telemetry: not recorded in
-    /// traces or checkpoints, and a resumed run counts from its resume point.
+    /// score memo (see [`crate::score_memo`]), counted once per scoring
+    /// pass.  Telemetry: not recorded in traces or checkpoints, and a
+    /// resumed run counts from its resume point.
     pub memo_lookups: u64,
-    /// Lookups the score memo answered without recomputing (same caveat).
+    /// Lookups the score memo answered without recomputing, counted once per
+    /// scoring pass (same caveat).
     pub memo_hits: u64,
 }
 

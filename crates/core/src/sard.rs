@@ -38,7 +38,7 @@ use crate::dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 use crate::grouping::{enumerate_groups, CandidateGroup};
 use crate::stages::{Span, Stage};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use structride_model::{Request, RequestId, Vehicle};
 use structride_sharegraph::{shareability_loss, ShareabilityGraph, ShareabilityGraphBuilder};
 
@@ -181,19 +181,18 @@ impl Dispatcher for SardDispatcher {
             ids.sort_unstable();
             ids
         };
-        let mut queues: Vec<Vec<usize>> = pool
-            .par_iter()
-            .map(|&rid| {
-                let request = builder_view.request(rid).expect("pooled request exists");
-                // Only the `k` cheapest vehicles stay in the queue (the
-                // grid-range candidate retrieval of §II-B), and the request
-                // proposes from the back of that ascending list — the worst
-                // of its candidate neighbourhood first, as in Algorithm 3
-                // line 9.
-                let candidates =
-                    ctx.scored_candidates(vehicles_view, request, config.max_candidate_vehicles);
-                candidates.into_iter().map(|(_, vi)| vi).collect()
-            })
+        // Only the `k` cheapest vehicles stay in a queue (the grid-range
+        // candidate retrieval of §II-B), and the request proposes from the
+        // back of that ascending list — the worst of its candidate
+        // neighbourhood first, as in Algorithm 3 line 9.
+        let requests: Vec<&Request> = pool
+            .iter()
+            .map(|&rid| builder_view.request(rid).expect("pooled request exists"))
+            .collect();
+        let mut queues: Vec<Vec<usize>> = ctx
+            .score_pool(vehicles_view, &requests, config.max_candidate_vehicles)
+            .into_iter()
+            .map(|candidates| candidates.into_iter().map(|(_, vi)| vi).collect())
             .collect();
 
         // Proposal / acceptance rounds.  The tentatively accepted groups are
@@ -204,14 +203,15 @@ impl Dispatcher for SardDispatcher {
             // --- proposal phase (lines 8–10) ---
             // Every unassigned request with a vehicle left in its queue
             // proposes, in ascending id order.  When none can, the rounds
-            // are over.
-            let taken: HashSet<RequestId> = accepted
-                .values()
-                .flat_map(|g| g.members.iter().copied())
-                .collect();
+            // are over.  `taken[p]` marks `pool[p]` as held by an accepted
+            // group.
+            let mut taken = vec![false; pool.len()];
+            for rid in accepted.values().flat_map(|g| &g.members) {
+                taken[pool.binary_search(rid).expect("members are pooled")] = true;
+            }
             let mut proposals: BTreeMap<usize, Vec<RequestId>> = BTreeMap::new();
-            for (&rid, queue) in pool.iter().zip(&mut queues) {
-                if taken.contains(&rid) {
+            for ((&rid, queue), taken) in pool.iter().zip(&mut queues).zip(taken) {
+                if taken {
                     continue;
                 }
                 if let Some(vi) = queue.pop() {

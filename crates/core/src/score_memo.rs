@@ -2,8 +2,8 @@
 //!
 //! SARD builds a candidate queue for every *pooled* request in every batch
 //! (Alg. 3, lines 4–6), and the exact dispatcher rebuilds its cost matrix
-//! once per LAP round, both through
-//! [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates).
+//! once per LAP round, both through one scoring pass,
+//! [`DispatchContext::score_pool`](crate::DispatchContext::score_pool).
 //! The pool carries over between batches, while a vehicle's insertion inputs
 //! change only when it commits a schedule or executes a stop.  So most pairs
 //! a batch scores were already scored, with the same inputs, by an earlier
@@ -15,14 +15,15 @@
 //!
 //! Both values are pure functions of the vehicle's `node`, `free_at`,
 //! `onboard`, `capacity` and planned schedule, of the request, and of the
-//! traffic epoch the engine serves.  Each vehicle slot keeps one copy of
-//! those vehicle inputs plus the epoch, and every lookup compares them
-//! exactly — floats by bit pattern, way-points field by field.  When they no
-//! longer match, the slot takes the new inputs and every score computed from
-//! the old ones is retired.  Nothing outside the memo has to announce a
-//! change: code outside `structride_model::vehicle` writes `Vehicle`'s public
-//! fields directly (DARM's repositioning, checkpoint and trace restore), and
-//! a missed announcement would silently change a decision.  A hit therefore
+//! traffic epoch the engine serves.  Each vehicle's row keeps one copy of
+//! those vehicle inputs plus the epoch next to its scores, and every scoring
+//! pass compares them exactly — floats by bit pattern, way-points field by
+//! field — once per vehicle before it reads a score.  When they no longer
+//! match, the row takes the new inputs and drops every score computed from
+//! the old ones.  Nothing outside the memo has to announce a change: code
+//! outside `structride_model::vehicle` writes `Vehicle`'s public fields
+//! directly (DARM's repositioning, checkpoint and trace restore), and a
+//! missed announcement would silently change a decision.  A hit therefore
 //! returns the bits a fresh computation would, under any interleaving of
 //! workers.
 //!
@@ -34,31 +35,29 @@
 //!
 //! Each `Lane` owns one memo and attaches it to every batch's context;
 //! `replay_trace` lends one memo to the fresh lane of every recorded batch.
-//! After each batch, [`ScoreMemo::evict_unseen`] drops every entry that the
-//! batch neither read nor wrote, so the memo tracks the live pool and the
-//! vehicles that can still reach it.
+//! After each batch, [`ScoreMemo::evict_unseen`] drops every score that the
+//! batch neither read nor wrote, so the memo tracks the live pool; the rows
+//! follow the fleet of the last pass.
 //!
 //! # The hit path
 //!
 //! Scoring makes about a million lookups per simulated day on the
-//! benchmark's cities, most of them hits, so a hit costs only its shard
-//! lock, the input comparison and two map probes.  The maps hash with a
-//! small in-tree multiply-rotate hasher instead of SipHash: their keys are
-//! in-process `u32` ids, and nothing observes their iteration order.  The
-//! telemetry counters are bumped once per scored request, not once per pair
-//! on counters every worker shares.
+//! benchmark's cities, most of them hits.  A scoring pass takes the memo's
+//! one lock once and validates the whole fleet in O(fleet); its workers
+//! then read the per-vehicle rows, kept in fleet order, with no lock, so a
+//! hit costs one map probe and a relaxed store of its `seen` bit.  Fresh scores are
+//! merged when the pass ends, in request order, so a score stored in one
+//! pass is visible from the next on.  The maps hash with a small in-tree
+//! multiply-rotate hasher instead of SipHash: their keys are in-process
+//! `u32` ids, and nothing observes their iteration order.  The telemetry
+//! counters are bumped once per pass.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use structride_model::{RequestId, Vehicle, VehicleId, Waypoint};
 use structride_roadnet::NodeId;
-
-/// Independently locked shards.  Vehicles are sharded by id, so parallel
-/// requests scoring the same fleet contend only when they touch the same
-/// shard at the same moment.
-const SHARDS: usize = 16;
 
 /// A multiply-rotate hasher for the memo's id-keyed maps: SipHash's flood
 /// resistance buys nothing against keys the process assigns itself.
@@ -141,75 +140,44 @@ impl Inputs {
     }
 }
 
-/// One vehicle's current inputs.  `generation` advances whenever they are
-/// replaced, which retires every entry computed from the old ones.
-#[derive(Debug)]
-struct Slot {
-    inputs: Inputs,
-    generation: u32,
-    /// The batch parity of the last lookup (see [`ScoreMemo::parity`]).
-    seen: bool,
-}
-
 /// A [`Score`] as stored (16 bytes): `NaN` stands for no added cost (travel
 /// times are never `NaN`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Entry {
     added_cost: f64,
-    generation: u32,
     reachable: Option<bool>,
-    /// The batch parity of the last read or write.
-    seen: bool,
+    /// The batch parity of the last read or write; a lookup sets it through
+    /// a shared borrow, from any worker.
+    seen: AtomicBool,
 }
 
-/// One lock's worth of the memo: the slots of its vehicles, and their
-/// scores in one flat map.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: IdMap<VehicleId, Slot>,
-    scores: IdMap<(VehicleId, RequestId), Entry>,
-}
-
-impl Shard {
-    /// The generation of `vehicle`'s current inputs, replacing the slot's
-    /// inputs first if they changed since it was filled.
-    fn generation(&mut self, vehicle: &Vehicle, epoch: u64, parity: bool) -> u32 {
-        let slot = self.slots.entry(vehicle.id).or_insert_with(|| Slot {
-            inputs: Inputs::of(vehicle, epoch),
-            generation: 0,
-            seen: parity,
-        });
-        if !slot.inputs.matches(vehicle, epoch) {
-            slot.inputs = Inputs::of(vehicle, epoch);
-            slot.generation = slot.generation.wrapping_add(1);
-        }
-        slot.seen = parity;
-        slot.generation
-    }
-}
-
-/// A cross-batch memo of candidate scores; see the module docs.
+/// One vehicle's row: the inputs its scores were computed from, and the
+/// scores, keyed by request.
 #[derive(Debug)]
-pub struct ScoreMemo {
-    shards: Vec<Mutex<Shard>>,
+struct Row {
+    vehicle: VehicleId,
+    inputs: Inputs,
+    scores: IdMap<RequestId, Entry>,
+}
+
+/// Everything the memo holds, behind its one lock.
+#[derive(Debug, Default)]
+struct Table {
+    /// One row per vehicle of the last validated fleet, by fleet position.
+    rows: Vec<Row>,
     /// Flips at every [`ScoreMemo::evict_unseen`].  Entries read or written
     /// in the current batch carry it; every other entry still present was
     /// last touched in the previous batch (eviction removed anything older),
     /// so one bit tells the two apart.
     parity: bool,
-    lookups: AtomicU64,
-    hits: AtomicU64,
+    lookups: u64,
+    hits: u64,
 }
 
-impl Default for ScoreMemo {
-    fn default() -> Self {
-        ScoreMemo {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            parity: false,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
+/// A cross-batch memo of candidate scores; see the module docs.
+#[derive(Debug, Default)]
+pub struct ScoreMemo {
+    table: Mutex<Table>,
 }
 
 impl ScoreMemo {
@@ -218,62 +186,82 @@ impl ScoreMemo {
         Self::default()
     }
 
-    /// Lookups made so far (telemetry; counts every pair looked up).
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("score memo poisoned")
+    }
+
+    /// Lookups made so far (telemetry; counts every pair looked up, booked
+    /// when its scoring pass ends).
     pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
+        self.table().lookups
     }
 
-    /// Lookups answered from the memo so far (telemetry).
+    /// Lookups answered from the memo so far (telemetry, booked like
+    /// [`ScoreMemo::lookups`]).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.table().hits
     }
 
-    fn shard(&self, vehicle: &Vehicle) -> MutexGuard<'_, Shard> {
-        self.shards[vehicle.id as usize % SHARDS]
-            .lock()
-            .expect("score memo shard poisoned")
+    /// Opens a scoring pass over `vehicles` under traffic epoch `epoch`.
+    /// The rows are laid out in fleet order (a vehicle new to the memo gets
+    /// an empty row; one that left the fleet loses its row), and a vehicle
+    /// whose inputs differ from its row's copy drops the row's scores and
+    /// takes the new inputs.  The pass holds the memo's lock until
+    /// [`Pass::merge`] ends it, so passes on one memo run one at a time.
+    pub(crate) fn pass(&self, vehicles: &[Vehicle], epoch: u64) -> Pass<'_> {
+        let mut table = self.table();
+        let laid_out = table.rows.len() == vehicles.len()
+            && table
+                .rows
+                .iter()
+                .zip(vehicles)
+                .all(|(row, v)| row.vehicle == v.id);
+        if !laid_out {
+            let mut rows: IdMap<VehicleId, Row> =
+                table.rows.drain(..).map(|row| (row.vehicle, row)).collect();
+            table.rows = vehicles
+                .iter()
+                .map(|v| {
+                    rows.remove(&v.id).unwrap_or_else(|| Row {
+                        vehicle: v.id,
+                        inputs: Inputs::of(v, epoch),
+                        scores: IdMap::default(),
+                    })
+                })
+                .collect();
+        }
+        for (row, vehicle) in table.rows.iter_mut().zip(vehicles) {
+            if !row.inputs.matches(vehicle, epoch) {
+                row.inputs = Inputs::of(vehicle, epoch);
+                row.scores.clear();
+            }
+        }
+        Pass(table)
     }
 
-    /// The memoized scores of `request` on `vehicles[slot]` for each of
-    /// `slots`, in order: see [`ScoreMemo::get`].  Counts the lookups and
-    /// hits once for the whole call.
-    pub(crate) fn get_all(
-        &self,
-        vehicles: &[Vehicle],
-        slots: &[usize],
-        epoch: u64,
-        request: RequestId,
-        screened: bool,
-    ) -> Vec<Option<Score>> {
-        let scores: Vec<Option<Score>> = slots
-            .iter()
-            .map(|&slot| self.get(&vehicles[slot], epoch, request, screened))
-            .collect();
-        let hits = scores.iter().filter(|score| score.is_some()).count();
-        self.lookups
-            .fetch_add(slots.len() as u64, Ordering::Relaxed);
-        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        scores
+    /// Ends a batch: drops every score the batch neither read nor wrote.
+    pub fn evict_unseen(&mut self) {
+        let table = self.table.get_mut().expect("score memo poisoned");
+        let parity = table.parity;
+        for row in &mut table.rows {
+            row.scores
+                .retain(|_, entry| *entry.seen.get_mut() == parity);
+        }
+        table.parity = !parity;
     }
+}
 
-    /// The memoized score of `request` on `vehicle` under `epoch`, if one
-    /// exists for the vehicle's current inputs and, when `screened` asks for
-    /// it, records the prescreen's verdict.  Uncounted; see
-    /// [`ScoreMemo::get_all`].
-    fn get(
-        &self,
-        vehicle: &Vehicle,
-        epoch: u64,
-        request: RequestId,
-        screened: bool,
-    ) -> Option<Score> {
-        let mut shard = self.shard(vehicle);
-        let generation = shard.generation(vehicle, epoch, self.parity);
-        let entry = shard
-            .scores
-            .get_mut(&(vehicle.id, request))
-            .filter(|entry| entry.generation == generation)?;
-        entry.seen = self.parity;
+/// One scoring pass: the memo validated against one fleet, locked until
+/// [`Pass::merge`].  Workers share it to look scores up without a lock.
+pub(crate) struct Pass<'m>(MutexGuard<'m, Table>);
+
+impl Pass<'_> {
+    /// The memoized score of `request` on the vehicle at fleet position
+    /// `slot`, if its row holds one that, when `screened` asks for it,
+    /// records the prescreen's verdict.
+    pub(crate) fn get(&self, slot: usize, request: RequestId, screened: bool) -> Option<Score> {
+        let entry = self.0.rows[slot].scores.get(&request)?;
+        entry.seen.store(self.0.parity, Ordering::Relaxed);
         if screened && entry.reachable.is_none() {
             return None;
         }
@@ -283,35 +271,27 @@ impl ScoreMemo {
         })
     }
 
-    /// Stores the freshly computed `score` of `request` on `vehicle`.
-    pub(crate) fn put(&self, vehicle: &Vehicle, epoch: u64, request: RequestId, score: Score) {
-        let mut shard = self.shard(vehicle);
-        let generation = shard.generation(vehicle, epoch, self.parity);
-        let entry = Entry {
-            added_cost: score.added_cost.unwrap_or(f64::NAN),
-            generation,
-            reachable: score.reachable,
-            seen: self.parity,
-        };
-        shard.scores.insert((vehicle.id, request), entry);
-    }
-
-    /// Ends a batch: drops every entry the batch neither read nor wrote or
-    /// whose vehicle inputs were replaced, and every vehicle slot the batch
-    /// did not look up.
-    pub fn evict_unseen(&mut self) {
-        let parity = self.parity;
-        for shard in &mut self.shards {
-            let Shard { slots, scores } = shard.get_mut().expect("score memo shard poisoned");
-            slots.retain(|_, slot| slot.seen == parity);
-            scores.retain(|(vehicle, _), entry| {
-                entry.seen == parity
-                    && slots
-                        .get(vehicle)
-                        .is_some_and(|slot| slot.generation == entry.generation)
-            });
+    /// Ends the pass: stores the `fresh` scores, as `(request, fleet
+    /// position, score)` in request order, and books the pass's `lookups`,
+    /// of which every one without a fresh score was a hit.
+    pub(crate) fn merge(
+        mut self,
+        fresh: impl IntoIterator<Item = (RequestId, usize, Score)>,
+        lookups: u64,
+    ) {
+        let table = &mut *self.0;
+        let mut misses = 0;
+        for (request, slot, score) in fresh {
+            let entry = Entry {
+                added_cost: score.added_cost.unwrap_or(f64::NAN),
+                reachable: score.reachable,
+                seen: AtomicBool::new(table.parity),
+            };
+            table.rows[slot].scores.insert(request, entry);
+            misses += 1;
         }
-        self.parity = !parity;
+        table.lookups += lookups;
+        table.hits += lookups - misses;
     }
 }
 
@@ -320,17 +300,6 @@ mod tests {
     use super::*;
     use structride_model::{Request, Schedule};
 
-    /// One counted lookup, as `scored_candidates` makes them.
-    fn get(
-        memo: &ScoreMemo,
-        v: &Vehicle,
-        epoch: u64,
-        request: RequestId,
-        screened: bool,
-    ) -> Option<Score> {
-        memo.get_all(std::slice::from_ref(v), &[0], epoch, request, screened)[0]
-    }
-
     fn score(added: f64) -> Score {
         Score {
             reachable: Some(true),
@@ -338,44 +307,132 @@ mod tests {
         }
     }
 
+    /// One pass over `fleet` that looks `request` up on every vehicle, then
+    /// stores `fresh` (a score for each miss): the lookups, in fleet order.
+    fn pass(
+        memo: &ScoreMemo,
+        fleet: &[Vehicle],
+        epoch: u64,
+        request: RequestId,
+        screened: bool,
+        fresh: &[(usize, Score)],
+    ) -> Vec<Option<Score>> {
+        let pass = memo.pass(fleet, epoch);
+        let got: Vec<Option<Score>> = (0..fleet.len())
+            .map(|slot| pass.get(slot, request, screened))
+            .collect();
+        let fresh = fresh.iter().map(|&(slot, score)| (request, slot, score));
+        pass.merge(fresh, fleet.len() as u64);
+        got
+    }
+
     #[test]
-    fn a_changed_input_retires_the_vehicles_scores() {
+    fn a_changed_input_or_epoch_drops_the_row() {
         let memo = ScoreMemo::new();
-        let mut v = Vehicle::new(3, 7, 4);
-        memo.put(&v, 0, 11, score(5.0));
-        assert_eq!(get(&memo, &v, 0, 11, true), Some(score(5.0)));
-        // Another epoch, another request, and an unscreened entry asked for
-        // the prescreen's verdict all miss.
-        assert_eq!(get(&memo, &v, 1, 11, true), None);
-        memo.put(&v, 0, 11, score(5.0));
-        assert_eq!(get(&memo, &v, 0, 12, true), None);
+        let mut fleet = vec![Vehicle::new(3, 7, 4), Vehicle::new(4, 8, 4)];
+        pass(
+            &memo,
+            &fleet,
+            0,
+            11,
+            true,
+            &[(0, score(5.0)), (1, score(6.0))],
+        );
+        let both = vec![Some(score(5.0)), Some(score(6.0))];
+        assert_eq!(pass(&memo, &fleet, 0, 11, true, &[]), both);
+        // Another request misses, and so does an unscreened entry asked for
+        // the prescreen's verdict.
+        assert_eq!(pass(&memo, &fleet, 0, 12, true, &[]), vec![None, None]);
         let unscreened = Score {
             reachable: None,
             added_cost: None,
         };
-        memo.put(&v, 0, 13, unscreened);
-        assert_eq!(get(&memo, &v, 0, 13, true), None);
-        assert_eq!(get(&memo, &v, 0, 13, false), Some(unscreened));
-        // Every vehicle input is part of the key, the schedule included.
+        pass(&memo, &fleet, 0, 13, false, &[(0, unscreened)]);
+        assert_eq!(pass(&memo, &fleet, 0, 13, true, &[])[0], None);
+        assert_eq!(pass(&memo, &fleet, 0, 13, false, &[])[0], Some(unscreened));
+        // Every vehicle input is part of the key, the schedule included, and
+        // a change drops only the changed vehicle's row.
         let r = Request::with_detour(1, 0, 2, 1, 0.0, 20.0, 1.5, 300.0);
-        v.schedule = Schedule::direct(&r);
-        assert_eq!(get(&memo, &v, 0, 11, false), None);
-        memo.put(&v, 0, 11, score(6.0));
-        v.free_at = f64::from_bits(v.free_at.to_bits() + 1);
-        assert_eq!(get(&memo, &v, 0, 11, false), None);
-        assert_eq!(memo.lookups(), 7);
-        assert_eq!(memo.hits(), 2);
+        fleet[0].schedule = Schedule::direct(&r);
+        let changed = vec![None, Some(score(6.0))];
+        assert_eq!(
+            pass(&memo, &fleet, 0, 11, true, &[(0, score(7.0))]),
+            changed
+        );
+        fleet[0].free_at = f64::from_bits(fleet[0].free_at.to_bits() + 1);
+        assert_eq!(pass(&memo, &fleet, 0, 11, true, &[]), changed);
+        // Another epoch drops every row, and so does a reordered fleet only
+        // for the vehicles it does not hold any more.
+        assert_eq!(pass(&memo, &fleet, 1, 11, true, &[]), vec![None, None]);
+        pass(
+            &memo,
+            &fleet,
+            1,
+            11,
+            true,
+            &[(0, score(8.0)), (1, score(9.0))],
+        );
+        fleet.swap(0, 1);
+        let swapped = vec![Some(score(9.0)), Some(score(8.0))];
+        assert_eq!(pass(&memo, &fleet, 1, 11, true, &[]), swapped);
+        assert_eq!(
+            pass(&memo, &fleet[1..], 1, 11, true, &[]),
+            vec![Some(score(8.0))]
+        );
+        assert_eq!(pass(&memo, &fleet, 1, 11, true, &[])[0], None);
     }
 
     #[test]
-    fn a_batched_lookup_counts_every_pair_and_returns_them_in_order() {
+    fn a_score_stored_in_one_pass_is_visible_only_in_the_next() {
+        let memo = ScoreMemo::new();
+        let fleet = vec![Vehicle::new(0, 0, 4)];
+        let first = memo.pass(&fleet, 0);
+        assert_eq!(first.get(0, 11, true), None);
+        first.merge([(11, 0, score(1.0))], 1);
+        let second = memo.pass(&fleet, 0);
+        assert_eq!(second.get(0, 11, true), Some(score(1.0)));
+        second.merge([], 1);
+    }
+
+    #[test]
+    fn counts_are_made_per_pass() {
         let memo = ScoreMemo::new();
         let fleet: Vec<Vehicle> = (0..4).map(|id| Vehicle::new(id, id, 4)).collect();
-        memo.put(&fleet[1], 0, 11, score(1.0));
-        memo.put(&fleet[3], 0, 11, score(3.0));
-        let got = memo.get_all(&fleet, &[3, 0, 1, 2], 0, 11, true);
-        assert_eq!(got, vec![Some(score(3.0)), None, Some(score(1.0)), None]);
-        assert_eq!(memo.get_all(&fleet, &[], 0, 11, true), vec![]);
-        assert_eq!((memo.lookups(), memo.hits()), (4, 2));
+        let open = memo.pass(&fleet, 0);
+        // The counters sit behind the pass's lock until it ends.
+        assert!(memo.table.try_lock().is_err());
+        open.merge([(11, 1, score(1.0)), (11, 3, score(3.0))], 2);
+        assert_eq!((memo.lookups(), memo.hits()), (2, 0));
+        let fresh = [(0, score(0.0)), (2, score(2.0))];
+        let got = pass(&memo, &fleet, 0, 11, true, &fresh);
+        assert_eq!(got, vec![None, Some(score(1.0)), None, Some(score(3.0))]);
+        assert_eq!((memo.lookups(), memo.hits()), (6, 2));
+    }
+
+    #[test]
+    fn eviction_keeps_what_the_batch_touched() {
+        let mut memo = ScoreMemo::new();
+        let fleet = vec![Vehicle::new(0, 0, 4), Vehicle::new(1, 1, 4)];
+        pass(
+            &memo,
+            &fleet,
+            0,
+            11,
+            true,
+            &[(0, score(1.0)), (1, score(2.0))],
+        );
+        pass(&memo, &fleet, 0, 12, true, &[(0, score(3.0))]);
+        memo.evict_unseen();
+        // The next batch reads request 11 only.
+        assert_eq!(
+            pass(&memo, &fleet, 0, 11, true, &[]),
+            vec![Some(score(1.0)), Some(score(2.0))]
+        );
+        memo.evict_unseen();
+        assert_eq!(
+            pass(&memo, &fleet, 0, 11, true, &[]),
+            vec![Some(score(1.0)), Some(score(2.0))]
+        );
+        assert_eq!(pass(&memo, &fleet, 0, 12, true, &[]), vec![None, None]);
     }
 }

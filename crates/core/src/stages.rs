@@ -10,8 +10,8 @@
 //!   (each ends at the instant the next one begins, from the batch's first
 //!   clock read to its wall read), so they sum to the batch wall exactly.
 //! * **Nested stages** belong to [`Stage::Dispatch`] and run on the worker
-//!   pool: the four columns of
-//!   [`DispatchContext::scored_candidates`](crate::DispatchContext::scored_candidates),
+//!   pool: the four columns of a scoring pass,
+//!   [`DispatchContext::score_pool`](crate::DispatchContext::score_pool),
 //!   the three phases of the shareability-graph build, SARD's per-vehicle
 //!   grouping and the exact assignment's LAP solve.  Each worker adds the
 //!   time it spent, so a nested stage is CPU time summed over workers and
@@ -46,11 +46,12 @@ pub enum Stage {
     /// Candidate prescreen: the fleet index's dense scan with the landmark
     /// pickup screen fused in.
     Prescreen,
-    /// Score-memo lookups of the prescreen's survivors.
+    /// The score memo: a scoring pass's fleet validation and merge of new
+    /// scores, and the lookups of the prescreen's survivors.
     MemoLookup,
     /// The exact pickup-cost `many_to_many` pass over memo misses.
     ManyToMany,
-    /// The scoring loop: reach checks, `insert_request` and memo writes.
+    /// The scoring loop: reach checks and `insert_request`.
     InsertLoop,
     /// Shareability graph: request registration and the cheap prefilters.
     GraphPrefilter,

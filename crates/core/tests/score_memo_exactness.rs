@@ -1,12 +1,14 @@
 //! Exactness of the cross-batch score memo.
 //!
-//! `DispatchContext::scored_candidates` answers unchanged `(request,
-//! vehicle)` pairs from a `ScoreMemo`.  The memo keys on the vehicle's exact
-//! insertion inputs, so a warm memo must return what a memo-less context
-//! computes — the candidate list bit for bit and all three scratch counters —
-//! whatever happened to the fleet in between: movement along committed
-//! schedules, commits, direct writes to a vehicle's public fields (DARM's
-//! repositioning and checkpoint restore do that) and traffic-epoch rolls.
+//! A scoring pass (`DispatchContext::score_pool`, and its one-request case
+//! `scored_candidates`) answers unchanged `(request, vehicle)` pairs from a
+//! `ScoreMemo`.  The memo keys on the vehicle's exact insertion inputs, so a
+//! warm memo must return what a memo-less context computes — the candidate
+//! lists bit for bit and all three scratch counters — whatever happened to
+//! the fleet in between, in an earlier batch or an earlier pass of the same
+//! batch: movement along committed schedules, commits, direct writes to a
+//! vehicle's public fields (DARM's repositioning and checkpoint restore do
+//! that) and traffic-epoch rolls.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -218,4 +220,87 @@ fn eviction_drops_the_scores_of_a_request_not_scored_in_a_batch() {
     let (lookups, hits) = scored(&memo, b);
     assert!(lookups > 0);
     assert_eq!(hits, 0);
+}
+
+/// The exact dispatcher re-scores its pool after every LAP round within one
+/// batch, against a fleet its commits just changed, with no eviction in
+/// between.  Each scoring pass validates the fleet afresh, so the second pass
+/// of a batch — after a commit on one vehicle and a direct write to another's
+/// `free_at` and `node` — still scores exactly like no memo.
+#[test]
+fn a_vehicle_that_changes_mid_batch_is_scored_afresh_in_the_same_batch() {
+    let w = workload(7);
+    let engine = &w.engine;
+    let config = StructRideConfig::default();
+    let now = 60.0;
+    let mut vehicles = w.fresh_vehicles();
+    let mut index = fleet_index(engine, &vehicles);
+    let memo = ScoreMemo::new();
+    let mut pool: Vec<&Request> = w
+        .requests
+        .iter()
+        .filter(|r| r.release <= now && !r.is_expired(now))
+        .take(25)
+        .collect();
+    // One pass through the memo and one without, per fleet-index setting,
+    // as bit patterns plus the scratch counters.
+    let pass = |vehicles: &[Vehicle], index: &FleetIndex, pool: &[&Request]| {
+        let mut lists = Vec::new();
+        for with_index in [true, false] {
+            for memo in [Some(&memo), None] {
+                let ctx = DispatchContext::for_batch(engine, config, now, 0);
+                let ctx = if with_index {
+                    ctx.with_fleet_index(index)
+                } else {
+                    ctx
+                };
+                let ctx = match memo {
+                    Some(memo) => ctx.with_score_memo(memo),
+                    None => ctx,
+                };
+                let rows = ctx.score_pool(vehicles, pool, usize::MAX);
+                let bits: Vec<Vec<(u64, usize)>> = rows
+                    .iter()
+                    .map(|row| row.iter().map(|&(c, vi)| (c.to_bits(), vi)).collect())
+                    .collect();
+                lists.push((bits, ctx.scratch.snapshot()));
+            }
+        }
+        for pair in lists.chunks(2) {
+            assert_eq!(pair[0], pair[1], "memo vs no memo");
+        }
+        lists.swap_remove(0).0
+    };
+
+    let first = pass(&vehicles, &index, &pool);
+    // Commit the first request that has a candidate to its cheapest vehicle,
+    // as a LAP round does, and move another candidate vehicle by writing its
+    // fields directly, as DARM's repositioning and restore do.
+    let (p, committed) = first
+        .iter()
+        .enumerate()
+        .find_map(|(p, row)| row.first().map(|&(_, vi)| (p, vi)))
+        .expect("some pooled request has a candidate");
+    let out = insertion::insert_request(engine, &vehicles[committed], pool[p])
+        .expect("a scored candidate admits the request");
+    vehicles[committed].commit_schedule(out.schedule);
+    pool.remove(p);
+    let moved = first
+        .iter()
+        .flatten()
+        .map(|&(_, vi)| vi)
+        .find(|&vi| vi != committed)
+        .expect("a second candidate vehicle");
+    let v = &mut vehicles[moved];
+    let target = (v.node + 1) % engine.node_count() as u32;
+    v.free_at = v.free_at.max(now) + engine.cost(v.node, target);
+    v.node = target;
+    index.sync(engine.network(), &vehicles);
+
+    let hits = memo.hits();
+    pass(&vehicles, &index, &pool);
+    assert!(
+        memo.hits() > hits,
+        "the unchanged vehicles hit in the second pass"
+    );
 }
