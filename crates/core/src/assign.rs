@@ -8,30 +8,40 @@
 //!
 //! # Matrix construction
 //!
-//! Rows are the pooled requests in ascending id order; real columns are the
-//! union of their candidate vehicles in ascending index order.  A cell holds
-//! `α · added_cost` of inserting the request into that vehicle's current
-//! schedule; request×vehicle pairs outside the candidate set are
+//! Rows are the pooled requests that have at least one candidate vehicle,
+//! in ascending id order; real columns are the union of their candidate
+//! vehicles in ascending index order.  A cell holds `α · added_cost` of
+//! inserting the request into that vehicle's current schedule;
+//! request×vehicle pairs outside the candidate set are
 //! [`FORBIDDEN`](crate::lap::FORBIDDEN).  Every row also gets a private
 //! dummy column carrying `p_r · shortest_cost` — the unified-cost penalty of
 //! leaving the request unserved — so the instance is feasible by
 //! construction and the solver weighs "serve at this added cost" against
-//! "keep waiting" globally rather than per request.
+//! "keep waiting" globally rather than per request.  A pooled request with
+//! no candidate could only take its dummy, so it stays out of the matrix:
+//! that moves no other row's column or tie-break (see [`crate::lap`]), and
+//! at city scale most of the pool is such rows.
 //!
-//! Candidate sets come from the scoring pass SARD uses,
-//! [`DispatchContext::score_pool`] (certified fleet-index prescreen,
-//! batched pickup scoring, same scratch counters), and its per-request
-//! `max_candidate_vehicles` truncation keeps the matrix at
-//! candidate-neighbourhood width instead of fleet width.
+//! Candidate sets come from the scoring SARD uses: the certified
+//! fleet-index prescreen, [`DispatchContext::screen_pool`], then batched
+//! pickup scoring, [`DispatchContext::score_screened`] (same scratch
+//! counters), whose per-request `max_candidate_vehicles` truncation keeps
+//! the matrix at candidate-neighbourhood width instead of fleet width.
 //!
 //! # Rounds
 //!
 //! The LAP gives every vehicle at most one new request, so after committing
-//! an optimal matching the dispatcher rebuilds the matrix over the remaining
-//! pool against the *updated* schedules and solves again, until a round
-//! commits nothing.  Each round is exactly optimal for its matrix; pooling
-//! (several requests sharing a vehicle) emerges across rounds through
-//! insertion into the grown schedules.
+//! an optimal matching the dispatcher rescores the remaining pool against
+//! the *updated* schedules and solves again, until a round commits nothing.
+//! Each round is exactly optimal for its matrix; pooling (several requests
+//! sharing a vehicle) emerges across rounds through insertion into the
+//! grown schedules.  The prescreen runs once per batch: a commit changes
+//! neither a vehicle's position nor its `free_at`, so each round scores the
+//! first round's survivors of the requests still pooled.
+//!
+//! The solver budget's unit is matrix cells, counted over the whole pool's
+//! nominal matrix, `rows × (real columns + rows)` with every pooled request
+//! a row, whether or not the request enters the matrix.
 //!
 //! # Determinism
 //!
@@ -67,37 +77,6 @@ impl AssignDispatcher {
     }
 }
 
-/// The seeded greedy incumbent used when the per-batch solver budget trips
-/// (see [`crate::faults`]): rows in pool order each take their cheapest
-/// still-free real column when that beats their own dummy, otherwise the
-/// dummy.  Deterministic (ties break toward the lowest column index, same as
-/// the LAP kernel) and never worse than the all-dummy assignment — the
-/// anytime floor the degraded mode guarantees.
-fn greedy_incumbent(costs: &[Vec<f64>], n_cols: usize) -> Vec<usize> {
-    let mut taken = vec![false; n_cols];
-    let mut row_to_col = Vec::with_capacity(costs.len());
-    for (i, row) in costs.iter().enumerate() {
-        let mut best: Option<(f64, usize)> = None;
-        for (j, &c) in row[..n_cols].iter().enumerate() {
-            if taken[j] || !c.is_finite() {
-                continue;
-            }
-            if best.is_none_or(|(bc, _)| c < bc) {
-                best = Some((c, j));
-            }
-        }
-        let dummy = n_cols + i;
-        match best {
-            Some((c, j)) if c < row[dummy] => {
-                taken[j] = true;
-                row_to_col.push(j);
-            }
-            _ => row_to_col.push(dummy),
-        }
-    }
-    row_to_col
-}
-
 impl Dispatcher for AssignDispatcher {
     fn name(&self) -> &'static str {
         "ASSIGN"
@@ -127,25 +106,32 @@ impl Dispatcher for AssignDispatcher {
         // to the greedy incumbent instead of the exact solve.
         let budget = ctx.config.faults.solver_budget_at(ctx.batch_index);
         let mut cells_spent: u64 = 0;
+        // The pool in ascending request-id order fixes both the row order
+        // and the merge order.  It is screened once: every round scores the
+        // same survivors, minus the requests earlier rounds committed.
+        let pending_view = self.pending.requests();
+        let requests: Vec<&Request> = self
+            .pending
+            .ids()
+            .iter()
+            .map(|rid| &pending_view[rid])
+            .collect();
+        let mut pool = ctx.screen_pool(vehicles, &requests);
         loop {
-            // Sequential order-recording prefilter: the pool in ascending
-            // request-id order fixes both the row order and the merge order.
-            let pending_view = self.pending.requests();
-            let requests: Vec<&Request> = self
-                .pending
-                .ids()
-                .iter()
-                .map(|rid| &pending_view[rid])
-                .collect();
-            // One scoring pass par-maps the expensive exact work (prescreen
-            // + insertion evaluations) and returns the rows in pool order.
-            let rows = ctx.score_pool(vehicles, &requests, ctx.config.max_candidate_vehicles);
+            if cfg!(debug_assertions) && stats.rounds > 0 {
+                let requests: Vec<&Request> = pool.iter().map(|s| s.request).collect();
+                let fresh = ctx.screen_pool(vehicles, &requests);
+                assert!(fresh == pool, "a commit changed a carried screen");
+            }
+            // One scoring pass par-maps the expensive exact work (insertion
+            // evaluations) and returns the rows in pool order.
+            let rows = ctx.score_screened(vehicles, &pool, ctx.config.max_candidate_vehicles);
 
+            let n_rows = rows.len();
+            let span = Span::open(ctx.stages, Stage::Lap);
             let mut col_vehicles: Vec<usize> = rows.iter().flatten().map(|&(_, vi)| vi).collect();
             col_vehicles.sort_unstable();
             col_vehicles.dedup();
-
-            let n_rows = rows.len();
             let n_cols = col_vehicles.len();
             if stats.rounds == 0 {
                 stats.rows = n_rows;
@@ -155,29 +141,37 @@ impl Dispatcher for AssignDispatcher {
             if n_cols == 0 {
                 // No request can reach any vehicle this round; the pool
                 // carries to the next batch.
+                span.close();
                 break;
             }
 
-            // Rows × (real columns + one dummy per row).  The dummy carries
-            // the unified-cost penalty of leaving that request unserved.
-            let costs: Vec<Vec<f64>> = requests
+            // Only rows with a candidate enter the matrix: a row whose only
+            // finite cell is its dummy takes it, and leaving it out moves no
+            // other row (see `crate::lap`).  Live rows × (real columns + one
+            // dummy per live row); the dummy carries the unified-cost
+            // penalty of leaving that request unserved.
+            let live: Vec<usize> = (0..n_rows).filter(|&i| !rows[i].is_empty()).collect();
+            let n_live = live.len();
+            let costs: Vec<Vec<f64>> = live
                 .iter()
-                .zip(&rows)
                 .enumerate()
-                .map(|(i, (request, cands))| {
-                    let mut row = vec![lap::FORBIDDEN; n_cols + n_rows];
-                    for &(added_cost, vi) in cands {
+                .map(|(k, &i)| {
+                    let mut row = vec![lap::FORBIDDEN; n_cols + n_live];
+                    for &(added_cost, vi) in &rows[i] {
                         let j = col_vehicles.binary_search(&vi).expect("column exists");
                         row[j] = cost_params.alpha * added_cost;
                     }
-                    row[n_cols + i] = cost_params.penalty_coefficient * request.direct_cost();
+                    row[n_cols + k] =
+                        cost_params.penalty_coefficient * pool[i].request.direct_cost();
                     row
                 })
                 .collect();
-            self.peak_cells = self.peak_cells.max(n_rows * (n_cols + n_rows));
+            self.peak_cells = self.peak_cells.max(n_live * (n_cols + n_live));
 
+            // The budget counts the whole pool's nominal matrix, rows
+            // without a candidate included, so it trips in the same rounds
+            // as when every pooled request was a row.
             let cells = (n_rows * (n_cols + n_rows)) as u64;
-            let span = Span::open(ctx.stages, Stage::Lap);
             let assignment = match budget {
                 Some(limit) if cells_spent.saturating_add(cells) > limit => {
                     // Deadline tripped: degrade to the greedy incumbent —
@@ -185,7 +179,7 @@ impl Dispatcher for AssignDispatcher {
                     // leaving every pooled request stranded.
                     stats.fallbacks += 1;
                     stats.optimal = false;
-                    greedy_incumbent(&costs, n_cols)
+                    lap::greedy_incumbent(&costs, n_cols)
                 }
                 _ => {
                     cells_spent = cells_spent.saturating_add(cells);
@@ -196,29 +190,32 @@ impl Dispatcher for AssignDispatcher {
             };
             span.close();
 
-            let mut committed = 0usize;
-            for (request, &j) in requests.iter().zip(&assignment) {
+            let mut served = vec![false; n_rows];
+            for (&i, &j) in live.iter().zip(&assignment) {
                 if j >= n_cols {
                     continue; // left unassigned this round
                 }
                 let vi = col_vehicles[j];
+                let request = pool[i].request;
                 // The LAP hands every vehicle at most one row, and commits
                 // happen after the solve, so the insertion evaluated during
                 // matrix construction is still exact here.
                 if let Some(out) = insertion::insert_request(ctx.engine, &vehicles[vi], request) {
                     vehicles[vi].commit_schedule(out.schedule);
                     outcome.assigned.push(request.id);
-                    committed += 1;
+                    served[i] = true;
                 } else {
                     debug_assert!(false, "matrix cell was feasible at construction");
                 }
             }
-            for &rid in &outcome.assigned {
-                self.pending.remove(rid);
-            }
-            if committed == 0 || self.pending.is_empty() {
+            let mut served = served.into_iter();
+            pool.retain(|_| !served.next().expect("one flag per row"));
+            if pool.len() == n_rows || pool.is_empty() {
                 break;
             }
+        }
+        for &rid in &outcome.assigned {
+            self.pending.remove(rid);
         }
 
         outcome.assigned.sort_unstable();
@@ -251,6 +248,7 @@ impl Dispatcher for AssignDispatcher {
 mod tests {
     use super::*;
     use crate::config::StructRideConfig;
+    use crate::context::ScratchStats;
     use crate::sard::SardDispatcher;
     use crate::simulator::Simulator;
     use structride_datagen::{CityProfile, Workload, WorkloadParams};
@@ -345,6 +343,66 @@ mod tests {
         assert!(solver.rounds >= 2, "pooling happens across rounds");
         assert!(vehicles[0].schedule.contains_request(1));
         assert!(vehicles[0].schedule.contains_request(2));
+    }
+
+    #[test]
+    fn carried_screens_pool_across_rounds_like_the_unscreened_scan() {
+        use crate::fleet_index::FleetIndex;
+        use crate::score_memo::ScoreMemo;
+        // The corridor pair of the test above, both reachable only by
+        // vehicle 0, plus a request only vehicle 1 (40 hops away) reaches:
+        // the prescreen's survivors differ by request, so a round that
+        // scored a request against another's survivors would decide
+        // differently.  Round 1 serves one corridor request and the far
+        // one; round 2 pools the other corridor request onto vehicle 0.
+        let engine = line_engine(48);
+        let fleet = || vec![Vehicle::new(0, 0, 4), Vehicle::new(1, 40, 4)];
+        let requests = vec![
+            req(1, 0, 4, 400.0, 40.0),
+            req(2, 1, 3, 400.0, 20.0),
+            req(3, 40, 43, 400.0, 30.0),
+        ];
+        let run = |screened: bool, memo: Option<&ScoreMemo>| {
+            let mut vehicles = fleet();
+            let mut index = FleetIndex::build(Default::default(), 0, engine.network(), &vehicles);
+            index.set_min_time_per_meter(engine.min_time_per_meter());
+            let mut ctx = ctx(&engine, 0.0);
+            if screened {
+                ctx = ctx.with_fleet_index(&index);
+            }
+            if let Some(memo) = memo {
+                ctx = ctx.with_score_memo(memo);
+            }
+            let out = AssignDispatcher::new().dispatch_batch(&ctx, &mut vehicles, &requests);
+            let schedules: Vec<_> = vehicles.into_iter().map(|v| v.schedule).collect();
+            (out, schedules, ctx.scratch.snapshot())
+        };
+        let memo = ScoreMemo::new();
+        let (out, schedules, counters) = run(true, Some(&memo));
+        assert_eq!(out.assigned, vec![1, 2, 3]);
+        assert!(out.solver.expect("telemetry").rounds >= 2);
+        assert!(schedules[0].contains_request(1) && schedules[0].contains_request(2));
+        assert!(counters.prescreen_pruned > 0, "the screen prunes");
+
+        // The memo changes nothing, counters included.
+        let (plain_out, plain_schedules, plain_counters) = run(true, None);
+        assert_eq!(plain_out.assigned, out.assigned);
+        assert_eq!(plain_schedules, schedules);
+        assert_eq!(plain_counters, counters);
+        // Neither does the screen: every pair it prunes is one the
+        // full-fleet scan evaluates and rejects.
+        let (full_out, full_schedules, full_counters) = run(false, None);
+        assert_eq!(full_out.assigned, out.assigned);
+        assert_eq!(full_out.solver, out.solver);
+        assert_eq!(full_schedules, schedules);
+        assert_eq!(
+            full_counters,
+            ScratchStats {
+                insertion_evaluations: counters.insertion_evaluations + counters.prescreen_pruned,
+                prescreen_pruned: 0,
+                ..counters
+            }
+        );
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! The context is immutable apart from [`BatchScratch`], whose counters are
 //! atomics, and the score memo, whose one lock a scoring pass takes once.
 //! A `&DispatchContext` is therefore `Sync` and may be captured by rayon
-//! workers: a scoring pass's per-request scoring, SARD's per-vehicle group
-//! enumeration, the shareability builder's exact checks and the simulator's
-//! vehicle sweep all fan out under a shared `&DispatchContext` (or
-//! `&SpEngine`) without additional locking.  The engine's shortest-path cache
-//! is split over independently locked stripes, so concurrent `cost()` calls
-//! do not serialise on a global lock.
+//! workers: a screen's and a scoring pass's per-request work, SARD's
+//! per-vehicle group enumeration, the shareability builder's exact checks
+//! and the simulator's vehicle sweep all fan out under a shared
+//! `&DispatchContext` (or `&SpEngine`) without additional locking.  The
+//! engine's shortest-path cache is split over independently locked stripes,
+//! so concurrent `cost()` calls do not serialise on a global lock.
 //!
 //! # The replay invariant
 //!
@@ -35,18 +35,23 @@
 //! # The score memo
 //!
 //! A lane attaches its [`ScoreMemo`] with
-//! [`DispatchContext::with_score_memo`].  Candidate scoring runs in passes,
-//! [`DispatchContext::score_pool`], one per SARD batch and one per LAP
-//! round.  A pass first compares every vehicle's exact insertion inputs
-//! with the memo's copy, once (see [`crate::score_memo`]); then each
-//! request reads the scores of its unchanged pairs without a lock and sends
-//! only the misses through the pickup-cost `many_to_many` pass and
-//! `insert_request`; the memo takes the new scores when the pass ends, in
-//! request order.  A hit carries the bits the computation would have
-//! produced, and the scratch counters count hits exactly as computed pairs.
-//! What the memo does change is the shortest-path query count: a hit issues
-//! none.  Without a memo every lookup misses — the same loop, not a second
-//! path.
+//! [`DispatchContext::with_score_memo`].  Candidate scoring is a screen
+//! ([`DispatchContext::screen_pool`], the fleet-index prescreen) and a
+//! scoring pass over its survivors ([`DispatchContext::score_screened`]);
+//! [`DispatchContext::score_pool`] does both for each request on one
+//! worker.  SARD screens and scores once per batch, through `score_pool`.
+//! The exact assignment screens once per batch and runs one scoring pass
+//! per LAP round over the carried survivors: nothing the screen reads
+//! changes within a batch.  A pass first compares every vehicle's exact
+//! insertion inputs with the memo's copy, once (see [`crate::score_memo`]);
+//! then each request reads the scores of its unchanged pairs without a lock
+//! and sends only the misses through the pickup-cost `many_to_many` pass
+//! and `insert_request`; the memo takes the new scores when the pass ends,
+//! in request order.  A hit carries the bits
+//! the computation would have produced, and the scratch counters count hits
+//! exactly as computed pairs.  What the memo does change is the
+//! shortest-path query count: a hit issues none.  Without a memo every
+//! lookup misses — the same loop, not a second path.
 
 use crate::config::StructRideConfig;
 use crate::fleet_index::{FleetIndex, REACH_GRACE};
@@ -54,7 +59,7 @@ use crate::score_memo::{Pass, Score, ScoreMemo};
 use crate::stages::{Span, Stage, StageClock};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use structride_model::{insertion, Request, Vehicle};
+use structride_model::{insertion, Request, RequestId, Vehicle};
 use structride_roadnet::{LegBound, NodeId, SpEngine};
 
 /// Per-batch scratch counters, updated atomically by (possibly parallel)
@@ -216,22 +221,81 @@ impl<'a> DispatchContext<'a> {
     /// The candidate vehicles of each of `requests`, one row per request in
     /// order: every vehicle whose current schedule admits the request, as
     /// `(added_cost, vehicle_index)` in ascending order, cut to the `keep`
-    /// cheapest (at least one).  SARD's candidate queues and the
-    /// exact-assignment cost matrix are both built from this.
-    ///
-    /// With a fleet index attached each row is certified retrieval (§II-B's
-    /// grid-range retrieval, made exact), in three stages:
+    /// cheapest (at least one).  SARD's candidate queues are built from
+    /// this.  Each request is screened ([`DispatchContext::screen_pool`])
+    /// and scored ([`DispatchContext::score_screened`]) on the worker that
+    /// takes it, in one fan-out: with no later pass to carry them to, its
+    /// survivors live only while the request is scored.
+    pub fn score_pool(
+        &self,
+        vehicles: &[Vehicle],
+        requests: &[&Request],
+        keep: usize,
+    ) -> Vec<Vec<(f64, usize)>> {
+        self.scoring_pass(vehicles, requests, |&request, pass| {
+            let survivors = self.screen(vehicles, request);
+            self.score_request(vehicles, request, &survivors, keep, pass)
+        })
+    }
+
+    /// The screen of candidate scoring: each of `requests` with the vehicles
+    /// that may still reach its pickup in time, in ascending index order.
+    /// Without a fleet index that is every vehicle.  With one it is
+    /// certified retrieval (§II-B's grid-range retrieval, made exact), the
+    /// first two of three stages, in one call,
+    /// [`FleetIndex::screened_candidates`], which reuses stage 1's
+    /// distances:
     ///
     /// 1. scan the index's columns for the euclid reachability certificate —
     ///    a vehicle failing it provably cannot meet the pickup deadline;
     /// 2. drop survivors whose certified pickup bound
     ///    ([`DispatchContext::leg_bound`], the euclid and landmark bounds)
     ///    already misses the deadline: `free_at + bound > pickup_deadline +
-    ///    REACH_GRACE`.  Stages 1 and 2 are one call,
-    ///    [`FleetIndex::screened_candidates`], which reuses stage 1's
-    ///    distances;
-    /// 3. drop survivors whose *exact* travel time to the pickup (one
-    ///    batched [`SpEngine::many_to_many`] pass, no cache) still misses it.
+    ///    REACH_GRACE`.
+    ///
+    /// The screen reads only the index, the leg bound and the request's
+    /// pickup and deadline.  The index is synced between batches and a
+    /// commit moves no vehicle's `node` or `free_at`, so one screen serves
+    /// every scoring pass of a batch: the exact assignment screens its pool
+    /// once and carries the survivors through its LAP rounds.
+    pub fn screen_pool<'r>(
+        &self,
+        vehicles: &[Vehicle],
+        requests: &[&'r Request],
+    ) -> Vec<Screened<'r>> {
+        requests
+            .par_iter()
+            .map(|&request| {
+                // A carried screen lives for the whole batch: give back the
+                // fleet-wide capacity of the scan's compaction buffer.
+                let mut survivors = self.screen(vehicles, request);
+                survivors.shrink_to_fit();
+                Screened { request, survivors }
+            })
+            .collect()
+    }
+
+    /// One request's screen (see [`DispatchContext::screen_pool`]).
+    fn screen(&self, vehicles: &[Vehicle], request: &Request) -> Vec<usize> {
+        let _span = Span::open(self.stages, Stage::Prescreen);
+        match self.fleet_index {
+            Some(index) => index.screened_candidates(
+                self.engine.network(),
+                vehicles,
+                &self.leg_bound,
+                request.source,
+                request.pickup_deadline,
+            ),
+            None => (0..vehicles.len()).collect(),
+        }
+    }
+
+    /// A scoring pass over screened requests: one candidate row per entry
+    /// of `pool`, in order, as [`DispatchContext::score_pool`] returns
+    /// them.  With a fleet index attached the screen's survivors go through
+    /// the third stage: survivors whose *exact* travel time to the pickup
+    /// (one batched [`SpEngine::many_to_many`] pass, no cache) still misses
+    /// the deadline are dropped.
     ///
     /// Each stage only removes vehicles whose insertion would have been
     /// rejected, so the list is bit-identical to the one the full-fleet scan
@@ -248,55 +312,58 @@ impl<'a> DispatchContext<'a> {
     /// their scores after the fan-out, in request order.  Pairs stage 2
     /// removes never reach the memo: the bound is a few array reads, and it
     /// gives the same verdict every time the inputs recur.
-    pub fn score_pool(
+    pub fn score_screened(
         &self,
         vehicles: &[Vehicle],
-        requests: &[&Request],
+        pool: &[Screened<'_>],
         keep: usize,
+    ) -> Vec<Vec<(f64, usize)>> {
+        self.scoring_pass(vehicles, pool, |screened, pass| {
+            let (request, survivors) = (screened.request, &screened.survivors);
+            self.score_request(vehicles, request, survivors, keep, pass)
+        })
+    }
+
+    /// The frame of a scoring pass: validate the fleet against the memo,
+    /// fan `items` out through `score`, then merge the fresh scores in item
+    /// order.
+    fn scoring_pass<T: Sync>(
+        &self,
+        vehicles: &[Vehicle],
+        items: &[T],
+        score: impl Fn(&T, Option<&Pass<'_>>) -> Scored + Sync,
     ) -> Vec<Vec<(f64, usize)>> {
         let span = Span::open(self.stages, Stage::MemoLookup);
         let pass = self.score_memo.map(|memo| memo.pass(vehicles, self.epoch));
         span.close();
-        let scored: Vec<Scored> = requests
+        let scored: Vec<Scored> = items
             .par_iter()
-            .map(|request| self.score_request(vehicles, request, keep, pass.as_ref()))
+            .map(|item| score(item, pass.as_ref()))
             .collect();
         if let Some(pass) = pass {
             let span = Span::open(self.stages, Stage::MemoLookup);
             let lookups = scored.iter().map(|row| row.lookups).sum();
-            let fresh = requests.iter().zip(&scored).flat_map(|(request, row)| {
-                row.fresh.iter().map(|&(vi, score)| (request.id, vi, score))
-            });
-            pass.merge(fresh, lookups);
+            pass.merge(
+                scored.iter().flat_map(|row| row.fresh.iter().copied()),
+                lookups,
+            );
             span.close();
         }
         scored.into_iter().map(|row| row.candidates).collect()
     }
 
-    /// One row of [`DispatchContext::score_pool`], looked up in the memo's
-    /// `pass` when there is one.
+    /// One row of a scoring pass: `request` scored against its screen's
+    /// `survivors`, looked up in the memo's `pass` when there is one.
     fn score_request(
         &self,
         vehicles: &[Vehicle],
         request: &Request,
+        survivors: &[usize],
         keep: usize,
         pass: Option<&Pass<'_>>,
     ) -> Scored {
         let engine = self.engine;
         let prescreen = self.fleet_index.is_some();
-        let span = Span::open(self.stages, Stage::Prescreen);
-        let survivors: Vec<usize> = match self.fleet_index {
-            // Stages 1 and 2 in one pass over the index's columns.
-            Some(index) => index.screened_candidates(
-                engine.network(),
-                vehicles,
-                &self.leg_bound,
-                request.source,
-                request.pickup_deadline,
-            ),
-            None => (0..vehicles.len()).collect(),
-        };
-        span.close();
         let span = Span::open(self.stages, Stage::MemoLookup);
         let memoized: Vec<Option<Score>> = match pass {
             Some(pass) => survivors
@@ -349,7 +416,7 @@ impl<'a> DispatchContext<'a> {
                     reachable,
                     added_cost,
                 };
-                out.fresh.push((vi, score));
+                out.fresh.push((request.id, vi, score));
                 score
             });
             // Without the prescreen every vehicle counts as evaluated, even
@@ -376,13 +443,24 @@ impl<'a> DispatchContext<'a> {
     }
 }
 
+/// A request with the vehicles that survive its screen
+/// ([`DispatchContext::screen_pool`]).
+#[derive(Debug, PartialEq)]
+pub struct Screened<'r> {
+    /// The screened request.
+    pub request: &'r Request,
+    /// The vehicles that may reach its pickup in time, in ascending index
+    /// order.
+    pub survivors: Vec<usize>,
+}
+
 /// One request's share of a scoring pass.
 struct Scored {
     /// The candidate list [`DispatchContext::score_pool`] returns.
     candidates: Vec<(f64, usize)>,
-    /// Scores computed rather than read, as `(vehicle_index, score)`, for
-    /// the memo to take when the pass ends.
-    fresh: Vec<(usize, Score)>,
+    /// Scores computed rather than read, as `(request, vehicle_index,
+    /// score)`, for the memo to take when the pass ends.
+    fresh: Vec<(RequestId, usize, Score)>,
     /// Memo lookups, when there is a memo; the ones not in `fresh` hit.
     lookups: u64,
 }

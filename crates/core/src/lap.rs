@@ -21,6 +21,14 @@
 //! leave-unassigned cost, which makes the instance feasible by
 //! construction.
 //!
+//! With per-row dummies, a row whose only finite cell is its own dummy
+//! column is an island: its insertion scans to that column, raises only
+//! its own `u` and takes the column, and no other row's path ever reaches
+//! it.  Leaving such rows (and their dummy columns) out of the matrix
+//! therefore gives every other row the same column, up to the renumbering
+//! of the dummies, with the same tie-breaks — in [`solve_dense`] and in
+//! the budget fallback, `greedy_incumbent`, alike.
+//!
 //! # The group-choice branch-and-bound
 //!
 //! [`solve_group_choice`] solves the set-packing step RTV used to fake with
@@ -49,11 +57,13 @@ const EPS: f64 = 1e-9;
 /// [`BatchOutcome::solver`](crate::dispatcher::BatchOutcome::solver).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Rows of the assignment matrix (requests, or vehicles holding trip
-    /// candidates for the group-choice step).
+    /// Rows of the first assignment: the requests pooled and scored in the
+    /// first LAP round (the matrix itself holds only those with a candidate
+    /// vehicle), or the vehicles holding trip candidates for the
+    /// group-choice step.
     pub rows: usize,
-    /// Real columns of the assignment matrix (candidate vehicles, or trip
-    /// candidates), excluding per-row dummy columns.
+    /// Real columns of the first assignment matrix (candidate vehicles, or
+    /// trip candidates), excluding per-row dummy columns.
     pub cols: usize,
     /// Branch-and-bound nodes explored (`0` when the plain LAP sufficed).
     pub bb_nodes: u64,
@@ -186,6 +196,38 @@ pub fn solve_dense(costs: &[Vec<f64>]) -> Option<LapSolution> {
         .map(|(i, &j)| costs[i][j])
         .sum();
     Some(LapSolution { row_to_col, cost })
+}
+
+/// The seeded greedy incumbent used when the per-batch solver budget trips
+/// (see [`crate::faults`]): over `n_cols` real columns followed by one dummy
+/// column per row, rows in order each take their cheapest still-free real
+/// column when that beats their own dummy, otherwise the dummy.
+/// Deterministic (ties break toward the lowest column index, same as
+/// [`solve_dense`]) and never worse than the all-dummy assignment — the
+/// anytime floor the degraded mode guarantees.
+pub(crate) fn greedy_incumbent(costs: &[Vec<f64>], n_cols: usize) -> Vec<usize> {
+    let mut taken = vec![false; n_cols];
+    let mut row_to_col = Vec::with_capacity(costs.len());
+    for (i, row) in costs.iter().enumerate() {
+        let mut best: Option<(f64, usize)> = None;
+        for (j, &c) in row[..n_cols].iter().enumerate() {
+            if taken[j] || !c.is_finite() {
+                continue;
+            }
+            if best.is_none_or(|(bc, _)| c < bc) {
+                best = Some((c, j));
+            }
+        }
+        let dummy = n_cols + i;
+        match best {
+            Some((c, j)) if c < row[dummy] => {
+                taken[j] = true;
+                row_to_col.push(j);
+            }
+            _ => row_to_col.push(dummy),
+        }
+    }
+    row_to_col
 }
 
 /// One `(vehicle, trip group, gain)` candidate for the group-choice step.
@@ -592,6 +634,78 @@ mod tests {
             }
             // Determinism: re-solving yields the identical assignment.
             prop_assert_eq!(got, solve_dense(&costs));
+        }
+
+        /// A row whose only finite cell is its own dummy column can be left
+        /// out of the matrix: on the full matrix it takes its dummy, and
+        /// both solvers give every other row the same column (dummies
+        /// renumbered) at the same cost bits as on the matrix without it.
+        #[test]
+        fn dummy_only_rows_leave_every_other_row_unmoved(
+            rows in 1usize..7,
+            real_cols in 0usize..5,
+            raw in proptest::collection::vec(0u32..50, 30..31),
+            dummies in proptest::collection::vec(0u32..8, 6..7),
+            kind in proptest::collection::vec(0u32..3, 6..7),
+        ) {
+            // Kind 0 (one row in three) forces a row dummy-only; random
+            // cells can make others dummy-only too.
+            let full: Vec<Vec<f64>> = (0..rows)
+                .map(|i| {
+                    let mut row = vec![FORBIDDEN; real_cols + rows];
+                    if kind[i] != 0 {
+                        for (j, cell_cost) in row[..real_cols].iter_mut().enumerate() {
+                            *cell_cost = cell(raw[i * 5 + j]);
+                        }
+                    }
+                    row[real_cols + i] = dummies[i] as f64;
+                    row
+                })
+                .collect();
+            let live: Vec<usize> = (0..rows)
+                .filter(|&i| full[i][..real_cols].iter().any(|c| c.is_finite()))
+                .collect();
+            // The full matrix without the dummy-only rows and their dummy
+            // columns.
+            let reduced: Vec<Vec<f64>> = live
+                .iter()
+                .map(|&i| {
+                    let dummies = live.iter().map(|&d| full[i][real_cols + d]);
+                    full[i][..real_cols].iter().copied().chain(dummies).collect()
+                })
+                .collect();
+            let exact = |m: &[Vec<f64>]| solve_dense(m).expect("feasible by its dummies");
+            let solve = |m: &[Vec<f64>], greedy: bool| {
+                if greedy {
+                    greedy_incumbent(m, real_cols)
+                } else {
+                    exact(m).row_to_col
+                }
+            };
+            for greedy in [false, true] {
+                let on_full = solve(&full, greedy);
+                let on_reduced = solve(&reduced, greedy);
+                for i in (0..rows).filter(|i| !live.contains(i)) {
+                    prop_assert_eq!(on_full[i], real_cols + i, "a dummy-only row takes its dummy");
+                }
+                for (k, &i) in live.iter().enumerate() {
+                    let dummy = on_full[i] >= real_cols;
+                    if dummy {
+                        prop_assert_eq!(on_full[i], real_cols + i);
+                    }
+                    let want = if dummy { real_cols + k } else { on_full[i] };
+                    prop_assert_eq!(on_reduced[k], want, "row {} of {:?}", i, full);
+                    let (got, was) = (reduced[k][want], full[i][on_full[i]]);
+                    prop_assert_eq!(got.to_bits(), was.to_bits());
+                }
+            }
+            // The solve's total is the live rows' costs, summed in row order
+            // (with no live row there is no matrix to solve).
+            if !live.is_empty() {
+                let on_full = exact(&full).row_to_col;
+                let kept: f64 = live.iter().map(|&i| full[i][on_full[i]]).sum();
+                prop_assert_eq!(exact(&reduced).cost.to_bits(), kept.to_bits());
+            }
         }
 
         /// The branch-and-bound matches the brute-force subset maximum and

@@ -93,7 +93,7 @@ pub mod stages;
 
 pub use assign::AssignDispatcher;
 pub use config::StructRideConfig;
-pub use context::{BatchScratch, DispatchContext, ScratchStats};
+pub use context::{BatchScratch, DispatchContext, ScratchStats, Screened};
 pub use dispatcher::{BatchOutcome, Dispatcher, PendingSnapshot};
 pub use faults::{FaultConfig, FaultPlan};
 pub use fleet_index::{FleetIndex, REACH_GRACE};

@@ -2,8 +2,9 @@
 //!
 //! SARD builds a candidate queue for every *pooled* request in every batch
 //! (Alg. 3, lines 4–6), and the exact dispatcher rebuilds its cost matrix
-//! once per LAP round, both through one scoring pass,
-//! [`DispatchContext::score_pool`](crate::DispatchContext::score_pool).
+//! once per LAP round, both through a scoring pass,
+//! [`DispatchContext::score_pool`](crate::DispatchContext::score_pool) or
+//! [`DispatchContext::score_screened`](crate::DispatchContext::score_screened).
 //! The pool carries over between batches, while a vehicle's insertion inputs
 //! change only when it commits a schedule or executes a stop.  So most pairs
 //! a batch scores were already scored, with the same inputs, by an earlier

@@ -10,12 +10,13 @@
 //!   (each ends at the instant the next one begins, from the batch's first
 //!   clock read to its wall read), so they sum to the batch wall exactly.
 //! * **Nested stages** belong to [`Stage::Dispatch`] and run on the worker
-//!   pool: the four columns of a scoring pass,
-//!   [`DispatchContext::score_pool`](crate::DispatchContext::score_pool),
-//!   the three phases of the shareability-graph build, SARD's per-vehicle
-//!   grouping and the exact assignment's LAP solve.  Each worker adds the
-//!   time it spent, so a nested stage is CPU time summed over workers and
-//!   can exceed its parent's wall.
+//!   pool: the four columns of candidate scoring,
+//!   [`DispatchContext::score_pool`](crate::DispatchContext::score_pool)
+//!   (the prescreen and a scoring pass), the three phases of the
+//!   shareability-graph build, SARD's per-vehicle grouping and the exact
+//!   assignment's matrix build and LAP solve.  Each worker adds the time it
+//!   spent, so a nested stage is CPU time summed over workers and can
+//!   exceed its parent's wall.
 //!
 //! With no observer attached no clock is read: each span is one `Option`
 //! test, and the run is the plain run.  Spans only read the clock, so an
@@ -61,7 +62,8 @@ pub enum Stage {
     GraphInsert,
     /// SARD's acceptance rounds: per-vehicle group enumeration and choice.
     Grouping,
-    /// The exact assignment's per-round LAP solve (or greedy incumbent).
+    /// The exact assignment's per-round column dedup, cost-matrix build and
+    /// LAP solve (or greedy incumbent).
     Lap,
 }
 
