@@ -65,11 +65,7 @@ fn ranked_vehicles(engine: &SpEngine, fleet: &[Vehicle], request: &Request) -> R
         .enumerate()
         .filter_map(|(vi, v)| insertion::insert_request(engine, v, request).map(|out| (vi, out)))
         .collect();
-    ranked.sort_by(|a, b| {
-        a.1.added_cost
-            .partial_cmp(&b.1.added_cost)
-            .expect("finite costs")
-    });
+    ranked.sort_by(|a, b| a.1.added_cost.total_cmp(&b.1.added_cost));
     ranked
 }
 

@@ -282,8 +282,7 @@ pub fn solve_group_choice(
     order.sort_by(|&a, &b| {
         candidates[b]
             .gain
-            .partial_cmp(&candidates[a].gain)
-            .expect("finite gains")
+            .total_cmp(&candidates[a].gain)
             .then(a.cmp(&b))
     });
 

@@ -328,11 +328,7 @@ fn drive_clock(
     resume_from: Option<&Checkpoint>,
 ) -> Offered {
     let mut ordered: Vec<Request> = requests.to_vec();
-    ordered.sort_by(|a, b| {
-        a.release
-            .partial_cmp(&b.release)
-            .expect("finite release times")
-    });
+    ordered.sort_by(|a, b| a.release.total_cmp(&b.release));
     let delta = config.batch_period.max(1e-3);
     let mut offered = Offered::default();
     ordered.iter().for_each(|r| offered.push(r));

@@ -139,12 +139,7 @@ impl MultiRegionWorkload {
         }
         // Merge the per-region streams into one release-ordered stream; ties
         // break on id so the merged order is fully deterministic.
-        requests.sort_by(|a, b| {
-            a.release
-                .partial_cmp(&b.release)
-                .expect("finite release times")
-                .then(a.id.cmp(&b.id))
-        });
+        requests.sort_by(|a, b| a.release.total_cmp(&b.release).then(a.id.cmp(&b.id)));
 
         let city_names: Vec<&str> = params.cities.iter().map(|c| c.name()).collect();
         let name = format!(

@@ -16,6 +16,15 @@
 //! pairs that cannot possibly absorb the extra detour, which keeps the
 //! common case close to the linear behaviour the paper describes while
 //! remaining exact.
+//!
+//! Before any shortest-path query a position is screened on the engine's
+//! certified [`LegBound`](structride_roadnet::LegBound), read once per
+//! call: the pickup-deadline and buffer tests run first on bound legs, and
+//! each candidate's suffix is walked on bound legs before its exact walk.
+//! A bound leg is never above the exact `cost`, and every test is monotone
+//! in its legs, so the screen skips only what the exact tests reject: the
+//! outcome is bit-identical, and most failing insertions issue no query
+//! beyond the base schedule's own legs.
 
 use crate::request::Request;
 use crate::schedule::{Schedule, Walk, Waypoint, TIME_EPS};
@@ -64,19 +73,28 @@ pub fn insert_into(
     let pickup = Waypoint::pickup(request);
     let dropoff = Waypoint::dropoff(request);
     let start = Walk::new(start_node, start_time, onboard, capacity);
+    // Read once, from the engine whose `cost` the exact tests below use.
+    let bound = engine.leg_bound();
+    let lower = |u, v| bound.lower_bound(u, v);
+    let deadline = request.pickup_deadline + TIME_EPS;
     // The cheapest feasible candidate so far: `(i, j, added, travel)`.
     let mut best: Option<(usize, usize, f64, f64)> = None;
     for i in 0..=n {
         // Cheap pruning: the earliest the vehicle could reach the pickup when
         // it is placed at position i is the service time of way-point i-1 plus
         // the direct leg; if that already misses the pickup deadline, no j can
-        // fix it for this i.
+        // fix it for this i.  The bound leg is never above the exact one, so
+        // a miss on it is a miss on the exact leg too, found without a query.
         let (prev_node, prev_time) = match i {
             0 => (start_node, start_time),
             _ => (wps[i - 1].node, base_eval.service_times[i - 1]),
         };
-        let reach = prev_time + engine.cost(prev_node, request.source);
-        if reach > request.pickup_deadline + TIME_EPS {
+        if prev_time + lower(prev_node, request.source) > deadline {
+            continue;
+        }
+        let to_source = engine.cost(prev_node, request.source);
+        let reach = prev_time + to_source;
+        if reach > deadline {
             continue;
         }
         // Extra delay caused just by visiting the pickup between i-1 and i:
@@ -85,16 +103,33 @@ pub fn insert_into(
         // way-point i can take (downstream waiting absorption included, see
         // `Schedule::buffer_times`), and inserting the drop-off can only add
         // further delay, so exceeding the buffer rules out every j for this i.
+        // The wait is never negative, so the detour on a bound second leg
+        // screens first, as above.
         if let Some(next) = wps.get(i) {
             let direct = engine.cost(prev_node, next.node);
-            let via =
-                engine.cost(prev_node, request.source) + engine.cost(request.source, next.node);
+            let slack = buffers[i] + TIME_EPS;
+            if (to_source + lower(request.source, next.node)) - direct > slack {
+                continue;
+            }
+            let via = to_source + engine.cost(request.source, next.node);
             let delay = (via - direct) + (request.release - reach).max(0.0);
-            if delay > buffers[i] + TIME_EPS {
+            if delay > slack {
                 continue;
             }
         }
+        // Each candidate's exact walk reaches way-point i-1 at its base
+        // service time, so the candidate's suffix walked from there on bound
+        // legs arrives no later anywhere: a deadline it misses is missed on
+        // exact legs too.  Capacity is left to the exact walk.
+        let suffix = Walk::new(prev_node, prev_time, 0, u32::MAX);
         for j in i..=n {
+            let stops = base
+                .splice(i, j, &pickup, &dropoff)
+                .skip(i)
+                .map(|wp| (wp.node, wp));
+            if suffix.through(stops, lower, |_, _| {}).is_none() {
+                continue;
+            }
             let Some(end) = start.on_roads(engine, base.splice(i, j, &pickup, &dropoff)) else {
                 continue;
             };
@@ -274,6 +309,33 @@ mod tests {
         assert!(base.evaluate(&engine, 1, 0.0, 0, 4).feasible);
         let r2 = Request::new(2, 0, 2, 1, 10.0, 90.0, 40.0, 20.0);
         assert!(insert_into(&engine, 1, 0.0, 0, 4, &base, &r2).is_none());
+    }
+
+    #[test]
+    fn a_screened_position_issues_no_shortest_path_query() {
+        let engine = line_engine();
+        // The vehicle at 0 serves r1 from 0 to 1; r2 waits at the far end,
+        // due in 5 s, and every pickup position misses it by the bound.
+        let r1 = req(1, 0, 1, 10.0, 2.0);
+        let base = Schedule::direct(&r1);
+        let r2 = Request::new(2, 4, 3, 1, 0.0, 60.0, 5.0, 10.0);
+        let queries = || engine.stats().total_queries;
+        let before = queries();
+        assert!(base.evaluate(&engine, 0, 0.0, 0, 4).feasible);
+        let base_legs = queries() - before;
+        let before = queries();
+        assert!(insert_into(&engine, 0, 0.0, 0, 4, &base, &r2).is_none());
+        assert_eq!(queries() - before, base_legs);
+        // Every candidate, built and evaluated exactly, is infeasible too.
+        let (pickup, dropoff) = (Waypoint::pickup(&r2), Waypoint::dropoff(&r2));
+        for i in 0..=base.len() {
+            for j in i..=base.len() {
+                let cand = base.splice(i, j, &pickup, &dropoff).copied().collect();
+                let cand = Schedule::from_waypoints(cand);
+                assert!(!cand.evaluate(&engine, 0, 0.0, 0, 4).feasible);
+            }
+        }
+        assert!(queries() - before > base_legs);
     }
 
     #[test]

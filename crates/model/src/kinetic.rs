@@ -89,7 +89,7 @@ impl KineticTree {
         self.schedules
             .iter()
             .filter(|(s, _)| !s.is_empty())
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(s, cost)| (s, *cost))
     }
 

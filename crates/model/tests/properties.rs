@@ -7,6 +7,9 @@ use structride_model::schedule::TIME_EPS;
 use structride_model::{Request, Schedule, Waypoint};
 use structride_roadnet::{NodeId, Point, RoadNetworkBuilder, SpEngine};
 
+#[path = "../../sharegraph/tests/support/engines.rs"]
+mod engines;
+
 /// A 12-node bidirectional line with 10-second hops.
 fn line_engine() -> SpEngine {
     let mut b = RoadNetworkBuilder::new();
@@ -208,35 +211,19 @@ fn reference_insert(
     best
 }
 
-/// A 4 × 4 grid with random per-direction travel times (asymmetric legs,
-/// awkward quotients) plus one isolated node, 16, drawn from `gen`.
-fn random_engine(gen: &mut Gen) -> SpEngine {
-    let mut b = RoadNetworkBuilder::new();
-    for i in 0..17 {
-        b.add_node(Point::new((i % 4) as f64 * 100.0, (i / 4) as f64 * 100.0));
-    }
-    for i in 0..16u32 {
-        let right = (i % 4 < 3).then_some(i + 1);
-        let down = (i + 4 < 16).then_some(i + 4);
-        for j in right.into_iter().chain(down) {
-            b.add_edge(i, j, 100.0 / (5.0 + 15.0 * gen.next_f64()))
-                .unwrap();
-            b.add_edge(j, i, 100.0 / (5.0 + 15.0 * gen.next_f64()))
-                .unwrap();
-        }
-    }
-    SpEngine::new(b.build().unwrap())
-}
+/// Nodes of the main grid of [`engines::engines`]' networks; node `GRID`
+/// is on the island, which no grid node reaches.
+const GRID: usize = 25;
 
 /// A request released at `release` with 1–2 riders, between grid nodes
-/// or (rarely) from the isolated node, with a detour factor in 1–3.
+/// or (rarely) from the island, with a detour factor in 1–3.
 fn random_request(engine: &SpEngine, gen: &mut Gen, id: u32, release: f64) -> Request {
     let source = if gen.next_f64() < 0.05 {
-        16
+        GRID as NodeId
     } else {
-        gen.usize_in(0, 16) as u32
+        gen.usize_in(0, GRID) as NodeId
     };
-    let destination = gen.usize_in(0, 16) as u32;
+    let destination = gen.usize_in(0, GRID) as NodeId;
     let direct = engine.cost(source, destination);
     let nominal = if direct.is_finite() { direct } else { 60.0 };
     let deadline = release + nominal * (1.0 + 2.0 * gen.next_f64());
@@ -257,87 +244,104 @@ fn random_request(engine: &SpEngine, gen: &mut Gen, id: u32, release: f64) -> Re
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `insert_into` walks each candidate without building it; the
-    /// reference builds and evaluates every one.  Both agree bit for bit
-    /// on empty bases, already infeasible bases, full vehicles, bases
-    /// whose pickups wait for a later release, and mixed bases.
+    /// `insert_into` walks each candidate without building it and screens
+    /// pickup positions and candidates on the engine's leg bound; the
+    /// reference builds and evaluates every one on exact legs alone.  Both
+    /// agree bit for bit on empty bases, already infeasible bases, full
+    /// vehicles, bases whose pickups wait for a later release, and mixed
+    /// bases, on every engine of [`engines::engines`]: static, a zoned
+    /// rush-hour epoch (`ratio` > 1), a zoned free-flow epoch (`ratio` < 1),
+    /// each with the island's infinite legs and bounds.
     #[test]
     fn insertion_matches_the_materialising_reference(seed in 0u64..1_000_000) {
         let mut gen = Gen::new(seed);
-        let engine = random_engine(&mut gen);
-        let mut found = 0;
-        for shape in 0..5 {
-            let node = gen.usize_in(0, 16) as u32;
-            let mut time = 50.0;
-            let capacity = gen.usize_in(2, 5) as u32;
-            let mut onboard = 0;
-            // Up to `count` requests released at `release`, each placed
-            // by the reference search: a feasible base.
-            let base_of = |gen: &mut Gen, count: usize, release: f64| {
-                let mut base = Schedule::new();
-                for id in 0..count as u32 {
-                    let r = random_request(&engine, gen, 100 + id, release);
-                    if let Some(out) = reference_insert(&engine, node, time, 0, capacity, &base, &r) {
-                        base = out.schedule;
-                    }
-                }
-                base
-            };
-            let base = match shape {
-                0 => Schedule::new(),
-                1 => {
-                    let base = base_of(&mut gen, 2, time);
-                    // The vehicle is free only after every deadline.
-                    time += 10_000.0;
-                    base
-                }
-                2 => {
-                    // Every seat is taken by riders dropped off before
-                    // the base's first pickup.
-                    let mut base = base_of(&mut gen, 2, time);
-                    let r = random_request(&engine, &mut gen, 99, 0.0);
-                    let mut seated = Waypoint::dropoff(&r);
-                    (seated.riders, seated.deadline) = (capacity, f64::INFINITY);
-                    let first_pickup = base.iter().position(|w| w.is_pickup()).unwrap_or(0);
-                    base.insert(gen.usize_in(0, first_pickup + 1), seated);
-                    onboard = capacity;
-                    base
-                }
-                // Released later than the vehicle can arrive: it waits.
-                3 => base_of(&mut gen, 2, time + 300.0),
-                _ => {
-                    let count = gen.usize_in(1, 4);
-                    base_of(&mut gen, count, time)
-                }
-            };
-            let eval = base.evaluate(&engine, node, time, onboard, capacity);
-            match shape {
-                1 => prop_assert!(base.is_empty() || !eval.feasible),
-                3 if eval.feasible => {
-                    prop_assert!(base.is_empty() || eval.waiting.iter().any(|&w| w > 0.0))
-                }
-                _ => {}
-            }
-            for id in 0..8 {
-                let release = time + (gen.usize_in(0, 40) * 10) as f64;
-                let r = random_request(&engine, &mut gen, id, release);
-                let got = insert_into(&engine, node, time, onboard, capacity, &base, &r);
-                let want = reference_insert(&engine, node, time, onboard, capacity, &base, &r);
-                let bits = |o: &Option<InsertionOutcome>| {
-                    o.as_ref().map(|o| {
-                        (
-                            o.pickup_pos,
-                            o.dropoff_pos,
-                            o.schedule.clone(),
-                            o.added_cost.to_bits(),
-                            o.new_travel_cost.to_bits(),
-                        )
-                    })
-                };
-                prop_assert_eq!(bits(&got), bits(&want), "shape {} base {} request {:?}", shape, base, r);
-                found += usize::from(got.is_some());
-            }
+        for engine in engines::engines(seed) {
+            insertion_matches_the_reference_on(&engine, &mut gen);
         }
-        prop_assert!(found > 0, "no insertion succeeded");
     }
+}
+
+/// One case of `insertion_matches_the_materialising_reference` on `engine`.
+fn insertion_matches_the_reference_on(engine: &SpEngine, gen: &mut Gen) {
+    let mut found = 0;
+    for shape in 0..5 {
+        let node = gen.usize_in(0, GRID) as NodeId;
+        let mut time = 50.0;
+        let capacity = gen.usize_in(2, 5) as u32;
+        let mut onboard = 0;
+        // Up to `count` requests released at `release`, each placed
+        // by the reference search: a feasible base.
+        let base_of = |gen: &mut Gen, count: usize, release: f64| {
+            let mut base = Schedule::new();
+            for id in 0..count as u32 {
+                let r = random_request(engine, gen, 100 + id, release);
+                if let Some(out) = reference_insert(engine, node, time, 0, capacity, &base, &r) {
+                    base = out.schedule;
+                }
+            }
+            base
+        };
+        let base = match shape {
+            0 => Schedule::new(),
+            1 => {
+                let base = base_of(gen, 2, time);
+                // The vehicle is free only after every deadline.
+                time += 10_000.0;
+                base
+            }
+            2 => {
+                // Every seat is taken by riders dropped off before
+                // the base's first pickup.
+                let mut base = base_of(gen, 2, time);
+                let r = random_request(engine, gen, 99, 0.0);
+                let mut seated = Waypoint::dropoff(&r);
+                (seated.riders, seated.deadline) = (capacity, f64::INFINITY);
+                let first_pickup = base.iter().position(|w| w.is_pickup()).unwrap_or(0);
+                base.insert(gen.usize_in(0, first_pickup + 1), seated);
+                onboard = capacity;
+                base
+            }
+            // Released later than the vehicle can arrive: it waits.
+            3 => base_of(gen, 2, time + 300.0),
+            _ => {
+                let count = gen.usize_in(1, 4);
+                base_of(gen, count, time)
+            }
+        };
+        let eval = base.evaluate(engine, node, time, onboard, capacity);
+        match shape {
+            1 => assert!(base.is_empty() || !eval.feasible),
+            3 if eval.feasible => {
+                assert!(base.is_empty() || eval.waiting.iter().any(|&w| w > 0.0))
+            }
+            _ => {}
+        }
+        for id in 0..8 {
+            let release = time + (gen.usize_in(0, 40) * 10) as f64;
+            let r = random_request(engine, gen, id, release);
+            let got = insert_into(engine, node, time, onboard, capacity, &base, &r);
+            let want = reference_insert(engine, node, time, onboard, capacity, &base, &r);
+            let bits = |o: &Option<InsertionOutcome>| {
+                o.as_ref().map(|o| {
+                    (
+                        o.pickup_pos,
+                        o.dropoff_pos,
+                        o.schedule.clone(),
+                        o.added_cost.to_bits(),
+                        o.new_travel_cost.to_bits(),
+                    )
+                })
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "shape {} base {} request {:?}",
+                shape,
+                base,
+                r
+            );
+            found += usize::from(got.is_some());
+        }
+    }
+    assert!(found > 0, "no insertion succeeded");
 }

@@ -1,7 +1,8 @@
 //! Test engines over small random networks, shared by the shareability
-//! screen's property tests, the builder's prefilter test and the fleet
-//! index's fused-screen tests.  Include it with `#[path]`; it is not a test
-//! target of its own.
+//! screen's property tests, the builder's prefilter test, the fleet
+//! index's fused-screen tests and linear insertion's screen proptest
+//! (`crates/model/tests/properties.rs`).  Include it with `#[path]`; it is
+//! not a test target of its own.
 
 use structride_roadnet::{
     CongestionZone, Point, RoadNetwork, RoadNetworkBuilder, SpEngine, SpEngineBuilder,
