@@ -15,8 +15,8 @@
 //!   signature the paper reports: competitive service at small request volumes,
 //!   extra travel cost and degradation at larger volumes/state spaces.
 
-use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
-use structride_model::{insertion, InsertionOutcome, Request, Vehicle};
+use structride_core::{BatchOutcome, DispatchContext, Dispatcher, PendingSnapshot};
+use structride_model::{Request, Vehicle};
 use structride_roadnet::{NodeId, SpEngine};
 use structride_spatial::GridIndex;
 
@@ -29,27 +29,27 @@ pub struct DemandRepositioning {
     cells_per_side: u32,
     /// Fraction of idle vehicles repositioned each batch.
     reposition_fraction: f64,
-    /// Per-cell demand estimate (lazily sized on first batch).
+    /// Per-cell demand estimate.
     demand: Vec<f64>,
-    /// A representative node per cell for repositioning targets.
+    /// A representative node per cell for repositioning targets (derived
+    /// from the network on the first batch).
     cell_anchor: Vec<Option<NodeId>>,
     /// Extra dead-head travel incurred by repositioning moves.
     repositioning_travel: f64,
-    initialised: bool,
 }
 
 impl DemandRepositioning {
     /// Creates the dispatcher with sensible defaults (32×32 demand map, 0.5
     /// decay, 30 % of idle vehicles repositioned per batch).
     pub fn new() -> Self {
+        let cells_per_side = 32;
         DemandRepositioning {
             decay: 0.5,
-            cells_per_side: 32,
+            cells_per_side,
             reposition_fraction: 0.3,
-            demand: Vec::new(),
+            demand: vec![0.0; (cells_per_side * cells_per_side) as usize],
             cell_anchor: Vec::new(),
             repositioning_travel: 0.0,
-            initialised: false,
         }
     }
 
@@ -59,12 +59,10 @@ impl DemandRepositioning {
     }
 
     fn init(&mut self, engine: &SpEngine) {
-        if self.initialised {
+        if !self.cell_anchor.is_empty() {
             return;
         }
-        let n_cells = (self.cells_per_side * self.cells_per_side) as usize;
-        self.demand = vec![0.0; n_cells];
-        self.cell_anchor = vec![None; n_cells];
+        self.cell_anchor = vec![None; self.demand.len()];
         let grid = self.coordinate_grid(engine);
         for node in engine.network().nodes() {
             let p = engine.coord(node);
@@ -73,7 +71,6 @@ impl DemandRepositioning {
                 self.cell_anchor[cell] = Some(node);
             }
         }
-        self.initialised = true;
     }
 
     fn coordinate_grid(&self, engine: &SpEngine) -> GridIndex {
@@ -93,7 +90,7 @@ impl DemandRepositioning {
             .iter()
             .enumerate()
             .filter(|(i, _)| self.cell_anchor[*i].is_some())
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .filter(|(_, &d)| d > 0.0)
             .map(|(i, _)| i)
     }
@@ -131,26 +128,12 @@ impl Dispatcher for DemandRepositioning {
             self.demand[cell] += 1.0;
         }
 
-        // Greedy matching (cheapest insertion), as in the online baselines.
-        let mut outcome = BatchOutcome::empty();
-        for request in new_requests {
-            let mut best: Option<(usize, InsertionOutcome)> = None;
-            for (vi, vehicle) in vehicles.iter().enumerate() {
-                if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                    let better = best
-                        .as_ref()
-                        .map(|(_, b)| out.added_cost < b.added_cost)
-                        .unwrap_or(true);
-                    if better {
-                        best = Some((vi, out));
-                    }
-                }
-            }
-            if let Some((vi, out)) = best {
-                vehicles[vi].commit_schedule(out.schedule);
-                outcome.assigned.push(request.id);
-            }
-        }
+        // Greedy matching (cheapest insertion), as in the online baselines;
+        // any strictly cheaper vehicle wins, however small the margin.
+        let outcome = BatchOutcome {
+            assigned: crate::insert_cheapest(ctx, vehicles, new_requests, 0.0),
+            solver: None,
+        };
 
         // Reposition a fraction of the idle vehicles toward the hottest cell.
         if let Some(hot) = self.hottest_cell() {
@@ -183,7 +166,24 @@ impl Dispatcher for DemandRepositioning {
 
     fn memory_bytes(&self) -> usize {
         // The demand map and anchors constitute the "model state".
-        self.demand.capacity() * 8 + self.cell_anchor.capacity() * 8 + std::mem::size_of::<Self>()
+        self.demand.len() * 8 + self.cell_anchor.len() * 8 + std::mem::size_of::<Self>()
+    }
+
+    /// The demand estimate is decision-bearing state: a resumed run must
+    /// send idle vehicles where the uninterrupted one would.
+    fn checkpoint_pending(&self) -> PendingSnapshot {
+        PendingSnapshot {
+            state: self.demand.clone(),
+            ..PendingSnapshot::default()
+        }
+    }
+
+    fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {
+        assert!(snapshot.pool.is_empty(), "DARM holds no pending pool");
+        if !snapshot.state.is_empty() {
+            // Panics unless the map has one demand per cell.
+            self.demand.copy_from_slice(&snapshot.state);
+        }
     }
 }
 

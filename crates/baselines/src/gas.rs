@@ -122,13 +122,8 @@ impl Dispatcher for Gas {
             // Profit = total direct length of the served requests.
             let best = groups.into_iter().max_by(|a, b| {
                 a.members_direct_cost
-                    .partial_cmp(&b.members_direct_cost)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| {
-                        b.added_cost
-                            .partial_cmp(&a.added_cost)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                    .total_cmp(&b.members_direct_cost)
+                    .then_with(|| b.added_cost.total_cmp(&a.added_cost))
             });
             if let Some(best) = best {
                 vehicles[vi].commit_schedule(best.schedule.clone());

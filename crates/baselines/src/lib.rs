@@ -36,8 +36,8 @@ pub use prunegdp::PruneGdp;
 pub use rtv::Rtv;
 pub use ticket::TicketAssignPlus;
 
-use structride_core::{DispatcherBuilder, DispatcherKind};
-use structride_model::RequestId;
+use structride_core::{DispatchContext, DispatcherBuilder, DispatcherKind};
+use structride_model::{insertion, Request, RequestId, Vehicle};
 use structride_sharegraph::ShareabilityGraph;
 
 /// The full dispatcher registry of the workspace: the core dispatchers
@@ -82,6 +82,54 @@ pub(crate) fn complete_graph(ids: &[RequestId]) -> ShareabilityGraph {
     g
 }
 
+/// The online greedy of pruneGDP and DARM: each of `requests`, in arrival
+/// order, goes to the vehicle whose cheapest insertion adds the least cost,
+/// if any admits it; a row is folded in fleet order, and a candidate beats
+/// the best so far only when cheaper by more than `epsilon`.  Returns the
+/// assigned ids in arrival order.
+///
+/// The batch is screened ([`DispatchContext::screen_pool`]) and scored
+/// ([`DispatchContext::score_screened`]) once.  A commit moves neither a
+/// vehicle's `node` nor its `free_at`, all the screen reads, so a request is
+/// rescored, in a one-row pass, only when one of its survivors has taken a
+/// commit earlier in the batch.  The winner's insertion is re-run.
+pub(crate) fn insert_cheapest(
+    ctx: &DispatchContext<'_>,
+    vehicles: &mut [Vehicle],
+    requests: &[Request],
+    epsilon: f64,
+) -> Vec<RequestId> {
+    let requests: Vec<&Request> = requests.iter().collect();
+    let keep = vehicles.len();
+    let pool = ctx.screen_pool(vehicles, &requests);
+    let rows = ctx.score_screened(vehicles, &pool, keep);
+    let mut committed = vec![false; keep];
+    let mut assigned = Vec::new();
+    for (screened, row) in pool.iter().zip(rows) {
+        let mut row = if screened.survivors.iter().any(|&vi| committed[vi]) {
+            ctx.score_screened(vehicles, std::slice::from_ref(screened), keep)
+                .remove(0)
+        } else {
+            row
+        };
+        row.sort_unstable_by_key(|&(_, vi)| vi);
+        let best = row.into_iter().reduce(|best, next| {
+            if next.0 < best.0 - epsilon {
+                next
+            } else {
+                best
+            }
+        });
+        let Some((_, vi)) = best else { continue };
+        let out = insertion::insert_request(ctx.engine, &vehicles[vi], screened.request)
+            .expect("a scored candidate admits its request");
+        vehicles[vi].commit_schedule(out.schedule);
+        committed[vi] = true;
+        assigned.push(screened.request.id);
+    }
+    assigned
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,5 +164,38 @@ mod tests {
         }
         assert_eq!(complete_graph(&[]).node_count(), 0);
         assert_eq!(complete_graph(&[7]).edge_count(), 0);
+    }
+
+    /// Two idle vehicles whose insertions differ by less than 1e-12: the
+    /// first reaches the pickup over a 0.1 + 0.2 path, the second over a
+    /// 0.3 edge.  pruneGDP keeps the first vehicle in the fleet, DARM takes
+    /// the strictly cheaper second.
+    #[test]
+    fn near_ties_go_first_in_fleet_for_prunegdp_and_cheapest_for_darm() {
+        use structride_core::Dispatcher;
+        use structride_roadnet::{Point, RoadNetworkBuilder, SpEngine};
+        let mut b = RoadNetworkBuilder::new();
+        for x in [0.0, 0.1, 0.3, 0.6, 0.7] {
+            b.add_node(Point::new(x, 0.0));
+        }
+        for (from, to, weight) in [(0, 1, 0.1), (1, 2, 0.2), (3, 2, 0.3), (2, 4, 0.4)] {
+            b.add_bidirectional(from, to, weight).unwrap();
+        }
+        let engine = SpEngine::new(b.build().unwrap());
+        let batch = [testutil::req(1, 2, 4, 0.4, 10.0)];
+        let fleet = || vec![Vehicle::new(0, 0, 4), Vehicle::new(1, 3, 4)];
+        let added = |vi: usize| insertion::insert_request(&engine, &fleet()[vi], &batch[0]);
+        let (first, second) = (added(0).unwrap().added_cost, added(1).unwrap().added_cost);
+        assert!(second < first && first - second < 1e-12, "{first} {second}");
+
+        let holder = |dispatcher: &mut dyn Dispatcher| {
+            let mut vehicles = fleet();
+            let ctx = testutil::ctx(&engine, 0.0);
+            let out = dispatcher.dispatch_batch(&ctx, &mut vehicles, &batch);
+            assert_eq!(out.assigned, vec![1]);
+            vehicles.iter().position(|v| v.schedule.contains_request(1))
+        };
+        assert_eq!(holder(&mut PruneGdp::new()), Some(0));
+        assert_eq!(holder(&mut DemandRepositioning::new()), Some(1));
     }
 }

@@ -7,7 +7,7 @@
 //! exactly why their service rates trail the batch methods in the paper.
 
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
-use structride_model::{insertion, InsertionOutcome, Request, Vehicle};
+use structride_model::{Request, Vehicle};
 
 /// The pruneGDP online greedy dispatcher.
 #[derive(Debug, Default)]
@@ -38,60 +38,12 @@ impl Dispatcher for PruneGdp {
         vehicles: &mut [Vehicle],
         new_requests: &[Request],
     ) -> BatchOutcome {
-        let engine = ctx.engine;
-        let mut outcome = BatchOutcome::empty();
-        for request in new_requests {
-            let mut best: Option<(usize, InsertionOutcome)> = None;
-            let mut consider = |vi: usize| {
-                let vehicle = &vehicles[vi];
-                if let Some(out) = insertion::insert_request(engine, vehicle, request) {
-                    let better = best
-                        .as_ref()
-                        .map(|(_, b)| out.added_cost < b.added_cost - 1e-12)
-                        .unwrap_or(true);
-                    if better {
-                        best = Some((vi, out));
-                    }
-                }
-            };
-            if let Some(index) = ctx.fleet_index {
-                // Certified prescreen: vehicles failing the reachability
-                // bound provably cannot meet the pickup deadline, so
-                // skipping them cannot change which insertion wins (the
-                // survivors keep ascending fleet order, preserving the
-                // first-within-epsilon tie-break).
-                let network = engine.network();
-                let p = network.coord(request.source);
-                let survivors = index.certified_candidates(
-                    network,
-                    vehicles,
-                    p.x,
-                    p.y,
-                    request.pickup_deadline,
-                );
-                ctx.scratch
-                    .count_prescreen_pruned((vehicles.len() - survivors.len()) as u64);
-                ctx.scratch
-                    .count_insertion_evaluations(survivors.len() as u64);
-                for vi in survivors {
-                    consider(vi);
-                }
-            } else {
-                ctx.scratch
-                    .count_insertion_evaluations(vehicles.len() as u64);
-                for vi in 0..vehicles.len() {
-                    consider(vi);
-                }
-            }
-            match best {
-                Some((vi, out)) => {
-                    vehicles[vi].commit_schedule(out.schedule);
-                    outcome.assigned.push(request.id);
-                }
-                None => self.rejected += 1,
-            }
+        let assigned = crate::insert_cheapest(ctx, vehicles, new_requests, 1e-12);
+        self.rejected += new_requests.len() - assigned.len();
+        BatchOutcome {
+            assigned,
+            solver: None,
         }
-        outcome
     }
 
     fn memory_bytes(&self) -> usize {

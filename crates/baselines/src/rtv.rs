@@ -72,12 +72,7 @@ impl Rtv {
         // Greedy: take candidates by descending gain, respecting vehicle and
         // request exclusivity.
         let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            candidates[b]
-                .gain
-                .partial_cmp(&candidates[a].gain)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| candidates[b].gain.total_cmp(&candidates[a].gain));
         let mut vehicle_used = vec![false; n_vehicles];
         let mut request_used: HashSet<RequestId> = HashSet::new();
         let mut chosen: Vec<usize> = Vec::new();

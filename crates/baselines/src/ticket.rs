@@ -3,23 +3,24 @@
 //!
 //! Several logical workers process the batch's requests concurrently, worker
 //! `t` owning the `t`-th contiguous chunk.  The batch runs in rounds: round
-//! `k` takes each worker's `k`-th request and ranks its feasible insertions
-//! across the fleet in parallel, every evaluation reading the fleet as the
-//! round found it.  The requests then commit in worker order: each walks its
-//! ranked vehicles and "takes the ticket" of the first that can still absorb
-//! it.  A vehicle that took no commit this round still has the schedule its
-//! ranking read, so the ranked insertion commits as it is; one that already
-//! took a commit is a ticket conflict and is re-evaluated.  This
+//! `k` takes each worker's `k`-th request and ranks the fleet by the cost its
+//! cheapest insertion adds, cheapest first and ties in fleet order, in one
+//! scoring pass over the round's requests
+//! ([`DispatchContext::score_pool`]) that reads the fleet as the round found
+//! it.  The requests then commit in worker order: each walks its ranked
+//! vehicles and "takes the ticket" of the first that can still absorb it,
+//! re-running that vehicle's insertion for the schedule.  A vehicle that took
+//! no commit this round still has the schedule its ranking read, so it
+//! absorbs the request; one that already took a commit is a ticket conflict
+//! and is re-evaluated against its new schedule.  A round holds one
+//! `(cost, vehicle)` entry per ranked vehicle and no schedule.  This
 //! reproduces the paper's observation that TicketAssign+ improves on
 //! pruneGDP's service rate through simultaneous decision making.  Where Pan &
 //! Li's threads race on per-vehicle locks, the commit order here is fixed, so
 //! decisions are a pure function of the fleet and the batch.
 
-use rayon::prelude::*;
 use structride_core::{BatchOutcome, DispatchContext, Dispatcher};
-use structride_model::insertion::{self, InsertionOutcome};
-use structride_model::{Request, Vehicle, Waypoint};
-use structride_roadnet::SpEngine;
+use structride_model::{insertion, Request, Vehicle};
 
 /// The TicketAssign+ parallel online dispatcher.
 #[derive(Debug)]
@@ -28,7 +29,7 @@ pub struct TicketAssignPlus {
     /// Number of ticket conflicts observed (re-evaluations of a vehicle that
     /// already took a commit in the same round).
     conflicts: usize,
-    /// Peak bytes of the ranked insertions one round holds (Fig. 14).
+    /// Peak bytes of the ranked vehicles one round holds (Fig. 14).
     peak_ranked_bytes: usize,
 }
 
@@ -54,21 +55,6 @@ impl Default for TicketAssignPlus {
     }
 }
 
-/// Vehicle indices with their insertions of one request.
-type Ranked = Vec<(usize, InsertionOutcome)>;
-
-/// The vehicles that can absorb `request` with their insertions, cheapest
-/// first (ties in fleet order).
-fn ranked_vehicles(engine: &SpEngine, fleet: &[Vehicle], request: &Request) -> Ranked {
-    let mut ranked: Ranked = fleet
-        .iter()
-        .enumerate()
-        .filter_map(|(vi, v)| insertion::insert_request(engine, v, request).map(|out| (vi, out)))
-        .collect();
-    ranked.sort_by(|a, b| a.1.added_cost.total_cmp(&b.1.added_cost));
-    ranked
-}
-
 impl Dispatcher for TicketAssignPlus {
     fn name(&self) -> &'static str {
         "TicketAssign+"
@@ -80,7 +66,6 @@ impl Dispatcher for TicketAssignPlus {
         vehicles: &mut [Vehicle],
         new_requests: &[Request],
     ) -> BatchOutcome {
-        let engine = ctx.engine;
         if new_requests.is_empty() || vehicles.is_empty() {
             return BatchOutcome::empty();
         }
@@ -93,30 +78,18 @@ impl Dispatcher for TicketAssignPlus {
                 .chunks(chunk)
                 .filter_map(|worker| worker.get(round))
                 .collect();
-            let fleet: &[Vehicle] = vehicles;
-            let ranked: Vec<Ranked> = requests
-                .par_iter()
-                .map(|request| ranked_vehicles(engine, fleet, request))
-                .collect();
-            // Fig. 14: one entry per ranked vehicle plus the way-points of
-            // its candidate schedule (lengths, not capacities).
-            let entry = size_of::<(usize, InsertionOutcome)>();
-            let held: usize = ranked
-                .iter()
-                .flatten()
-                .map(|(_, out)| entry + out.schedule.len() * size_of::<Waypoint>())
-                .sum();
-            self.peak_ranked_bytes = self.peak_ranked_bytes.max(held);
+            let ranked = ctx.score_pool(vehicles, &requests, vehicles.len());
+            // Fig. 14: one `(cost, vehicle)` entry per ranked vehicle.
+            let held: usize = ranked.iter().map(Vec::len).sum();
+            self.peak_ranked_bytes = self.peak_ranked_bytes.max(held * size_of::<(f64, usize)>());
             let stamp = round as u64 + 1;
             for (request, ranked) in requests.into_iter().zip(ranked) {
-                for (vi, ranked) in ranked {
-                    let out = if committed_in[vi] == stamp {
+                for (_, vi) in ranked {
+                    if committed_in[vi] == stamp {
                         self.conflicts += 1;
-                        insertion::insert_request(engine, &vehicles[vi], request)
-                    } else {
-                        Some(ranked)
-                    };
-                    if let Some(out) = out {
+                    }
+                    if let Some(out) = insertion::insert_request(ctx.engine, &vehicles[vi], request)
+                    {
                         vehicles[vi].commit_schedule(out.schedule);
                         committed_in[vi] = stamp;
                         assigned.push(request.id);

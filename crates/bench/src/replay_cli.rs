@@ -361,12 +361,15 @@ mod tests {
         // `assign` on the monolithic pipeline, so the chaos solver node
         // budget actually gates the exact solver on the resumed half too.
         // The static sharded run resumes on a fixed-slot engine, the rush
-        // one on a rolling engine.
+        // one on a rolling engine.  DARM carries no pool, but its demand
+        // estimate decides where idle vehicles go after the resume.
         let three = sharded(3, ShardingConfig::default());
         for scenario in [
             quick(Pipeline::Mono, Source::Clock, "assign", chaos),
             quick(three, Source::Clock, "sard", chaos),
             quick(three, Source::Clock, "sard", rush),
+            quick(Pipeline::Mono, Source::Clock, "darm", chaos),
+            quick(three, Source::Clock, "darm", chaos),
         ] {
             let (trace, checkpoints) = scenario.record();
             assert!(!checkpoints.is_empty(), "the chaos cadence must fire");

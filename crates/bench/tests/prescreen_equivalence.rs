@@ -1,13 +1,14 @@
-//! With-vs-without fleet-index equivalence for the baselines that adopted
-//! the certified candidate prescreen (SARD's own equivalence is pinned in
-//! `structride-core`'s sharding tests): driving the same dispatcher over
-//! the same batches with and without a `FleetIndex` attached to the
-//! `DispatchContext` must produce bit-identical assignments and fleets,
+//! With-vs-without equivalence of the scoring path for the baselines that
+//! score through it (SARD's own equivalence is pinned in `structride-core`'s
+//! sharding tests): driving the same dispatcher over the same batches once
+//! with a bare context, which scans the whole fleet, and once with a
+//! `FleetIndex` and a `ScoreMemo` attached to the `DispatchContext`, as a
+//! lane attaches them, must produce bit-identical assignments and fleets,
 //! while the prescreen actually skips provably-unreachable vehicles on a
 //! multi-city map.
 
-use structride_baselines::{Gas, PruneGdp};
-use structride_core::{DispatchContext, Dispatcher, FleetIndex, StructRideConfig};
+use structride_baselines::{DemandRepositioning, Gas, PruneGdp, TicketAssignPlus};
+use structride_core::{DispatchContext, Dispatcher, FleetIndex, ScoreMemo, StructRideConfig};
 use structride_datagen::{CityProfile, MultiRegionParams, MultiRegionWorkload};
 
 fn workload() -> MultiRegionWorkload {
@@ -34,14 +35,16 @@ fn assert_prescreen_equivalent(name: &str, mut factory: impl FnMut() -> Box<dyn 
     let mut indexed = factory();
     let mut fleet_plain = w.fresh_vehicles();
     let mut fleet_indexed = w.fresh_vehicles();
+    let mut memo = ScoreMemo::new();
     let mut pruned = 0u64;
     for (bi, chunk) in w.requests.chunks(12).enumerate() {
         let ctx_plain = DispatchContext::for_batch(engine, config, 0.0, bi);
         let out_plain = plain.dispatch_batch(&ctx_plain, &mut fleet_plain, chunk);
 
         let index = FleetIndex::build(bbox, config.grid_cells, engine.network(), &fleet_indexed);
-        let ctx_indexed =
-            DispatchContext::for_batch(engine, config, 0.0, bi).with_fleet_index(&index);
+        let ctx_indexed = DispatchContext::for_batch(engine, config, 0.0, bi)
+            .with_fleet_index(&index)
+            .with_score_memo(&memo);
         let out_indexed = indexed.dispatch_batch(&ctx_indexed, &mut fleet_indexed, chunk);
 
         assert_eq!(
@@ -49,6 +52,7 @@ fn assert_prescreen_equivalent(name: &str, mut factory: impl FnMut() -> Box<dyn 
             "{name}: batch {bi} assignments"
         );
         pruned += ctx_indexed.scratch.snapshot().prescreen_pruned;
+        memo.evict_unseen();
     }
     assert!(
         pruned > 0,
@@ -75,4 +79,14 @@ fn prunegdp_with_fleet_index_matches_the_full_scan_bit_for_bit() {
 #[test]
 fn gas_with_fleet_index_matches_the_full_scan_bit_for_bit() {
     assert_prescreen_equivalent("GAS", || Box::new(Gas::default()));
+}
+
+#[test]
+fn darm_with_fleet_index_matches_the_full_scan_bit_for_bit() {
+    assert_prescreen_equivalent("DARM", || Box::new(DemandRepositioning::new()));
+}
+
+#[test]
+fn ticket_with_fleet_index_matches_the_full_scan_bit_for_bit() {
+    assert_prescreen_equivalent("TicketAssign+", || Box::new(TicketAssignPlus::default()));
 }

@@ -39,15 +39,16 @@
 //! ([`DispatchContext::screen_pool`], the fleet-index prescreen) and a
 //! scoring pass over its survivors ([`DispatchContext::score_screened`]);
 //! [`DispatchContext::score_pool`] does both for each request on one
-//! worker.  SARD screens and scores once per batch, through `score_pool`.
-//! The exact assignment screens once per batch and runs one scoring pass
-//! per LAP round over the carried survivors: nothing the screen reads
-//! changes within a batch.  A pass first compares every vehicle's exact
-//! insertion inputs with the memo's copy, once (see [`crate::score_memo`]);
-//! then each request reads the scores of its unchanged pairs without a lock
-//! and sends only the misses through the pickup-cost `many_to_many` pass
-//! and `insert_request`; the memo takes the new scores when the pass ends,
-//! in request order.  A hit carries the bits
+//! worker: SARD calls it once per batch, TicketAssign+ once per commit
+//! round.  The exact assignment, pruneGDP and DARM screen once per batch,
+//! as nothing the screen reads changes within a batch, and score the
+//! carried survivors again in each LAP round (Assign) or for a request one
+//! of whose survivors took a commit (pruneGDP, DARM).  A pass first
+//! compares every vehicle's exact insertion inputs with the memo's copy,
+//! once (see [`crate::score_memo`]); then each request reads the scores of
+//! its unchanged pairs without a lock and sends only the misses through the
+//! pickup-cost `many_to_many` pass and `insert_request`; the memo takes the
+//! new scores when the pass ends, in request order.  A hit carries the bits
 //! the computation would have produced, and the scratch counters count hits
 //! exactly as computed pairs.  What the memo does change is the
 //! shortest-path query count: a hit issues none.  Without a memo every

@@ -60,7 +60,8 @@ impl BatchOutcome {
 /// function of the pool at restore time: each edge was evaluated when its
 /// later endpoint arrived, possibly under an earlier traffic epoch, so
 /// re-deriving them after a restore could flip marginal pairs and break the
-/// bit-identical-resume guarantee.
+/// bit-identical-resume guarantee.  `state` is any other decision-bearing
+/// state derived from past batches, as exact floats (DARM's demand map).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PendingSnapshot {
     /// Carried-over requests, sorted by id.
@@ -68,12 +69,14 @@ pub struct PendingSnapshot {
     /// Derived pairwise edges over `pool` (empty for dispatchers without a
     /// pairwise structure), as ascending `(low, high)` id pairs.
     pub edges: Vec<(RequestId, RequestId)>,
+    /// Derived state, in the dispatcher's own layout (often empty).
+    pub state: Vec<f64>,
 }
 
 impl PendingSnapshot {
     /// True when the snapshot carries nothing.
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty() && self.edges.is_empty()
+        self.pool.is_empty() && self.edges.is_empty() && self.state.is_empty()
     }
 }
 
@@ -195,26 +198,11 @@ pub(crate) mod testing {
         ) -> BatchOutcome {
             let mut outcome = BatchOutcome::empty();
             for r in new_requests {
-                let mut best: Option<(usize, structride_model::InsertionOutcome)> = None;
-                for (vi, v) in vehicles.iter().enumerate() {
-                    if let Some(out) = insertion::insert_request(ctx.engine, v, r) {
-                        ctx.scratch.count_insertion_evaluations(1);
-                        let better = match &best {
-                            None => true,
-                            Some((_, b)) => {
-                                if self.invert {
-                                    out.added_cost > b.added_cost
-                                } else {
-                                    out.added_cost < b.added_cost
-                                }
-                            }
-                        };
-                        if better {
-                            best = Some((vi, out));
-                        }
-                    }
-                }
-                if let Some((vi, out)) = best {
+                let row = ctx.scored_candidates(vehicles, r, vehicles.len());
+                let pick = if self.invert { row.last() } else { row.first() };
+                if let Some(&(_, vi)) = pick {
+                    let out = insertion::insert_request(ctx.engine, &vehicles[vi], r)
+                        .expect("a scored candidate admits its request");
                     vehicles[vi].commit_schedule(out.schedule);
                     outcome.assigned.push(r.id);
                 }

@@ -78,11 +78,8 @@ fn ordered_members(
     match ordering {
         InsertionOrdering::ReleaseOrder => {
             ids.sort_by(|a, b| {
-                let ra = requests[a].release;
-                let rb = requests[b].release;
-                ra.partial_cmp(&rb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
+                let (ra, rb) = (requests[a].release, requests[b].release);
+                ra.total_cmp(&rb).then(a.cmp(b))
             });
         }
         InsertionOrdering::ShareabilityOrder => {

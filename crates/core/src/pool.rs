@@ -73,7 +73,7 @@ impl PendingPool {
         pool.sort_unstable_by_key(|r| r.id);
         PendingSnapshot {
             pool,
-            edges: Vec::new(),
+            ..PendingSnapshot::default()
         }
     }
 

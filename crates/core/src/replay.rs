@@ -491,7 +491,7 @@ pub struct ShardCheckpoint {
     /// The shard's fleet in slot order (slot order is load-bearing: the
     /// fleet index is keyed by slot, and migrations reorder slots).
     pub fleet: Vec<Vehicle>,
-    /// The shard dispatcher's carried pool and derived edges.
+    /// The shard dispatcher's carried pool, derived edges and state.
     pub pending: PendingSnapshot,
 }
 
@@ -510,7 +510,8 @@ pub struct ShardCheckpoint {
 /// checkpoint serializes every piece of decision-bearing state — clock,
 /// stream cursor, fleets (floats in Rust's shortest round-trip form),
 /// dispatcher pools *and* their derived shareability edges (edges are
-/// epoch-dependent at evaluation time, so they must not be re-derived) —
+/// epoch-dependent at evaluation time, so they must not be re-derived) and
+/// derived state (DARM's demand map, a `state` line when non-empty) —
 /// while wall-clock diagnostics (dispatch seconds, shortest-path query
 /// counts, memory estimates) are deliberately left out, exactly as replay
 /// comparisons exclude them.
@@ -640,6 +641,10 @@ impl Item for (RequestId, f64) {
 
 impl Item for (RequestId, RequestId) {
     const SEP: char = ';';
+}
+
+impl Item for f64 {
+    const SEP: char = ',';
 }
 
 /// Writes `items` joined by their separator.
@@ -1165,6 +1170,9 @@ impl Checkpoint {
             out.push_str("pool\n");
             put_lines(&mut out, "request", &s.pending.pool);
             put_line(&mut out, "edges", &s.pending.edges);
+            if !s.pending.state.is_empty() {
+                put_line(&mut out, "state", &s.pending.state);
+            }
             out.push_str("end\n");
         }
         out
@@ -1199,6 +1207,9 @@ impl Checkpoint {
             r.marker("pool")?;
             s.pending.pool = r.values("request")?;
             s.pending.edges = r.value("edges")?;
+            if r.at("state") {
+                s.pending.state = r.value("state")?;
+            }
             r.marker("end")?;
             checkpoint.shards.push(s);
         }
@@ -1345,6 +1356,7 @@ mod tests {
                     pending: PendingSnapshot {
                         pool: vec![pool_req],
                         edges: vec![(11, 13)],
+                        state: vec![0.5, 0.1 + 0.2, 0.0],
                     },
                 },
                 // An idle shard: every section empty.

@@ -314,19 +314,18 @@ impl Dispatcher for SardDispatcher {
     }
 
     fn checkpoint_pending(&self) -> PendingSnapshot {
-        let mut pool: Vec<Request> = Vec::new();
-        let mut edges: Vec<(RequestId, RequestId)> = Vec::new();
+        let mut out = PendingSnapshot::default();
         if let Some(snapshot) = &self.snapshot {
-            pool.extend(snapshot.pool.iter().cloned());
-            edges.extend(snapshot.edges.iter().copied());
+            out.pool.extend(snapshot.pool.iter().cloned());
+            out.edges.extend(snapshot.edges.iter().copied());
         }
         if let Some(builder) = &self.builder {
-            pool.extend(builder.requests().values().cloned());
-            edges.extend(builder.graph().edges_sorted());
+            out.pool.extend(builder.requests().values().cloned());
+            out.edges.extend(builder.graph().edges_sorted());
         }
-        pool.sort_unstable_by_key(|r| r.id);
-        edges.sort_unstable();
-        PendingSnapshot { pool, edges }
+        out.pool.sort_unstable_by_key(|r| r.id);
+        out.edges.sort_unstable();
+        out
     }
 
     fn restore_snapshot(&mut self, snapshot: PendingSnapshot) {

@@ -60,7 +60,7 @@ mod tests {
         assert!(samples.iter().all(|&x| x > 0.0));
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         let median = sorted[sorted.len() / 2];
         // Log-normal distributions have mean > median.
         assert!(mean > median);
